@@ -11,7 +11,7 @@ run's artifact: any policy whose cycles-per-second dropped by more than
 missing or unreadable baseline is tolerated (first run, cold cache).
 
 ``--max-telemetry-overhead`` additionally A/Bs the cycle loop with an
-attached-but-disabled telemetry object against no telemetry at all and
+attached-but-disabled telemetry observer against no observer at all and
 fails when the delta exceeds the given fraction; ``--trace-out`` writes
 a Chrome/Perfetto trace JSON from a short instrumented run;
 ``--vector-baseline`` records the lock-step vector engine's cycles/sec
@@ -62,21 +62,20 @@ def _throughput(factory, program, repeats: int = 3) -> dict:
 def _telemetry_overhead(program, repeats: int = 3) -> dict:
     """A/B the cycle loop with telemetry disabled vs absent.
 
-    An attached-but-disabled :class:`ProcessorTelemetry` must normalise to
-    ``None`` inside the processor, so the instrumented build pays exactly
-    one truthiness check per cycle — the measured delta is noise.  The
-    ``enabled`` number (full registry + series + spans) is recorded for
-    the docs but never gated.
+    An attached-but-disabled :class:`ProcessorTelemetry` observer must
+    normalise to ``None`` inside the processor, so the instrumented build
+    pays one ``is not None`` test per hook — the measured delta is noise.
+    The ``enabled`` number (full registry + series + spans) is recorded
+    for the docs but never gated.
     """
     from repro.telemetry import ProcessorTelemetry, SpanTracer
 
     def timed(telemetry_factory):
         best = 0.0
         for _ in range(repeats):
-            proc = steering_processor(program, _PARAMS)
-            tel = telemetry_factory()
-            if tel is not None:
-                proc.attach_telemetry(tel)
+            proc = steering_processor(
+                program, _PARAMS, observer=telemetry_factory()
+            )
             start = time.perf_counter()
             result = proc.run(max_cycles=100_000)
             elapsed = time.perf_counter() - start
@@ -102,9 +101,9 @@ def _write_trace(program, path: str) -> dict:
 
     tracer = SpanTracer()
     tel = ProcessorTelemetry(tracer=tracer, profile_stages=True)
-    proc = steering_processor(program, _PARAMS)
-    proc.attach_telemetry(tel)
-    result = proc.run(max_cycles=100_000)
+    result = steering_processor(program, _PARAMS, observer=tel).run(
+        max_cycles=100_000
+    )
     tracer.write(path)
     return {
         "path": path,
@@ -192,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-telemetry-overhead", type=float, default=None,
-        help="fail when an attached-but-disabled telemetry object slows "
+        help="fail when an attached-but-disabled telemetry observer slows "
              "the cycle loop by more than this fraction (the ISSUE gate "
              "is 0.02); also records the enabled-telemetry overhead",
     )

@@ -13,6 +13,7 @@ Run with::
 
 from repro import PREDEFINED_CONFIGS, ProcessorParams, steering_processor
 from repro.core.baselines import fixed_superscalar, static_processor
+from repro.core.tracing import SteeringTrace
 from repro.workloads.phases import phased_program
 from repro.workloads.synthetic import FP_MIX, INT_MIX, MEM_MIX
 
@@ -41,16 +42,15 @@ def main() -> None:
     print(f"workload: {len(program)} static instructions, phases "
           f"{' -> '.join(mix.name for mix, _ in PHASES)}\n")
 
-    proc = steering_processor(program, PARAMS, record_trace=True)
-    result = proc.run()
-    trace = proc.policy.manager.trace
+    trace = SteeringTrace()
+    result = steering_processor(program, PARAMS, observer=trace).run()
 
     print("steering timeline (one glyph per ~bucket of cycles):")
     print("  I=steer-to-integer  M=memory  F=floating  .=keep current")
-    print(" ", timeline([t.selection for t in trace]))
+    print(" ", timeline([t.selection for t in trace.entries]))
     print()
     print("partial reconfigurations (cycle: unit loaded @ slot):")
-    for t in trace:
+    for t in trace.entries:
         if t.load is not None:
             evicted = f" evicting {[e.short_name for e in t.load.evicted]}" if t.load.evicted else ""
             print(f"  cycle {t.cycle:5d}: {t.load.fu_type.short_name:6s} "

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Cycle-by-cycle pipeline and fabric trace.
 
-Runs a short mixed workload with event recording on and prints the fabric
-occupancy timeline: watch units being loaded into slots (``*`` while the
-configuration bus writes them), executing (lowercase) and idling
-(uppercase), alongside fetch/dispatch/issue/retire counts per cycle.
+Runs a short mixed workload with an event recorder attached and prints
+the fabric occupancy timeline: watch units being loaded into slots (``*``
+while the configuration bus writes them), executing (lowercase) and
+idling (uppercase), alongside fetch/dispatch/issue/retire counts per
+cycle.
 
 Run with::
 
@@ -12,7 +13,7 @@ Run with::
 """
 
 from repro import PaperSteering, Processor, ProcessorParams, assemble
-from repro.core.tracing import render_fabric_timeline
+from repro.core.tracing import EventRecorder, render_fabric_timeline
 
 PROGRAM = """
     .data
@@ -37,18 +38,19 @@ PROGRAM = """
 
 def main() -> None:
     program = assemble(PROGRAM)
+    recorder = EventRecorder()
     proc = Processor(
         program,
         params=ProcessorParams(reconfig_latency=4),
-        policy=PaperSteering(record_trace=True),
-        record_events=True,
+        policy=PaperSteering(),
+        observer=recorder,
     )
     result = proc.run()
 
     print("slot glyphs: A/M/L/F/D = IALU/IMDU/LSU/FPALU/FPMDU "
           "(lowercase = executing), * = reconfiguring, . = empty")
     print("columns: F)etched D)ispatched I)ssued R)etired, sel = steering pick\n")
-    print(render_fabric_timeline(proc.events, stride=2, max_rows=60))
+    print(render_fabric_timeline(recorder.events, stride=2, max_rows=60))
     print()
     print(result.summary())
     print()

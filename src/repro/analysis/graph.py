@@ -55,7 +55,7 @@ __all__ = [
 
 #: bump on summary-schema or resolution changes (part of the engine
 #: fingerprint, so old cached summaries are discarded).
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2
 
 #: minimum edge confidence for hot-obligation and taint propagation.
 OBLIGATION_CONFIDENCE = 0.75
@@ -111,6 +111,10 @@ TAINT_SINKS = {
 _CHANNEL_CTORS = {"Queue", "SimpleQueue", "JoinableQueue", "LifoQueue", "deque"}
 
 _MUTABLE_CTORS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+
+#: receiver names (leading underscores stripped) whose method calls in
+#: a hot zone must sit behind a guard that mentions them (HOT006).
+_GUARDED_RECEIVERS = ("tel", "telemetry", "obs", "observer")
 
 #: mutating method names on module-level containers (mirrors CON002).
 _MUTATOR_METHODS = {
@@ -304,7 +308,7 @@ class _FunctionVisitor(ast.NodeVisitor):
                 self.fn["global_writes"].append([chain[0], node.lineno])
             if (
                 len(chain) >= 1
-                and chain[0].lstrip("_") in ("tel", "telemetry")
+                and chain[0].lstrip("_") in _GUARDED_RECEIVERS
                 and not self._telemetry_guarded(node)
             ):
                 self._effect("HOT006", node, "unguarded telemetry call")
@@ -330,7 +334,7 @@ class _FunctionVisitor(ast.NodeVisitor):
                 name = sub.id
             elif isinstance(sub, ast.Attribute):
                 name = sub.attr
-            if name is not None and name.lstrip("_") in ("tel", "telemetry"):
+            if name is not None and name.lstrip("_") in _GUARDED_RECEIVERS:
                 return True
         return False
 

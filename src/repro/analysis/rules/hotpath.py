@@ -19,8 +19,10 @@ from repro.analysis.rules import FileContext, Rule, register
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _CONTAINER_BUILTINS = {"dict", "list", "set"}
 
-#: receiver spellings the telemetry-guard rule recognises.
-_TELEMETRY_NAMES = {"tel", "telemetry", "_telemetry"}
+#: receiver spellings the telemetry/observer-guard rule recognises.
+_TELEMETRY_NAMES = {
+    "tel", "telemetry", "_telemetry", "obs", "observer", "_observer",
+}
 
 
 def _iter_hot_nodes(ctx: FileContext) -> Iterable[ast.AST]:
@@ -149,9 +151,9 @@ class HotDataclassSlots(Rule):
 def _telemetry_symbol(call: ast.Call) -> str | None:
     """The telemetry receiver symbol of a call, if it looks like one.
 
-    Matches ``tel.on_cycle(...)``, ``telemetry.foo(...)`` and
-    ``self._telemetry.foo(...)`` — returns the symbol a guard must test
-    (``tel``, ``telemetry``, ``_telemetry``).
+    Matches ``tel.on_cycle(...)``, ``obs.on_stage(...)``,
+    ``telemetry.foo(...)`` and ``self._observer.foo(...)`` — returns the
+    symbol a guard must test (one of :data:`_TELEMETRY_NAMES`).
     """
     func = call.func
     if not isinstance(func, ast.Attribute):
@@ -177,7 +179,8 @@ def _mentions(tree: ast.expr, symbol: str) -> bool:
 class HotUnguardedTelemetry(Rule):
     id = "HOT006"
     family = "hot-path"
-    summary = "telemetry call in a hot zone without a truthiness guard"
+    summary = "telemetry/observer call in a hot zone without a None guard"
+    version = 2
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in _iter_hot_nodes(ctx):
@@ -194,9 +197,9 @@ class HotUnguardedTelemetry(Rule):
                 yield ctx.finding(
                     self.id,
                     node,
-                    f"telemetry call on {symbol!r} must sit behind the "
-                    "one-truthiness-check pattern "
-                    "(tel = self._telemetry; if tel is not None: ...)",
+                    f"observer call on {symbol!r} must sit behind the "
+                    "one-None-check pattern "
+                    "(obs = self.observer; if obs is not None: ...)",
                 )
 
 

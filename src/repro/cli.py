@@ -47,7 +47,7 @@ from repro.core.baselines import policy_catalogue
 from repro.core.params import ProcessorParams
 from repro.core.policies import PaperSteering
 from repro.core.processor import Processor
-from repro.core.tracing import render_fabric_timeline
+from repro.core.tracing import EventRecorder, render_fabric_timeline
 from repro.evaluation import artifacts as artifacts_mod
 from repro.evaluation.report import render_table
 from repro.isa.assembler import assemble
@@ -142,8 +142,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             tracer=SpanTracer(), profile_stages=args.profile_stages
         )
     proc = catalogue[args.policy](program, params)
-    if telemetry is not None:
-        proc.attach_telemetry(telemetry)
+    proc.observer = telemetry
     result = proc.run(max_cycles=args.max_cycles)
     if args.json:
         from repro.utils.canonical import canonical_dumps
@@ -344,14 +343,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if _RUN_ID_RE.fullmatch(args.target):
         return _trace_run(args)
     program = _load_program(args.target)
+    recorder = EventRecorder()
     proc = Processor(
         program,
         params=_params_from_args(args),
-        policy=PaperSteering(record_trace=True),
-        record_events=True,
+        policy=PaperSteering(),
+        observer=recorder,
     )
     proc.run(max_cycles=args.max_cycles)
-    print(render_fabric_timeline(proc.events, stride=args.stride))
+    print(render_fabric_timeline(recorder.events, stride=args.stride))
     return 0
 
 

@@ -30,33 +30,26 @@ __all__ = [
 
 
 def fixed_superscalar(
-    program: Program,
-    params: ProcessorParams | None = None,
-    telemetry=None,
+    program: Program, params: ProcessorParams | None = None
 ) -> Processor:
     """The legacy baseline: fixed functional units only, RFU slots unused."""
-    return Processor(
-        program, params=params, policy=NoSteering(), telemetry=telemetry
-    )
+    return Processor(program, params=params, policy=NoSteering())
 
 
 def steering_processor(
     program: Program,
     params: ProcessorParams | None = None,
     use_exact_metric: bool = False,
-    record_trace: bool = False,
-    trace_limit: int | None = None,
-    telemetry=None,
+    observer=None,
 ) -> Processor:
-    """The paper's processor: CEM-based configuration steering."""
+    """The paper's processor: CEM-based configuration steering (``observer``
+    as for :class:`~repro.core.processor.Processor`)."""
     params = params if params is not None else ProcessorParams()
     policy = PaperSteering(
         use_exact_metric=use_exact_metric or params.use_exact_metric,
         queue_size=params.window_size,
-        record_trace=record_trace,
-        trace_limit=trace_limit,
     )
-    return Processor(program, params=params, policy=policy, telemetry=telemetry)
+    return Processor(program, params=params, policy=policy, observer=observer)
 
 
 def static_processor(

@@ -79,14 +79,10 @@ class PaperSteering(SteeringPolicy):
         configs: Sequence[Configuration] = PREDEFINED_CONFIGS,
         use_exact_metric: bool = False,
         queue_size: int = 7,
-        record_trace: bool = False,
-        trace_limit: int | None = None,
     ) -> None:
         self.configs = tuple(configs)
         self.use_exact_metric = use_exact_metric
         self.queue_size = queue_size
-        self.record_trace = record_trace
-        self.trace_limit = trace_limit
         self.manager: ConfigurationManager | None = None
         if use_exact_metric:
             self.name = "steering-exact"
@@ -98,8 +94,6 @@ class PaperSteering(SteeringPolicy):
             configs=self.configs,
             use_exact_metric=self.use_exact_metric,
             queue_size=self.queue_size,
-            record_trace=self.record_trace,
-            trace_limit=self.trace_limit,
         )
 
     def cycle(self, ready: Sequence[Instruction], retired: int) -> None:

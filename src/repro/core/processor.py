@@ -27,7 +27,6 @@ from repro.core.stats import (
     OUTCOME_DEADLOCK,
     SimulationResult,
 )
-from repro.core.tracing import CycleEvents, slot_glyphs
 from repro.errors import SimulationError
 from repro.fabric.fabric import Fabric
 from repro.frontend.branch import BTB, BranchPredictor
@@ -60,8 +59,7 @@ class Processor:
         params: ProcessorParams | None = None,
         policy: SteeringPolicy | None = None,
         entry: str = "main",
-        record_events: bool = False,
-        telemetry=None,
+        observer=None,
     ) -> None:
         self.params = params if params is not None else ProcessorParams()
         self.policy = policy if policy is not None else PaperSteering()
@@ -103,22 +101,7 @@ class Processor:
         self.policy.bind(self.fabric)
 
         self.cycle_count = 0
-        self._record_events = record_events
-        #: full event history when ``record_events`` is set.
-        self.events: list[CycleEvents] | None = [] if record_events else None
-        #: materialised events of the most recent cycle (recording mode).
-        self._last_events: CycleEvents | None = None
-        # raw per-cycle facts stashed for the on-demand snapshot path: kept
-        # as the tuples/lists the step already produced, so the fast path
-        # never builds a CycleEvents or renders slot glyphs.
-        self._last_cycle: int | None = None
-        #: the raw fetch packet of the last cycle; pcs are materialised only
-        #: when snapshot_events() asks, never in the per-cycle loop.
-        self._last_packet: Sequence = ()
-        self._last_dispatched: list[int] = []
-        self._last_issued: tuple[int, ...] = ()
-        self._last_retired: list = []
-        self._last_flushed = 0
+        self.observer = observer
         self._retired_per_type = {t: 0 for t in FU_TYPES}
         #: cycle of the most recent retirement — drives the completed/
         #: cutoff/deadlock outcome classification in :meth:`result`.
@@ -133,38 +116,30 @@ class Processor:
         self._frontend_empty_cycles = 0
         self._resource_blocked_cycles = 0
         self._contention_cycles = 0
-        #: per-cycle telemetry hook (``repro.telemetry.ProcessorTelemetry``).
-        #: Inactive telemetry is normalised to None so the disabled hot
-        #: loop pays exactly one truthiness check per cycle.
-        self._telemetry = None
-        if telemetry is not None:
-            self.attach_telemetry(telemetry)
-
-    def attach_telemetry(self, telemetry):
-        """Attach (or with ``None`` detach) a per-cycle telemetry probe.
-
-        A telemetry object whose ``active`` flag is false — null registry,
-        no series bank, no tracer, no stage profiling — is normalised to
-        ``None``: the simulation then runs the exact uninstrumented loop.
-        Returns the normalised value.
-        """
-        if telemetry is not None and not telemetry.active:
-            telemetry = None
-        self._telemetry = telemetry
-        return telemetry
 
     @property
-    def telemetry(self):
-        return self._telemetry
+    def observer(self):
+        """Optional cycle observer (protocol in :mod:`repro.core.tracing`).
+
+        ``on_stage`` runs as each of the six pipeline stages starts and
+        ``on_cycle`` after the tick; ``None`` costs one test per hook.  An
+        observer whose ``active`` is ``False`` records nothing, so it is
+        stored as ``None`` and the loop never calls it.
+        """
+        return self._observer
+
+    @observer.setter
+    def observer(self, observer) -> None:
+        if observer is not None and not getattr(observer, "active", True):
+            observer = None
+        self._observer = observer
 
     # --------------------------------------------------------------- cycle
     def step(self) -> None:
         """Simulate one clock cycle."""
-        tel = self._telemetry
-        if tel is not None and tel.profile_stages:
-            # repro: cold-call -- opt-in stage-profiling mode: instrumentation
-            # cost is the point of this path
-            return self._step_profiled(tel)
+        obs = self._observer
+        if obs is not None:
+            obs.on_stage(self, "retire")  # repro: cold-call -- observer hook
         # 1. retire
         retired = self.ruu.retire()
         if retired:
@@ -173,14 +148,17 @@ class Processor:
                 self._retired_per_type[entry.fu_type] += 1
 
         # 2. issue / execute / branch repair
-        issued_seqs: tuple[int, ...] = ()
+        if obs is not None:
+            # repro: cold-call -- observer hook
+            obs.on_stage(self, "wakeup_select_execute")
+        issued: Sequence[int] = ()
         flushed = 0
         if not self.ruu.halted:
             if self.ruu.empty:
                 self._frontend_empty_cycles += 1
             flushed_before = self.ruu.flushed
             report = self.ruu.issue_and_execute(self.cycle_count)
-            issued_seqs = tuple(report.issued)
+            issued = report.issued
             self._handle_resolutions(report.resolutions)
             flushed = self.ruu.flushed - flushed_before
             self._resource_blocked_cycles += report.resource_blocked
@@ -189,6 +167,8 @@ class Processor:
             )
 
         # 3. dispatch
+        if obs is not None:
+            obs.on_stage(self, "dispatch")  # repro: cold-call -- observer hook
         dispatched: list[int] = []
         if not self.ruu.halted:
             room = self.ruu.wakeup.free_count()
@@ -196,6 +176,8 @@ class Processor:
                 dispatched.append(self.ruu.dispatch(fetched).seq)
 
         # 4. fetch into decode
+        if obs is not None:
+            obs.on_stage(self, "fetch")  # repro: cold-call -- observer hook
         packet: Sequence = ()
         if not self.ruu.halted and self.decode.can_accept(self.params.fetch_width):
             fetched_packet = self.fetch.fetch_packet()
@@ -204,167 +186,20 @@ class Processor:
                 packet = fetched_packet
 
         # 5. steering policy
+        if obs is not None:
+            obs.on_stage(self, "steer")  # repro: cold-call -- observer hook
         self.policy.cycle(self.ruu.ready_unscheduled(), self.ruu.retired)
 
-        # 6. record + advance time
-        if self._record_events:
-            # repro: cold-call -- opt-in recording mode: per-cycle event
-            # capture is what the caller asked to pay for
-            self._record_cycle(packet, dispatched, issued_seqs, retired, flushed)
-        else:
-            # fast path: stash the raw facts; snapshot_events() materialises
-            # a CycleEvents on demand
-            self._last_packet = packet
-            self._last_dispatched = dispatched
-            self._last_issued = issued_seqs
-            self._last_retired = retired
-            self._last_flushed = flushed
-        self._last_cycle = self.cycle_count
+        # 6. advance time
+        if obs is not None:
+            obs.on_stage(self, "tick")  # repro: cold-call -- observer hook
         self._accumulate_utilisation()
         self.fabric.tick()
         self.ruu.tick()
-        if tel is not None:
-            tel.on_cycle(self, len(issued_seqs), len(retired), flushed)
+        if obs is not None:
+            # repro: cold-call -- observer hook
+            obs.on_cycle(self, packet, dispatched, issued, retired, flushed)
         self.cycle_count += 1
-
-    # repro: allow[DET001] -- stage profiling *is* the telemetry layer:
-    # wall-clock readings feed tel.stage_seconds only, never the results
-    def _step_profiled(self, tel) -> None:
-        """Stage-timed mirror of :meth:`step` (telemetry profiling mode).
-
-        Keep in lockstep with :meth:`step` — the equivalence test in
-        ``tests/telemetry/test_probes.py`` pins identical results.  The
-        per-stage ``perf_counter`` pairs are the only difference.
-        """
-        from time import perf_counter
-
-        t0 = perf_counter()
-        # 1. retire
-        retired = self.ruu.retire()
-        if retired:
-            self._last_retire_cycle = self.cycle_count
-            for entry in retired:
-                self._retired_per_type[entry.fu_type] += 1
-        t1 = perf_counter()
-        tel.stage_seconds("retire", t1 - t0)
-
-        # 2. issue / execute / branch repair
-        issued_seqs: tuple[int, ...] = ()
-        flushed = 0
-        if not self.ruu.halted:
-            if self.ruu.empty:
-                self._frontend_empty_cycles += 1
-            flushed_before = self.ruu.flushed
-            report = self.ruu.issue_and_execute(self.cycle_count)
-            issued_seqs = tuple(report.issued)
-            self._handle_resolutions(report.resolutions)
-            flushed = self.ruu.flushed - flushed_before
-            self._resource_blocked_cycles += report.resource_blocked
-            self._contention_cycles += max(
-                0, report.requests - len(report.granted) - report.memory_stalls
-            )
-        t2 = perf_counter()
-        tel.stage_seconds("wakeup_select_execute", t2 - t1)
-
-        # 3. dispatch
-        dispatched: list[int] = []
-        if not self.ruu.halted:
-            room = self.ruu.wakeup.free_count()
-            for fetched in self.decode.pop(limit=room):
-                dispatched.append(self.ruu.dispatch(fetched).seq)
-        t3 = perf_counter()
-        tel.stage_seconds("dispatch", t3 - t2)
-
-        # 4. fetch into decode
-        packet: Sequence = ()
-        if not self.ruu.halted and self.decode.can_accept(self.params.fetch_width):
-            fetched_packet = self.fetch.fetch_packet()
-            if fetched_packet:
-                self.decode.push(fetched_packet)
-                packet = fetched_packet
-        t4 = perf_counter()
-        tel.stage_seconds("fetch", t4 - t3)
-
-        # 5. steering policy
-        self.policy.cycle(self.ruu.ready_unscheduled(), self.ruu.retired)
-        t5 = perf_counter()
-        tel.stage_seconds("steer", t5 - t4)
-
-        # 6. record + advance time
-        if self._record_events:
-            self._record_cycle(packet, dispatched, issued_seqs, retired, flushed)
-        else:
-            self._last_packet = packet
-            self._last_dispatched = dispatched
-            self._last_issued = issued_seqs
-            self._last_retired = retired
-            self._last_flushed = flushed
-        self._last_cycle = self.cycle_count
-        self._accumulate_utilisation()
-        self.fabric.tick()
-        self.ruu.tick()
-        tel.stage_seconds("tick", perf_counter() - t5)
-        tel.on_cycle(self, len(issued_seqs), len(retired), flushed)
-        self.cycle_count += 1
-
-    def _record_cycle(
-        self, packet, dispatched, issued_seqs, retired, flushed
-    ) -> None:
-        """Recording-mode tail of a step: materialise and store the cycle's
-        events.  Cold by construction — only runs when per-cycle recording
-        was requested, so its allocations never tax the fast path."""
-        self._last_events = CycleEvents(
-            cycle=self.cycle_count,
-            fetched=tuple(f.pc for f in packet),
-            dispatched=tuple(dispatched),
-            issued=issued_seqs,
-            retired=tuple(e.seq for e in retired),
-            flushed=flushed,
-            slots=slot_glyphs(self.fabric),
-            selection=self._current_selection(),
-        )
-        self.events.append(self._last_events)
-
-    def _current_selection(self) -> int | None:
-        """The steering selection of the most recent manager cycle (only
-        policies recording a steering trace expose one)."""
-        manager = getattr(self.policy, "manager", None)
-        if manager is not None and manager.trace:
-            return manager.trace[-1].selection
-        return None
-
-    @property
-    def last_events(self) -> CycleEvents | None:
-        """The most recent cycle's events.
-
-        In recording mode this is the stored per-cycle record; otherwise it
-        is built on demand by :meth:`snapshot_events` (the fast path pays
-        nothing per cycle for it).
-        """
-        if self._record_events:
-            return self._last_events
-        return self.snapshot_events()
-
-    def snapshot_events(self) -> CycleEvents | None:
-        """Materialise a :class:`CycleEvents` for the last executed cycle.
-
-        Cheap-on-demand counterpart of per-cycle recording: the pipeline
-        facts (fetch/dispatch/issue/retire/flush) are exact; the slot
-        glyphs show the fabric as it stands *after* that cycle's tick.
-        Returns None before the first cycle.
-        """
-        if self._last_cycle is None:
-            return None
-        return CycleEvents(
-            cycle=self._last_cycle,
-            fetched=tuple(f.pc for f in self._last_packet),
-            dispatched=tuple(self._last_dispatched),
-            issued=self._last_issued,
-            retired=tuple(e.seq for e in self._last_retired),
-            flushed=self._last_flushed,
-            slots=slot_glyphs(self.fabric),
-            selection=self._current_selection(),
-        )
 
     def _handle_resolutions(self, resolutions) -> None:
         """Train the predictors; repair the pipeline on the oldest mispredict."""

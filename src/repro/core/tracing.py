@@ -1,8 +1,22 @@
-"""Per-cycle event records and ASCII timelines.
+"""Cycle observers, per-cycle event records and ASCII timelines.
 
-The processor records a :class:`CycleEvents` snapshot every cycle (cheap:
-a handful of ints and short strings); these drive the fabric-occupancy
-timeline used by ``examples/pipeline_trace.py`` and the E-PH analysis.
+A :class:`~repro.core.processor.Processor` built with ``observer=obs``
+calls two hooks; any object with both methods is an observer:
+
+* ``obs.on_stage(proc, stage)`` as each pipeline stage starts, ``stage``
+  naming it: ``retire``, ``wakeup_select_execute``, ``dispatch``,
+  ``fetch``, ``steer``, ``tick`` (``repro.telemetry.STAGES``);
+* ``obs.on_cycle(proc, packet, dispatched, issued, retired, flushed)``
+  after the tick, with the cycle's raw facts: the fetch packet, the
+  dispatched and issued sequence numbers, the retired entries and the
+  number of squashed entries.  ``proc.cycle_count`` still names the
+  cycle just executed.
+
+Observers only read.  This module provides two: :class:`EventRecorder`
+keeps a :class:`CycleEvents` per cycle (the fabric-occupancy timeline of
+``repro trace`` and ``examples/pipeline_trace.py``), and
+:class:`SteeringTrace` keeps the configuration manager's per-cycle
+:class:`~repro.steering.manager.TraceEntry` records.
 
 Slot glyphs: one character per reconfigurable slot —
 
@@ -14,12 +28,20 @@ Slot glyphs: one character per reconfigurable slot —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FUType
+from repro.steering.manager import TraceEntry
 
-__all__ = ["CycleEvents", "slot_glyphs", "render_fabric_timeline"]
+__all__ = [
+    "CycleEvents",
+    "EventRecorder",
+    "SteeringTrace",
+    "slot_glyphs",
+    "render_fabric_timeline",
+]
 
 _GLYPH = {
     FUType.INT_ALU: "A",
@@ -60,6 +82,65 @@ def slot_glyphs(fabric: Fabric) -> str:
         glyph = _GLYPH[unit.fu_type]
         out.append(glyph.lower() if not unit.available else glyph)
     return "".join(out)
+
+
+class EventRecorder:
+    """Observer keeping one :class:`CycleEvents` per simulated cycle."""
+
+    def __init__(self) -> None:
+        self.events: list[CycleEvents] = []
+        self._slots = ""
+
+    def on_stage(self, proc, stage: str) -> None:
+        if stage == "tick":
+            # the fabric as the cycle leaves it, before units count down
+            self._slots = slot_glyphs(proc.fabric)
+
+    def on_cycle(self, proc, packet, dispatched, issued, retired, flushed) -> None:
+        manager = getattr(proc.policy, "manager", None)
+        self.events.append(
+            CycleEvents(
+                cycle=proc.cycle_count,
+                fetched=tuple(f.pc for f in packet),
+                dispatched=tuple(dispatched),
+                issued=tuple(issued),
+                retired=tuple(e.seq for e in retired),
+                flushed=flushed,
+                slots=self._slots,
+                selection=None if manager is None else manager.last_selection,
+            )
+        )
+
+
+class SteeringTrace:
+    """Observer keeping the configuration manager's per-cycle trace.
+
+    Needs a policy with a ``manager`` (:class:`~repro.core.policies.
+    PaperSteering`).  With a ``limit`` the trace is a ring buffer of the
+    newest entries, so arbitrarily long runs hold bounded memory.
+    """
+
+    def __init__(self, limit: int | None = None) -> None:
+        self.entries: deque[TraceEntry] = deque(maxlen=limit)
+        self._loads = 0
+
+    def on_stage(self, proc, stage: str) -> None:
+        pass
+
+    def on_cycle(self, proc, packet, dispatched, issued, retired, flushed) -> None:
+        manager = proc.policy.manager
+        result = manager.last_result
+        loads = manager.stats.loads
+        self.entries.append(
+            TraceEntry(
+                cycle=manager.stats.cycles,
+                selection=result.index,
+                errors=result.errors,
+                required=result.required,
+                load=manager.last_load if loads != self._loads else None,
+            )
+        )
+        self._loads = loads
 
 
 def render_fabric_timeline(

@@ -89,21 +89,22 @@ def _make_steering(program, params, max_cycles, **kw):
 
 
 def _make_steering_traced(program, params, max_cycles, **kw):
-    # steering with the manager trace recorded; returns a picklable dict so
+    # steering with the manager trace observed; returns a picklable dict so
     # the trace survives the process boundary and the result cache.
+    from repro.core.tracing import SteeringTrace
+
+    trace = SteeringTrace(limit=kw.get("trace_limit"))
     proc = steering_processor(
         program,
         params,
         use_exact_metric=kw.get("use_exact_metric", False),
-        record_trace=True,
-        trace_limit=kw.get("trace_limit"),
+        observer=trace,
     )
     result = proc.run(max_cycles=max_cycles)
-    trace = proc.policy.manager.trace
     return {
         "result": result,
-        "selections": [t.selection for t in trace],
-        "load_cycles": [t.cycle for t in trace if t.load is not None],
+        "selections": [t.selection for t in trace.entries],
+        "load_cycles": [t.cycle for t in trace.entries if t.load is not None],
         "kept_fraction": proc.policy.manager.stats.current_kept_fraction,
     }
 
@@ -135,13 +136,12 @@ def _make_steering_telemetry(program, params, max_cycles, **kw):
         tracer=tracer,
         ledger=ledger,
     )
-    proc = steering_processor(
+    result = steering_processor(
         program,
         params,
         use_exact_metric=kw.get("use_exact_metric", False),
-        telemetry=tel,
-    )
-    result = proc.run(max_cycles=max_cycles)
+        observer=tel,
+    ).run(max_cycles=max_cycles)
     out = {
         "result": result,
         "timeseries": tel.snapshot(),

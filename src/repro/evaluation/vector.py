@@ -830,6 +830,9 @@ def run_vector_batch(jobs, crosscheck: bool | None = None) -> list[Any]:
             if lane.ruu.halted or lane.proc.cycle_count >= lane.max_cycles:
                 lane.done = True
                 ticker.clear_lane(lane.index)
+                # break lane -> proc.ruu.wakeup -> lane, so the lane's
+                # processor is freed by refcount, not the cyclic GC
+                lane.wakeup._lane = None
                 proc = lane.proc
                 conf_acc = lane.util_conf
                 busy_acc = lane.util_busy

@@ -8,14 +8,14 @@ Each cycle the manager
    target when the current configuration wins), and
 3. lets the loader start at most one partial reconfiguration.
 
-It also keeps the statistics the evaluation harness reports: selection
-histogram, reconfiguration count, and (optionally) the full per-cycle
-error/selection trace used by the phase-adaptation experiment.
+It also keeps the statistics the evaluation harness reports (selection
+histogram, reconfiguration count) and the most recent cycle's result,
+which observers read (``repro.core.tracing.SteeringTrace`` rebuilds the
+per-cycle :class:`TraceEntry` records from it).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -54,7 +54,7 @@ class ManagerStats:
 
 @dataclass(frozen=True, slots=True)
 class TraceEntry:
-    """One cycle of the (optional) steering trace."""
+    """One cycle of the steering trace (1-based manager ``cycle``)."""
 
     cycle: int
     selection: int
@@ -72,8 +72,6 @@ class ConfigurationManager:
         configs: Sequence[Configuration] = PREDEFINED_CONFIGS,
         use_exact_metric: bool = False,
         queue_size: int = 7,
-        record_trace: bool = False,
-        trace_limit: int | None = None,
     ) -> None:
         self.fabric = fabric
         self.selection_unit = ConfigurationSelectionUnit(
@@ -83,16 +81,7 @@ class ConfigurationManager:
         )
         self.loader = ConfigurationLoader(fabric)
         self.stats = ManagerStats()
-        #: per-cycle steering trace, recorded only on request.  With a
-        #: ``trace_limit`` the trace is a ring buffer keeping the newest
-        #: entries, so arbitrarily long runs hold bounded memory;
-        #: ``trace_limit=None`` opts into full retention (the
-        #: phase-adaptation experiment needs the whole trajectory).
-        self.trace: deque[TraceEntry] | None = (
-            deque(maxlen=trace_limit) if record_trace else None
-        )
-        #: candidate index selected by the most recent cycle (0 = current);
-        #: kept unconditionally so callers never touch the trace for it.
+        #: candidate index selected by the most recent cycle (0 = current).
         self.last_selection: int | None = None
         #: full selection result of the most recent cycle — the frozen
         #: object the selection unit returned, kept by reference (no
@@ -123,14 +112,4 @@ class ConfigurationManager:
         if plan is not None:
             self.stats.loads += 1
             self.last_load = plan
-        if self.trace is not None:
-            self.trace.append(
-                TraceEntry(
-                    cycle=self.stats.cycles,
-                    selection=result.index,
-                    errors=result.errors,
-                    required=result.required,
-                    load=plan,
-                )
-            )
         return result

@@ -1,7 +1,8 @@
 """Per-cycle processor probes and batch-engine instrumentation.
 
-``ProcessorTelemetry`` is the object a :class:`~repro.core.processor.
-Processor` calls once per simulated cycle (``on_cycle``).  It drives
+``ProcessorTelemetry`` is a cycle observer: pass it as a
+:class:`~repro.core.processor.Processor`'s ``observer`` (the protocol is in
+:mod:`repro.core.tracing`).  It drives
 
 * registry counters/gauges (cycles, retirements, flushes,
   reconfigurations, steering decisions, windowed IPC, slot occupancy),
@@ -9,20 +10,23 @@ Processor` calls once per simulated cycle (``on_cycle``).  It drives
   per-cycle series (windowed IPC, slot occupancy, per-type demand vs.
   Eq. 1 availability, winning-configuration CEM error, RUU/queue depth),
 * a :class:`~repro.telemetry.spans.SpanTracer` of cycle-domain spans
-  (reconfiguration start→finish, steering decisions, flush episodes) and
-  per-stage wall-clock profiling counters.
+  (reconfiguration start→finish, steering decisions, flush episodes),
+* a :class:`~repro.telemetry.ledger.DecisionLedger` of steering decisions,
+* with ``profile_stages``, per-stage wall-clock counters: the stage hooks
+  time the span between one stage boundary and the next.
 
-The disabled contract: a telemetry object whose registry is the null
-registry and that carries no series bank, tracer, or stage profiling is
-**inactive** (``active`` is ``False``); the processor normalises it to
-``None``, so the hot loop pays exactly one truthiness check per cycle —
-the same instruction stream as having passed no telemetry at all.
+A processor with no observer pays one ``is not None`` test per hook.  A
+telemetry object that records nothing (``active`` is ``False``, e.g.
+:meth:`ProcessorTelemetry.disabled`) is stored by the processor as
+``None``, so attaching it costs the same.
 
 Sampling happens every ``sample_interval`` cycles; everything between
 samples is O(1) counter arithmetic.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 from repro.isa.futypes import FU_TYPES
 from repro.telemetry.registry import (
@@ -35,9 +39,9 @@ from repro.telemetry.timeseries import SeriesBank
 
 __all__ = ["ProcessorTelemetry", "STAGES"]
 
-#: pipeline stages timed by the profiled step, in execution order.  The
-#: RUU performs wake-up, select and execute in one pass, so they share a
-#: timer; ``tick`` covers the fabric/RUU count-down advance.
+#: pipeline stages named by the processor's ``on_stage`` hook, in execution
+#: order.  The RUU performs wake-up, select and execute in one pass, so
+#: they share a timer; ``tick`` covers the fabric/RUU count-down advance.
 STAGES = ("retire", "wakeup_select_execute", "dispatch", "fetch", "steer", "tick")
 
 
@@ -106,6 +110,9 @@ class ProcessorTelemetry:
         self._stage_counters = {s: stage_counter.labels(s) for s in STAGES}
         self._stage_wall = {s: 0.0 for s in STAGES}
         self._stage_wall_at_sample = dict(self._stage_wall)
+        #: the stage being timed and its start (profile_stages only).
+        self._stage: str | None = None
+        self._stage_start = 0.0
 
         # sampling / change-detection state
         self._since_sample = 0
@@ -116,12 +123,12 @@ class ProcessorTelemetry:
     # ------------------------------------------------------------ lifecycle
     @classmethod
     def disabled(cls) -> "ProcessorTelemetry":
-        """A fully inert instance; processors normalise it to ``None``."""
+        """A fully inert instance (``active`` is ``False``)."""
         return cls(registry=NULL_REGISTRY, series=False)
 
     @property
     def active(self) -> bool:
-        """Whether attaching this object changes the simulation loop at all."""
+        """Whether this object records anything when attached."""
         return (
             bool(self.registry)
             or self.series is not None
@@ -131,17 +138,29 @@ class ProcessorTelemetry:
         )
 
     # ------------------------------------------------------------ hot hooks
-    def on_cycle(self, proc, issued: int, retired: int, flushed: int) -> None:
+    def on_stage(self, proc, stage: str) -> None:
+        """Stage boundary: with ``profile_stages``, close the previous
+        stage's timer and open ``stage``'s."""
+        if self.profile_stages:
+            now = perf_counter()
+            if self._stage is not None:
+                self.stage_seconds(self._stage, now - self._stage_start)
+            self._stage = stage
+            self._stage_start = now
+
+    def on_cycle(self, proc, packet, dispatched, issued, retired, flushed) -> None:
         """Called by the processor at the end of every simulated cycle.
 
         ``proc.cycle_count`` still names the cycle just executed (the
-        increment happens after this hook); fabric/RUU state is post-tick,
-        matching ``snapshot_events``.
+        increment happens after this hook); fabric/RUU state is post-tick.
         """
+        if self._stage is not None:
+            self.stage_seconds(self._stage, perf_counter() - self._stage_start)
+            self._stage = None
         cycle = proc.cycle_count
         self._cycles.inc()
         if retired:
-            self._retired.inc(retired)
+            self._retired.inc(len(retired))
         if flushed:
             self._flush_episodes.inc()
             self._squashed.inc(flushed)
@@ -183,7 +202,7 @@ class ProcessorTelemetry:
             self._sample(proc, cycle, manager)
 
     def stage_seconds(self, stage: str, seconds: float) -> None:
-        """Accumulate wall time for one stage of one cycle (profiled step)."""
+        """Accumulate wall time for one stage of one cycle."""
         self._stage_wall[stage] += seconds
         self._stage_counters[stage].inc(seconds)
 

@@ -11,8 +11,10 @@ through the catalogue:
 
 * **vector vs scalar** — the batch-engine result must be bit-identical
   to a direct scalar ``Processor.run`` of the same job;
-* **telemetry on vs off** — attaching a live telemetry probe to the
-  steering processor must not change a single field of the result.
+* **observer on vs off** — attaching an observer to the steering
+  processor must not change a single field of the result; successive
+  steering probes rotate through a decision ledger, plain telemetry, the
+  event recorder, the steering trace and stage profiling.
 
 A failing iteration is minimized by the instruction-deletion shrinker
 (:mod:`repro.verify.shrink`) against the policies it implicated, and —
@@ -37,6 +39,7 @@ from typing import Any, Callable
 from repro.core.baselines import policy_catalogue, steering_processor
 from repro.core.params import ProcessorParams
 from repro.core.reference import ReferenceResult, run_reference
+from repro.core.tracing import EventRecorder, SteeringTrace
 from repro.errors import ReproError
 from repro.evaluation.batch import SimJob, execute_job, run_many
 from repro.fabric.configuration import PREDEFINED_CONFIGS
@@ -166,6 +169,35 @@ def _run_one_scalar(
         return None, Violation("crash", policy, f"{type(exc).__name__}: {exc}")
 
 
+def _telemetry(**kw):
+    from repro.telemetry import ProcessorTelemetry
+
+    return ProcessorTelemetry(series_capacity=256, sample_interval=64, **kw)
+
+
+def _ledger_telemetry():
+    from repro.telemetry import DecisionLedger
+
+    return _telemetry(ledger=DecisionLedger(capacity=64, window=32))
+
+
+def _profiling_telemetry():
+    from repro.telemetry import SpanTracer
+
+    return _telemetry(profile_stages=True, tracer=SpanTracer(max_events=256))
+
+
+#: (invariant, what is attached, observer factory) rotated over the
+#: steering probes of a fuzz run, one arm per probe.
+_OBSERVER_ARMS: tuple[tuple[str, str, Callable[[], Any]], ...] = (
+    ("metamorphic-ledger", "attaching a decision ledger", _ledger_telemetry),
+    ("metamorphic-telemetry", "attaching telemetry", _telemetry),
+    ("metamorphic-events", "attaching an event recorder", EventRecorder),
+    ("metamorphic-steering-trace", "attaching a steering trace", SteeringTrace),
+    ("metamorphic-profile", "profiling the stages", _profiling_telemetry),
+)
+
+
 def _metamorphic_checks(
     iteration: int,
     policies: list[str],
@@ -175,7 +207,7 @@ def _metamorphic_checks(
     max_cycles: int,
 ) -> list[Violation]:
     """Vector-vs-scalar (rotating policy) and, on steering iterations,
-    a rotating telemetry-on/off or decision-ledger-on/off comparison."""
+    an observer-on/off comparison rotating over ``_OBSERVER_ARMS``."""
     violations: list[Violation] = []
     probe = policies[iteration % len(policies)]
     if probe in results:
@@ -198,34 +230,18 @@ def _metamorphic_checks(
                 )
             )
     if probe == "steering" and "steering" in results:
-        from repro.telemetry import DecisionLedger, ProcessorTelemetry
-
-        # rotate the instrumentation under test: plain telemetry on even
-        # iterations, telemetry + decision ledger on odd ones — both must
-        # leave SimulationResult.to_dict() bit-identical
-        with_ledger = bool(iteration % 2)
-        tel = ProcessorTelemetry(
-            series_capacity=256,
-            sample_interval=64,
-            ledger=DecisionLedger(capacity=64, window=32)
-            if with_ledger
-            else None,
-        )
-        instrumented = steering_processor(program, params, telemetry=tel).run(
-            max_cycles=max_cycles
-        )
+        # rotate the observer under test over the steering probes: each
+        # must leave SimulationResult.to_dict() bit-identical
+        invariant, what, make = _OBSERVER_ARMS[
+            (iteration // len(policies)) % len(_OBSERVER_ARMS)
+        ]
+        instrumented = steering_processor(
+            program, params, observer=make()
+        ).run(max_cycles=max_cycles)
         if instrumented.to_dict() != results["steering"].to_dict():
-            invariant = (
-                "metamorphic-ledger" if with_ledger else "metamorphic-telemetry"
-            )
-            what = (
-                "attaching a decision ledger" if with_ledger
-                else "attaching telemetry"
-            )
             violations.append(
                 Violation(
-                    invariant, "steering",
-                    f"{what} changed the simulation result",
+                    invariant, "steering", f"{what} changed the simulation result"
                 )
             )
     return violations

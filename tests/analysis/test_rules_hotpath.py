@@ -158,6 +158,33 @@ class TestHotTelemetryGuard:
         """))
         assert findings == []
 
+    def test_unguarded_observer_hook_flagged(self, lint_source):
+        findings = lint_source(src("""
+            class Kernel:
+                def step(self):
+                    obs = self.observer
+                    obs.on_stage(self, "retire")
+        """))
+        assert rule_ids(findings) == ["HOT006"]
+
+    def test_unguarded_observer_attribute_flagged(self, lint_source):
+        findings = lint_source(src("""
+            class Kernel:
+                def step(self):
+                    self._observer.on_cycle(self, 1)
+        """))
+        assert rule_ids(findings) == ["HOT006"]
+
+    def test_observer_none_check_pattern_ok(self, lint_source):
+        findings = lint_source(src("""
+            class Kernel:
+                def step(self):
+                    obs = self._observer
+                    if obs is not None:
+                        obs.on_stage(self, "retire")
+        """))
+        assert findings == []
+
 
 class TestHotPerLaneLoop:
     """HOT007: no interpreter-level lane/row loops in vectorized kernels."""

@@ -1,18 +1,23 @@
-"""Fast path vs traced path: bit-identical simulation results.
+"""Observed vs unobserved runs: bit-identical simulation results.
 
-The per-cycle fast path (no event recording, no steering trace, cached
-availability, memoised selection) must not change *any* architected or
-statistical outcome — only the wall-clock cost of producing it.  These
-tests run every seed kernel under both modes and compare the complete
-:class:`SimulationResult` records field by field.
+A cycle observer (``Processor(observer=...)``) only reads: attaching one
+must not change *any* architected or statistical outcome.  One test runs
+every observer the repo ships — the event recorder (on steering and on
+the ffu-only baseline, which has no configuration manager), the steering
+trace, and telemetry with stage profiling, a span tracer and a decision
+ledger — over every seed kernel, and compares the complete
+:class:`SimulationResult` record (``to_dict()``, which carries the final
+architected-state digest) with the ``observer=None`` run.
 """
 
 import pytest
 
-from repro.core.baselines import fixed_superscalar, steering_processor
+from repro.core.baselines import steering_processor
 from repro.core.params import ProcessorParams
-from repro.core.policies import PaperSteering
+from repro.core.policies import NoSteering
 from repro.core.processor import Processor
+from repro.core.tracing import EventRecorder, SteeringTrace
+from repro.telemetry import STAGES, DecisionLedger, ProcessorTelemetry, SpanTracer
 from repro.workloads.kernels import checksum, memcpy, saxpy
 
 _KERNELS = [
@@ -23,75 +28,74 @@ _KERNELS = [
 _PARAMS = ProcessorParams(reconfig_latency=8)
 
 
-def _traced_steering(program):
-    policy = PaperSteering(
-        queue_size=_PARAMS.window_size, record_trace=True
+def _ffu_only(program, observer=None):
+    return Processor(program, params=_PARAMS, policy=NoSteering(), observer=observer)
+
+
+def _steering(program, observer=None):
+    return steering_processor(program, _PARAMS, observer=observer)
+
+
+def _check_events(recorder, result):
+    assert len(recorder.events) == result.cycles
+    assert [e.cycle for e in recorder.events] == list(range(result.cycles))
+    assert sum(len(e.retired) for e in recorder.events) == result.retired
+
+
+def _check_trace(trace, result):
+    assert len(trace.entries) == result.cycles
+    loads = sum(1 for t in trace.entries if t.load is not None)
+    assert loads == result.reconfigurations
+
+
+def _telemetry():
+    return ProcessorTelemetry(
+        profile_stages=True,
+        tracer=SpanTracer(),
+        ledger=DecisionLedger(capacity=64, window=32),
     )
-    return Processor(
-        program, params=_PARAMS, policy=policy, record_events=True
-    )
 
 
-@pytest.mark.parametrize("name,program", _KERNELS, ids=[n for n, _ in _KERNELS])
-def test_steering_traced_matches_fast_path(name, program):
-    fast = steering_processor(program, _PARAMS).run(max_cycles=100_000)
-    traced_proc = _traced_steering(program)
-    traced = traced_proc.run(max_cycles=100_000)
-
-    assert fast.halted and traced.halted
-    assert fast.to_dict() == traced.to_dict()
-    # the traced run really did record per-cycle events + a steering trace
-    assert len(traced_proc.events) == traced.cycles
-    assert traced_proc.policy.manager.trace
+def _check_telemetry(tel, result):
+    assert tel.registry.get("repro_sim_cycles_total").value == result.cycles
+    wall = tel.snapshot()["stage_wall_seconds"]
+    assert set(wall) == set(STAGES) and sum(wall.values()) > 0.0
+    assert tel.ledger.seen > 0
 
 
-@pytest.mark.parametrize("name,program", _KERNELS, ids=[n for n, _ in _KERNELS])
-def test_ffu_only_traced_matches_fast_path(name, program):
-    from repro.core.policies import NoSteering
-
-    fast = fixed_superscalar(program, _PARAMS).run(max_cycles=100_000)
-    traced = Processor(
-        program, params=_PARAMS, policy=NoSteering(), record_events=True
-    ).run(max_cycles=100_000)
-    assert fast.halted and traced.halted
-    assert fast.to_dict() == traced.to_dict()
+#: (id, processor factory, observer factory, check of what it observed)
+_OBSERVERS = [
+    ("events", _steering, EventRecorder, _check_events),
+    ("events-ffu-only", _ffu_only, EventRecorder, _check_events),
+    ("steering-trace", _steering, SteeringTrace, _check_trace),
+    ("telemetry", _steering, _telemetry, _check_telemetry),
+]
 
 
-@pytest.mark.parametrize("name,program", _KERNELS, ids=[n for n, _ in _KERNELS])
-def test_architected_state_identical(name, program):
-    """Registers and steering decisions, not just aggregate counters."""
-    fast = steering_processor(program, _PARAMS).run(max_cycles=100_000)
-    traced = _traced_steering(program).run(max_cycles=100_000)
-    assert fast.final_registers == traced.final_registers
-    assert fast.cycles == traced.cycles
-    assert fast.retired == traced.retired
-    assert fast.steering_selections == traced.steering_selections
+@pytest.mark.parametrize("name,program", _KERNELS, ids=[n for n, *_ in _KERNELS])
+@pytest.mark.parametrize(
+    "build,make_observer,check",
+    [case[1:] for case in _OBSERVERS],
+    ids=[case[0] for case in _OBSERVERS],
+)
+def test_observed_run_bit_identical(
+    build, make_observer, check, name, program
+):
+    plain = build(program).run(max_cycles=100_000)
+    observer = make_observer()
+    observed = build(program, observer).run(max_cycles=100_000)
+    assert plain.halted and observed.halted
+    assert observed.to_dict() == plain.to_dict()
+    check(observer, observed)
 
 
 def test_trace_ring_buffer_bounds_memory():
-    """A trace_limit keeps only the newest entries on long runs."""
+    """A trace limit keeps only the newest entries on long runs."""
     program = checksum(iterations=40).program
-    proc = steering_processor(
-        program, _PARAMS, record_trace=True, trace_limit=64
-    )
-    result = proc.run(max_cycles=100_000)
-    trace = proc.policy.manager.trace
-    assert len(trace) == 64
-    # newest entries are retained (manager cycles are 1-based)
-    assert trace[-1].cycle == proc.policy.manager.stats.cycles
-    assert trace[0].cycle == proc.policy.manager.stats.cycles - 63
-    # the bounded trace does not perturb the simulation itself
-    unbounded = steering_processor(program, _PARAMS).run(max_cycles=100_000)
-    assert result.to_dict() == unbounded.to_dict()
-
-
-def test_snapshot_events_available_without_recording():
-    """The fast path still answers last_events, built on demand."""
-    program = memcpy(n=8).program
-    proc = steering_processor(program, _PARAMS)
-    assert proc.last_events is None  # nothing simulated yet
+    trace = SteeringTrace(limit=64)
+    proc = steering_processor(program, _PARAMS, observer=trace)
     proc.run(max_cycles=100_000)
-    events = proc.last_events
-    assert events is not None
-    assert events.cycle == proc.cycle_count - 1
-    assert proc.events is None  # no per-cycle history was kept
+    assert len(trace.entries) == 64
+    # newest entries are retained (manager cycles are 1-based)
+    assert trace.entries[-1].cycle == proc.policy.manager.stats.cycles
+    assert trace.entries[0].cycle == proc.policy.manager.stats.cycles - 63

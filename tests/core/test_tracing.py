@@ -1,12 +1,16 @@
-"""Tests for per-cycle event recording and the fabric timeline."""
+"""Tests for the per-cycle event recorder and the fabric timeline."""
 
 import pytest
 
-from repro.core.baselines import steering_processor
 from repro.core.params import ProcessorParams
-from repro.core.policies import PaperSteering
+from repro.core.policies import NoSteering, PaperSteering
 from repro.core.processor import Processor
-from repro.core.tracing import CycleEvents, render_fabric_timeline, slot_glyphs
+from repro.core.tracing import (
+    CycleEvents,
+    EventRecorder,
+    render_fabric_timeline,
+    slot_glyphs,
+)
 from repro.fabric.fabric import Fabric
 from repro.isa.assembler import assemble
 from repro.isa.futypes import FUType
@@ -35,28 +39,23 @@ class TestSlotGlyphs:
 
 
 class TestEventRecording:
-    def test_last_events_always_kept(self):
-        kernel = checksum(iterations=10)
-        proc = steering_processor(kernel.program, _PARAMS)
-        proc.run()
-        assert proc.last_events is not None
-        assert proc.events is None  # history off by default
+    @staticmethod
+    def _record(program, **kwargs):
+        recorder = EventRecorder()
+        proc = Processor(program, params=_PARAMS, observer=recorder, **kwargs)
+        return proc.run(), recorder.events
 
     def test_history_recorded_when_enabled(self):
-        kernel = checksum(iterations=10)
-        proc = Processor(kernel.program, params=_PARAMS, record_events=True)
-        result = proc.run()
-        assert len(proc.events) == result.cycles
-        assert proc.events[0].cycle == 0
+        result, events = self._record(checksum(iterations=10).program)
+        assert len(events) == result.cycles
+        assert events[0].cycle == 0
         # something was fetched in cycle 0 and something retired eventually
-        assert proc.events[0].fetched
-        assert any(e.retired for e in proc.events)
+        assert events[0].fetched
+        assert any(e.retired for e in events)
 
     def test_retired_seqs_cover_all_instructions(self):
-        kernel = checksum(iterations=5)
-        proc = Processor(kernel.program, params=_PARAMS, record_events=True)
-        result = proc.run()
-        retired = [s for e in proc.events for s in e.retired]
+        result, events = self._record(checksum(iterations=5).program)
+        retired = [s for e in events for s in e.retired]
         assert len(retired) == result.retired
         assert retired == sorted(retired)  # in-order retirement visible
 
@@ -66,20 +65,15 @@ class TestEventRecording:
             "li x1, 16\nloop: andi x2, x1, 1\nbeq x2, x0, skip\n"
             "addi x3, x3, 1\nskip: addi x1, x1, -1\nbne x1, x0, loop\nhalt\n"
         )
-        proc = Processor(program, params=_PARAMS, record_events=True)
-        proc.run()
-        assert any(e.flushed for e in proc.events)
+        _, events = self._record(program)
+        assert any(e.flushed for e in events)
 
     def test_selection_recorded_with_traced_manager(self):
-        kernel = checksum(iterations=20)
-        proc = Processor(
-            kernel.program,
-            params=_PARAMS,
-            policy=PaperSteering(record_trace=True),
-            record_events=True,
-        )
-        proc.run()
-        assert any(e.selection is not None for e in proc.events)
+        program = checksum(iterations=20).program
+        _, events = self._record(program, policy=PaperSteering())
+        assert all(e.selection is not None for e in events)
+        _, events = self._record(program, policy=NoSteering())
+        assert all(e.selection is None for e in events)
 
 
 class TestTimelineRendering:

@@ -9,8 +9,12 @@ batches, and the lane-masking edge cases (single lane, ragged finish
 times, a lane cut off mid-flight, a batch where no lane ever halts).
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core import processor as processor_module
 from repro.core.baselines import policy_catalogue
 from repro.core.params import ProcessorParams
 from repro.errors import SimulationError
@@ -174,3 +178,28 @@ def test_rejects_nonpositive_budget():
 
 def test_empty_batch_is_empty():
     assert run_vector_batch([]) == []
+
+
+def test_lane_processors_freed_without_cyclic_gc(monkeypatch):
+    """No lane Processor outlives the batch while the cyclic GC is off:
+    a finished lane's reference cycle through its wake-up array is broken,
+    so plain reference counting frees it."""
+    created = []
+    init = processor_module.Processor.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(weakref.ref(self))
+
+    monkeypatch.setattr(processor_module.Processor, "__init__", tracking_init)
+    jobs = _catalogue_jobs(checksum(iterations=5).program, max_cycles=5_000)
+    jobs[0] = SimJob("steering", jobs[0].program, _PARAMS, max_cycles=40)
+    gc.collect()
+    gc.disable()
+    try:
+        results = run_vector_batch(jobs)
+        assert len(created) == len(jobs)
+        alive = [ref for ref in created if ref() is not None]
+    finally:
+        gc.enable()
+    assert results and not alive

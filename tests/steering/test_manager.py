@@ -1,7 +1,10 @@
 """Tests for the configuration manager (selection + loader, clocked)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.tracing import SteeringTrace
 from repro.fabric.fabric import Fabric
 from repro.isa.assembler import assemble
 from repro.isa.futypes import FUType
@@ -86,14 +89,19 @@ class TestStats:
         assert mgr.stats.mean_selected_error >= 0.0
 
     def test_trace_recording(self, fabric):
-        mgr = ConfigurationManager(fabric, record_trace=True)
-        _run(mgr, _FP_QUEUE, 15)
-        assert len(mgr.trace) == 15
-        assert mgr.trace[0].cycle == 1
-        assert any(t.load is not None for t in mgr.trace)
-
-    def test_no_trace_by_default(self, fabric):
-        assert ConfigurationManager(fabric).trace is None
+        """The steering-trace observer rebuilds one entry per manager cycle
+        from the manager's last-cycle fields."""
+        mgr = ConfigurationManager(fabric)
+        trace = SteeringTrace()
+        proc = SimpleNamespace(policy=SimpleNamespace(manager=mgr))
+        for _ in range(15):
+            mgr.cycle(_FP_QUEUE)
+            fabric.tick()
+            trace.on_cycle(proc, (), [], (), [], 0)
+        assert len(trace.entries) == 15
+        assert trace.entries[0].cycle == 1
+        loads = [t.load for t in trace.entries if t.load is not None]
+        assert len(loads) == mgr.stats.loads > 0
 
 
 class TestExactMetricOption:

@@ -27,7 +27,7 @@ def _program():
 def _run_with_ledger(capacity=64, window=32):
     ledger = DecisionLedger(capacity=capacity, window=window)
     tel = ProcessorTelemetry(ledger=ledger)
-    result = steering_processor(_program(), _PARAMS, telemetry=tel).run()
+    result = steering_processor(_program(), _PARAMS, observer=tel).run()
     return ledger, result
 
 
@@ -83,7 +83,7 @@ class TestRecordedDecisions:
     def test_snapshot_reports_decision_count(self):
         ledger = DecisionLedger()
         tel = ProcessorTelemetry(ledger=ledger)
-        steering_processor(_program(), _PARAMS, telemetry=tel).run()
+        steering_processor(_program(), _PARAMS, observer=tel).run()
         assert tel.snapshot()["decision_count"] == ledger.seen
 
 

@@ -1,8 +1,10 @@
 """Processor telemetry probes: the disabled contract, sampling, spans.
 
 The load-bearing guarantee tested here: telemetry that is *disabled*
-(or absent) leaves the simulation bit-identical to the seed fast path,
-and telemetry that is *enabled* observes without perturbing results.
+(or absent) leaves the simulation bit-identical to the unobserved run,
+and telemetry that is *enabled* observes without perturbing results
+(every observer x kernel is pinned in
+``tests/core/test_fastpath_equivalence.py``).
 """
 
 import json
@@ -32,24 +34,22 @@ class TestDisabledContract:
 
     def test_disabled_normalises_to_none(self):
         proc = steering_processor(
-            _program(), _PARAMS, telemetry=ProcessorTelemetry.disabled()
+            _program(), _PARAMS, observer=ProcessorTelemetry.disabled()
         )
-        assert proc.telemetry is None
+        assert proc.observer is None
+        proc.observer = ProcessorTelemetry.disabled()
+        assert proc.observer is None
+        tel = ProcessorTelemetry()
+        proc.observer = tel
+        assert proc.observer is tel
 
     def test_disabled_result_bit_identical_to_no_telemetry(self):
         plain = steering_processor(_program(), _PARAMS).run()
         disabled = steering_processor(
-            _program(), _PARAMS, telemetry=ProcessorTelemetry.disabled()
+            _program(), _PARAMS, observer=ProcessorTelemetry.disabled()
         ).run()
         assert disabled.to_dict() == plain.to_dict()
         assert disabled.final_registers == plain.final_registers
-
-    def test_attach_telemetry_returns_normalised_value(self):
-        proc = steering_processor(_program(), _PARAMS)
-        assert proc.attach_telemetry(ProcessorTelemetry.disabled()) is None
-        tel = ProcessorTelemetry()
-        assert proc.attach_telemetry(tel) is tel
-        assert proc.telemetry is tel
 
 
 class TestEnabledObservation:
@@ -57,13 +57,13 @@ class TestEnabledObservation:
         plain = steering_processor(_program(), _PARAMS).run()
         tel = ProcessorTelemetry(tracer=SpanTracer())
         observed = steering_processor(
-            _program(), _PARAMS, telemetry=tel
+            _program(), _PARAMS, observer=tel
         ).run()
         assert observed.to_dict() == plain.to_dict()
 
     def test_counters_match_the_result(self):
         tel = ProcessorTelemetry()
-        result = steering_processor(_program(), _PARAMS, telemetry=tel).run()
+        result = steering_processor(_program(), _PARAMS, observer=tel).run()
         r = tel.registry
         assert r.get("repro_sim_cycles_total").value == result.cycles
         assert r.get("repro_sim_retired_total").value == result.retired
@@ -74,7 +74,7 @@ class TestEnabledObservation:
 
     def test_series_catalogue(self):
         tel = ProcessorTelemetry(sample_interval=16)
-        steering_processor(_program(), _PARAMS, telemetry=tel).run()
+        steering_processor(_program(), _PARAMS, observer=tel).run()
         names = set(tel.series.names())
         expected = {
             "windowed_ipc", "slot_occupancy", "reconfiguring_slots",
@@ -87,7 +87,7 @@ class TestEnabledObservation:
 
     def test_sample_x_axis_follows_interval(self):
         tel = ProcessorTelemetry(sample_interval=16)
-        steering_processor(_program(), _PARAMS, telemetry=tel).run()
+        steering_processor(_program(), _PARAMS, observer=tel).run()
         xs = [x for x, _ in tel.series.series("windowed_ipc").samples()]
         assert xs == sorted(xs)
         # first sample lands on the 16th cycle (cycle index 15)
@@ -97,7 +97,7 @@ class TestEnabledObservation:
     def test_tracer_records_steering_activity(self):
         tracer = SpanTracer()
         tel = ProcessorTelemetry(tracer=tracer)
-        result = steering_processor(_program(), _PARAMS, telemetry=tel).run()
+        result = steering_processor(_program(), _PARAMS, observer=tel).run()
         doc = tracer.to_chrome_trace()
         reconfigs = [
             e for e in doc["traceEvents"]
@@ -110,7 +110,7 @@ class TestEnabledObservation:
 
     def test_snapshot_is_json_serialisable(self):
         tel = ProcessorTelemetry(tracer=SpanTracer())
-        steering_processor(_program(), _PARAMS, telemetry=tel).run()
+        steering_processor(_program(), _PARAMS, observer=tel).run()
         doc = json.loads(json.dumps(tel.snapshot()))
         assert doc["version"] == 1
         assert doc["sample_interval"] == 32
@@ -119,23 +119,15 @@ class TestEnabledObservation:
 
     def test_summary_lines(self):
         tel = ProcessorTelemetry(tracer=SpanTracer())
-        steering_processor(_program(), _PARAMS, telemetry=tel).run()
+        steering_processor(_program(), _PARAMS, observer=tel).run()
         text = "\n".join(tel.summary_lines())
         assert "cycles=" in text and "series:" in text and "trace:" in text
 
 
 class TestStageProfiling:
-    def test_profiled_step_produces_identical_results(self):
-        plain = steering_processor(_program(), _PARAMS).run()
-        tel = ProcessorTelemetry(profile_stages=True)
-        profiled = steering_processor(
-            _program(), _PARAMS, telemetry=tel
-        ).run()
-        assert profiled.to_dict() == plain.to_dict()
-
     def test_stage_wall_clock_accumulates(self):
         tel = ProcessorTelemetry(profile_stages=True, tracer=SpanTracer())
-        steering_processor(_program(), _PARAMS, telemetry=tel).run()
+        steering_processor(_program(), _PARAMS, observer=tel).run()
         snap = tel.snapshot()
         wall = snap["stage_wall_seconds"]
         assert set(wall) == set(STAGES)
@@ -151,6 +143,13 @@ class TestStageProfiling:
         )
 
     def test_constructor_attachment_equivalent_to_attach(self):
-        tel = ProcessorTelemetry()
-        proc = Processor(_program(), params=_PARAMS, telemetry=tel)
-        assert proc.telemetry is tel
+        """``observer=`` at construction and assigning ``proc.observer``
+        before the run observe the same thing."""
+        built = ProcessorTelemetry()
+        Processor(_program(), params=_PARAMS, observer=built).run()
+        assigned = ProcessorTelemetry()
+        proc = Processor(_program(), params=_PARAMS)
+        proc.observer = assigned
+        proc.run()
+        assert assigned.snapshot() == built.snapshot()
+        assert assigned.summary_lines() == built.summary_lines()

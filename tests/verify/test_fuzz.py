@@ -11,6 +11,7 @@ import json
 
 from repro.core.baselines import steering_processor
 from repro.telemetry import MetricsRegistry
+from repro.verify import fuzz as fuzz_module
 from repro.verify.fuzz import run_fuzz
 from repro.verify.generator import GeneratorConfig
 
@@ -107,3 +108,59 @@ def test_telemetry_counters_populated():
     rendered = registry.render()
     assert "repro_fuzz_programs_total 3" in rendered
     assert "repro_fuzz_simulations_total 24" in rendered
+
+
+def test_steering_probes_rotate_through_every_observer(monkeypatch):
+    """Successive steering probes each attach the next observer arm."""
+    seen = []
+
+    def recording(invariant, make):
+        def factory():
+            seen.append(invariant)
+            return make()
+
+        return factory
+
+    monkeypatch.setattr(
+        fuzz_module,
+        "_OBSERVER_ARMS",
+        tuple(
+            (inv, what, recording(inv, make))
+            for inv, what, make in fuzz_module._OBSERVER_ARMS
+        ),
+    )
+    n_arms = len(fuzz_module._OBSERVER_ARMS)
+    report = run_fuzz(
+        seed=0,
+        iterations=8 * n_arms,
+        max_cycles=FAST_CYCLES,
+        base_config=GeneratorConfig(blocks=2, body_len=6, max_iterations=2),
+    )
+    assert report.ok
+    assert seen == [inv for inv, _, _ in fuzz_module._OBSERVER_ARMS]
+    assert set(seen) >= {
+        "metamorphic-telemetry", "metamorphic-ledger", "metamorphic-events",
+        "metamorphic-steering-trace", "metamorphic-profile",
+    }
+
+
+def test_perturbing_observer_is_caught(monkeypatch):
+    class Perturbing:
+        def on_stage(self, proc, stage):
+            if stage == "tick":
+                proc._flushes += 1
+
+        def on_cycle(self, proc, *facts):
+            pass
+
+    monkeypatch.setattr(
+        fuzz_module,
+        "_OBSERVER_ARMS",
+        (("metamorphic-events", "attaching an event recorder", Perturbing),),
+    )
+    # the catalogue has 8 policies; iteration 7 probes steering
+    report = run_fuzz(
+        seed=0, iterations=8, max_cycles=FAST_CYCLES, shrink=False
+    )
+    invariants = {v.invariant for f in report.failures for v in f.violations}
+    assert invariants == {"metamorphic-events"}
