@@ -16,9 +16,8 @@ One TOML table drives everything the rules need to know about the tree:
     rules police; ``["*"]`` marks every function in the file hot.
 ``[scopes]``
     Root-relative path prefixes bounding the determinism and concurrency
-    families, ``config_modules`` — the only places allowed to read
-    ``os.environ`` — and ``vector_kernels``, the files whose hot zones
-    the ``HOT007`` no-per-lane-loops rule polices.
+    families, and ``config_modules`` — the only places allowed to read
+    ``os.environ``.
 
 Parsed with :mod:`tomllib` on Python ≥ 3.11 and a minimal built-in
 reader (tables, string keys, strings and string lists — exactly the
@@ -131,9 +130,6 @@ class AnalysisConfig:
     concurrency_scope: tuple[str, ...] = ()
     #: modules allowed to read the process environment.
     config_modules: tuple[str, ...] = ()
-    #: files whose hot zones must stay free of per-lane Python loops
-    #: (the vectorized batch kernels; HOT007).
-    vector_kernel_scope: tuple[str, ...] = ()
     #: files whose persisted/compared JSON must go through the canonical
     #: encoder (``repro.utils.canonical``; DET005).
     canonical_json_scope: tuple[str, ...] = ()
@@ -248,9 +244,6 @@ def load_config(path: str | Path) -> AnalysisConfig:
         ),
         config_modules=_as_str_tuple(
             scopes.get("config_modules", []), f"{path}: scopes.config_modules"
-        ),
-        vector_kernel_scope=_as_str_tuple(
-            scopes.get("vector_kernels", []), f"{path}: scopes.vector_kernels"
         ),
         canonical_json_scope=_as_str_tuple(
             scopes.get("canonical_json", []), f"{path}: scopes.canonical_json"

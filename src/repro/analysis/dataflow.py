@@ -63,7 +63,7 @@ __all__ = ["GraphAnalysis", "GRAPH_RULE_IDS"]
 #: rule ids the graph pass can produce (drives the --rules filter).
 GRAPH_RULE_IDS = frozenset(
     {
-        "HOT001", "HOT002", "HOT003", "HOT004", "HOT006", "HOT007",
+        "HOT001", "HOT002", "HOT003", "HOT004", "HOT006",
         "DET006", "DET007", "CON006", "CON007", "ENG002",
     }
 )

@@ -55,7 +55,7 @@ __all__ = [
 
 #: bump on summary-schema or resolution changes (part of the engine
 #: fingerprint, so old cached summaries are discarded).
-GRAPH_VERSION = 2
+GRAPH_VERSION = 3
 
 #: minimum edge confidence for hot-obligation and taint propagation.
 OBLIGATION_CONFIDENCE = 0.75
@@ -284,8 +284,6 @@ class _FunctionVisitor(ast.NodeVisitor):
         self._loop(node)
 
     def _loop(self, node: ast.AST) -> None:
-        if self.config.in_scope(self.module_path, self.config.vector_kernel_scope):
-            self._effect("HOT007", node, "per-lane Python loop")
         self._loop_depth += 1
         self.generic_visit(node)
         self._loop_depth -= 1

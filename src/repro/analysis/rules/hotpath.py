@@ -201,28 +201,3 @@ class HotUnguardedTelemetry(Rule):
                     "one-None-check pattern "
                     "(obs = self.observer; if obs is not None: ...)",
                 )
-
-
-@register
-class HotPerLaneLoop(Rule):
-    id = "HOT007"
-    family = "hot-path"
-    summary = "python-level per-lane loop in a vectorized-kernel hot zone"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not ctx.config.in_scope(
-            ctx.module_path, ctx.config.vector_kernel_scope
-        ):
-            return
-        for node in _iter_hot_nodes(ctx):
-            if isinstance(
-                node, (ast.For, ast.AsyncFor, ast.While)
-            ) and not ctx.in_raise(node):
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    "explicit loop in a vectorized-kernel hot zone iterates "
-                    "lanes or rows in the interpreter; express it as a "
-                    "whole-array operation (the pure-Python fallback bank "
-                    "is the only sanctioned per-row path)",
-                )

@@ -6,7 +6,7 @@ versions folded into the cache fingerprint, ``--rules`` selectability and
 a place in the catalog.  ``check`` is therefore a no-op; the findings are
 produced by :class:`repro.analysis.dataflow.GraphAnalysis`.
 
-The interprocedural HOT findings reuse the HOT001–HOT007 ids (an
+The interprocedural HOT findings reuse the HOT001–HOT006 ids (an
 allocation is an allocation, whether the per-file pass or the graph pass
 saw it); only the determinism-taint and cross-process rules are new ids.
 """

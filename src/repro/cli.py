@@ -582,8 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="new corpus version for 'update'; must be "
                               "strictly greater than the committed one")
     goldens.add_argument("--workers", type=int, default=0,
-                         help="simulation worker processes (0 = in-process "
-                              "vector batching)")
+                         help="simulation worker processes (0 = run the "
+                              "jobs in order in this process)")
     goldens.add_argument("--verbose", action="store_true",
                          help="print per-cell progress to stderr")
     goldens.set_defaults(func=_cmd_goldens)
@@ -601,8 +601,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--max-cycles", type=int, default=200_000,
                       help="cycle budget per simulation")
     fuzz.add_argument("--workers", type=int, default=0,
-                      help="simulation worker processes (0 = in-process "
-                           "vector batching)")
+                      help="simulation worker processes (0 = run the "
+                           "jobs in order in this process)")
     fuzz.add_argument("--out", default=None, metavar="DIR",
                       help="write failure artifacts (source, minimized "
                            "source, violations, repro script) to this "

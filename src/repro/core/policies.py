@@ -2,8 +2,10 @@
 
 A policy decides, each cycle, what the reconfigurable fabric should steer
 toward.  The processor calls :meth:`SteeringPolicy.cycle` once per clock
-with the ready-unscheduled instruction queue (what the Fig. 2 selection
-unit sees) and the dynamic retire count (used only by the oracle).
+with its register update unit; a policy reads from it only what it needs —
+the ready-unscheduled instruction queue (what the Fig. 2 selection unit
+sees) or the dynamic retire count (the oracle) — so the queue is built
+only for policies that inspect it.
 
 Policies:
 
@@ -31,7 +33,7 @@ from collections.abc import Sequence
 from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS, Configuration
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FU_TYPES, FUType
-from repro.isa.instruction import Instruction
+from repro.sched.ruu import RegisterUpdateUnit
 from repro.steering.error_metric import exact_error
 from repro.steering.loader import ConfigurationLoader
 from repro.steering.manager import ConfigurationManager
@@ -56,8 +58,8 @@ class SteeringPolicy:
         """Attach to the processor's fabric before simulation starts."""
         self.fabric = fabric
 
-    def cycle(self, ready: Sequence[Instruction], retired: int) -> None:
-        """One clock of the policy."""
+    def cycle(self, ruu: RegisterUpdateUnit) -> None:
+        """One clock of the policy, given the processor's RUU."""
 
     def describe(self) -> str:
         return self.name
@@ -96,8 +98,8 @@ class PaperSteering(SteeringPolicy):
             queue_size=self.queue_size,
         )
 
-    def cycle(self, ready: Sequence[Instruction], retired: int) -> None:
-        self.manager.cycle(ready)
+    def cycle(self, ruu: RegisterUpdateUnit) -> None:
+        self.manager.cycle(ruu.ready_unscheduled())
 
     def describe(self) -> str:
         kind = "exact" if self.use_exact_metric else "shift-approximate"
@@ -111,15 +113,24 @@ class StaticConfiguration(SteeringPolicy):
         self.config = config
         self.name = f"static-{config.name}"
         self.loader: ConfigurationLoader | None = None
+        #: set once the target is loaded and the bus is free: the loader
+        #: never evicts without a pending load, so every later cycle
+        #: would be a no-op.
+        self._settled = False
 
     def bind(self, fabric: Fabric) -> None:
         super().bind(fabric)
         self.loader = ConfigurationLoader(fabric)
         self.loader.set_target(self.config)
+        self._settled = False
 
-    def cycle(self, ready: Sequence[Instruction], retired: int) -> None:
+    def cycle(self, ruu: RegisterUpdateUnit) -> None:
+        if self._settled:
+            return
         if not self.loader.satisfied or not self.fabric.rfus.bus_free:
             self.loader.step()
+        else:
+            self._settled = True
 
 
 class RandomSteering(SteeringPolicy):
@@ -143,7 +154,7 @@ class RandomSteering(SteeringPolicy):
         super().bind(fabric)
         self.loader = ConfigurationLoader(fabric)
 
-    def cycle(self, ready: Sequence[Instruction], retired: int) -> None:
+    def cycle(self, ruu: RegisterUpdateUnit) -> None:
         if self._countdown == 0:
             self.loader.set_target(self._rng.choice(self.configs))
             self._countdown = self.period
@@ -185,17 +196,29 @@ class DemandSteering(SteeringPolicy):
         #: per-cycle scratch for the decoded window (the encoder only
         #: iterates it), so cycle() allocates nothing.
         self._scratch_onehots: list[int] = []
+        #: packed window -> encoder output.  The gate-level encoder is a
+        #: pure function of the one-hot window, and a run sees few windows.
+        self._required_memo: dict[int, tuple[int, ...]] = {}
 
     def bind(self, fabric: Fabric) -> None:
         super().bind(fabric)
         self.loader = ConfigurationLoader(fabric)
 
-    def cycle(self, ready: Sequence[Instruction], retired: int) -> None:
+    def cycle(self, ruu: RegisterUpdateUnit) -> None:
+        ready = ruu.ready_unscheduled()
         onehots = self._scratch_onehots
         onehots.clear()
+        key = 1  # leading sentinel keeps the packing injective
         for k in range(min(len(ready), self.queue_size)):
-            onehots.append(self._decoder(ready[k]))
-        required = self._encoder(onehots)
+            onehot = self._decoder(ready[k])
+            onehots.append(onehot)
+            key = (key << len(FU_TYPES)) | onehot
+        required = self._required_memo.get(key)
+        if required is None:
+            # repro: cold-call -- memo-miss path: bounded by distinct
+            # windows, not cycles
+            required = self._encoder(onehots)
+            self._required_memo[key] = required
         self.synthesizer.observe(required)
         counts = self.synthesizer.synthesize_counts()
         if self.synthesizer.should_retarget_counts(
@@ -263,8 +286,8 @@ class OracleSteering(SteeringPolicy):
                 counts[index] += 1
         return tuple(counts)
 
-    def cycle(self, ready: Sequence[Instruction], retired: int) -> None:
-        required = self._window_required(retired)
+    def cycle(self, ruu: RegisterUpdateUnit) -> None:
+        required = self._window_required(ruu.retired)
         if sum(required) == 0:
             self.loader.set_target(None)
             self.loader.step()

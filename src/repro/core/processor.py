@@ -11,8 +11,9 @@ discipline so a value never traverses two stages in one cycle):
    decode buffer;
 5. **steer** — the configuration-management policy observes the ready
    queue and (possibly) starts a partial reconfiguration;
-6. **tick** — functional units, the configuration bus and the count-down
-   timers advance one cycle.
+6. **tick** — the configuration bus advances one cycle and the register
+   update unit completes the instructions due this cycle, releasing their
+   functional units.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.frontend.trace_cache import TraceCache
 from repro.isa.futypes import FU_TYPES
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
+from repro.sched.entry import EntryState
 from repro.sched.ruu import RegisterUpdateUnit
 
 __all__ = ["Processor", "DEADLOCK_WINDOW"]
@@ -48,6 +50,10 @@ __all__ = ["Processor", "DEADLOCK_WINDOW"]
 #: instruction latencies top out in the tens), so a window this wide
 #: with zero retirements means the pipeline has wedged for good.
 DEADLOCK_WINDOW = 4096
+
+_COMPLETED = EntryState.COMPLETED
+#: ``(index, type)`` over FU_TYPES, the order of ``Fabric.counts_tuple()``.
+_FU_INDEXED = tuple(enumerate(FU_TYPES))
 
 
 class Processor:
@@ -106,8 +112,10 @@ class Processor:
         #: cycle of the most recent retirement — drives the completed/
         #: cutoff/deadlock outcome classification in :meth:`result`.
         self._last_retire_cycle = 0
-        self._busy_cycles = {t: 0 for t in FU_TYPES}
-        self._configured_cycles = {t: 0 for t in FU_TYPES}
+        #: per-type busy and configured unit-cycles, indexed like
+        #: ``FU_TYPES`` (list adds, not enum-keyed dict updates, per cycle).
+        self._busy_cycles = [0] * len(FU_TYPES)
+        self._configured_cycles = [0] * len(FU_TYPES)
         self._mispredictions = 0
         self._branch_resolutions = 0
         self._flushes = 0
@@ -138,14 +146,18 @@ class Processor:
     def step(self) -> None:
         """Simulate one clock cycle."""
         obs = self._observer
+        ruu = self.ruu
         if obs is not None:
             obs.on_stage(self, "retire")  # repro: cold-call -- observer hook
-        # 1. retire
-        retired = self.ruu.retire()
-        if retired:
+        # 1. retire, when the oldest in-flight entry has completed
+        retired: Sequence = ()
+        order = ruu._order
+        if order and order[0].state is _COMPLETED:
+            retired = ruu.retire()
             self._last_retire_cycle = self.cycle_count
+            retired_per_type = self._retired_per_type
             for entry in retired:
-                self._retired_per_type[entry.fu_type] += 1
+                retired_per_type[entry.fu_type] += 1
 
         # 2. issue / execute / branch repair
         if obs is not None:
@@ -153,14 +165,15 @@ class Processor:
             obs.on_stage(self, "wakeup_select_execute")
         issued: Sequence[int] = ()
         flushed = 0
-        if not self.ruu.halted:
-            if self.ruu.empty:
+        if not ruu.halted:
+            if ruu.empty:
                 self._frontend_empty_cycles += 1
-            flushed_before = self.ruu.flushed
-            report = self.ruu.issue_and_execute(self.cycle_count)
+            flushed_before = ruu.flushed
+            report = ruu.issue_and_execute()
             issued = report.issued
-            self._handle_resolutions(report.resolutions)
-            flushed = self.ruu.flushed - flushed_before
+            if report.resolutions:
+                self._handle_resolutions(report.resolutions)
+                flushed = ruu.flushed - flushed_before
             self._resource_blocked_cycles += report.resource_blocked
             self._contention_cycles += max(
                 0, report.requests - len(report.granted) - report.memory_stalls
@@ -170,16 +183,15 @@ class Processor:
         if obs is not None:
             obs.on_stage(self, "dispatch")  # repro: cold-call -- observer hook
         dispatched: list[int] = []
-        if not self.ruu.halted:
-            room = self.ruu.wakeup.free_count()
-            for fetched in self.decode.pop(limit=room):
-                dispatched.append(self.ruu.dispatch(fetched).seq)
+        if not ruu.halted and len(self.decode):
+            for fetched in self.decode.pop(limit=ruu.wakeup.free_count()):
+                dispatched.append(ruu.dispatch(fetched).seq)
 
         # 4. fetch into decode
         if obs is not None:
             obs.on_stage(self, "fetch")  # repro: cold-call -- observer hook
         packet: Sequence = ()
-        if not self.ruu.halted and self.decode.can_accept(self.params.fetch_width):
+        if not ruu.halted and self.decode.can_accept(self.params.fetch_width):
             fetched_packet = self.fetch.fetch_packet()
             if fetched_packet:
                 self.decode.push(fetched_packet)
@@ -188,14 +200,23 @@ class Processor:
         # 5. steering policy
         if obs is not None:
             obs.on_stage(self, "steer")  # repro: cold-call -- observer hook
-        self.policy.cycle(self.ruu.ready_unscheduled(), self.ruu.retired)
+        self.policy.cycle(ruu)
 
-        # 6. advance time
+        # 6. advance time: utilisation, the configuration bus, completions
         if obs is not None:
             obs.on_stage(self, "tick")  # repro: cold-call -- observer hook
-        self._accumulate_utilisation()
-        self.fabric.tick()
-        self.ruu.tick()
+        fabric = self.fabric
+        counts = fabric.counts_tuple()
+        idle = fabric.idle_counts()
+        configured_cycles = self._configured_cycles
+        busy_cycles = self._busy_cycles
+        for i, t in _FU_INDEXED:
+            n = counts[i]
+            if n:
+                configured_cycles[i] += n
+                busy_cycles[i] += n - idle[t]
+        fabric.rfus.tick()
+        ruu.tick()
         if obs is not None:
             # repro: cold-call -- observer hook
             obs.on_cycle(self, packet, dispatched, issued, retired, flushed)
@@ -228,19 +249,6 @@ class Processor:
             self.decode.flush()
             self.fetch.redirect(oldest_mispredict.target)
 
-    def _accumulate_utilisation(self) -> None:
-        # read the incrementally-maintained counts: no per-unit scan
-        busy_cycles = self._busy_cycles
-        configured_cycles = self._configured_cycles
-        counts = self.fabric.counts_tuple()
-        idle = self.fabric.idle_counts()
-        for i, t in enumerate(FU_TYPES):
-            n = counts[i]
-            if not n:
-                continue
-            configured_cycles[t] += n
-            busy_cycles[t] += n - idle[t]
-
     # ----------------------------------------------------------------- run
     def run(self, max_cycles: int = 1_000_000) -> SimulationResult:
         """Simulate until the program halts (or the cycle budget runs out)."""
@@ -265,8 +273,8 @@ class Processor:
             halted=self.ruu.halted,
             outcome=outcome,
             retired_per_type=dict(self._retired_per_type),
-            busy_unit_cycles=dict(self._busy_cycles),
-            configured_unit_cycles=dict(self._configured_cycles),
+            busy_unit_cycles=dict(zip(FU_TYPES, self._busy_cycles)),
+            configured_unit_cycles=dict(zip(FU_TYPES, self._configured_cycles)),
             mispredictions=self._mispredictions,
             branch_resolutions=self._branch_resolutions,
             flushes=self._flushes,

@@ -251,7 +251,7 @@ def figure456_wakeup_example() -> str:
         requests = ruu.wakeup.requests(
             ruu._resource_available_bits(), ruu._result_available_bits()
         )
-        report = ruu.issue_and_execute(cycle)
+        report = ruu.issue_and_execute()
         req_names = [names[r] for r in requests]
         grant_names = [names[r] for r in report.granted]
         retired = [names[e.seq] for e in ruu.retire()]
@@ -293,7 +293,7 @@ def figure7_availability_check(samples: int = 500, seed: int = 0) -> str:
     fabric.rfus.begin_reconfigure(0, FUType.FP_ALU)
     while not fabric.rfus.bus_free:
         fabric.tick()
-    fabric.issue(FUType.FP_ALU, cycles=10)  # FFU copy busy
+    fabric.issue(FUType.FP_ALU)  # FFU copy busy
     allocation, availability = fabric.full_allocation()
     rows = []
     for i, (e, a) in enumerate(zip(allocation, availability)):

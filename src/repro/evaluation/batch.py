@@ -56,11 +56,6 @@ from repro.core.baselines import (
 from repro.core.params import ProcessorParams
 from repro.core.reference import run_reference
 from repro.errors import ConfigurationError
-from repro.evaluation.vector import (
-    run_vector_batch,
-    vector_dispatch_enabled,
-    vector_eligible,
-)
 from repro.fabric.configuration import Configuration
 from repro.isa.futypes import FUType
 from repro.isa.program import Program
@@ -248,6 +243,17 @@ def execute_job(job: SimJob) -> Any:
     )
 
 
+def run_vector_batch(jobs: Iterable[SimJob]) -> list[Any]:
+    """Run ``jobs`` one after another with :func:`execute_job`.
+
+    Not used by :func:`run_many`.  It exists only because the benchmark's
+    per-layer tracer (``perfbench/tracing.py``) wraps this name and reports
+    it as ``evaluation.vector.*``; nothing calls it, so those metrics read
+    0.  Delete it together with that wrapper.
+    """
+    return [execute_job(job) for job in jobs]
+
+
 # ------------------------------------------------------------- content keys
 def _canon(value: Any) -> Any:
     """Reduce a job component to primitives with a deterministic repr."""
@@ -429,42 +435,6 @@ def _execute_shipped_timed(payload: _ShippedJob) -> tuple[float, Any]:
     return time.perf_counter() - start, result
 
 
-def _execute_shipped_vector(payloads: list[_ShippedJob]) -> list[Any]:
-    """Worker-side entry point for one lock-step vector batch.
-
-    Every payload of the batch carries the same program hash; the batch is
-    rehydrated against the worker's single copy of the image and run as
-    one :func:`run_vector_batch` call, so a parallel sweep gets both the
-    process-level and the lane-level parallelism.
-    """
-    program = _WORKER_PROGRAMS.get(payloads[0].program_hash)
-    if program is None:
-        raise ConfigurationError(
-            f"worker has no program for hash {payloads[0].program_hash[:12]}…; "
-            "was the pool started with the run_many initializer?"
-        )
-    jobs = [
-        SimJob(
-            factory=p.factory,
-            program=program,
-            params=p.params,
-            max_cycles=p.max_cycles,
-            kwargs=p.kwargs,
-        )
-        for p in payloads
-    ]
-    return run_vector_batch(jobs)
-
-
-def _execute_shipped_vector_timed(
-    payloads: list[_ShippedJob],
-) -> tuple[float, list[Any]]:
-    """Timed vector-batch worker entry point: (run_seconds, results)."""
-    start = time.perf_counter()
-    results = _execute_shipped_vector(payloads)
-    return time.perf_counter() - start, results
-
-
 def _group_by_program(
     unique: Sequence[tuple[str, SimJob]],
 ) -> tuple[dict[str, Program], dict[str, list[tuple[str, SimJob]]]]:
@@ -475,8 +445,7 @@ def _group_by_program(
     same key to the group's ``(job_key, job)`` pairs in submission order.
     Jobs whose programs are distinct objects with identical content land
     in one group and are rebound (``dataclasses.replace``) to the
-    canonical instance, so the vector engine's lanes, the per-program
-    decode cache and the worker shipping path all see one image per
+    canonical instance, so the worker shipping path sends one image per
     distinct program — the same identity the :class:`ResultCache` keys
     already encode.  Hashing is memoised per program *object*, so the
     common sweep (thousands of jobs sharing one ``Program``) fingerprints
@@ -495,38 +464,6 @@ def _group_by_program(
             job = replace(job, program=canonical)
         groups.setdefault(pkey, []).append((key, job))
     return programs, groups
-
-
-def _vector_partition(
-    groups: dict[str, list[tuple[str, SimJob]]],
-) -> tuple[list[list[tuple[str, SimJob]]], list[tuple[str, SimJob]]]:
-    """Split program groups into vector batches and scalar leftovers.
-
-    A group contributes a lock-step batch when at least two of its jobs
-    are :func:`vector_eligible`; everything else (ineligible factories,
-    singleton lanes, or all jobs when ``REPRO_VECTOR_DISABLE`` is set)
-    falls back to the per-job scalar path.
-    """
-    batches: list[list[tuple[str, SimJob]]] = []
-    scalar: list[tuple[str, SimJob]] = []
-    if not vector_dispatch_enabled():
-        for pairs in groups.values():
-            scalar.extend(pairs)
-        return batches, scalar
-    for pairs in groups.values():
-        vec: list[tuple[str, SimJob]] = []
-        rest: list[tuple[str, SimJob]] = []
-        for key, job in pairs:
-            if vector_eligible(job.factory, job.params):
-                vec.append((key, job))
-            else:
-                rest.append((key, job))
-        if len(vec) >= 2:
-            batches.append(vec)
-            scalar.extend(rest)
-        else:
-            scalar.extend(pairs)
-    return batches, scalar
 
 
 def _prepare_shipment(
@@ -751,12 +688,9 @@ def run_many(
     answers repeats across batches.  ``progress(done, total, job)`` is
     invoked as each job resolves (cache hits included).
 
-    Jobs are grouped by program **content hash** before dispatch; groups
-    with two or more vector-eligible jobs run as one lock-step batch on
-    the lane engine (:func:`repro.evaluation.vector.run_vector_batch`) —
-    sequentially in-process, or as a single pool task per batch in the
-    parallel path — and everything else takes the per-job scalar path.
-    Setting ``REPRO_VECTOR_DISABLE`` forces the scalar path throughout.
+    Every job runs through :func:`execute_job`: in order in this process,
+    or as one pool task per job.  The parallel path groups jobs by program
+    **content hash** so each distinct program ships to a worker once.
 
     ``mp_context`` forces a multiprocessing start method ("fork",
     "spawn", "forkserver"); the default is the platform's.  On non-fork
@@ -804,37 +738,10 @@ def run_many(
         for i in pending[key]:
             resolved(i, result)
 
-    # group by program content-hash: vector batching, the per-program
-    # decode cache and worker shipping all key on the same identity the
-    # ResultCache uses, so equal-content programs collapse either way.
     unique = [(key, jobs[indices[0]]) for key, indices in pending.items()]
-    programs, groups = _group_by_program(unique)
-    batches, singles = _vector_partition(groups)
-    if telemetry is not None:
-        telemetry.scalar_dispatch(len(singles))
 
     if workers <= 1:
-        for batch in batches:
-            if telemetry is not None:
-                telemetry.submitted(len(batch))
-            start = time.perf_counter()
-            batch_results = run_vector_batch([job for _, job in batch])
-            elapsed = time.perf_counter() - start
-            if telemetry is not None:
-                telemetry.vector_batch(
-                    len(batch),
-                    [getattr(r, "cycles", 0) for r in batch_results],
-                )
-                per_lane = elapsed / len(batch)
-                for _, job in batch:
-                    telemetry.finished(
-                        job.label or job.factory,
-                        run_seconds=per_lane,
-                        queue_wait=0.0,
-                    )
-            for (key, _), result in zip(batch, batch_results):
-                settle(key, result)
-        for key, job in singles:
+        for key, job in unique:
             if telemetry is not None:
                 telemetry.submitted()
                 start = time.perf_counter()
@@ -851,9 +758,7 @@ def run_many(
 
     # Ship each distinct program once per worker (via the pool initializer),
     # not once per job: payloads carry only the program's content hash.
-    # Vector batches cross the boundary as one task each, so a parallel
-    # sweep gets both process-level and lane-level parallelism.
-    pkey_of = {id(program): pkey for pkey, program in programs.items()}
+    programs, shipped = _prepare_shipment(unique)
 
     ctx = multiprocessing.get_context(mp_context) if mp_context else None
     start_method = (ctx or multiprocessing).get_start_method()
@@ -874,26 +779,12 @@ def run_many(
         ) as pool:
             timed = telemetry is not None
             run_fn = _execute_shipped_timed if timed else _execute_shipped
-            vec_fn = (
-                _execute_shipped_vector_timed if timed
-                else _execute_shipped_vector
-            )
             label_of = {key: (job.label or job.factory) for key, job in unique}
-            #: fut -> ("single", job_key) or ("vector", [job_key, ...])
-            futures: dict[Any, tuple[str, Any]] = {}
+            futures: dict[Any, str] = {}
             submitted_at: dict[Any, float] = {}
-            for batch in batches:
-                payloads = [
-                    _ship(job, pkey_of[id(job.program)]) for _, job in batch
-                ]
-                fut = pool.submit(vec_fn, payloads)
-                futures[fut] = ("vector", [key for key, _ in batch])
-                submitted_at[fut] = time.perf_counter()
-                if telemetry is not None:
-                    telemetry.submitted(len(batch))
-            for key, job in singles:
-                fut = pool.submit(run_fn, _ship(job, pkey_of[id(job.program)]))
-                futures[fut] = ("single", key)
+            for key, payload in shipped:
+                fut = pool.submit(run_fn, payload)
+                futures[fut] = key
                 submitted_at[fut] = time.perf_counter()
                 if telemetry is not None:
                     telemetry.submitted()
@@ -903,50 +794,21 @@ def run_many(
                     remaining, return_when=FIRST_COMPLETED
                 )
                 for fut in finished:
-                    kind, ref = futures[fut]
+                    key = futures[fut]
                     outcome = fut.result()
-                    if kind == "vector":
-                        if timed:
-                            run_seconds, batch_results = outcome
-                        else:
-                            run_seconds, batch_results = None, outcome
-                        if telemetry is not None:
-                            telemetry.vector_batch(
-                                len(ref),
-                                [
-                                    getattr(r, "cycles", 0)
-                                    for r in batch_results
-                                ],
-                            )
-                            round_trip = (
-                                time.perf_counter() - submitted_at[fut]
-                            )
-                            per_lane = run_seconds / len(ref)
-                            lane_wait = max(
-                                0.0, (round_trip - run_seconds) / len(ref)
-                            )
-                            for key in ref:
-                                telemetry.finished(
-                                    label_of[key],
-                                    run_seconds=per_lane,
-                                    queue_wait=lane_wait,
-                                )
-                        for key, result in zip(ref, batch_results):
-                            settle(key, result)
-                        continue
                     if timed:
                         run_seconds, result = outcome
                         round_trip = (
                             time.perf_counter() - submitted_at[fut]
                         )
                         telemetry.finished(
-                            label_of[ref],
+                            label_of[key],
                             run_seconds=run_seconds,
                             queue_wait=max(0.0, round_trip - run_seconds),
                         )
                     else:
                         result = outcome
-                    settle(ref, result)
+                    settle(key, result)
     finally:
         if block is not None:
             block.close()

@@ -159,7 +159,7 @@ class AvailabilityCache:
         for t, units in self._by_type.items():
             idle = 0
             for u in units:
-                if u.busy_remaining == 0:
+                if not u.busy:
                     idle += 1
             idle_counts[t] = idle
             if idle:

@@ -125,16 +125,16 @@ class Fabric:
         return self.rfus.allocation_vector()
 
     # ------------------------------------------------------------ mutation
-    def issue(self, fu_type: FUType, cycles: int, occupant: int | None = None) -> FunctionalUnit:
-        """Occupy an idle unit of ``fu_type`` for ``cycles``."""
+    def issue(self, fu_type: FUType, occupant: int | None = None) -> FunctionalUnit:
+        """Occupy an idle unit of ``fu_type`` until it is released."""
         unit = self.idle_unit(fu_type)
         if unit is None:
             raise FabricError(f"no idle {fu_type.short_name} unit")
-        unit.occupy(cycles, occupant)
+        unit.occupy(occupant)
         return unit
 
     def tick(self) -> None:
-        self.ffus.tick()
+        """Advance the configuration bus one cycle (units release by event)."""
         self.rfus.tick()
 
     # ---------------------------------------------------------- statistics

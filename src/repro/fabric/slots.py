@@ -239,18 +239,10 @@ class RfuSlotArray:
         self.structure_version += 1
 
     def tick(self) -> None:
-        """Advance one cycle: unit execution and the configuration bus."""
-        for s in self.slots:
-            if s.unit is not None:
-                s.unit.tick()
-        self.tick_bus()
+        """Advance the configuration bus one cycle.
 
-    def tick_bus(self) -> None:
-        """Advance the configuration bus only.
-
-        Split out for engines that retire unit count-downs by event (the
-        vector engine's batched timers) but still clock the configuration
-        bus every cycle.
+        Units hold no timers of their own: the register update unit
+        releases each one when its instruction completes.
         """
         if self._bus_remaining > 0:
             self._bus_remaining -= 1

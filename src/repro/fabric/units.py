@@ -6,9 +6,11 @@ what makes the *number* of configured units matter, which is the quantity
 the steering mechanism optimises).  Each unit exposes the ``available``
 signal of Fig. 7: asserted when the unit is configured and idle.
 
-Units also publish their idle/busy **transitions** to registered
-listeners (the Eq. 1 availability cache): occupy, a busy release, and a
-count-down reaching zero call ``listener.unit_state_changed(unit, idle)``
+A unit does not count its own cycles: the register update unit keeps one
+due-cycle map of issued instructions and releases a unit by event when its
+instruction completes (or is squashed).  Units publish their idle/busy
+**transitions** to registered listeners (the Eq. 1 availability cache):
+occupy and a busy release call ``listener.unit_state_changed(unit, idle)``
 at the moment the state flips.  This is what makes the availability layer
 *incremental* — the cache point-updates one per-type count per event
 instead of rescanning every unit whenever anything changed.  The
@@ -53,7 +55,7 @@ class FunctionalUnit:
     fu_type: FUType
     fixed: bool = False
     uid: int = field(default_factory=lambda: next(_unit_ids))
-    busy_remaining: int = 0
+    busy: bool = False
     #: id of the in-flight instruction occupying the unit (for tracing).
     occupant: int | None = None
     #: objects notified on every idle/busy transition via
@@ -63,46 +65,37 @@ class FunctionalUnit:
     @property
     def available(self) -> bool:
         """The slot's 'available' output: asserted when the unit is idle."""
-        return self.busy_remaining == 0
+        return not self.busy
 
     def _notify(self, idle: bool) -> None:
         _BUSY_EPOCH.value += 1
         for listener in self.listeners:
             listener.unit_state_changed(self, idle)
 
-    def occupy(self, cycles: int, occupant: int | None = None) -> None:
-        """Begin executing an instruction that holds the unit for ``cycles``."""
-        if cycles <= 0:
-            raise FabricError(f"occupancy must be positive, got {cycles}")
-        if not self.available:
+    def occupy(self, occupant: int | None = None) -> None:
+        """Begin executing an instruction; the unit stays busy until
+        :meth:`release`."""
+        if self.busy:
             raise FabricError(
                 f"{self.fu_type.short_name} unit {self.uid} is busy "
-                f"({self.busy_remaining} cycles remaining)"
+                f"(occupant {self.occupant})"
             )
-        self.busy_remaining = cycles
+        self.busy = True
         self.occupant = occupant
         self._notify(False)
 
     def release(self) -> None:
-        """Force-release the unit (used when a flush squashes its occupant)."""
-        was_busy = self.busy_remaining > 0
-        self.busy_remaining = 0
+        """Free the unit: its instruction completed or was squashed."""
+        was_busy = self.busy
+        self.busy = False
         self.occupant = None
         if was_busy:
             self._notify(True)
         else:
             _BUSY_EPOCH.value += 1  # preserved epoch semantics: always bumps
 
-    def tick(self) -> None:
-        """Advance one cycle."""
-        if self.busy_remaining > 0:
-            self.busy_remaining -= 1
-            if self.busy_remaining == 0:
-                self.occupant = None
-                self._notify(True)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "idle" if self.available else f"busy({self.busy_remaining})"
+        state = "busy" if self.busy else "idle"
         kind = "FFU" if self.fixed else "RFU"
         return f"<{kind} {self.fu_type.short_name}#{self.uid} {state}>"
 
@@ -130,7 +123,3 @@ class FfuBank:
         for u in self._units:
             out[u.fu_type] = out.get(u.fu_type, 0) + 1
         return out
-
-    def tick(self) -> None:
-        for u in self._units:
-            u.tick()

@@ -22,9 +22,10 @@ class InstructionMemory:
     def __init__(self, program: Program) -> None:
         # encode+decode of an assembled program is pure, so the binary and
         # its decode are cached on the program object: a batch of N
-        # processors over one shared program (the vector engine's lanes,
-        # in-process run_many) decodes once and shares the Instruction
-        # objects — and with them their warmed spec-derived caches.
+        # processors over one shared program (an in-process run_many
+        # sweep) decodes once and shares the Instruction objects — and
+        # with them their warmed spec-derived caches and dispatch
+        # templates.
         cached = getattr(program, "_imem_cache", None)
         if cached is None:
             words = program.to_binary()

@@ -80,6 +80,25 @@ class Instruction:
     def is_halt(self) -> bool:
         return self.spec.is_halt
 
+    @cached_property
+    def dispatch_template(
+        self,
+    ) -> tuple[tuple[str, int] | None, tuple[str, int] | None, tuple[str, int] | None]:
+        """``(src1, src2, destination)`` as ``(reg_class, index)`` rename keys.
+
+        A source is ``None`` when unused or hard-wired integer ``x0``; the
+        destination is :meth:`destination`.  Dispatch reads this once per
+        instruction instead of decoding the operand classes every time.
+        """
+        spec = self.spec
+        srcs: list[tuple[str, int] | None] = []
+        for cls, idx in ((spec.src1, self.rs1), (spec.src2, self.rs2)):
+            if cls is OperandClass.NONE or (cls is OperandClass.INT and idx == 0):
+                srcs.append(None)
+            else:
+                srcs.append(("int" if cls is OperandClass.INT else "fp", idx))
+        return srcs[0], srcs[1], self.destination()
+
     def destination(self) -> tuple[str, int] | None:
         """``(reg_class, index)`` written by this instruction, or ``None``.
 

@@ -2,9 +2,10 @@
 
 Carries everything the register update unit tracks between dispatch and
 retirement: source bindings (producer sequence numbers or architectural
-reads), the count-down timer the wake-up logic uses to assert the result-
-available line, the computed result, and — for memory instructions — the
-effective address and buffered store data.
+reads), the functional unit executing it, the computed result, and — for
+memory instructions — the effective address and buffered store data.  The
+cycle an issued entry completes is kept by the register update unit's
+due-cycle map, not by the entry.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.fabric.units import FunctionalUnit
 from repro.frontend.fetch import FetchedInstruction
 from repro.isa.futypes import FUType
 from repro.isa.instruction import Instruction
@@ -52,8 +54,6 @@ class RuuEntry:
     fu_type: FUType = field(init=False)
     is_load: bool = field(init=False)
     is_store: bool = field(init=False)
-    #: cycles until the result-available line asserts (ISSUED state).
-    countdown: int = 0
     #: computed result value (int regs as u32, fp as float), if any.
     result: int | float | None = None
     #: resolved next PC for control instructions.
@@ -64,8 +64,9 @@ class RuuEntry:
     mem_addr: int | None = None
     mem_size: int | None = None
     store_data: bytes | None = None
-    #: unit uid executing/having executed this entry (for unit release on flush).
-    unit_uid: int | None = None
+    #: unit executing/having executed this entry (released at completion
+    #: or when a flush squashes the entry).
+    unit: FunctionalUnit | None = None
     #: cycle the entry was granted execution (trace/debug).
     issue_cycle: int | None = None
 
@@ -83,11 +84,3 @@ class RuuEntry:
     @property
     def completed(self) -> bool:
         return self.state is EntryState.COMPLETED
-
-    def tick(self) -> None:
-        """Advance the count-down timer; completion asserts result-available."""
-        if self.state is EntryState.ISSUED:
-            if self.countdown > 0:
-                self.countdown -= 1
-            if self.countdown == 0:
-                self.state = EntryState.COMPLETED

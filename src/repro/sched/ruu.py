@@ -17,7 +17,11 @@ implementation adds the substrate details a working processor needs:
 * **branch repair** — control instructions resolve at execute; the caller
   flushes younger entries on a mispredict via :meth:`flush_younger`;
 * **in-order retirement** — up to ``retire_width`` completed entries leave
-  per cycle in dispatch order, committing register and memory state.
+  per cycle in dispatch order, committing register and memory state;
+* **completion by event** — issuing an instruction of latency *L* files
+  it in a due-cycle map under cycle ``clock + L - 1``; :meth:`tick`
+  completes that cycle's entries and releases their units, so no per-unit
+  or per-entry count-down is swept every cycle.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from repro.frontend.memory import DataMemory
 from repro.isa import semantics
 from repro.isa.futypes import FU_TYPES, FUType
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OperandClass
 from repro.sched.entry import EntryState, RuuEntry, SourceBinding
 from repro.sched.regfile import RegisterFile
 from repro.sched.wakeup import WakeupArray
 
 __all__ = ["BranchResolution", "IssueReport", "RegisterUpdateUnit"]
+
+#: the resource-available bus with every unit type available.
+_ALL_RESOURCES = (1 << len(FU_TYPES)) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +117,12 @@ class RegisterUpdateUnit:
         #: youngest in-flight writer of each register: (class, idx) -> seq.
         self._rename: dict[tuple[str, int], int] = {}
         self._next_seq = 0
+        #: the RUU's own cycle counter, advanced by :meth:`tick`.
+        self.clock = 0
+        #: due cycle -> ``(row, entry)`` pairs issued to complete at the end
+        #: of that cycle.  A squashed entry stays filed until its due cycle
+        #: and is skipped there by an identity check against the window.
+        self._due: dict[int, list[tuple[int, RuuEntry]]] = {}
         #: per-cycle scratch containers, reused so the issue/dispatch hot
         #: paths allocate nothing (HOT001/HOT002 discipline).
         self._scratch_remaining: dict[FUType, int] = {}
@@ -159,41 +171,33 @@ class RegisterUpdateUnit:
         if self.full:
             raise SchedulerError("RUU window is full")
         instr = fetched.instruction
-        spec = instr.spec
-
-        bindings: list[SourceBinding | None] = []
+        src1, src2, dest = instr.dispatch_template
+        rename = self._rename
+        row_by_seq = self._row_by_seq
         # reused scratch: WakeupArray.insert only iterates it, never keeps it
         dep_rows = self._scratch_dep_rows
         dep_rows.clear()
-        for cls, idx in (
-            (spec.src1, instr.rs1),
-            (spec.src2, instr.rs2),
-        ):
-            if cls is OperandClass.NONE or (cls is OperandClass.INT and idx == 0):
-                bindings.append(None)
-                continue
-            reg_class = "int" if cls is OperandClass.INT else "fp"
-            producer_seq = self._rename.get((reg_class, idx))
-            bindings.append(SourceBinding(reg_class, idx, producer_seq))
-            if producer_seq is not None:
-                row = self._row_of_seq(producer_seq)
-                if row is not None:
-                    dep_rows.add(row)
+        b1 = b2 = None
+        if src1 is not None:
+            producer_seq = rename.get(src1)
+            b1 = SourceBinding(src1[0], src1[1], producer_seq)
+            if producer_seq is not None and producer_seq in row_by_seq:
+                dep_rows.add(row_by_seq[producer_seq])
+        if src2 is not None:
+            producer_seq = rename.get(src2)
+            b2 = SourceBinding(src2[0], src2[1], producer_seq)
+            if producer_seq is not None and producer_seq in row_by_seq:
+                dep_rows.add(row_by_seq[producer_seq])
 
         row = self.wakeup.insert(instr.fu_type, dep_rows)
-        entry = RuuEntry(
-            seq=self._next_seq,
-            fetched=fetched,
-            sources=(bindings[0], bindings[1]),
-        )
-        self._next_seq += 1
+        seq = self._next_seq
+        entry = RuuEntry(seq=seq, fetched=fetched, sources=(b1, b2))
+        self._next_seq = seq + 1
         self._entries[row] = entry
         self._order.append(entry)
-        self._row_by_seq[entry.seq] = row
-
-        dest = instr.destination()
+        row_by_seq[seq] = row
         if dest is not None:
-            self._rename[dest] = entry.seq
+            rename[dest] = seq
         self.dispatched += 1
         return entry
 
@@ -256,7 +260,7 @@ class RegisterUpdateUnit:
     def _result_available_bits(self) -> int:
         return self._completed_bits
 
-    def issue_and_execute(self, cycle: int = 0) -> IssueReport:
+    def issue_and_execute(self) -> IssueReport:
         """One issue step: wake-up requests, grants, functional execution."""
         report = IssueReport()
         # de-assert the scheduled bit of last cycle's collision losers (the
@@ -280,24 +284,33 @@ class RegisterUpdateUnit:
         req_mask = self.wakeup.requests_mask(wakeup_bits, result_bits)
         report.requests = req_mask.bit_count()
         # rows ready on data but blocked on a unit: what steering fixes
-        all_resources = (1 << len(FU_TYPES)) - 1
-        report.resource_blocked = (
-            self.wakeup.requests_mask(all_resources, result_bits).bit_count()
-            - report.requests
-        )
-        # oldest-first grants (the select_grants arbitration, inlined over
-        # the age-ordered window so no triple list is built or sorted)
+        # (none when every unit type is available)
+        if wakeup_bits != _ALL_RESOURCES:
+            report.resource_blocked = (
+                self.wakeup.requests_mask(_ALL_RESOURCES, result_bits).bit_count()
+                - report.requests
+            )
+        # oldest-first grants (the select_grants arbitration) over the
+        # requesting rows only: their set bits, ordered by sequence number
         granted_rows: list[int] = []
         if req_mask:
             # overwrite-in-place copy of the live counts (all five types are
             # always keyed), so the grant loop can decrement freely
             remaining = self._scratch_remaining
             remaining.update(self.fabric.idle_counts())
-            row_by_seq = self._row_by_seq
-            for e in self._order:  # oldest first by construction
-                row = row_by_seq[e.seq]
-                if (req_mask >> row) & 1 and remaining.get(e.fu_type, 0) > 0:
-                    remaining[e.fu_type] -= 1
+            entries = self._entries
+            requesting = []
+            m = req_mask
+            while m:
+                low = m & -m
+                row = low.bit_length() - 1
+                m ^= low
+                requesting.append((entries[row].seq, row))
+            requesting.sort()
+            for _, row in requesting:
+                fu_type = entries[row].fu_type
+                if remaining[fu_type] > 0:
+                    remaining[fu_type] -= 1
                     granted_rows.append(row)
         if self.pipelined_scheduling and req_mask:
             # select-free [9]: every requester considered itself scheduled;
@@ -328,11 +341,15 @@ class RegisterUpdateUnit:
                 report.resolutions.append(resolution)
             else:
                 self._execute_alu(entry)
-            unit = self.fabric.issue(entry.fu_type, entry.instruction.latency, entry.seq)
-            entry.unit_uid = unit.uid
+            entry.unit = self.fabric.issue(entry.fu_type, entry.seq)
             entry.state = EntryState.ISSUED
-            entry.countdown = entry.instruction.latency
-            entry.issue_cycle = cycle
+            entry.issue_cycle = self.clock
+            due = self.clock + entry.instruction.latency - 1
+            filed = self._due.get(due)
+            if filed is None:
+                self._due[due] = [(row, entry)]
+            else:
+                filed.append((row, entry))
             self.wakeup.mark_scheduled(row)
             self.issued_per_type[entry.fu_type] += 1
             report.granted.append(row)
@@ -375,19 +392,24 @@ class RegisterUpdateUnit:
 
     # ---------------------------------------------------------------- tick
     def tick(self) -> None:
-        """Advance all count-down timers one cycle.
+        """End the cycle: complete the entries due now, then advance the clock.
 
-        An entry whose countdown expires asserts its result-available line:
-        the transition sets the row's bit in the incrementally-maintained
-        ``_completed_bits`` bus."""
-        bits = self._completed_bits
-        issued = EntryState.ISSUED
-        for e in self._order:
-            if e.state is issued:
-                e.tick()
-                if e.completed:
-                    bits |= 1 << self._row_by_seq[e.seq]
-        self._completed_bits = bits
+        A completing entry asserts its result-available line (its row's bit
+        in the incrementally-maintained ``_completed_bits`` bus) and
+        releases its unit.  An entry a flush squashed is no longer in its
+        row and is skipped."""
+        due = self._due.pop(self.clock, None)
+        if due is not None:
+            entries = self._entries
+            bits = self._completed_bits
+            completed = EntryState.COMPLETED
+            for row, entry in due:
+                if entries.get(row) is entry:
+                    entry.state = completed
+                    bits |= 1 << row
+                    entry.unit.release()
+            self._completed_bits = bits
+        self.clock += 1
 
     # -------------------------------------------------------------- retire
     def retire(self) -> list[RuuEntry]:
@@ -404,7 +426,7 @@ class RegisterUpdateUnit:
             self._completed_bits &= ~(1 << row)
             del self._entries[row]
             order.pop(0)
-            dest = head.instruction.destination()
+            dest = head.instruction.dispatch_template[2]
             if dest is not None and self._rename.get(dest) == head.seq:
                 del self._rename[dest]
             retired.append(head)
@@ -434,7 +456,7 @@ class RegisterUpdateUnit:
         ]
         for row, e in victims:
             if e.state is EntryState.ISSUED:
-                self._release_unit(e)
+                e.unit.release()
             self.wakeup.remove(row)
             self._completed_bits &= ~(1 << row)
             del self._entries[row]
@@ -447,12 +469,6 @@ class RegisterUpdateUnit:
                 self._rename[dest] = e.seq
         self.flushed += len(victims)
         return len(victims)
-
-    def _release_unit(self, entry: RuuEntry) -> None:
-        for unit in self.fabric.units_of_type(entry.fu_type):
-            if unit.uid == entry.unit_uid:
-                unit.release()
-                return
 
     # ------------------------------------------------------------- helpers
     def render_wakeup(self) -> str:

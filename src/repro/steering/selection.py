@@ -12,10 +12,17 @@ the current configuration (distance zero) always wins its ties.  The
 comparison is implemented as a single magnitude compare on the
 concatenated key ``error ‖ distance`` so it remains one comparator tree in
 hardware.
+
+:meth:`ConfigurationSelectionUnit.select` is a pure function of the window's
+unit types and the current counts, so its results are memoised in one
+bounded LRU memo per process for every unit with the same configurations,
+fixed-unit counts, queue size and metric mode: the jobs of a sweep warm one
+memo instead of each starting cold.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -33,8 +40,21 @@ __all__ = ["SelectionResult", "ConfigurationSelectionUnit"]
 #: bits used for the reconfiguration-distance field of the tie-break key.
 _DISTANCE_WIDTH = 6
 
-#: maximum number of memoised select() evaluations (LRU-evicted beyond).
+#: maximum number of memoised select() evaluations per memo (LRU-evicted
+#: beyond).
 _MEMO_CAPACITY = 16384
+
+#: unit signature -> the select() memo every unit with that signature shares.
+_SHARED_MEMOS: dict[tuple, OrderedDict] = {}
+#: guards the memos and their registry: the serving job queue simulates on
+#: a background thread while the API thread may run simulations too.
+_MEMO_LOCK = threading.Lock()
+
+
+def clear_shared_memos() -> None:
+    """Forget every shared select() memo (units built later start cold)."""
+    with _MEMO_LOCK:
+        _SHARED_MEMOS.clear()
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,11 +100,21 @@ class ConfigurationSelectionUnit:
         # current counts, so its (gate-level-faithful, hence expensive)
         # evaluation is memoised: identical inputs return the identical
         # SelectionResult without re-simulating the adders and shifters.
-        # Bounded by LRU eviction: recency order is maintained by
-        # move-to-end on every hit, and at capacity the single coldest
+        # The memo is shared by every unit of this signature in the
+        # process.  Bounded by LRU eviction: recency order is maintained
+        # by move-to-end on every hit, and at capacity the single coldest
         # entry is dropped — a long phased workload keeps its hot window
         # states cached instead of losing the whole memo to a reset.
-        self._memo: OrderedDict[tuple, SelectionResult] = OrderedDict()
+        signature = (
+            tuple((c.name, tuple(sorted(c.counts.items()))) for c in self.configs),
+            tuple(sorted(self.ffu_counts.items())),
+            queue_size,
+            use_exact_metric,
+        )
+        with _MEMO_LOCK:
+            self._memo: OrderedDict[tuple, SelectionResult] = (
+                _SHARED_MEMOS.setdefault(signature, OrderedDict())
+            )
 
     # ------------------------------------------------------------- stages
     def required_counts(
@@ -158,10 +188,12 @@ class ConfigurationSelectionUnit:
             ),
             tuple(current_counts),
         )
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            self._memo.move_to_end(memo_key)
-            return cached
+        memo = self._memo
+        with _MEMO_LOCK:
+            cached = memo.get(memo_key)
+            if cached is not None:
+                memo.move_to_end(memo_key)
+                return cached
         # repro: cold-call -- memo-miss path: amortised by the LRU memo above
         required = self.required_counts(window)
         # repro: cold-call -- memo-miss path: amortised by the LRU memo above
@@ -176,7 +208,8 @@ class ConfigurationSelectionUnit:
         result = SelectionResult(
             index=index, config=config, errors=errors, required=required
         )
-        if len(self._memo) >= _MEMO_CAPACITY:
-            self._memo.popitem(last=False)  # evict the least recently used
-        self._memo[memo_key] = result
+        with _MEMO_LOCK:
+            if len(memo) >= _MEMO_CAPACITY:
+                memo.popitem(last=False)  # evict the least recently used
+            memo[memo_key] = result
         return result

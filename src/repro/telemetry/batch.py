@@ -10,13 +10,7 @@ callbacks fire), so enabling it changes no scheduling behaviour:
   the round-trip is queue wait);
 * ``repro_batch_job_run_seconds`` — per-job wall time;
 * ``repro_batch_jobs_inflight`` — submitted minus finished;
-* ``repro_batch_last_completion_timestamp_seconds`` — worker heartbeat;
-* ``repro_batch_lane_dispatch_total{mode=...}`` — jobs routed through the
-  lock-step vector engine (``vector``) vs the per-job scalar path
-  (``scalar``);
-* ``repro_batch_lanes_per_batch`` — lane count of each vector batch;
-* ``repro_batch_lane_retire_cycles`` — per-lane simulated cycle counts at
-  retirement, the ragged-finish profile of vector batches.
+* ``repro_batch_last_completion_timestamp_seconds`` — worker heartbeat.
 
 With a :class:`~repro.telemetry.spans.SpanTracer` attached, each executed
 job also becomes a wall-clock span on the ``batch`` track.
@@ -65,21 +59,6 @@ class BatchTelemetry:
             "repro_batch_last_completion_timestamp_seconds",
             "Unix time of the most recent job completion (worker heartbeat).",
         )
-        self.lane_dispatch = r.counter(
-            "repro_batch_lane_dispatch_total",
-            "Batch jobs dispatched, by engine mode.",
-            ("mode",),
-        )
-        self.lanes_per_batch = r.histogram(
-            "repro_batch_lanes_per_batch",
-            "Lane count of each lock-step vector batch.",
-            buckets=(2, 4, 8, 16, 32, 64, 128, 256),
-        )
-        self.lane_retire = r.histogram(
-            "repro_batch_lane_retire_cycles",
-            "Simulated cycles at which each vector lane retired.",
-            buckets=(100, 500, 1_000, 5_000, 20_000, 100_000, 400_000),
-        )
 
     def _beat(self) -> None:
         self.heartbeat.set(time.time())
@@ -94,18 +73,6 @@ class BatchTelemetry:
 
     def submitted(self, count: int = 1) -> None:
         self.inflight.inc(count)
-
-    def scalar_dispatch(self, count: int = 1) -> None:
-        """Record jobs executed on the per-job scalar path."""
-        if count > 0:
-            self.lane_dispatch.labels("scalar").inc(count)
-
-    def vector_batch(self, lanes: int, lane_cycles=()) -> None:
-        """Record one lock-step vector batch and its lanes' retire cycles."""
-        self.lane_dispatch.labels("vector").inc(lanes)
-        self.lanes_per_batch.observe(lanes)
-        for cycles in lane_cycles:
-            self.lane_retire.observe(cycles)
 
     def finished(
         self,

@@ -1,6 +1,6 @@
 """Verification subsystem: golden-trace corpus + differential fuzzing.
 
-Three parts, layered on the deterministic batch/vector engines:
+Three parts, layered on the deterministic batch engine:
 
 :mod:`repro.verify.goldens`
     A committed corpus of canonical-JSON ``SimulationResult`` records per

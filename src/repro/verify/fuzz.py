@@ -3,18 +3,13 @@
 Each iteration derives a program seed + generator shape from the master
 seed, generates one program, executes it once on the functional
 reference interpreter, then runs **every** ``policy_catalogue()`` policy
-on it through :func:`~repro.evaluation.batch.run_many` — all policies
-share one program, the ideal lane shape for the lock-step vector
-engine — and asserts the cross-policy invariants
-(:mod:`repro.verify.invariants`).  On top, two metamorphic checks rotate
-through the catalogue:
-
-* **vector vs scalar** — the batch-engine result must be bit-identical
-  to a direct scalar ``Processor.run`` of the same job;
-* **observer on vs off** — attaching an observer to the steering
-  processor must not change a single field of the result; successive
-  steering probes rotate through a decision ledger, plain telemetry, the
-  event recorder, the steering trace and stage profiling.
+on it through one :func:`~repro.evaluation.batch.run_many` call, and
+asserts the cross-policy invariants (:mod:`repro.verify.invariants`).  On
+top, a metamorphic check rotates through the catalogue: when the probe of
+an iteration is the steering policy, attaching an observer to the
+steering processor must not change a single field of the result;
+successive steering probes rotate through a decision ledger, plain
+telemetry, the event recorder, the steering trace and stage profiling.
 
 A failing iteration is minimized by the instruction-deletion shrinker
 (:mod:`repro.verify.shrink`) against the policies it implicated, and —
@@ -206,29 +201,10 @@ def _metamorphic_checks(
     params: ProcessorParams,
     max_cycles: int,
 ) -> list[Violation]:
-    """Vector-vs-scalar (rotating policy) and, on steering iterations,
+    """On iterations whose probe (rotating over ``policies``) is steering,
     an observer-on/off comparison rotating over ``_OBSERVER_ARMS``."""
     violations: list[Violation] = []
     probe = policies[iteration % len(policies)]
-    if probe in results:
-        try:
-            scalar = execute_job(_job_for(probe, program, params, max_cycles))
-        except ReproError as exc:
-            scalar = None
-            violations.append(
-                Violation(
-                    "metamorphic-vector", probe,
-                    f"scalar re-run crashed: {type(exc).__name__}: {exc}",
-                )
-            )
-        if scalar is not None and scalar.to_dict() != results[probe].to_dict():
-            violations.append(
-                Violation(
-                    "metamorphic-vector", probe,
-                    "batch-engine result differs from the direct scalar run "
-                    "of the identical job",
-                )
-            )
     if probe == "steering" and "steering" in results:
         # rotate the observer under test over the steering probes: each
         # must leave SimulationResult.to_dict() bit-identical

@@ -185,8 +185,7 @@ def _structural_diff(
 def compute_cell_records(workers: int = 0, progress=None) -> dict[tuple[str, str], dict]:
     """Freshly simulated canonical result record per corpus cell.
 
-    All cells go through :func:`~repro.evaluation.batch.run_many`, so
-    the per-workload policy sweeps ride the lock-step vector engine.
+    All cells go through :func:`~repro.evaluation.batch.run_many`.
     """
     workloads = golden_workloads()
     cells = golden_cells()

@@ -31,9 +31,7 @@ def make_test_config(**overrides) -> AnalysisConfig:
         hotzones={
             "repro/sched/hot.py": ("Kernel.step", "Kernel.tick", "helper"),
             "repro/sched/allhot.py": ("*",),
-            "repro/sched/lanes.py": ("Bank.requests", "Bank.advance"),
         },
-        vector_kernel_scope=("repro/sched/lanes.py",),
         determinism_scope=("repro/sched", "repro/isa", "repro/utils"),
         concurrency_scope=("repro/serving", "repro/evaluation/batch.py"),
         config_modules=("repro/utils/env.py",),

@@ -184,61 +184,3 @@ class TestHotTelemetryGuard:
                         obs.on_stage(self, "retire")
         """))
         assert findings == []
-
-
-class TestHotPerLaneLoop:
-    """HOT007: no interpreter-level lane/row loops in vectorized kernels."""
-
-    def test_for_loop_in_vector_kernel_flagged(self, lint_source):
-        findings = lint_source(src("""
-            class Bank:
-                def requests(self):
-                    out = 0
-                    for lane in self.lanes:
-                        out |= lane
-                    return out
-        """), path="repro/sched/lanes.py")
-        assert rule_ids(findings) == ["HOT007"]
-        assert "whole-array" in findings[0].message
-
-    def test_while_loop_flagged(self, lint_source):
-        findings = lint_source(src("""
-            class Bank:
-                def advance(self):
-                    row = self.head
-                    while row:
-                        row = self.step(row)
-        """), path="repro/sched/lanes.py")
-        assert rule_ids(findings) == ["HOT007"]
-
-    def test_loop_free_kernel_passes(self, lint_source):
-        findings = lint_source(src("""
-            class Bank:
-                def requests(self):
-                    need = self._need
-                    req = ((need & ~self._avail[:, None]) == 0) @ self._weights
-                    return req.tolist()
-        """), path="repro/sched/lanes.py")
-        assert findings == []
-
-    def test_cold_fallback_in_same_file_not_flagged(self, lint_source):
-        findings = lint_source(src("""
-            class PyBank:
-                def requests(self):
-                    out = 0
-                    for lane in self.lanes:
-                        out |= lane
-                    return out
-        """), path="repro/sched/lanes.py")
-        assert findings == []
-
-    def test_hot_loop_outside_vector_scope_not_hot007(self, lint_source):
-        findings = lint_source(src("""
-            class Kernel:
-                def step(self):
-                    total = 0
-                    for row in self.rows:
-                        total += row
-                    return total
-        """))
-        assert "HOT007" not in rule_ids(findings)

@@ -24,7 +24,9 @@ from repro.fabric.configuration import (
     PREDEFINED_CONFIGS,
 )
 from repro.fabric.fabric import Fabric
+from repro.frontend.memory import DataMemory
 from repro.isa.futypes import FUType
+from repro.sched.ruu import RegisterUpdateUnit
 from repro.workloads.kernels import checksum, newton_sqrt, saxpy
 
 _FAST = ProcessorParams(reconfig_latency=2)
@@ -87,8 +89,10 @@ class TestOracleSteering:
 
     def test_oracle_requires_trace(self):
         policy = OracleSteering(trace=[], lookahead=8)
-        policy.bind(Fabric(reconfig_latency=1))
-        policy.cycle([], retired=0)  # empty trace: keeps current, no crash
+        fabric = Fabric(reconfig_latency=1)
+        policy.bind(fabric)
+        # empty trace: keeps current, no crash
+        policy.cycle(RegisterUpdateUnit(fabric, DataMemory(size=64)))
 
 
 class TestPaperSteeringPolicy:
@@ -129,3 +133,35 @@ class TestCatalogue:
             result = proc.run(max_cycles=100_000)
             assert result.halted, name
             kernel.verify(proc.dmem)
+
+
+class TestSharedSelectionMemo:
+    """Selection units share one memo per process across jobs; a warm memo
+    must not change any result."""
+
+    @staticmethod
+    def _catalogue(program, params):
+        from repro.core.baselines import policy_catalogue
+
+        return [
+            make(program, params).run(max_cycles=50_000).to_dict()
+            for make in policy_catalogue().values()
+        ]
+
+    def test_warm_memo_leaves_results_bit_identical(self):
+        from repro.steering.selection import clear_shared_memos
+        from repro.workloads.kernels import dot_product, matmul
+
+        program = checksum(iterations=12).program
+        params = ProcessorParams(reconfig_latency=4)
+        clear_shared_memos()
+        cold = self._catalogue(program, params)
+        # warm the shared memos with other programs and window sizes
+        for other in (dot_product(n=24).program, matmul(n=4).program):
+            for window in (7, 11):
+                warm_params = ProcessorParams(reconfig_latency=4, window_size=window)
+                self._catalogue(other, warm_params)
+        try:
+            assert self._catalogue(program, params) == cold
+        finally:
+            clear_shared_memos()

@@ -34,7 +34,7 @@ class TestSlotGlyphs:
         while not f.rfus.bus_free:
             f.tick()
         assert slot_glyphs(f)[:3] == "FFF"  # idle: uppercase, spans shown
-        f.rfus.units_of_type(FUType.FP_ALU)[0].occupy(5)
+        f.rfus.units_of_type(FUType.FP_ALU)[0].occupy()
         assert slot_glyphs(f)[:3] == "fff"
 
 

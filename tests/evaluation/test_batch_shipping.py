@@ -8,6 +8,7 @@ tests pin both the size of what crosses the process boundary and the
 end-to-end equivalence of the parallel path.
 """
 
+import copy
 import pickle
 
 import pytest
@@ -17,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.evaluation.batch import (
     SimJob,
     _execute_shipped,
+    _group_by_program,
     _init_worker,
     _prepare_shipment,
     _WORKER_PROGRAMS,
@@ -25,7 +27,7 @@ from repro.evaluation.batch import (
     program_key,
     run_many,
 )
-from repro.workloads.kernels import checksum
+from repro.workloads.kernels import checksum, dot_product
 from repro.workloads.kernels_extra import bubble_sort
 
 _PARAMS = ProcessorParams(reconfig_latency=8)
@@ -53,6 +55,42 @@ def test_program_key_is_content_addressed():
     assert a is not b
     assert program_key(a) == program_key(b)
     assert program_key(a) != program_key(checksum(iterations=21).program)
+
+
+# --------------------------------------------------- content-hash grouping
+def _steering_jobs(program, n):
+    return [
+        SimJob(
+            "steering", program,
+            ProcessorParams(window_size=10, reconfig_latency=4 + i),
+        )
+        for i in range(n)
+    ]
+
+
+def _unique(jobs):
+    return [(f"k{i}", job) for i, job in enumerate(jobs)]
+
+
+def test_equal_content_programs_share_one_group():
+    """Distinct Program objects with identical content collapse into one
+    group, rebound to one canonical instance."""
+    program = dot_product(n=16).program
+    clone = copy.deepcopy(program)
+    jobs = _steering_jobs(program, 2) + _steering_jobs(clone, 2)
+    programs, groups = _group_by_program(_unique(jobs))
+    assert len(groups) == 1
+    (pkey, pairs), = groups.items()
+    canonical = programs[pkey]
+    assert all(job.program is canonical for _, job in pairs)
+
+
+def test_distinct_programs_stay_separate():
+    a, b = dot_product(n=16).program, checksum(iterations=5).program
+    _, groups = _group_by_program(
+        _unique(_steering_jobs(a, 4) + _steering_jobs(b, 4))
+    )
+    assert len(groups) == 2
 
 
 # --------------------------------------------------------------- payload size

@@ -3,7 +3,7 @@
 :class:`AvailabilityCache` point-updates its idle counts and the 5-bit
 availability bus from unit idle/busy events instead of rescanning the
 fabric every query.  These tests drive a fabric through randomized
-occupy / tick / reconfigure sequences and pin the incremental answers to
+occupy / release / tick / reconfigure sequences and pin the incremental answers to
 the bit-faithful :func:`availability_report` over the Fig. 7 input
 vectors, and to a direct per-unit rescan — after every single operation.
 """
@@ -57,12 +57,21 @@ def _random_step(rng, fabric):
     occupiable = [t for t in FU_TYPES if idle[t] > 0]
     if occupiable:
         choices.append("occupy")
+    busy = [
+        u
+        for units in fabric.units_by_type().values()
+        for u in units
+        if not u.available
+    ]
+    if busy:
+        choices.append("release")
     if fabric.rfus.bus_free:
         choices.append("reconfigure")
     op = rng.choice(choices)
     if op == "occupy":
-        t = rng.choice(occupiable)
-        fabric.issue(t, cycles=rng.randint(1, 5))
+        fabric.issue(rng.choice(occupiable))
+    elif op == "release":
+        rng.choice(busy).release()
     elif op == "reconfigure":
         t = rng.choice(FU_TYPES)
         head = rng.randrange(fabric.rfus.n_slots)
@@ -109,12 +118,12 @@ def test_busy_unit_events_update_bus_and_counts():
     t = FU_TYPES[0]
     n_idle = fabric.idle_counts()[t]
     assert n_idle >= 1
-    units = [fabric.issue(t, cycles=2) for _ in range(n_idle)]
+    units = [fabric.issue(t) for _ in range(n_idle)]
     assert fabric.idle_counts()[t] == 0
     assert not fabric.availability_bits() & (1 << t.bit_index)
     _assert_consistent(fabric)
-    for _ in range(2):
-        fabric.tick()
+    for unit in units:
+        unit.release()
         _assert_consistent(fabric)
     assert fabric.idle_counts()[t] == n_idle
     assert fabric.availability_bits() & (1 << t.bit_index)

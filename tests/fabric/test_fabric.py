@@ -43,16 +43,16 @@ class TestAvailability:
 
     def test_unavailable_when_all_busy(self):
         f = _fabric()
-        f.issue(FUType.LSU, cycles=5)
+        f.issue(FUType.LSU)
         assert not f.available(FUType.LSU)
         assert f.available(FUType.INT_ALU)
 
     def test_rfu_copy_restores_availability(self):
         f = _fabric()
         _load(f, 0, FUType.LSU)
-        f.issue(FUType.LSU, cycles=5)
+        f.issue(FUType.LSU)
         assert f.available(FUType.LSU)  # the RFU copy is still idle
-        f.issue(FUType.LSU, cycles=5)
+        f.issue(FUType.LSU)
         assert not f.available(FUType.LSU)
 
 
@@ -60,27 +60,31 @@ class TestIssue:
     def test_issue_prefers_ffu(self):
         f = _fabric()
         _load(f, 0, FUType.INT_ALU)
-        unit = f.issue(FUType.INT_ALU, cycles=3, occupant=1)
+        unit = f.issue(FUType.INT_ALU, occupant=1)
         assert unit.fixed
 
     def test_issue_uses_rfu_when_ffu_busy(self):
         f = _fabric()
         _load(f, 0, FUType.INT_ALU)
-        f.issue(FUType.INT_ALU, cycles=3)
-        unit = f.issue(FUType.INT_ALU, cycles=3)
+        f.issue(FUType.INT_ALU)
+        unit = f.issue(FUType.INT_ALU)
         assert not unit.fixed
 
     def test_issue_without_idle_unit_raises(self):
         f = _fabric()
-        f.issue(FUType.FP_MDU, cycles=2)
+        f.issue(FUType.FP_MDU)
         with pytest.raises(FabricError):
-            f.issue(FUType.FP_MDU, cycles=2)
+            f.issue(FUType.FP_MDU)
 
-    def test_tick_frees_units(self):
+    def test_tick_leaves_units_busy_until_released(self):
+        """The tick clocks only the configuration bus: a unit stays busy
+        until its instruction completes and the RUU releases it."""
         f = _fabric()
-        f.issue(FUType.INT_MDU, cycles=2)
+        unit = f.issue(FUType.INT_MDU)
         f.tick()
         f.tick()
+        assert not f.available(FUType.INT_MDU)
+        unit.release()
         assert f.available(FUType.INT_MDU)
 
 
@@ -101,7 +105,7 @@ class TestFullAllocation:
 
     def test_utilisation(self):
         f = _fabric()
-        f.issue(FUType.INT_ALU, cycles=4)
+        f.issue(FUType.INT_ALU)
         busy, total = f.utilisation()[FUType.INT_ALU]
         assert (busy, total) == (1, 1)
 
@@ -132,7 +136,14 @@ class TestFastPathEquivalence:
                 t = rng.choice(list(FU_TYPES))
                 unit = f.idle_unit(t)
                 if unit is not None:
-                    unit.occupy(rng.randint(1, 5))
+                    unit.occupy()
+            elif op < 0.8:
+                busy = [
+                    u for us in f.units_by_type().values() for u in us
+                    if not u.available
+                ]
+                if busy:
+                    rng.choice(busy).release()
             f.tick()
             allocation, availability = f.full_allocation()
             for t in FU_TYPES:

@@ -93,7 +93,7 @@ class TestEviction:
         """§3.2: an RFU executing a multi-cycle op cannot be reconfigured."""
         arr = _loaded_array(reconfig_latency=1)
         fp = arr.units_of_type(FUType.FP_ALU)[0]
-        fp.occupy(10)
+        fp.occupy()
         with pytest.raises(FabricError):
             arr.begin_reconfigure(1, FUType.LSU)
         assert not arr.range_reconfigurable(3, FUType.LSU)  # span slot busy too
@@ -101,9 +101,9 @@ class TestEviction:
     def test_busy_unit_reconfigurable_after_retirement(self):
         arr = _loaded_array(reconfig_latency=1)
         fp = arr.units_of_type(FUType.FP_ALU)[0]
-        fp.occupy(2)
-        arr.tick()
-        arr.tick()
+        fp.occupy()
+        assert not arr.range_reconfigurable(1, FUType.LSU)
+        fp.release()  # the instruction retired
         assert arr.range_reconfigurable(1, FUType.LSU)
 
     def test_reconfiguring_slot_not_retargetable(self):
@@ -120,7 +120,7 @@ class TestQueries:
 
     def test_slot_busy(self):
         arr = _loaded_array(reconfig_latency=1)
-        arr.units_of_type(FUType.FP_ALU)[0].occupy(5)
+        arr.units_of_type(FUType.FP_ALU)[0].occupy()
         assert arr.slot_busy(1) and arr.slot_busy(2) and arr.slot_busy(3)
         assert not arr.slot_busy(0)
         assert not arr.slot_busy(7)

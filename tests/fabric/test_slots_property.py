@@ -27,7 +27,7 @@ _OPS = st.lists(
             st.sampled_from(list(FU_TYPES)),
         ),
         st.tuples(st.just("tick"), st.integers(1, 8)),
-        st.tuples(st.just("occupy"), st.integers(0, 7), st.integers(1, 6)),
+        st.tuples(st.just("occupy"), st.integers(0, 7)),
         st.tuples(st.just("release"), st.integers(0, 7)),
     ),
     max_size=40,
@@ -48,7 +48,7 @@ def _apply(arr: RfuSlotArray, op) -> None:
         if head is not None:
             unit = arr.slots[head].unit
             if unit.available:
-                unit.occupy(op[2])
+                unit.occupy()
     elif kind == "release":
         head = arr.head_of(op[1])
         if head is not None:
@@ -93,7 +93,7 @@ def test_busy_units_survive_everything(ops):
     while not arr.bus_free:
         arr.tick()
     pinned = arr.slots[3].unit
-    pinned.occupy(10_000)
+    pinned.occupy()
     for op in ops:
         if op[0] == "release" and arr.head_of(op[1]) == 3:
             continue  # the premise is that this unit stays busy

@@ -12,39 +12,21 @@ class TestFunctionalUnit:
         u = FunctionalUnit(FUType.INT_ALU)
         assert u.available
 
-    def test_occupy_then_tick_to_free(self):
+    def test_occupy_sets_busy_and_occupant(self):
         u = FunctionalUnit(FUType.INT_MDU)
-        u.occupy(3, occupant=42)
+        u.occupy(occupant=42)
         assert not u.available
         assert u.occupant == 42
-        u.tick()
-        u.tick()
-        assert not u.available
-        u.tick()
-        assert u.available
-        assert u.occupant is None
-
-    def test_single_cycle_occupancy(self):
-        u = FunctionalUnit(FUType.INT_ALU)
-        u.occupy(1)
-        assert not u.available
-        u.tick()
-        assert u.available
 
     def test_double_occupy_rejected(self):
         u = FunctionalUnit(FUType.LSU)
-        u.occupy(2)
+        u.occupy()
         with pytest.raises(FabricError, match="busy"):
-            u.occupy(1)
-
-    def test_non_positive_occupancy_rejected(self):
-        u = FunctionalUnit(FUType.LSU)
-        with pytest.raises(FabricError):
-            u.occupy(0)
+            u.occupy()
 
     def test_release(self):
         u = FunctionalUnit(FUType.FP_MDU)
-        u.occupy(10, occupant=7)
+        u.occupy(occupant=7)
         u.release()
         assert u.available and u.occupant is None
 
@@ -66,10 +48,3 @@ class TestFfuBank:
     def test_custom_counts(self):
         bank = FfuBank({FUType.INT_ALU: 2})
         assert bank.counts() == {FUType.INT_ALU: 2}
-
-    def test_tick_propagates(self):
-        bank = FfuBank()
-        unit = bank.units_of_type(FUType.INT_ALU)[0]
-        unit.occupy(1)
-        bank.tick()
-        assert unit.available

@@ -19,30 +19,6 @@ class TestLifecycle:
         assert e.state is EntryState.WAITING
         assert not e.completed
 
-    def test_countdown_to_completion(self):
-        e = _entry(Opcode.MUL)
-        e.state = EntryState.ISSUED
-        e.countdown = 3
-        e.tick()
-        e.tick()
-        assert not e.completed
-        e.tick()
-        assert e.completed
-
-    def test_single_cycle_completes_after_one_tick(self):
-        e = _entry()
-        e.state = EntryState.ISSUED
-        e.countdown = 1
-        e.tick()
-        assert e.completed
-
-    def test_waiting_entry_does_not_tick(self):
-        e = _entry()
-        e.countdown = 5
-        e.tick()
-        assert e.countdown == 5
-        assert e.state is EntryState.WAITING
-
 
 class TestClassification:
     def test_properties_delegate_to_instruction(self):

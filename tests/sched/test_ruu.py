@@ -208,6 +208,56 @@ class TestRetire:
         assert e2[0].sources[0].producer_seq is None
 
 
+class TestCompletion:
+    """Issued entries complete at their due cycle, by event."""
+
+    def test_countdown_to_completion(self):
+        ruu = _ruu()
+        (e,) = _dispatch(ruu, "mul x1, x2, x3\n")
+        ruu.issue_and_execute()  # mul: latency 4, due at the end of cycle 3
+        for _ in range(3):
+            ruu.tick()
+            assert e.state is EntryState.ISSUED
+            assert not ruu.fabric.available(FUType.INT_MDU)
+        ruu.tick()
+        assert e.completed
+        assert ruu.fabric.available(FUType.INT_MDU)  # released at completion
+        assert ruu.clock == 4
+
+    def test_single_cycle_completes_after_one_tick(self):
+        ruu = _ruu()
+        (e,) = _dispatch(ruu, "add x1, x2, x3\n")
+        ruu.issue_and_execute()
+        ruu.tick()
+        assert e.completed
+
+    def test_waiting_entry_does_not_complete(self):
+        ruu = _ruu()
+        e = _dispatch(ruu, "fdiv f1, f2, f3\nfadd f4, f1, f1\n")
+        _cycle(ruu, 5)
+        assert e[0].state is EntryState.ISSUED
+        assert e[1].state is EntryState.WAITING
+
+    def test_squashed_entry_skipped_at_its_due_cycle(self):
+        """A flushed entry's due record must not complete the entry that
+        took its row, nor release the unit its successor now holds."""
+        ruu = _ruu()
+        e = _dispatch(ruu, "add x9, x2, x3\nmul x1, x2, x3\n")
+        ruu.issue_and_execute()  # the old mul is due at cycle 3
+        ruu.tick()
+        ruu.flush_younger(e[0].seq)  # squash the old mul mid-flight
+        (new,) = _dispatch(ruu, "mul x4, x5, x6\n")
+        ruu.issue_and_execute()  # the new mul is due at cycle 4
+        assert new.state is EntryState.ISSUED
+        for _ in range(3):  # through the old mul's due cycle
+            ruu.tick()
+        assert new.state is EntryState.ISSUED
+        assert not ruu.fabric.available(FUType.INT_MDU)
+        ruu.tick()
+        assert new.completed
+        assert ruu.fabric.available(FUType.INT_MDU)
+
+
 class TestFlush:
     def test_flush_younger_removes_entries(self):
         ruu = _ruu()

@@ -83,7 +83,7 @@ class TestHybridOverlap:
         _drive(loader, fabric, 60)
         # occupy every loaded RFU with a long-latency op
         for _, unit in fabric.rfus.units():
-            unit.occupy(100)
+            unit.occupy()
         loader.set_target(CONFIG_FLOATING)
         _drive(loader, fabric, 20)
         # nothing could change: all slots busy
@@ -97,7 +97,7 @@ class TestHybridOverlap:
         _drive(loader, fabric, 60)
         # keep one IALU busy, leave the rest idle
         busy_unit = fabric.rfus.units_of_type(FUType.INT_ALU)[0]
-        busy_unit.occupy(1000)
+        busy_unit.occupy()
         loader.set_target(CONFIG_FLOATING)
         _drive(loader, fabric, 60)
         counts = fabric.rfus.counts()

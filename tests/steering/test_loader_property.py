@@ -38,7 +38,7 @@ def _fu_counts_ok(fabric: Fabric) -> None:
 def test_loader_never_corrupts_fabric(script):
     fabric = Fabric(reconfig_latency=2)
     loader = ConfigurationLoader(fabric)
-    pinned = []
+    pinned = []  # [unit, cycles until its instruction completes]
     for target_idx, cycles, pin in script:
         loader.set_target(
             None if target_idx is None else PREDEFINED_CONFIGS[target_idx]
@@ -46,12 +46,17 @@ def test_loader_never_corrupts_fabric(script):
         for _ in range(cycles):
             loader.step()
             fabric.tick()
+            for held in pinned:
+                held[1] -= 1
+                if held[1] == 0:
+                    held[0].release()
+            pinned = [held for held in pinned if held[1] > 0]
             _fu_counts_ok(fabric)
         if pin and fabric.rfus.units():
             head, unit = fabric.rfus.units()[0]
             if unit.available:
-                unit.occupy(5)
-                pinned.append(unit)
+                unit.occupy()
+                pinned.append([unit, 5])
 
 
 @settings(max_examples=40, deadline=None)

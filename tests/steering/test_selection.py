@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS
 from repro.isa.assembler import assemble
 from repro.isa.futypes import FU_TYPES
-from repro.steering.selection import ConfigurationSelectionUnit
+from repro.steering.selection import ConfigurationSelectionUnit, clear_shared_memos
 
 #: configured counts when the integer config is fully loaded (incl. FFUs).
 _INTEGER_LOADED = (5, 3, 1, 1, 1)
@@ -126,6 +126,14 @@ class TestTieBreaking:
 class TestMemoLRU:
     """The select() memo evicts least-recently-used entries, one at a time."""
 
+    @pytest.fixture(autouse=True)
+    def _cold_shared_memo(self):
+        # units of one signature share a process-wide memo; start each
+        # test from an empty one so earlier selections cannot fill it
+        clear_shared_memos()
+        yield
+        clear_shared_memos()
+
     def _select_counts(self, unit, n0):
         # distinct memo keys: vary the IALU count of the current-counts
         # vector (arity stays 5, values stay plausible small ints)
@@ -164,6 +172,74 @@ class TestMemoLRU:
         unit = ConfigurationSelectionUnit()
         first = unit.select([], _FFUS_ONLY)
         assert unit.select([], _FFUS_ONLY) is first
+
+
+class TestSharedMemo:
+    """Units with one signature share one memo; other signatures do not."""
+
+    def test_equal_signature_units_share_one_memo(self):
+        a, b = ConfigurationSelectionUnit(), ConfigurationSelectionUnit()
+        assert a._memo is b._memo
+        first = a.select([], _FFUS_ONLY)
+        assert b.select([], _FFUS_ONLY) is first
+
+    def test_distinct_signatures_keep_separate_memos(self):
+        base = ConfigurationSelectionUnit()
+        assert ConfigurationSelectionUnit(queue_size=11)._memo is not base._memo
+        assert (
+            ConfigurationSelectionUnit(use_exact_metric=True)._memo
+            is not base._memo
+        )
+        assert (
+            ConfigurationSelectionUnit(configs=PREDEFINED_CONFIGS[:2])._memo
+            is not base._memo
+        )
+
+
+class TestSharedMemoThreads:
+    """The serving job queue simulates on a background thread, so the
+    shared memo must survive concurrent hits and evictions."""
+
+    def test_concurrent_selects_with_eviction(self):
+        import sys
+        import threading
+
+        import repro.steering.selection as mod
+
+        keys = [(n0, 1, 1, 1, 1) for n0 in range(20)]
+        clear_shared_memos()
+        expected = {k: ConfigurationSelectionUnit().select([], k) for k in keys}
+        clear_shared_memos()
+        original_capacity = mod._MEMO_CAPACITY
+        original_interval = sys.getswitchinterval()
+        mod._MEMO_CAPACITY = 16  # force evictions under contention
+        sys.setswitchinterval(1e-6)
+        errors = []
+        mismatches = []
+
+        def work(offset):
+            unit = ConfigurationSelectionUnit()
+            try:
+                for i in range(3000):
+                    key = keys[(i * 7 + offset) % len(keys)]
+                    if unit.select([], key) != expected[key]:
+                        mismatches.append(key)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == [] and mismatches == []
+            assert len(ConfigurationSelectionUnit()._memo) <= 16
+        finally:
+            sys.setswitchinterval(original_interval)
+            mod._MEMO_CAPACITY = original_capacity
+            clear_shared_memos()
 
 
 class TestExactMetricMode:

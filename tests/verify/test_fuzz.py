@@ -164,3 +164,19 @@ def test_perturbing_observer_is_caught(monkeypatch):
     )
     invariants = {v.invariant for f in report.failures for v in f.violations}
     assert invariants == {"metamorphic-events"}
+
+
+def test_one_run_many_call_per_iteration(monkeypatch):
+    """Each iteration runs the whole catalogue through one ``run_many``
+    call; the metamorphic checks re-run only observed steering probes."""
+    calls = []
+    real_run_many = fuzz_module.run_many
+
+    def counting(jobs, *args, **kwargs):
+        calls.append(len(jobs))
+        return real_run_many(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(fuzz_module, "run_many", counting)
+    report = run_fuzz(seed=2, iterations=3, max_cycles=FAST_CYCLES)
+    assert report.ok
+    assert calls == [8, 8, 8]
