@@ -6,23 +6,25 @@ Three layers over the report pipeline:
   experiment/benchmark run (id, experiment, content hash, git rev,
   timestamp, flat metrics JSON), with the heavyweight result artifacts
   staying in the content-addressed ``.report-cache`` blobs;
-* :mod:`repro.serving.jobs` — :class:`JobQueue`, a bounded worker queue
-  that executes HTTP-submitted simulation jobs through the batch engine
-  (cache hits answer without simulating);
+* :mod:`repro.serving.jobs` — :class:`StoreJobQueue`, a durable bounded
+  queue in the store's ``jobs`` table that executes HTTP-submitted
+  simulation jobs through the batch engine (cache hits answer without
+  simulating); an enqueue rings a doorbell semaphore that wakes an idle
+  drain loop, in this process or, under the supervisor, in any worker;
 * :mod:`repro.serving.app` — a threaded :mod:`http.server`-based JSON
   API (``python -m repro serve``) plus the self-contained dashboard page
   served at ``/``.
 """
 
 from repro.serving.app import ServingApp, make_server
-from repro.serving.jobs import JobQueue, JobQueueFull, build_job
+from repro.serving.jobs import JobQueueFull, StoreJobQueue, build_job
 from repro.serving.store import RunStore, metrics_of
 
 __all__ = [
     "RunStore",
     "ServingApp",
-    "JobQueue",
     "JobQueueFull",
+    "StoreJobQueue",
     "build_job",
     "make_server",
     "metrics_of",

@@ -583,6 +583,9 @@ def make_server(
 ):
     """Build a ThreadingHTTPServer around ``app`` (port 0 = ephemeral).
 
+    Accepted connections have ``TCP_NODELAY`` set, so a response on a
+    keep-alive connection never waits for the client's delayed ACK.
+
     When ``sock`` is given it must already be bound and listening (the
     pre-fork supervisor hands each worker its socket); the server adopts
     it instead of binding ``(host, port)`` itself.
@@ -592,6 +595,10 @@ def make_server(
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-serving/1.0"
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted connection: headers and body go
+        # out in two sends, and on a keep-alive socket Nagle would hold
+        # the body until the client's delayed ACK (~40 ms) of the headers
+        disable_nagle_algorithm = True
 
         def _dispatch(self, method: str) -> None:
             parts = urlsplit(self.path)

@@ -1,26 +1,30 @@
-"""Bounded job queue: HTTP-submitted simulations through the batch engine.
+"""Durable job queue: HTTP-submitted simulations through the batch engine.
 
 The API accepts a *job spec* — plain JSON naming a factory, a workload
 target and parameter overrides — which :func:`build_job` turns into a
 :class:`~repro.evaluation.batch.SimJob`.  Submissions whose content key
 is already answerable from the result cache complete immediately without
-simulating; everything else goes through a bounded queue drained through
-:func:`run_many` (so submitted jobs share the dedup/cache/shipping
-machinery with the report pipeline).  A full queue rejects the
-submission — backpressure surfaces as HTTP 503 rather than unbounded
-memory growth.
+simulating; everything else goes into :class:`StoreJobQueue`, a bounded
+queue that lives in the run store's ``jobs`` table and is drained
+through :func:`run_many` (so submitted jobs share the
+dedup/cache/shipping machinery with the report pipeline).  A full queue
+rejects the submission — backpressure surfaces as HTTP 503 rather than
+unbounded growth.
 
-Two queue implementations share that contract:
+Any API worker process can enqueue and any simulation pool worker can
+drain (atomic claim-by-update in SQLite), which is how ``repro serve
+--workers N`` fans submitted work out across processes (see
+:mod:`repro.serving.supervisor`); a single-process server drains with a
+local thread.
 
-:class:`JobQueue`
-    In-memory, drained by one background thread — the single-process
-    server and the unit tests.
-:class:`StoreJobQueue`
-    Durable, backed by the run store's ``jobs`` table.  Any API worker
-    process can enqueue and any simulation pool worker can drain
-    (atomic claim-by-update in SQLite), which is how ``repro serve
-    --workers N`` fans submitted work out across processes (see
-    :mod:`repro.serving.supervisor`).
+Wake-up path: every accepted enqueue rings a *doorbell* — a semaphore
+shared by all the processes that enqueue and drain (a fork-inherited
+``multiprocessing.Semaphore`` under the supervisor, a
+``threading.Semaphore`` in one process).  An idle drain loop blocks on
+it, so a fresh job is claimed as soon as it is committed rather than at
+the next poll.  The wait times out after :data:`HEARTBEAT_SECONDS`,
+which covers jobs enqueued by a process that does not share the
+doorbell; a stale ring costs one empty claim.
 
 Job specs (all fields except ``target`` optional)::
 
@@ -39,12 +43,11 @@ never to filesystem paths (the server must not read arbitrary files).
 
 from __future__ import annotations
 
-import queue
 import secrets
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.params import ProcessorParams
 from repro.errors import ConfigurationError, WorkloadError
@@ -53,13 +56,19 @@ from repro.isa.program import Program
 from repro.telemetry import NULL_REGISTRY, BatchTelemetry
 
 __all__ = [
-    "JobQueue",
+    "HEARTBEAT_SECONDS",
     "JobQueueFull",
     "JobRecord",
     "StoreJobQueue",
     "build_job",
     "resolve_program",
 ]
+
+#: an idle drain loop waits at most this long for the doorbell, and every
+#: worker republishes its metrics snapshot at least this often, even when
+#: idle, so ``RunStore.worker_metrics`` can age out snapshots whose
+#: worker died (the /metrics ghost-entry fix).
+HEARTBEAT_SECONDS = 2.0
 
 #: upper bound on a submitted job's cycle budget (DoS guard).
 MAX_SUBMITTED_CYCLES = 2_000_000
@@ -182,7 +191,7 @@ class JobRecord:
     state: str = "queued"  # queued | running | done | failed
     cached: bool = False
     submitted: float = field(default_factory=time.time)
-    #: when the drain thread picked the job up (None while queued/cached).
+    #: when a worker claimed the job (None while queued/cached).
     started: float | None = None
     finished: float | None = None
     error: str | None = None
@@ -207,176 +216,23 @@ class JobRecord:
         }
 
 
-class JobQueue:
-    """Bounded background executor for submitted jobs.
-
-    One daemon thread drains the queue serially; ``capacity`` bounds the
-    queued-but-not-started backlog, and :meth:`submit` raises
-    :class:`JobQueueFull` instead of blocking when it is reached.
-    ``sim_workers`` is forwarded to :func:`run_many` (0 = simulate in the
-    drain thread; >1 = process pool per job, for heavyweight sweeps).
-    """
-
-    def __init__(
-        self,
-        cache: ResultCache | None = None,
-        store: Any | None = None,
-        sim_workers: int = 0,
-        capacity: int = 8,
-        registry: Any | None = None,
-    ) -> None:
-        self.cache = cache if cache is not None else ResultCache()
-        self.store = store
-        self.sim_workers = sim_workers
-        self.capacity = capacity
-        self._pending: queue.Queue[str | None] = queue.Queue(maxsize=capacity)
-        self._records: dict[str, JobRecord] = {}
-        self._jobs: dict[str, SimJob] = {}
-        self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        #: simulations actually dispatched (cache answers excluded).
-        self.executed = 0
-        # metrics (a null registry absorbs everything when none is given)
-        reg = registry if registry is not None else NULL_REGISTRY
-        self._submissions = reg.counter(
-            "repro_jobs_submitted_total",
-            "Job submissions, by outcome.",
-            ("outcome",),
-        )
-        self._queue_wait = reg.histogram(
-            "repro_job_queue_wait_seconds",
-            "Seconds a submitted job waited before the drain thread ran it.",
-        )
-        self._run_seconds = reg.histogram(
-            "repro_job_run_seconds",
-            "Wall-clock seconds executing one submitted job.",
-        )
-        #: batch-engine telemetry forwarded into run_many (shared registry).
-        self.batch_telemetry = (
-            BatchTelemetry(registry=registry) if registry is not None else None
-        )
-
-    # ----------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._drain, daemon=True, name="repro-job-queue"
-            )
-            self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            self._pending.put(None)
-            self._thread.join(timeout)
-
-    # ---------------------------------------------------------- submission
-    def submit(self, spec: dict, trace_id: str = "") -> JobRecord:
-        """Validate, answer from cache, or enqueue; never blocks."""
-        job = build_job(spec)
-        key = job_key(job)
-        with self._lock:
-            job_id = f"job-{len(self._records) + 1:04d}"
-            record = JobRecord(
-                job_id=job_id, key=key, spec=spec, trace_id=trace_id
-            )
-            self._records[job_id] = record
-
-        cached = self.cache.get(key)
-        if cached is not None:
-            record.state = "done"
-            record.cached = True
-            record.finished = time.time()
-            if self.store is not None:
-                record.run_id = self.store.record_result(
-                    key, cached, job=job, experiment=f"job/{job.factory}"
-                )
-            self._submissions.labels("cached").inc()
-            return record
-
-        with self._lock:
-            self._jobs[job_id] = job
-        try:
-            self._pending.put_nowait(job_id)
-        except queue.Full:
-            with self._lock:
-                self._records.pop(job_id, None)
-                self._jobs.pop(job_id, None)
-            self._submissions.labels("rejected").inc()
-            raise JobQueueFull(
-                f"job queue full ({self.capacity} pending); retry later"
-            ) from None
-        self._submissions.labels("accepted").inc()
-        self.start()
-        return record
-
-    def _drain(self) -> None:
-        while True:
-            job_id = self._pending.get()
-            if job_id is None:
-                return
-            with self._lock:
-                record = self._records[job_id]
-                job = self._jobs.pop(job_id)
-            record.state = "running"
-            record.started = time.time()
-            self._queue_wait.observe(record.started - record.submitted)
-            try:
-                result = run_many(
-                    [job], workers=self.sim_workers, cache=self.cache,
-                    telemetry=self.batch_telemetry,
-                )[0]
-                self.executed += 1
-                if self.store is not None:
-                    record.run_id = self.store.record_result(
-                        record.key, result, job=job,
-                        experiment=f"job/{job.factory}",
-                    )
-                record.state = "done"
-            except Exception as exc:  # surface, don't kill the drain thread
-                record.error = f"{type(exc).__name__}: {exc}"
-                record.state = "failed"
-            record.finished = time.time()
-            self._run_seconds.observe(record.finished - record.started)
-
-    # ------------------------------------------------------------- queries
-    def get(self, job_id: str) -> JobRecord | None:
-        with self._lock:
-            return self._records.get(job_id)
-
-    def list(self) -> list[JobRecord]:
-        with self._lock:
-            return sorted(self._records.values(), key=lambda r: r.job_id)
-
-    def depth(self) -> int:
-        """Jobs queued but not yet started."""
-        return self._pending.qsize()
-
-    def wait(self, job_id: str, timeout: float = 30.0) -> JobRecord:
-        """Block until a job settles (tests and smoke scripts)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            record = self.get(job_id)
-            if record is None:
-                raise KeyError(job_id)
-            if record.state in ("done", "failed"):
-                return record
-            time.sleep(0.01)
-        raise TimeoutError(f"job {job_id} still {self.get(job_id).state}")
-
-
 class StoreJobQueue:
     """Durable bounded job queue over the run store's ``jobs`` table.
 
-    Same submit/query contract as :class:`JobQueue`, but the queue lives
-    in SQLite: every API worker process sees every submission, and the
-    backlog survives restarts.  Draining happens wherever
-    :meth:`claim_and_run_one` runs — the local :meth:`start` thread in a
-    single-process server, or a pool of dedicated simulation worker
-    processes under the supervisor (each claim is an atomic
+    The queue lives in SQLite: every API worker process sees every
+    submission, and the backlog survives restarts.  Draining happens
+    wherever :meth:`drain_until_stopped` runs — the local :meth:`start`
+    thread in a single-process server, or a pool of dedicated simulation
+    worker processes under the supervisor (each claim is an atomic
     ``queued -> running`` update, so a job runs exactly once).
 
     ``capacity`` bounds the *queued* backlog across all workers; a full
     queue raises :class:`JobQueueFull` (HTTP 503 + ``Retry-After``).
+    ``doorbell`` is the semaphore :meth:`submit` releases after each
+    accepted enqueue and an idle drain loop acquires; pass the same one
+    to every queue that should wake each other (the supervisor shares a
+    ``multiprocessing.Semaphore``).  By default the queue gets its own
+    ``threading.Semaphore``, which wakes its own :meth:`start` thread.
     """
 
     def __init__(
@@ -387,18 +243,20 @@ class StoreJobQueue:
         capacity: int = 8,
         registry: Any | None = None,
         owner: str | None = None,
-        poll_interval: float = 0.05,
         events: Any | None = None,
+        doorbell: Any | None = None,
     ) -> None:
         self.store = store
         self.cache = cache if cache is not None else ResultCache()
         self.sim_workers = sim_workers
         self.capacity = capacity
         self.owner = owner or f"worker-{secrets.token_hex(3)}"
-        self.poll_interval = poll_interval
         #: optional :class:`~repro.telemetry.events.EventLog`; job
         #: lifecycle transitions are emitted with the job's trace id.
         self.events = events
+        self.doorbell = (
+            doorbell if doorbell is not None else threading.Semaphore(0)
+        )
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         #: simulations actually dispatched by THIS worker (cache answers
@@ -463,6 +321,7 @@ class StoreJobQueue:
             raise JobQueueFull(
                 f"job queue full ({self.capacity} pending); retry later"
             )
+        self.doorbell.release()
         self._submissions.labels("accepted").inc()
         return self._record(self.store.get_job(job_id))
 
@@ -519,12 +378,25 @@ class StoreJobQueue:
         self._run_seconds.observe(time.time() - start)
         return True
 
-    def drain_until_stopped(self, stop: threading.Event | None = None) -> None:
-        """Claim-and-run until ``stop`` is set (pool worker main loop)."""
-        stop = stop if stop is not None else self._stop
-        while not stop.is_set():
-            if not self.claim_and_run_one():
-                stop.wait(self.poll_interval)
+    def drain_until_stopped(
+        self, heartbeat: Callable[[], None] | None = None
+    ) -> None:
+        """Claim and run jobs until :meth:`stop`; idle, wait for the doorbell.
+
+        The one drain loop: the local :meth:`start` thread and every
+        simulation pool worker run it.  ``heartbeat``, if given, is
+        called after every executed job and every idle wait, so at least
+        every :data:`HEARTBEAT_SECONDS`.
+        """
+        while not self._stop.is_set():
+            if self.claim_and_run_one():
+                # take this job's ring, if any, so the count tracks the
+                # backlog instead of growing while the worker stays busy
+                self.doorbell.acquire(False)
+            else:
+                self.doorbell.acquire(timeout=HEARTBEAT_SECONDS)
+            if heartbeat is not None:
+                heartbeat()
 
     def start(self) -> None:
         """Local drain thread (single-process servers; supervisor uses
@@ -538,13 +410,11 @@ class StoreJobQueue:
             self._thread.start()
 
     def stop(self, timeout: float = 5.0) -> None:
+        """Stop draining; ring the doorbell so an idle loop exits at once."""
         self._stop.set()
+        self.doorbell.release()
         if self._thread is not None and self._thread.is_alive():
             self._thread.join(timeout)
-
-    def stopped(self) -> bool:
-        """Whether :meth:`stop` was requested (pool worker loop check)."""
-        return self._stop.is_set()
 
     # ------------------------------------------------------------- queries
     @staticmethod

@@ -72,7 +72,7 @@ OUTCOME_CODES = {"completed": 0, "cutoff": 1, "deadlock": 2}
 SCHEMA_VERSION = 4
 
 #: seconds a worker-metrics snapshot stays credible without a heartbeat.
-#: Workers republish every ~2s (``supervisor.HEARTBEAT_SECONDS``), so a
+#: Workers republish every ~2s (``jobs.HEARTBEAT_SECONDS``), so a
 #: snapshot older than this belongs to a dead worker and must not be
 #: merged into ``/metrics`` (the ghost-worker bug fixed in PR 9).
 WORKER_METRICS_MAX_AGE = 15.0

@@ -30,19 +30,24 @@ inherited FD (fallback)
 Lifecycle: ``SIGTERM``/``SIGINT`` to the parent triggers graceful
 shutdown — workers get ``SIGTERM``, finish in-flight requests/jobs
 (``server.shutdown()`` waits for the request loop; the sim loop checks
-its stop flag between jobs), then the parent reaps everything.  A
+its stop flag between jobs, and the SIGTERM handler rings the doorbell
+so an idle one wakes at once), then the parent reaps everything.  A
 worker that *crashes* is respawned with exponential backoff
 (``respawn_base * 2**(crashes-1)``, capped), and its published metrics
 snapshot is dropped so ``/metrics`` never reports a dead worker.
 
 Workers are forked (``multiprocessing`` fork context): cheap, and the
-listening socket plus configuration travel by inheritance — nothing is
-pickled.  Forked children never reuse the parent's SQLite connections;
-the store re-opens per-process (see ``RunStore._connection``).
+listening socket, the job doorbell (one ``multiprocessing.Semaphore``
+that every API worker's enqueue releases and every idle drain loop
+waits on, see :mod:`repro.serving.jobs`) and the configuration travel
+by inheritance — nothing is pickled.  Forked children never reuse the
+parent's SQLite connections; the store re-opens per-process (see
+``RunStore._connection``).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 import socket
 import threading
@@ -50,7 +55,7 @@ import time
 
 from repro.evaluation.batch import ResultCache
 from repro.serving.app import ServingApp, make_server
-from repro.serving.jobs import StoreJobQueue
+from repro.serving.jobs import HEARTBEAT_SECONDS, StoreJobQueue
 from repro.serving.store import RunStore
 from repro.telemetry import EventLog, MetricsRegistry, events_path_for
 
@@ -58,11 +63,6 @@ __all__ = ["Supervisor", "serve_forked"]
 
 #: a worker alive this long is "healthy" — its crash backoff resets.
 HEALTHY_SECONDS = 5.0
-
-#: every worker republishes its metrics snapshot at least this often,
-#: even when idle, so ``RunStore.worker_metrics`` can age out snapshots
-#: whose worker died (the /metrics ghost-entry fix).
-HEARTBEAT_SECONDS = 2.0
 
 
 def _reuseport_available() -> bool:
@@ -97,6 +97,7 @@ def _api_worker_main(
     queue_capacity: int,
     local_drain: bool,
     verbose: bool,
+    doorbell,
 ) -> None:
     """Entry point of one forked API worker process."""
     # the parent decides when we stop; a terminal Ctrl-C signals it, not us
@@ -107,7 +108,7 @@ def _api_worker_main(
     events = EventLog(name, path=events_path_for(store_path), echo=verbose)
     jobs = StoreJobQueue(
         store, cache=cache, capacity=queue_capacity,
-        registry=registry, owner=name, events=events,
+        registry=registry, owner=name, events=events, doorbell=doorbell,
     )
     if local_drain:  # no sim pool: this worker also executes what it accepts
         jobs.start()
@@ -146,7 +147,7 @@ def _api_worker_main(
     hb.start()
     events.emit("worker_started", worker=name, kind="api")
     try:
-        server.serve_forever(poll_interval=0.1)
+        server.serve_forever(0.1)  # seconds between shutdown checks
     finally:
         hb_stop.set()
         hb.join(1.0)
@@ -164,6 +165,7 @@ def _sim_worker_main(
     store_path: str,
     cache_dir: str | None,
     queue_capacity: int,
+    doorbell,
 ) -> None:
     """Entry point of one forked simulation pool worker process."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -173,30 +175,23 @@ def _sim_worker_main(
     events = EventLog(name, path=events_path_for(store_path))
     jobs = StoreJobQueue(
         store, cache=cache, capacity=queue_capacity,
-        registry=registry, owner=name, events=events,
+        registry=registry, owner=name, events=events, doorbell=doorbell,
     )
 
     def _graceful(signum, frame):
-        jobs.stop(timeout=0)
+        jobs.stop(timeout=0)  # rings the doorbell: an idle wait ends now
+
+    def _publish() -> None:
+        # after each job, so scrapes through any API worker reflect this
+        # worker's queue-wait/run histograms; while idle, so the store's
+        # age cutoff doesn't mistake an idle worker for a dead one
+        store.publish_worker_metrics(name, registry.snapshot())
 
     signal.signal(signal.SIGTERM, _graceful)
-    store.publish_worker_metrics(name, registry.snapshot())
+    _publish()
     events.emit("worker_started", worker=name, kind="sim")
-    last_pub = time.monotonic()
     try:
-        while not jobs.stopped():
-            if jobs.claim_and_run_one():
-                # republish after each executed job so scrapes through any
-                # API worker reflect this worker's queue-wait/run histograms
-                store.publish_worker_metrics(name, registry.snapshot())
-                last_pub = time.monotonic()
-            else:
-                # idle heartbeat: keep the snapshot fresh so the store's
-                # age cutoff doesn't mistake an idle worker for a dead one
-                if time.monotonic() - last_pub >= HEARTBEAT_SECONDS:
-                    store.publish_worker_metrics(name, registry.snapshot())
-                    last_pub = time.monotonic()
-                time.sleep(jobs.poll_interval)
+        jobs.drain_until_stopped(heartbeat=_publish)
     finally:
         store.clear_worker_metrics(name)
         events.emit("worker_stopped", worker=name, kind="sim")
@@ -249,6 +244,10 @@ class Supervisor:
         self._spawned_at: dict[str, float] = {}
         self._crashes: dict[str, int] = {}
         self._stopping = threading.Event()
+        # one doorbell for the whole tree: any API worker's enqueue wakes
+        # an idle drain loop in any worker, respawns included (fork
+        # inheritance, so it must exist before the first _spawn)
+        self._doorbell = multiprocessing.get_context("fork").Semaphore(0)
 
     def _note(self, msg: str) -> None:
         if self.log is not None:
@@ -304,8 +303,6 @@ class Supervisor:
             self._spawn(f"sim-{i}")
 
     def _spawn(self, name: str) -> None:
-        import multiprocessing
-
         ctx = multiprocessing.get_context("fork")
         if name.startswith("api-"):
             proc = ctx.Process(
@@ -314,7 +311,7 @@ class Supervisor:
                 args=(
                     name, self.host, self.port, self._sock, self.reuseport,
                     self.store_path, self.cache_dir, self.queue_capacity,
-                    self.sim_pool == 0, self.verbose,
+                    self.sim_pool == 0, self.verbose, self._doorbell,
                 ),
             )
         else:
@@ -323,7 +320,7 @@ class Supervisor:
                 name=name,
                 args=(
                     name, self.store_path, self.cache_dir,
-                    self.queue_capacity,
+                    self.queue_capacity, self._doorbell,
                 ),
             )
         proc.start()

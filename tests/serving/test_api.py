@@ -8,7 +8,7 @@ import repro.evaluation.batch as batch
 from repro.core.params import ProcessorParams
 from repro.evaluation.batch import ResultCache, SimJob, run_many
 from repro.serving.app import ServingApp
-from repro.serving.jobs import JobQueue, build_job
+from repro.serving.jobs import StoreJobQueue, build_job
 from repro.serving.store import RunStore
 from repro.workloads.kernels import checksum
 
@@ -178,7 +178,7 @@ def test_submit_without_queue_is_503():
 
 def test_submit_bad_json_and_bad_spec():
     store = RunStore()
-    app = ServingApp(store, jobs=JobQueue(capacity=2))
+    app = ServingApp(store, jobs=StoreJobQueue(store, capacity=2))
     status, _, payload = _decode(
         app.handle("POST", "/api/jobs", body=b"{not json")
     )
@@ -197,7 +197,7 @@ def test_submit_cached_job_returns_200_immediately():
     spec = {"factory": "steering", "target": "checksum",
             "params": {"reconfig_latency": 8}, "max_cycles": 50_000}
     run_many([build_job(spec)], cache=cache)
-    queue = JobQueue(cache=cache, store=store)
+    queue = StoreJobQueue(store, cache=cache)
     app = ServingApp(store, cache=cache, jobs=queue)
     status, _, payload = _decode(
         app.handle("POST", "/api/jobs", body=json.dumps(spec).encode())
@@ -215,7 +215,8 @@ def test_submit_cached_job_returns_200_immediately():
 def test_submit_fresh_job_runs_and_appears_in_run_list():
     store = RunStore()
     cache = ResultCache()
-    queue = JobQueue(cache=cache, store=store)
+    queue = StoreJobQueue(store, cache=cache)
+    queue.start()
     app = ServingApp(store, cache=cache, jobs=queue)
     spec = {"factory": "ffu-only", "target": "checksum",
             "max_cycles": 50_000, "label": "api submission"}
@@ -244,7 +245,7 @@ def test_submit_fresh_job_runs_and_appears_in_run_list():
 
 def test_jobs_listing(warm):
     app, store, cache = warm
-    queue = JobQueue(cache=cache, store=store)
+    queue = StoreJobQueue(store, cache=cache)
     app.jobs = queue
     status, _, payload = _decode(app.handle("GET", "/api/jobs"))
     assert status == 200 and payload["jobs"] == []
@@ -273,8 +274,6 @@ def test_disabled_submission_503_carries_retry_after_and_counts():
 
 
 def test_queue_full_503_carries_retry_after_and_counts():
-    from repro.serving.jobs import StoreJobQueue
-
     store = RunStore()
     # durable queue, never drained: submissions pile up to capacity
     queue = StoreJobQueue(store, cache=ResultCache(), capacity=1)

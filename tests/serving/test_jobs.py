@@ -1,4 +1,4 @@
-"""Tests for job specs, the bounded job queue and its backpressure."""
+"""Tests for job specs, the durable job queue and its backpressure."""
 
 import threading
 
@@ -8,8 +8,8 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.evaluation.batch import ResultCache, job_key, run_many
 from repro.serving.jobs import (
     MAX_SUBMITTED_CYCLES,
-    JobQueue,
     JobQueueFull,
+    StoreJobQueue,
     build_job,
     resolve_program,
 )
@@ -66,10 +66,11 @@ def test_build_job_rejects_malformed_specs():
         build_job({"target": "checksum", "factory": "no-such-factory"})
 
 
-# ------------------------------------------------------------------ JobQueue
+# ------------------------------------------------------------ StoreJobQueue
 def test_submit_runs_job_and_registers_run():
     store = RunStore()
-    queue = JobQueue(store=store, capacity=4)
+    queue = StoreJobQueue(store, capacity=4)
+    queue.start()
     try:
         record = queue.submit(dict(_SPEC))
         assert record.state in ("queued", "running")
@@ -89,7 +90,7 @@ def test_cached_submission_answers_without_simulating():
     cache = ResultCache()
     seeded = run_many([build_job(_SPEC)], cache=cache)
     assert seeded[0].halted
-    queue = JobQueue(cache=cache, store=RunStore(), capacity=4)
+    queue = StoreJobQueue(RunStore(), cache=cache, capacity=4)
     record = queue.submit(dict(_SPEC))
     assert record.state == "done"
     assert record.cached
@@ -102,14 +103,16 @@ def test_backpressure_raises_jobqueuefull(monkeypatch):
 
     release = threading.Event()
     started = threading.Event()
+    result = run_many([build_job(_SPEC)])[0]
 
     def blocking_run_many(jobs, workers=0, cache=None, **kw):
         started.set()
         release.wait(30)
-        return [object() for _ in jobs]
+        return [result for _ in jobs]
 
     monkeypatch.setattr(jobs_mod, "run_many", blocking_run_many)
-    queue = JobQueue(capacity=1)
+    queue = StoreJobQueue(RunStore(), capacity=1)
+    queue.start()
     try:
         specs = [dict(_SPEC, label=f"j{i}") for i in range(3)]
         first = queue.submit(specs[0])  # drained immediately, blocks
@@ -131,7 +134,8 @@ def test_failed_job_reports_error(monkeypatch):
         raise RuntimeError("simulator exploded")
 
     monkeypatch.setattr(jobs_mod, "run_many", exploding_run_many)
-    queue = JobQueue(capacity=2)
+    queue = StoreJobQueue(RunStore(), capacity=2)
+    queue.start()
     try:
         record = queue.submit(dict(_SPEC))
         settled = queue.wait(record.job_id, timeout=10)

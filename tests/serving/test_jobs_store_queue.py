@@ -97,7 +97,7 @@ def test_local_drain_thread(store):
         assert settled.state == "done"
     finally:
         q.stop()
-    assert q.stopped()
+    assert not q._thread.is_alive()
 
 
 def test_submission_metrics(store):

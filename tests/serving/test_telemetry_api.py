@@ -12,7 +12,7 @@ import pytest
 from repro.core.params import ProcessorParams
 from repro.evaluation.batch import ResultCache, SimJob, run_many
 from repro.serving.app import ServingApp
-from repro.serving.jobs import JobQueue
+from repro.serving.jobs import StoreJobQueue
 from repro.serving.store import RunStore
 from repro.telemetry import MetricsRegistry
 from repro.workloads.kernels import checksum
@@ -41,7 +41,7 @@ def warm():
     registry = MetricsRegistry()
     app = ServingApp(
         store, cache=cache,
-        jobs=JobQueue(cache=cache, store=store, registry=registry),
+        jobs=StoreJobQueue(store, cache=cache, registry=registry),
         registry=registry,
     )
     yield app, store, cache
@@ -249,7 +249,6 @@ class TestLogsEndpoint:
 
 class TestTraceContextSubmission:
     def _app(self):
-        from repro.serving.jobs import StoreJobQueue
         from repro.telemetry import EventLog
 
         store = RunStore()
