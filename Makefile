@@ -11,7 +11,9 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_simulator_throughput.py --benchmark-only
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_lint.py -o BENCH_lint.json
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_serving_load.py -o BENCH_serving_load.json
 
 report:
 	$(PYTHON) -m repro report -o report.md

@@ -3,7 +3,7 @@
 The paper claims the configuration manager is a "fast and efficient
 micro-architectural solution".  These estimators quantify that claim with
 standard textbook costs in 2-input-gate equivalents (GE) and levels of
-logic, and are exercised by the E-COST bench.
+logic, and back the E-COST claims of `repro report`.
 
 Conventions (typical static-CMOS textbook figures):
 

@@ -8,8 +8,8 @@ returns the two-bit configuration select.
 
 Verified gate-for-gate against the functional
 :class:`repro.steering.selection.ConfigurationSelectionUnit` (property
-tests) and used by the E-COST bench to report *measured* rather than
-estimated gate counts.
+tests) and used by the E-COST section of ``repro report`` to report
+*measured* rather than estimated gate counts.
 """
 
 from __future__ import annotations

@@ -203,7 +203,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
         store = RunStore(args.store)
     try:
-        text = generate_report(
+        report = generate_report(
             fast=not args.full,
             progress=lambda msg: print(f"[report] {msg}", file=sys.stderr),
             workers=args.workers,
@@ -217,11 +217,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if store is not None:
             store.close()
     if args.output:
-        pathlib.Path(args.output).write_text(text)
+        pathlib.Path(args.output).write_text(report.text)
         print(f"report written to {args.output}")
     else:
-        print(text)
-    return 0
+        print(report.text)
+    for r in report.failed:
+        print(
+            f"claim failed: {r.claim.id}: measured {r.value}, "
+            f"band {r.claim.band}",
+            file=sys.stderr,
+        )
+    return 1 if report.failed else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

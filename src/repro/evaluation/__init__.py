@@ -3,8 +3,11 @@
 The paper's artifacts are architectural specifications and worked examples
 (Tables 1-2, Figures 1-7); :mod:`repro.evaluation.artifacts` regenerates
 each one executably from the implementation.  The quantitative experiments
-the paper motivates but does not report (E-IPC, E-RL, E-PH, E-Q, E-CEM,
-E-ORTH, E-COST in DESIGN.md) live in :mod:`repro.evaluation.experiments`.
+the paper motivates but does not report (E-IPC … E-SPEC in DESIGN.md) live
+in :mod:`repro.evaluation.experiments`.  ``repro report``
+(:mod:`repro.evaluation.harness`) runs them all and checks the paper's
+claims, stated once in :mod:`repro.evaluation.claims`, against their
+metrics.
 """
 
 from repro.evaluation.basis_search import demand_profile, design_basis, profile_cost

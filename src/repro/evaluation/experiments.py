@@ -1,15 +1,19 @@
-"""The quantitative experiments (DESIGN.md E-IPC .. E-COST).
+"""The quantitative experiments (DESIGN.md E-IPC .. E-SPEC).
 
 The paper's stated objective is "to increase the achieved instruction
 level parallelism of the processor by best matching the processor
 configuration to the instructions that are ready to be executed"; it
 reports no measurements.  These experiments supply that evaluation.  The
 reproduction target is the *shape* of each result (orderings, trends,
-crossovers), not absolute numbers.
+crossovers), not absolute numbers.  Each experiment's results reduce to a
+flat ``{name: float}`` metric dict (a ``*_metrics`` function or
+:func:`table_metrics`); :mod:`repro.evaluation.claims` states the expected
+shapes as predicates over those dicts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 
@@ -17,6 +21,7 @@ from repro.circuits.cost import selection_unit_cost
 from repro.core.params import ProcessorParams
 from repro.core.stats import SimulationResult
 from repro.errors import ConfigurationError
+from repro.evaluation.basis_search import demand_profile, design_basis, profile_cost
 from repro.evaluation.batch import ResultCache, SimJob, run_many
 from repro.evaluation.report import render_table
 from repro.fabric.configuration import (
@@ -41,9 +46,16 @@ __all__ = [
     "run_frontend_ablation",
     "run_orthogonality_study",
     "run_circuit_cost_report",
+    "run_demand_steering",
+    "run_stall_attribution",
+    "run_pipelined_scheduling",
+    "run_reconfig_flows",
+    "run_basis_design",
     "latency_sweep_metrics",
     "queue_depth_metrics",
     "cem_metrics",
+    "circuit_cost_metrics",
+    "table_metrics",
 ]
 
 _DEFAULT_PARAMS = ProcessorParams(reconfig_latency=8)
@@ -80,11 +92,14 @@ class IpcComparison:
         )
 
     def metrics(self) -> dict[str, float]:
-        """Flat scalar view for the run store (mean IPC per policy)."""
+        """Flat scalar view: IPC per workload and policy, mean per policy."""
         out = {f"mean_ipc_{p}": self.mean_ipc(p) for p in self.policies}
         out["steering_wins"] = sum(
             1 for w in self.workloads if self.winner(w) == "steering"
         )
+        for w in self.workloads:
+            for p in self.policies:
+                out[f"{p}/{w}"] = self.ipc[w][p]
         return out
 
 
@@ -185,6 +200,7 @@ def latency_sweep_metrics(
     out: dict[str, float] = {}
     for latency, steering_ipc, ffu_ipc, reconfigs in rows:
         out[f"steering_ipc_lat{latency}"] = steering_ipc
+        out[f"ffu_ipc_lat{latency}"] = ffu_ipc
         out[f"reconfigs_lat{latency}"] = reconfigs
     if rows:
         out["ffu_ipc"] = rows[0][2]
@@ -333,14 +349,16 @@ def run_cem_ablation(
 
 
 def cem_metrics(rows: list[tuple[str, float, float]]) -> dict[str, float]:
-    """Flatten E-CEM rows for the run store (mean IPCs + worst gap)."""
+    """Flatten E-CEM rows: per-workload IPCs, means and the worst gap."""
     if not rows:
         return {}
-    return {
+    out = {
         "mean_approx_ipc": sum(r[1] for r in rows) / len(rows),
         "mean_exact_ipc": sum(r[2] for r in rows) / len(rows),
         "max_abs_ipc_gap": max(abs(r[1] - r[2]) for r in rows),
     }
+    out.update(table_metrics(["workload", "approx", "exact"], rows))
+    return out
 
 
 # ---------------------------------------------------------------- E-FRONT
@@ -374,13 +392,17 @@ class FrontendAblation:
         return variants + "\n\n" + widths
 
     def metrics(self) -> dict[str, float]:
-        """Flat scalar view for the run store."""
+        """Flat scalar view: every variant's IPCs and accuracy, every width."""
         _, loopy, branchy, accuracy = self.variant_rows[0]
         out = {
             "baseline_loopy_ipc": loopy,
             "baseline_branchy_ipc": branchy,
             "baseline_branch_accuracy": accuracy,
         }
+        out.update(table_metrics(
+            ["variant", "loopy IPC", "branchy IPC", "branch accuracy"],
+            self.variant_rows,
+        ))
         for width, ipc in self.width_rows:
             out[f"ipc_width{width}"] = ipc
         return out
@@ -546,7 +568,14 @@ def run_orthogonality_study(
 def run_circuit_cost_report(
     queue_sizes: list[int] | None = None,
 ) -> str:
-    """E-COST: gate count and logic depth of the selection unit."""
+    """E-COST: gate count and logic depth of the selection unit, plus the
+    gate counts of the synthesised netlists."""
+    from repro.circuits.netlist import Netlist
+    from repro.circuits.selection_netlist import (
+        build_requirement_encoders,
+        build_selection_core,
+    )
+
     if queue_sizes is None:
         queue_sizes = [7]
     sections = []
@@ -563,4 +592,180 @@ def run_circuit_cost_report(
                 title=f"E-COST: selection unit, {n}-entry queue",
             )
         )
+    core = build_selection_core()
+    encoders = Netlist()
+    build_requirement_encoders(encoders, n_entries=7)
+    sections.append(
+        "Measured gate-level netlists (2-input gates, synthesised here):\n"
+        f"  requirement encoders (stage 2): {encoders.gate_count} gates, "
+        f"depth {encoders.depth}\n"
+        f"  CEM generators + selector (stages 3-4): {core.gate_count} gates, "
+        f"depth {core.depth}"
+    )
     return "\n\n".join(sections)
+
+
+def circuit_cost_metrics(queue_sizes: list[int]) -> dict[str, float]:
+    """Total gate equivalents and logic depth per queue size."""
+    out: dict[str, float] = {}
+    for n in queue_sizes:
+        total = selection_unit_cost(n_entries=n)["total"]
+        out[f"gates_q{n}"] = total.gates
+        out[f"depth_q{n}"] = total.depth
+    return out
+
+
+# ------------------------------------------- E-DEMAND, E-STALL, E-SPEC
+def _grid(
+    workloads: list[tuple[str, Program]],
+    factories: tuple[str, ...],
+    params: ProcessorParams | None,
+    workers: int,
+    cache: ResultCache | None,
+) -> list[tuple]:
+    """``(workload, result per factory...)`` rows, one batch for all."""
+    params = params if params is not None else _DEFAULT_PARAMS
+    batch = [
+        SimJob(factory, program, params, label=f"{name}/{factory}")
+        for name, program in workloads
+        for factory in factories
+    ]
+    results = iter(run_many(batch, workers, cache))
+    return [(name, *[next(results) for _ in factories]) for name, _ in workloads]
+
+
+def run_demand_steering(
+    workloads: list[tuple[str, Program]],
+    params: ProcessorParams | None = None,
+    workers: int = 0,
+    cache: ResultCache | None = None,
+) -> list[tuple[str, float, float, float, int, int]]:
+    """E-DEMAND (§5): steering without predefined configurations.
+
+    Returns ``(workload, ffu_ipc, steering_ipc, demand_ipc,
+    steering_reconfigs, demand_reconfigs)`` rows.
+    """
+    return [
+        (name, ffu.ipc, steer.ipc, demand.ipc,
+         steer.reconfigurations, demand.reconfigurations)
+        for name, ffu, steer, demand in _grid(
+            workloads, ("ffu-only", "steering", "demand"), params, workers, cache
+        )
+    ]
+
+
+def run_stall_attribution(
+    workloads: list[tuple[str, Program]],
+    params: ProcessorParams | None = None,
+    workers: int = 0,
+    cache: ResultCache | None = None,
+) -> list[tuple[str, int, int, int, int, str]]:
+    """E-STALL: entry-cycles lost to a missing unit type (blocked) and to
+    lost grant arbitration (contention), FFU-only vs steering.
+
+    Returns ``(workload, blocked_ffu, blocked_steer, contention_ffu,
+    contention_steer, "ffu_ipc -> steer_ipc")`` rows.
+    """
+    return [
+        (name, ffu.resource_blocked_cycles, steer.resource_blocked_cycles,
+         ffu.contention_cycles, steer.contention_cycles,
+         f"{ffu.ipc:.3f} -> {steer.ipc:.3f}")
+        for name, ffu, steer in _grid(
+            workloads, ("ffu-only", "steering"), params, workers, cache
+        )
+    ]
+
+
+def run_pipelined_scheduling(
+    workloads: list[tuple[str, Program]],
+    params: ProcessorParams | None = None,
+    workers: int = 0,
+    cache: ResultCache | None = None,
+) -> list[tuple[str, float, float, int]]:
+    """E-SPEC: atomic vs pipelined select-free scheduling ([9]).
+
+    Returns ``(workload, atomic_ipc, pipelined_ipc, replays)`` rows.
+    """
+    params = params if params is not None else _DEFAULT_PARAMS
+    pipelined = dataclasses.replace(params, pipelined_scheduling=True)
+    atomic = _grid(workloads, ("steering",), params, workers, cache)
+    spec = _grid(workloads, ("steering",), pipelined, workers, cache)
+    return [
+        (name, a.ipc, s.ipc, s.scheduling_replays)
+        for (name, a), (_, s) in zip(atomic, spec)
+    ]
+
+
+# ----------------------------------------------------------------- E-FLOW
+def run_reconfig_flows(
+    program: Program,
+    latencies: tuple[int, ...] = (4, 16, 64),
+    workers: int = 0,
+    cache: ResultCache | None = None,
+) -> list[tuple[int, float, float, int, int]]:
+    """E-FLOW: module- vs difference-based partial reconfiguration ([8]).
+
+    Returns ``(latency, module_ipc, difference_ipc, module_bus_cycles,
+    difference_bus_cycles)`` rows.
+    """
+    batch = [
+        SimJob("steering", program,
+               ProcessorParams(reconfig_latency=latency, reconfig_mode=mode),
+               label=f"latency={latency}/{mode}")
+        for latency in latencies
+        for mode in ("module", "difference")
+    ]
+    results = run_many(batch, workers, cache)
+    return [
+        (latency, module.ipc, diff.ipc,
+         module.reconfig_bus_cycles, diff.reconfig_bus_cycles)
+        for latency, module, diff in zip(latencies, results[::2], results[1::2])
+    ]
+
+
+# ---------------------------------------------------------------- E-BASIS
+def run_basis_design(
+    programs: list[Program],
+    held_out: Program,
+    params: ProcessorParams | None = None,
+    seed: int = 1,
+    workers: int = 0,
+    cache: ResultCache | None = None,
+) -> list[tuple[str, float, float, str]]:
+    """E-BASIS (§5): design a basis for the demand profile of ``programs``
+    by k-means and compare it with the paper's, on the clustering
+    objective and by steered IPC on the ``held_out`` program.
+
+    Returns ``(basis, profile_cost, held_out_ipc, members)`` rows.
+    """
+    params = params if params is not None else _DEFAULT_PARAMS
+    profile = demand_profile(programs, workers=workers, cache=cache)
+    designed, designed_cost = design_basis(profile, seed=seed)
+    bases = (
+        ("paper", PREDEFINED_CONFIGS, profile_cost(profile, PREDEFINED_CONFIGS)),
+        ("designed", designed, designed_cost),
+    )
+    results = run_many(
+        [
+            SimJob("steering-basis", held_out, params,
+                   kwargs={"configs": list(basis)}, label=f"basis/{label}")
+            for label, basis, _ in bases
+        ],
+        workers,
+        cache,
+    )
+    return [
+        (label, cost, result.ipc, " | ".join(str(c) for c in basis))
+        for (label, basis, cost), result in zip(bases, results)
+    ]
+
+
+def table_metrics(headers: list[str], rows: list[tuple]) -> dict[str, float]:
+    """A results table as a flat metric dict: ``"<column>/<row>"`` for
+    every numeric cell, the row named by its first cell."""
+    return {
+        f"{header}/{row[0]}": value
+        for row in rows
+        for header, value in zip(headers[1:], row[1:])
+        if isinstance(value, (int, float))
+    }

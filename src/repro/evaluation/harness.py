@@ -1,36 +1,73 @@
 """One-shot report generator: every artifact and experiment in one document.
 
-``generate_report()`` regenerates all paper artifacts and runs the
-quantitative experiments (at a configurable scale) into a single markdown
-string — the executable counterpart of EXPERIMENTS.md.  Exposed on the
-command line as ``python -m repro report``.
+``generate_report()`` regenerates all paper artifacts, runs the
+quantitative experiments (at a configurable scale) and checks every claim
+of :mod:`repro.evaluation.claims` against their metrics — the executable
+counterpart of EXPERIMENTS.md.  Exposed on the command line as
+``python -m repro report``, which exits 1 when a claim fails.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.params import ProcessorParams
 from repro.evaluation import artifacts
 from repro.evaluation.batch import ResultCache, SimJob, run_many
+from repro.evaluation.claims import ClaimResult, check_claims, render_claims
 from repro.evaluation.experiments import (
     cem_metrics,
+    circuit_cost_metrics,
     latency_sweep_metrics,
     queue_depth_metrics,
+    run_basis_design,
     run_cem_ablation,
     run_circuit_cost_report,
+    run_demand_steering,
     run_frontend_ablation,
     run_ipc_comparison,
+    run_orthogonality_study,
     run_phase_adaptation,
+    run_pipelined_scheduling,
     run_queue_depth_sweep,
+    run_reconfig_flows,
     run_reconfig_latency_sweep,
+    run_stall_attribution,
+    table_metrics,
 )
 from repro.evaluation.report import render_table
-from repro.workloads.kernels import checksum, memcpy, saxpy
+from repro.fabric.configuration import PREDEFINED_CONFIGS
+from repro.workloads.kernels import (
+    all_kernels,
+    checksum,
+    dot_product,
+    fir_filter,
+    memcpy,
+    newton_sqrt,
+    saxpy,
+    sum_reduction,
+)
+from repro.workloads.phases import phased_program
+from repro.workloads.synthetic import FP_MIX, INT_MIX, MEM_MIX
 
-__all__ = ["generate_report"]
+__all__ = ["Report", "generate_report"]
+
+
+@dataclass
+class Report:
+    """The rendered report plus what it measured and concluded."""
+
+    text: str
+    #: ``{experiment: flat metric dict}``, as recorded in the run store.
+    metrics: dict[str, dict[str, float]]
+    claims: list[ClaimResult]
+
+    @property
+    def failed(self) -> list[ClaimResult]:
+        return [r for r in self.claims if not r.passed]
 
 
 def _section(title: str, body: str) -> str:
@@ -46,9 +83,10 @@ def generate_report(
     store: Any | None = None,
     cache_max_bytes: int | None = None,
     telemetry: bool = False,
-) -> str:
-    """Regenerate everything.  ``fast`` shrinks the experiment workloads so
-    the whole report completes in tens of seconds.
+) -> Report:
+    """Regenerate everything and check every claim.  ``fast`` runs each
+    experiment on the inputs its claims were calibrated on (about 10 s
+    single-threaded); the full scale doubles every workload.
 
     ``workers > 1`` fans each experiment's simulations out over a process
     pool; ``use_cache`` shares one content-keyed result cache across the
@@ -75,8 +113,12 @@ def generate_report(
         if progress is not None:
             progress(msg)
 
+    measured: dict[str, dict[str, float]] = {}
+
     def record(experiment: str, metrics: dict[str, float]) -> None:
-        """Register an experiment-level summary run in the store."""
+        """Keep an experiment's metrics for the claims; register them as a
+        summary run in the store."""
+        measured[experiment] = metrics
         if store is not None:
             question = hashlib.sha256(
                 f"{experiment}|fast={fast}".encode()
@@ -90,16 +132,19 @@ def generate_report(
         if (use_cache or cache_dir)
         else None
     )
+    run = {"workers": workers, "cache": cache}
+    scale = 1 if fast else 2
 
     parts = ["# Reproduction report (generated)\n"]
 
     note("artifacts: tables")
     parts.append(_section("Table 1 — steering configurations", artifacts.table1()))
+    record("T1", {f"slots/{c.name}": c.slot_usage for c in PREDEFINED_CONFIGS})
     parts.append(_section("Table 2 — resource encodings", artifacts.table2()))
     note("artifacts: figures")
     parts.append(_section("Figure 1 — architecture inventory", artifacts.figure1_inventory()))
     parts.append(_section("Figure 2 — selection unit", artifacts.figure2_selection_demo()))
-    study = artifacts.figure3_cem_study(samples=500 if fast else 5000)
+    study = artifacts.figure3_cem_study(samples=2000 * scale)
     parts.append(
         _section(
             "Figure 3 — CEM approximation",
@@ -109,47 +154,63 @@ def generate_report(
             f"selection agreement {study.selection_agreement:.3f}",
         )
     )
+    record("F3", {
+        "max_term_error": study.max_term_error,
+        "mean_term_error": study.mean_term_error,
+        "selection_agreement": study.selection_agreement,
+    })
     parts.append(_section("Figures 4-6 — wake-up array example", artifacts.figure456_wakeup_example()))
     parts.append(
         _section(
             "Figure 7 — availability circuit",
-            artifacts.figure7_availability_check(samples=100 if fast else 1000),
+            artifacts.figure7_availability_check(samples=500 * scale),
         )
     )
+    cases, mismatches = artifacts.eq1_check(samples=500 * scale)
+    record("F7", {"cases": cases, "mismatches": mismatches})
 
     params = ProcessorParams(reconfig_latency=8)
-    scale = 1 if fast else 4
-    workloads = [
-        ("checksum", checksum(iterations=150 * scale).program),
-        ("memcpy", memcpy(n=60 * scale).program),
-        ("saxpy", saxpy(n=32 * scale).program),
+    kernels = [
+        ("checksum", checksum(iterations=300 * scale).program),
+        ("sum_reduction", sum_reduction(n=96 * scale).program),
+        ("dot_product", dot_product(n=64 * scale).program),
+        ("memcpy", memcpy(n=120 * scale).program),
+        ("saxpy", saxpy(n=64 * scale).program),
+        ("fir_filter", fir_filter(n=48 * scale).program),
+        ("newton_sqrt", newton_sqrt(iterations=24 * scale).program),
     ]
 
+    def pick(*names: str) -> list:
+        return [(name, program) for name, program in kernels if name in names]
+
+    def phased(seed: int, *mixes, length: int = 40):
+        return phased_program([(mix, length * scale) for mix in mixes], seed=seed)
+
+    def table(experiment, title, headers, rows, metrics=None) -> None:
+        """Append a results table; record ``metrics`` (default: the table's
+        numeric cells, see :func:`table_metrics`)."""
+        parts.append(_section(f"{experiment} — {title}", render_table(headers, rows)))
+        record(experiment, table_metrics(headers, rows) if metrics is None else metrics)
+
     note("experiment: E-IPC")
-    comparison = run_ipc_comparison(
-        workloads=workloads, params=params, workers=workers, cache=cache
-    )
+    comparison = run_ipc_comparison(workloads=kernels, params=params, **run)
     parts.append(_section("E-IPC — policy comparison", comparison.render()))
     record("E-IPC", comparison.metrics())
 
     note("experiment: E-RL")
     rl = run_reconfig_latency_sweep(
-        [1, 16, 128] if fast else [1, 4, 16, 64, 256],
-        workers=workers,
-        cache=cache,
+        [1, 4, 16, 64, 256], program=phased(11, INT_MIX, FP_MIX, MEM_MIX), **run
     )
-    parts.append(
-        _section(
-            "E-RL — reconfiguration latency",
-            render_table(
-                ["latency", "steering IPC", "ffu-only IPC", "reconfigs"], rl
-            ),
-        )
-    )
-    record("E-RL", latency_sweep_metrics(rl))
+    table("E-RL", "reconfiguration latency",
+          ["latency", "steering IPC", "ffu-only IPC", "reconfigs"], rl,
+          latency_sweep_metrics(rl))
 
     note("experiment: E-PH")
-    adaptation = run_phase_adaptation(params=params, workers=workers, cache=cache)
+    adaptation = run_phase_adaptation(
+        phases=[(mix, 60 * scale) for mix in (INT_MIX, MEM_MIX, FP_MIX)],
+        params=ProcessorParams(reconfig_latency=4),
+        **run,
+    )
     parts.append(
         _section(
             "E-PH — phase adaptation",
@@ -163,46 +224,87 @@ def generate_report(
 
     note("experiment: E-Q")
     qd = run_queue_depth_sweep(
-        [3, 7, 16] if fast else [3, 5, 7, 11, 16], workers=workers, cache=cache
+        [3, 5, 7, 11, 16], program=phased(7, INT_MIX, FP_MIX, length=50), **run
     )
-    parts.append(
-        _section("E-Q — queue depth", render_table(["depth", "IPC"], qd))
-    )
-    record("E-Q", queue_depth_metrics(qd))
+    table("E-Q", "queue depth", ["depth", "IPC"], qd, queue_depth_metrics(qd))
 
     note("experiment: E-CEM")
     cem = run_cem_ablation(
-        workloads=workloads, params=params, workers=workers, cache=cache
+        workloads=pick("checksum", "memcpy", "saxpy", "newton_sqrt"),
+        params=params,
+        **run,
     )
-    parts.append(
-        _section(
-            "E-CEM — metric ablation",
-            render_table(["workload", "approx IPC", "exact IPC"], cem),
-        )
-    )
-    record("E-CEM", cem_metrics(cem))
+    table("E-CEM", "metric ablation", ["workload", "approx IPC", "exact IPC"],
+          cem, cem_metrics(cem))
 
     note("experiment: E-FRONT")
-    front = run_frontend_ablation(
-        max_cycles=100_000 if fast else 400_000, workers=workers, cache=cache
-    )
+    front = run_frontend_ablation(**run)
     parts.append(_section("E-FRONT — front-end ablations", front.render()))
     record("E-FRONT", front.metrics())
 
+    note("experiment: E-ORTH")
+    table(
+        "E-ORTH", "steering-basis orthogonality", ["basis", "similarity", "IPC"],
+        run_orthogonality_study(n_bases=6, seed=0, params=params, **run),
+    )
+
     note("experiment: E-COST")
-    parts.append(_section("E-COST — circuit cost", run_circuit_cost_report([7])))
+    parts.append(
+        _section("E-COST — circuit cost", run_circuit_cost_report([4, 7, 16]))
+    )
+    record("E-COST", circuit_cost_metrics([4, 7, 16]))
+
+    four = pick("checksum", "memcpy", "saxpy", "fir_filter")
+    note("experiment: E-DEMAND")
+    table(
+        "E-DEMAND", "steering without predefined configurations",
+        ["workload", "ffu-only", "steering", "demand",
+         "reconfigs steering", "reconfigs demand"],
+        run_demand_steering(
+            four + [("phased", phased(11, INT_MIX, MEM_MIX, FP_MIX))], params, **run
+        ),
+    )
+
+    note("experiment: E-BASIS")
+    table(
+        "E-BASIS", "designed vs paper basis",
+        ["basis", "profile cost", "held-out IPC", "members"],
+        run_basis_design(
+            [k.program for k in all_kernels()],
+            phased(23, INT_MIX, MEM_MIX, FP_MIX),
+            params,
+            **run,
+        ),
+    )
+
+    note("experiment: E-FLOW")
+    table(
+        "E-FLOW", "module- vs difference-based reconfiguration",
+        ["latency/slot", "module IPC", "difference IPC",
+         "module bus cycles", "difference bus cycles"],
+        run_reconfig_flows(phased(9, INT_MIX, MEM_MIX, FP_MIX), **run),
+    )
+
+    note("experiment: E-STALL")
+    table(
+        "E-STALL", "structural-stall entry-cycles",
+        ["workload", "blocked (ffu)", "blocked (steer)",
+         "contention (ffu)", "contention (steer)", "IPC"],
+        run_stall_attribution(four, params, **run),
+    )
+
+    note("experiment: E-SPEC")
+    table(
+        "E-SPEC", "atomic vs pipelined select-free scheduling",
+        ["workload", "atomic IPC", "select-free IPC", "replays"],
+        run_pipelined_scheduling(four, params, **run),
+    )
 
     if telemetry:
         note("experiment: E-TEL")
-        from repro.workloads.phases import phased_program
-        from repro.workloads.synthetic import FP_MIX, INT_MIX, MEM_MIX
-
         tel_job = SimJob(
             "steering-telemetry",
-            phased_program(
-                [(INT_MIX, 40 * scale), (MEM_MIX, 40 * scale), (FP_MIX, 40 * scale)],
-                seed=0,
-            ),
+            phased(0, INT_MIX, MEM_MIX, FP_MIX),
             params,
             max_cycles=100_000 if fast else 400_000,
             label="E-TEL phased steering",
@@ -242,4 +344,10 @@ def generate_report(
             f"({pruned['bytes_freed']} bytes)"
         )
 
-    return "\n".join(parts)
+    claims = check_claims(measured)
+    passed = sum(r.passed for r in claims)
+    parts.append(
+        f"## Claims\n\n{passed}/{len(claims)} claims hold "
+        f"({'fast' if fast else 'full'} scale).\n\n{render_claims(claims)}\n"
+    )
+    return Report("\n".join(parts), measured, claims)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.evaluation.artifacts import (
+    eq1_check,
     figure1_inventory,
     figure2_selection_demo,
     figure3_cem_study,
@@ -30,13 +31,26 @@ class TestTable2:
         text = table2()
         for encoding in ("000", "001", "010", "011", "100", "101", "111"):
             assert encoding in text
-        assert "EMPTY" in text and "SPAN" in text
+        for token in ("EMPTY", "SPAN", "IALU", "FPMDU"):
+            assert token in text
 
 
 class TestFigure1:
     def test_inventory_lists_modules(self):
         text = figure1_inventory()
-        for module in ("trace cache", "wake-up array", "reconfigurable slots"):
+        for module in (
+            "instruction memory",
+            "data memory",
+            "fetch unit",
+            "trace cache",
+            "instruction decoder",
+            "register update unit",
+            "register files",
+            "fixed functional units",
+            "reconfigurable slots",
+            "configuration management",
+            "wake-up array",
+        ):
             assert module in text
 
 
@@ -106,6 +120,10 @@ class TestFigure7:
         text = figure7_availability_check(samples=100, seed=2)
         assert "all agree" in text
         assert "available(t) per type" in text
+
+    def test_eq1_check_counts_every_type_per_sample(self):
+        cases, mismatches = eq1_check(samples=50, seed=3)
+        assert (cases, mismatches) == (50 * 5, 0)
 
     def test_live_fabric_demo_shows_span(self):
         text = figure7_availability_check(samples=10)

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.evaluation.harness import generate_report
-
 
 @pytest.fixture(scope="module")
-def report():
-    notes = []
-    text = generate_report(fast=True, progress=notes.append)
-    return text, notes
+def report(fast_report):
+    return fast_report.report.text, fast_report.notes
 
 
 class TestGenerateReport:
@@ -28,8 +24,12 @@ class TestGenerateReport:
 
     def test_contains_every_experiment_section(self, report):
         text, _ = report
-        for section in ("E-IPC", "E-RL", "E-PH", "E-Q", "E-CEM", "E-COST"):
-            assert section in text
+        for section in (
+            "E-IPC", "E-RL", "E-PH", "E-Q", "E-CEM", "E-FRONT", "E-ORTH",
+            "E-COST", "E-DEMAND", "E-BASIS", "E-FLOW", "E-STALL", "E-SPEC",
+        ):
+            assert f"## {section} — " in text
+        assert "## Claims" in text
 
     def test_progress_callbacks_fire(self, report):
         _, notes = report
