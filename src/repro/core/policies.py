@@ -4,8 +4,10 @@ A policy decides, each cycle, what the reconfigurable fabric should steer
 toward.  The processor calls :meth:`SteeringPolicy.cycle` once per clock
 with its register update unit; a policy reads from it only what it needs —
 the ready-unscheduled instruction queue (what the Fig. 2 selection unit
-sees) or the dynamic retire count (the oracle) — so the queue is built
-only for policies that inspect it.
+sees) or the dynamic retire count (the oracle) — and recomputes what it
+derives from that input only when the input moved: the queue when the
+RUU's ``waiting_version`` changed, the oracle's window when the retire
+count did.  The loader still steps every cycle.
 
 Policies:
 
@@ -37,6 +39,7 @@ from repro.sched.ruu import RegisterUpdateUnit
 from repro.steering.error_metric import exact_error
 from repro.steering.loader import ConfigurationLoader
 from repro.steering.manager import ConfigurationManager
+from repro.steering.selection import SelectionResult
 
 __all__ = [
     "SteeringPolicy",
@@ -97,9 +100,22 @@ class PaperSteering(SteeringPolicy):
             use_exact_metric=self.use_exact_metric,
             queue_size=self.queue_size,
         )
+        #: the last selection and its inputs: the RUU's waiting version
+        #: and the configured counts.
+        self._selection: SelectionResult | None = None
+        self._waiting_seen = -1
+        self._counts_seen: tuple[int, ...] = ()
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
-        self.manager.cycle(ruu.ready_unscheduled())
+        manager = self.manager
+        counts = self.fabric.counts_tuple()
+        if ruu.waiting_version != self._waiting_seen or counts != self._counts_seen:
+            self._waiting_seen = ruu.waiting_version
+            self._counts_seen = counts
+            self._selection = manager.selection_unit.select(
+                ruu.ready_unscheduled(), counts
+            )
+        manager.apply(self._selection)
 
     def describe(self) -> str:
         kind = "exact" if self.use_exact_metric else "shift-approximate"
@@ -193,8 +209,7 @@ class DemandSteering(SteeringPolicy):
         self.loader: ConfigurationLoader | None = None
         #: synthesized targets adopted over the run (for tracing/tests).
         self.retargets: list[Configuration] = []
-        #: per-cycle scratch for the decoded window (the encoder only
-        #: iterates it), so cycle() allocates nothing.
+        #: scratch for the decoded window (the encoder only iterates it).
         self._scratch_onehots: list[int] = []
         #: packed window -> encoder output.  The gate-level encoder is a
         #: pure function of the one-hot window, and a run sees few windows.
@@ -203,9 +218,14 @@ class DemandSteering(SteeringPolicy):
     def bind(self, fabric: Fabric) -> None:
         super().bind(fabric)
         self.loader = ConfigurationLoader(fabric)
+        #: the window's required counts and the RUU waiting version they
+        #: were encoded at.
+        self._required: tuple[int, ...] = ()
+        self._waiting_seen = -1
 
-    def cycle(self, ruu: RegisterUpdateUnit) -> None:
-        ready = ruu.ready_unscheduled()
+    def _window_required(self, ready: Sequence) -> tuple[int, ...]:
+        """The encoder's required counts of the window's first
+        ``queue_size`` instructions."""
         onehots = self._scratch_onehots
         onehots.clear()
         key = 1  # leading sentinel keeps the packing injective
@@ -219,14 +239,17 @@ class DemandSteering(SteeringPolicy):
             # windows, not cycles
             required = self._encoder(onehots)
             self._required_memo[key] = required
-        self.synthesizer.observe(required)
-        counts = self.synthesizer.synthesize_counts()
-        if self.synthesizer.should_retarget_counts(
-            counts, self.loader.current_counts()
-        ):
+        return required
+
+    def cycle(self, ruu: RegisterUpdateUnit) -> None:
+        if ruu.waiting_version != self._waiting_seen:
+            self._waiting_seen = ruu.waiting_version
+            self._required = self._window_required(ruu.ready_unscheduled())
+        self.synthesizer.observe(self._required)
+        target = self.synthesizer.propose(self.loader.current_counts())
+        if target is not None:
             # repro: cold-call -- retarget adoption: bounded by accepted
             # reconfigurations (hysteresis-gated), not cycles
-            target = self.synthesizer.materialize(counts)
             self.loader.set_target(target)
             self.retargets.append(target)
         elif self.loader.satisfied:
@@ -247,6 +270,10 @@ class OracleSteering(SteeringPolicy):
     execution (from a profiling run).  Each cycle the oracle inspects the
     next ``lookahead`` instructions beyond the current retire point,
     computes the exact error of every candidate, and targets the best.
+
+    The window's per-type counts slide with the retire point (the types
+    leaving it are subtracted, the ones entering added), and the choice is
+    recomputed only when the retire point or the configured counts moved.
     """
 
     name = "oracle"
@@ -268,31 +295,47 @@ class OracleSteering(SteeringPolicy):
             for cfg in self.configs
         )
         self._type_index = {ty: i for i, ty in enumerate(FU_TYPES)}
+        self._reset_window()
+
+    def _reset_window(self) -> None:
+        #: per-type counts of ``trace[_window_lo:_window_hi]``.
         self._window_counts = [0] * len(FU_TYPES)
+        self._window_lo = 0
+        self._window_hi = 0
 
     def bind(self, fabric: Fabric) -> None:
         super().bind(fabric)
         self.loader = ConfigurationLoader(fabric)
+        self._reset_window()
+        #: the last choice and its inputs: retire count, configured counts.
+        self._target: Configuration | None = None
+        self._retired_seen = -1
+        self._counts_seen: tuple[int, ...] = ()
 
     def _window_required(self, retired: int) -> tuple[int, ...]:
+        """Per-type counts of the ``lookahead`` trace entries from
+        ``retired`` on (fewer at the trace's tail).  ``retired`` never
+        decreases between binds, so the window only slides forward."""
         counts = self._window_counts
-        for i in range(len(counts)):
-            counts[i] = 0
         type_index = self._type_index
         trace = self.trace
-        for pos in range(retired, min(retired + self.lookahead, len(trace))):
+        lo, hi = self._window_lo, self._window_hi
+        new_hi = min(retired + self.lookahead, len(trace))
+        for pos in range(lo, min(retired, hi)):  # leaving the window
+            index = type_index.get(trace[pos])
+            if index is not None:
+                counts[index] -= 1
+        for pos in range(max(hi, retired), new_hi):  # entering it
             index = type_index.get(trace[pos])
             if index is not None:
                 counts[index] += 1
+        self._window_lo, self._window_hi = retired, new_hi
         return tuple(counts)
 
-    def cycle(self, ruu: RegisterUpdateUnit) -> None:
-        required = self._window_required(ruu.retired)
+    def _best(self, required: tuple[int, ...], current) -> Configuration | None:
+        """The candidate of least exact error (``None``: keep current)."""
         if sum(required) == 0:
-            self.loader.set_target(None)
-            self.loader.step()
-            return
-        current = self.loader.current_counts()
+            return None
         best_config: Configuration | None = None
         best_err = exact_error(required, current)
         for cfg, avail in zip(self.configs, self._config_avails):
@@ -300,5 +343,13 @@ class OracleSteering(SteeringPolicy):
             if err < best_err:
                 best_err = err
                 best_config = cfg
-        self.loader.set_target(best_config)
+        return best_config
+
+    def cycle(self, ruu: RegisterUpdateUnit) -> None:
+        current = self.fabric.counts_tuple()
+        if ruu.retired != self._retired_seen or current != self._counts_seen:
+            self._retired_seen = ruu.retired
+            self._counts_seen = current
+            self._target = self._best(self._window_required(ruu.retired), current)
+        self.loader.set_target(self._target)
         self.loader.step()

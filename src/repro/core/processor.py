@@ -14,6 +14,13 @@ discipline so a value never traverses two stages in one cycle):
 6. **tick** — the configuration bus advances one cycle and the register
    update unit completes the instructions due this cycle, releasing their
    functional units.
+
+Utilisation is accounted by event, not swept per cycle.  The busy
+unit-cycles are added by the register update unit as each occupancy ends.
+The configured counts are constant between changes of the slot array's
+``structure_version``, so the tick stage integrates counts x cycles only
+when it sees the version move; :meth:`Processor.result` adds the interval
+still open.
 """
 
 from __future__ import annotations
@@ -52,8 +59,6 @@ __all__ = ["Processor", "DEADLOCK_WINDOW"]
 DEADLOCK_WINDOW = 4096
 
 _COMPLETED = EntryState.COMPLETED
-#: ``(index, type)`` over FU_TYPES, the order of ``Fabric.counts_tuple()``.
-_FU_INDEXED = tuple(enumerate(FU_TYPES))
 
 
 class Processor:
@@ -112,10 +117,14 @@ class Processor:
         #: cycle of the most recent retirement — drives the completed/
         #: cutoff/deadlock outcome classification in :meth:`result`.
         self._last_retire_cycle = 0
-        #: per-type busy and configured unit-cycles, indexed like
-        #: ``FU_TYPES`` (list adds, not enum-keyed dict updates, per cycle).
-        self._busy_cycles = [0] * len(FU_TYPES)
+        #: configured unit-cycles per type (indexed like ``FU_TYPES``) of
+        #: the closed intervals; the open one started at tick
+        #: ``_configured_since`` with ``_configured_counts`` and lasts while
+        #: the slot array's structure version is ``_structure_seen``.
         self._configured_cycles = [0] * len(FU_TYPES)
+        self._configured_counts: tuple[int, ...] = (0,) * len(FU_TYPES)
+        self._configured_since = 0
+        self._structure_seen = -1
         self._mispredictions = 0
         self._branch_resolutions = 0
         self._flushes = 0
@@ -202,25 +211,32 @@ class Processor:
             obs.on_stage(self, "steer")  # repro: cold-call -- observer hook
         self.policy.cycle(ruu)
 
-        # 6. advance time: utilisation, the configuration bus, completions
+        # 6. advance time: configured units, the configuration bus,
+        # completions
         if obs is not None:
             obs.on_stage(self, "tick")  # repro: cold-call -- observer hook
-        fabric = self.fabric
-        counts = fabric.counts_tuple()
-        idle = fabric.idle_counts()
-        configured_cycles = self._configured_cycles
-        busy_cycles = self._busy_cycles
-        for i, t in _FU_INDEXED:
-            n = counts[i]
-            if n:
-                configured_cycles[i] += n
-                busy_cycles[i] += n - idle[t]
-        fabric.rfus.tick()
+        rfus = self.fabric.rfus
+        if rfus.structure_version != self._structure_seen:
+            # repro: cold-call -- bounded by loads and evictions, not cycles
+            self._close_configured_interval()
+        rfus.tick()
         ruu.tick()
         if obs is not None:
             # repro: cold-call -- observer hook
             obs.on_cycle(self, packet, dispatched, issued, retired, flushed)
         self.cycle_count += 1
+
+    def _close_configured_interval(self) -> None:
+        """Add the ended interval's configured unit-cycles and open the next
+        one with the counts configured from this tick on."""
+        clock = self.ruu.clock
+        span = clock - self._configured_since
+        totals = self._configured_cycles
+        for i, n in enumerate(self._configured_counts):
+            totals[i] += n * span
+        self._configured_counts = self.fabric.counts_tuple()
+        self._configured_since = clock
+        self._structure_seen = self.fabric.rfus.structure_version
 
     def _handle_resolutions(self, resolutions) -> None:
         """Train the predictors; repair the pipeline on the oldest mispredict."""
@@ -266,6 +282,14 @@ class Processor:
             outcome = OUTCOME_DEADLOCK
         else:
             outcome = OUTCOME_CUTOFF
+        # the open interval runs up to the last tick (the RUU's clock)
+        span = self.ruu.clock - self._configured_since
+        configured = {
+            t: total + n * span
+            for t, total, n in zip(
+                FU_TYPES, self._configured_cycles, self._configured_counts
+            )
+        }
         res = SimulationResult(
             policy=self.policy.name,
             cycles=self.cycle_count,
@@ -273,8 +297,8 @@ class Processor:
             halted=self.ruu.halted,
             outcome=outcome,
             retired_per_type=dict(self._retired_per_type),
-            busy_unit_cycles=dict(zip(FU_TYPES, self._busy_cycles)),
-            configured_unit_cycles=dict(zip(FU_TYPES, self._configured_cycles)),
+            busy_unit_cycles=self.ruu.busy_unit_cycles(),
+            configured_unit_cycles=configured,
             mispredictions=self._mispredictions,
             branch_resolutions=self._branch_resolutions,
             flushes=self._flushes,

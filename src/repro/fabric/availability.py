@@ -25,7 +25,9 @@ Setting the ``REPRO_AVAILABILITY_CROSSCHECK`` environment variable (or
 constructing the cache with ``crosscheck=True``) arms a debug mode that
 re-derives the bus and the idle counts from a full unit rescan on every
 query and raises :class:`FabricError` on any divergence — the incremental
-path is pinned to the rescan it replaced.
+path is pinned to the rescan it replaced.  While it is armed the register
+update unit evaluates every issue step instead of reusing a request-free
+one, so the check runs every cycle.
 """
 
 from __future__ import annotations

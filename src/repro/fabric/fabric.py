@@ -106,6 +106,12 @@ class Fabric:
         """The full Eq. 1 bus: bit ``t.bit_index`` set iff ``available(t)``."""
         return self._avail.bits()
 
+    @property
+    def availability_crosscheck(self) -> bool:
+        """True while every availability query is re-derived from a rescan
+        (``REPRO_AVAILABILITY_CROSSCHECK``, see :mod:`repro.fabric.availability`)."""
+        return self._avail.crosscheck
+
     def idle_counts(self) -> dict[FUType, int]:
         """Idle units per type (cached; treat as read-only)."""
         return self._avail.idle_counts()

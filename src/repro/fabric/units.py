@@ -13,9 +13,7 @@ instruction completes (or is squashed).  Units publish their idle/busy
 occupy and a busy release call ``listener.unit_state_changed(unit, idle)``
 at the moment the state flips.  This is what makes the availability layer
 *incremental* — the cache point-updates one per-type count per event
-instead of rescanning every unit whenever anything changed.  The
-process-wide **busy epoch** (a counter bumped on the same transitions) is
-retained as a cheap external observability hook.
+instead of rescanning every unit whenever anything changed.
 """
 
 from __future__ import annotations
@@ -26,26 +24,9 @@ from dataclasses import dataclass, field
 from repro.errors import FabricError
 from repro.isa.futypes import FU_TYPES, FUType
 
-__all__ = ["FunctionalUnit", "FfuBank", "busy_epoch"]
+__all__ = ["FunctionalUnit", "FfuBank"]
 
 _unit_ids = itertools.count()
-
-
-class _BusyEpoch:
-    """Process-wide monotonically increasing busy-state version."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-
-_BUSY_EPOCH = _BusyEpoch()
-
-
-def busy_epoch() -> int:
-    """The current busy-state version (see module docstring)."""
-    return _BUSY_EPOCH.value
 
 
 @dataclass(slots=True)
@@ -68,7 +49,6 @@ class FunctionalUnit:
         return not self.busy
 
     def _notify(self, idle: bool) -> None:
-        _BUSY_EPOCH.value += 1
         for listener in self.listeners:
             listener.unit_state_changed(self, idle)
 
@@ -91,8 +71,6 @@ class FunctionalUnit:
         self.occupant = None
         if was_busy:
             self._notify(True)
-        else:
-            _BUSY_EPOCH.value += 1  # preserved epoch semantics: always bumps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "busy" if self.busy else "idle"

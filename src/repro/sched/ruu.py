@@ -21,7 +21,16 @@ implementation adds the substrate details a working processor needs:
 * **completion by event** — issuing an instruction of latency *L* files
   it in a due-cycle map under cycle ``clock + L - 1``; :meth:`tick`
   completes that cycle's entries and releases their units, so no per-unit
-  or per-entry count-down is swept every cycle.
+  or per-entry count-down is swept every cycle;
+* **busy unit-cycles by event** — each occupancy adds its length to a
+  per-type total when the unit is released (a completion adds
+  ``clock - issue_cycle + 1``, a squash ``clock - issue_cycle``), and
+  :meth:`busy_unit_cycles` adds the units still in flight;
+* **idle-issue reuse** — an issue step that raised no request leaves no
+  trace, so while its inputs (the result-available and availability
+  buses, the stale bus of pipelined scheduling and the wake-up array's
+  packed state) stay equal, :meth:`issue_and_execute` returns that step's
+  report again instead of re-evaluating the wake-up logic.
 """
 
 from __future__ import annotations
@@ -134,6 +143,21 @@ class RegisterUpdateUnit:
         self.flushed = 0
         self.memory_stalls = 0
         self.issued_per_type: dict[FUType, int] = {t: 0 for t in FU_TYPES}
+        #: busy unit-cycles per type of the occupancies that have ended.
+        self._busy_cycles: dict[FUType, int] = {t: 0 for t in FU_TYPES}
+        #: bumped whenever the set of WAITING entries changes (a dispatch, a
+        #: grant, a flush): the steering policies recompute what they derive
+        #: from :meth:`ready_unscheduled` only when it moves.
+        self.waiting_version = 0
+        #: the last issue step's report when it raised no request, with the
+        #: inputs it saw; ``None`` once a step raised one.
+        self._idle_report: IssueReport | None = None
+        self._idle_result_bits = 0
+        self._idle_live_bits = 0
+        self._idle_stale_bits: int | None = None
+        self._idle_need = 0
+        self._idle_occupied = 0
+        self._idle_scheduled = 0
 
     # ------------------------------------------------------------ queries
     def __len__(self) -> int:
@@ -199,6 +223,7 @@ class RegisterUpdateUnit:
         if dest is not None:
             rename[dest] = seq
         self.dispatched += 1
+        self.waiting_version += 1
         return entry
 
     # ------------------------------------------------------------ operands
@@ -262,34 +287,52 @@ class RegisterUpdateUnit:
 
     def issue_and_execute(self) -> IssueReport:
         """One issue step: wake-up requests, grants, functional execution."""
-        report = IssueReport()
-        # de-assert the scheduled bit of last cycle's collision losers (the
-        # Fig. 6 reschedule input): they re-request from this cycle on
-        for row in self._pending_reschedule:
-            if row in self._entries and self._entries[row].state is EntryState.WAITING:
-                self.wakeup.reschedule(row)
-        self._pending_reschedule.clear()
-
+        idle = self._idle_report
+        if self._pending_reschedule:
+            idle = None
+            # de-assert the scheduled bit of last cycle's collision losers
+            # (the Fig. 6 reschedule input): they re-request from now on
+            for row in self._pending_reschedule:
+                if row in self._entries and self._entries[row].state is EntryState.WAITING:
+                    self.wakeup.reschedule(row)
+            self._pending_reschedule.clear()
         result_bits = self._result_available_bits()
         live_bits = self._resource_available_bits()
+        stale_bits = self._stale_resource_bits
+        wakeup = self.wakeup
+        if (
+            idle is not None
+            and result_bits == self._idle_result_bits
+            and live_bits == self._idle_live_bits
+            and stale_bits == self._idle_stale_bits
+            and wakeup._need == self._idle_need
+            and wakeup._occupied == self._idle_occupied
+            and wakeup._scheduled == self._idle_scheduled
+        ):
+            # the same inputs raise no request again, and a step without a
+            # request changes nothing (the stale bus already equals the
+            # live one), so the last report stands for this step too
+            return idle
+
+        report = IssueReport()
         if self.pipelined_scheduling:
-            wakeup_bits = (
-                self._stale_resource_bits
-                if self._stale_resource_bits is not None
-                else live_bits
-            )
+            wakeup_bits = stale_bits if stale_bits is not None else live_bits
             self._stale_resource_bits = live_bits
         else:
             wakeup_bits = live_bits
-        req_mask = self.wakeup.requests_mask(wakeup_bits, result_bits)
+        req_mask = wakeup.requests_mask(wakeup_bits, result_bits)
         report.requests = req_mask.bit_count()
         # rows ready on data but blocked on a unit: what steering fixes
         # (none when every unit type is available)
         if wakeup_bits != _ALL_RESOURCES:
             report.resource_blocked = (
-                self.wakeup.requests_mask(_ALL_RESOURCES, result_bits).bit_count()
+                wakeup.requests_mask(_ALL_RESOURCES, result_bits).bit_count()
                 - report.requests
             )
+        if not req_mask:
+            self._remember_idle(report, result_bits, live_bits, stale_bits)
+            return report
+        self._idle_report = None
         # oldest-first grants (the select_grants arbitration) over the
         # requesting rows only: their set bits, ordered by sequence number
         granted_rows: list[int] = []
@@ -343,6 +386,7 @@ class RegisterUpdateUnit:
                 self._execute_alu(entry)
             entry.unit = self.fabric.issue(entry.fu_type, entry.seq)
             entry.state = EntryState.ISSUED
+            self.waiting_version += 1
             entry.issue_cycle = self.clock
             due = self.clock + entry.instruction.latency - 1
             filed = self._due.get(due)
@@ -355,6 +399,23 @@ class RegisterUpdateUnit:
             report.granted.append(row)
             report.issued.append(entry.seq)
         return report
+
+    def _remember_idle(
+        self, report: IssueReport, result_bits: int, live_bits: int, stale_bits
+    ) -> None:
+        """Keep a request-free step's report and inputs for reuse, unless a
+        debug cross-check is armed: those must see every evaluation."""
+        if WakeupArray.crosscheck or self.fabric.availability_crosscheck:
+            self._idle_report = None
+            return
+        wakeup = self.wakeup
+        self._idle_report = report
+        self._idle_result_bits = result_bits
+        self._idle_live_bits = live_bits
+        self._idle_stale_bits = stale_bits
+        self._idle_need = wakeup._need
+        self._idle_occupied = wakeup._occupied
+        self._idle_scheduled = wakeup._scheduled
 
     # ------------------------------------------------------ execution kinds
     def _execute_alu(self, entry: RuuEntry) -> None:
@@ -395,21 +456,36 @@ class RegisterUpdateUnit:
         """End the cycle: complete the entries due now, then advance the clock.
 
         A completing entry asserts its result-available line (its row's bit
-        in the incrementally-maintained ``_completed_bits`` bus) and
-        releases its unit.  An entry a flush squashed is no longer in its
-        row and is skipped."""
-        due = self._due.pop(self.clock, None)
+        in the incrementally-maintained ``_completed_bits`` bus), releases
+        its unit and adds the cycles it held it to the busy total.  An
+        entry a flush squashed is no longer in its row and is skipped."""
+        clock = self.clock
+        due = self._due.pop(clock, None)
         if due is not None:
             entries = self._entries
             bits = self._completed_bits
+            busy = self._busy_cycles
             completed = EntryState.COMPLETED
             for row, entry in due:
                 if entries.get(row) is entry:
                     entry.state = completed
                     bits |= 1 << row
                     entry.unit.release()
+                    busy[entry.fu_type] += clock - entry.issue_cycle + 1
             self._completed_bits = bits
-        self.clock += 1
+        self.clock = clock + 1
+
+    def busy_unit_cycles(self) -> dict[FUType, int]:
+        """Unit-cycles per type spent executing, through the last tick.
+
+        Each cycle a unit is busy at the end of (before its completion is
+        ticked) counts once; the units still in flight count up to now.
+        """
+        busy = dict(self._busy_cycles)
+        for e in self._order:
+            if e.state is EntryState.ISSUED:
+                busy[e.fu_type] += self.clock - e.issue_cycle
+        return busy
 
     # -------------------------------------------------------------- retire
     def retire(self) -> list[RuuEntry]:
@@ -457,6 +533,9 @@ class RegisterUpdateUnit:
         for row, e in victims:
             if e.state is EntryState.ISSUED:
                 e.unit.release()
+                # squashed during this cycle's issue step: it was busy at
+                # the end of every cycle from its issue up to the last one
+                self._busy_cycles[e.fu_type] += self.clock - e.issue_cycle
             self.wakeup.remove(row)
             self._completed_bits &= ~(1 << row)
             del self._entries[row]
@@ -468,6 +547,7 @@ class RegisterUpdateUnit:
             if dest is not None:
                 self._rename[dest] = e.seq
         self.flushed += len(victims)
+        self.waiting_version += 1
         return len(victims)
 
     # ------------------------------------------------------------- helpers

@@ -66,7 +66,10 @@ class WakeupArray:
 
     #: when set (class-wide), every :meth:`requests_mask` evaluation is
     #: checked against :meth:`requests_reference`; a divergence raises
-    #: :class:`SchedulerError`.  Used by the equivalence tests.
+    #: :class:`SchedulerError`.  Used by the equivalence tests.  While set,
+    #: the register update unit evaluates every issue step (it otherwise
+    #: reuses a request-free step while ``_need``, ``_occupied``,
+    #: ``_scheduled`` and the buses are unchanged).
     crosscheck = False
 
     def __init__(self, n_entries: int = 7) -> None:

@@ -32,43 +32,70 @@ from repro.isa.futypes import FU_TYPES, FUType
 
 __all__ = ["DemandSynthesizer", "greedy_fill", "greedy_fill_counts"]
 
+#: slot cost per type, indexed like ``FU_TYPES``.
+_SLOT_COSTS = tuple(t.slot_cost for t in FU_TYPES)
+#: the smallest marginal value worth a unit (the fill's stopping rule).
+_MIN_MARGINAL = 0.05
+
+
+def _fill(
+    demand: Sequence[float],
+    free: int,
+    provisioned: list[int],
+    added: list[int],
+    min_marginal: float,
+) -> None:
+    """The greedy knapsack over per-type lists indexed like ``FU_TYPES``.
+
+    ``provisioned`` starts at the fixed units and ``added`` at zero; each
+    unit the fill adds is counted in both.
+    """
+    n_types = len(_SLOT_COSTS)
+    while free > 0:
+        best = -1
+        best_value = 0.0
+        for i in range(n_types):
+            cost = _SLOT_COSTS[i]
+            if cost > free:
+                continue
+            have = provisioned[i]
+            if have >= demand[i]:
+                continue  # demand already saturated: more units are waste
+            marginal = demand[i] / (have * cost)
+            if marginal > best_value:
+                best_value = marginal
+                best = i
+        if best < 0 or best_value < min_marginal:
+            break
+        provisioned[best] += 1
+        added[best] += 1
+        free -= _SLOT_COSTS[best]
+
+
+def _sparse(added: Sequence[int]) -> dict[FUType, int]:
+    """Per-type counts indexed like ``FU_TYPES`` as a dict of the nonzero."""
+    return {t: n for t, n in zip(FU_TYPES, added) if n}
+
 
 def greedy_fill_counts(
     demand: Sequence[float],
     n_slots: int = 8,
     ffu_counts: dict[FUType, int] | None = None,
-    min_marginal: float = 0.05,
+    min_marginal: float = _MIN_MARGINAL,
 ) -> dict[FUType, int]:
     """Fill the slot budget greedily by marginal demand value.
 
     Each step adds the unit type with the highest demand per
     already-provisioned unit (discounted by slot cost), skipping types
-    whose demand is already saturated.  Returns the raw per-type counts;
+    whose demand is already saturated; ties go to the type first in
+    ``FU_TYPES``.  Returns the raw per-type counts of the types it added;
     :func:`greedy_fill` wraps them in a named :class:`Configuration`.
-    The counts form is the per-cycle path: the synthesizer only
-    materialises a Configuration when the loader actually retargets.
     """
     ffus = FFU_COUNTS if ffu_counts is None else ffu_counts
-    counts: dict[FUType, int] = {}
-    free = n_slots
-    while free > 0:
-        best_type: FUType | None = None
-        best_value = 0.0
-        for i, t in enumerate(FU_TYPES):
-            if t.slot_cost > free:
-                continue
-            provisioned = ffus.get(t, 0) + counts.get(t, 0)
-            if provisioned >= demand[i]:
-                continue  # demand already saturated: more units are waste
-            marginal = demand[i] / (provisioned * t.slot_cost)
-            if marginal > best_value:
-                best_value = marginal
-                best_type = t
-        if best_type is None or best_value < min_marginal:
-            break
-        counts[best_type] = counts.get(best_type, 0) + 1
-        free -= best_type.slot_cost
-    return counts
+    provisioned = [ffus.get(t, 0) for t in FU_TYPES]
+    added = [0] * len(FU_TYPES)
+    _fill(demand, n_slots, provisioned, added, min_marginal)
+    return _sparse(added)
 
 
 def greedy_fill(
@@ -76,7 +103,7 @@ def greedy_fill(
     n_slots: int = 8,
     ffu_counts: dict[FUType, int] | None = None,
     name: str = "synth",
-    min_marginal: float = 0.05,
+    min_marginal: float = _MIN_MARGINAL,
 ) -> Configuration:
     """:func:`greedy_fill_counts` materialised as a named configuration.
 
@@ -108,9 +135,12 @@ class DemandSynthesizer:
         self.improvement_margin = improvement_margin
         self._demand = [0.0] * len(FU_TYPES)
         self._synth_counter = 0
-        #: reused per-type buffer for the hysteresis comparison, so the
-        #: per-cycle retarget check allocates nothing.
-        self._scratch_target: list[int] = []
+        self._ffu_list = [self.ffu_counts.get(t, 0) for t in FU_TYPES]
+        #: reused per-type buffers of the last synthesis (indexed like
+        #: ``FU_TYPES``): fixed + synthesized units, and synthesized only,
+        #: so the per-cycle synthesis and retarget check allocate nothing.
+        self._provisioned = [0] * len(FU_TYPES)
+        self._added = [0] * len(FU_TYPES)
 
     @property
     def demand(self) -> tuple[float, ...]:
@@ -127,61 +157,70 @@ class DemandSynthesizer:
         for i, r in enumerate(required):
             self._demand[i] = (1.0 - a) * self._demand[i] + a * r
 
-    def synthesize_counts(self) -> dict[FUType, int]:
-        """Greedy knapsack: fill the slot budget by marginal demand value.
-
-        One synthesis event per call (the counter that names materialised
-        configurations advances here, whether or not the result is ever
-        adopted), but no :class:`Configuration` is built — the per-cycle
-        path stays allocation-light and only :meth:`materialize` pays for
-        a named object when the loader actually retargets.
-        """
+    def _synthesize(self) -> None:
+        """Greedy knapsack into the reused buffers: one synthesis event (the
+        counter that names materialised configurations advances here,
+        whether or not the result is ever adopted)."""
         self._synth_counter += 1
-        return greedy_fill_counts(
-            self._demand, n_slots=self.n_slots, ffu_counts=self.ffu_counts
-        )
+        provisioned = self._provisioned
+        added = self._added
+        provisioned[:] = self._ffu_list
+        for i in range(len(added)):
+            added[i] = 0
+        _fill(self._demand, self.n_slots, provisioned, added, _MIN_MARGINAL)
+
+    def propose(self, current_counts: Sequence[int]) -> Configuration | None:
+        """One synthesis event, adopted only past the hysteresis margin.
+
+        Returns the synthesized configuration when it beats
+        ``current_counts`` (live configured units per type, fixed bank
+        included) by the improvement margin, else ``None``.  This is the
+        per-cycle path: it builds a :class:`Configuration` only when it
+        returns one.
+        """
+        self._synthesize()
+        if not self._improves(self._provisioned, current_counts):
+            return None
+        # repro: cold-call -- retarget adoption: bounded by accepted
+        # reconfigurations (hysteresis-gated), not cycles
+        return self.materialize(_sparse(self._added))
 
     def materialize(self, counts: dict[FUType, int]) -> Configuration:
-        """Wrap synthesized counts as the named, validated configuration."""
+        """Wrap RFU counts as the named, validated configuration of the
+        latest synthesis event."""
         return Configuration(f"demand-{self._synth_counter}", counts).validate(
             self.n_slots
         )
 
     def synthesize(self) -> Configuration:
-        """One-shot convenience: :meth:`synthesize_counts` materialised."""
-        return self.materialize(self.synthesize_counts())
-
-    def should_retarget_counts(
-        self,
-        counts: dict[FUType, int],
-        current_counts: Sequence[int],
-    ) -> bool:
-        """Hysteresis: retarget only on a clear expected improvement.
-
-        ``counts`` are synthesized RFU counts (:meth:`synthesize_counts`);
-        ``current_counts`` are the live configured units per type
-        (including the fixed bank).
-        """
-        target_counts = self._scratch_target
-        target_counts.clear()
-        for t in FU_TYPES:
-            target_counts.append(counts.get(t, 0) + self.ffu_counts.get(t, 0))
-        current_err = self._saturated_error(current_counts)
-        target_err = self._saturated_error(target_counts)
-        if current_err <= 0.0:
-            return False
-        return target_err < current_err * (1.0 - self.improvement_margin)
+        """One synthesis event, materialised whether or not it would be
+        adopted."""
+        self._synthesize()
+        return self.materialize(_sparse(self._added))
 
     def should_retarget(
         self,
         target: Configuration,
         current_counts: Sequence[int],
     ) -> bool:
-        """:meth:`should_retarget_counts` for an already-built configuration."""
-        counts: dict[FUType, int] = {}
-        for t in FU_TYPES:
-            counts[t] = target.count(t)
-        return self.should_retarget_counts(counts, current_counts)
+        """Hysteresis: retarget only on a clear expected improvement.
+
+        ``target`` holds RFU counts; ``current_counts`` are the live
+        configured units per type (including the fixed bank).
+        """
+        target_counts = [
+            target.count(t) + self.ffu_counts.get(t, 0) for t in FU_TYPES
+        ]
+        return self._improves(target_counts, current_counts)
+
+    def _improves(
+        self, target_counts: Sequence[int], current_counts: Sequence[int]
+    ) -> bool:
+        current_err = self._saturated_error(current_counts)
+        target_err = self._saturated_error(target_counts)
+        if current_err <= 0.0:
+            return False
+        return target_err < current_err * (1.0 - self.improvement_margin)
 
     def _saturated_error(self, available: Sequence[int]) -> float:
         """Queue-drain estimate: a type's term cannot drop below one cycle,

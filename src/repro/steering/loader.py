@@ -15,6 +15,11 @@ configuration-bus transfer, only the RFU slots that are **not busy**:
 Because only idle slots change, the active configuration is generally a
 *hybrid overlap* of steering configurations — exactly the behaviour the
 paper describes.
+
+:meth:`ConfigurationLoader.missing_units` runs every cycle the bus is free,
+but its answer moves only with the target, the configured units (the slot
+array's ``structure_version``) and the units in flight (a load into empty
+slots bumps only ``reconfigurations``), so it is memoised on those three.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FU_TYPES, FUType
 
 __all__ = ["LoadPlan", "ConfigurationLoader"]
+
+#: memo key of a loader that has not counted its missing units yet.
+_UNSET = object()
 
 
 def _slot_cost_of(fu_type: FUType) -> int:
@@ -61,6 +69,12 @@ class ConfigurationLoader:
         self._target: Configuration | None = None
         #: completed loads, for statistics/tracing.
         self.history: list[LoadPlan] = []
+        #: missing_units() memo and its key: the target object, the slot
+        #: array's structure version and its reconfiguration count.
+        self._missing: list[FUType] = []
+        self._missing_target: object = _UNSET
+        self._missing_version = -1
+        self._missing_reconfigs = -1
 
     # ------------------------------------------------------------- target
     @property
@@ -90,7 +104,26 @@ class ConfigurationLoader:
         return have
 
     def missing_units(self) -> list[FUType]:
-        """Unit types the target still lacks, largest slot cost first."""
+        """Unit types the target still lacks, largest slot cost first.
+
+        Memoised (see the module docstring): treat the list as read-only.
+        """
+        rfus = self.fabric.rfus
+        target = self._target
+        if (
+            target is not self._missing_target
+            or rfus.structure_version != self._missing_version
+            or rfus.reconfigurations != self._missing_reconfigs
+        ):
+            # repro: cold-call -- memo miss: bounded by target changes, loads
+            # and evictions, not cycles
+            self._missing = self._count_missing()
+            self._missing_target = target
+            self._missing_version = rfus.structure_version
+            self._missing_reconfigs = rfus.reconfigurations
+        return self._missing
+
+    def _count_missing(self) -> list[FUType]:
         if self._target is None:
             return []
         have = self._have()

@@ -8,6 +8,11 @@ Each cycle the manager
    target when the current configuration wins), and
 3. lets the loader start at most one partial reconfiguration.
 
+Step 1 is a pure function of its two inputs, so a caller that knows they
+have not changed may hand the previous :class:`SelectionResult` to
+:meth:`ConfigurationManager.apply`, which runs steps 2 and 3 and counts the
+cycle exactly as :meth:`ConfigurationManager.cycle` would.
+
 It also keeps the statistics the evaluation harness reports (selection
 histogram, reconfiguration count) and the most recent cycle's result,
 which observers read (``repro.core.tracing.SteeringTrace`` rebuilds the
@@ -97,7 +102,11 @@ class ConfigurationManager:
         """One clock of the manager.  ``ready_queue`` holds the unscheduled
         instructions the selection unit inspects (at most the queue size)."""
         counts = self.loader.current_counts()
-        result = self.selection_unit.select(ready_queue, counts)
+        return self.apply(self.selection_unit.select(ready_queue, counts))
+
+    def apply(self, result: SelectionResult) -> SelectionResult:
+        """One clock of the manager with this cycle's selection already
+        made: steer the loader toward it and count it."""
         self.loader.set_target(result.config)
         plan = self.loader.step()
 

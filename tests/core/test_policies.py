@@ -1,5 +1,7 @@
 """Tests for the steering policies and baselines."""
 
+import random
+
 import pytest
 
 from repro.core.baselines import (
@@ -25,7 +27,7 @@ from repro.fabric.configuration import (
 )
 from repro.fabric.fabric import Fabric
 from repro.frontend.memory import DataMemory
-from repro.isa.futypes import FUType
+from repro.isa.futypes import FU_TYPES, FUType
 from repro.sched.ruu import RegisterUpdateUnit
 from repro.workloads.kernels import checksum, newton_sqrt, saxpy
 
@@ -93,6 +95,61 @@ class TestOracleSteering:
         policy.bind(fabric)
         # empty trace: keeps current, no crash
         policy.cycle(RegisterUpdateUnit(fabric, DataMemory(size=64)))
+
+
+class TestOracleWindow:
+    """The sliding window equals a direct recount at every retire point."""
+
+    @staticmethod
+    def _recount(trace, retired, lookahead):
+        counts = [0] * len(FU_TYPES)
+        for t in trace[retired : retired + lookahead]:
+            counts[FU_TYPES.index(t)] += 1
+        return tuple(counts)
+
+    @pytest.mark.parametrize("lookahead", [1, 3, 16, 64])
+    def test_window_slides_exactly(self, lookahead):
+        rng = random.Random(lookahead)
+        trace = [rng.choice(FU_TYPES) for _ in range(150)]
+        policy = OracleSteering(trace, lookahead=lookahead)
+        retired = 0
+        # steps of 0 (no retirement), retire-width steps and jumps past a
+        # whole window, through the tail and beyond the trace's end
+        while retired <= len(trace) + 8:
+            got = policy._window_required(retired)
+            assert got == self._recount(trace, retired, lookahead), retired
+            retired += rng.choice((0, 1, 2, 4, lookahead + 3))
+
+    def test_every_retire_point_through_the_tail(self):
+        rng = random.Random(7)
+        trace = [rng.choice(FU_TYPES) for _ in range(90)]
+        policy = OracleSteering(trace, lookahead=64)
+        for retired in range(len(trace) + 3):
+            assert policy._window_required(retired) == self._recount(trace, retired, 64)
+
+    def test_choice_follows_the_configured_counts(self):
+        """With the retire point still, a completed load alone can change
+        the best candidate: here the current configuration catches up with
+        the floating one and wins the tie, so the target is dropped."""
+        policy = OracleSteering([FUType.FP_ALU] * 200, lookahead=64)
+        fabric = Fabric(reconfig_latency=1)
+        policy.bind(fabric)
+        ruu = RegisterUpdateUnit(fabric, DataMemory(size=64))
+        policy.cycle(ruu)
+        assert policy.loader.target is CONFIG_FLOATING
+        for _ in range(10):
+            fabric.tick()
+            policy.cycle(ruu)
+        assert fabric.rfus.counts() == {FUType.FP_ALU: 1}
+        assert policy.loader.target is None
+
+    def test_rebinding_restarts_the_window(self):
+        trace = list(FU_TYPES) * 20
+        policy = OracleSteering(trace, lookahead=8)
+        policy.bind(Fabric(reconfig_latency=1))
+        policy._window_required(50)
+        policy.bind(Fabric(reconfig_latency=1))
+        assert policy._window_required(3) == self._recount(trace, 3, 8)
 
 
 class TestPaperSteeringPolicy:

@@ -290,6 +290,54 @@ class TestFlush:
         _dispatch(ruu, "add x7, x8, x9\n")  # row reusable
 
 
+class TestWaitingVersion:
+    """``waiting_version`` moves whenever the ready-unscheduled set does."""
+
+    def test_dispatch_grant_and_flush_move_it(self):
+        ruu = _ruu()
+        v0 = ruu.waiting_version
+        e = _dispatch(ruu, "fdiv f1, f2, f3\nadd x1, x2, x3\nadd x4, x1, x5\n")
+        v1 = ruu.waiting_version
+        assert v1 != v0
+        _cycle(ruu)  # fdiv and the first add are granted
+        v2 = ruu.waiting_version
+        assert v2 != v1
+        ruu.flush_younger(e[1].seq)  # squashes the still-waiting add
+        assert ruu.waiting_version != v2
+        assert [i.mnemonic for i in ruu.ready_unscheduled()] == []
+
+    def test_completion_and_retire_leave_it(self):
+        ruu = _ruu()
+        _dispatch(ruu, "add x1, x2, x3\n")
+        _cycle(ruu)
+        version = ruu.waiting_version
+        _cycle(ruu, 3)
+        ruu.retire()
+        assert ruu.waiting_version == version
+
+
+class TestBusyUnitCycles:
+    def test_completion_adds_the_latency(self):
+        ruu = _ruu()
+        _dispatch(ruu, "fdiv f1, f2, f3\n")
+        _cycle(ruu, 20)
+        assert ruu.busy_unit_cycles()[FUType.FP_MDU] == 16
+
+    def test_in_flight_counts_up_to_now(self):
+        ruu = _ruu()
+        _dispatch(ruu, "fdiv f1, f2, f3\n")
+        _cycle(ruu, 5)
+        assert ruu.busy_unit_cycles()[FUType.FP_MDU] == 5
+
+    def test_squash_counts_the_cycles_before_the_flush(self):
+        ruu = _ruu()
+        _dispatch(ruu, "fdiv f1, f2, f3\n")
+        _cycle(ruu, 5)
+        ruu.flush_younger(-1)
+        _cycle(ruu, 5)
+        assert ruu.busy_unit_cycles()[FUType.FP_MDU] == 5
+
+
 class TestControl:
     def test_branch_resolution_reported(self):
         ruu = _ruu()

@@ -160,3 +160,62 @@ class TestMissingAndSurplus:
         plans = _drive(loader, fabric, 60)
         evicted = [t for p in plans for t in p.evicted]
         assert FUType.INT_ALU in evicted or FUType.INT_MDU in evicted
+
+
+class TestMissingUnitsMemo:
+    """The memo is rebuilt whenever the answer could move."""
+
+    @staticmethod
+    def _fresh(loader):
+        return loader._count_missing()
+
+    def test_load_into_empty_slots_invalidates(self, fabric, loader):
+        fabric.rfus.reconfig_latency = 50
+        loader.set_target(CONFIG_FLOATING)
+        before = loader.missing_units()
+        version = fabric.rfus.structure_version
+        assert loader.step() is not None
+        # nothing was evicted, only a load started into empty slots
+        assert fabric.rfus.structure_version == version
+        after = loader.missing_units()
+        assert after == self._fresh(loader)
+        assert len(after) == len(before) - 1
+
+    def test_eviction_invalidates(self, fabric, loader):
+        loader.set_target(CONFIG_INTEGER)
+        _drive(loader, fabric, 60)
+        assert loader.missing_units() == []
+        head = fabric.rfus.units()[0][0]
+        fabric.rfus._remove_unit(head)  # an eviction, and nothing else
+        assert loader.missing_units() == self._fresh(loader) != []
+
+    def test_load_completion_invalidates(self, fabric, loader):
+        fabric.rfus.reconfig_latency = 3
+        loader.set_target(CONFIG_MEMORY)
+        plan = loader.step()
+        in_flight = loader.missing_units()
+        for _ in range(plan.latency - 1):
+            fabric.tick()
+            assert loader.missing_units() is in_flight  # nothing moved yet
+        version = fabric.rfus.structure_version
+        fabric.tick()  # the load completes
+        assert fabric.rfus.structure_version != version
+        assert loader.missing_units() is not in_flight
+        assert loader.missing_units() == self._fresh(loader) == in_flight
+
+    def test_retarget_invalidates(self, loader):
+        loader.set_target(CONFIG_MEMORY)
+        memory = loader.missing_units()
+        loader.set_target(CONFIG_FLOATING)
+        assert loader.missing_units() == self._fresh(loader) != memory
+        loader.set_target(None)
+        assert loader.missing_units() == []
+
+    def test_matches_recount_while_steering(self, fabric, loader):
+        targets = [CONFIG_INTEGER, CONFIG_FLOATING, None, CONFIG_MEMORY]
+        for cycle in range(400):
+            if cycle % 37 == 0:
+                loader.set_target(targets[(cycle // 37) % len(targets)])
+            assert loader.missing_units() == self._fresh(loader)
+            loader.step()
+            fabric.tick()
