@@ -4,7 +4,8 @@ Exit codes follow the convention of the other gates in this repo:
 
 * ``0`` — no *new* findings (baselined findings are reported, not fatal);
 * ``1`` — at least one finding outside the committed baseline;
-* ``2`` — configuration problem (missing/invalid layers.toml, bad rule
+* ``2`` — configuration problem (missing/invalid layers.toml, a
+  hot-zone or process-role entry that names no function, bad rule
   filter, unreadable paths, an ``--explain`` target that matches no
   finding).
 
@@ -198,6 +199,18 @@ def _parse_explain_target(spec: str) -> tuple[str, int, str] | None:
         return None
 
 
+def _unresolved_config(engine: AnalysisEngine, config_path) -> bool:
+    """Report every config root naming no function; True if any."""
+    unresolved = engine.build_analysis([]).unresolved_roots()
+    for entry in unresolved:
+        print(
+            f"repro lint: {config_path}: {entry} names no function "
+            "in the tree",
+            file=sys.stderr,
+        )
+    return bool(unresolved)
+
+
 def run_lint(args: argparse.Namespace) -> int:
     repo_root = pathlib.Path.cwd()
     root = pathlib.Path(args.root) if args.root else repo_root / "src"
@@ -283,6 +296,8 @@ def run_lint(args: argparse.Namespace) -> int:
                 if (root / module_path).exists()
             ]
             if not paths:
+                if _unresolved_config(engine, config_path):
+                    return 2
                 print("repro lint --changed: no analysable files changed")
                 if args.graph_out:
                     pathlib.Path(args.graph_out).write_text(
@@ -292,6 +307,8 @@ def run_lint(args: argparse.Namespace) -> int:
                 return 0
 
     findings = engine.run(paths)
+    if _unresolved_config(engine, config_path):
+        return 2
 
     if args.graph_out:
         pathlib.Path(args.graph_out).write_text(engine.graph_json() + "\n")

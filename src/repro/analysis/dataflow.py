@@ -116,6 +116,32 @@ class GraphAnalysis:
                 )
         return roots
 
+    def unresolved_roots(self) -> list[str]:
+        """Hot-zone and process-role entries that name no function.
+
+        The passes skip such an entry, so a renamed or deleted root
+        would silently stop being checked; ``repro lint`` reports each
+        one as a configuration error instead.
+        """
+        out: list[str] = []
+        for mp, spec in sorted(self.config.hotzones.items()):
+            summary = self.graph.summaries.get(mp)
+            if summary is None:
+                out.append(f"hotzones: {mp}")
+                continue
+            out.extend(
+                f"hotzones: {mp}::{q}"
+                for q in spec
+                if q != "*" and q not in summary["functions"]
+            )
+        for role, roots in sorted(self.config.process_roles.items()):
+            out.extend(
+                f"process_roles.{role}: {root}"
+                for root in roots
+                if root not in self.graph.functions
+            )
+        return out
+
     def _hot_reachability(self) -> dict[str, list]:
         return self.graph.reachable_from(
             self._hot_roots(), OBLIGATION_CONFIDENCE, skip_cold=True

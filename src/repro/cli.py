@@ -254,7 +254,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     from repro.serving.app import serve
 
-    return serve(sim_workers=args.sim_workers, **common)
+    return serve(**common)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -544,9 +544,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="dedicated simulation worker processes draining "
                           "the durable job queue (supervisor mode only; "
                           "0 = API workers run jobs themselves)")
-    srv.add_argument("--sim-workers", type=int, default=0,
-                     help="simulation worker processes per submitted job "
-                          "(0 = simulate in the server's job thread)")
     srv.add_argument("--retention-max-runs", type=int, default=None,
                      help="on startup, keep only the newest N runs in the "
                           "store")

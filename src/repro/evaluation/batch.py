@@ -1,4 +1,4 @@
-"""Parallel batch simulation engine.
+"""Batch simulation engine.
 
 Every evaluation experiment reduces to the same shape: a list of
 independent (program, parameters, policy) simulations whose results are
@@ -7,17 +7,13 @@ then aggregated.  This module gives that shape one engine:
 * :class:`SimJob` — a fully serialisable job description.  Policies are
   named through a factory registry (a policy object holds live fabric
   references, so jobs carry the *recipe*, never the instance);
-* :func:`run_many` — executes a batch sequentially or across worker
-  processes (:class:`concurrent.futures.ProcessPoolExecutor`), preserving
-  job order in the returned results.  The parallel path ships each
-  distinct **program image once per worker** (not once per job): the
-  distinct programs of the batch are keyed by their content hash and
-  installed into a worker-global registry through the pool initializer —
-  inherited for free under the ``fork`` start method, pickled exactly
-  once per worker otherwise — and the per-job payload submitted to the
-  pool carries only the factory name, parameters and the program's hash.
-  A thousand-job sweep over one workload serialises the program image a
-  handful of times (once per worker), not a thousand;
+* :func:`run_many` — deduplicates a batch by content key, answers what it
+  can from the cache, and runs every remaining job through
+  :func:`execute_job`, in this process or as one
+  :class:`concurrent.futures.ProcessPoolExecutor` task per job, preserving
+  job order in the returned results.  A pickled job is a few kilobytes
+  and crosses the process boundary in well under a millisecond, against
+  about a hundred milliseconds of simulation, so jobs travel whole;
 * :class:`ResultCache` — a content-addressed result store (in-memory,
   optionally spilled to disk) keyed by :func:`job_key`, a SHA-256 over the
   job's complete semantic fingerprint: program binary + data image,
@@ -34,14 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import threading
 import time
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable, Iterable
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -67,7 +62,6 @@ __all__ = [
     "run_many",
     "execute_job",
     "job_key",
-    "program_key",
     "FACTORY_NAMES",
 ]
 
@@ -303,188 +297,6 @@ def job_key(job: SimJob) -> str:
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
 
 
-def program_key(program: Program) -> str:
-    """Content key of a program image alone (SHA-256 of its fingerprint).
-
-    Used by the parallel path of :func:`run_many` to ship each distinct
-    program to the worker processes exactly once, however many jobs of the
-    batch reference it.
-    """
-    return hashlib.sha256(repr(_canon(program)).encode()).hexdigest()
-
-
-# ------------------------------------------------- worker-side program store
-#: per-worker registry of program images, installed by :func:`_init_worker`
-#: before the worker accepts its first job.  Keyed by :func:`program_key`.
-_WORKER_PROGRAMS: dict[str, Program] = {}
-
-
-# repro: allow[CON002] -- worker-process-local state: each pool worker owns
-# its copy of _WORKER_PROGRAMS; no threads share it
-def _init_worker(programs: dict[str, Program]) -> None:
-    """Pool initializer: install the batch's distinct programs.
-
-    Runs once per worker process.  Under the ``fork`` start method the
-    dict arrives through the copied address space for free; under
-    ``spawn``/``forkserver`` it is pickled once per worker — either way
-    the cost is O(workers), not O(jobs).
-    """
-    _WORKER_PROGRAMS.update(programs)
-
-
-def _shm_pack(programs: dict[str, Program]):
-    """Place the pickled program registry in a shared-memory block.
-
-    Spawn-start platforms pickle the pool initializer's arguments once
-    per worker; with the registry in shared memory every worker instead
-    attaches to one block and the per-worker cost drops to the block
-    *name*.  Returns ``(block, payload_size)``, or ``None`` when shared
-    memory is unavailable (the caller falls back to shipping the dict).
-    """
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - stdlib module, but gate anyway
-        return None
-    payload = pickle.dumps(programs)
-    try:
-        block = shared_memory.SharedMemory(create=True, size=max(1, len(payload)))
-    except (OSError, ValueError):  # pragma: no cover - platform without shm
-        return None
-    block.buf[: len(payload)] = payload
-    return block, len(payload)
-
-
-def _shm_unregister(block) -> None:
-    """Detach a block from this process's resource tracker.
-
-    On Python < 3.13 merely *attaching* registers the segment with the
-    worker's resource tracker, which would unlink it behind the parent's
-    back at worker exit; the parent owns cleanup, so undo the
-    registration.
-    """
-    try:  # pragma: no cover - tracker layout is an implementation detail
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(
-            getattr(block, "_name", block.name), "shared_memory"
-        )
-    except Exception:
-        pass
-
-
-# repro: allow[CON002] -- worker-process-local state, as in _init_worker
-def _init_worker_shm(name: str, size: int) -> None:
-    """Pool initializer (spawn path): read the registry out of shared memory."""
-    from multiprocessing import shared_memory
-
-    block = shared_memory.SharedMemory(name=name)
-    try:
-        _WORKER_PROGRAMS.update(pickle.loads(bytes(block.buf[:size])))
-    finally:
-        block.close()
-        _shm_unregister(block)
-
-
-@dataclass
-class _ShippedJob:
-    """The per-job payload crossing the process boundary.
-
-    A :class:`SimJob` minus its heaviest member: the program image is
-    replaced by its content key and resolved from the worker-global
-    registry on arrival.
-    """
-
-    factory: str
-    program_hash: str
-    params: ProcessorParams | None
-    max_cycles: int
-    kwargs: dict[str, Any]
-
-
-def _ship(job: SimJob, key: str) -> _ShippedJob:
-    return _ShippedJob(
-        factory=job.factory,
-        program_hash=key,
-        params=job.params,
-        max_cycles=job.max_cycles,
-        kwargs=job.kwargs,
-    )
-
-
-def _execute_shipped(payload: _ShippedJob) -> Any:
-    """Worker-side entry point: rehydrate the program and run the job."""
-    program = _WORKER_PROGRAMS.get(payload.program_hash)
-    if program is None:
-        raise ConfigurationError(
-            f"worker has no program for hash {payload.program_hash[:12]}…; "
-            "was the pool started with the run_many initializer?"
-        )
-    return _FACTORIES[payload.factory](
-        program, payload.params, payload.max_cycles, **payload.kwargs
-    )
-
-
-def _execute_shipped_timed(payload: _ShippedJob) -> tuple[float, Any]:
-    """Timed worker entry point (batch telemetry): (run_seconds, result).
-
-    The worker reports its own execution wall time; the parent subtracts
-    it from the submit→completion round trip to estimate queue wait.
-    """
-    start = time.perf_counter()
-    result = _execute_shipped(payload)
-    return time.perf_counter() - start, result
-
-
-def _group_by_program(
-    unique: Sequence[tuple[str, SimJob]],
-) -> tuple[dict[str, Program], dict[str, list[tuple[str, SimJob]]]]:
-    """Group a deduplicated batch by program **content hash**.
-
-    Returns ``(programs, groups)``: ``programs`` maps each content key to
-    the batch's canonical :class:`Program` instance, ``groups`` maps the
-    same key to the group's ``(job_key, job)`` pairs in submission order.
-    Jobs whose programs are distinct objects with identical content land
-    in one group and are rebound (``dataclasses.replace``) to the
-    canonical instance, so the worker shipping path sends one image per
-    distinct program — the same identity the :class:`ResultCache` keys
-    already encode.  Hashing is memoised per program *object*, so the
-    common sweep (thousands of jobs sharing one ``Program``) fingerprints
-    it once.
-    """
-    programs: dict[str, Program] = {}
-    groups: dict[str, list[tuple[str, SimJob]]] = {}
-    key_by_id: dict[int, str] = {}
-    for key, job in unique:
-        pkey = key_by_id.get(id(job.program))
-        if pkey is None:
-            pkey = program_key(job.program)
-            key_by_id[id(job.program)] = pkey
-        canonical = programs.setdefault(pkey, job.program)
-        if canonical is not job.program:
-            job = replace(job, program=canonical)
-        groups.setdefault(pkey, []).append((key, job))
-    return programs, groups
-
-
-def _prepare_shipment(
-    unique: Sequence[tuple[str, SimJob]],
-) -> tuple[dict[str, Program], list[tuple[str, _ShippedJob]]]:
-    """Split a deduplicated batch into (distinct programs, light payloads).
-
-    The returned ``programs`` dict goes to the workers once (via the pool
-    initializer); the payloads — one per unique job — carry only the
-    program's content hash.  Separated from :func:`run_many` so the tests
-    can assert on exactly what crosses the process boundary.
-    """
-    programs, groups = _group_by_program(unique)
-    shipped = [
-        (key, _ship(job, pkey))
-        for pkey, pairs in groups.items()
-        for key, job in pairs
-    ]
-    return programs, shipped
-
-
 # ------------------------------------------------------------- result cache
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically (tmp file + :func:`os.replace`).
@@ -676,32 +488,17 @@ def run_many(
     workers: int = 0,
     cache: ResultCache | None = None,
     progress: Callable[[int, int, SimJob], None] | None = None,
-    mp_context: str | None = None,
-    telemetry: Any | None = None,
 ) -> list[Any]:
     """Execute a batch of jobs; results come back in submission order.
 
-    ``workers <= 1`` runs sequentially in this process (the default keeps
-    single-simulation behaviour and avoids process start-up for small
-    batches); ``workers > 1`` fans out over a process pool.  Jobs with
-    identical content keys are simulated once per batch, and a ``cache``
-    answers repeats across batches.  ``progress(done, total, job)`` is
-    invoked as each job resolves (cache hits included).
-
-    Every job runs through :func:`execute_job`: in order in this process,
-    or as one pool task per job.  The parallel path groups jobs by program
-    **content hash** so each distinct program ships to a worker once.
-
-    ``mp_context`` forces a multiprocessing start method ("fork",
-    "spawn", "forkserver"); the default is the platform's.  On non-fork
-    start methods the program registry travels to the workers through
-    one :mod:`multiprocessing.shared_memory` block instead of being
-    pickled once per worker, falling back to per-worker pickling when
-    shared memory is unavailable.
-
-    ``telemetry`` (a :class:`repro.telemetry.BatchTelemetry`) records job
-    outcomes, per-job queue-wait and run wall-time, and worker heartbeats
-    on the engine's existing completion path; scheduling is unchanged.
+    Jobs with identical content keys are simulated once per batch, and a
+    ``cache`` answers repeats across batches.  Every remaining job runs
+    through :func:`execute_job`: in order in this process for
+    ``workers <= 1`` (no process start-up for small batches), or as one
+    :class:`~concurrent.futures.ProcessPoolExecutor` task per job for
+    ``workers > 1``, under the platform's default start method, settled
+    as the tasks complete.  ``progress(done, total, job)`` is invoked as
+    each job resolves (cache hits included).
     """
     jobs = list(jobs)
     total = len(jobs)
@@ -722,15 +519,9 @@ def run_many(
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:
-                if telemetry is not None:
-                    telemetry.cache_hit()
                 resolved(i, hit)
                 continue
         pending.setdefault(key, []).append(i)
-    if telemetry is not None:
-        telemetry.deduped(
-            sum(len(indices) - 1 for indices in pending.values())
-        )
 
     def settle(key: str, result: Any) -> None:
         if cache is not None:
@@ -738,82 +529,16 @@ def run_many(
         for i in pending[key]:
             resolved(i, result)
 
-    unique = [(key, jobs[indices[0]]) for key, indices in pending.items()]
-
     if workers <= 1:
-        for key, job in unique:
-            if telemetry is not None:
-                telemetry.submitted()
-                start = time.perf_counter()
-                result = execute_job(job)
-                telemetry.finished(
-                    job.label or job.factory,
-                    run_seconds=time.perf_counter() - start,
-                    queue_wait=0.0,
-                )
-            else:
-                result = execute_job(job)
-            settle(key, result)
+        for key, indices in pending.items():
+            settle(key, execute_job(jobs[indices[0]]))
         return results
 
-    # Ship each distinct program once per worker (via the pool initializer),
-    # not once per job: payloads carry only the program's content hash.
-    programs, shipped = _prepare_shipment(unique)
-
-    ctx = multiprocessing.get_context(mp_context) if mp_context else None
-    start_method = (ctx or multiprocessing).get_start_method()
-    initializer: Callable[..., None] = _init_worker
-    initargs: tuple[Any, ...] = (programs,)
-    block = None
-    if start_method != "fork":
-        packed = _shm_pack(programs)
-        if packed is not None:
-            block, payload_size = packed
-            initializer, initargs = _init_worker_shm, (block.name, payload_size)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            timed = telemetry is not None
-            run_fn = _execute_shipped_timed if timed else _execute_shipped
-            label_of = {key: (job.label or job.factory) for key, job in unique}
-            futures: dict[Any, str] = {}
-            submitted_at: dict[Any, float] = {}
-            for key, payload in shipped:
-                fut = pool.submit(run_fn, payload)
-                futures[fut] = key
-                submitted_at[fut] = time.perf_counter()
-                if telemetry is not None:
-                    telemetry.submitted()
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(
-                    remaining, return_when=FIRST_COMPLETED
-                )
-                for fut in finished:
-                    key = futures[fut]
-                    outcome = fut.result()
-                    if timed:
-                        run_seconds, result = outcome
-                        round_trip = (
-                            time.perf_counter() - submitted_at[fut]
-                        )
-                        telemetry.finished(
-                            label_of[key],
-                            run_seconds=run_seconds,
-                            queue_wait=max(0.0, round_trip - run_seconds),
-                        )
-                    else:
-                        result = outcome
-                    settle(key, result)
-    finally:
-        if block is not None:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            pool.submit(execute_job, jobs[indices[0]]): key
+            for key, indices in pending.items()
+        }
+        for fut in as_completed(futures):
+            settle(futures[fut], fut.result())
     return results

@@ -253,8 +253,8 @@ def run_phase_adaptation(
 ) -> PhaseAdaptation:
     """E-PH: track the steering trajectory over a phase-changing workload.
 
-    Runs through the batch engine (the ``steering-traced`` factory ships
-    the trace back as a picklable dict), so the traced simulation joins
+    Runs through the batch engine (the ``steering-traced`` factory returns
+    the trace as a picklable dict), so the traced simulation joins
     the report's shared result cache and job graph like every other
     experiment.
     """

@@ -649,7 +649,6 @@ def serve(
     cache_dir: str | None = None,
     host: str = "127.0.0.1",
     port: int = 8734,
-    sim_workers: int = 0,
     queue_capacity: int = 8,
     cache_max_bytes: int | None = None,
     cache_max_age: float | None = None,
@@ -695,8 +694,8 @@ def serve(
         "serve", path=events_path_for(store_path), echo=verbose
     )
     jobs = StoreJobQueue(
-        store, cache=cache, sim_workers=sim_workers,
-        capacity=queue_capacity, registry=registry, events=events,
+        store, cache=cache, capacity=queue_capacity, registry=registry,
+        events=events,
     )
     jobs.start()
 

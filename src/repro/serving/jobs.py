@@ -6,8 +6,8 @@ target and parameter overrides — which :func:`build_job` turns into a
 is already answerable from the result cache complete immediately without
 simulating; everything else goes into :class:`StoreJobQueue`, a bounded
 queue that lives in the run store's ``jobs`` table and is drained
-through :func:`run_many` (so submitted jobs share the
-dedup/cache/shipping machinery with the report pipeline).  A full queue
+through :func:`run_many` (so submitted jobs share the dedup and cache
+machinery with the report pipeline).  A full queue
 rejects the submission — backpressure surfaces as HTTP 503 rather than
 unbounded growth.
 
@@ -53,7 +53,7 @@ from repro.core.params import ProcessorParams
 from repro.errors import ConfigurationError, WorkloadError
 from repro.evaluation.batch import ResultCache, SimJob, job_key, run_many
 from repro.isa.program import Program
-from repro.telemetry import NULL_REGISTRY, BatchTelemetry
+from repro.telemetry import NULL_REGISTRY
 
 __all__ = [
     "HEARTBEAT_SECONDS",
@@ -239,7 +239,6 @@ class StoreJobQueue:
         self,
         store: Any,
         cache: ResultCache | None = None,
-        sim_workers: int = 0,
         capacity: int = 8,
         registry: Any | None = None,
         owner: str | None = None,
@@ -248,7 +247,6 @@ class StoreJobQueue:
     ) -> None:
         self.store = store
         self.cache = cache if cache is not None else ResultCache()
-        self.sim_workers = sim_workers
         self.capacity = capacity
         self.owner = owner or f"worker-{secrets.token_hex(3)}"
         #: optional :class:`~repro.telemetry.events.EventLog`; job
@@ -276,9 +274,6 @@ class StoreJobQueue:
             "repro_job_run_seconds",
             "Wall-clock seconds executing one submitted job.",
         )
-        self.batch_telemetry = (
-            BatchTelemetry(registry=registry) if registry is not None else None
-        )
 
     # ---------------------------------------------------------- submission
     @staticmethod
@@ -295,11 +290,9 @@ class StoreJobQueue:
         cached = self.cache.get(key)
         if cached is not None:
             now = time.time()
-            run_id = None
-            if self.store is not None:
-                run_id = self.store.record_result(
-                    key, cached, job=job, experiment=f"job/{job.factory}"
-                )
+            run_id = self.store.record_result(
+                key, cached, job=job, experiment=f"job/{job.factory}"
+            )
             # settled on arrival; inserted for cross-worker visibility
             self.store.enqueue_job(
                 job_id, key, spec, state="done", cached=True,
@@ -348,17 +341,12 @@ class StoreJobQueue:
         start = time.time()
         try:
             job = build_job(claimed["spec"])
-            result = run_many(
-                [job], workers=self.sim_workers, cache=self.cache,
-                telemetry=self.batch_telemetry,
-            )[0]
+            result = run_many([job], cache=self.cache)[0]
             self.executed += 1
-            run_id = None
-            if self.store is not None:
-                run_id = self.store.record_result(
-                    claimed["key"], result, job=job,
-                    experiment=f"job/{job.factory}",
-                )
+            run_id = self.store.record_result(
+                claimed["key"], result, job=job,
+                experiment=f"job/{job.factory}",
+            )
             self.store.finish_job(job_id, "done", run_id=run_id)
             if self.events is not None:
                 self.events.emit(

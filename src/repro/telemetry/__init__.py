@@ -8,7 +8,6 @@ disabled:
 * :mod:`repro.telemetry.timeseries` — bounded stride-downsampled series;
 * :mod:`repro.telemetry.spans` — Chrome trace-event spans (Perfetto);
 * :mod:`repro.telemetry.probes` — the per-cycle processor hook;
-* :mod:`repro.telemetry.batch` — ``run_many`` instrumentation;
 * :mod:`repro.telemetry.events` — the structured JSON event log;
 * :mod:`repro.telemetry.tracing2` — trace-context ids + the merged
   request-to-retire Perfetto view;
@@ -17,7 +16,6 @@ disabled:
 See ``docs/observability.md`` for the probe catalogue and usage.
 """
 
-from repro.telemetry.batch import BatchTelemetry
 from repro.telemetry.events import EventLog, events_path_for, read_events
 from repro.telemetry.ledger import DecisionLedger
 from repro.telemetry.probes import STAGES, ProcessorTelemetry
@@ -41,7 +39,6 @@ from repro.telemetry.tracing2 import (
 )
 
 __all__ = [
-    "BatchTelemetry",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DecisionLedger",

@@ -22,6 +22,12 @@ HOT_SUPPRESSED = textwrap.dedent("""
             return [x for x in self.window]  # repro: allow[HOT001] -- api
 """)
 
+CLEAN = textwrap.dedent("""
+    class Kernel:
+        def step(self):
+            return self.window
+""")
+
 CONFIG = textwrap.dedent("""
     package = "repro"
 
@@ -75,7 +81,7 @@ class TestExitCodes:
 
     def test_clean_tree_exits_0(self, workspace):
         ws, run = workspace
-        (ws / "src/repro/sched/hot.py").write_text("X = 1\n")
+        (ws / "src/repro/sched/hot.py").write_text(CLEAN)
         assert run() == 0
 
     def test_suppressed_finding_exits_0(self, workspace):
@@ -100,6 +106,20 @@ class TestExitCodes:
             CONFIG.replace('sched = ["errors"]', 'sched = ["ghost"]')
         )
         assert run() == 2
+
+    @pytest.mark.parametrize("config, entry", [
+        (CONFIG.replace('["Kernel.step"]', '["Kernel.stpe"]'),
+         "hotzones: repro/sched/hot.py::Kernel.stpe"),
+        (CONFIG + '[process_roles]\nw = ["repro/sched/hot.py::Kernel.stpe"]\n',
+         "process_roles.w: repro/sched/hot.py::Kernel.stpe"),
+    ], ids=["hotzone", "process_role"])
+    def test_misspelled_root_exits_2(self, workspace, capsys, config, entry):
+        ws, run = workspace
+        (ws / "analysis/layers.toml").write_text(config)
+        assert run() == 2
+        assert entry in capsys.readouterr().err
+        (ws / "analysis/layers.toml").write_text(config.replace("stpe", "step"))
+        assert run() == 1  # resolved: back to the HOT001 finding
 
     def test_unknown_rule_filter_exits_2(self, workspace):
         _, run = workspace
@@ -153,7 +173,7 @@ class TestJsonReport:
         ws, run = workspace
         baseline = ws / "analysis/baseline.json"
         run("--update-baseline", baseline=str(baseline))
-        (ws / "src/repro/sched/hot.py").write_text("X = 1\n")
+        (ws / "src/repro/sched/hot.py").write_text(CLEAN)
         capsys.readouterr()
 
         assert run("--format", "json", baseline=str(baseline)) == 0

@@ -1,4 +1,6 @@
-"""Tests for the parallel batch simulation engine."""
+"""Tests for the batch simulation engine."""
+
+import pickle
 
 import pytest
 
@@ -69,12 +71,54 @@ def test_job_key_discriminates():
 
 
 # -------------------------------------------------------------------- running
+@pytest.mark.parametrize("workers", [0, 2])
+def test_failing_factory_raises_on_both_paths(workers):
+    broken = SimJob("static", saxpy(n=8).program, _PARAMS, max_cycles=50_000)
+    with pytest.raises(KeyError):  # the static factory needs a "config"
+        run_many([_jobs()[1], broken], workers=workers)
+
+
 def test_parallel_matches_sequential():
-    seq = run_many(_jobs(), workers=0)
-    par = run_many(_jobs(), workers=2)
-    assert len(seq) == len(par) == 3
+    def run(workers):
+        seen = []
+        jobs = _jobs() + [_jobs()[0]]  # one duplicate: three unique jobs
+        cache = ResultCache()
+        results = run_many(
+            jobs, workers=workers, cache=cache,
+            progress=lambda done, total, job: seen.append((done, total)),
+        )
+        return results, seen, cache
+
+    seq, seq_seen, seq_cache = run(0)
+    par, par_seen, par_cache = run(2)
+    assert len(seq) == len(par) == 4
     for s, p in zip(seq, par):
         assert s.to_dict() == p.to_dict()
+    assert par[0] is par[3]  # the duplicate was simulated once
+    assert par_seen == seq_seen == [(n, 4) for n in range(1, 5)]
+    assert len(par_cache) == len(seq_cache) == 3
+    assert par_cache.misses == seq_cache.misses == 4
+
+
+def test_catalogue_jobs_survive_pickling():
+    # a pool worker receives its job by pickle under any start method
+    prog = checksum(iterations=5).program
+    jobs = [
+        SimJob("static", prog, _PARAMS, kwargs={"config": cfg})
+        for cfg in PREDEFINED_CONFIGS
+    ]
+    extra = {
+        "steering-basis": {"configs": list(PREDEFINED_CONFIGS[:2])},
+        "steering-traced": {"trace_limit": 16},
+        "reference": {"max_instructions": 10_000},
+    }
+    jobs += [
+        SimJob(name, prog, _PARAMS, kwargs=extra.get(name, {}))
+        for name in FACTORY_NAMES
+        if name != "static"
+    ]
+    for job in jobs:
+        assert job_key(pickle.loads(pickle.dumps(job))) == job_key(job)
 
 
 def test_results_keep_submission_order():

@@ -157,7 +157,6 @@ def test_warm_cache_answers_without_simulating(warm, monkeypatch):
         raise AssertionError("simulated on a read-only request")
 
     monkeypatch.setattr(batch, "execute_job", explode)
-    monkeypatch.setattr(batch, "_execute_shipped", explode)
 
     runs = _decode(app.handle("GET", "/api/runs"))[2]["runs"]
     a, b = runs[0]["run_id"], runs[1]["run_id"]
