@@ -1,12 +1,13 @@
 """Closed-loop load benchmark for the serving layer (stdlib only).
 
-Drives a running ``repro serve`` endpoint — or self-hosts one, single- or
-multi-process — with N concurrent clients issuing a mixed read/submit
-scenario, and reports latency percentiles, throughput and error rate:
+Drives a running ``repro serve`` endpoint — or self-hosts its supervisor
+with ``--workers`` API and ``--sim-pool`` sim workers — with concurrent
+clients issuing a mixed read/submit scenario, and reports latency
+percentiles, throughput and error rate:
 
 - reads: ``GET /api/health``, ``GET /api/runs``, ``GET /api/experiments``
   and an occasional ``GET /metrics`` scrape (the expensive one — under
-  ``--workers N`` it merges every worker's published snapshot);
+  the supervisor it merges every worker's published snapshot);
 - submits: ``POST /api/jobs`` drawn from a small pool of distinct specs,
   so the first submission of each spec simulates and the rest are
   answered from the content-keyed result cache — the realistic steady
@@ -27,8 +28,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_serving_load.py \
         [--clients 16] [--duration 10] [--workers 2] [--sim-pool 1] \
         [--url http://host:port] [-o BENCH_serving_load.json] \
-        [--store runs.sqlite] [--max-p99-ms 500] [--max-error-rate 0.01] \
-        [--scaleout]
+        [--store runs.sqlite] [--max-p99-ms 500] [--max-error-rate 0.01]
 """
 
 from __future__ import annotations
@@ -178,24 +178,17 @@ def _hosted_load(
     submit_ratio: float,
     queue_capacity: int,
 ) -> dict:
-    """Self-host a server in a temp dir, load it, tear it down."""
+    """Self-host a supervisor in a temp dir, load it, tear it down."""
     import os
 
     with tempfile.TemporaryDirectory(prefix="repro-load-") as tmp:
-        store_path = os.path.join(tmp, "runs.sqlite")
-        cache_dir = os.path.join(tmp, "cache")
-        if workers >= 1:
-            record = _load_supervised(
-                store_path, cache_dir, workers, sim_pool, clients,
-                duration, submit_ratio, queue_capacity,
-            )
-        else:
-            record = _load_single(
-                store_path, cache_dir, clients, duration, submit_ratio,
-                queue_capacity,
-            )
+        record = _load_supervised(
+            os.path.join(tmp, "runs.sqlite"), os.path.join(tmp, "cache"),
+            workers, sim_pool, clients, duration, submit_ratio,
+            queue_capacity,
+        )
     record["workers"] = workers
-    record["sim_pool"] = sim_pool if workers >= 1 else 0
+    record["sim_pool"] = sim_pool
     return record
 
 
@@ -239,41 +232,6 @@ def _load_supervised(
         runner.join(20)
 
 
-def _load_single(
-    store_path, cache_dir, clients, duration, submit_ratio, queue_capacity,
-) -> dict:
-    from repro.evaluation.batch import ResultCache
-    from repro.serving.app import ServingApp, make_server
-    from repro.serving.jobs import StoreJobQueue
-    from repro.serving.store import RunStore
-    from repro.telemetry import MetricsRegistry
-
-    store = RunStore(store_path)
-    registry = MetricsRegistry()
-    jobs = StoreJobQueue(
-        store, cache=ResultCache(cache_dir), capacity=queue_capacity,
-        registry=registry,
-    )
-    jobs.start()
-    app = ServingApp(
-        store, cache=jobs.cache, jobs=jobs, registry=registry
-    )
-    server = make_server(app, "127.0.0.1", 0)
-    runner = threading.Thread(target=server.serve_forever, daemon=True)
-    runner.start()
-    try:
-        _wait_healthy(server.server_port)
-        return run_load(
-            f"http://127.0.0.1:{server.server_port}", clients=clients,
-            duration=duration, submit_ratio=submit_ratio,
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
-        jobs.stop()
-        store.close()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--output", default="BENCH_serving_load.json")
@@ -288,14 +246,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="fraction of requests that POST a job")
     parser.add_argument("--workers", type=int, default=2,
                         help="API worker processes for the self-hosted "
-                             "server (0 = single process)")
+                             "server (>= 1)")
     parser.add_argument("--sim-pool", type=int, default=1,
-                        help="simulation pool processes (self-hosted, "
-                             "--workers >= 1)")
+                        help="simulation worker processes for the "
+                             "self-hosted server (>= 1)")
     parser.add_argument("--queue-capacity", type=int, default=8)
-    parser.add_argument("--scaleout", action="store_true",
-                        help="also run the single-process configuration "
-                             "and report multi/single throughput")
     parser.add_argument("--store", default=None,
                         help="register the result as a run in this SQLite "
                              "run store")
@@ -304,6 +259,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-error-rate", type=float, default=None,
                         help="fail when the error rate exceeds this bound")
     args = parser.parse_args(argv)
+    if args.url is None and (args.workers < 1 or args.sim_pool < 1):
+        parser.error("--workers and --sim-pool must be at least 1")
 
     record: dict = {
         "python": platform.python_version(),
@@ -322,14 +279,6 @@ def main(argv: list[str] | None = None) -> int:
             args.workers, args.sim_pool, args.clients, args.duration,
             args.submit_ratio, args.queue_capacity,
         )
-        if args.scaleout and args.workers >= 1:
-            record["single_process"] = _hosted_load(
-                0, 0, args.clients, args.duration, args.submit_ratio,
-                args.queue_capacity,
-            )
-            single = record["single_process"]["requests_per_second"]
-            multi = record["serving"]["requests_per_second"]
-            record["scaleout"] = round(multi / single, 2) if single else None
 
     path = pathlib.Path(args.output)
     path.write_text(json.dumps(record, indent=2) + "\n")
@@ -355,8 +304,6 @@ def main(argv: list[str] | None = None) -> int:
             "error_rate": load["error_rate"],
             "rejected": load["rejected"],
         }
-        if record.get("scaleout") is not None:
-            metrics["scaleout"] = record["scaleout"]
         with RunStore(args.store) as store:
             run_id = store.record_run(
                 "BENCH-serving-load", config_hash, metrics,

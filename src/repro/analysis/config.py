@@ -141,9 +141,6 @@ class AnalysisConfig:
     #: cross-process shared-state checker (CON006/CON007).  Empty table
     #: disables the pass.
     process_roles: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: role groups sharing one OS process ("api_worker/drain_thread"):
-    #: state crossing between them is thread-shared, not fork-divergent.
-    shared_process: tuple[str, ...] = ()
     #: raw text the config was parsed from (cache fingerprinting).
     source_text: str = ""
 
@@ -253,8 +250,5 @@ def load_config(path: str | Path) -> AnalysisConfig:
             f"{path}: scopes.event_log_modules",
         ),
         process_roles=process_roles,
-        shared_process=_as_str_tuple(
-            scopes.get("shared_process", []), f"{path}: scopes.shared_process"
-        ),
         source_text=text,
     )

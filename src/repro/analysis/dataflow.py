@@ -27,14 +27,12 @@ per-file DET001/DET004 rules, so the two layers never double-report.
 
 **Cross-process shared state** — each role in ``[process_roles]`` names
 its entry points; functions are attributed to roles by reachability at
-:data:`~repro.analysis.graph.ROLE_CONFIDENCE`.  Roles merge into one
-process *domain* via ``scopes.shared_process`` (``"api_worker/drain"``
-— a thread shares its parent's memory).  For every module-level mutable
-binding in the concurrency scope: CON006 fires when a domain only
-*reads* state that a different domain mutates (it observes a stale
-pre-fork copy); CON007 fires when a mutation happens in a function no
-declared role reaches (ownership cannot be proven — declare its entry
-point).  Bindings constructed as explicit queues are exempt: the channel
+:data:`~repro.analysis.graph.ROLE_CONFIDENCE`, and each role is one
+process domain.  For every module-level mutable binding in the
+concurrency scope: CON006 fires when a domain only *reads* state that a
+different domain mutates (it observes a stale pre-fork copy); CON007
+fires when a mutation happens in a function no declared role reaches
+(ownership cannot be proven — declare its entry point).  Bindings constructed as explicit queues are exempt: the channel
 is the sanctioned mechanism.
 
 Everything a file's findings depend on besides its own content is
@@ -96,7 +94,6 @@ class GraphAnalysis:
         self._run_taint()
         #: node id -> sorted role names reaching it.
         self.roles: dict[str, list[str]] = {}
-        self._domain_of_role: dict[str, str] = {}
         self._con_records: dict[str, list[dict]] = {}
         self._run_roles()
         self._interfaces: dict[str, str] = {}
@@ -333,21 +330,6 @@ class GraphAnalysis:
         role_table = getattr(self.config, "process_roles", {})
         if not role_table:
             return
-        # role -> domain (roles merged by scopes.shared_process)
-        shared = getattr(self.config, "shared_process", ())
-        groups: dict[str, set[str]] = {r: {r} for r in role_table}
-        for entry in shared:
-            members = [m for m in entry.split("/") if m in groups]
-            if len(members) < 2:
-                continue
-            merged: set[str] = set()
-            for member in members:
-                merged |= groups[member]
-            for member in merged:
-                groups[member] = merged
-        for role in sorted(role_table):
-            self._domain_of_role[role] = "+".join(sorted(groups[role]))
-
         reach: dict[str, dict[str, list]] = {}
         for role in sorted(role_table):
             roots = [r for r in role_table[role]]
@@ -395,9 +377,7 @@ class GraphAnalysis:
                             "qualname": node_id.partition("::")[2],
                         })
                     else:
-                        writer_domains.update(
-                            self._domain_of_role[r] for r in roles
-                        )
+                        writer_domains.update(roles)
                 if not writer_domains:
                     continue
                 seen_readers: set[tuple[str, str]] = set()
@@ -405,9 +385,7 @@ class GraphAnalysis:
                     roles = self.roles.get(node_id)
                     if roles is None:
                         continue
-                    for domain in sorted(
-                        self._domain_of_role[r] for r in roles
-                    ):
+                    for domain in roles:
                         if domain in writer_domains:
                             continue
                         key = (node_id, domain)

@@ -21,8 +21,10 @@ Commands
     Print the run's steering decision ledger: the demand/availability
     inputs, candidate errors, chosen configuration and predicted vs.
     realized IPC of every recorded steering decision.
-``serve [--port N] [--store runs.sqlite] [--cache-dir .report-cache]``
-    Serve the run store + dashboard over HTTP (see docs/serving.md).
+``serve [--port N] [--store runs.sqlite] [--workers N] [--sim-pool M]``
+    Serve the run store + dashboard over HTTP: a supervisor forks N API
+    workers accepting on one listening socket and M simulation workers
+    that run the submitted jobs (see docs/serving.md).
 ``lint [--format json] [--update-baseline]``
     Static analysis of the simulator's performance/determinism/
     concurrency/layering invariants (see docs/static-analysis.md).
@@ -231,30 +233,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    common = dict(
-        store_path=args.store,
-        cache_dir=args.cache_dir,
-        host=args.host,
-        port=args.port,
-        queue_capacity=args.queue_capacity,
-        cache_max_bytes=args.cache_max_bytes,
-        cache_max_age=args.cache_max_age_days * 86400
-        if args.cache_max_age_days is not None
-        else None,
-        retention_max_runs=args.retention_max_runs,
-        retention_max_age_days=args.retention_max_age_days,
-        verbose=args.verbose,
-        log=lambda msg: print(f"[serve] {msg}", file=sys.stderr),
-    )
-    if args.workers > 0:
-        from repro.serving.supervisor import serve_forked
+    from repro.serving.supervisor import Supervisor
 
-        return serve_forked(
-            workers=args.workers, sim_pool=args.sim_pool, **common
+    try:
+        sup = Supervisor(
+            args.store,
+            cache_dir=args.cache_dir,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            sim_pool=args.sim_pool,
+            queue_capacity=args.queue_capacity,
+            cache_max_bytes=args.cache_max_bytes,
+            cache_max_age=args.cache_max_age_days * 86400
+            if args.cache_max_age_days is not None
+            else None,
+            retention_max_runs=args.retention_max_runs,
+            retention_max_age_days=args.retention_max_age_days,
+            verbose=args.verbose,
+            log=lambda msg: print(f"[serve] {msg}", file=sys.stderr),
         )
-    from repro.serving.app import serve
-
-    return serve(**common)
+    except ValueError as exc:  # --workers / --sim-pool below 1
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
+    return sup.run()
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -536,14 +538,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="SQLite run index (created if missing)")
     srv.add_argument("--cache-dir", default=".report-cache",
                      help="content-addressed result blob directory")
-    srv.add_argument("--workers", type=int, default=0,
-                     help="API worker processes (0 = single threaded "
-                          "process; N>=1 forks a pre-fork supervisor with "
-                          "N HTTP workers sharing the port)")
+    srv.add_argument("--workers", type=int, default=1,
+                     help="API worker processes (N >= 1), forked by a "
+                          "supervisor; all accept on one listening socket")
     srv.add_argument("--sim-pool", type=int, default=1,
-                     help="dedicated simulation worker processes draining "
-                          "the durable job queue (supervisor mode only; "
-                          "0 = API workers run jobs themselves)")
+                     help="simulation worker processes (M >= 1); they run "
+                          "every submitted job from the durable queue")
     srv.add_argument("--retention-max-runs", type=int, default=None,
                      help="on startup, keep only the newest N runs in the "
                           "store")

@@ -10,10 +10,13 @@ Three layers over the report pipeline:
   queue in the store's ``jobs`` table that executes HTTP-submitted
   simulation jobs through the batch engine (cache hits answer without
   simulating); an enqueue rings a doorbell semaphore that wakes an idle
-  drain loop, in this process or, under the supervisor, in any worker;
+  simulation worker;
 * :mod:`repro.serving.app` — a threaded :mod:`http.server`-based JSON
-  API (``python -m repro serve``) plus the self-contained dashboard page
-  served at ``/``.
+  API plus the self-contained dashboard page served at ``/``.
+
+``python -m repro serve`` runs them under :mod:`repro.serving.supervisor`:
+N API worker processes accepting on one inherited listening socket, and
+M simulation worker processes that run every submitted job.
 """
 
 from repro.serving.app import ServingApp, make_server

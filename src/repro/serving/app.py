@@ -4,8 +4,9 @@ The request logic lives in :class:`ServingApp.handle`, a pure function
 from ``(method, path, query, headers, body)`` to ``(status, headers,
 payload)`` — unit-testable without sockets — and a thin
 :class:`http.server.BaseHTTPRequestHandler` adapter plugs it into a
-:class:`~http.server.ThreadingHTTPServer` for real traffic
-(``python -m repro serve``).
+:class:`~http.server.ThreadingHTTPServer` for real traffic (every API
+worker of ``python -m repro serve`` runs one; see
+:mod:`repro.serving.supervisor`).
 
 Endpoints::
 
@@ -54,19 +55,18 @@ from repro.errors import ReproError
 from repro.evaluation.batch import ResultCache
 from repro.evaluation.report import render_kv
 from repro.serving.dashboard import DASHBOARD_HTML
-from repro.serving.jobs import JobQueueFull, StoreJobQueue
+from repro.serving.jobs import JobQueueFull
 from repro.serving.store import RunStore
 from repro.telemetry import (
     EventLog,
     MetricsRegistry,
     TRACE_HEADER,
-    events_path_for,
     mint_trace_id,
     read_events,
     render_merged,
 )
 
-__all__ = ["ServingApp", "make_server", "serve"]
+__all__ = ["ServingApp", "make_server"]
 
 _RUN_PATH = re.compile(r"/api/runs/([0-9a-f]{8,64})")
 _ARTIFACT_PATH = re.compile(r"/api/runs/([0-9a-f]{8,64})/artifact")
@@ -121,9 +121,10 @@ class ServingApp:
         #: optional structured event log; backs ``GET /api/logs`` and
         #: receives a ``job_submitted`` record per accepted submission.
         self.events = events
-        #: set under the pre-fork supervisor: this worker's identity.
-        #: When set, /metrics publishes a snapshot into the store and
-        #: answers with the merged view across all live workers.
+        #: this API worker's identity under the supervisor: /metrics
+        #: publishes a snapshot into the store and answers with the
+        #: merged view across all live workers.  ``None`` (an app
+        #: embedded in-process, as in the tests) renders this registry.
         self.worker_name = worker_name
         self.started = time.time()
         self._requests = self.registry.counter(
@@ -586,9 +587,10 @@ def make_server(
     Accepted connections have ``TCP_NODELAY`` set, so a response on a
     keep-alive connection never waits for the client's delayed ACK.
 
-    When ``sock`` is given it must already be bound and listening (the
-    pre-fork supervisor hands each worker its socket); the server adopts
-    it instead of binding ``(host, port)`` itself.
+    When ``sock`` is given it must already be bound and listening (each
+    supervisor API worker passes the inherited listening socket); the
+    server adopts it instead of binding ``(host, port)`` itself.  Without
+    it the server binds its own, which is how tests embed one in-process.
     """
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -643,78 +645,3 @@ def make_server(
     server.app = app
     return server
 
-
-def serve(
-    store_path: str,
-    cache_dir: str | None = None,
-    host: str = "127.0.0.1",
-    port: int = 8734,
-    queue_capacity: int = 8,
-    cache_max_bytes: int | None = None,
-    cache_max_age: float | None = None,
-    retention_max_runs: int | None = None,
-    retention_max_age_days: float | None = None,
-    verbose: bool = False,
-    log=None,
-):
-    """Wire up store + cache + job queue and serve until interrupted.
-
-    Prunes the on-disk result cache on startup (LRU, per the given
-    limits — with no limits only stale tmp files are cleared), so a
-    long-running server keeps ``.report-cache`` bounded; run-store
-    retention (``retention_max_runs`` / ``retention_max_age_days``)
-    trims old runs and settled jobs the same way.  ``/metrics`` is
-    always exposed.  Every request lands in the structured event log
-    (``<store>.events.jsonl`` + ``GET /api/logs``); ``verbose``
-    additionally echoes each event-log line to stderr.
-    """
-    def note(msg: str) -> None:
-        if log is not None:
-            log(msg)
-
-    store = RunStore(store_path)
-    if retention_max_runs is not None or retention_max_age_days is not None:
-        trimmed = store.prune(
-            max_runs=retention_max_runs, max_age_days=retention_max_age_days
-        )
-        note(
-            f"store retention: removed {trimmed['removed_runs']} runs, "
-            f"{trimmed['removed_jobs']} settled jobs, "
-            f"kept {trimmed['kept_runs']} runs"
-        )
-    cache = ResultCache(cache_dir) if cache_dir is not None else ResultCache()
-    if cache.directory is not None:
-        pruned = cache.prune(max_bytes=cache_max_bytes, max_age=cache_max_age)
-        note(
-            f"cache GC: removed {pruned['removed']} blobs "
-            f"({pruned['bytes_freed']} bytes), kept {pruned['kept']}"
-        )
-    registry = MetricsRegistry()
-    events = EventLog(
-        "serve", path=events_path_for(store_path), echo=verbose
-    )
-    jobs = StoreJobQueue(
-        store, cache=cache, capacity=queue_capacity, registry=registry,
-        events=events,
-    )
-    jobs.start()
-
-    def access_log(record: dict) -> None:
-        events.emit("http_request", **record)
-
-    app = ServingApp(
-        store, cache=cache, jobs=jobs, registry=registry,
-        access_log=access_log, events=events,
-    )
-    server = make_server(app, host, port)
-    note(f"serving on http://{host}:{server.server_address[1]}/")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        note("shutting down")
-    finally:
-        server.server_close()
-        jobs.stop()
-        store.close()
-        events.close()
-    return 0

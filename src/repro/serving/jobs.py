@@ -12,19 +12,17 @@ rejects the submission — backpressure surfaces as HTTP 503 rather than
 unbounded growth.
 
 Any API worker process can enqueue and any simulation pool worker can
-drain (atomic claim-by-update in SQLite), which is how ``repro serve
---workers N`` fans submitted work out across processes (see
-:mod:`repro.serving.supervisor`); a single-process server drains with a
-local thread.
+drain (atomic claim-by-update in SQLite), which is how ``repro serve``
+fans submitted work out across processes (see
+:mod:`repro.serving.supervisor`); API workers only enqueue.
 
 Wake-up path: every accepted enqueue rings a *doorbell* — a semaphore
-shared by all the processes that enqueue and drain (a fork-inherited
-``multiprocessing.Semaphore`` under the supervisor, a
-``threading.Semaphore`` in one process).  An idle drain loop blocks on
-it, so a fresh job is claimed as soon as it is committed rather than at
-the next poll.  The wait times out after :data:`HEARTBEAT_SECONDS`,
-which covers jobs enqueued by a process that does not share the
-doorbell; a stale ring costs one empty claim.
+shared by all the processes that enqueue and drain (under the
+supervisor, one fork-inherited ``multiprocessing.Semaphore``).  An idle
+drain loop blocks on it, so a fresh job is claimed as soon as it is
+committed rather than at the next poll.  The wait times out after
+:data:`HEARTBEAT_SECONDS`, which covers jobs enqueued by a process that
+does not share the doorbell; a stale ring costs one empty claim.
 
 Job specs (all fields except ``target`` optional)::
 
@@ -221,10 +219,10 @@ class StoreJobQueue:
 
     The queue lives in SQLite: every API worker process sees every
     submission, and the backlog survives restarts.  Draining happens
-    wherever :meth:`drain_until_stopped` runs — the local :meth:`start`
-    thread in a single-process server, or a pool of dedicated simulation
-    worker processes under the supervisor (each claim is an atomic
-    ``queued -> running`` update, so a job runs exactly once).
+    wherever :meth:`drain_until_stopped` runs — in ``repro serve`` the
+    dedicated simulation worker processes (each claim is an atomic
+    ``queued -> running`` update, so a job runs exactly once); the
+    in-process :meth:`start` thread serves tests that embed a queue.
 
     ``capacity`` bounds the *queued* backlog across all workers; a full
     queue raises :class:`JobQueueFull` (HTTP 503 + ``Retry-After``).
@@ -232,7 +230,8 @@ class StoreJobQueue:
     accepted enqueue and an idle drain loop acquires; pass the same one
     to every queue that should wake each other (the supervisor shares a
     ``multiprocessing.Semaphore``).  By default the queue gets its own
-    ``threading.Semaphore``, which wakes its own :meth:`start` thread.
+    ``threading.Semaphore``, which wakes its own :meth:`start` thread
+    (an embedded queue in one process).
     """
 
     def __init__(
@@ -371,10 +370,10 @@ class StoreJobQueue:
     ) -> None:
         """Claim and run jobs until :meth:`stop`; idle, wait for the doorbell.
 
-        The one drain loop: the local :meth:`start` thread and every
-        simulation pool worker run it.  ``heartbeat``, if given, is
-        called after every executed job and every idle wait, so at least
-        every :data:`HEARTBEAT_SECONDS`.
+        The one drain loop: every simulation pool worker runs it, and
+        so does the in-process :meth:`start` thread.  ``heartbeat``, if
+        given, is called after every executed job and every idle wait, so
+        at least every :data:`HEARTBEAT_SECONDS`.
         """
         while not self._stop.is_set():
             if self.claim_and_run_one():
@@ -387,8 +386,8 @@ class StoreJobQueue:
                 heartbeat()
 
     def start(self) -> None:
-        """Local drain thread (single-process servers; supervisor uses
-        dedicated pool processes instead)."""
+        """Drain in a thread of this process (an embedded queue, as in
+        the tests; ``repro serve`` drains in sim worker processes)."""
         if self._thread is None or not self._thread.is_alive():
             self._stop.clear()
             self._thread = threading.Thread(

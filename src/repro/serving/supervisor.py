@@ -1,31 +1,24 @@
 """Pre-fork supervisor: N API worker processes + a simulation pool.
 
-``repro serve --workers N`` runs this instead of the single-process
-server.  The parent process owns the listening port and the process
-tree; it serves no requests itself:
+``repro serve`` always runs this.  The parent process owns the listening
+socket and the process tree; it serves no requests itself:
 
 - **API workers** (``api-0`` … ``api-N-1``) each run the full threaded
   HTTP server from :mod:`repro.serving.app` against their own
   :class:`~repro.serving.store.RunStore` connection (WAL mode makes the
   concurrent writers safe).  Job submissions go into the durable
-  ``jobs`` table via :class:`~repro.serving.jobs.StoreJobQueue`.
+  ``jobs`` table via :class:`~repro.serving.jobs.StoreJobQueue`; an API
+  worker never runs a job itself.
 - **Simulation pool workers** (``sim-0`` …) claim queued jobs from that
   table (atomic ``queued -> running`` update, so a job runs exactly
   once no matter which API worker accepted it) and execute them through
   the cached batch engine.
 
-Socket strategy — two tiers:
-
-``SO_REUSEPORT`` (Linux, modern BSDs)
-    The parent binds the address once (never listens) purely to resolve
-    ``port 0`` and keep the port reserved across worker respawns; every
-    API worker then binds its *own* listening socket with
-    ``SO_REUSEPORT`` and the kernel load-balances incoming connections
-    across the per-worker accept queues.
-inherited FD (fallback)
-    The parent binds **and listens** a single socket; forked workers
-    ``accept()`` on the shared inherited FD.  Works everywhere fork
-    does, at the cost of a shared accept queue.
+Socket: the parent binds **and listens** one socket before the first
+fork, and every API worker accepts on the inherited FD.  The
+listening socket outlives any one worker, so a connection that arrives
+while a crashed worker is being respawned waits in the kernel backlog
+instead of being refused.
 
 Lifecycle: ``SIGTERM``/``SIGINT`` to the parent triggers graceful
 shutdown — workers get ``SIGTERM``, finish in-flight requests/jobs
@@ -38,7 +31,7 @@ snapshot is dropped so ``/metrics`` never reports a dead worker.
 
 Workers are forked (``multiprocessing`` fork context): cheap, and the
 listening socket, the job doorbell (one ``multiprocessing.Semaphore``
-that every API worker's enqueue releases and every idle drain loop
+that every API worker's enqueue releases and every idle sim worker
 waits on, see :mod:`repro.serving.jobs`) and the configuration travel
 by inheritance — nothing is pickled.  Forked children never reuse the
 parent's SQLite connections; the store re-opens per-process (see
@@ -59,26 +52,19 @@ from repro.serving.jobs import HEARTBEAT_SECONDS, StoreJobQueue
 from repro.serving.store import RunStore
 from repro.telemetry import EventLog, MetricsRegistry, events_path_for
 
-__all__ = ["Supervisor", "serve_forked"]
+__all__ = ["Supervisor"]
 
 #: a worker alive this long is "healthy" — its crash backoff resets.
 HEALTHY_SECONDS = 5.0
 
 
-def _reuseport_available() -> bool:
-    return hasattr(socket, "SO_REUSEPORT")
-
-
-def _bound_socket(host: str, port: int, reuseport: bool, listen: bool):
-    """One bound TCP socket; optionally in the REUSEPORT group/listening."""
+def _bound_socket(host: str, port: int):
+    """The one listening TCP socket every API worker inherits."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuseport:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((host, port))
-        if listen:
-            sock.listen(128)
+        sock.listen(128)
     except BaseException:
         sock.close()
         raise
@@ -89,13 +75,10 @@ def _bound_socket(host: str, port: int, reuseport: bool, listen: bool):
 def _api_worker_main(
     name: str,
     host: str,
-    port: int,
-    shared_sock,
-    reuseport: bool,
+    sock,
     store_path: str,
     cache_dir: str | None,
     queue_capacity: int,
-    local_drain: bool,
     verbose: bool,
     doorbell,
 ) -> None:
@@ -110,8 +93,6 @@ def _api_worker_main(
         store, cache=cache, capacity=queue_capacity,
         registry=registry, owner=name, events=events, doorbell=doorbell,
     )
-    if local_drain:  # no sim pool: this worker also executes what it accepts
-        jobs.start()
 
     def access_log(record: dict) -> None:
         events.emit("http_request", worker=name, **record)
@@ -120,11 +101,7 @@ def _api_worker_main(
         store, cache=cache, jobs=jobs, registry=registry,
         access_log=access_log, worker_name=name, events=events,
     )
-    if reuseport:
-        sock = _bound_socket(host, port, reuseport=True, listen=True)
-    else:
-        sock = shared_sock
-    server = make_server(app, host, port, sock=sock)
+    server = make_server(app, host, sock=sock)
 
     def _graceful(signum, frame):
         # shutdown() blocks until the serve loop exits; never call it
@@ -151,9 +128,6 @@ def _api_worker_main(
     finally:
         hb_stop.set()
         hb.join(1.0)
-        if reuseport:
-            server.server_close()
-        jobs.stop()
         store.clear_worker_metrics(name)
         events.emit("worker_stopped", worker=name, kind="api")
         events.close()
@@ -208,7 +182,7 @@ class Supervisor:
         cache_dir: str | None = None,
         host: str = "127.0.0.1",
         port: int = 8734,
-        workers: int = 2,
+        workers: int = 1,
         sim_pool: int = 1,
         queue_capacity: int = 8,
         cache_max_bytes: int | None = None,
@@ -222,12 +196,14 @@ class Supervisor:
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one API worker")
+        if sim_pool < 1:
+            raise ValueError("need at least one simulation worker")
         self.store_path = store_path
         self.cache_dir = cache_dir
         self.host = host
         self.port = port
         self.workers = workers
-        self.sim_pool = max(0, sim_pool)
+        self.sim_pool = sim_pool
         self.queue_capacity = queue_capacity
         self.cache_max_bytes = cache_max_bytes
         self.cache_max_age = cache_max_age
@@ -237,7 +213,6 @@ class Supervisor:
         self.log = log
         self.respawn_base = respawn_base
         self.respawn_cap = respawn_cap
-        self.reuseport = _reuseport_available()
         self._sock = None
         self._store: RunStore | None = None
         self._children: dict[str, object] = {}
@@ -245,7 +220,7 @@ class Supervisor:
         self._crashes: dict[str, int] = {}
         self._stopping = threading.Event()
         # one doorbell for the whole tree: any API worker's enqueue wakes
-        # an idle drain loop in any worker, respawns included (fork
+        # an idle sim worker, respawns included (fork
         # inheritance, so it must exist before the first _spawn)
         self._doorbell = multiprocessing.get_context("fork").Semaphore(0)
 
@@ -285,17 +260,12 @@ class Supervisor:
                 f"cache GC: removed {pruned['removed']} blobs "
                 f"({pruned['bytes_freed']} bytes), kept {pruned['kept']}"
             )
-        # REUSEPORT: reserve the port without listening (workers listen);
-        # fallback: this IS the shared accept socket the workers inherit.
-        self._sock = _bound_socket(
-            self.host, self.port, reuseport=self.reuseport,
-            listen=not self.reuseport,
-        )
+        # the shared accept socket: it stays listening across respawns
+        self._sock = _bound_socket(self.host, self.port)
         self.port = self._sock.getsockname()[1]
-        mode = "SO_REUSEPORT" if self.reuseport else "inherited FD"
         self._note(
             f"supervisor: {self.workers} api + {self.sim_pool} sim workers "
-            f"on http://{self.host}:{self.port}/ ({mode})"
+            f"on http://{self.host}:{self.port}/"
         )
         for i in range(self.workers):
             self._spawn(f"api-{i}")
@@ -309,9 +279,9 @@ class Supervisor:
                 target=_api_worker_main,
                 name=name,
                 args=(
-                    name, self.host, self.port, self._sock, self.reuseport,
-                    self.store_path, self.cache_dir, self.queue_capacity,
-                    self.sim_pool == 0, self.verbose, self._doorbell,
+                    name, self.host, self._sock, self.store_path,
+                    self.cache_dir, self.queue_capacity, self.verbose,
+                    self._doorbell,
                 ),
             )
         else:
@@ -396,37 +366,3 @@ class Supervisor:
             self._store.close()
             self._store = None
 
-
-def serve_forked(
-    store_path: str,
-    cache_dir: str | None = None,
-    host: str = "127.0.0.1",
-    port: int = 8734,
-    workers: int = 2,
-    sim_pool: int = 1,
-    queue_capacity: int = 8,
-    cache_max_bytes: int | None = None,
-    cache_max_age: float | None = None,
-    retention_max_runs: int | None = None,
-    retention_max_age_days: float | None = None,
-    verbose: bool = False,
-    log=None,
-) -> int:
-    """CLI entry: build a :class:`Supervisor`, run until signalled."""
-    sup = Supervisor(
-        store_path,
-        cache_dir=cache_dir,
-        host=host,
-        port=port,
-        workers=workers,
-        sim_pool=sim_pool,
-        queue_capacity=queue_capacity,
-        cache_max_bytes=cache_max_bytes,
-        cache_max_age=cache_max_age,
-        retention_max_runs=retention_max_runs,
-        retention_max_age_days=retention_max_age_days,
-        verbose=verbose,
-        log=log,
-    )
-    sup.start()
-    return sup.run()

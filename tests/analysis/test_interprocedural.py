@@ -189,20 +189,6 @@ class TestProcessRoles:
         assert len(con) == 1
         assert "_JOBS" in con[0].message
 
-    def test_shared_process_group_exempts_thread_shared_state(self, tmp_path):
-        findings = run_tree(tmp_path, {
-            "repro/serving/app.py": """
-                _JOBS = {}
-
-                def boot():
-                    _JOBS["ready"] = True
-
-                def handle(request):
-                    return _JOBS.get("ready")
-            """,
-        }, config=roles_config(shared_process=("supervisor/api_worker",)))
-        assert "CON006" not in rule_ids(findings)
-
     def test_unattributed_mutation_con007(self, tmp_path):
         findings = run_tree(tmp_path, {
             "repro/serving/app.py": """

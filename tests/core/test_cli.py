@@ -93,3 +93,13 @@ class TestTrace:
         out = capsys.readouterr().out
         assert rc == 0
         assert "cycle" in out and "slots" in out
+
+
+class TestServe:
+    @pytest.mark.parametrize("flag", ["--workers", "--sim-pool"])
+    def test_zero_workers_rejected(self, tmp_path, flag, capsys):
+        rc = main(["serve", "--port", "0", "--store",
+                   str(tmp_path / "runs.sqlite"), flag, "0"])
+        assert rc == 2
+        assert "at least one" in capsys.readouterr().err
+        assert not (tmp_path / "runs.sqlite").exists()  # nothing started

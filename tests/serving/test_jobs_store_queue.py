@@ -88,7 +88,7 @@ def test_two_queue_instances_share_the_backlog(store):
     assert sim.executed == 1 and api.executed == 0
 
 
-def test_local_drain_thread(store):
+def test_in_process_drain_thread(store):
     q = _queue(store)
     q.start()
     try:

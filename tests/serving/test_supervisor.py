@@ -3,13 +3,20 @@
 import http.client
 import json
 import os
+import pathlib
+import queue
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.serving.supervisor import Supervisor, _reuseport_available
+import repro
+from repro.serving.supervisor import Supervisor
+from repro.telemetry import events_path_for, read_events
 
 
 def _request(port, method, path, body=None, timeout=10):
@@ -130,19 +137,24 @@ def test_graceful_stop_reaps_all_children(tmp_path):
             os.kill(pid, 0)  # ESRCH: the process is gone
 
 
-def test_inherited_fd_fallback_serves(tmp_path):
+def test_request_during_respawn_waits_for_the_new_worker(tmp_path):
+    # one API worker: while it is dead, nothing but the parent's listening
+    # socket can take the connection, and it must queue, not be refused
     sup = Supervisor(
         str(tmp_path / "runs.sqlite"), host="127.0.0.1", port=0,
-        workers=2, sim_pool=0,
+        workers=1, sim_pool=1, respawn_base=0.1,
     )
-    sup.reuseport = False  # force the shared-accept-socket path
     sup.start()
     runner = threading.Thread(target=sup.run, daemon=True)
     runner.start()
     try:
         _wait_healthy(sup.port)
-        status, _ = _request(sup.port, "GET", "/api/health")
+        port = sup.port
+        os.kill(sup._children["api-0"].pid, signal.SIGKILL)
+        status, _ = _request(port, "GET", "/api/health", timeout=30)
         assert status == 200
+        assert sup.port == port
+        assert sup._crashes["api-0"] == 1
     finally:
         sup._stopping.set()
         runner.join(30)
@@ -150,11 +162,61 @@ def test_inherited_fd_fallback_serves(tmp_path):
 
 
 def test_rejects_zero_workers(tmp_path):
-    with pytest.raises(ValueError, match="at least one"):
-        Supervisor(str(tmp_path / "r.sqlite"), workers=0)
+    for kwargs in ({"workers": 0}, {"sim_pool": 0}, {"sim_pool": -1}):
+        with pytest.raises(ValueError, match="at least one"):
+            Supervisor(str(tmp_path / "r.sqlite"), **kwargs)
 
 
-def test_reuseport_detection_matches_platform():
-    import socket
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
-    assert _reuseport_available() == hasattr(socket, "SO_REUSEPORT")
+
+def test_cli_serve_stops_cleanly_on_sigterm(tmp_path):
+    store = tmp_path / "runs.sqlite"
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--store", str(store), "--cache-dir", str(tmp_path / "cache")],
+        stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+    )
+    ports: queue.Queue = queue.Queue()
+
+    def scan_stderr() -> None:
+        for line in proc.stderr:
+            match = re.search(r"\[serve\] supervisor: .* http://.*:(\d+)/", line)
+            if match:
+                ports.put(int(match.group(1)))
+
+    threading.Thread(target=scan_stderr, daemon=True).start()
+    try:
+        try:
+            port = ports.get(timeout=30)
+        except queue.Empty:
+            raise AssertionError("no supervisor line on stderr") from None
+        _wait_healthy(port)  # /api/health answers 200
+        # every worker logs its pid once it is up
+        deadline = time.monotonic() + 20
+        pids: dict[str, int] = {}
+        while time.monotonic() < deadline and set(pids) != {"api-0", "sim-0"}:
+            pids = {
+                e["worker"]: e["pid"] for e in read_events(
+                    events_path_for(store), event="worker_started"
+                )
+            }
+            time.sleep(0.1)
+        assert set(pids) == {"api-0", "sim-0"}
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=15) == 0
+        assert not [pid for pid in pids.values() if _pid_alive(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
