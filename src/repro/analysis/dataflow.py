@@ -61,7 +61,7 @@ __all__ = ["GraphAnalysis", "GRAPH_RULE_IDS"]
 #: rule ids the graph pass can produce (drives the --rules filter).
 GRAPH_RULE_IDS = frozenset(
     {
-        "HOT001", "HOT002", "HOT003", "HOT004", "HOT006",
+        "HOT001", "HOT002", "HOT003", "HOT004", "HOT006", "HOT007",
         "DET006", "DET007", "CON006", "CON007", "ENG002",
     }
 )
@@ -84,6 +84,9 @@ class GraphAnalysis:
         self.config = config
         #: node id -> chain [[caller node, call line], ...] from a hot root.
         self.hot_chains = self._hot_reachability()
+        #: per-module HOT007 records: enum members loaded through their
+        #: class in a declared or hot-reachable function.
+        self._enum_records = self._collect_enum_loads()
         #: node id -> taint witness {"source": ..., "chain": [...]} or None.
         self.taint: dict[str, dict | None] = {}
         #: (class id, attr) -> witness.
@@ -143,6 +146,23 @@ class GraphAnalysis:
         return self.graph.reachable_from(
             self._hot_roots(), OBLIGATION_CONFIDENCE, skip_cold=True
         )
+
+    def _collect_enum_loads(self) -> dict[str, list[dict]]:
+        records: dict[str, list[dict]] = {}
+        for node_id in sorted(self.hot_chains):
+            fn = self.graph.functions[node_id]
+            if fn["raises_only"]:
+                continue
+            mp, _, qualname = node_id.partition("::")
+            for name, attr, line, col in fn["class_loads"]:
+                if self.graph.enum_class(mp, name) is None:
+                    continue
+                records.setdefault(mp, []).append({
+                    "qualname": qualname, "member": f"{name}.{attr}",
+                    "line": line, "col": col,
+                    "chain": self.hot_chains[node_id],
+                })
+        return records
 
     def _declared_hot(self, mp: str, qualname: str) -> bool:
         spec = self.config.hot_functions(mp)
@@ -444,6 +464,7 @@ class GraphAnalysis:
             "deps": {d: self.interface_digest(d) for d in deps},
             "hot": hot,
             "det": self._det_records.get(mp, []),
+            "enum": self._enum_records.get(mp, []),
             "con": self._con_records.get(mp, []),
             "roles": {
                 q: self.roles.get(f"{mp}::{q}")
@@ -499,6 +520,28 @@ class GraphAnalysis:
                         (hop[0], hop[1]) for hop in chain
                     ) + ((node_id, fn["line"]),),
                 ))
+
+        for record in self._enum_records.get(mp, []):
+            qualname = record["qualname"]
+            where = f"hot zone '{qualname}'"
+            if record["chain"]:
+                where = (
+                    f"'{qualname}', reachable from hot zone via "
+                    f"{self._chain_names(record['chain'], qualname)}"
+                )
+            findings.append(Finding(
+                rule="HOT007", path=display_path,
+                line=record["line"], col=record["col"],
+                message=(
+                    f"enum member {record['member']} loaded through its "
+                    f"class in {where}; the enum metaclass makes that a "
+                    f"slow attribute load — hoist it to a module constant "
+                    f"or a precomputed table"
+                ),
+                chain=tuple(
+                    (hop[0], hop[1]) for hop in record["chain"]
+                ) + ((f"{mp}::{qualname}", record["line"]),),
+            ))
 
         for record in self._det_records.get(mp, []):
             if record["rule"] == "DET006":

@@ -55,7 +55,7 @@ __all__ = [
 
 #: bump on summary-schema or resolution changes (part of the engine
 #: fingerprint, so old cached summaries are discarded).
-GRAPH_VERSION = 3
+GRAPH_VERSION = 4
 
 #: minimum edge confidence for hot-obligation and taint propagation.
 OBLIGATION_CONFIDENCE = 0.75
@@ -111,6 +111,11 @@ TAINT_SINKS = {
 _CHANNEL_CTORS = {"Queue", "SimpleQueue", "JoinableQueue", "LifoQueue", "deque"}
 
 _MUTABLE_CTORS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+
+#: the stdlib ``enum`` bases (and functional-API constructors) whose
+#: classes HOT007 tracks: a member loaded through such a class goes through
+#: the metaclass's slow attribute path.
+_ENUM_BASES = {"Enum", "IntEnum", "Flag", "IntFlag", "StrEnum"}
 
 #: receiver names (leading underscores stripped) whose method calls in
 #: a hot zone must sit behind a guard that mentions them (HOT006).
@@ -191,6 +196,9 @@ class _FunctionVisitor(ast.NodeVisitor):
             "refs": [],
             "global_writes": [],
             "global_reads": [],
+            # ``Name.attr`` loads through a capitalised module-level name:
+            # the HOT007 candidates, resolved to enum classes at link time
+            "class_loads": [],
         }
         self.summary = summary
         self.qualname = qualname
@@ -416,6 +424,21 @@ class _FunctionVisitor(ast.NodeVisitor):
     def visit_Global(self, node: ast.Global) -> None:
         self._globals.update(node.names)
 
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        value = node.value
+        if (
+            isinstance(node.ctx, ast.Load)
+            and isinstance(value, ast.Name)
+            and value.id[:1].isupper()
+            and value.id not in self._local_names
+            and not self._raise_depth
+            and not self.suppressions.is_suppressed("HOT007", node.lineno)
+        ):
+            self.fn["class_loads"].append(
+                [value.id, node.attr, node.lineno, node.col_offset]
+            )
+        self.generic_visit(node)
+
     def visit_Name(self, node: ast.Name) -> None:
         if (
             isinstance(node.ctx, ast.Load)
@@ -461,6 +484,9 @@ def summarize_module(
         "functions": {},
         "module_mutables": {},
         "dispatch_tables": {},
+        # module-level functional-API enums: name -> constructor chain
+        # (``Opcode = enum.Enum(...)`` -> ["enum", "Enum"])
+        "enums": {},
         "malformed_cold": sorted(malformed_cold),
     }
 
@@ -492,6 +518,8 @@ def summarize_module(
                         _MUTABLE_CTORS | _CHANNEL_CTORS
                     ):
                         ctor = chain[-1]
+                    elif chain is not None and chain[-1] in _ENUM_BASES:
+                        summary["enums"][target.id] = chain
                 if ctor is not None:
                     summary["module_mutables"][target.id] = {
                         "line": stmt.lineno,
@@ -696,6 +724,48 @@ class CallGraph:
             target_mp = resolved[1]
             if chain[1] in self.summaries[target_mp]["classes"]:
                 return f"{target_mp}::{chain[1]}"
+        return None
+
+    def _is_enum_base(self, mp: str, chain: list[str]) -> bool:
+        """Whether ``chain`` in module ``mp`` names a stdlib enum base
+        (``Enum``, ``enum.IntEnum``, ...)."""
+        if chain[-1] not in _ENUM_BASES or len(chain) > 2:
+            return False
+        if len(chain) == 1:
+            return self._resolve_import(mp, chain[0]) == (
+                "external", f"enum.{chain[0]}"
+            )
+        return self._resolve_import(mp, chain[0]) == ("external", "enum")
+
+    def enum_class(self, mp: str, name: str, depth: int = 0) -> str | None:
+        """The id of the enum class ``name`` denotes in module ``mp`` — a
+        subclass of a stdlib enum base, or a functional-API enum — or
+        None."""
+        summary = self.summaries[mp]
+        chain = summary["enums"].get(name)
+        if chain is not None:
+            return f"{mp}::{name}" if self._is_enum_base(mp, chain) else None
+        cid = self._resolve_class_chain(mp, [name])
+        if cid is not None:
+            seen: set[str] = set()
+            stack = [cid]
+            while stack:
+                current = stack.pop()
+                if current in seen or current not in self.classes:
+                    continue
+                seen.add(current)
+                info = self.classes[current]
+                cmp = current.partition("::")[0]
+                if any(self._is_enum_base(cmp, b) for b in info["bases"]):
+                    return cid
+                stack.extend(info.get("base_ids", []))
+            return None
+        # a functional-API enum imported (or re-exported) from elsewhere
+        imp = summary["imports"].get(name)
+        if imp is not None and imp[0] == "from" and depth < 6:
+            target_mp = self.modules.get(imp[1])
+            if target_mp is not None:
+                return self.enum_class(target_mp, imp[2], depth + 1)
         return None
 
     def class_attr_type(self, cid: str, attr: str) -> list[str]:

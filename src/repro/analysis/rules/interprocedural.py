@@ -8,7 +8,9 @@ produced by :class:`repro.analysis.dataflow.GraphAnalysis`.
 
 The interprocedural HOT findings reuse the HOT001–HOT006 ids (an
 allocation is an allocation, whether the per-file pass or the graph pass
-saw it); only the determinism-taint and cross-process rules are new ids.
+saw it).  HOT007 is graph-only: whether a name is an enum class is known
+only once imports are linked, so the graph phase reports it for declared
+hot zones and hot-reachable functions alike.
 """
 
 from __future__ import annotations
@@ -26,6 +28,17 @@ class GraphRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         return ()
+
+
+@register
+class HotEnumClassLoad(GraphRule):
+    id = "HOT007"
+    family = "hot-path"
+    summary = (
+        "enum member loaded through its class (Opcode.ADD) in a hot zone "
+        "or hot-reachable function"
+    )
+    version = 1
 
 
 @register

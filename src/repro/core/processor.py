@@ -59,6 +59,7 @@ __all__ = ["Processor", "DEADLOCK_WINDOW"]
 DEADLOCK_WINDOW = 4096
 
 _COMPLETED = EntryState.COMPLETED
+_JALR = Opcode.JALR
 
 
 class Processor:
@@ -175,7 +176,7 @@ class Processor:
         issued: Sequence[int] = ()
         flushed = 0
         if not ruu.halted:
-            if ruu.empty:
+            if not ruu._entries:  # RegisterUpdateUnit.empty
                 self._frontend_empty_cycles += 1
             flushed_before = ruu.flushed
             report = ruu.issue_and_execute()
@@ -184,26 +185,35 @@ class Processor:
                 self._handle_resolutions(report.resolutions)
                 flushed = ruu.flushed - flushed_before
             self._resource_blocked_cycles += report.resource_blocked
-            self._contention_cycles += max(
-                0, report.requests - len(report.granted) - report.memory_stalls
+            contention = (
+                report.requests - len(report.granted) - report.memory_stalls
             )
+            if contention > 0:
+                self._contention_cycles += contention
 
-        # 3. dispatch
+        # 3. dispatch, up to the wake-up array's free rows
         if obs is not None:
             obs.on_stage(self, "dispatch")  # repro: cold-call -- observer hook
         dispatched: list[int] = []
-        if not ruu.halted and len(self.decode):
-            for fetched in self.decode.pop(limit=ruu.wakeup.free_count()):
+        decode = self.decode
+        decode_buffer = decode._buffer  # tested and sized directly
+        if decode_buffer and not ruu.halted:
+            wakeup = ruu.wakeup
+            free_rows = wakeup.n_entries - wakeup._occupied.bit_count()
+            for fetched in decode.pop(free_rows):
                 dispatched.append(ruu.dispatch(fetched).seq)
 
-        # 4. fetch into decode
+        # 4. fetch into decode, when a whole packet fits
         if obs is not None:
             obs.on_stage(self, "fetch")  # repro: cold-call -- observer hook
         packet: Sequence = ()
-        if not ruu.halted and self.decode.can_accept(self.params.fetch_width):
+        if (
+            not ruu.halted
+            and len(decode_buffer) + decode.width <= decode.capacity
+        ):
             fetched_packet = self.fetch.fetch_packet()
             if fetched_packet:
-                self.decode.push(fetched_packet)
+                decode.push(fetched_packet)
                 packet = fetched_packet
 
         # 5. steering policy
@@ -248,7 +258,7 @@ class Processor:
                 self.predictor.update(
                     res.entry.pc, res.taken, mispredicted=res.mispredicted
                 )
-            elif instr.opcode is Opcode.JALR:
+            elif instr.opcode is _JALR:
                 self.btb.update(res.entry.pc, res.target)
             if res.mispredicted:
                 self._mispredictions += 1

@@ -250,7 +250,7 @@ def figure456_wakeup_example() -> str:
         if ruu.empty or cycle > 60:
             break
         requests = ruu.wakeup.requests(
-            ruu._resource_available_bits(), ruu._result_available_bits()
+            ruu._resource_available_bits(), ruu._completed_bits
         )
         report = ruu.issue_and_execute()
         req_names = [names[r] for r in requests]

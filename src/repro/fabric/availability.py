@@ -37,7 +37,7 @@ from collections.abc import Sequence
 from repro.errors import FabricError
 from repro.fabric.allocation import EMPTY_ENCODING, SPAN_ENCODING
 from repro.fabric.units import FunctionalUnit
-from repro.isa.futypes import FU_TYPES, FUType
+from repro.isa.futypes import FU_BIT, FU_TYPES, FUType
 from repro.utils.env import env_flag
 
 __all__ = ["available", "availability_report", "AvailabilityCache"]
@@ -132,6 +132,11 @@ class AvailabilityCache:
 
     # ----------------------------------------------------------- refresh
     def _refresh_structure(self) -> None:
+        """Rebuild the per-type units if a load or an eviction moved the
+        slot array's ``structure_version``.  The per-cycle readers
+        (:meth:`Fabric.issue`, :meth:`Fabric.counts_tuple` and the
+        register update unit's issue step) compare the version themselves
+        and call this only when it moved."""
         version = self._rfus.structure_version
         if version == self._structure_seen:
             return
@@ -177,9 +182,9 @@ class AvailabilityCache:
         n = counts[t] + (1 if idle else -1)
         counts[t] = n
         if n:
-            self._bits |= 1 << t.bit_index
+            self._bits |= FU_BIT[t]
         else:
-            self._bits &= ~(1 << t.bit_index)
+            self._bits &= ~FU_BIT[t]
 
     # --------------------------------------------------------- cross-check
     def _crosscheck(self) -> None:
@@ -205,13 +210,6 @@ class AvailabilityCache:
         # by reconfiguration events, not cycles
         self._refresh_structure()
         return self._by_type[fu_type]
-
-    def counts_tuple(self) -> tuple[int, ...]:
-        """Configured units per type in canonical type order."""
-        # repro: cold-call -- version-guarded structure rebuild: bounded
-        # by reconfiguration events, not cycles
-        self._refresh_structure()
-        return self._counts
 
     def bits(self) -> int:
         """The Eq. 1 availability bus: bit ``t.bit_index`` set when a unit

@@ -64,8 +64,15 @@ class Fabric:
 
         Cached by structure version: repeated calls between
         reconfigurations return the same tuple object without allocating.
+        The steering policies read it every cycle, so the version compare
+        is made here rather than through the cache's query method.
         """
-        return self._avail.counts_tuple()
+        avail = self._avail
+        if avail._structure_seen != self.rfus.structure_version:
+            # repro: cold-call -- version-guarded structure rebuild: bounded
+            # by reconfiguration events, not cycles
+            avail._refresh_structure()
+        return avail._counts
 
     def units_by_type(self) -> dict[FUType, tuple[FunctionalUnit, ...]]:
         """All configured units grouped per type (cached; treat as read-only)."""
@@ -132,12 +139,22 @@ class Fabric:
 
     # ------------------------------------------------------------ mutation
     def issue(self, fu_type: FUType, occupant: int | None = None) -> FunctionalUnit:
-        """Occupy an idle unit of ``fu_type`` until it is released."""
-        unit = self.idle_unit(fu_type)
-        if unit is None:
-            raise FabricError(f"no idle {fu_type.short_name} unit")
-        unit.occupy(occupant)
-        return unit
+        """Occupy an idle unit of ``fu_type`` until it is released.
+
+        Picks the unit :meth:`idle_unit` would (fixed units first), reading
+        the cached per-type units directly: this runs once per issued
+        instruction.
+        """
+        avail = self._avail
+        if avail._structure_seen != self.rfus.structure_version:
+            # repro: cold-call -- version-guarded structure rebuild: bounded
+            # by reconfiguration events, not cycles
+            avail._refresh_structure()
+        for unit in avail._by_type[fu_type]:
+            if not unit.busy:
+                unit.occupy(occupant)
+                return unit
+        raise FabricError(f"no idle {fu_type.short_name} unit")
 
     def tick(self) -> None:
         """Advance the configuration bus one cycle (units release by event)."""

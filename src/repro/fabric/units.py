@@ -48,10 +48,6 @@ class FunctionalUnit:
         """The slot's 'available' output: asserted when the unit is idle."""
         return not self.busy
 
-    def _notify(self, idle: bool) -> None:
-        for listener in self.listeners:
-            listener.unit_state_changed(self, idle)
-
     def occupy(self, occupant: int | None = None) -> None:
         """Begin executing an instruction; the unit stays busy until
         :meth:`release`."""
@@ -62,7 +58,8 @@ class FunctionalUnit:
             )
         self.busy = True
         self.occupant = occupant
-        self._notify(False)
+        for listener in self.listeners:
+            listener.unit_state_changed(self, False)
 
     def release(self) -> None:
         """Free the unit: its instruction completed or was squashed."""
@@ -70,7 +67,8 @@ class FunctionalUnit:
         self.busy = False
         self.occupant = None
         if was_busy:
-            self._notify(True)
+            for listener in self.listeners:
+                listener.unit_state_changed(self, True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "busy" if self.busy else "idle"

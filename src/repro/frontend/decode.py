@@ -38,7 +38,7 @@ class DecodeStage:
 
     def push(self, packet: list[FetchedInstruction]) -> None:
         """Accept a fetch packet (caller must check :meth:`can_accept`)."""
-        if not self.can_accept(len(packet)):
+        if len(self._buffer) + len(packet) > self.capacity:
             raise SimulationError(
                 f"decode buffer overflow: {len(packet)} into {self.free_space} free"
             )

@@ -17,7 +17,7 @@ back end, which calls :meth:`FetchUnit.redirect`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.frontend.branch import BTB, BranchPredictor
 from repro.frontend.memory import InstructionMemory
@@ -27,10 +27,16 @@ from repro.isa.opcodes import Opcode
 
 __all__ = ["FetchedInstruction", "FetchUnit"]
 
+_JAL = Opcode.JAL
+_JALR = Opcode.JALR
 
-@dataclass(frozen=True)
-class FetchedInstruction:
-    """One instruction flowing down the pipeline with its prediction."""
+
+class FetchedInstruction(NamedTuple):
+    """One instruction flowing down the pipeline with its prediction.
+
+    A tuple record: one is built per fetched instruction, and a tuple
+    builds several times faster than a frozen dataclass.
+    """
 
     pc: int
     instruction: Instruction
@@ -53,6 +59,8 @@ class FetchUnit:
         entry: int = 0,
     ) -> None:
         self.imem = imem
+        #: the decoded program, read by index in :meth:`fetch_packet`.
+        self._program = imem.instructions
         self.predictor = predictor if predictor is not None else BranchPredictor()
         self.btb = btb if btb is not None else BTB()
         self.trace_cache = trace_cache
@@ -76,9 +84,9 @@ class FetchUnit:
     def _predict(self, pc: int, instr: Instruction) -> tuple[int, bool]:
         """(predicted_next, predicted_taken) for the instruction at ``pc``."""
         op = instr.opcode
-        if op is Opcode.JAL:
+        if op is _JAL:
             return pc + instr.imm, True
-        if op is Opcode.JALR:
+        if op is _JALR:
             target = self.btb.predict(pc)
             if target is None:
                 return pc + 1, False
@@ -95,20 +103,18 @@ class FetchUnit:
             return []
         packet: list[FetchedInstruction] = []
         pc = self.pc
-        while len(packet) < self.width:
-            if not self.imem.in_range(pc):
+        program = self._program
+        width = self.width
+        while len(packet) < width:
+            if not 0 <= pc < len(program):  # InstructionMemory.in_range
                 self._stalled = True
                 break
-            instr = self.imem.fetch(pc)
-            predicted_next, taken = self._predict(pc, instr)
-            packet.append(
-                FetchedInstruction(
-                    pc=pc,
-                    instruction=instr,
-                    predicted_next=predicted_next,
-                    predicted_taken=taken,
-                )
-            )
+            instr = program[pc]
+            if instr.is_control:
+                predicted_next, taken = self._predict(pc, instr)
+            else:
+                predicted_next, taken = pc + 1, False
+            packet.append(FetchedInstruction(pc, instr, predicted_next, taken))
             if instr.is_halt:
                 self._stalled = True
                 pc = predicted_next

@@ -36,6 +36,11 @@ class InstructionMemory:
     def __len__(self) -> int:
         return len(self._words)
 
+    @property
+    def instructions(self) -> list[Instruction]:
+        """The decoded program indexed by PC (treat as read-only)."""
+        return self._decoded
+
     def in_range(self, pc: int) -> bool:
         return 0 <= pc < len(self._words)
 

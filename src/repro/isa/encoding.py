@@ -31,12 +31,17 @@ WORD_BITS = 32
 _IMM15_MIN, _IMM15_MAX = -(1 << 14), (1 << 14) - 1
 _IMM20_MIN, _IMM20_MAX = -(1 << 19), (1 << 19) - 1
 
+#: the formats as module constants: :func:`decode` sits on the steering
+#: decoders' path for raw words, and a member loaded through its enum
+#: class is a slow attribute load.
+_R, _I, _S, _B, _J, _N = Format.R, Format.I, Format.S, Format.B, Format.J, Format.N
+
 
 def imm_range(fmt: Format) -> tuple[int, int]:
     """Inclusive immediate range representable by ``fmt``."""
-    if fmt is Format.J:
+    if fmt is _J:
         return _IMM20_MIN, _IMM20_MAX
-    if fmt in (Format.I, Format.S, Format.B):
+    if fmt in (_I, _S, _B):
         return _IMM15_MIN, _IMM15_MAX
     return 0, 0
 
@@ -53,11 +58,11 @@ def encode(instr: Instruction) -> int:
             f"immediate {instr.imm} out of range [{lo}, {hi}] for {spec.mnemonic}"
         )
 
-    if fmt is Format.R:
+    if fmt is _R:
         word |= instr.rd << 20 | instr.rs1 << 15 | instr.rs2 << 10
-    elif fmt is Format.I:
+    elif fmt is _I:
         word |= instr.rd << 20 | instr.rs1 << 15 | to_unsigned(instr.imm, 15)
-    elif fmt in (Format.S, Format.B):
+    elif fmt in (_S, _B):
         imm = to_unsigned(instr.imm, 15)
         word |= (
             bits(imm, 14, 10) << 20
@@ -65,9 +70,9 @@ def encode(instr: Instruction) -> int:
             | instr.rs2 << 10
             | bits(imm, 9, 0)
         )
-    elif fmt is Format.J:
+    elif fmt is _J:
         word |= instr.rd << 20 | to_unsigned(instr.imm, 20)
-    elif fmt is Format.N:
+    elif fmt is _N:
         pass
     else:  # pragma: no cover - exhaustive over Format
         raise EncodingError(f"unhandled format {fmt}")
@@ -85,18 +90,18 @@ def decode(word: int) -> Instruction:
         raise DisassemblerError(f"unknown opcode {opnum:#04x} in word {word:#010x}") from None
     fmt = spec_of(opcode).format
 
-    if fmt is Format.R:
+    if fmt is _R:
         return Instruction(
             opcode, rd=bits(word, 24, 20), rs1=bits(word, 19, 15), rs2=bits(word, 14, 10)
         )
-    if fmt is Format.I:
+    if fmt is _I:
         return Instruction(
             opcode,
             rd=bits(word, 24, 20),
             rs1=bits(word, 19, 15),
             imm=sign_extend(bits(word, 14, 0), 15),
         )
-    if fmt in (Format.S, Format.B):
+    if fmt in (_S, _B):
         imm = (bits(word, 24, 20) << 10) | bits(word, 9, 0)
         return Instruction(
             opcode,
@@ -104,6 +109,6 @@ def decode(word: int) -> Instruction:
             rs2=bits(word, 14, 10),
             imm=sign_extend(imm, 15),
         )
-    if fmt is Format.J:
+    if fmt is _J:
         return Instruction(opcode, rd=bits(word, 24, 20), imm=sign_extend(bits(word, 19, 0), 20))
     return Instruction(opcode)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["FUType", "FU_TYPES", "NUM_FU_TYPES"]
+__all__ = ["FUType", "FU_TYPES", "NUM_FU_TYPES", "FU_BIT"]
 
 
 class FUType(enum.IntEnum):
@@ -84,3 +84,7 @@ FU_TYPES: tuple[FUType, ...] = (
 )
 
 NUM_FU_TYPES = len(FU_TYPES)
+
+#: each type's one-hot bit (``1 << t.bit_index``), for the per-cycle code
+#: that would otherwise call the ``bit_index`` property per use.
+FU_BIT: dict[FUType, int] = {t: 1 << _BIT_INDEX[t] for t in FU_TYPES}

@@ -6,7 +6,11 @@ re-rounded through float32).  Division follows the RISC-V convention:
 divide-by-zero yields all-ones / the dividend rather than trapping.
 
 The functions here are pure: the execute stage combines them with the data
-memory and store buffer.
+memory and store buffer.  The opcode-dependent ones look the opcode up
+in a per-opcode table built once at import, so executing an instruction
+costs one dict lookup and one handler call instead of a chain of enum
+comparisons (an enum member loaded through its class is a slow attribute
+load).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import struct
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.utils.bitops import mask, to_signed, to_unsigned
 
 __all__ = [
     "alu_result",
@@ -28,7 +31,15 @@ __all__ = [
     "f32",
 ]
 
-_U32 = mask(32)
+_U32 = 0xFFFFFFFF
+_SIGN = 1 << 31
+
+_U32_WORD = struct.Struct("<I")
+_I16 = struct.Struct("<h")
+_U16 = struct.Struct("<H")
+_I8 = struct.Struct("<b")
+_U8 = struct.Struct("<B")
+_F32 = struct.Struct("<f")
 
 
 def f32(value: float) -> float:
@@ -38,9 +49,14 @@ def f32(value: float) -> float:
     would (struct raises instead of rounding, so handle it here).
     """
     try:
-        return struct.unpack("<f", struct.pack("<f", value))[0]
+        return _F32.unpack(_F32.pack(value))[0]
     except OverflowError:
         return math.copysign(math.inf, value)
+
+
+def _s32(value: int) -> int:
+    """The low 32 bits of ``value`` as a two's-complement integer."""
+    return ((value & _U32) ^ _SIGN) - _SIGN
 
 
 def _sdiv(a: int, b: int) -> int:
@@ -60,108 +76,136 @@ def _srem(a: int, b: int) -> int:
     return a - _sdiv(a, b) * b
 
 
+def _fdiv(s1: float, s2: float) -> float:
+    if s2 == 0.0:
+        if s1 == 0.0 or math.isnan(s1):
+            return math.nan
+        sign = math.copysign(1.0, s1) * math.copysign(1.0, s2)
+        return math.copysign(math.inf, sign)
+    return f32(s1 / s2)
+
+
+def _fcvtws(s1: float) -> int:
+    clamped = max(-(1 << 31), min((1 << 31) - 1, int(s1) if math.isfinite(s1) else 0))
+    return clamped & _U32
+
+
+def _divu(s1: int, s2: int) -> int:
+    a, b = s1 & _U32, s2 & _U32
+    return _U32 if b == 0 else (a // b) & _U32
+
+
+def _remu(s1: int, s2: int) -> int:
+    a, b = s1 & _U32, s2 & _U32
+    return a if b == 0 else (a % b) & _U32
+
+
+#: opcode -> ``handler(s1, s2, imm)`` of every non-memory, non-control
+#: instruction.  Integer operands/results are unsigned 32-bit ints; FP are
+#: floats.
+_ALU = {
+    # ---- integer ALU ----
+    Opcode.ADD: lambda s1, s2, imm: (s1 + s2) & _U32,
+    Opcode.ADDI: lambda s1, s2, imm: (s1 + imm) & _U32,
+    Opcode.SUB: lambda s1, s2, imm: (s1 - s2) & _U32,
+    Opcode.AND: lambda s1, s2, imm: (s1 & s2) & _U32,
+    Opcode.ANDI: lambda s1, s2, imm: (s1 & (imm & 0x7FFF)) & _U32,
+    Opcode.OR: lambda s1, s2, imm: (s1 | s2) & _U32,
+    Opcode.ORI: lambda s1, s2, imm: (s1 | (imm & 0x7FFF)) & _U32,
+    Opcode.XOR: lambda s1, s2, imm: (s1 ^ s2) & _U32,
+    Opcode.XORI: lambda s1, s2, imm: (s1 ^ (imm & 0x7FFF)) & _U32,
+    Opcode.NOR: lambda s1, s2, imm: ~(s1 | s2) & _U32,
+    Opcode.SLL: lambda s1, s2, imm: (s1 << (s2 & 31)) & _U32,
+    Opcode.SLLI: lambda s1, s2, imm: (s1 << (imm & 31)) & _U32,
+    Opcode.SRL: lambda s1, s2, imm: (s1 & _U32) >> (s2 & 31),
+    Opcode.SRLI: lambda s1, s2, imm: (s1 & _U32) >> (imm & 31),
+    Opcode.SRA: lambda s1, s2, imm: (_s32(s1) >> (s2 & 31)) & _U32,
+    Opcode.SRAI: lambda s1, s2, imm: (_s32(s1) >> (imm & 31)) & _U32,
+    Opcode.SLT: lambda s1, s2, imm: int(_s32(s1) < _s32(s2)),
+    Opcode.SLTI: lambda s1, s2, imm: int(_s32(s1) < imm),
+    Opcode.SLTU: lambda s1, s2, imm: int((s1 & _U32) < (s2 & _U32)),
+    # the immediate field is stored sign-extended; lui places its 15 raw
+    # bits at [29:15]
+    Opcode.LUI: lambda s1, s2, imm: ((imm & 0x7FFF) << 15) & _U32,
+    # ---- floating-point ----
+    Opcode.FADD: lambda s1, s2, imm: f32(s1 + s2),
+    Opcode.FSUB: lambda s1, s2, imm: f32(s1 - s2),
+    Opcode.FMUL: lambda s1, s2, imm: f32(s1 * s2),
+    Opcode.FDIV: lambda s1, s2, imm: _fdiv(s1, s2),
+    Opcode.FSQRT: lambda s1, s2, imm: f32(math.sqrt(s1)) if s1 >= 0.0 else math.nan,
+    Opcode.FMIN: lambda s1, s2, imm: f32(min(s1, s2)),
+    Opcode.FMAX: lambda s1, s2, imm: f32(max(s1, s2)),
+    Opcode.FABS: lambda s1, s2, imm: f32(abs(s1)),
+    Opcode.FNEG: lambda s1, s2, imm: f32(-s1),
+    Opcode.FMOV: lambda s1, s2, imm: f32(s1),
+    Opcode.FEQ: lambda s1, s2, imm: int(s1 == s2),
+    Opcode.FLT: lambda s1, s2, imm: int(s1 < s2),
+    Opcode.FLE: lambda s1, s2, imm: int(s1 <= s2),
+    Opcode.FCVTWS: lambda s1, s2, imm: _fcvtws(s1),
+    Opcode.FCVTSW: lambda s1, s2, imm: f32(float(_s32(s1))),
+    # ---- integer multiply/divide ----
+    Opcode.MUL: lambda s1, s2, imm: (_s32(s1) * _s32(s2)) & _U32,
+    Opcode.MULH: lambda s1, s2, imm: ((_s32(s1) * _s32(s2)) >> 32) & _U32,
+    Opcode.MULHU: lambda s1, s2, imm: (((s1 & _U32) * (s2 & _U32)) >> 32) & _U32,
+    Opcode.DIV: lambda s1, s2, imm: _sdiv(_s32(s1), _s32(s2)) & _U32,
+    Opcode.DIVU: lambda s1, s2, imm: _divu(s1, s2),
+    Opcode.REM: lambda s1, s2, imm: _srem(_s32(s1), _s32(s2)) & _U32,
+    Opcode.REMU: lambda s1, s2, imm: _remu(s1, s2),
+}
+
+#: jump opcode -> ``handler(pc, imm, s1)`` returning ``(taken, target_pc,
+#: link_value)``.
+_JUMP = {
+    Opcode.JAL: lambda pc, imm, s1: (True, pc + imm, (pc + 1) & _U32),
+    Opcode.JALR: lambda pc, imm, s1: (True, (s1 + imm) & _U32, (pc + 1) & _U32),
+    Opcode.HALT: lambda pc, imm, s1: (False, pc + 1, None),
+}
+
+#: branch opcode -> ``condition(s1, s2)``: is the branch taken?
+_BRANCH = {
+    Opcode.BEQ: lambda s1, s2: (s1 & _U32) == (s2 & _U32),
+    Opcode.BNE: lambda s1, s2: (s1 & _U32) != (s2 & _U32),
+    Opcode.BLT: lambda s1, s2: _s32(s1) < _s32(s2),
+    Opcode.BGE: lambda s1, s2: _s32(s1) >= _s32(s2),
+    Opcode.BLTU: lambda s1, s2: (s1 & _U32) < (s2 & _U32),
+    Opcode.BGEU: lambda s1, s2: (s1 & _U32) >= (s2 & _U32),
+}
+
+#: access width in bytes of every load/store (any other opcode reads 1).
+_ACCESS_SIZE = {
+    Opcode.LW: 4, Opcode.SW: 4, Opcode.FLW: 4, Opcode.FSW: 4,
+    Opcode.LH: 2, Opcode.LHU: 2, Opcode.SH: 2,
+    Opcode.LB: 1, Opcode.LBU: 1, Opcode.SB: 1,
+}
+
+#: store opcode -> bytes it writes to memory (little-endian).
+_STORE = {
+    Opcode.SW: lambda value: _U32_WORD.pack(value & _U32),
+    Opcode.SH: lambda value: _U16.pack(value & 0xFFFF),
+    Opcode.SB: lambda value: _U8.pack(value & 0xFF),
+    Opcode.FSW: lambda value: _F32.pack(f32(value)),
+}
+
+#: load opcode -> register value produced from its raw memory bytes.
+_LOAD = {
+    Opcode.LW: lambda raw: _U32_WORD.unpack(raw)[0],
+    Opcode.LH: lambda raw: _I16.unpack(raw)[0] & _U32,
+    Opcode.LHU: lambda raw: _U16.unpack(raw)[0],
+    Opcode.LB: lambda raw: _I8.unpack(raw)[0] & _U32,
+    Opcode.LBU: lambda raw: _U8.unpack(raw)[0],
+    Opcode.FLW: lambda raw: _F32.unpack(raw)[0],
+}
+
+
 def alu_result(instr: Instruction, s1: int | float, s2: int | float) -> int | float:
     """Result of a non-memory, non-control instruction.
 
     Integer operands/results are unsigned 32-bit ints; FP are floats.
     """
-    op = instr.opcode
-    imm = instr.imm
-
-    # ---- integer ALU ----
-    if op in (Opcode.ADD, Opcode.ADDI):
-        b = s2 if op is Opcode.ADD else imm
-        return to_unsigned(s1 + b, 32)
-    if op is Opcode.SUB:
-        return to_unsigned(s1 - s2, 32)
-    if op in (Opcode.AND, Opcode.ANDI):
-        b = s2 if op is Opcode.AND else imm & 0x7FFF
-        return (s1 & b) & _U32
-    if op in (Opcode.OR, Opcode.ORI):
-        b = s2 if op is Opcode.OR else imm & 0x7FFF
-        return (s1 | b) & _U32
-    if op in (Opcode.XOR, Opcode.XORI):
-        b = s2 if op is Opcode.XOR else imm & 0x7FFF
-        return (s1 ^ b) & _U32
-    if op is Opcode.NOR:
-        return ~(s1 | s2) & _U32
-    if op in (Opcode.SLL, Opcode.SLLI):
-        amt = (s2 if op is Opcode.SLL else imm) & 31
-        return to_unsigned(s1 << amt, 32)
-    if op in (Opcode.SRL, Opcode.SRLI):
-        amt = (s2 if op is Opcode.SRL else imm) & 31
-        return (s1 & _U32) >> amt
-    if op in (Opcode.SRA, Opcode.SRAI):
-        amt = (s2 if op is Opcode.SRA else imm) & 31
-        return to_unsigned(to_signed(s1, 32) >> amt, 32)
-    if op in (Opcode.SLT, Opcode.SLTI):
-        b = s2 if op is Opcode.SLT else imm
-        bs = to_signed(b, 32) if op is Opcode.SLT else b
-        return int(to_signed(s1, 32) < bs)
-    if op is Opcode.SLTU:
-        return int((s1 & _U32) < (s2 & _U32))
-    if op is Opcode.LUI:
-        # the immediate field is stored sign-extended; lui places its 15
-        # raw bits at [29:15]
-        return ((imm & 0x7FFF) << 15) & _U32
-
-    # ---- floating-point ----
-    if op is Opcode.FADD:
-        return f32(s1 + s2)
-    if op is Opcode.FSUB:
-        return f32(s1 - s2)
-    if op is Opcode.FMUL:
-        return f32(s1 * s2)
-    if op is Opcode.FDIV:
-        if s2 == 0.0:
-            if s1 == 0.0 or math.isnan(s1):
-                return math.nan
-            sign = math.copysign(1.0, s1) * math.copysign(1.0, s2)
-            return math.copysign(math.inf, sign)
-        return f32(s1 / s2)
-    if op is Opcode.FSQRT:
-        return f32(math.sqrt(s1)) if s1 >= 0.0 else math.nan
-    if op is Opcode.FMIN:
-        return f32(min(s1, s2))
-    if op is Opcode.FMAX:
-        return f32(max(s1, s2))
-    if op is Opcode.FABS:
-        return f32(abs(s1))
-    if op is Opcode.FNEG:
-        return f32(-s1)
-    if op is Opcode.FMOV:
-        return f32(s1)
-    if op is Opcode.FEQ:
-        return int(s1 == s2)
-    if op is Opcode.FLT:
-        return int(s1 < s2)
-    if op is Opcode.FLE:
-        return int(s1 <= s2)
-    if op is Opcode.FCVTWS:
-        clamped = max(-(1 << 31), min((1 << 31) - 1, int(s1) if math.isfinite(s1) else 0))
-        return to_unsigned(clamped, 32)
-    if op is Opcode.FCVTSW:
-        return f32(float(to_signed(s1, 32)))
-
-    # ---- integer multiply/divide ----
-    a_s, b_s = to_signed(s1, 32), to_signed(s2 if s2 is not None else 0, 32)
-    a_u, b_u = s1 & _U32, (s2 if s2 is not None else 0) & _U32
-    if op is Opcode.MUL:
-        return to_unsigned(a_s * b_s, 32)
-    if op is Opcode.MULH:
-        return to_unsigned((a_s * b_s) >> 32, 32)
-    if op is Opcode.MULHU:
-        return ((a_u * b_u) >> 32) & _U32
-    if op is Opcode.DIV:
-        return to_unsigned(_sdiv(a_s, b_s), 32)
-    if op is Opcode.DIVU:
-        return _U32 if b_u == 0 else (a_u // b_u) & _U32
-    if op is Opcode.REM:
-        return to_unsigned(_srem(a_s, b_s), 32)
-    if op is Opcode.REMU:
-        return a_u if b_u == 0 else (a_u % b_u) & _U32
-
-    raise ValueError(f"alu_result does not handle {instr.mnemonic}")
+    handler = _ALU.get(instr.opcode)
+    if handler is None:
+        raise ValueError(f"alu_result does not handle {instr.mnemonic}")
+    return handler(s1, s2, instr.imm)
 
 
 def control_outcome(
@@ -174,70 +218,37 @@ def control_outcome(
     For a not-taken branch ``target_pc`` is the fall-through ``pc + 1``.
     """
     op = instr.opcode
-    if op is Opcode.JAL:
-        return True, pc + instr.imm, to_unsigned(pc + 1, 32)
-    if op is Opcode.JALR:
-        return True, to_unsigned(s1 + instr.imm, 32), to_unsigned(pc + 1, 32)
-    if op is Opcode.HALT:
-        return False, pc + 1, None
-
-    a_s, b_s = to_signed(s1, 32), to_signed(s2, 32)
-    a_u, b_u = s1 & _U32, s2 & _U32
-    taken = {
-        Opcode.BEQ: a_u == b_u,
-        Opcode.BNE: a_u != b_u,
-        Opcode.BLT: a_s < b_s,
-        Opcode.BGE: a_s >= b_s,
-        Opcode.BLTU: a_u < b_u,
-        Opcode.BGEU: a_u >= b_u,
-    }.get(op)
-    if taken is None:
+    condition = _BRANCH.get(op)
+    if condition is not None:
+        taken = condition(s1, s2)
+        return taken, (pc + instr.imm) if taken else (pc + 1), None
+    jump = _JUMP.get(op)
+    if jump is None:
         raise ValueError(f"control_outcome does not handle {instr.mnemonic}")
-    return taken, (pc + instr.imm) if taken else (pc + 1), None
+    return jump(pc, instr.imm, s1)
 
 
 def effective_address(instr: Instruction, base: int) -> int:
     """Byte address accessed by a load or store."""
-    return to_unsigned(base + instr.imm, 32)
+    return (base + instr.imm) & _U32
 
 
 def access_size(instr: Instruction) -> int:
     """Access width in bytes of a load/store."""
-    m = instr.mnemonic
-    if m in ("lw", "sw", "flw", "fsw"):
-        return 4
-    if m in ("lh", "lhu", "sh"):
-        return 2
-    return 1
+    return _ACCESS_SIZE.get(instr.opcode, 1)
 
 
 def store_bytes(instr: Instruction, value: int | float) -> bytes:
     """Bytes a store writes to memory (little-endian)."""
-    m = instr.mnemonic
-    if m == "sw":
-        return struct.pack("<I", value & _U32)
-    if m == "sh":
-        return struct.pack("<H", value & 0xFFFF)
-    if m == "sb":
-        return struct.pack("<B", value & 0xFF)
-    if m == "fsw":
-        return struct.pack("<f", f32(value))
-    raise ValueError(f"not a store: {instr.mnemonic}")
+    pack = _STORE.get(instr.opcode)
+    if pack is None:
+        raise ValueError(f"not a store: {instr.mnemonic}")
+    return pack(value)
 
 
 def load_value(instr: Instruction, raw: bytes) -> int | float:
     """Register value produced by a load from its raw memory bytes."""
-    m = instr.mnemonic
-    if m == "lw":
-        return struct.unpack("<I", raw)[0]
-    if m == "lh":
-        return to_unsigned(struct.unpack("<h", raw)[0], 32)
-    if m == "lhu":
-        return struct.unpack("<H", raw)[0]
-    if m == "lb":
-        return to_unsigned(struct.unpack("<b", raw)[0], 32)
-    if m == "lbu":
-        return struct.unpack("<B", raw)[0]
-    if m == "flw":
-        return struct.unpack("<f", raw)[0]
-    raise ValueError(f"not a load: {instr.mnemonic}")
+    unpack = _LOAD.get(instr.opcode)
+    if unpack is None:
+        raise ValueError(f"not a load: {instr.mnemonic}")
+    return unpack(raw)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.fabric.units import FunctionalUnit
 from repro.frontend.fetch import FetchedInstruction
@@ -27,9 +28,15 @@ class EntryState(enum.Enum):
     COMPLETED = "completed"  # result available, awaiting in-order retire
 
 
-@dataclass(frozen=True, slots=True)
-class SourceBinding:
-    """Where one source operand comes from."""
+#: the states as module constants: the scheduler tests them every cycle,
+#: and a member loaded through its enum class is a slow attribute load.
+_WAITING = EntryState.WAITING
+_COMPLETED = EntryState.COMPLETED
+
+
+class SourceBinding(NamedTuple):
+    """Where one source operand comes from (a tuple record: dispatch
+    builds up to two per instruction)."""
 
     reg_class: str
     index: int
@@ -46,7 +53,7 @@ class RuuEntry:
     fetched: FetchedInstruction
     #: positional bindings for (src1, src2); None = unused or hard-wired x0.
     sources: tuple[SourceBinding | None, SourceBinding | None]
-    state: EntryState = EntryState.WAITING
+    state: EntryState = _WAITING
     # invariant views of ``fetched.instruction``, materialised once at
     # construction: the scheduler reads these every cycle, and a chain of
     # property hops showed up in the per-cycle profile.
@@ -83,4 +90,4 @@ class RuuEntry:
 
     @property
     def completed(self) -> bool:
-        return self.state is EntryState.COMPLETED
+        return self.state is _COMPLETED

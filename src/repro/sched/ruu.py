@@ -53,6 +53,12 @@ __all__ = ["BranchResolution", "IssueReport", "RegisterUpdateUnit"]
 #: the resource-available bus with every unit type available.
 _ALL_RESOURCES = (1 << len(FU_TYPES)) - 1
 
+#: the entry states as module constants: loading an enum member through
+#: its class is a slow attribute load, and these are tested every cycle.
+_WAITING = EntryState.WAITING
+_ISSUED = EntryState.ISSUED
+_COMPLETED = EntryState.COMPLETED
+
 
 @dataclass(frozen=True, slots=True)
 class BranchResolution:
@@ -94,6 +100,10 @@ class RegisterUpdateUnit:
         pipelined_scheduling: bool = False,
     ) -> None:
         self.fabric = fabric
+        #: the fabric's availability cache and slot array, read flat by
+        #: the issue step (see :meth:`issue_and_execute`).
+        self._avail = fabric._avail
+        self._rfus = fabric.rfus
         self.dmem = dmem
         self.wakeup = WakeupArray(window_size)
         self.regfile = RegisterFile()
@@ -180,11 +190,7 @@ class RegisterUpdateUnit:
     def ready_unscheduled(self) -> list[Instruction]:
         """The instructions the configuration manager inspects: queue
         entries that have not yet been granted execution."""
-        return [
-            e.instruction
-            for e in self._order
-            if e.state is EntryState.WAITING
-        ]
+        return [e.instruction for e in self._order if e.state is _WAITING]
 
     def _row_of_seq(self, seq: int) -> int | None:
         return self._row_by_seq.get(seq)
@@ -192,7 +198,8 @@ class RegisterUpdateUnit:
     # ----------------------------------------------------------- dispatch
     def dispatch(self, fetched: FetchedInstruction) -> RuuEntry:
         """Insert one decoded instruction into the window."""
-        if self.full:
+        wakeup = self.wakeup
+        if wakeup._occupied == wakeup._all_rows:
             raise SchedulerError("RUU window is full")
         instr = fetched.instruction
         src1, src2, dest = instr.dispatch_template
@@ -213,7 +220,7 @@ class RegisterUpdateUnit:
             if producer_seq is not None and producer_seq in row_by_seq:
                 dep_rows.add(row_by_seq[producer_seq])
 
-        row = self.wakeup.insert(instr.fu_type, dep_rows)
+        row = wakeup.insert(instr.fu_type, dep_rows)
         seq = self._next_seq
         entry = RuuEntry(seq=seq, fetched=fetched, sources=(b1, b2))
         self._next_seq = seq + 1
@@ -231,10 +238,10 @@ class RegisterUpdateUnit:
         if binding is None:
             return 0
         if binding.producer_seq is not None:
-            row = self._row_of_seq(binding.producer_seq)
+            row = self._row_by_seq.get(binding.producer_seq)
             if row is not None:
                 producer = self._entries[row]
-                if not producer.completed:
+                if producer.state is not _COMPLETED:
                     raise SchedulerError(
                         f"operand read before producer seq={producer.seq} completed"
                     )
@@ -278,12 +285,9 @@ class RegisterUpdateUnit:
 
     # --------------------------------------------------------------- issue
     def _resource_available_bits(self) -> int:
-        # the fabric's cached Eq. 1 bus (recomputed only when a unit's busy
-        # state or the configured structure actually changed)
+        """The fabric's cached Eq. 1 bus (for inspection: the issue step
+        reads the same bus flat)."""
         return self.fabric.availability_bits()
-
-    def _result_available_bits(self) -> int:
-        return self._completed_bits
 
     def issue_and_execute(self) -> IssueReport:
         """One issue step: wake-up requests, grants, functional execution."""
@@ -293,11 +297,21 @@ class RegisterUpdateUnit:
             # de-assert the scheduled bit of last cycle's collision losers
             # (the Fig. 6 reschedule input): they re-request from now on
             for row in self._pending_reschedule:
-                if row in self._entries and self._entries[row].state is EntryState.WAITING:
+                if row in self._entries and self._entries[row].state is _WAITING:
                     self.wakeup.reschedule(row)
             self._pending_reschedule.clear()
-        result_bits = self._result_available_bits()
-        live_bits = self._resource_available_bits()
+        result_bits = self._completed_bits
+        # the Eq. 1 bus, read flat: one structure-version compare, the
+        # debug cross-check when armed, then the incrementally kept bits
+        avail = self._avail
+        if avail._structure_seen != self._rfus.structure_version:
+            # repro: cold-call -- version-guarded structure rebuild: bounded
+            # by reconfiguration events, not cycles
+            avail._refresh_structure()
+        if avail.crosscheck:
+            # repro: cold-call -- opt-in divergence cross-check (debug)
+            avail._crosscheck()
+        live_bits = avail._bits
         stale_bits = self._stale_resource_bits
         wakeup = self.wakeup
         if (
@@ -340,7 +354,7 @@ class RegisterUpdateUnit:
             # overwrite-in-place copy of the live counts (all five types are
             # always keyed), so the grant loop can decrement freely
             remaining = self._scratch_remaining
-            remaining.update(self.fabric.idle_counts())
+            remaining.update(avail._idle_counts)
             entries = self._entries
             requesting = []
             m = req_mask
@@ -385,7 +399,7 @@ class RegisterUpdateUnit:
             else:
                 self._execute_alu(entry)
             entry.unit = self.fabric.issue(entry.fu_type, entry.seq)
-            entry.state = EntryState.ISSUED
+            entry.state = _ISSUED
             self.waiting_version += 1
             entry.issue_cycle = self.clock
             due = self.clock + entry.instruction.latency - 1
@@ -405,7 +419,7 @@ class RegisterUpdateUnit:
     ) -> None:
         """Keep a request-free step's report and inputs for reuse, unless a
         debug cross-check is armed: those must see every evaluation."""
-        if WakeupArray.crosscheck or self.fabric.availability_crosscheck:
+        if WakeupArray.crosscheck or self._avail.crosscheck:
             self._idle_report = None
             return
         wakeup = self.wakeup
@@ -465,10 +479,9 @@ class RegisterUpdateUnit:
             entries = self._entries
             bits = self._completed_bits
             busy = self._busy_cycles
-            completed = EntryState.COMPLETED
             for row, entry in due:
                 if entries.get(row) is entry:
-                    entry.state = completed
+                    entry.state = _COMPLETED
                     bits |= 1 << row
                     entry.unit.release()
                     busy[entry.fu_type] += clock - entry.issue_cycle + 1
@@ -483,7 +496,7 @@ class RegisterUpdateUnit:
         """
         busy = dict(self._busy_cycles)
         for e in self._order:
-            if e.state is EntryState.ISSUED:
+            if e.state is _ISSUED:
                 busy[e.fu_type] += self.clock - e.issue_cycle
         return busy
 
@@ -494,7 +507,7 @@ class RegisterUpdateUnit:
         order = self._order
         while len(retired) < self.retire_width and order:
             head = order[0]
-            if not head.completed:
+            if head.state is not _COMPLETED:
                 break
             row = self._row_by_seq.pop(head.seq)
             self._commit(head)
@@ -516,7 +529,7 @@ class RegisterUpdateUnit:
         if entry.is_store:
             self.dmem.store(entry.mem_addr, entry.store_data)
             return
-        dest = entry.instruction.destination()
+        dest = entry.instruction.dispatch_template[2]
         if dest is not None and entry.result is not None:
             self.regfile.write(dest[0], dest[1], entry.result)
 
@@ -531,7 +544,7 @@ class RegisterUpdateUnit:
             (row, e) for row, e in self._entries.items() if e.seq > seq
         ]
         for row, e in victims:
-            if e.state is EntryState.ISSUED:
+            if e.state is _ISSUED:
                 e.unit.release()
                 # squashed during this cycle's issue step: it was busy at
                 # the end of every cycle from its issue up to the last one
@@ -543,7 +556,7 @@ class RegisterUpdateUnit:
         self._order = [e for e in self._order if e.seq <= seq]
         self._rename = {}
         for e in self._order:
-            dest = e.instruction.destination()
+            dest = e.instruction.dispatch_template[2]
             if dest is not None:
                 self._rename[dest] = e.seq
         self.flushed += len(victims)

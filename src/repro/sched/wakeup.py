@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SchedulerError
-from repro.isa.futypes import FU_TYPES, NUM_FU_TYPES, FUType
+from repro.isa.futypes import FU_BIT, FU_TYPES, NUM_FU_TYPES, FUType
 
 __all__ = ["WakeupRow", "WakeupArray"]
 
@@ -108,10 +108,6 @@ class WakeupArray:
         """n-bit mask of occupied rows."""
         return self._occupied
 
-    def free_count(self) -> int:
-        """Number of free rows (dispatch headroom) without building a list."""
-        return self.n_entries - self._occupied.bit_count()
-
     def free_rows(self) -> list[int]:
         free = ~self._occupied & self._all_rows
         return [i for i in range(self.n_entries) if (free >> i) & 1]
@@ -151,7 +147,7 @@ class WakeupArray:
         dep_bits = 0
         for d in dep_rows:
             dep_bits |= 1 << d
-        field = (1 << fu_type.bit_index) | (dep_bits << NUM_FU_TYPES)
+        field = FU_BIT[fu_type] | (dep_bits << NUM_FU_TYPES)
         self._need |= field << (index * self._width)
         self._occupied = occ | (1 << index)
         return index

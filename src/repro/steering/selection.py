@@ -179,13 +179,13 @@ class ConfigurationSelectionUnit:
                 f"current_counts needs {len(FU_TYPES)} entries, got {len(current_counts)}"
             )
         window = queue[: self.queue_size]
+        # the unit type of each entry (one list comprehension: a generator
+        # would resume once per entry, a ``bit_index`` read call once more)
         memo_key = (
-            tuple(
-                item.fu_type.bit_index
-                if isinstance(item, Instruction)
-                else ("word", item)
+            tuple([
+                item.fu_type if isinstance(item, Instruction) else ("word", item)
                 for item in window
-            ),
+            ]),
             tuple(current_counts),
         )
         memo = self._memo
