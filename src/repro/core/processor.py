@@ -130,10 +130,9 @@ class Processor:
         self._branch_resolutions = 0
         self._flushes = 0
         self._squashed = 0
-        # stall attribution (unit-cycles, accumulated every cycle) --------
+        #: cycles issue found the window empty (the other stall counts are
+        #: the register update unit's).
         self._frontend_empty_cycles = 0
-        self._resource_blocked_cycles = 0
-        self._contention_cycles = 0
 
     @property
     def observer(self):
@@ -178,18 +177,12 @@ class Processor:
         if not ruu.halted:
             if not ruu._entries:  # RegisterUpdateUnit.empty
                 self._frontend_empty_cycles += 1
-            flushed_before = ruu.flushed
             report = ruu.issue_and_execute()
             issued = report.issued
             if report.resolutions:
+                flushed_before = ruu.flushed
                 self._handle_resolutions(report.resolutions)
                 flushed = ruu.flushed - flushed_before
-            self._resource_blocked_cycles += report.resource_blocked
-            contention = (
-                report.requests - len(report.granted) - report.memory_stalls
-            )
-            if contention > 0:
-                self._contention_cycles += contention
 
         # 3. dispatch, up to the wake-up array's free rows
         if obs is not None:
@@ -200,8 +193,9 @@ class Processor:
         if decode_buffer and not ruu.halted:
             wakeup = ruu.wakeup
             free_rows = wakeup.n_entries - wakeup._occupied.bit_count()
-            for fetched in decode.pop(free_rows):
-                dispatched.append(ruu.dispatch(fetched).seq)
+            if free_rows:
+                for fetched in decode.pop(free_rows):
+                    dispatched.append(ruu.dispatch(fetched).seq)
 
         # 4. fetch into decode, when a whole packet fits
         if obs is not None:
@@ -316,8 +310,8 @@ class Processor:
             memory_stalls=self.ruu.memory_stalls,
             scheduling_replays=self.ruu.scheduling_replays,
             frontend_empty_cycles=self._frontend_empty_cycles,
-            resource_blocked_cycles=self._resource_blocked_cycles,
-            contention_cycles=self._contention_cycles,
+            resource_blocked_cycles=self.ruu.resource_blocked_cycles,
+            contention_cycles=self.ruu.contention_cycles,
             reconfigurations=self.fabric.reconfigurations,
             reconfig_bus_cycles=self.fabric.rfus.bus_busy_cycles,
             fetch_packets=self.fetch.packets,

@@ -142,8 +142,9 @@ class Fabric:
         """Occupy an idle unit of ``fu_type`` until it is released.
 
         Picks the unit :meth:`idle_unit` would (fixed units first), reading
-        the cached per-type units directly: this runs once per issued
-        instruction.
+        the cached per-type units directly, and makes the
+        :meth:`FunctionalUnit.occupy` transition inline: this runs once per
+        issued instruction.
         """
         avail = self._avail
         if avail._structure_seen != self.rfus.structure_version:
@@ -152,7 +153,10 @@ class Fabric:
             avail._refresh_structure()
         for unit in avail._by_type[fu_type]:
             if not unit.busy:
-                unit.occupy(occupant)
+                unit.busy = True
+                unit.occupant = occupant
+                for listener in unit.listeners:
+                    listener.unit_state_changed(unit, False)
                 return unit
         raise FabricError(f"no idle {fu_type.short_name} unit")
 

@@ -11,7 +11,9 @@ due-cycle map of issued instructions and releases a unit by event when its
 instruction completes (or is squashed).  Units publish their idle/busy
 **transitions** to registered listeners (the Eq. 1 availability cache):
 occupy and a busy release call ``listener.unit_state_changed(unit, idle)``
-at the moment the state flips.  This is what makes the availability layer
+at the moment the state flips.  The cycle loop makes the same two
+transitions inline (``Fabric.issue`` and ``RegisterUpdateUnit.tick``),
+once per issued instruction each.  This is what makes the availability layer
 *incremental* — the cache point-updates one per-type count per event
 instead of rescanning every unit whenever anything changed.
 """

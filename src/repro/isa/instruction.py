@@ -8,7 +8,23 @@ from functools import cached_property
 from repro.isa.futypes import FUType
 from repro.isa.opcodes import Format, Opcode, OpcodeSpec, OperandClass, spec_of
 
-__all__ = ["Instruction"]
+__all__ = ["Instruction", "spec_attributes"]
+
+
+def spec_attributes(spec: OpcodeSpec) -> dict[str, object]:
+    """The spec-derived attributes of an instruction with opcode ``spec``,
+    by name: the values :class:`Instruction`'s cached properties compute."""
+    return {
+        "spec": spec,
+        "fu_type": spec.fu_type,
+        "latency": spec.latency,
+        "is_branch": spec.is_branch,
+        "is_jump": spec.is_jump,
+        "is_control": spec.is_branch or spec.is_jump or spec.is_halt,
+        "is_load": spec.is_load,
+        "is_store": spec.is_store,
+        "is_halt": spec.is_halt,
+    }
 
 
 @dataclass(frozen=True)
@@ -20,11 +36,16 @@ class Instruction:
     slots are 0.  ``imm`` is the sign-extended immediate (branch/jump
     immediates are in instruction words).
 
-    The spec-derived attributes (``spec``, ``fu_type``, ``latency``, the
-    ``is_*`` predicates) are cached per instance: the scheduler reads them
-    tens of times per cycle, and the value never changes for a frozen
-    instruction.  ``cached_property`` writes straight into the instance
-    ``__dict__``, which frozen dataclasses permit.
+    The spec-derived attributes (:func:`spec_attributes`) never change
+    for a frozen instruction and are read tens of times per cycle.  The
+    simulator runs the instructions :func:`repro.isa.encoding.decode`
+    builds from the program's binary, and ``decode`` writes them into
+    each new instance's ``__dict__`` from one per-opcode table.
+    Instructions built otherwise (by the assembler or by hand) compute
+    them on first read, as ``cached_property`` values stored under the
+    same names.  They are not set here in ``__post_init__``: that would
+    charge every assembled instruction too, and the assembler's
+    instructions are encoded, not simulated.
     """
 
     opcode: Opcode

@@ -12,10 +12,10 @@ as the fabric reconfigures.
   instructions contending for the same unit type;
 * :mod:`repro.sched.regfile` — the architectural register files;
 * :mod:`repro.sched.entry` — the in-flight instruction record (dependency
-  buffer row: operands, result, count-down timer, store data);
+  buffer row: wake-up row, producer entries, result, store data);
 * :mod:`repro.sched.ruu` — the register update unit: dispatch with
-  renaming, out-of-order issue, operand forwarding, store buffering,
-  branch repair and in-order retirement.
+  renaming to producer entries, out-of-order issue, operand forwarding,
+  store buffering, branch repair and in-order retirement.
 """
 
 from repro.sched.entry import EntryState, RuuEntry

@@ -14,6 +14,9 @@ class RegisterFile:
     def __init__(self) -> None:
         self._int = [0] * NUM_INT_REGS
         self._fp = [0.0] * NUM_FP_REGS
+        #: register class -> its committed values (treat as read-only: the
+        #: scheduler's operand reads index it directly).
+        self.banks = {"int": self._int, "fp": self._fp}
 
     def read(self, reg_class: str, index: int) -> int | float:
         if reg_class == "int":

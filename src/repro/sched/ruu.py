@@ -6,10 +6,13 @@ register dependences through its dependency buffer, performs out-of-order
 execution with in-order completion, and forwards operands.  This
 implementation adds the substrate details a working processor needs:
 
-* **renaming by sequence number** — each dispatched instruction records,
-  per source, the youngest older in-flight writer of that register (or the
-  architectural file when none), which is both the wake-up dependence and
-  the operand forwarding path;
+* **producer-bound entries** — the rename map holds each register's
+  youngest in-flight writer *entry*, and dispatch binds every source of
+  a new entry to that producer (or to the architectural file when none).
+  The producer's row is the wake-up dependence (``1 << producer.row`` in
+  the dependence mask), and the producer itself is the forwarding path:
+  an operand comes from the producer while it is in flight and from the
+  register file once it has retired;
 * **store buffering** — stores compute address and data at execute and
   write memory at retirement; loads issue only when every older store's
   address is known, forwarding from an exact-match store and stalling on a
@@ -30,12 +33,16 @@ implementation adds the substrate details a working processor needs:
   trace, so while its inputs (the result-available and availability
   buses, the stale bus of pipelined scheduling and the wake-up array's
   packed state) stay equal, :meth:`issue_and_execute` returns that step's
-  report again instead of re-evaluating the wake-up logic.
+  report again instead of re-evaluating the wake-up logic;
+* **stall counts** — each issue step, a reused one included, adds its
+  resource-blocked rows and its contention (requests that won no grant)
+  to the running totals :attr:`resource_blocked_cycles` and
+  :attr:`contention_cycles`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SchedulerError
 from repro.fabric.fabric import Fabric
@@ -44,7 +51,7 @@ from repro.frontend.memory import DataMemory
 from repro.isa import semantics
 from repro.isa.futypes import FU_TYPES, FUType
 from repro.isa.instruction import Instruction
-from repro.sched.entry import EntryState, RuuEntry, SourceBinding
+from repro.sched.entry import EntryState, RuuEntry
 from repro.sched.regfile import RegisterFile
 from repro.sched.wakeup import WakeupArray
 
@@ -70,22 +77,26 @@ class BranchResolution:
     mispredicted: bool
 
 
-@dataclass(slots=True)
 class IssueReport:
     """What happened during one issue/execute step."""
 
-    granted: list[int] = field(default_factory=list)
-    #: sequence numbers issued this cycle, oldest first (what the processor
-    #: records — returned directly so callers never rescan the window).
-    issued: list[int] = field(default_factory=list)
-    resolutions: list[BranchResolution] = field(default_factory=list)
-    #: loads denied a grant by memory-ordering this cycle (statistics).
-    memory_stalls: int = 0
-    #: rows whose wake-up logic requested execution this cycle.
-    requests: int = 0
-    #: occupied, unissued rows whose producers were all ready but whose
-    #: unit type had no idle unit (structural / configuration stalls).
-    resource_blocked: int = 0
+    __slots__ = (
+        "granted", "issued", "resolutions", "memory_stalls", "resource_blocked",
+    )
+
+    def __init__(self) -> None:
+        #: rows granted and issued this cycle.
+        self.granted: list[int] = []
+        #: sequence numbers issued this cycle, oldest first (what the
+        #: processor records — returned directly so callers never rescan
+        #: the window).
+        self.issued: list[int] = []
+        self.resolutions: list[BranchResolution] = []
+        #: loads denied a grant by memory-ordering this cycle (statistics).
+        self.memory_stalls = 0
+        #: occupied, unissued rows whose producers were all ready but whose
+        #: unit type had no idle unit (structural / configuration stalls).
+        self.resource_blocked = 0
 
 
 class RegisterUpdateUnit:
@@ -107,6 +118,8 @@ class RegisterUpdateUnit:
         self.dmem = dmem
         self.wakeup = WakeupArray(window_size)
         self.regfile = RegisterFile()
+        #: register class -> committed values, read flat by operand reads.
+        self._banks = self.regfile.banks
         self.retire_width = retire_width
         #: [9]'s pipelined select-free mode: the wake-up logic sees the
         #: *previous* cycle's resource-availability bus (as a pipelined
@@ -131,10 +144,8 @@ class RegisterUpdateUnit:
         #: per-cycle ``sorted()`` rescans of the seed implementation become
         #: list reads.
         self._order: list[RuuEntry] = []
-        #: seq -> wake-up row of the in-flight entry holding it.
-        self._row_by_seq: dict[int, int] = {}
-        #: youngest in-flight writer of each register: (class, idx) -> seq.
-        self._rename: dict[tuple[str, int], int] = {}
+        #: youngest in-flight writer of each register: (class, idx) -> entry.
+        self._rename: dict[tuple[str, int], RuuEntry] = {}
         self._next_seq = 0
         #: the RUU's own cycle counter, advanced by :meth:`tick`.
         self.clock = 0
@@ -145,13 +156,17 @@ class RegisterUpdateUnit:
         #: per-cycle scratch containers, reused so the issue/dispatch hot
         #: paths allocate nothing (HOT001/HOT002 discipline).
         self._scratch_remaining: dict[FUType, int] = {}
-        self._scratch_dep_rows: set[int] = set()
         self.halted = False
         # statistics ------------------------------------------------------
         self.dispatched = 0
         self.retired = 0
         self.flushed = 0
         self.memory_stalls = 0
+        #: summed over issue steps: rows ready on data but blocked on a
+        #: unit, and requests that lost arbitration (the stall attribution
+        #: of :class:`~repro.core.stats.SimulationResult`).
+        self.resource_blocked_cycles = 0
+        self.contention_cycles = 0
         self.issued_per_type: dict[FUType, int] = {t: 0 for t in FU_TYPES}
         #: busy unit-cycles per type of the occupancies that have ended.
         self._busy_cycles: dict[FUType, int] = {t: 0 for t in FU_TYPES}
@@ -193,60 +208,51 @@ class RegisterUpdateUnit:
         return [e.instruction for e in self._order if e.state is _WAITING]
 
     def _row_of_seq(self, seq: int) -> int | None:
-        return self._row_by_seq.get(seq)
+        for entry in self._order:
+            if entry.seq == seq:
+                return entry.row
+        return None
 
     # ----------------------------------------------------------- dispatch
     def dispatch(self, fetched: FetchedInstruction) -> RuuEntry:
-        """Insert one decoded instruction into the window."""
-        wakeup = self.wakeup
-        if wakeup._occupied == wakeup._all_rows:
-            raise SchedulerError("RUU window is full")
+        """Insert one decoded instruction into the window, bound to the
+        in-flight producers of its sources."""
         instr = fetched.instruction
         src1, src2, dest = instr.dispatch_template
         rename = self._rename
-        row_by_seq = self._row_by_seq
-        # reused scratch: WakeupArray.insert only iterates it, never keeps it
-        dep_rows = self._scratch_dep_rows
-        dep_rows.clear()
-        b1 = b2 = None
-        if src1 is not None:
-            producer_seq = rename.get(src1)
-            b1 = SourceBinding(src1[0], src1[1], producer_seq)
-            if producer_seq is not None and producer_seq in row_by_seq:
-                dep_rows.add(row_by_seq[producer_seq])
-        if src2 is not None:
-            producer_seq = rename.get(src2)
-            b2 = SourceBinding(src2[0], src2[1], producer_seq)
-            if producer_seq is not None and producer_seq in row_by_seq:
-                dep_rows.add(row_by_seq[producer_seq])
-
-        row = wakeup.insert(instr.fu_type, dep_rows)
+        # an unused source is None, which is never a rename key
+        producer1 = rename.get(src1)
+        producer2 = rename.get(src2)
+        deps = 0
+        if producer1 is not None:
+            deps = 1 << producer1.row
+        if producer2 is not None:
+            deps |= 1 << producer2.row
+        row = self.wakeup.insert(instr.fu_type, deps)
         seq = self._next_seq
-        entry = RuuEntry(seq=seq, fetched=fetched, sources=(b1, b2))
         self._next_seq = seq + 1
+        entry = RuuEntry(seq, fetched, row, producer1, producer2)
         self._entries[row] = entry
         self._order.append(entry)
-        row_by_seq[seq] = row
         if dest is not None:
-            rename[dest] = seq
+            rename[dest] = entry
         self.dispatched += 1
         self.waiting_version += 1
         return entry
 
     # ------------------------------------------------------------ operands
-    def _operand(self, binding: SourceBinding | None) -> int | float:
-        if binding is None:
+    def _operand(self, producer: RuuEntry | None, src) -> int | float:
+        """One source operand: forwarded from its producer while that is in
+        flight, else read from the register file (0 for no source)."""
+        if producer is not None and not producer.retired:
+            if producer.state is not _COMPLETED:
+                raise SchedulerError(
+                    f"operand read before producer seq={producer.seq} completed"
+                )
+            return producer.result
+        if src is None:
             return 0
-        if binding.producer_seq is not None:
-            row = self._row_by_seq.get(binding.producer_seq)
-            if row is not None:
-                producer = self._entries[row]
-                if producer.state is not _COMPLETED:
-                    raise SchedulerError(
-                        f"operand read before producer seq={producer.seq} completed"
-                    )
-                return producer.result
-        return self.regfile.read(binding.reg_class, binding.index)
+        return self._banks[src[0]][src[1]]
 
     # -------------------------------------------------------- memory rules
     def _older_stores(self, entry: RuuEntry) -> list[RuuEntry]:
@@ -266,9 +272,8 @@ class RegisterUpdateUnit:
         youngest such store; any partial overlap blocks the load until the
         store retires.
         """
-        addr = semantics.effective_address(
-            entry.instruction, int(self._operand(entry.sources[0]))
-        )
+        base = self._operand(entry.producer1, entry.instruction.dispatch_template[0])
+        addr = semantics.effective_address(entry.instruction, int(base))
         size = semantics.access_size(entry.instruction)
         forward: RuuEntry | None = None
         for store in self._older_stores(entry):
@@ -326,6 +331,7 @@ class RegisterUpdateUnit:
             # the same inputs raise no request again, and a step without a
             # request changes nothing (the stale bus already equals the
             # live one), so the last report stands for this step too
+            self.resource_blocked_cycles += idle.resource_blocked
             return idle
 
         report = IssueReport()
@@ -335,41 +341,44 @@ class RegisterUpdateUnit:
         else:
             wakeup_bits = live_bits
         req_mask = wakeup.requests_mask(wakeup_bits, result_bits)
-        report.requests = req_mask.bit_count()
+        requests = req_mask.bit_count()
         # rows ready on data but blocked on a unit: what steering fixes
         # (none when every unit type is available)
         if wakeup_bits != _ALL_RESOURCES:
-            report.resource_blocked = (
+            blocked = (
                 wakeup.requests_mask(_ALL_RESOURCES, result_bits).bit_count()
-                - report.requests
+                - requests
             )
+            report.resource_blocked = blocked
+            self.resource_blocked_cycles += blocked
         if not req_mask:
             self._remember_idle(report, result_bits, live_bits, stale_bits)
             return report
         self._idle_report = None
         # oldest-first grants (the select_grants arbitration) over the
-        # requesting rows only: their set bits, ordered by sequence number
+        # requesting rows only: their set bits, ordered by sequence number.
+        # Overwrite-in-place copy of the live counts (all five types are
+        # always keyed), so the grant loop can decrement freely.
         granted_rows: list[int] = []
-        if req_mask:
-            # overwrite-in-place copy of the live counts (all five types are
-            # always keyed), so the grant loop can decrement freely
-            remaining = self._scratch_remaining
-            remaining.update(avail._idle_counts)
-            entries = self._entries
-            requesting = []
-            m = req_mask
-            while m:
-                low = m & -m
-                row = low.bit_length() - 1
-                m ^= low
-                requesting.append((entries[row].seq, row))
-            requesting.sort()
-            for _, row in requesting:
-                fu_type = entries[row].fu_type
-                if remaining[fu_type] > 0:
-                    remaining[fu_type] -= 1
-                    granted_rows.append(row)
-        if self.pipelined_scheduling and req_mask:
+        remaining = self._scratch_remaining
+        remaining.update(avail._idle_counts)
+        entries = self._entries
+        requesting = []
+        m = req_mask
+        while m:
+            low = m & -m
+            row = low.bit_length() - 1
+            m ^= low
+            requesting.append((entries[row].seq, row))
+        requesting.sort()
+        for _, row in requesting:
+            fu_type = entries[row].fu_type
+            if remaining[fu_type] > 0:
+                remaining[fu_type] -= 1
+                granted_rows.append(row)
+        # requests that lost arbitration (memory-order denials are granted)
+        self.contention_cycles += requests - len(granted_rows)
+        if self.pipelined_scheduling:
             # select-free [9]: every requester considered itself scheduled;
             # collision losers are squashed and replay via reschedule
             loser_mask = req_mask
@@ -433,15 +442,19 @@ class RegisterUpdateUnit:
 
     # ------------------------------------------------------ execution kinds
     def _execute_alu(self, entry: RuuEntry) -> None:
-        s1 = self._operand(entry.sources[0])
-        s2 = self._operand(entry.sources[1])
-        entry.result = semantics.alu_result(entry.instruction, s1, s2)
+        instr = entry.instruction
+        src1, src2, _ = instr.dispatch_template
+        s1 = self._operand(entry.producer1, src1)
+        s2 = self._operand(entry.producer2, src2)
+        entry.result = semantics.alu_result(instr, s1, s2)
 
     def _execute_control(self, entry: RuuEntry) -> BranchResolution:
-        s1 = int(self._operand(entry.sources[0]))
-        s2 = int(self._operand(entry.sources[1]))
+        instr = entry.instruction
+        src1, src2, _ = instr.dispatch_template
+        s1 = int(self._operand(entry.producer1, src1))
+        s2 = int(self._operand(entry.producer2, src2))
         taken, target, link = semantics.control_outcome(
-            entry.instruction, entry.pc, s1, s2
+            instr, entry.fetched.pc, s1, s2
         )
         entry.result = link
         entry.actual_next = target
@@ -451,7 +464,8 @@ class RegisterUpdateUnit:
         )
 
     def _execute_load(self, entry: RuuEntry, forward: RuuEntry | None) -> None:
-        base = int(self._operand(entry.sources[0]))
+        src1 = entry.instruction.dispatch_template[0]
+        base = int(self._operand(entry.producer1, src1))
         addr = semantics.effective_address(entry.instruction, base)
         size = semantics.access_size(entry.instruction)
         entry.mem_addr, entry.mem_size = addr, size
@@ -459,8 +473,9 @@ class RegisterUpdateUnit:
         entry.result = semantics.load_value(entry.instruction, raw)
 
     def _execute_store(self, entry: RuuEntry) -> None:
-        base = int(self._operand(entry.sources[0]))
-        value = self._operand(entry.sources[1])
+        src1, src2, _ = entry.instruction.dispatch_template
+        base = int(self._operand(entry.producer1, src1))
+        value = self._operand(entry.producer2, src2)
         entry.mem_addr = semantics.effective_address(entry.instruction, base)
         entry.mem_size = semantics.access_size(entry.instruction)
         entry.store_data = semantics.store_bytes(entry.instruction, value)
@@ -471,8 +486,9 @@ class RegisterUpdateUnit:
 
         A completing entry asserts its result-available line (its row's bit
         in the incrementally-maintained ``_completed_bits`` bus), releases
-        its unit and adds the cycles it held it to the busy total.  An
-        entry a flush squashed is no longer in its row and is skipped."""
+        its unit (the :meth:`FunctionalUnit.release` transition, inline)
+        and adds the cycles it held it to the busy total.  An entry a flush
+        squashed is no longer in its row and is skipped."""
         clock = self.clock
         due = self._due.pop(clock, None)
         if due is not None:
@@ -483,7 +499,12 @@ class RegisterUpdateUnit:
                 if entries.get(row) is entry:
                     entry.state = _COMPLETED
                     bits |= 1 << row
-                    entry.unit.release()
+                    unit = entry.unit
+                    if unit.busy:
+                        unit.busy = False
+                        unit.occupant = None
+                        for listener in unit.listeners:
+                            listener.unit_state_changed(unit, True)
                     busy[entry.fu_type] += clock - entry.issue_cycle + 1
             self._completed_bits = bits
         self.clock = clock + 1
@@ -509,14 +530,19 @@ class RegisterUpdateUnit:
             head = order[0]
             if head.state is not _COMPLETED:
                 break
-            row = self._row_by_seq.pop(head.seq)
+            row = head.row
             self._commit(head)
+            # consumers still in flight read the register file from now
+            # on; dropping the head's own links keeps a long run from
+            # holding every retired entry alive through its dependents
+            head.retired = True
+            head.producer1 = head.producer2 = None
             self.wakeup.remove(row)
             self._completed_bits &= ~(1 << row)
             del self._entries[row]
             order.pop(0)
             dest = head.instruction.dispatch_template[2]
-            if dest is not None and self._rename.get(dest) == head.seq:
+            if dest is not None and self._rename.get(dest) is head:
                 del self._rename[dest]
             retired.append(head)
             self.retired += 1
@@ -538,7 +564,9 @@ class RegisterUpdateUnit:
         """Squash every entry younger than ``seq`` (mispredict recovery).
 
         Releases any functional units the squashed entries hold and rebuilds
-        the rename map from the survivors.  Returns the number squashed.
+        the rename map from the survivors.  Every survivor is older than the
+        squashed entries, so no survivor is bound to a squashed producer.
+        Returns the number squashed.
         """
         victims = [
             (row, e) for row, e in self._entries.items() if e.seq > seq
@@ -552,13 +580,12 @@ class RegisterUpdateUnit:
             self.wakeup.remove(row)
             self._completed_bits &= ~(1 << row)
             del self._entries[row]
-            del self._row_by_seq[e.seq]
         self._order = [e for e in self._order if e.seq <= seq]
         self._rename = {}
         for e in self._order:
             dest = e.instruction.dispatch_template[2]
             if dest is not None:
-                self._rename[dest] = e.seq
+                self._rename[dest] = e
         self.flushed += len(victims)
         self.waiting_version += 1
         return len(victims)

@@ -87,6 +87,12 @@ class WakeupArray:
         self._row_ones = ones  # bit 0 of every field
         self._guards = ones << (width - 1)  # guard bit of every field
         self._lo_mask = self._field_mask * ones  # all non-guard bits
+        #: per row: ``_need`` with that row's field and its result column
+        #: in every row cleared (what :meth:`remove` ANDs in).
+        self._remove_masks = tuple(
+            ~((self._field_mask << (i * width)) | (ones << (NUM_FU_TYPES + i)))
+            for i in range(n)
+        )
         # ---- packed state ------------------------------------------------
         self._need = 0  # all rows' resource+dep fields
         self._occupied = 0  # n-bit row-occupancy mask
@@ -133,21 +139,20 @@ class WakeupArray:
             )
         return out
 
-    def insert(self, fu_type: FUType, dep_rows: set[int]) -> int:
+    def insert(self, fu_type: FUType, dep_mask: int) -> int:
         """Allocate a row for an instruction needing ``fu_type`` and the
-        results of ``dep_rows``.  Returns the row index."""
+        results of the rows in ``dep_mask`` (bit i = needs row i's result;
+        each must be occupied).  Returns the row index."""
         occ = self._occupied
-        for d in dep_rows:
-            if not 0 <= d < self.n_entries or not (occ >> d) & 1:
-                raise SchedulerError(f"dependency on invalid row {d}")
+        stray = dep_mask & ~occ
+        if stray:
+            row = (stray & -stray).bit_length() - 1
+            raise SchedulerError(f"dependency on invalid row {row}")
         free = ~occ & self._all_rows
         if not free:
             raise SchedulerError("wake-up array is full")
         index = (free & -free).bit_length() - 1  # lowest free row
-        dep_bits = 0
-        for d in dep_rows:
-            dep_bits |= 1 << d
-        field = FU_BIT[fu_type] | (dep_bits << NUM_FU_TYPES)
+        field = FU_BIT[fu_type] | (dep_mask << NUM_FU_TYPES)
         self._need |= field << (index * self._width)
         self._occupied = occ | (1 << index)
         return index
@@ -155,14 +160,14 @@ class WakeupArray:
     def remove(self, index: int) -> None:
         """Free a row and clear its result column everywhere (retire rule:
         dependents of a retired instruction must not wait for it, and new
-        occupants of the row must not inherit stale dependences)."""
-        if not (self._occupied >> index) & 1:
-            raise SchedulerError(f"row {index} is not occupied")
+        occupants of the row must not inherit stale dependences).  The row's
+        field and its column go in one AND."""
         bit = 1 << index
+        if not self._occupied & bit:
+            raise SchedulerError(f"row {index} is not occupied")
         self._occupied &= ~bit
         self._scheduled &= ~bit
-        self._need &= ~(self._field_mask << (index * self._width))
-        self.clear_column(index)
+        self._need &= self._remove_masks[index]
 
     def clear_column(self, index: int) -> None:
         """Clear result column ``index`` in every row (one AND)."""

@@ -59,12 +59,20 @@ HEALTHY_SECONDS = 5.0
 
 
 def _bound_socket(host: str, port: int):
-    """The one listening TCP socket every API worker inherits."""
+    """The one listening TCP socket every API worker inherits.
+
+    Non-blocking: a connection wakes ``select`` in every API worker, and
+    the ones that lose the ``accept`` race must get ``BlockingIOError``
+    (which ``socketserver`` drops) rather than block in ``accept``, where
+    ``serve_forever`` would never see a shutdown request.  Accepted
+    connections are blocking sockets all the same.
+    """
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
         sock.listen(128)
+        sock.setblocking(False)
     except BaseException:
         sock.close()
         raise

@@ -7,6 +7,8 @@ back-edge fails the build locally, before any workflow runs.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.baseline import load_baseline, partition
 from repro.analysis.config import load_config
 from repro.analysis.engine import AnalysisEngine
@@ -14,7 +16,9 @@ from repro.analysis.engine import AnalysisEngine
 REPO = Path(__file__).resolve().parents[2]
 
 
-def run_repo_lint():
+@pytest.fixture(scope="module")
+def repo_lint():
+    """One uncached whole-tree analysis, shared by this module's tests."""
     config = load_config(REPO / "analysis" / "layers.toml")
     engine = AnalysisEngine(
         config, root=REPO / "src", repo_root=REPO, cache_path=None
@@ -24,16 +28,16 @@ def run_repo_lint():
     return engine, findings, baseline
 
 
-def test_tree_has_no_findings_outside_the_baseline():
-    _, findings, baseline = run_repo_lint()
+def test_tree_has_no_findings_outside_the_baseline(repo_lint):
+    _, findings, baseline = repo_lint
     new, _, _ = partition(findings, baseline)
     assert new == [], "new lint findings:\n" + "\n".join(
         f"  {f.path}:{f.line}:{f.col}: {f.rule} {f.message}" for f in new
     )
 
 
-def test_baseline_carries_no_stale_entries():
-    _, findings, baseline = run_repo_lint()
+def test_baseline_carries_no_stale_entries(repo_lint):
+    _, findings, baseline = repo_lint
     _, _, stale = partition(findings, baseline)
     assert stale == [], (
         "stale baseline entries (ratchet down with "
@@ -42,7 +46,7 @@ def test_baseline_carries_no_stale_entries():
     )
 
 
-def test_the_whole_tree_was_analysed():
-    engine, _, _ = run_repo_lint()
+def test_the_whole_tree_was_analysed(repo_lint):
+    engine, _, _ = repo_lint
     # guards against the gate silently analysing an empty directory
     assert engine.files_checked > 80

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DisassemblerError, EncodingError
 from repro.isa.encoding import WORD_BITS, decode, encode, imm_range
-from repro.isa.instruction import Instruction
+from repro.isa.instruction import Instruction, spec_attributes
 from repro.isa.opcodes import Format, Opcode, spec_of
 
 _REG = st.integers(0, 31)
@@ -90,3 +90,13 @@ class TestDecodeErrors:
 def test_opcode_field_position():
     word = encode(Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3))
     assert (word >> 25) == int(Opcode.ADD)
+
+
+@pytest.mark.parametrize("opcode", list(Opcode))
+def test_decode_sets_the_spec_derived_attributes(opcode):
+    """``decode`` writes the values the cached properties would compute."""
+    decoded = decode(encode(Instruction(opcode)))
+    built = Instruction(opcode)
+    for name in spec_attributes(spec_of(opcode)):
+        assert name in decoded.__dict__  # set at decode, not on first read
+        assert decoded.__dict__[name] == getattr(built, name), name

@@ -359,3 +359,105 @@ class TestControl:
         _cycle(ruu, 2)
         ruu.retire()
         assert ruu.regfile.x(1) == 1  # return address = pc + 1
+
+
+class TestProducerBinding:
+    """Each entry is bound at dispatch to the in-flight entries producing
+    its sources; an operand is forwarded from its producer while that is in
+    flight and read from the register file once it has retired."""
+
+    def test_forwarded_from_a_completed_producer_in_flight(self):
+        ruu = _ruu()
+        ruu.regfile.write("int", 2, 20)
+        ruu.regfile.write("int", 3, 22)
+        e = _dispatch(ruu, "add x1, x2, x3\nadd x4, x1, x0\n")
+        assert e[1].producer1 is e[0]
+        _cycle(ruu)  # the producer issues and completes
+        assert e[0].completed and not e[0].retired
+        assert ruu.regfile.x(1) == 0  # not committed yet
+        _cycle(ruu)
+        assert e[1].result == 42
+
+    def test_read_from_the_register_file_after_the_producer_retired(self):
+        ruu = _ruu()
+        ruu.regfile.write("int", 2, 20)
+        ruu.regfile.write("int", 3, 22)
+        e = _dispatch(ruu, "add x1, x2, x3\nadd x4, x1, x0\n")
+        _cycle(ruu)
+        assert ruu.retire() == [e[0]]
+        assert e[0].retired and e[1].producer1 is e[0]
+        # retirement committed x1; overwrite it to see where the read goes
+        ruu.regfile.write("int", 1, 99)
+        _cycle(ruu)
+        assert e[1].result == 99
+        # the binding recorded at dispatch is unchanged
+        assert e[1].sources[0].producer_seq == e[0].seq
+
+    def test_retirement_drops_the_producer_links(self):
+        """A dependence chain must not keep every retired entry alive."""
+        ruu = _ruu()
+        e = _dispatch(ruu, "add x1, x1, x1\nadd x1, x1, x1\nadd x1, x1, x1\n")
+        assert e[2].producer1 is e[1] and e[1].producer1 is e[0]
+        _cycle(ruu)
+        ruu.retire()
+        _cycle(ruu)
+        assert ruu.retire() == [e[1]]
+        assert e[1].producer1 is None and e[1].producer2 is None
+        assert e[2].producer1 is e[1]  # still in flight: keeps its link
+
+    def test_read_before_the_producer_completed_raises(self):
+        ruu = _ruu()
+        e = _dispatch(ruu, "mul x1, x2, x3\nadd x4, x1, x0\n")
+        _cycle(ruu)  # the mul issues (latency 4)
+        assert e[0].state is EntryState.ISSUED
+        with pytest.raises(SchedulerError, match="before producer seq=0 completed"):
+            ruu._execute_alu(e[1])
+
+    def test_dependence_mask_names_the_producer_rows(self):
+        ruu = _ruu()
+        e = _dispatch(ruu, "lw x1, 0(x0)\nmul x2, x5, x6\nadd x3, x1, x2\n")
+        assert (e[2].producer1, e[2].producer2) == (e[0], e[1])
+        dep_bits = ruu.wakeup.rows[e[2].row].dep_bits
+        assert dep_bits == (1 << e[0].row) | (1 << e[1].row)
+        assert [b.producer_seq for b in e[2].sources] == [e[0].seq, e[1].seq]
+
+    def test_youngest_writer_wins(self):
+        ruu = _ruu()
+        e = _dispatch(ruu, "add x1, x2, x3\nadd x1, x4, x5\nadd x6, x1, x1\n")
+        assert e[2].producer1 is e[1] and e[2].producer2 is e[1]
+
+    def test_flush_leaves_only_surviving_producers(self):
+        ruu = _ruu()
+        e = _dispatch(
+            ruu,
+            "add x1, x2, x3\nadd x2, x1, x0\nadd x1, x2, x0\n"
+            "add x3, x1, x2\nadd x4, x3, x1\n",
+        )
+        ruu.flush_younger(e[1].seq)
+        survivors = ruu.in_order()
+        assert survivors == e[:2]
+        assert set(map(id, ruu._rename.values())) <= set(map(id, survivors))
+        assert ruu._rename == {("int", 1): e[0], ("int", 2): e[1]}
+        for entry in survivors:
+            for producer in (entry.producer1, entry.producer2):
+                assert producer is None or any(producer is s for s in survivors)
+        # new dispatches bind to the survivors
+        (new,) = _dispatch(ruu, "add x5, x1, x2\n")
+        assert (new.producer1, new.producer2) == (e[0], e[1])
+
+
+class TestStallCounts:
+    """The RUU sums each issue step's stall attribution, reused idle steps
+    included."""
+
+    def test_contention_and_resource_blocking(self):
+        ruu = _ruu()
+        _dispatch(ruu, "fmul f1, f2, f3\nfmul f4, f5, f6\n")
+        _cycle(ruu)  # both request the one FP-MDU: one loses
+        assert ruu.contention_cycles == 1
+        assert ruu.resource_blocked_cycles == 0
+        # the loser is ready on data but the unit is busy: blocked each
+        # step until the first fmul completes, reused idle steps included
+        _cycle(ruu, 3)
+        assert ruu.contention_cycles == 1
+        assert ruu.resource_blocked_cycles == 3

@@ -21,27 +21,27 @@ ALL_RESOURCES = _bits(*FUType)
 class TestInsertRemove:
     def test_insert_allocates_rows_in_order(self):
         arr = WakeupArray(4)
-        assert arr.insert(FUType.INT_ALU, set()) == 0
-        assert arr.insert(FUType.LSU, set()) == 1
+        assert arr.insert(FUType.INT_ALU, 0) == 0
+        assert arr.insert(FUType.LSU, 0) == 1
         assert len(arr) == 2
         assert arr.free_rows() == [2, 3]
 
     def test_full_array_rejects(self):
         arr = WakeupArray(1)
-        arr.insert(FUType.INT_ALU, set())
+        arr.insert(FUType.INT_ALU, 0)
         assert arr.full
         with pytest.raises(SchedulerError):
-            arr.insert(FUType.LSU, set())
+            arr.insert(FUType.LSU, 0)
 
     def test_dependency_on_invalid_row_rejected(self):
         arr = WakeupArray(4)
         with pytest.raises(SchedulerError):
-            arr.insert(FUType.INT_ALU, {2})  # row 2 unoccupied
+            arr.insert(FUType.INT_ALU, 1 << 2)  # row 2 unoccupied
 
     def test_remove_frees_and_clears_column(self):
         arr = WakeupArray(4)
-        r0 = arr.insert(FUType.INT_ALU, set())
-        r1 = arr.insert(FUType.INT_ALU, {r0})
+        r0 = arr.insert(FUType.INT_ALU, 0)
+        r1 = arr.insert(FUType.INT_ALU, 1 << r0)
         arr.remove(r0)
         # consumer no longer waits on the retired producer
         assert arr.requests(ALL_RESOURCES, 0) == [r1]
@@ -54,34 +54,34 @@ class TestInsertRemove:
 class TestRequestLogic:
     def test_requests_require_resource(self):
         arr = WakeupArray(4)
-        arr.insert(FUType.FP_MDU, set())
+        arr.insert(FUType.FP_MDU, 0)
         assert arr.requests(0, 0) == []
         assert arr.requests(_bits(FUType.FP_MDU), 0) == [0]
         assert arr.requests(_bits(FUType.FP_ALU), 0) == []
 
     def test_requests_require_results(self):
         arr = WakeupArray(4)
-        r0 = arr.insert(FUType.INT_ALU, set())
-        r1 = arr.insert(FUType.INT_MDU, {r0})
+        r0 = arr.insert(FUType.INT_ALU, 0)
+        r1 = arr.insert(FUType.INT_MDU, 1 << r0)
         assert arr.requests(ALL_RESOURCES, 0) == [r0]
         assert arr.requests(ALL_RESOURCES, 1 << r0) == [r0, r1]
 
     def test_scheduled_bit_suppresses(self):
         arr = WakeupArray(4)
-        r0 = arr.insert(FUType.INT_ALU, set())
+        r0 = arr.insert(FUType.INT_ALU, 0)
         arr.mark_scheduled(r0)
         assert arr.requests(ALL_RESOURCES, 0) == []
 
     def test_reschedule_reactivates(self):
         arr = WakeupArray(4)
-        r0 = arr.insert(FUType.INT_ALU, set())
+        r0 = arr.insert(FUType.INT_ALU, 0)
         arr.mark_scheduled(r0)
         arr.reschedule(r0)
         assert arr.requests(ALL_RESOURCES, 0) == [r0]
 
     def test_double_schedule_rejected(self):
         arr = WakeupArray(4)
-        arr.insert(FUType.INT_ALU, set())
+        arr.insert(FUType.INT_ALU, 0)
         arr.mark_scheduled(0)
         with pytest.raises(SchedulerError):
             arr.mark_scheduled(0)
@@ -98,13 +98,13 @@ class TestPaperExample:
 
     def _build(self):
         arr = WakeupArray(7)
-        shift = arr.insert(FUType.INT_ALU, set())            # E1 Shift
-        sub = arr.insert(FUType.INT_ALU, set())              # E2 Sub
-        add = arr.insert(FUType.INT_ALU, {shift, sub})       # E3 Add
-        mul = arr.insert(FUType.INT_MDU, {sub})              # E4 Mul <- Sub
-        load = arr.insert(FUType.LSU, set())                 # E5 Load
-        fpmul = arr.insert(FUType.FP_MDU, {load})            # E6 FPMul <- Load
-        fpadd = arr.insert(FUType.FP_ALU, {fpmul})           # E7 FPAdd <- FPMul
+        shift = arr.insert(FUType.INT_ALU, 0)                   # E1 Shift
+        sub = arr.insert(FUType.INT_ALU, 0)                     # E2 Sub
+        add = arr.insert(FUType.INT_ALU, 1 << shift | 1 << sub)  # E3 Add
+        mul = arr.insert(FUType.INT_MDU, 1 << sub)              # E4 Mul <- Sub
+        load = arr.insert(FUType.LSU, 0)                        # E5 Load
+        fpmul = arr.insert(FUType.FP_MDU, 1 << load)            # E6 FPMul <- Load
+        fpadd = arr.insert(FUType.FP_ALU, 1 << fpmul)           # E7 FPAdd <- FPMul
         return arr, (shift, sub, add, mul, load, fpmul, fpadd)
 
     def test_load_row_matches_figure5(self):

@@ -50,9 +50,10 @@ def test_random_operation_sequences_match_reference(seed):
             ops.append("schedule")
         op = rng.choice(ops)
         if op == "insert":
-            deps = {
-                d for d in occupied if rng.random() < 0.4
-            }
+            deps = 0
+            for d in sorted(occupied):
+                if rng.random() < 0.4:
+                    deps |= 1 << d
             row = arr.insert(rng.choice(FU_TYPES), deps)
             occupied.add(row)
         elif op == "remove":
@@ -95,7 +96,7 @@ def test_random_operation_sequences_match_reference(seed):
 def test_kernel_equals_reference_property(rows, resource_bits, result_bits):
     arr = WakeupArray(n_entries=7)
     for i, (type_index, dep_mask, sched) in enumerate(rows):
-        deps = {d for d in range(i) if (dep_mask >> d) & 1}
+        deps = dep_mask & ((1 << i) - 1)  # over earlier rows only
         row = arr.insert(FU_TYPES[type_index], deps)
         if sched:
             arr.mark_scheduled(row)

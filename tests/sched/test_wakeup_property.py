@@ -23,11 +23,11 @@ def _apply(arr: WakeupArray, op) -> None:
     kind = op[0]
     if kind == "insert" and not arr.full:
         # optionally depend on some currently occupied row
-        deps = set()
+        deps = 0
         if op[2]:
             occupied = [i for i, r in enumerate(arr.rows) if r is not None]
             if occupied:
-                deps = {occupied[0]}
+                deps = 1 << occupied[0]
         arr.insert(op[1], deps)
     elif kind == "remove" and arr.rows[op[1]] is not None:
         arr.remove(op[1])

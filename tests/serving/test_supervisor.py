@@ -6,7 +6,9 @@ import os
 import pathlib
 import queue
 import re
+import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -15,7 +17,7 @@ import time
 import pytest
 
 import repro
-from repro.serving.supervisor import Supervisor
+from repro.serving.supervisor import Supervisor, _bound_socket
 from repro.telemetry import events_path_for, read_events
 
 
@@ -135,6 +137,58 @@ def test_graceful_stop_reaps_all_children(tmp_path):
     for pid in pids:
         with pytest.raises(OSError):
             os.kill(pid, 0)  # ESRCH: the process is gone
+
+
+def test_listening_socket_survives_a_lost_accept_race():
+    """Every API worker's select wakes for a connection, and one accept
+    wins.  A loser's accept must fail with BlockingIOError (socketserver
+    drops it) rather than block where no shutdown request reaches it;
+    the connection the winner accepts is an ordinary blocking socket."""
+    sock = _bound_socket("127.0.0.1", 0)
+    try:
+        assert not sock.getblocking()
+        with pytest.raises(BlockingIOError):
+            sock.accept()  # the connection went to another worker
+        with socket.create_connection(sock.getsockname(), timeout=5):
+            select.select([sock], [], [], 5)
+            conn, _ = sock.accept()
+            with conn:
+                assert conn.getblocking()
+    finally:
+        sock.close()
+
+
+def test_graceful_stop_with_two_api_workers_after_requests(tmp_path):
+    """A request wakes every API worker's select; the ones that lose the
+    accept race must still see the stop request promptly."""
+    store = tmp_path / "runs.sqlite"
+    notes: list[str] = []
+    sup = Supervisor(
+        str(store), host="127.0.0.1", port=0, workers=2, sim_pool=1,
+        log=notes.append,
+    )
+    sup.start()
+    runner = threading.Thread(target=sup.run, daemon=True)
+    runner.start()
+    try:
+        _wait_healthy(sup.port)
+        for _ in range(8):
+            time.sleep(0.05)  # both workers back in select: each request races
+            status, _ = _request(sup.port, "GET", "/metrics")
+            assert status == 200
+    finally:
+        start = time.monotonic()
+        sup._stopping.set()
+        runner.join(30)
+        elapsed = time.monotonic() - start
+    assert not runner.is_alive()
+    assert elapsed < 2.0, f"stop took {elapsed:.1f}s: {notes}"
+    assert not [n for n in notes if "ignored SIGTERM" in n]
+    stopped = {
+        e["worker"]
+        for e in read_events(events_path_for(store), event="worker_stopped")
+    }
+    assert stopped == {"api-0", "api-1", "sim-0"}
 
 
 def test_request_during_respawn_waits_for_the_new_worker(tmp_path):
