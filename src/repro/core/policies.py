@@ -3,11 +3,16 @@
 A policy decides, each cycle, what the reconfigurable fabric should steer
 toward.  The processor calls :meth:`SteeringPolicy.cycle` once per clock
 with its register update unit; a policy reads from it only what it needs —
-the ready-unscheduled instruction queue (what the Fig. 2 selection unit
-sees) or the dynamic retire count (the oracle) — and recomputes what it
-derives from that input only when the input moved: the queue when the
-RUU's ``waiting_version`` changed, the oracle's window when the retire
-count did.  The loader still steps every cycle.
+the per-type demand of the ready-unscheduled window (what the Fig. 2
+selection unit counts) or the dynamic retire count (the oracle) — and
+does work only when an input moved.  The window's demand is the RUU's
+packed ``waiting_demand`` whenever the selection window covers the whole
+wake-up array (every factory sizes it so); a narrower window counts its
+first ``queue_size`` WAITING entries again only when the RUU's
+``waiting_version`` moved.  Selection is a per-unit memo lookup keyed by
+that demand, the oracle's choice a memo lookup keyed by its window and the
+configured counts, and the loader searches a blocked placement again only
+when the target, the slots or an RFU's busy state moved.
 
 Policies:
 
@@ -34,12 +39,13 @@ from collections.abc import Sequence
 
 from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS, Configuration
 from repro.fabric.fabric import Fabric
-from repro.isa.futypes import FU_TYPES, FUType
+from repro.isa.futypes import COUNT_ONE, FU_TYPES, FUType
+from repro.sched.entry import EntryState
 from repro.sched.ruu import RegisterUpdateUnit
 from repro.steering.error_metric import exact_error
 from repro.steering.loader import ConfigurationLoader
 from repro.steering.manager import ConfigurationManager
-from repro.steering.selection import SelectionResult
+from repro.steering.selection import SelectionResult, required_of
 
 __all__ = [
     "SteeringPolicy",
@@ -50,6 +56,37 @@ __all__ = [
     "OracleSteering",
     "DemandSteering",
 ]
+
+
+#: the oracle's choice memo marks a key it has not seen with this.
+_UNCHOSEN = object()
+
+
+class _WindowDemand:
+    """The packed per-type count (``COUNT_ONE``) of the first
+    ``queue_size`` WAITING entries of an RUU, for a selection window
+    narrower than the wake-up array; recounted only when the RUU's
+    ``waiting_version`` moved."""
+
+    def __init__(self, queue_size: int) -> None:
+        self.queue_size = queue_size
+        self._version = -1
+        self._demand = 0
+
+    def demand(self, ruu: RegisterUpdateUnit) -> int:
+        if ruu.waiting_version != self._version:
+            self._version = ruu.waiting_version
+            waiting = EntryState.WAITING
+            demand = 0
+            left = self.queue_size
+            for entry in ruu._order:
+                if left <= 0:
+                    break
+                if entry.state is waiting:
+                    demand += COUNT_ONE[entry.fu_type]
+                    left -= 1
+            self._demand = demand
+        return self._demand
 
 
 class SteeringPolicy:
@@ -100,22 +137,27 @@ class PaperSteering(SteeringPolicy):
             use_exact_metric=self.use_exact_metric,
             queue_size=self.queue_size,
         )
-        #: the last selection and its inputs: the RUU's waiting version
+        self._unit = self.manager.selection_unit
+        self._window = _WindowDemand(self.queue_size)
+        #: the last selection and its inputs: the window's packed demand
         #: and the configured counts.
         self._selection: SelectionResult | None = None
-        self._waiting_seen = -1
+        self._demand_seen = -1
         self._counts_seen: tuple[int, ...] = ()
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
-        manager = self.manager
         counts = self.fabric.counts_tuple()
-        if ruu.waiting_version != self._waiting_seen or counts != self._counts_seen:
-            self._waiting_seen = ruu.waiting_version
+        if self.queue_size >= ruu.wakeup.n_entries:
+            demand = ruu.waiting_demand
+        else:
+            # repro: cold-call -- a window narrower than the wake-up array:
+            # recounted only when the waiting entries moved
+            demand = self._window.demand(ruu)
+        if demand != self._demand_seen or counts != self._counts_seen:
+            self._demand_seen = demand
             self._counts_seen = counts
-            self._selection = manager.selection_unit.select(
-                ruu.ready_unscheduled(), counts
-            )
-        manager.apply(self._selection)
+            self._selection = self._unit.select_demand(demand, counts)
+        self.manager.apply(self._selection)
 
     def describe(self) -> str:
         kind = "exact" if self.use_exact_metric else "shift-approximate"
@@ -196,57 +238,37 @@ class DemandSteering(SteeringPolicy):
         improvement_margin: float = 0.15,
         queue_size: int = 7,
     ) -> None:
-        from repro.steering.decoders import UnitDecoder
         from repro.steering.demand import DemandSynthesizer
-        from repro.steering.requirements import RequirementsEncoder
 
         self.queue_size = queue_size
-        self._decoder = UnitDecoder()
-        self._encoder = RequirementsEncoder()
         self.synthesizer = DemandSynthesizer(
             smoothing=smoothing, improvement_margin=improvement_margin
         )
         self.loader: ConfigurationLoader | None = None
         #: synthesized targets adopted over the run (for tracing/tests).
         self.retargets: list[Configuration] = []
-        #: scratch for the decoded window (the encoder only iterates it).
-        self._scratch_onehots: list[int] = []
-        #: packed window -> encoder output.  The gate-level encoder is a
-        #: pure function of the one-hot window, and a run sees few windows.
-        self._required_memo: dict[int, tuple[int, ...]] = {}
 
     def bind(self, fabric: Fabric) -> None:
         super().bind(fabric)
         self.loader = ConfigurationLoader(fabric)
-        #: the window's required counts and the RUU waiting version they
-        #: were encoded at.
-        self._required: tuple[int, ...] = ()
-        self._waiting_seen = -1
-
-    def _window_required(self, ready: Sequence) -> tuple[int, ...]:
-        """The encoder's required counts of the window's first
-        ``queue_size`` instructions."""
-        onehots = self._scratch_onehots
-        onehots.clear()
-        key = 1  # leading sentinel keeps the packing injective
-        for k in range(min(len(ready), self.queue_size)):
-            onehot = self._decoder(ready[k])
-            onehots.append(onehot)
-            key = (key << len(FU_TYPES)) | onehot
-        required = self._required_memo.get(key)
-        if required is None:
-            # repro: cold-call -- memo-miss path: bounded by distinct
-            # windows, not cycles
-            required = self._encoder(onehots)
-            self._required_memo[key] = required
-        return required
+        self._window = _WindowDemand(self.queue_size)
+        #: the window's required counts and the packed demand they encode.
+        self._required: tuple[int, ...] = required_of(0)
+        self._demand_seen = 0
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
-        if ruu.waiting_version != self._waiting_seen:
-            self._waiting_seen = ruu.waiting_version
-            self._required = self._window_required(ruu.ready_unscheduled())
+        if self.queue_size >= ruu.wakeup.n_entries:
+            demand = ruu.waiting_demand
+        else:
+            # repro: cold-call -- a window narrower than the wake-up array:
+            # recounted only when the waiting entries moved
+            demand = self._window.demand(ruu)
+        if demand != self._demand_seen:
+            self._demand_seen = demand
+            # repro: cold-call -- bounded by changes of the window's demand
+            self._required = required_of(demand)
         self.synthesizer.observe(self._required)
-        target = self.synthesizer.propose(self.loader.current_counts())
+        target = self.synthesizer.propose(self.fabric.counts_tuple())
         if target is not None:
             # repro: cold-call -- retarget adoption: bounded by accepted
             # reconfigurations (hysteresis-gated), not cycles
@@ -272,8 +294,9 @@ class OracleSteering(SteeringPolicy):
     computes the exact error of every candidate, and targets the best.
 
     The window's per-type counts slide with the retire point (the types
-    leaving it are subtracted, the ones entering added), and the choice is
-    recomputed only when the retire point or the configured counts moved.
+    leaving it are subtracted, the ones entering added), the choice is
+    looked up only when the retire point or the configured counts moved,
+    and it is memoised on the window's counts and the configured counts.
     """
 
     name = "oracle"
@@ -311,6 +334,8 @@ class OracleSteering(SteeringPolicy):
         self._target: Configuration | None = None
         self._retired_seen = -1
         self._counts_seen: tuple[int, ...] = ()
+        #: (window counts, configured counts) -> the choice.
+        self._choices: dict[tuple, Configuration | None] = {}
 
     def _window_required(self, retired: int) -> tuple[int, ...]:
         """Per-type counts of the ``lookahead`` trace entries from
@@ -350,6 +375,12 @@ class OracleSteering(SteeringPolicy):
         if ruu.retired != self._retired_seen or current != self._counts_seen:
             self._retired_seen = ruu.retired
             self._counts_seen = current
-            self._target = self._best(self._window_required(ruu.retired), current)
+            key = (self._window_required(ruu.retired), current)
+            target = self._choices.get(key, _UNCHOSEN)
+            if target is _UNCHOSEN:
+                # repro: cold-call -- memo miss: bounded by distinct
+                # (window, configured counts) pairs
+                target = self._choices[key] = self._best(*key)
+            self._target = target
         self.loader.set_target(self._target)
         self.loader.step()

@@ -95,7 +95,10 @@ class AvailabilityCache:
       exactly the configured units and re-derives the idle counts once;
     * between structure changes, every unit's idle/busy transition calls
       :meth:`unit_state_changed`, which adjusts one per-type count and one
-      bus bit — O(1) per *event* instead of O(units) per *cycle*.
+      bus bit — O(1) per *event* instead of O(units) per *cycle*;
+    * :attr:`rfu_flips` counts the transitions of reconfigurable units,
+      so a reader can tell that no RFU's busy state moved (the
+      configuration loader keys its blocked-placement memo on it).
 
     Unit ordering inside each tuple is fixed units first, then
     reconfigurable units in slot order — the same preference order
@@ -116,6 +119,7 @@ class AvailabilityCache:
         "_bits",
         "_idle_counts",
         "_attached",
+        "rfu_flips",
         "crosscheck",
     )
 
@@ -128,6 +132,8 @@ class AvailabilityCache:
         self._bits = 0
         self._idle_counts: dict[FUType, int] = {}
         self._attached: list[FunctionalUnit] = []
+        #: idle/busy transitions of reconfigurable units so far.
+        self.rfu_flips = 0
         self.crosscheck = _CROSSCHECK_DEFAULT if crosscheck is None else crosscheck
 
     # ----------------------------------------------------------- refresh
@@ -177,6 +183,8 @@ class AvailabilityCache:
     # -------------------------------------------------- incremental update
     def unit_state_changed(self, unit: FunctionalUnit, idle: bool) -> None:
         """Listener callback: one unit flipped between idle and busy."""
+        if not unit.fixed:
+            self.rfu_flips += 1
         t = unit.fu_type
         counts = self._idle_counts
         n = counts[t] + (1 if idle else -1)

@@ -14,7 +14,15 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["FUType", "FU_TYPES", "NUM_FU_TYPES", "FU_BIT"]
+__all__ = [
+    "FUType",
+    "FU_TYPES",
+    "NUM_FU_TYPES",
+    "FU_BIT",
+    "COUNT_FIELD_BITS",
+    "COUNT_ONE",
+    "unpack_counts",
+]
 
 
 class FUType(enum.IntEnum):
@@ -88,3 +96,20 @@ NUM_FU_TYPES = len(FU_TYPES)
 #: each type's one-hot bit (``1 << t.bit_index``), for the per-cycle code
 #: that would otherwise call the ``bit_index`` property per use.
 FU_BIT: dict[FUType, int] = {t: 1 << _BIT_INDEX[t] for t in FU_TYPES}
+
+#: bits per type of a packed per-type count: the count of type ``t`` sits
+#: in bits ``[COUNT_FIELD_BITS * t.bit_index, ...)`` of one int, so adding
+#: or removing one instruction of a type is one integer add.
+COUNT_FIELD_BITS = 16
+#: each type's unit in a packed per-type count.
+COUNT_ONE: dict[FUType, int] = {
+    t: 1 << (COUNT_FIELD_BITS * _BIT_INDEX[t]) for t in FU_TYPES
+}
+
+
+def unpack_counts(packed: int) -> tuple[int, ...]:
+    """A packed per-type count as a tuple in canonical type order."""
+    field = (1 << COUNT_FIELD_BITS) - 1
+    return tuple(
+        (packed >> (COUNT_FIELD_BITS * i)) & field for i in range(len(FU_TYPES))
+    )

@@ -37,7 +37,14 @@ implementation adds the substrate details a working processor needs:
 * **stall counts** — each issue step, a reused one included, adds its
   resource-blocked rows and its contention (requests that won no grant)
   to the running totals :attr:`resource_blocked_cycles` and
-  :attr:`contention_cycles`.
+  :attr:`contention_cycles`;
+* **waiting demand** — :attr:`waiting_demand` is the per-type count of
+  the WAITING entries, packed one type per field
+  (:data:`~repro.isa.futypes.COUNT_ONE`) and updated at dispatch, grant
+  and flush: the steering policies read the window's demand from it
+  instead of rebuilding and decoding :meth:`ready_unscheduled`.  A load
+  denied by memory ordering and a select-free collision loser stay
+  WAITING, so they stay counted.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from repro.fabric.fabric import Fabric
 from repro.frontend.fetch import FetchedInstruction
 from repro.frontend.memory import DataMemory
 from repro.isa import semantics
-from repro.isa.futypes import FU_TYPES, FUType
+from repro.isa.futypes import COUNT_ONE, FU_TYPES, FUType
 from repro.isa.instruction import Instruction
 from repro.sched.entry import EntryState, RuuEntry
 from repro.sched.regfile import RegisterFile
@@ -171,9 +178,11 @@ class RegisterUpdateUnit:
         #: busy unit-cycles per type of the occupancies that have ended.
         self._busy_cycles: dict[FUType, int] = {t: 0 for t in FU_TYPES}
         #: bumped whenever the set of WAITING entries changes (a dispatch, a
-        #: grant, a flush): the steering policies recompute what they derive
-        #: from :meth:`ready_unscheduled` only when it moves.
+        #: grant, a flush): a policy that reads only the oldest WAITING
+        #: entries recounts them only when it moves.
         self.waiting_version = 0
+        #: per-type count of the WAITING entries, packed (``COUNT_ONE``).
+        self.waiting_demand = 0
         #: the last issue step's report when it raised no request, with the
         #: inputs it saw; ``None`` once a step raised one.
         self._idle_report: IssueReport | None = None
@@ -200,11 +209,10 @@ class RegisterUpdateUnit:
         """In-flight entries oldest first."""
         return list(self._order)
 
-    # repro: allow[HOT001] -- interface contract: callers receive a fresh
-    # list they may keep across cycles (steering policies slice and store it)
     def ready_unscheduled(self) -> list[Instruction]:
-        """The instructions the configuration manager inspects: queue
-        entries that have not yet been granted execution."""
+        """Queue entries not yet granted execution, oldest first: the
+        instructions the configuration manager inspects (the observers'
+        view; the policies count them through :attr:`waiting_demand`)."""
         return [e.instruction for e in self._order if e.state is _WAITING]
 
     def _row_of_seq(self, seq: int) -> int | None:
@@ -238,6 +246,7 @@ class RegisterUpdateUnit:
             rename[dest] = entry
         self.dispatched += 1
         self.waiting_version += 1
+        self.waiting_demand += COUNT_ONE[instr.fu_type]
         return entry
 
     # ------------------------------------------------------------ operands
@@ -410,6 +419,7 @@ class RegisterUpdateUnit:
             entry.unit = self.fabric.issue(entry.fu_type, entry.seq)
             entry.state = _ISSUED
             self.waiting_version += 1
+            self.waiting_demand -= COUNT_ONE[entry.fu_type]
             entry.issue_cycle = self.clock
             due = self.clock + entry.instruction.latency - 1
             filed = self._due.get(due)
@@ -572,7 +582,9 @@ class RegisterUpdateUnit:
             (row, e) for row, e in self._entries.items() if e.seq > seq
         ]
         for row, e in victims:
-            if e.state is _ISSUED:
+            if e.state is _WAITING:
+                self.waiting_demand -= COUNT_ONE[e.fu_type]
+            elif e.state is _ISSUED:
                 e.unit.release()
                 # squashed during this cycle's issue step: it was busy at
                 # the end of every cycle from its issue up to the last one

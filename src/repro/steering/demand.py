@@ -20,6 +20,14 @@ Mechanism:
   configuration improves the exact error against the smoothed demand by a
   margin, preventing the thrash that plagues overlapping candidate sets
   (see examples/custom_steering_basis.py).
+
+:meth:`DemandSynthesizer.propose` runs every cycle, but the hysteresis
+usually rules a retarget out before the fill is needed: every type with
+demand and at least one fixed unit adds at least one cycle to any
+target's error (the fill only adds units, so such a type always has one),
+and when that lower bound already misses the margin the fill is skipped.
+A type without fixed units is left out of the bound, since its term
+``8 * demand`` can be below one cycle.
 """
 
 from __future__ import annotations
@@ -136,6 +144,8 @@ class DemandSynthesizer:
         self._demand = [0.0] * len(FU_TYPES)
         self._synth_counter = 0
         self._ffu_list = [self.ffu_counts.get(t, 0) for t in FU_TYPES]
+        #: indices of the types with at least one fixed unit.
+        self._fixed_types = tuple(i for i, n in enumerate(self._ffu_list) if n)
         #: reused per-type buffers of the last synthesis (indexed like
         #: ``FU_TYPES``): fixed + synthesized units, and synthesized only,
         #: so the per-cycle synthesis and retarget check allocate nothing.
@@ -147,6 +157,8 @@ class DemandSynthesizer:
         """The smoothed per-type demand estimate."""
         return tuple(self._demand)
 
+    # repro: allow[HOT001] -- the new estimate replaces the old list whole:
+    # one comprehension runs faster than updating the list index by index
     def observe(self, required: Sequence[int]) -> None:
         """Fold one cycle's required counts into the demand estimate."""
         if len(required) != len(FU_TYPES):
@@ -154,8 +166,9 @@ class DemandSynthesizer:
                 f"required counts need {len(FU_TYPES)} entries, got {len(required)}"
             )
         a = self.smoothing
-        for i, r in enumerate(required):
-            self._demand[i] = (1.0 - a) * self._demand[i] + a * r
+        self._demand = [
+            (1.0 - a) * d + a * r for d, r in zip(self._demand, required)
+        ]
 
     def _synthesize(self) -> None:
         """Greedy knapsack into the reused buffers: one synthesis event (the
@@ -176,10 +189,26 @@ class DemandSynthesizer:
         ``current_counts`` (live configured units per type, fixed bank
         included) by the improvement margin, else ``None``.  This is the
         per-cycle path: it builds a :class:`Configuration` only when it
-        returns one.
+        returns one, and skips the fill when the error bound of the module
+        docstring shows no synthesis could pass the margin (the event is
+        still counted, so the ``demand-N`` names do not move).
         """
+        current_err = self._saturated_error(current_counts)
+        if current_err <= 0.0:
+            self._synth_counter += 1
+            return None
+        threshold = current_err * (1.0 - self.improvement_margin)
+        demand = self._demand
+        bound = 0.0
+        for i in self._fixed_types:
+            if demand[i] > 1e-3:
+                bound += 1.0
+        if bound >= threshold:
+            self._synth_counter += 1
+            return None
+        # repro: cold-call -- the fill: only when the bound allows a retarget
         self._synthesize()
-        if not self._improves(self._provisioned, current_counts):
+        if not self._saturated_error(self._provisioned) < threshold:
             return None
         # repro: cold-call -- retarget adoption: bounded by accepted
         # reconfigurations (hysteresis-gated), not cycles

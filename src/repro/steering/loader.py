@@ -16,10 +16,14 @@ Because only idle slots change, the active configuration is generally a
 *hybrid overlap* of steering configurations — exactly the behaviour the
 paper describes.
 
-:meth:`ConfigurationLoader.missing_units` runs every cycle the bus is free,
-but its answer moves only with the target, the configured units (the slot
-array's ``structure_version``) and the units in flight (a load into empty
-slots bumps only ``reconfigurations``), so it is memoised on those three.
+:meth:`ConfigurationLoader.missing_units` moves only with the target, the
+configured units (the slot array's ``structure_version``) and the units in
+flight (a load into empty slots bumps only ``reconfigurations``), so it is
+memoised on those three.  Whether a missing unit can be placed moves with
+them and with the busy state of the reconfigurable units, so a
+:meth:`ConfigurationLoader.step` that placed nothing is remembered under
+those three and the availability cache's ``rfu_flips``: until one of the
+four moves, the next step returns ``None`` without searching again.
 """
 
 from __future__ import annotations
@@ -75,6 +79,13 @@ class ConfigurationLoader:
         self._missing_target: object = _UNSET
         self._missing_version = -1
         self._missing_reconfigs = -1
+        #: the key of the last step that placed nothing: target, structure
+        #: version, reconfiguration count and RFU busy flips.
+        self._avail = fabric._avail
+        self._blocked_target: object = _UNSET
+        self._blocked_version = -1
+        self._blocked_reconfigs = -1
+        self._blocked_flips = -1
 
     # ------------------------------------------------------------- target
     @property
@@ -200,9 +211,30 @@ class ConfigurationLoader:
         needs to) change: target already satisfied, bus busy, or every
         useful slot busy executing.
         """
-        if self._target is None or not self.fabric.rfus.bus_free:
+        target = self._target
+        rfus = self.fabric.rfus
+        if target is None or rfus._bus_remaining:  # bus_free, read flat
             return None
+        if (
+            target is self._blocked_target
+            and rfus.structure_version == self._blocked_version
+            and rfus.reconfigurations == self._blocked_reconfigs
+            and self._avail.rfu_flips == self._blocked_flips
+        ):
+            return None  # nothing the last search depended on has moved
+        # repro: cold-call -- search: bounded by changes of its key
         missing = self.missing_units()
+        # repro: cold-call -- search: bounded by changes of its key
+        plan = self._place(missing)
+        if plan is None:
+            self._blocked_target = target
+            self._blocked_version = rfus.structure_version
+            self._blocked_reconfigs = rfus.reconfigurations
+            self._blocked_flips = self._avail.rfu_flips
+        return plan
+
+    def _place(self, missing: list[FUType]) -> LoadPlan | None:
+        """Start the load of the first missing unit that fits, if any."""
         for fu_type in missing:
             run = self._find_run(fu_type)
             if run is not None:

@@ -107,18 +107,20 @@ class ConfigurationManager:
     def apply(self, result: SelectionResult) -> SelectionResult:
         """One clock of the manager with this cycle's selection already
         made: steer the loader toward it and count it."""
-        self.loader.set_target(result.config)
-        plan = self.loader.step()
+        loader = self.loader
+        loader.set_target(result.config)
+        plan = loader.step()
 
-        self.last_selection = result.index
-        self.last_result = result
-        self.last_error = result.errors[result.index]
-        self.stats.cycles += 1
-        self.stats.selections[result.index] = (
-            self.stats.selections.get(result.index, 0) + 1
-        )
-        self.stats.total_selected_error += result.errors[result.index]
+        index = result.index
+        if result is not self.last_result:
+            self.last_selection = index
+            self.last_result = result
+            self.last_error = result.errors[index]
+        stats = self.stats
+        stats.cycles += 1
+        stats.selections[index] = stats.selections.get(index, 0) + 1
+        stats.total_selected_error += self.last_error
         if plan is not None:
-            self.stats.loads += 1
+            stats.loads += 1
             self.last_load = plan
         return result

@@ -4,18 +4,26 @@ The cycle loop's cost is dominated by interpreter work, and the number of
 Python function calls per cycle is its most stable proxy: counting
 ``call`` events with :func:`sys.setprofile` is deterministic, where timing
 on a shared host is not.  Each run is measured warm (a first run of the
-same program decodes it, fills the instructions' cached properties and
-the selection memo), so the figure does not depend on test order.
+same program decodes it and fills the instructions' cached properties),
+so the figure does not depend on test order.
 
-Calls per cycle on ``checksum`` (default size), CPython 3.11:
+Calls per cycle on ``checksum`` (default size), CPython 3.11, at wake-up
+windows of 7 and 11 entries (the factories size the selection window to
+match):
 
-=========  ======  =====  =====
-policy     lean    lean   bound
-           before  after  after
-=========  ======  =====  =====
-ffu-only   66.25   33.13  26.27
-steering   99.94   49.27  40.43
-=========  ======  =====  =====
+===============  ======  =====  =============  =============  =============
+policy           lean    lean   bound          event          event
+                 before  after  after          before         after
+===============  ======  =====  =============  =============  =============
+ffu-only         66.25   33.13  26.27          26.27 / 26.28  26.27 / 26.28
+steering         99.94   49.27  40.43          40.43 / 40.43  37.03 / 36.89
+random                                         37.47 / 37.45  36.50 / 36.47
+oracle                                         41.56 / 41.56  36.70 / 36.70
+demand                                         68.05 / 83.42  42.33 / 42.69
+static-integer                                 32.87 / 32.86  32.77 / 32.76
+static-memory                                  33.14 / 33.13  33.04 / 33.03
+static-floating                                32.48 / 32.48  32.38 / 32.38
+===============  ======  =====  =============  =============  =============
 
 "Lean before" is the loop with enum members loaded through their classes,
 ``if op is Opcode.X`` semantics chains, dataclass records and the
@@ -25,29 +33,44 @@ producer entries, so dispatch builds no ``SourceBinding`` and
 ``RuuEntry`` has no ``__post_init__``; operands come from the producer
 or the register file without a ``RegisterFile.read`` call; the unit
 busy/idle transitions, the wake-up row-and-column clear and the stall
-counts are made inline.  Each budget is the latest figure plus 10%: a
-change that adds per-cycle calls must either pay for itself elsewhere or
-raise the budget here, with the reason.
+counts are made inline.  Those three columns are at window 7.  "Event
+before" is the same loop at both windows; "event after" steers by event:
+the policies read the RUU's packed per-type demand of the waiting
+entries instead of rebuilding and decoding the ready queue, selection is
+a table lookup memoised per unit, the demand synthesizer skips its fill
+when an error bound rules a retarget out, the oracle memoises its choice
+and the loader does not search a blocked placement again until its
+inputs move.  Each budget is the latest figure plus 10%: a change that
+adds per-cycle calls must either pay for itself elsewhere or raise the
+budget here, with the reason.
 """
 
 import sys
 
 import pytest
 
-from repro.core.baselines import fixed_superscalar, steering_processor
+from repro.core.baselines import policy_catalogue
+from repro.core.params import ProcessorParams
 from repro.workloads.kernels import checksum
 
-#: policy -> (factory, calls-per-cycle budget).
+#: policy -> calls-per-cycle budget at windows 7 and 11.
 BUDGETS = {
-    "ffu-only": (fixed_superscalar, 26.27 * 1.10),
-    "steering": (steering_processor, 40.43 * 1.10),
+    "ffu-only": (26.27 * 1.10, 26.28 * 1.10),
+    "steering": (37.03 * 1.10, 36.89 * 1.10),
+    "random": (36.50 * 1.10, 36.47 * 1.10),
+    "oracle": (36.70 * 1.10, 36.70 * 1.10),
+    "demand": (42.33 * 1.10, 42.69 * 1.10),
+    "static-integer": (32.77 * 1.10, 32.76 * 1.10),
+    "static-memory": (33.04 * 1.10, 33.03 * 1.10),
+    "static-floating": (32.38 * 1.10, 32.38 * 1.10),
 }
+WINDOWS = (7, 11)
 
 
-def calls_per_cycle(factory) -> float:
+def calls_per_cycle(factory, params=None) -> float:
     program = checksum().program
-    factory(program).run()  # warm-up: decode, instruction caches, memo
-    proc = factory(program)
+    factory(program, params).run()  # warm-up: decode, instruction caches
+    proc = factory(program, params)
     calls = 0
 
     def count(frame, event, arg):
@@ -64,11 +87,16 @@ def calls_per_cycle(factory) -> float:
     return calls / result.cycles
 
 
+def test_every_catalogue_policy_has_a_budget():
+    assert sorted(BUDGETS) == sorted(policy_catalogue())
+
+
 @pytest.mark.parametrize("policy", sorted(BUDGETS))
 def test_calls_per_cycle_within_budget(policy):
-    factory, budget = BUDGETS[policy]
-    measured = calls_per_cycle(factory)
-    assert measured <= budget, (
-        f"{policy}: {measured:.2f} Python calls per simulated cycle, "
-        f"budget {budget:.2f}"
-    )
+    factory = policy_catalogue()[policy]
+    for window, budget in zip(WINDOWS, BUDGETS[policy]):
+        measured = calls_per_cycle(factory, ProcessorParams(window_size=window))
+        assert measured <= budget, (
+            f"{policy} at window {window}: {measured:.2f} Python calls per "
+            f"simulated cycle, budget {budget:.2f}"
+        )

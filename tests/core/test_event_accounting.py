@@ -97,15 +97,26 @@ class Invalidate:
         proc.ruu._idle_report = None
         proc._structure_seen = -1
         policy = proc.policy
-        for attr in ("_waiting_seen", "_retired_seen"):
+        for attr in ("_demand_seen", "_retired_seen"):
             if hasattr(policy, attr):
                 setattr(policy, attr, -1)
+        window = getattr(policy, "_window", None)
+        if window is not None:
+            window._version = -1
         if hasattr(policy, "_reset_window"):
             policy._reset_window()
+        if hasattr(policy, "_choices"):
+            policy._choices.clear()
         manager = getattr(policy, "manager", None)
+        if manager is not None:
+            unit = manager.selection_unit
+            unit._memo.clear()
+            unit._memo_counts = None
+            unit._inputs_counts = None
         loader = manager.loader if manager is not None else getattr(policy, "loader", None)
         if loader is not None:
             loader._missing_target = loader_module._UNSET
+            loader._blocked_target = loader_module._UNSET
 
     def on_cycle(self, proc, packet, dispatched, issued, retired, flushed):
         pass

@@ -193,8 +193,8 @@ class TestCatalogue:
 
 
 class TestSharedSelectionMemo:
-    """Selection units share one memo per process across jobs; a warm memo
-    must not change any result."""
+    """Selection memos belong to one unit, hence to one job: a process that
+    has run other jobs must return the results of a first run."""
 
     @staticmethod
     def _catalogue(program, params):
@@ -206,19 +206,14 @@ class TestSharedSelectionMemo:
         ]
 
     def test_warm_memo_leaves_results_bit_identical(self):
-        from repro.steering.selection import clear_shared_memos
         from repro.workloads.kernels import dot_product, matmul
 
         program = checksum(iterations=12).program
         params = ProcessorParams(reconfig_latency=4)
-        clear_shared_memos()
-        cold = self._catalogue(program, params)
-        # warm the shared memos with other programs and window sizes
+        first = self._catalogue(program, params)
+        # run other programs and window sizes in between
         for other in (dot_product(n=24).program, matmul(n=4).program):
             for window in (7, 11):
-                warm_params = ProcessorParams(reconfig_latency=4, window_size=window)
-                self._catalogue(other, warm_params)
-        try:
-            assert self._catalogue(program, params) == cold
-        finally:
-            clear_shared_memos()
+                other_params = ProcessorParams(reconfig_latency=4, window_size=window)
+                self._catalogue(other, other_params)
+        assert self._catalogue(program, params) == first

@@ -3,14 +3,18 @@ ordering, flushing and in-order retirement."""
 
 import pytest
 
+from repro.core.baselines import steering_processor
+from repro.core.params import ProcessorParams
 from repro.errors import SchedulerError
 from repro.fabric.fabric import Fabric
 from repro.frontend.fetch import FetchedInstruction
 from repro.frontend.memory import DataMemory
 from repro.isa.assembler import assemble
-from repro.isa.futypes import FUType
+from repro.isa.futypes import FU_TYPES, FUType, unpack_counts
 from repro.sched.entry import EntryState
 from repro.sched.ruu import RegisterUpdateUnit
+from repro.verify.generator import generate_program
+from repro.workloads.kernels_extra import bubble_sort
 
 
 def _ruu(window=7):
@@ -314,6 +318,63 @@ class TestWaitingVersion:
         _cycle(ruu, 3)
         ruu.retire()
         assert ruu.waiting_version == version
+
+
+class TestWaitingDemand:
+    """``waiting_demand`` is the packed per-type count of the WAITING
+    entries: after every cycle it unpacks to the types of
+    ``ready_unscheduled()``."""
+
+    @staticmethod
+    def _types(ruu):
+        return tuple(
+            sum(1 for i in ruu.ready_unscheduled() if i.fu_type is t)
+            for t in FU_TYPES
+        )
+
+    def _check_every_cycle(self, program, pipelined, window=7):
+        proc = steering_processor(
+            program,
+            ProcessorParams(window_size=window, pipelined_scheduling=pipelined),
+        )
+        checked = 0
+
+        class Check:
+            def on_stage(self, proc, stage):
+                pass
+
+            def on_cycle(self, proc, *args):
+                nonlocal checked
+                ruu = proc.ruu
+                assert unpack_counts(ruu.waiting_demand) == TestWaitingDemand._types(ruu)
+                checked += 1
+
+        proc.observer = Check()
+        result = proc.run(max_cycles=20_000)
+        assert checked == result.cycles
+        return result
+
+    def test_dispatch_grant_and_flush_update_it(self):
+        ruu = _ruu()
+        e = _dispatch(ruu, "fdiv f1, f2, f3\nadd x1, x2, x3\nadd x4, x1, x5\n")
+        assert unpack_counts(ruu.waiting_demand) == (2, 0, 0, 0, 1)
+        _cycle(ruu)  # fdiv and the first add are granted
+        assert unpack_counts(ruu.waiting_demand) == (1, 0, 0, 0, 0)
+        ruu.flush_younger(e[1].seq)  # squashes the still-waiting add
+        assert ruu.waiting_demand == 0
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_matches_ready_unscheduled_on_bubble_sort(self, pipelined):
+        result = self._check_every_cycle(bubble_sort(n=12).program, pipelined)
+        assert result.halted and result.flushes >= 10
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_ready_unscheduled_on_fuzz_programs(self, seed, pipelined):
+        result = self._check_every_cycle(
+            generate_program(seed), pipelined, window=(7, 11, 3)[seed % 3]
+        )
+        assert result.halted
 
 
 class TestBusyUnitCycles:

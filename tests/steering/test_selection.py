@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS
 from repro.isa.assembler import assemble
-from repro.isa.futypes import FU_TYPES
-from repro.steering.selection import ConfigurationSelectionUnit, clear_shared_memos
+from repro.isa.futypes import COUNT_ONE, FU_TYPES, FUType
+from repro.steering.selection import ConfigurationSelectionUnit, required_of
 
 #: configured counts when the integer config is fully loaded (incl. FFUs).
 _INTEGER_LOADED = (5, 3, 1, 1, 1)
@@ -123,123 +123,30 @@ class TestTieBreaking:
         assert result.required == (0, 0, 1, 1, 0)
 
 
-class TestMemoLRU:
-    """The select() memo evicts least-recently-used entries, one at a time."""
-
-    @pytest.fixture(autouse=True)
-    def _cold_shared_memo(self):
-        # units of one signature share a process-wide memo; start each
-        # test from an empty one so earlier selections cannot fill it
-        clear_shared_memos()
-        yield
-        clear_shared_memos()
-
-    def _select_counts(self, unit, n0):
-        # distinct memo keys: vary the IALU count of the current-counts
-        # vector (arity stays 5, values stay plausible small ints)
-        return unit.select([], (n0, 1, 1, 1, 1))
-
-    def test_memo_is_bounded(self):
-        import repro.steering.selection as mod
-
-        unit = ConfigurationSelectionUnit()
-        original = mod._MEMO_CAPACITY
-        mod._MEMO_CAPACITY = 8
-        try:
-            for i in range(20):
-                self._select_counts(unit, i)
-            assert len(unit._memo) == 8
-        finally:
-            mod._MEMO_CAPACITY = original
-
-    def test_hot_entries_survive_eviction(self):
-        import repro.steering.selection as mod
-
-        unit = ConfigurationSelectionUnit()
-        original = mod._MEMO_CAPACITY
-        mod._MEMO_CAPACITY = 4
-        try:
-            for i in range(4):  # fill: keys 0..3, oldest first
-                self._select_counts(unit, i)
-            self._select_counts(unit, 0)  # touch key 0 -> most recent
-            self._select_counts(unit, 4)  # evicts key 1, NOT key 0
-            keys = {k[1][0] for k in unit._memo}
-            assert 0 in keys and 1 not in keys
-        finally:
-            mod._MEMO_CAPACITY = original
+class TestSelectionMemo:
+    """select_demand() memoises per unit, keyed by the packed demand, and
+    forgets its results when the configured counts change."""
 
     def test_memo_hit_returns_identical_result(self):
         unit = ConfigurationSelectionUnit()
-        first = unit.select([], _FFUS_ONLY)
-        assert unit.select([], _FFUS_ONLY) is first
+        demand = 3 * COUNT_ONE[FUType.LSU]
+        first = unit.select_demand(demand, _FFUS_ONLY)
+        assert unit.select_demand(demand, _FFUS_ONLY) is first
 
+    def test_counts_change_clears_the_memo(self):
+        unit = ConfigurationSelectionUnit()
+        demand = 2 * COUNT_ONE[FUType.INT_ALU]
+        unit.select_demand(demand, _FFUS_ONLY)
+        unit.select_demand(0, _FFUS_ONLY)
+        assert len(unit._memo) == 2
+        result = unit.select_demand(demand, _INTEGER_LOADED)
+        assert list(unit._memo) == [demand]
+        assert result == unit.select_required(required_of(demand), _INTEGER_LOADED)
 
-class TestSharedMemo:
-    """Units with one signature share one memo; other signatures do not."""
-
-    def test_equal_signature_units_share_one_memo(self):
+    def test_units_do_not_share_a_memo(self):
         a, b = ConfigurationSelectionUnit(), ConfigurationSelectionUnit()
-        assert a._memo is b._memo
-        first = a.select([], _FFUS_ONLY)
-        assert b.select([], _FFUS_ONLY) is first
-
-    def test_distinct_signatures_keep_separate_memos(self):
-        base = ConfigurationSelectionUnit()
-        assert ConfigurationSelectionUnit(queue_size=11)._memo is not base._memo
-        assert (
-            ConfigurationSelectionUnit(use_exact_metric=True)._memo
-            is not base._memo
-        )
-        assert (
-            ConfigurationSelectionUnit(configs=PREDEFINED_CONFIGS[:2])._memo
-            is not base._memo
-        )
-
-
-class TestSharedMemoThreads:
-    """The serving job queue simulates on a background thread, so the
-    shared memo must survive concurrent hits and evictions."""
-
-    def test_concurrent_selects_with_eviction(self):
-        import sys
-        import threading
-
-        import repro.steering.selection as mod
-
-        keys = [(n0, 1, 1, 1, 1) for n0 in range(20)]
-        clear_shared_memos()
-        expected = {k: ConfigurationSelectionUnit().select([], k) for k in keys}
-        clear_shared_memos()
-        original_capacity = mod._MEMO_CAPACITY
-        original_interval = sys.getswitchinterval()
-        mod._MEMO_CAPACITY = 16  # force evictions under contention
-        sys.setswitchinterval(1e-6)
-        errors = []
-        mismatches = []
-
-        def work(offset):
-            unit = ConfigurationSelectionUnit()
-            try:
-                for i in range(3000):
-                    key = keys[(i * 7 + offset) % len(keys)]
-                    if unit.select([], key) != expected[key]:
-                        mismatches.append(key)
-            except Exception as exc:  # surfaced by the assertion below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert errors == [] and mismatches == []
-            assert len(ConfigurationSelectionUnit()._memo) <= 16
-        finally:
-            sys.setswitchinterval(original_interval)
-            mod._MEMO_CAPACITY = original_capacity
-            clear_shared_memos()
+        a.select_demand(0, _FFUS_ONLY)
+        assert a._memo is not b._memo and not b._memo
 
 
 class TestExactMetricMode:
