@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench report examples lint lint-clean
+.PHONY: install test bench report examples lint
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -23,6 +23,3 @@ examples:
 
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro lint
-
-lint-clean:
-	rm -rf .analysis-cache

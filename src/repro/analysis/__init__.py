@@ -10,18 +10,19 @@ tree against those requirements on every run.
 
 Layout:
 
-* :mod:`repro.analysis.findings` — the :class:`Finding` record and its
-  stable fingerprint;
+* :mod:`repro.analysis.findings` — the :class:`Finding` record;
 * :mod:`repro.analysis.config` — the checked-in ``analysis/layers.toml``
   table (import DAG, hot zones, rule scopes);
-* :mod:`repro.analysis.rules` — the rule registry and the four families
+* :mod:`repro.analysis.rules` — the rule registry, the per-file
+  :class:`~repro.analysis.rules.FileContext` and the four families
   (hot-path ``HOT``, determinism ``DET``, concurrency ``CON``, layering
   ``LAY``);
-* :mod:`repro.analysis.engine` — one-process tree walk with per-file
-  result caching by content hash (the ``ResultCache``/:func:`job_key`
-  idiom), inline ``# repro: allow[RULE]`` suppressions;
-* :mod:`repro.analysis.baseline` — the committed findings baseline that
-  lets the gate land green and ratchet down;
+* :mod:`repro.analysis.suppressions` — inline ``# repro: allow[RULE]``
+  suppressions and ``# repro: cold-call`` annotations;
+* :mod:`repro.analysis.graph` and :mod:`repro.analysis.dataflow` — the
+  whole-program call graph and the passes over it;
+* :mod:`repro.analysis.engine` — one uncached pass over the tree that
+  reads, parses and tokenizes each file once;
 * :mod:`repro.analysis.report` — human-readable and JSON reporters;
 * :mod:`repro.analysis.cli` — the ``repro lint`` subcommand.
 
@@ -30,7 +31,7 @@ repository rule that the core tree never grows third-party dependencies.
 """
 
 from repro.analysis.config import AnalysisConfig, load_config
-from repro.analysis.engine import AnalysisEngine, analyze_paths
+from repro.analysis.engine import AnalysisEngine
 from repro.analysis.findings import Finding
 from repro.analysis.rules import RULE_REGISTRY, all_rules
 
@@ -40,6 +41,5 @@ __all__ = [
     "Finding",
     "RULE_REGISTRY",
     "all_rules",
-    "analyze_paths",
     "load_config",
 ]

@@ -2,39 +2,28 @@
 
 Exit codes follow the convention of the other gates in this repo:
 
-* ``0`` — no *new* findings (baselined findings are reported, not fatal);
-* ``1`` — at least one finding outside the committed baseline;
+* ``0`` — no findings;
+* ``1`` — at least one finding (accept one only with an inline
+  ``# repro: allow[RULE] -- reason``);
 * ``2`` — configuration problem (missing/invalid layers.toml, a
   hot-zone or process-role entry that names no function, bad rule
   filter, unreadable paths, an ``--explain`` target that matches no
   finding).
 
-``--update-baseline`` rewrites ``analysis/baseline.json`` with exactly
-the findings of this run, prints every stale entry it pruned, and exits
-0 — the ratchet operation after fixing (or deliberately accepting)
-findings.
-
-``--changed`` restricts the per-file phase to files changed since
-``git merge-base HEAD origin/main`` *plus their reverse call-graph
-dependents* — the set whose findings can actually differ.  The call
-graph itself is still built over the whole package (a partial graph
-would resolve calls wrongly), but summaries are content-cached, so the
-warm cost is a cache sweep, not a re-analysis.
-
-``--graph-out FILE`` writes the canonical call-graph artifact;
-``--explain path:line:RULE`` prints the call chain behind one
-interprocedural finding; ``--explain-new-out FILE`` writes the chains of
-every *new* finding (what CI attaches to a failing run).
+Every run is one uncached pass over the tree (see
+:mod:`repro.analysis.engine`).  ``--graph-out FILE`` writes the
+canonical call-graph artifact; ``--explain path:line:RULE`` prints the
+call chain behind one interprocedural finding; ``--explain-new-out
+FILE`` writes the chains of every finding (what CI attaches to a
+failing run).
 """
 
 from __future__ import annotations
 
 import argparse
 import pathlib
-import subprocess
 import sys
 
-from repro.analysis.baseline import load_baseline, partition, save_baseline
 from repro.analysis.config import DEFAULT_CONFIG_PATH, load_config
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.findings import Finding
@@ -43,9 +32,6 @@ from repro.analysis.rules import RULE_REGISTRY, all_rules
 from repro.errors import ConfigurationError
 
 __all__ = ["add_lint_arguments", "run_lint"]
-
-#: default cache location (ignored by git; ``make lint-clean`` removes it).
-DEFAULT_CACHE = pathlib.Path(".analysis-cache") / "findings.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -58,12 +44,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--config",
         default=None,
         help="layer/hot-zone table (default: analysis/layers.toml)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="committed baseline file (default: analysis/baseline.json; "
-             "'none' disables baselining)",
     )
     parser.add_argument(
         "--format",
@@ -84,38 +64,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="run only these rule ids (default: every registered rule)",
     )
     parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline with this run's findings (printing any "
-             "pruned stale entries) and exit 0",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the per-file result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"cache directory (default: {DEFAULT_CACHE.parent})",
-    )
-    parser.add_argument(
         "--root",
         default=None,
         help="package root directory module paths are relative to "
              "(default: <repo>/src)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="analyse only files changed since merge-base with "
-             "origin/main, plus their reverse call-graph dependents",
-    )
-    parser.add_argument(
-        "--changed-base",
-        default="origin/main",
-        metavar="REF",
-        help="ref --changed diffs against (default: origin/main)",
     )
     parser.add_argument(
         "--graph-out",
@@ -134,33 +86,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--explain-new-out",
         default=None,
         metavar="FILE",
-        help="write --explain style chains for every NEW finding to FILE",
+        help="write --explain style chains for every finding to FILE",
     )
-
-
-def _git_changed_files(repo_root: pathlib.Path, base: str) -> list[str] | None:
-    """Repo-relative paths changed vs merge-base(HEAD, base), including
-    uncommitted and untracked files; None when git is unusable."""
-    def git(*argv: str) -> str | None:
-        try:
-            proc = subprocess.run(
-                ["git", *argv], cwd=repo_root, capture_output=True,
-                text=True, timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        return proc.stdout
-
-    merge_base = git("merge-base", "HEAD", base)
-    if merge_base is None:
-        return None
-    diff = git("diff", "--name-only", merge_base.strip())
-    untracked = git("ls-files", "--others", "--exclude-standard")
-    if diff is None or untracked is None:
-        return None
-    return sorted({p for p in (diff + untracked).splitlines() if p})
 
 
 def _chain_lines(
@@ -201,7 +128,7 @@ def _parse_explain_target(spec: str) -> tuple[str, int, str] | None:
 
 def _unresolved_config(engine: AnalysisEngine, config_path) -> bool:
     """Report every config root naming no function; True if any."""
-    unresolved = engine.build_analysis([]).unresolved_roots()
+    unresolved = engine.analysis.unresolved_roots()
     for entry in unresolved:
         print(
             f"repro lint: {config_path}: {entry} names no function "
@@ -217,13 +144,6 @@ def run_lint(args: argparse.Namespace) -> int:
     config_path = (
         pathlib.Path(args.config) if args.config else repo_root / DEFAULT_CONFIG_PATH
     )
-    baseline_path: pathlib.Path | None
-    if args.baseline == "none":
-        baseline_path = None
-    elif args.baseline:
-        baseline_path = pathlib.Path(args.baseline)
-    else:
-        baseline_path = repo_root / "analysis" / "baseline.json"
 
     try:
         config = load_config(config_path)
@@ -253,59 +173,7 @@ def run_lint(args: argparse.Namespace) -> int:
         )
         return 2
 
-    cache_path = None
-    if not args.no_cache:
-        cache_dir = (
-            pathlib.Path(args.cache_dir)
-            if args.cache_dir
-            else repo_root / DEFAULT_CACHE.parent
-        )
-        cache_path = cache_dir / DEFAULT_CACHE.name
-
-    engine = AnalysisEngine(
-        config,
-        root=root,
-        repo_root=repo_root,
-        cache_path=cache_path,
-        rules=rules,
-    )
-
-    if args.changed:
-        changed = _git_changed_files(repo_root, args.changed_base)
-        if changed is None:
-            print(
-                f"repro lint: --changed needs a git checkout with "
-                f"{args.changed_base!r} resolvable; falling back to a "
-                "full run",
-                file=sys.stderr,
-            )
-        else:
-            changed_mods = set()
-            for rel in changed:
-                path = (repo_root / rel).resolve()
-                if path.suffix != ".py" or not path.exists():
-                    continue
-                try:
-                    changed_mods.add(path.relative_to(root).as_posix())
-                except ValueError:
-                    continue
-            closure = engine.file_closure(changed_mods)
-            paths = [
-                root / module_path
-                for module_path in sorted(closure)
-                if (root / module_path).exists()
-            ]
-            if not paths:
-                if _unresolved_config(engine, config_path):
-                    return 2
-                print("repro lint --changed: no analysable files changed")
-                if args.graph_out:
-                    pathlib.Path(args.graph_out).write_text(
-                        engine.graph_json() + "\n"
-                    )
-                engine.save_cache()
-                return 0
-
+    engine = AnalysisEngine(config, root=root, repo_root=repo_root, rules=rules)
     findings = engine.run(paths)
     if _unresolved_config(engine, config_path):
         return 2
@@ -338,49 +206,14 @@ def run_lint(args: argparse.Namespace) -> int:
             print("\n".join(_chain_lines(finding, root, repo_root)))
         return 0
 
-    if args.update_baseline:
-        if baseline_path is None:
-            print("repro lint: --update-baseline needs a baseline path",
-                  file=sys.stderr)
-            return 2
-        try:
-            previous = load_baseline(baseline_path)
-        except ConfigurationError:
-            previous = []
-        current_fps = {f.fingerprint() for f in findings}
-        pruned = [b for b in previous if b.fingerprint() not in current_fps]
-        save_baseline(baseline_path, findings)
-        for entry in sorted(pruned, key=Finding.sort_key):
-            print(f"pruned stale baseline entry: {entry.fingerprint()}")
-        print(
-            f"baseline rewritten: {len(findings)} finding(s) "
-            f"({len(pruned)} pruned) -> {baseline_path}"
-        )
-        return 0
-
-    try:
-        baseline = load_baseline(baseline_path)
-    except ConfigurationError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    new, baselined, stale = partition(findings, baseline)
-    result = LintResult(
-        findings=findings,
-        new=new,
-        baselined=baselined,
-        stale_baseline=stale,
-        files_checked=engine.files_checked,
-        cache_hits=engine.cache_hits,
-        graph_cache_hits=engine.graph_cache_hits,
-    )
-
+    result = LintResult(findings=findings, files_checked=engine.files_checked)
     text = render_json(result) if args.format == "json" else render_human(result)
     print(text)
     if args.output:
         pathlib.Path(args.output).write_text(text + "\n")
     if args.explain_new_out:
         blocks = [
-            "\n".join(_chain_lines(f, root, repo_root)) for f in new
+            "\n".join(_chain_lines(f, root, repo_root)) for f in findings
         ]
         pathlib.Path(args.explain_new_out).write_text(
             ("\n\n".join(blocks) + "\n") if blocks else "no new findings\n"

@@ -141,8 +141,6 @@ class AnalysisConfig:
     #: cross-process shared-state checker (CON006/CON007).  Empty table
     #: disables the pass.
     process_roles: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: raw text the config was parsed from (cache fingerprinting).
-    source_text: str = ""
 
     # ------------------------------------------------------------- lookups
     def layer_of(self, module_path: str) -> str | None:
@@ -250,5 +248,4 @@ def load_config(path: str | Path) -> AnalysisConfig:
             f"{path}: scopes.event_log_modules",
         ),
         process_roles=process_roles,
-        source_text=text,
     )

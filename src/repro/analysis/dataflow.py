@@ -32,18 +32,12 @@ process domain.  For every module-level mutable binding in the
 concurrency scope: CON006 fires when a domain only *reads* state that a
 different domain mutates (it observes a stale pre-fork copy); CON007
 fires when a mutation happens in a function no declared role reaches
-(ownership cannot be proven — declare its entry point).  Bindings constructed as explicit queues are exempt: the channel
-is the sanctioned mechanism.
-
-Everything a file's findings depend on besides its own content is
-captured in :meth:`GraphAnalysis.context_for` — the engine digests that
-context into the file's dependency-aware cache key.
+(ownership cannot be proven — declare its entry point).  Bindings
+constructed as explicit queues are exempt: the channel is the sanctioned
+mechanism.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
@@ -54,7 +48,7 @@ from repro.analysis.graph import (
     TAINT_SOURCES,
     CallGraph,
 )
-from repro.analysis.suppressions import SuppressionIndex
+from repro.analysis.suppressions import SourceComments
 
 __all__ = ["GraphAnalysis", "GRAPH_RULE_IDS"]
 
@@ -70,14 +64,8 @@ GRAPH_RULE_IDS = frozenset(
 _MAX_ROUNDS = 64
 
 
-def _digest(value) -> str:
-    return hashlib.sha256(
-        json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
 class GraphAnalysis:
-    """All whole-program results, with per-file derivation for caching."""
+    """All whole-program results, derived per file by :meth:`findings_for`."""
 
     def __init__(self, graph: CallGraph, config: AnalysisConfig) -> None:
         self.graph = graph
@@ -99,7 +87,6 @@ class GraphAnalysis:
         self.roles: dict[str, list[str]] = {}
         self._con_records: dict[str, list[dict]] = {}
         self._run_roles()
-        self._interfaces: dict[str, str] = {}
 
     # ------------------------------------------------------ hot reachability
     def _hot_roots(self) -> list[str]:
@@ -419,60 +406,6 @@ class GraphAnalysis:
                             "writers": sorted(writer_domains),
                         })
 
-    # ------------------------------------------------------------ interfaces
-    def interface_digest(self, mp: str) -> str:
-        """Digest of everything other files' findings can observe of
-        ``mp``: per-function taint, effect sites, hot membership."""
-        cached = self._interfaces.get(mp)
-        if cached is not None:
-            return cached
-        summary = self.graph.summaries[mp]
-        doc = {}
-        for qualname in sorted(summary["functions"]):
-            fn = summary["functions"][qualname]
-            node_id = f"{mp}::{qualname}"
-            doc[qualname] = {
-                "taint": self.taint.get(node_id),
-                "effects": [
-                    [e["rule"], e["line"]] for e in fn["effects"]
-                ],
-                "raises_only": fn["raises_only"],
-                "hot": node_id in self.hot_chains,
-            }
-        state = {
-            f"{cid}::{attr}": witness
-            for (cid, attr), witness in sorted(self.state_taint.items())
-            if cid.partition("::")[0] == mp
-        }
-        digest = _digest({"functions": doc, "state": state})
-        self._interfaces[mp] = digest
-        return digest
-
-    def context_for(self, mp: str) -> dict:
-        """Everything ``findings_for(mp)`` depends on besides the file's
-        own content — digested into the dependency-aware cache key."""
-        summary = self.graph.summaries.get(mp)
-        if summary is None:
-            return {}
-        deps = self.graph.file_dependencies().get(mp, [])
-        hot = {}
-        for qualname in sorted(summary["functions"]):
-            chain = self.hot_chains.get(f"{mp}::{qualname}")
-            if chain is not None:
-                hot[qualname] = chain
-        return {
-            "deps": {d: self.interface_digest(d) for d in deps},
-            "hot": hot,
-            "det": self._det_records.get(mp, []),
-            "enum": self._enum_records.get(mp, []),
-            "con": self._con_records.get(mp, []),
-            "roles": {
-                q: self.roles.get(f"{mp}::{q}")
-                for q in sorted(summary["functions"])
-                if f"{mp}::{q}" in self.roles
-            },
-        }
-
     # -------------------------------------------------------------- findings
     def _chain_names(self, chain: list, tail: str) -> str:
         names = [hop[0].partition("::")[2] for hop in chain]
@@ -483,7 +416,7 @@ class GraphAnalysis:
         self,
         mp: str,
         display_path: str,
-        suppressions: SuppressionIndex,
+        suppressions: SourceComments,
     ) -> list[Finding]:
         """Derive one file's interprocedural findings (pre --rules filter)."""
         summary = self.graph.summaries.get(mp)

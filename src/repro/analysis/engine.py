@@ -1,29 +1,26 @@
-"""The analysis engine: one process, whole tree, content-hash cached.
+"""The analysis engine: one uncached pass over the whole tree.
 
-Two phases.  The *per-file* phase parses each target file once, hands the
-:class:`~repro.analysis.rules.FileContext` to every registered rule,
-filters raw findings through the file's inline suppressions, and caches
-the surviving findings keyed by the file's SHA-256 — the same
-content-hash idiom :class:`repro.evaluation.batch.ResultCache` uses for
-simulation results.
+Each file is read, parsed and tokenized exactly once.  The resulting
+:class:`~repro.analysis.rules.FileContext` (source, tree and the file's
+``# repro:`` comments) feeds three consumers in turn:
 
-The *graph* phase summarises **every** file under the package root (not
-just the target set — a call graph with missing callees is wrong), links
-the summaries into a whole-program :class:`~repro.analysis.graph.CallGraph`,
-and runs the :class:`~repro.analysis.dataflow.GraphAnalysis` passes
-(hot-zone reachability, determinism taint, cross-process shared state).
-Module summaries are content-cached like findings.  Each file's
-*interprocedural* findings are cached under a dependency-aware key: its
-own content hash folded with a digest of everything those findings can
-depend on — the interface digests of its direct callees, its functions'
-hot-reachability chains, and its role attributions — so editing one leaf
-file invalidates exactly its reverse-dependency cone.  ``graph_cache_hits``
-counts the files whose interprocedural derivation was skipped.
+1. the per-file rules, whose findings are filtered through the file's
+   inline suppressions;
+2. :func:`~repro.analysis.graph.summarize_module`, which turns the file
+   into the plain-dict module summary the call graph links;
+3. once every file is summarised,
+   :meth:`~repro.analysis.dataflow.GraphAnalysis.findings_for`, which
+   derives the file's interprocedural findings (hot-zone reachability,
+   determinism taint, cross-process shared state) and filters them
+   through the same suppressions.
 
-Every cache section is valid only under the same *global fingerprint*
-(engine + graph version, every rule's ``(id, version)`` pair, the raw
-config text), so changing a rule or the layer table re-analyses the tree
-while day-to-day runs only re-parse files that changed.
+The graph covers **every** file under the package root, not just the
+target set: a call graph with missing callees is wrong.  Files outside
+the target set are summarised but report nothing.
+
+Nothing is cached between runs and there is no findings baseline: every
+run re-derives everything from the tree, and an inline
+``# repro: allow[RULE] -- reason`` is the only way to accept a finding.
 
 A file that fails to parse yields one ``ENG001`` finding instead of
 crashing the run: a syntax error anywhere must not hide findings
@@ -33,45 +30,34 @@ elsewhere.  Unparsable files are simply absent from the call graph.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from pathlib import Path
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.dataflow import GRAPH_RULE_IDS, GraphAnalysis
 from repro.analysis.findings import Finding
 from repro.analysis.graph import (
-    GRAPH_VERSION,
+    CallGraph,
     build_graph,
     canonical_graph_json,
     summarize_module,
 )
-from repro.analysis.rules import (
-    FileContext,
-    Rule,
-    all_rules,
-    registry_fingerprint,
-)
-from repro.analysis.suppressions import SuppressionIndex
+from repro.analysis.rules import FileContext, Rule, all_rules
+from repro.analysis.suppressions import SourceComments
 
-__all__ = ["AnalysisEngine", "analyze_paths", "ENGINE_VERSION"]
-
-#: bump on engine-behaviour changes to invalidate every cache entry.
-ENGINE_VERSION = 2
+__all__ = ["AnalysisEngine", "PARSE_RULE_ID"]
 
 #: rule id reserved for files the engine itself cannot analyse.
 PARSE_RULE_ID = "ENG001"
 
 
 class AnalysisEngine:
-    """Runs the registered rules over a file tree with result caching."""
+    """Runs the registered rules and the graph passes over a file tree."""
 
     def __init__(
         self,
         config: AnalysisConfig,
         root: str | Path,
         repo_root: str | Path | None = None,
-        cache_path: str | Path | None = None,
         rules: list[Rule] | None = None,
     ) -> None:
         #: directory the package lives in (``src/``): module paths — what
@@ -83,60 +69,12 @@ class AnalysisEngine:
         )
         self.config = config
         self.rules = rules if rules is not None else all_rules()
-        self.cache_path = Path(cache_path) if cache_path is not None else None
-        self._cache: dict[str, dict] = {}
-        self._summary_cache: dict[str, dict] = {}
-        self._graph_cache: dict[str, dict] = {}
-        self.cache_hits = 0
-        #: files whose interprocedural findings came from the
-        #: dependency-aware cache (the cone-invalidation counter).
-        self.graph_cache_hits = 0
         self.files_checked = 0
-        self._fingerprint = self._global_fingerprint()
-        self._graph = None
-        self._analysis: GraphAnalysis | None = None
-        if self.cache_path is not None:
-            self._load_cache()
+        #: the whole-program call graph and its analyses, set by :meth:`run`.
+        self.graph: CallGraph | None = None
+        self.analysis: GraphAnalysis | None = None
 
-    # ---------------------------------------------------------- fingerprint
-    def _global_fingerprint(self) -> str:
-        """SHA-256 over everything that can change a file's findings
-        besides the file itself (the :func:`job_key` idiom)."""
-        ruleset = tuple((r.id, r.version) for r in self.rules)
-        blob = repr((ENGINE_VERSION, GRAPH_VERSION, ruleset,
-                     registry_fingerprint(), self.config.source_text))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    # ---------------------------------------------------------------- cache
-    def _load_cache(self) -> None:
-        try:
-            raw = json.loads(self.cache_path.read_text())
-            if raw.get("fingerprint") != self._fingerprint:
-                return
-            for attr, key in (
-                ("_cache", "files"),
-                ("_summary_cache", "summaries"),
-                ("_graph_cache", "graph_findings"),
-            ):
-                section = raw.get(key, {})
-                if isinstance(section, dict):
-                    setattr(self, attr, section)
-        except (OSError, ValueError, AttributeError):
-            return
-
-    def save_cache(self) -> None:
-        if self.cache_path is None:
-            return
-        self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "fingerprint": self._fingerprint,
-            "files": self._cache,
-            "summaries": self._summary_cache,
-            "graph_findings": self._graph_cache,
-        }
-        self.cache_path.write_text(json.dumps(doc))
-
-    # ------------------------------------------------------------- analysis
+    # ---------------------------------------------------------------- paths
     def module_path_of(self, path: Path) -> str:
         try:
             return path.resolve().relative_to(self.root).as_posix()
@@ -149,191 +87,97 @@ class AnalysisEngine:
         except ValueError:
             return path.as_posix()
 
-    def analyze_file(self, path: Path) -> list[Finding]:
-        """Per-file findings of one file, post-suppression (cached)."""
-        module_path = self.module_path_of(path)
-        display_path = self.display_path_of(path)
-        data = path.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        self.files_checked += 1
-        cached = self._cache.get(module_path)
-        if cached is not None and cached.get("sha256") == digest:
-            self.cache_hits += 1
-            return [Finding.from_dict(e) for e in cached["findings"]]
-
-        source = data.decode("utf-8", errors="replace")
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            findings = [
-                Finding(
-                    rule=PARSE_RULE_ID,
-                    path=display_path,
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            ]
-            self._remember(module_path, digest, findings)
-            return findings
-
-        ctx = FileContext(
-            module_path=module_path,
-            display_path=display_path,
-            source=source,
-            tree=tree,
-            config=self.config,
-        )
-        suppressions = SuppressionIndex(source, tree)
-        findings = [
-            f
-            for rule in self.rules
-            for f in rule.check(ctx)
-            if not suppressions.is_suppressed(f.rule, f.line)
-        ]
-        findings.sort(key=Finding.sort_key)
-        self._remember(module_path, digest, findings)
-        return findings
-
-    def _remember(self, module_path: str, digest: str, findings: list[Finding]) -> None:
-        self._cache[module_path] = {
-            "sha256": digest,
-            "findings": [f.to_dict() for f in findings],
-        }
-
-    # ---------------------------------------------------------- graph phase
-    def _selected_graph_ids(self) -> set[str]:
-        return ({r.id for r in self.rules} | {"ENG002"}) & GRAPH_RULE_IDS
-
-    def summary_of(self, path: Path) -> tuple[str, str, dict | None]:
-        """(module_path, sha256, summary-or-None) for one file, cached."""
-        module_path = self.module_path_of(path)
-        data = path.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        cached = self._summary_cache.get(module_path)
-        if cached is not None and cached.get("sha256") == digest:
-            return module_path, digest, cached["summary"]
-        source = data.decode("utf-8", errors="replace")
-        try:
-            tree = ast.parse(source, filename=str(path))
-            summary = summarize_module(module_path, source, tree, self.config)
-        except SyntaxError:
-            summary = None
-        self._summary_cache[module_path] = {"sha256": digest, "summary": summary}
-        return module_path, digest, summary
-
-    def _graph_file_set(self, files: list[Path]) -> list[Path]:
+    def _graph_file_set(self, targets: dict[str, Path]) -> list[Path]:
         """The whole-program file set: everything under the package root,
         plus any explicitly targeted file outside it."""
         package_dir = self.root / self.config.package
         out: dict[str, Path] = {}
         if package_dir.is_dir():
-            for path in sorted(package_dir.rglob("*.py")):
+            for path in package_dir.rglob("*.py"):
                 out[self.module_path_of(path)] = path
-        for path in files:
-            out.setdefault(self.module_path_of(path), path)
+        for module_path, path in targets.items():
+            out.setdefault(module_path, path)
         return [out[mp] for mp in sorted(out)]
 
-    def build_analysis(self, files: list[Path]) -> GraphAnalysis:
-        """Build (or reuse) the call graph + analyses for this run."""
-        if self._analysis is not None:
-            return self._analysis
-        summaries: dict[str, dict] = {}
-        self._file_digests: dict[str, str] = {}
-        for path in self._graph_file_set(files):
-            module_path, digest, summary = self.summary_of(path)
-            self._file_digests[module_path] = digest
-            if summary is not None:
-                summaries[module_path] = summary
-        self._graph = build_graph(summaries, self.config)
-        self._analysis = GraphAnalysis(self._graph, self.config)
-        return self._analysis
-
-    def graph_findings_for(self, path: Path) -> list[Finding]:
-        """One file's interprocedural findings (dependency-aware cache)."""
-        analysis = self._analysis
-        module_path = self.module_path_of(path)
-        if analysis is None or module_path not in analysis.graph.summaries:
-            return []
-        context = analysis.context_for(module_path)
-        context_blob = json.dumps(
-            context, sort_keys=True, separators=(",", ":")
-        )
-        file_digest = self._file_digests.get(module_path, "")
-        key = hashlib.sha256(
-            (file_digest + context_blob).encode()
-        ).hexdigest()
-        cached = self._graph_cache.get(module_path)
-        if cached is not None and cached.get("key") == key:
-            self.graph_cache_hits += 1
-            return [Finding.from_dict(e) for e in cached["findings"]]
-        source = path.read_bytes().decode("utf-8", errors="replace")
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            return []
-        suppressions = SuppressionIndex(source, tree)
-        findings = analysis.findings_for(
-            module_path, self.display_path_of(path), suppressions
-        )
-        self._graph_cache[module_path] = {
-            "key": key,
-            "findings": [f.to_dict() for f in findings],
-        }
-        return findings
-
-    def graph_json(self) -> str:
-        """The deterministic ``--graph-out`` artifact (builds if needed)."""
-        if self._analysis is None:
-            self.build_analysis([])
-        return canonical_graph_json(self._graph)
-
-    def file_closure(self, changed: set[str]) -> set[str]:
-        """``--changed`` support: the changed module paths plus every
-        transitive reverse call-graph/import dependent."""
-        if self._analysis is None:
-            self.build_analysis([])
-        return self._graph.reverse_dependents(changed)
-
-    # ------------------------------------------------------------------ run
-    def _expand(self, paths: list[Path]) -> list[Path]:
+    def _targets(self, paths: list[Path]) -> dict[str, Path]:
+        """Module path -> file for every file named or under a named
+        directory."""
         files: list[Path] = []
         for path in paths:
             if path.is_dir():
                 files.extend(sorted(path.rglob("*.py")))
             else:
                 files.append(path)
-        return files
+        return {self.module_path_of(path): path for path in files}
+
+    # ------------------------------------------------------------- the pass
+    def _load(self, path: Path, module_path: str) -> FileContext | Finding:
+        """Read, parse and tokenize one file: its context, or the
+        ``ENG001`` finding when it does not parse."""
+        source = path.read_bytes().decode("utf-8", errors="replace")
+        display_path = self.display_path_of(path)
+        try:
+            tree = ast.parse(source, filename=str(path))
+        except SyntaxError as exc:
+            return Finding(
+                rule=PARSE_RULE_ID,
+                path=display_path,
+                line=exc.lineno or 1,
+                col=exc.offset or 0,
+                message=f"file does not parse: {exc.msg}",
+            )
+        return FileContext(
+            module_path=module_path,
+            display_path=display_path,
+            source=source,
+            tree=tree,
+            config=self.config,
+            comments=SourceComments(source, tree),
+        )
 
     def run(self, paths: list[Path]) -> list[Finding]:
         """Analyse files and directories; returns sorted findings."""
-        files = self._expand(paths)
+        targets = self._targets(paths)
+        self.files_checked = len(targets)
         findings: list[Finding] = []
-        for file in files:
-            findings.extend(self.analyze_file(file))
-        selected = self._selected_graph_ids()
-        if selected:
-            self.build_analysis(files)
-            for file in files:
+        summaries: dict[str, dict] = {}
+        #: target module path -> (display path, comments) for the graph
+        #: findings, which need no tree.
+        targeted: dict[str, tuple[str, SourceComments]] = {}
+        for path in self._graph_file_set(targets):
+            module_path = self.module_path_of(path)
+            ctx = self._load(path, module_path)
+            is_target = module_path in targets
+            if isinstance(ctx, Finding):
+                if is_target:
+                    findings.append(ctx)
+                continue
+            summaries[module_path] = summarize_module(
+                module_path, ctx.source, ctx.tree, self.config, ctx.comments
+            )
+            if is_target:
                 findings.extend(
-                    f for f in self.graph_findings_for(file)
-                    if f.rule in selected
+                    f
+                    for rule in self.rules
+                    for f in rule.check(ctx)
+                    if not ctx.comments.is_suppressed(f.rule, f.line)
                 )
+                targeted[module_path] = (ctx.display_path, ctx.comments)
+
+        self.graph = build_graph(summaries, self.config)
+        self.analysis = GraphAnalysis(self.graph, self.config)
+        selected = ({r.id for r in self.rules} | {"ENG002"}) & GRAPH_RULE_IDS
+        for module_path, (display_path, comments) in targeted.items():
+            findings.extend(
+                f
+                for f in self.analysis.findings_for(
+                    module_path, display_path, comments
+                )
+                if f.rule in selected
+            )
         findings.sort(key=Finding.sort_key)
-        if self.cache_path is not None:
-            self.save_cache()
         return findings
 
-
-def analyze_paths(
-    paths: list[str | Path],
-    config: AnalysisConfig,
-    root: str | Path,
-    repo_root: str | Path | None = None,
-    cache_path: str | Path | None = None,
-) -> list[Finding]:
-    """One-call convenience wrapper used by tests and the CLI."""
-    engine = AnalysisEngine(
-        config, root=root, repo_root=repo_root, cache_path=cache_path
-    )
-    return engine.run([Path(p) for p in paths])
+    def graph_json(self) -> str:
+        """The deterministic ``--graph-out`` artifact of the last run."""
+        return canonical_graph_json(self.graph)

@@ -1,4 +1,4 @@
-"""The finding record shared by every rule, reporter and the baseline."""
+"""The finding record shared by every rule and reporter."""
 
 from __future__ import annotations
 
@@ -10,14 +10,13 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is repository-relative with forward slashes, so findings
-    (and therefore baseline entries and cache blobs) are identical across
-    machines and operating systems.
+    (and therefore the JSON report) are identical across machines and
+    operating systems.
 
     Interprocedural findings additionally carry ``chain``: the call path
     that produced them, as ``(node id, line)`` hops from the root (hot
     zone or taint source) down to the function the finding lives in.
-    ``repro lint --explain`` renders it; it is excluded from the
-    fingerprint so chain refinements never churn the baseline.
+    ``repro lint --explain`` renders it; it takes no part in equality.
     """
 
     rule: str
@@ -26,16 +25,6 @@ class Finding:
     col: int
     message: str
     chain: tuple[tuple[str, int], ...] = field(default=(), compare=False)
-
-    def fingerprint(self) -> str:
-        """Stable identity used for baseline matching.
-
-        Deliberately excludes the column: wrapping a line must not churn
-        the baseline.  The line number *is* included — the baseline is a
-        ratchet regenerated with ``repro lint --update-baseline``, not a
-        permanent suppression, so drift is expected to surface.
-        """
-        return f"{self.path}:{self.line}:{self.rule}:{self.message}"
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
@@ -51,17 +40,3 @@ class Finding:
         if self.chain:
             record["chain"] = [[node, line] for node, line in self.chain]
         return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "Finding":
-        return cls(
-            rule=str(record["rule"]),
-            path=str(record["path"]),
-            line=int(record["line"]),
-            col=int(record.get("col", 0)),
-            message=str(record["message"]),
-            chain=tuple(
-                (str(node), int(line))
-                for node, line in record.get("chain", [])
-            ),
-        )

@@ -7,8 +7,8 @@ Two stages, both stdlib-only:
    types), functions with their call sites, allocation/format *effect
    sites* (pre-filtered through the file's inline suppressions), taint-
    relevant assignments/returns/sinks, and module-level mutable bindings.
-   Summaries are pure functions of file content + analysis config, so the
-   engine caches them by content hash next to the per-file findings.
+   It reads the tree and the ``# repro:`` comments the engine already
+   derived for the per-file rules; it parses and tokenizes nothing.
 
 2. :func:`build_graph` links the summaries into a :class:`CallGraph`:
    nodes are ``"module/path.py::Qual.name"``, edges carry a *kind* and a
@@ -38,10 +38,7 @@ import ast
 import json
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.suppressions import (
-    SuppressionIndex,
-    collect_cold_call_comments,
-)
+from repro.analysis.suppressions import SourceComments
 
 __all__ = [
     "CallGraph",
@@ -53,8 +50,7 @@ __all__ = [
     "GRAPH_VERSION",
 ]
 
-#: bump on summary-schema or resolution changes (part of the engine
-#: fingerprint, so old cached summaries are discarded).
+#: schema version of the ``--graph-out`` artifact.
 GRAPH_VERSION = 4
 
 #: minimum edge confidence for hot-obligation and taint propagation.
@@ -177,12 +173,8 @@ class _FunctionVisitor(ast.NodeVisitor):
     def __init__(
         self,
         summary: dict,
-        qualname: str,
         cls: str | None,
-        config: AnalysisConfig,
-        module_path: str,
-        suppressions: SuppressionIndex,
-        cold_lines: dict[int, str],
+        comments: SourceComments,
     ) -> None:
         self.fn: dict = {
             "line": 0,
@@ -201,11 +193,7 @@ class _FunctionVisitor(ast.NodeVisitor):
             "class_loads": [],
         }
         self.summary = summary
-        self.qualname = qualname
-        self.config = config
-        self.module_path = module_path
-        self.suppressions = suppressions
-        self.cold_lines = cold_lines
+        self.comments = comments
         self._raise_depth = 0
         self._loop_depth = 0
         self._guard_depth = 0
@@ -217,7 +205,7 @@ class _FunctionVisitor(ast.NodeVisitor):
         if self._raise_depth:
             return
         line = getattr(node, "lineno", 0)
-        if self.suppressions.is_suppressed(rule, line):
+        if self.comments.is_suppressed(rule, line):
             return
         self.fn["effects"].append(
             {"rule": rule, "line": line, "col": getattr(node, "col_offset", 0),
@@ -231,7 +219,7 @@ class _FunctionVisitor(ast.NodeVisitor):
         self.fn["calls"].append(
             {"chain": chain, "line": line,
              "col": getattr(node, "col_offset", 0),
-             "cold": self.cold_lines.get(line), "uses": uses or []}
+             "cold": self.comments.cold_calls.get(line), "uses": uses or []}
         )
         return len(self.fn["calls"]) - 1
 
@@ -315,7 +303,7 @@ class _FunctionVisitor(ast.NodeVisitor):
             if (
                 len(chain) >= 1
                 and chain[0].lstrip("_") in _GUARDED_RECEIVERS
-                and not self._telemetry_guarded(node)
+                and not self._guard_depth
             ):
                 self._effect("HOT006", node, "unguarded telemetry call")
         # bare function references in argument position: conservative
@@ -328,9 +316,6 @@ class _FunctionVisitor(ast.NodeVisitor):
                         {"chain": ref_chain, "line": arg.lineno}
                     )
         self.generic_visit(node)
-
-    def _telemetry_guarded(self, node: ast.Call) -> bool:
-        return self._guard_depth > 0
 
     @staticmethod
     def _mentions_telemetry(node: ast.AST) -> bool:
@@ -432,7 +417,7 @@ class _FunctionVisitor(ast.NodeVisitor):
             and value.id[:1].isupper()
             and value.id not in self._local_names
             and not self._raise_depth
-            and not self.suppressions.is_suppressed("HOT007", node.lineno)
+            and not self.comments.is_suppressed("HOT007", node.lineno)
         ):
             self.fn["class_loads"].append(
                 [value.id, node.attr, node.lineno, node.col_offset]
@@ -469,13 +454,18 @@ def summarize_module(
     source: str,
     tree: ast.AST,
     config: AnalysisConfig,
+    comments: SourceComments | None = None,
 ) -> dict:
-    """One file -> its plain-dict module summary (see module docstring)."""
+    """One file -> its plain-dict module summary (see module docstring).
+
+    ``comments`` is the file's comment scan; the engine passes the one
+    its per-file phase made, and it is derived here only when absent.
+    """
     dotted = module_path[:-3].replace("/", ".")
     if dotted.endswith(".__init__"):
         dotted = dotted[: -len(".__init__")]
-    suppressions = SuppressionIndex(source, tree)
-    cold_lines, malformed_cold = collect_cold_call_comments(source)
+    if comments is None:
+        comments = SourceComments(source, tree)
     summary: dict = {
         "module_path": module_path,
         "dotted": dotted,
@@ -487,7 +477,7 @@ def summarize_module(
         # module-level functional-API enums: name -> constructor chain
         # (``Opcode = enum.Enum(...)`` -> ["enum", "Enum"])
         "enums": {},
-        "malformed_cold": sorted(malformed_cold),
+        "malformed_cold": sorted(comments.malformed_cold),
     }
 
     for stmt in tree.body:
@@ -556,10 +546,7 @@ def summarize_module(
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}{stmt.name}"
-                visitor = _FunctionVisitor(
-                    summary, qualname, cls, config, module_path,
-                    suppressions, cold_lines,
-                )
+                visitor = _FunctionVisitor(summary, cls, comments)
                 visitor.fn["line"] = stmt.lineno
                 visitor.fn["raises_only"] = _is_raises_only(stmt)
                 for arg in (
@@ -642,8 +629,6 @@ class CallGraph:
         #: unresolved dynamic call sites: (caller, chain, line, confidence).
         self.dynamic: list[tuple[str, str, int, float]] = []
         self._out: dict[str, list[int]] = {}
-        self._in: dict[str, list[int]] = {}
-        self._file_deps: dict[str, list[str]] | None = None
         self._build_indexes()
         self._link()
 
@@ -830,7 +815,6 @@ class CallGraph:
         index = len(self.edges)
         self.edges.append((src, dst, kind, confidence, line, cold))
         self._out.setdefault(src, []).append(index)
-        self._in.setdefault(dst, []).append(index)
 
     def _link(self) -> None:
         for node_id in sorted(self.functions):
@@ -1061,48 +1045,6 @@ class CallGraph:
                 chains[dst] = chains[current] + [[src, line]]
                 queue.append(dst)
         return chains
-
-    def file_dependencies(self) -> dict[str, list[str]]:
-        """module_path -> sorted module_paths it depends on (calls or
-        imports); used by ``repro lint --changed`` reverse-cone expansion."""
-        if self._file_deps is not None:
-            return self._file_deps
-        deps: dict[str, set[str]] = {mp: set() for mp in self.summaries}
-        for src, dst, _, _, _, _ in self.edges:
-            src_mp = src.partition("::")[0]
-            dst_mp = dst.partition("::")[0]
-            if src_mp != dst_mp:
-                deps[src_mp].add(dst_mp)
-        for mp, summary in self.summaries.items():
-            for imp in summary["imports"].values():
-                dotted = imp[1]
-                target = self.modules.get(dotted)
-                if target is None and imp[0] == "from":
-                    target = self.modules.get(f"{imp[1]}.{imp[2]}")
-                if target is not None and target != mp:
-                    deps[mp].add(target)
-        self._file_deps = {
-            mp: sorted(targets) for mp, targets in sorted(deps.items())
-        }
-        return self._file_deps
-
-    def reverse_dependents(self, changed: set[str]) -> set[str]:
-        """Transitive closure of files whose findings may change when any
-        file in ``changed`` changes."""
-        deps = self.file_dependencies()
-        reverse: dict[str, set[str]] = {}
-        for mp, targets in deps.items():
-            for target in targets:
-                reverse.setdefault(target, set()).add(mp)
-        out = set(changed)
-        queue = list(changed)
-        while queue:
-            current = queue.pop()
-            for dependent in reverse.get(current, ()):
-                if dependent not in out:
-                    out.add(dependent)
-                    queue.append(dependent)
-        return out
 
 
 def build_graph(summaries: dict[str, dict], config: AnalysisConfig) -> CallGraph:

@@ -16,8 +16,8 @@ from repro.analysis.rules import RULE_REGISTRY
 
 __all__ = ["LintResult", "render_human", "render_json"]
 
-#: JSON document schema version (2: added graph_cache_hits).
-REPORT_VERSION = 2
+#: JSON document schema version (3: one ``findings`` list).
+REPORT_VERSION = 3
 
 
 @dataclass(slots=True)
@@ -25,49 +25,30 @@ class LintResult:
     """Everything one lint run produced."""
 
     findings: list[Finding] = field(default_factory=list)
-    new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    cache_hits: int = 0
-    #: files whose interprocedural findings were served from the
-    #: dependency-aware graph cache.
-    graph_cache_hits: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.findings
 
 
 def render_human(result: LintResult) -> str:
     lines: list[str] = []
-    baselined_fps = {f.fingerprint() for f in result.baselined}
     by_path: dict[str, list[Finding]] = {}
     for f in result.findings:
         by_path.setdefault(f.path, []).append(f)
     for path in sorted(by_path):
         lines.append(path)
         for f in sorted(by_path[path], key=Finding.sort_key):
-            tag = " [baseline]" if f.fingerprint() in baselined_fps else ""
-            lines.append(f"  {f.path}:{f.line}:{f.col}: {f.rule}{tag} {f.message}")
+            lines.append(f"  {f.path}:{f.line}:{f.col}: {f.rule} {f.message}")
         lines.append("")
     lines.append(
-        f"{len(result.findings)} finding(s) in {result.files_checked} "
-        f"file(s) ({result.cache_hits} cached, {result.graph_cache_hits} "
-        f"graph-cached): {len(result.new)} new, "
-        f"{len(result.baselined)} baselined"
+        f"{len(result.findings)} finding(s) in {result.files_checked} file(s)"
     )
-    if result.stale_baseline:
+    if result.findings:
         lines.append(
-            f"note: {len(result.stale_baseline)} stale baseline entr"
-            f"{'y' if len(result.stale_baseline) == 1 else 'ies'} no longer "
-            "fire — ratchet down with 'repro lint --update-baseline'"
-        )
-    if result.new:
-        lines.append(
-            "new findings fail the run; fix them, suppress with "
-            "'# repro: allow[RULE]' + justification, or (deliberately) "
-            "extend analysis/baseline.json"
+            "findings fail the run; fix them, or accept one with "
+            "'# repro: allow[RULE] -- reason' on its line"
         )
     return "\n".join(lines)
 
@@ -81,18 +62,11 @@ def render_json(result: LintResult) -> str:
         "version": REPORT_VERSION,
         "ok": result.ok,
         "files_checked": result.files_checked,
-        "cache_hits": result.cache_hits,
-        "graph_cache_hits": result.graph_cache_hits,
         "families": families,
         "counts": {
             "total": len(result.findings),
-            "new": len(result.new),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
             "by_rule": dict(sorted(per_rule.items())),
         },
-        "new": [f.to_dict() for f in result.new],
-        "baselined": [f.to_dict() for f in result.baselined],
-        "stale_baseline": [f.to_dict() for f in result.stale_baseline],
+        "findings": [f.to_dict() for f in result.findings],
     }
     return json.dumps(doc, indent=2)

@@ -5,11 +5,6 @@ A rule is a small stateless object with an ``id`` (``HOT002``), a
 ``check(ctx)`` generator yielding :class:`Finding` records.  Importing
 this package registers the four built-in families; third parties (or
 tests) can register more with :func:`register`.
-
-Bumping a rule's ``version`` invalidates cached per-file results for the
-whole tree (the engine folds every ``(id, version)`` pair into its cache
-fingerprint), so a sharpened rule re-examines files whose content did
-not change.
 """
 
 from __future__ import annotations
@@ -20,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
+from repro.analysis.suppressions import SourceComments
 
 __all__ = [
     "FileContext",
@@ -33,7 +29,12 @@ __all__ = [
 
 @dataclass(slots=True)
 class FileContext:
-    """Everything a rule may ask about one source file."""
+    """Everything a rule may ask about one source file.
+
+    The engine builds one per file per run: the file is read, parsed and
+    tokenized once, and the per-file rules, the module summary and the
+    interprocedural findings all read this context.
+    """
 
     #: path relative to the analysis root (``repro/sched/ruu.py``) —
     #: what the config's hot zones, scopes and layers are keyed by.
@@ -43,6 +44,8 @@ class FileContext:
     source: str
     tree: ast.Module
     config: AnalysisConfig
+    #: the file's ``# repro:`` suppressions and cold-call annotations.
+    comments: SourceComments
     _parents: dict[ast.AST, ast.AST] | None = field(default=None, repr=False)
     _hot_nodes: tuple[ast.AST, ...] | None = field(default=None, repr=False)
 
@@ -81,15 +84,6 @@ class FileContext:
                     if qualname in wanted
                 )
         return self._hot_nodes
-
-    def in_hot_zone(self, node: ast.AST) -> bool:
-        hot = self.hot_function_nodes()
-        if not hot:
-            return False
-        hot_set = set(hot)
-        if node in hot_set:
-            return True
-        return any(a in hot_set for a in self.ancestors(node))
 
     def in_raise(self, node: ast.AST) -> bool:
         """Whether ``node`` sits inside a ``raise`` (error paths are cold)."""
@@ -136,8 +130,6 @@ class Rule:
     id: str = ""
     family: str = ""
     summary: str = ""
-    #: bump to invalidate cached results after changing the rule's logic.
-    version: int = 1
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         raise NotImplementedError
@@ -163,11 +155,6 @@ def all_rules() -> list[Rule]:
     return [RULE_REGISTRY[rule_id] for rule_id in sorted(RULE_REGISTRY)]
 
 
-def registry_fingerprint() -> tuple[tuple[str, int], ...]:
-    """(id, version) pairs folded into the engine's cache fingerprint."""
-    return tuple((r.id, r.version) for r in all_rules())
-
-
 # populate the registry ----------------------------------------------------
 from repro.analysis.rules import (  # noqa: E402  (registration side effects)
     concurrency,
@@ -177,5 +164,3 @@ from repro.analysis.rules import (  # noqa: E402  (registration side effects)
     layering,
     observability,
 )
-
-__all__ += ["registry_fingerprint"]

@@ -125,9 +125,6 @@ class SqliteOutsideLock(Rule):
     id = "CON001"
     family = "concurrency"
     summary = "SQLite connection used outside the store's scopes"
-    #: v2: the WAL store's `with self._read()/_write()` scopes satisfy
-    #: the discipline alongside a bare `with self._lock:`
-    version = 2
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         if not _in_scope(ctx):

@@ -180,7 +180,6 @@ class HotUnguardedTelemetry(Rule):
     id = "HOT006"
     family = "hot-path"
     summary = "telemetry/observer call in a hot zone without a None guard"
-    version = 2
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in _iter_hot_nodes(ctx):

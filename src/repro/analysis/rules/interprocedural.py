@@ -2,8 +2,7 @@
 
 These rules are *driven by the graph phase of the engine*, not by the
 per-file ``check`` walk — registering them here gives them stable ids,
-versions folded into the cache fingerprint, ``--rules`` selectability and
-a place in the catalog.  ``check`` is therefore a no-op; the findings are
+``--rules`` selectability and a place in the catalog.  ``check`` is therefore a no-op; the findings are
 produced by :class:`repro.analysis.dataflow.GraphAnalysis`.
 
 The interprocedural HOT findings reuse the HOT001–HOT006 ids (an
@@ -24,8 +23,6 @@ from repro.analysis.rules import FileContext, Rule, register
 class GraphRule(Rule):
     """Marker base: produced by the engine's graph phase."""
 
-    graph = True
-
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         return ()
 
@@ -38,7 +35,6 @@ class HotEnumClassLoad(GraphRule):
         "enum member loaded through its class (Opcode.ADD) in a hot zone "
         "or hot-reachable function"
     )
-    version = 1
 
 
 @register
@@ -49,7 +45,6 @@ class TaintedStateRule(GraphRule):
         "nondeterministic value (clock/RNG/env/id), laundered through at "
         "least one call, stored into simulation state"
     )
-    version = 1
 
 
 @register
@@ -57,7 +52,6 @@ class TaintedCanonicalSinkRule(GraphRule):
     id = "DET007"
     family = "determinism"
     summary = "nondeterministic value reaches a canonical-JSON sink"
-    version = 1
 
 
 @register
@@ -68,7 +62,6 @@ class CrossProcessReadRule(GraphRule):
         "module state read in one process domain but mutated in another "
         "without a RunStore scope or explicit queue"
     )
-    version = 1
 
 
 @register
@@ -79,4 +72,3 @@ class UnattributedMutationRule(GraphRule):
         "module state mutated by a function no declared process role "
         "reaches (ownership unprovable)"
     )
-    version = 1

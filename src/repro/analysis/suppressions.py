@@ -1,4 +1,4 @@
-"""Inline suppression comments: ``# repro: allow[RULE-ID]``.
+"""The ``# repro:`` comments of one file: suppressions and cold calls.
 
 A suppression names the rule(s) it silences — ``# repro: allow[HOT002]``
 or ``# repro: allow[HOT001,DET001]`` — and applies to:
@@ -14,14 +14,17 @@ or ``# repro: allow[HOT001,DET001]`` — and applies to:
 
 Blanket suppression is deliberately impossible: there is no bare
 ``allow`` form and no ``allow[*]``; every silenced finding names the
-rule it silences, so ``grep 'repro: allow'`` is a complete audit.
+rule it silences, so ``grep 'repro: allow'`` is a complete audit.  An
+inline suppression is the only way to accept a finding.
 
 The sibling annotation ``# repro: cold-call -- reason`` marks one *call
-site* (the line it sits on, or the line below for a comment-only line)
-as cold for the whole-program hot-zone reachability pass: the edge it
-annotates does not propagate hot-path obligations.  The reason is
+site* (the line it sits on, or the next code line for a comment-only
+line) as cold for the whole-program hot-zone reachability pass: the edge
+it annotates does not propagate hot-path obligations.  The reason is
 mandatory — an annotation without one is reported as ``ENG002`` rather
 than silently ignored.
+
+:class:`SourceComments` reads both kinds in one :mod:`tokenize` pass.
 """
 
 from __future__ import annotations
@@ -31,11 +34,7 @@ import io
 import re
 import tokenize
 
-__all__ = [
-    "SuppressionIndex",
-    "collect_suppression_comments",
-    "collect_cold_call_comments",
-]
+__all__ = ["SourceComments"]
 
 #: the comment grammar; ids are comma-separated rule names.
 _PATTERN = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s-]+)\]")
@@ -44,115 +43,87 @@ _PATTERN = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s-]+)\]")
 _COLD_PATTERN = re.compile(r"#\s*repro:\s*cold-call(?:\s*--\s*(\S.*))?")
 
 
-def collect_cold_call_comments(
-    source: str,
-) -> tuple[dict[int, str], list[int]]:
-    """Scan for cold-call annotations; returns (line -> reason, malformed).
+class SourceComments:
+    """One file's suppressions and cold-call annotations.
 
-    A comment-*only* annotation applies to the next *code* line below it
-    (skipping blank lines and continuation comment lines, so a reason may
-    wrap onto several comment lines); a trailing annotation covers its
-    own line.  Both are normalised here to the line of the *call* they
-    annotate.  Annotations missing the mandatory ``-- reason`` are
-    returned as malformed line numbers for the engine to report (ENG002).
+    ``cold_calls`` maps the line of each annotated *call* to its reason;
+    ``malformed_cold`` lists the lines of annotations missing the
+    mandatory ``-- reason``.
     """
-    reasons: dict[int, str] = {}
-    malformed: list[int] = []
-    lines = source.splitlines()
 
-    def next_code_line(after: int) -> int:
-        for offset in range(after, len(lines)):
-            stripped = lines[offset].strip()
-            if stripped and not stripped.startswith("#"):
-                return offset + 1  # 1-indexed
-        return after + 1
-
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = _COLD_PATTERN.search(tok.string)
-            if match is None:
-                continue
-            line = tok.start[0]
-            comment_only = tok.line[: tok.start[1]].strip() == ""
-            target = next_code_line(line) if comment_only else line
-            reason = match.group(1)
-            if reason is None or not reason.strip():
-                malformed.append(line)
-            else:
-                reasons[target] = reason.strip()
-    except (tokenize.TokenizeError, SyntaxError, IndentationError):
-        pass
-    return reasons, malformed
-
-
-def collect_suppression_comments(
-    source: str,
-) -> tuple[dict[int, frozenset[str]], frozenset[int]]:
-    """Scan comments; returns (line -> suppressed rule ids, comment lines).
-
-    The second element holds every comment-*only* line (suppressing or
-    not): those are the lines whose suppressions apply one line down and
-    through which scoped lookup walks a contiguous justification block
-    above a definition header.  Trailing comments only ever cover their
-    own line.
-    """
-    out: dict[int, frozenset[str]] = {}
-    comment_lines: set[int] = set()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            line = tok.start[0]
-            if tok.line[: tok.start[1]].strip() == "":
-                comment_lines.add(line)
-            match = _PATTERN.search(tok.string)
-            if match is None:
-                continue
-            ids = frozenset(
-                part.strip() for part in match.group(1).split(",") if part.strip()
-            )
-            if ids:
-                out[line] = out.get(line, frozenset()) | ids
-    except (tokenize.TokenizeError, SyntaxError, IndentationError):
-        # the engine reports unparsable files through its own channel
-        pass
-    return out, frozenset(comment_lines)
-
-
-class SuppressionIndex:
-    """Answers "is rule R suppressed at line L?" for one file."""
-
-    __slots__ = ("_by_line", "_own_line", "_scoped")
+    __slots__ = ("_by_line", "_own_line", "_scoped", "cold_calls", "malformed_cold")
 
     def __init__(self, source: str, tree: ast.AST | None) -> None:
-        self._by_line, self._own_line = collect_suppression_comments(source)
-        comment_lines = self._own_line
+        #: line -> rule ids suppressed by a comment on it.
+        self._by_line: dict[int, frozenset[str]] = {}
+        self.cold_calls: dict[int, str] = {}
+        self.malformed_cold: list[int] = []
+        #: comment-*only* lines (suppressing or not): their suppressions
+        #: apply one line down, and scoped lookup walks a contiguous
+        #: block of them above a definition header.
+        own_line: set[int] = set()
+        lines: list[str] | None = None
+        try:
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                if tok.type != tokenize.COMMENT:
+                    continue
+                line = tok.start[0]
+                comment_only = tok.line[: tok.start[1]].strip() == ""
+                if comment_only:
+                    own_line.add(line)
+                match = _PATTERN.search(tok.string)
+                if match is not None:
+                    ids = frozenset(
+                        part.strip()
+                        for part in match.group(1).split(",")
+                        if part.strip()
+                    )
+                    if ids:
+                        self._by_line[line] = (
+                            self._by_line.get(line, frozenset()) | ids
+                        )
+                cold = _COLD_PATTERN.search(tok.string)
+                if cold is None:
+                    continue
+                reason = cold.group(1)
+                if reason is None or not reason.strip():
+                    self.malformed_cold.append(line)
+                    continue
+                if comment_only:
+                    if lines is None:
+                        lines = source.splitlines()
+                    line = _next_code_line(lines, line)
+                self.cold_calls[line] = reason.strip()
+        except (tokenize.TokenizeError, SyntaxError, IndentationError):
+            # the engine reports unparsable files through its own channel
+            pass
+        self._own_line = frozenset(own_line)
         #: (first line, last line, rule ids) per suppressed definition.
         self._scoped: list[tuple[int, int, frozenset[str]]] = []
-        if tree is not None:
-            for node in ast.walk(tree):
-                if not isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    continue
-                header_lines = [node.lineno]
-                header_lines.extend(d.lineno for d in node.decorator_list)
-                ids: frozenset[str] = frozenset()
-                for line in header_lines:
-                    ids |= self._by_line.get(line, frozenset())
-                # the contiguous comment block above the header (or above
-                # the first decorator) — multi-line justifications welcome
-                above = min(header_lines) - 1
-                while above in comment_lines:
-                    ids |= self._by_line.get(above, frozenset())
-                    above -= 1
-                if ids:
-                    start = min(header_lines)
-                    end = node.end_lineno or node.lineno
-                    self._scoped.append((start, end, ids))
+        if tree is not None and self._by_line:
+            self._collect_scoped(tree)
+
+    def _collect_scoped(self, tree: ast.AST) -> None:
+        for node in ast.walk(tree):
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            header_lines = [node.lineno]
+            header_lines.extend(d.lineno for d in node.decorator_list)
+            ids: frozenset[str] = frozenset()
+            for line in header_lines:
+                ids |= self._by_line.get(line, frozenset())
+            # the contiguous comment block above the header (or above
+            # the first decorator) — multi-line justifications welcome
+            above = min(header_lines) - 1
+            while above in self._own_line:
+                ids |= self._by_line.get(above, frozenset())
+                above -= 1
+            if ids:
+                start = min(header_lines)
+                end = node.end_lineno or node.lineno
+                self._scoped.append((start, end, ids))
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         direct = self._by_line.get(line, frozenset())
@@ -165,5 +136,13 @@ class SuppressionIndex:
             for start, end, ids in self._scoped
         )
 
-    def __bool__(self) -> bool:
-        return bool(self._by_line)
+
+def _next_code_line(lines: list[str], after: int) -> int:
+    """The first line below 1-indexed line ``after`` that is neither blank
+    nor a comment (so a cold-call reason may wrap onto several comment
+    lines); ``after + 1`` when there is none."""
+    for offset in range(after, len(lines)):
+        stripped = lines[offset].strip()
+        if stripped and not stripped.startswith("#"):
+            return offset + 1  # 1-indexed
+    return after + 1

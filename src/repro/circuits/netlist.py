@@ -108,26 +108,6 @@ class Netlist:
         """2:1 mux: ``sel ? b : a`` (three gates, like real cells)."""
         return self.or_(self.and_(a, self.not_(sel)), self.and_(b, sel))
 
-    def or_tree(self, nets: list[int]) -> int:
-        if not nets:
-            return self.zero
-        while len(nets) > 1:
-            nxt = [self.or_(nets[i], nets[i + 1]) for i in range(0, len(nets) - 1, 2)]
-            if len(nets) % 2:
-                nxt.append(nets[-1])
-            nets = nxt
-        return nets[0]
-
-    def and_tree(self, nets: list[int]) -> int:
-        if not nets:
-            return self.one
-        while len(nets) > 1:
-            nxt = [self.and_(nets[i], nets[i + 1]) for i in range(0, len(nets) - 1, 2)]
-            if len(nets) % 2:
-                nxt.append(nets[-1])
-            nets = nxt
-        return nets[0]
-
     # ----------------------------------------------------------- analysis
     @property
     def gate_count(self) -> int:

@@ -25,9 +25,10 @@ Commands
     Serve the run store + dashboard over HTTP: a supervisor forks N API
     workers accepting on one listening socket and M simulation workers
     that run the submitted jobs (see docs/serving.md).
-``lint [--format json] [--update-baseline]``
+``lint [paths ...] [--format json] [--rules IDS] [--graph-out FILE]``
     Static analysis of the simulator's performance/determinism/
-    concurrency/layering invariants (see docs/static-analysis.md).
+    concurrency/layering invariants in one uncached pass; exit 1 on any
+    finding not suppressed inline (see docs/static-analysis.md).
 ``goldens check|diff|update [--root tests/goldens]``
     Golden-trace corpus: replay every (policy x workload) cell and
     compare against the committed canonical records; ``update``

@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.errors import FabricError
 from repro.fabric.allocation import AllocationVector
 from repro.fabric.availability import AvailabilityCache
-from repro.fabric.availability import available as _eq1_available
 from repro.fabric.configuration import FFU_COUNTS
 from repro.fabric.slots import RfuSlotArray
 from repro.fabric.units import FfuBank, FunctionalUnit
@@ -112,12 +111,6 @@ class Fabric:
     def availability_bits(self) -> int:
         """The full Eq. 1 bus: bit ``t.bit_index`` set iff ``available(t)``."""
         return self._avail.bits()
-
-    @property
-    def availability_crosscheck(self) -> bool:
-        """True while every availability query is re-derived from a rescan
-        (``REPRO_AVAILABILITY_CROSSCHECK``, see :mod:`repro.fabric.availability`)."""
-        return self._avail.crosscheck
 
     def idle_counts(self) -> dict[FUType, int]:
         """Idle units per type (cached; treat as read-only)."""

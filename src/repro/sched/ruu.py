@@ -601,12 +601,3 @@ class RegisterUpdateUnit:
         self.flushed += len(victims)
         self.waiting_version += 1
         return len(victims)
-
-    # ------------------------------------------------------------- helpers
-    def render_wakeup(self) -> str:
-        """The Fig. 5 matrix with mnemonic row labels."""
-        labels = {
-            row: f"({e.instruction.mnemonic}) E{row + 1}"
-            for row, e in self._entries.items()
-        }
-        return self.wakeup.render(labels)

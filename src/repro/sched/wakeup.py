@@ -110,10 +110,6 @@ class WakeupArray:
     def full(self) -> bool:
         return self._occupied == self._all_rows
 
-    def occupied_mask(self) -> int:
-        """n-bit mask of occupied rows."""
-        return self._occupied
-
     def free_rows(self) -> list[int]:
         free = ~self._occupied & self._all_rows
         return [i for i in range(self.n_entries) if (free >> i) & 1]

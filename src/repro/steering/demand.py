@@ -44,6 +44,9 @@ __all__ = ["DemandSynthesizer", "greedy_fill", "greedy_fill_counts"]
 _SLOT_COSTS = tuple(t.slot_cost for t in FU_TYPES)
 #: the smallest marginal value worth a unit (the fill's stopping rule).
 _MIN_MARGINAL = 0.05
+#: the marginal value of the first unit of a type with no fixed unit: it
+#: outranks every unit of a type that has one, so it is taken first.
+_UNPROVIDED = float("inf")
 
 
 def _fill(
@@ -56,7 +59,8 @@ def _fill(
     """The greedy knapsack over per-type lists indexed like ``FU_TYPES``.
 
     ``provisioned`` starts at the fixed units and ``added`` at zero; each
-    unit the fill adds is counted in both.
+    unit the fill adds is counted in both.  A demanded type with nothing
+    provisioned is worth :data:`_UNPROVIDED`.
     """
     n_types = len(_SLOT_COSTS)
     while free > 0:
@@ -69,7 +73,7 @@ def _fill(
             have = provisioned[i]
             if have >= demand[i]:
                 continue  # demand already saturated: more units are waste
-            marginal = demand[i] / (have * cost)
+            marginal = demand[i] / (have * cost) if have else _UNPROVIDED
             if marginal > best_value:
                 best_value = marginal
                 best = i

@@ -1,7 +1,7 @@
 """Shared harness for the static-analysis tests.
 
 ``lint_tree`` writes snippet files into a throwaway package tree and runs
-the real :class:`AnalysisEngine` over them (suppressions, caching and all),
+the real :class:`AnalysisEngine` over them (suppressions and all),
 against a small self-contained configuration that mirrors the shape of the
 checked-in ``analysis/layers.toml``.
 """
@@ -37,7 +37,6 @@ def make_test_config(**overrides) -> AnalysisConfig:
         config_modules=("repro/utils/env.py",),
         canonical_json_scope=("repro/sched/golden.py",),
         event_log_modules=("repro/telemetry/events.py",),
-        source_text="<test-config>",
     )
     fields.update(overrides)
     return AnalysisConfig(**fields)
@@ -52,7 +51,7 @@ def test_config():
 def lint_tree(tmp_path, test_config):
     """lint_tree({"repro/sched/hot.py": source, ...}) -> sorted findings."""
 
-    def run(files: dict[str, str], rules=None, cache_path=None):
+    def run(files: dict[str, str], rules=None):
         for rel, source in files.items():
             target = tmp_path / rel
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -61,7 +60,6 @@ def lint_tree(tmp_path, test_config):
             test_config,
             root=tmp_path,
             repo_root=tmp_path,
-            cache_path=cache_path,
             rules=rules,
         )
         return engine.run([tmp_path / rel for rel in sorted(files)])

@@ -1,7 +1,8 @@
-"""Engine behaviour: caching by content hash, parse errors, determinism."""
+"""Engine behaviour: one parse per file, parse errors, determinism."""
 
-import json
+import ast
 import textwrap
+import tokenize
 
 from repro.analysis.engine import PARSE_RULE_ID, AnalysisEngine
 from tests.analysis.conftest import make_test_config
@@ -23,73 +24,46 @@ def write_tree(tmp_path, files):
     return [tmp_path / rel for rel in sorted(files)]
 
 
-def make_engine(tmp_path, cache_path=None, config=None):
+def make_engine(tmp_path, config=None):
     return AnalysisEngine(
-        config or make_test_config(),
-        root=tmp_path,
-        repo_root=tmp_path,
-        cache_path=cache_path,
+        config or make_test_config(), root=tmp_path, repo_root=tmp_path
     )
 
 
-class TestCaching:
-    def test_second_run_hits_cache_with_identical_findings(self, tmp_path):
-        paths = write_tree(
-            tmp_path, {"repro/sched/hot.py": HOT, "repro/isa/ok.py": CLEAN}
-        )
-        cache = tmp_path / ".cache" / "findings.json"
+class TestOnePass:
+    def test_each_file_parsed_and_tokenized_once(self, tmp_path, monkeypatch):
+        # a hot file, a file with a suppression and a cold-call note, a
+        # clean file, and one outside the target set that the call graph
+        # still summarises
+        paths = write_tree(tmp_path, {
+            "repro/sched/hot.py": HOT,
+            "repro/sched/noted.py": textwrap.dedent("""
+                def helper():  # repro: allow[DET001] -- fixture
+                    return run()  # repro: cold-call -- fixture
+            """),
+            "repro/isa/ok.py": CLEAN,
+        })
+        write_tree(tmp_path, {"repro/utils/untargeted.py": CLEAN})
+        counts = {"parse": [], "tokenize": 0}
+        real_parse, real_tokens = ast.parse, tokenize.generate_tokens
 
-        first_engine = make_engine(tmp_path, cache)
-        first = first_engine.run(paths)
-        assert first_engine.cache_hits == 0
+        def parse(source, filename="<unknown>", *args, **kwargs):
+            counts["parse"].append(filename)
+            return real_parse(source, filename, *args, **kwargs)
 
-        second_engine = make_engine(tmp_path, cache)
-        second = second_engine.run(paths)
-        assert second_engine.cache_hits == 2
-        assert [f.to_dict() for f in first] == [f.to_dict() for f in second]
+        def generate_tokens(readline):
+            counts["tokenize"] += 1
+            return real_tokens(readline)
 
-    def test_changed_file_reanalysed_others_cached(self, tmp_path):
-        paths = write_tree(
-            tmp_path, {"repro/sched/hot.py": HOT, "repro/isa/ok.py": CLEAN}
-        )
-        cache = tmp_path / ".cache" / "findings.json"
-        make_engine(tmp_path, cache).run(paths)
+        monkeypatch.setattr(ast, "parse", parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", generate_tokens)
+        findings = make_engine(tmp_path).run(paths)
+        monkeypatch.undo()
 
-        (tmp_path / "repro/sched/hot.py").write_text(
-            HOT.replace("step", "tick")
-        )
-        engine = make_engine(tmp_path, cache)
-        findings = engine.run(paths)
-        assert engine.cache_hits == 1
         assert [f.rule for f in findings] == ["HOT001"]
-
-    def test_config_change_invalidates_whole_cache(self, tmp_path):
-        paths = write_tree(tmp_path, {"repro/isa/ok.py": CLEAN})
-        cache = tmp_path / ".cache" / "findings.json"
-        make_engine(tmp_path, cache).run(paths)
-
-        changed = make_test_config()
-        changed.source_text = "<different>"
-        engine = make_engine(tmp_path, cache, config=changed)
-        engine.run(paths)
-        assert engine.cache_hits == 0
-
-    def test_corrupt_cache_file_ignored(self, tmp_path):
-        paths = write_tree(tmp_path, {"repro/isa/ok.py": CLEAN})
-        cache = tmp_path / ".cache" / "findings.json"
-        cache.parent.mkdir(parents=True)
-        cache.write_text("{not json")
-        engine = make_engine(tmp_path, cache)
-        assert engine.run(paths) == []
-
-    def test_cache_document_shape(self, tmp_path):
-        paths = write_tree(tmp_path, {"repro/isa/ok.py": CLEAN})
-        cache = tmp_path / ".cache" / "findings.json"
-        make_engine(tmp_path, cache).run(paths)
-        doc = json.loads(cache.read_text())
-        assert set(doc) == {"fingerprint", "files", "summaries", "graph_findings"}
-        assert "repro/isa/ok.py" in doc["files"]
-        assert set(doc["files"]["repro/isa/ok.py"]) == {"sha256", "findings"}
+        files = sorted(str(p) for p in tmp_path.rglob("*.py"))
+        assert sorted(counts["parse"]) == files
+        assert counts["tokenize"] == len(files) == 4
 
 
 class TestParseErrors:

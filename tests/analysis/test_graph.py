@@ -167,53 +167,35 @@ class TestColdEdges:
         assert len(cold) == 1 and cold[0] and "wraps" in cold[0]
 
 
-class TestDependencies:
-    FILES = {
-        "repro/sched/hot.py": """
-            from repro.sched.mid import middle
+#: a three-file call chain plus one unrelated file.
+CHAIN_FILES = {
+    "repro/sched/hot.py": """
+        from repro.sched.mid import middle
 
-            class Kernel:
-                def step(self):
-                    return middle()
-        """,
-        "repro/sched/mid.py": """
-            from repro.isa.leaf import leaf
+        class Kernel:
+            def step(self):
+                return middle()
+    """,
+    "repro/sched/mid.py": """
+        from repro.isa.leaf import leaf
 
-            def middle():
-                return leaf()
-        """,
-        "repro/isa/leaf.py": """
-            def leaf():
-                return 1
-        """,
-        "repro/utils/other.py": """
-            def unrelated():
-                return 2
-        """,
-    }
-
-    def test_file_dependencies_follow_call_edges(self):
-        graph = graph_of(self.FILES)
-        deps = graph.file_dependencies()
-        assert "repro/sched/mid.py" in deps["repro/sched/hot.py"]
-        assert "repro/isa/leaf.py" in deps["repro/sched/mid.py"]
-
-    def test_reverse_dependents_is_the_cone(self):
-        graph = graph_of(self.FILES)
-        cone = graph.reverse_dependents({"repro/isa/leaf.py"})
-        assert cone == {
-            "repro/isa/leaf.py", "repro/sched/mid.py", "repro/sched/hot.py",
-        }
-
-    def test_unrelated_file_outside_cone(self):
-        graph = graph_of(self.FILES)
-        cone = graph.reverse_dependents({"repro/utils/other.py"})
-        assert cone == {"repro/utils/other.py"}
+        def middle():
+            return leaf()
+    """,
+    "repro/isa/leaf.py": """
+        def leaf():
+            return 1
+    """,
+    "repro/utils/other.py": """
+        def unrelated():
+            return 2
+    """,
+}
 
 
 class TestDeterminism:
     def test_two_builds_byte_identical(self):
-        files = dict(TestDependencies.FILES)
+        files = dict(CHAIN_FILES)
         first = canonical_graph_json(graph_of(files))
         # build again from freshly-parsed sources, in a different insertion
         # order — the artifact must not depend on iteration order

@@ -1,7 +1,7 @@
-"""Incremental behaviour: dependency-aware cache cones, --changed, artifacts."""
+"""Whole-tree artifacts: the ``--graph-out`` call graph and ``--explain``
+call chains over a three-file hot chain."""
 
 import argparse
-import subprocess
 import textwrap
 
 import pytest
@@ -46,72 +46,16 @@ def write_tree(tmp_path, files=TREE):
     return [tmp_path / rel for rel in sorted(files)]
 
 
-def make_engine(tmp_path, cache):
-    return AnalysisEngine(
-        make_test_config(), root=tmp_path, repo_root=tmp_path, cache_path=cache
-    )
-
-
-def graph_hits_by_file(tmp_path, cache, paths):
-    """module path -> whether its interprocedural findings came from cache."""
-    engine = make_engine(tmp_path, cache)
-    engine.build_analysis(paths)
-    hits = {}
-    for path in paths:
-        before = engine.graph_cache_hits
-        engine.graph_findings_for(path)
-        hits[engine.module_path_of(path)] = engine.graph_cache_hits > before
-    return hits
-
-
-class TestDependencyCone:
-    def test_warm_run_hits_every_file(self, tmp_path):
-        paths = write_tree(tmp_path)
-        cache = tmp_path / ".cache" / "findings.json"
-        make_engine(tmp_path, cache).run(paths)
-        engine = make_engine(tmp_path, cache)
-        engine.run(paths)
-        assert engine.cache_hits == len(paths)
-        assert engine.graph_cache_hits == len(paths)
-
-    def test_comment_edit_invalidates_only_the_file_itself(self, tmp_path):
-        paths = write_tree(tmp_path)
-        cache = tmp_path / ".cache" / "findings.json"
-        make_engine(tmp_path, cache).run(paths)
-        leaf = tmp_path / "repro/isa/leaf.py"
-        leaf.write_text(leaf.read_text() + "# cosmetic\n")
-        engine = make_engine(tmp_path, cache)
-        engine.run(paths)
-        # the comment changes leaf's content hash but not its interface,
-        # so no dependent is re-derived
-        assert engine.graph_cache_hits == len(paths) - 1
-
-    def test_interface_edit_invalidates_exactly_the_reverse_cone(self, tmp_path):
-        paths = write_tree(tmp_path)
-        cache = tmp_path / ".cache" / "findings.json"
-        make_engine(tmp_path, cache).run(paths)
-        # a list comprehension in the (hot-reachable) leaf changes its
-        # effect interface: leaf and its reverse dependents must re-derive
-        (tmp_path / "repro/isa/leaf.py").write_text(textwrap.dedent("""
-            def leaf(window):
-                return sum([x for x in window])
-        """))
-        hits = graph_hits_by_file(tmp_path, cache, paths)
-        assert hits["repro/isa/leaf.py"] is False
-        assert hits["repro/sched/mid.py"] is False
-        # hot.py depends on mid.py, whose *own* interface (effects, taint,
-        # hot membership) did not move — so the frontier stops there ...
-        assert hits["repro/sched/hot.py"] is True
-        # ... and a file outside the cone is never touched
-        assert hits["repro/utils/other.py"] is True
+def make_engine(tmp_path):
+    return AnalysisEngine(make_test_config(), root=tmp_path, repo_root=tmp_path)
 
 
 class TestGraphArtifact:
     def test_graph_json_deterministic_across_engines(self, tmp_path):
         paths = write_tree(tmp_path)
-        first = make_engine(tmp_path, None)
+        first = make_engine(tmp_path)
         first.run(paths)
-        second = make_engine(tmp_path, None)
+        second = make_engine(tmp_path)
         second.run(paths)
         assert first.graph_json() == second.graph_json()
 
@@ -124,7 +68,7 @@ def parse_args(*argv):
 
 @pytest.fixture()
 def workspace(tmp_path, monkeypatch):
-    """src tree + config + a real git checkout, cwd pinned inside it."""
+    """src tree + config, cwd pinned inside it."""
     write_tree(tmp_path)
     (tmp_path / "analysis").mkdir()
     (tmp_path / "analysis/layers.toml").write_text(textwrap.dedent("""
@@ -151,25 +95,10 @@ def workspace(tmp_path, monkeypatch):
             str(tmp_path / "repro"),
             "--config", str(tmp_path / "analysis/layers.toml"),
             "--root", str(tmp_path),
-            "--baseline", "none",
-            "--no-cache",
             *extra,
         ))
 
     return tmp_path, run
-
-
-def git(cwd, *argv):
-    return subprocess.run(
-        ["git", *argv], cwd=cwd, capture_output=True, text=True, timeout=30
-    )
-
-
-def git_available(tmp_path):
-    try:
-        return git(tmp_path, "--version").returncode == 0
-    except OSError:
-        return False
 
 
 class TestGraphOutAndExplain:
@@ -207,49 +136,13 @@ class TestGraphOutAndExplain:
         run("--explain-new-out", str(ws / "chains.txt"))
         assert (ws / "chains.txt").read_text() == "no new findings\n"
 
-
-class TestChanged:
-    def test_changed_analyses_reverse_dependents(self, workspace, capsys):
+    def test_explain_new_out_lists_every_finding(self, workspace):
         ws, run = workspace
-        if not git_available(ws):
-            pytest.skip("git unavailable")
-        git(ws, "init", "-q", "-b", "main")
-        git(ws, "-c", "user.email=t@t", "-c", "user.name=t", "add", ".")
-        git(ws, "-c", "user.email=t@t", "-c", "user.name=t",
-            "commit", "-q", "-m", "seed")
-        # introduce a hot-reachable violation in the leaf only
         (ws / "repro/isa/leaf.py").write_text(textwrap.dedent("""
             def leaf(window):
                 return [x for x in window]
         """))
-        code = run("--changed", "--changed-base", "main")
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "repro/isa/leaf.py" in out
-        # the closure pulled in the dependents, not the whole tree
-        assert "3 file(s)" in out
-
-    def test_changed_with_no_changes_exits_clean(self, workspace, capsys):
-        ws, run = workspace
-        if not git_available(ws):
-            pytest.skip("git unavailable")
-        git(ws, "init", "-q", "-b", "main")
-        git(ws, "-c", "user.email=t@t", "-c", "user.name=t", "add", ".")
-        git(ws, "-c", "user.email=t@t", "-c", "user.name=t",
-            "commit", "-q", "-m", "seed")
-        code = run("--changed", "--changed-base", "main")
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no analysable files changed" in out or "0 finding(s)" in out
-
-    def test_changed_without_git_falls_back_to_full_run(
-        self, workspace, capsys
-    ):
-        ws, run = workspace
-        if not git_available(ws):
-            pytest.skip("git unavailable")
-        # no `git init`: merge-base fails, the run must degrade gracefully
-        code = run("--changed", "--changed-base", "main")
-        err = capsys.readouterr().err
-        assert code == 0
-        assert "falling back" in err
+        assert run("--explain-new-out", str(ws / "chains.txt")) == 1
+        chains = (ws / "chains.txt").read_text()
+        assert chains.startswith("repro/isa/leaf.py:3:")
+        assert "call chain:" in chains and "Kernel.step" in chains

@@ -34,7 +34,7 @@ from repro.core.params import ProcessorParams
 from repro.core.policies import DemandSteering, PaperSteering
 from repro.core.processor import Processor
 from repro.isa.futypes import FU_TYPES, FUType
-from repro.steering.demand import DemandSynthesizer
+from repro.steering.demand import DemandSynthesizer, greedy_fill_counts
 from repro.utils.canonical import canonical_dumps
 from repro.workloads.kernels import checksum
 from repro.workloads.kernels_extra import bubble_sort
@@ -183,6 +183,32 @@ def test_zero_fpmdu_case_needs_the_unprovided_type_left_out():
     proposals, overcharged = _synthesizer_run()
     assert len(proposals) >= 3
     assert overcharged >= 1
+
+
+def test_synthesizer_takes_an_unprovided_type_first_when_it_fits():
+    """A fixed bank without an FP multiply/divide unit and enough slots
+    for one: the fill values that type's first unit above every unit of a
+    provided type, so it is taken first (and nothing divides by zero)."""
+    rng = random.Random(5)
+    synth = DemandSynthesizer(n_slots=8, ffu_counts=ZERO_FPMDU_FFUS)
+    fp_mdu = FU_TYPES.index(FUType.FP_MDU)
+    current = [ZERO_FPMDU_FFUS.get(t, 0) for t in FU_TYPES]
+    adopted = []
+    for means in [(2.2, 0.5, 0.5, 0.5, 0.3), (0.5, 2.4, 0.5, 0.5, 0.6),
+                  (0.5, 0.5, 2.3, 0.5, 0.4)]:
+        for _ in range(200):
+            synth.observe([int(m + rng.random()) for m in means])
+            target = synth.propose(tuple(current))
+            if target is not None:
+                current = [
+                    target.count(t) + ZERO_FPMDU_FFUS.get(t, 0) for t in FU_TYPES
+                ]
+                adopted.append(target)
+    assert adopted
+    assert all(target.count(FUType.FP_MDU) == 1 for target in adopted)
+    counts = greedy_fill_counts(synth.demand, 8, ZERO_FPMDU_FFUS)
+    assert counts[FUType.FP_MDU] == 1
+    assert current[fp_mdu] == 1
 
 
 if __name__ == "__main__":
