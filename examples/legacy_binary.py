@@ -37,7 +37,7 @@ SOURCE = """
 def main() -> None:
     # compile once, keep only the binary image + initial data
     compiled = assemble(SOURCE)
-    binary_words = compiled.to_binary()
+    binary_words = compiled.words
     data_image = bytes(compiled.data)
 
     print(f"legacy binary: {len(binary_words)} words")

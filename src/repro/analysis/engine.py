@@ -153,7 +153,7 @@ class AnalysisEngine:
                     findings.append(ctx)
                 continue
             summaries[module_path] = summarize_module(
-                module_path, ctx.source, ctx.tree, self.config, ctx.comments
+                module_path, ctx.source, ctx.tree, ctx.comments
             )
             if is_target:
                 findings.extend(
@@ -164,7 +164,7 @@ class AnalysisEngine:
                 )
                 targeted[module_path] = (ctx.display_path, ctx.comments)
 
-        self.graph = build_graph(summaries, self.config)
+        self.graph = build_graph(summaries)
         self.analysis = GraphAnalysis(self.graph, self.config)
         selected = ({r.id for r in self.rules} | {"ENG002"}) & GRAPH_RULE_IDS
         for module_path, (display_path, comments) in targeted.items():

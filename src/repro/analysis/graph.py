@@ -37,7 +37,6 @@ from __future__ import annotations
 import ast
 import json
 
-from repro.analysis.config import AnalysisConfig
 from repro.analysis.suppressions import SourceComments
 
 __all__ = [
@@ -453,7 +452,6 @@ def summarize_module(
     module_path: str,
     source: str,
     tree: ast.AST,
-    config: AnalysisConfig,
     comments: SourceComments | None = None,
 ) -> dict:
     """One file -> its plain-dict module summary (see module docstring).
@@ -610,10 +608,9 @@ def summarize_module(
 class CallGraph:
     """The linked whole-program graph plus its resolution indexes."""
 
-    def __init__(self, summaries: dict[str, dict], config: AnalysisConfig) -> None:
+    def __init__(self, summaries: dict[str, dict]) -> None:
         #: module_path -> summary, in sorted order.
         self.summaries = {k: summaries[k] for k in sorted(summaries)}
-        self.config = config
         #: dotted module name -> module_path.
         self.modules = {s["dotted"]: mp for mp, s in self.summaries.items()}
         #: node id -> function record.
@@ -1047,8 +1044,8 @@ class CallGraph:
         return chains
 
 
-def build_graph(summaries: dict[str, dict], config: AnalysisConfig) -> CallGraph:
-    return CallGraph(summaries, config)
+def build_graph(summaries: dict[str, dict]) -> CallGraph:
+    return CallGraph(summaries)
 
 
 def canonical_graph_json(graph: CallGraph) -> str:

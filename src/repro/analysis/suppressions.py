@@ -24,7 +24,8 @@ it annotates does not propagate hot-path obligations.  The reason is
 mandatory — an annotation without one is reported as ``ENG002`` rather
 than silently ignored.
 
-:class:`SourceComments` reads both kinds in one :mod:`tokenize` pass.
+:class:`SourceComments` reads both kinds in one :mod:`tokenize` pass, and
+skips the pass for a file whose source does not contain ``repro:``.
 """
 
 from __future__ import annotations
@@ -63,8 +64,15 @@ class SourceComments:
         #: block of them above a definition header.
         own_line: set[int] = set()
         lines: list[str] | None = None
+        # both comment kinds start with ``repro:``; most files hold
+        # neither, and their scan would find nothing
+        tokens = (
+            tokenize.generate_tokens(io.StringIO(source).readline)
+            if "repro:" in source
+            else ()
+        )
         try:
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            for tok in tokens:
                 if tok.type != tokenize.COMMENT:
                     continue
                 line = tok.start[0]

@@ -178,7 +178,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_disasm(args: argparse.Namespace) -> int:
     program = _load_program(args.target)
     for pc, (word, instr) in enumerate(
-        zip(program.to_binary(), program.instructions)
+        zip(program.words, program.instructions)
     ):
         print(f"{pc:5d}: {word:#010x}  {format_instruction(instr)}")
     return 0

@@ -29,7 +29,6 @@ content-keyed caching sound.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import threading
@@ -54,7 +53,6 @@ from repro.errors import ConfigurationError
 from repro.fabric.configuration import Configuration
 from repro.isa.futypes import FUType
 from repro.isa.program import Program
-from repro.utils.canonical import canonical_dumps
 
 __all__ = [
     "SimJob",
@@ -254,7 +252,7 @@ def _canon(value: Any) -> Any:
     if isinstance(value, Program):
         return (
             "program",
-            tuple(value.to_binary()),
+            value.words,
             bytes(value.data),
             tuple(sorted(value.labels.items())),
             tuple(sorted(value.data_labels.items())),
@@ -324,18 +322,15 @@ class ResultCache:
     ``<directory>/<key>.pkl``, so caches survive across processes and
     report invocations; without one the cache lives for the object's
     lifetime only.  Blob writes are atomic (tmp file + ``os.replace``),
-    and every get/put refreshes the key's entry in an LRU touch-time
-    index (``_touch.json`` in the directory) that :meth:`prune` uses to
-    evict least-recently-used blobs first.
+    and a blob's mtime is its LRU clock: a write sets it and every
+    :meth:`get` refreshes it, so :meth:`prune` evicts the blobs least
+    recently used by any process sharing the directory first.
 
     An optional ``store`` (:class:`repro.serving.store.RunStore` or any
     object with a ``record_result(key, result, job=...)`` method) is
     notified on every :meth:`put`, so batch runs register their results
     as queryable runs without the callers changing.
     """
-
-    #: name of the LRU touch-time index file inside the cache directory.
-    INDEX_NAME = "_touch.json"
 
     def __init__(
         self,
@@ -345,56 +340,45 @@ class ResultCache:
         self._memory: dict[str, Any] = {}
         self.directory = Path(directory) if directory is not None else None
         self.store = store
-        self._touch: dict[str, float] = {}
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._touch = self._load_index()
         self.hits = 0
         self.misses = 0
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
-    # ------------------------------------------------ LRU touch-time index
-    def _index_path(self) -> Path:
-        return self.directory / self.INDEX_NAME
-
-    def _load_index(self) -> dict[str, float]:
-        try:
-            raw = json.loads(self._index_path().read_text())
-            return {str(k): float(v) for k, v in raw.items()}
-        except (OSError, ValueError, TypeError, AttributeError):
-            return {}
-
-    def _save_index(self) -> None:
-        _atomic_write_bytes(
-            self._index_path(), canonical_dumps(self._touch).encode()
-        )
-
     # ------------------------------------------------------------ get / put
     def get(self, key: str) -> Any | None:
         if key in self._memory:
             self.hits += 1
             if self.directory is not None:
-                self._touch[key] = time.time()
+                self._refresh(key)
             return self._memory[key]
         if self.directory is not None:
             path = self._path(key)
             if path.exists():
                 result = pickle.loads(path.read_bytes())
                 self._memory[key] = result
-                self._touch[key] = time.time()
+                self._refresh(key)
                 self.hits += 1
                 return result
         self.misses += 1
         return None
 
+    def _refresh(self, key: str) -> None:
+        """Move ``key`` to the young end of the LRU order on disk: a blob's
+        mtime is its last read or write, for every process sharing the
+        directory."""
+        try:
+            os.utime(self._path(key))
+        except OSError:  # evicted by a concurrent prune; memory still answers
+            pass
+
     def put(self, key: str, result: Any, job: SimJob | None = None) -> None:
         self._memory[key] = result
         if self.directory is not None:
             _atomic_write_bytes(self._path(key), pickle.dumps(result))
-            self._touch[key] = time.time()
-            self._save_index()
         if self.store is not None:
             self.store.record_result(key, result, job=job)
 
@@ -416,12 +400,12 @@ class ResultCache:
     ) -> dict[str, int]:
         """Evict disk blobs so the cache stops growing without bound.
 
-        ``max_age`` (seconds) drops every blob whose last touch — get or
-        put, via the LRU index, falling back to file mtime — is older;
-        ``max_bytes`` then evicts least-recently-used blobs until the
-        directory total fits.  Stale ``*.tmp`` files from killed writers
-        (older than an hour) are removed as well.  Returns eviction
-        statistics; a memory-only cache is a no-op.
+        ``max_age`` (seconds) drops every blob whose mtime — its last get
+        or put, by any process — is older; ``max_bytes`` then evicts
+        least-recently-used blobs until the directory total fits.  Stale
+        ``*.tmp`` files from killed writers (older than an hour) are
+        removed as well.  Returns eviction statistics; a memory-only
+        cache is a no-op.
         """
         stats = {"removed": 0, "kept": 0, "bytes_freed": 0, "bytes_kept": 0}
         if self.directory is None:
@@ -440,27 +424,22 @@ class ResultCache:
                 stat = path.stat()
             except OSError:  # racing concurrent eviction
                 continue
-            key = path.stem
-            blobs.append(
-                (self._touch.get(key, stat.st_mtime), stat.st_size, key, path)
-            )
-        blobs.sort()  # oldest touch first = LRU eviction order
+            blobs.append((stat.st_mtime, stat.st_size, path.stem, path))
+        blobs.sort()  # oldest mtime first = LRU eviction order
         total = sum(size for _, size, _, _ in blobs)
         freed = 0
-        for touched, size, key, path in blobs:
-            too_old = max_age is not None and now - touched > max_age
+        for mtime, size, key, path in blobs:
+            too_old = max_age is not None and now - mtime > max_age
             over_budget = max_bytes is not None and total - freed > max_bytes
             if too_old or over_budget:
                 path.unlink(missing_ok=True)
                 self._memory.pop(key, None)
-                self._touch.pop(key, None)
                 stats["removed"] += 1
                 freed += size
             else:
                 stats["kept"] += 1
         stats["bytes_freed"] = freed
         stats["bytes_kept"] = total - freed
-        self._save_index()
         return stats
 
     def stats(self) -> dict[str, int]:

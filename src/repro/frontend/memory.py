@@ -9,7 +9,6 @@ byte-addressed with natural-alignment checking.
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.isa.encoding import decode, encode
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 
@@ -20,18 +19,11 @@ class InstructionMemory:
     """Word-addressed read-only instruction store."""
 
     def __init__(self, program: Program) -> None:
-        # encode+decode of an assembled program is pure, so the binary and
-        # its decode are cached on the program object: a batch of N
-        # processors over one shared program (an in-process run_many
-        # sweep) decodes once and shares the Instruction objects — and
-        # with them their warmed spec-derived caches and dispatch
-        # templates.
-        cached = getattr(program, "_imem_cache", None)
-        if cached is None:
-            words = program.to_binary()
-            cached = (words, [decode(w) for w in words])
-            program._imem_cache = cached
-        self._words, self._decoded = cached
+        # the program encodes and decodes itself once, so N processors
+        # over one program (an in-process run_many sweep) share its words
+        # and Instruction objects
+        self._words = program.words
+        self._decoded = program.decoded
 
     def __len__(self) -> int:
         return len(self._words)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.isa.encoding import encode
+from repro.isa.encoding import decode, encode
 from repro.isa.instruction import Instruction
 
 __all__ = ["Program"]
@@ -27,6 +28,12 @@ class Program:
         Data labels -> byte address within the data segment.
     source:
         Original assembly source, if the program came from the assembler.
+
+    The encoded :attr:`words` and their :attr:`decoded` instructions are
+    computed once, on first use, and kept on the program: the result
+    cache's job key reads the words and every processor built on the
+    program fetches the decode.  So a program must not be edited once
+    either has been read.  Neither travels with a pickled program.
     """
 
     instructions: list[Instruction] = field(default_factory=list)
@@ -41,9 +48,28 @@ class Program:
     def __getitem__(self, index: int) -> Instruction:
         return self.instructions[index]
 
-    def to_binary(self) -> list[int]:
-        """Encode the text segment to 32-bit words (the 'legacy binary')."""
-        return [encode(i) for i in self.instructions]
+    @cached_property
+    def words(self) -> tuple[int, ...]:
+        """The text segment encoded to 32-bit words (the 'legacy binary')."""
+        return tuple(encode(i) for i in self.instructions)
+
+    @cached_property
+    def decoded(self) -> list[Instruction]:
+        """:attr:`words` decoded back, one instruction per PC.
+
+        A batch of processors over one program shares these
+        instructions, and with them their warmed spec-derived caches and
+        dispatch templates (treat the list as read-only).
+        """
+        return [decode(w) for w in self.words]
+
+    def __getstate__(self) -> dict:
+        # derived from the fields, so a job shipped to a pool worker stays
+        # the size of its fields
+        state = dict(self.__dict__)
+        state.pop("words", None)
+        state.pop("decoded", None)
+        return state
 
     def entry(self, label: str = "main") -> int:
         """Start PC: the given label if defined, else word 0."""

@@ -45,13 +45,14 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.core.params import ProcessorParams
 from repro.errors import ConfigurationError, WorkloadError
 from repro.evaluation.batch import ResultCache, SimJob, job_key, run_many
 from repro.isa.program import Program
 from repro.telemetry import NULL_REGISTRY
+from repro.utils.canonical import canonical_dumps
 
 __all__ = [
     "HEARTBEAT_SECONDS",
@@ -70,6 +71,10 @@ HEARTBEAT_SECONDS = 2.0
 
 #: upper bound on a submitted job's cycle budget (DoS guard).
 MAX_SUBMITTED_CYCLES = 2_000_000
+
+#: how many keyed specs one queue remembers (see
+#: :meth:`StoreJobQueue.submit`); the map is emptied when it is full.
+KEYED_SPECS = 2048
 
 _PARAM_FIELDS = {f.name for f in fields(ProcessorParams)}
 
@@ -179,6 +184,19 @@ def build_job(spec: Any) -> SimJob:
     )
 
 
+class _Keyed(NamedTuple):
+    """What a submitted spec resolves to, short of its program.
+
+    Enough to answer the spec from the cache and to register that answer:
+    ``RunStore.record_result`` reads ``factory`` and ``label`` off the
+    job it is handed.
+    """
+
+    key: str
+    factory: str
+    label: str
+
+
 @dataclass
 class JobRecord:
     """Lifecycle of one submitted job (what the API reports back)."""
@@ -254,6 +272,8 @@ class StoreJobQueue:
         self.doorbell = (
             doorbell if doorbell is not None else threading.Semaphore(0)
         )
+        #: canonical spec JSON -> its :class:`_Keyed` (see :meth:`_keyed`).
+        self._keyed_specs: dict[str, _Keyed] = {}
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         #: simulations actually dispatched by THIS worker (cache answers
@@ -280,17 +300,45 @@ class StoreJobQueue:
         # random, not sequential: ids must not collide across API workers
         return f"job-{secrets.token_hex(6)}"
 
+    def _keyed(self, spec: Any) -> _Keyed:
+        """Build and key ``spec``, or recall the key of an equal spec.
+
+        The map is keyed by the spec's canonical JSON, the form the store
+        persists and a sim worker rebuilds the job from.  It holds keys
+        only: a program kept alive here would stay resident in every API
+        worker.  A spec that fails validation raises before it is stored;
+        one with no canonical form (a NaN, say) is built and keyed every
+        time, and the store refuses it at enqueue.
+        """
+        try:
+            text = canonical_dumps(spec)
+        except (ConfigurationError, TypeError):
+            text = None
+        keyed = self._keyed_specs.get(text)
+        if keyed is None:
+            job = build_job(spec)
+            keyed = _Keyed(job_key(job), job.factory, job.label)
+            if text is not None:
+                if len(self._keyed_specs) >= KEYED_SPECS:
+                    self._keyed_specs.clear()
+                self._keyed_specs[text] = keyed
+        return keyed
+
     def submit(self, spec: dict, trace_id: str = "") -> JobRecord:
-        """Validate, answer from cache, or enqueue durably; never blocks."""
-        job = build_job(spec)
-        key = job_key(job)
+        """Validate, answer from cache, or enqueue durably; never blocks.
+
+        A spec this queue has seen before skips :func:`build_job` and
+        :func:`job_key` and goes straight to the cache.
+        """
+        keyed = self._keyed(spec)
+        key = keyed.key
         job_id = self._new_job_id()
 
         cached = self.cache.get(key)
         if cached is not None:
             now = time.time()
             run_id = self.store.record_result(
-                key, cached, job=job, experiment=f"job/{job.factory}"
+                key, cached, job=keyed, experiment=f"job/{keyed.factory}"
             )
             # settled on arrival; inserted for cross-worker visibility
             self.store.enqueue_job(

@@ -1,8 +1,8 @@
 """Canonical JSON encoding for result payloads.
 
 Everything that persists or compares a result record — the golden-trace
-corpus (``repro.verify.goldens``), the batch engine's ``ResultCache``
-index, the ``RunStore``'s metric/spec payloads, the CLI's ``--json``
+corpus (``repro.verify.goldens``), the ``RunStore``'s metric/spec
+payloads, the job queue's map of keyed specs, the CLI's ``--json``
 output — must serialise through :func:`canonical_dumps`, so that one
 byte string corresponds to one value on every platform:
 

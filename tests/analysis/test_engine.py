@@ -1,6 +1,7 @@
 """Engine behaviour: one parse per file, parse errors, determinism."""
 
 import ast
+import io
 import textwrap
 import tokenize
 
@@ -44,7 +45,7 @@ class TestOnePass:
             "repro/isa/ok.py": CLEAN,
         })
         write_tree(tmp_path, {"repro/utils/untargeted.py": CLEAN})
-        counts = {"parse": [], "tokenize": 0}
+        counts = {"parse": [], "tokenize": []}
         real_parse, real_tokens = ast.parse, tokenize.generate_tokens
 
         def parse(source, filename="<unknown>", *args, **kwargs):
@@ -52,8 +53,9 @@ class TestOnePass:
             return real_parse(source, filename, *args, **kwargs)
 
         def generate_tokens(readline):
-            counts["tokenize"] += 1
-            return real_tokens(readline)
+            source = "".join(iter(readline, ""))
+            counts["tokenize"].append(source)
+            return real_tokens(io.StringIO(source).readline)
 
         monkeypatch.setattr(ast, "parse", parse)
         monkeypatch.setattr(tokenize, "generate_tokens", generate_tokens)
@@ -63,7 +65,10 @@ class TestOnePass:
         assert [f.rule for f in findings] == ["HOT001"]
         files = sorted(str(p) for p in tmp_path.rglob("*.py"))
         assert sorted(counts["parse"]) == files
-        assert counts["tokenize"] == len(files) == 4
+        # only noted.py contains ``repro:``; the other three are not scanned
+        assert len(files) == 4
+        [scanned] = counts["tokenize"]
+        assert "allow[DET001]" in scanned
 
 
 class TestParseErrors:

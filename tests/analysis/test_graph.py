@@ -8,16 +8,14 @@ from repro.analysis.graph import (
     canonical_graph_json,
     summarize_module,
 )
-from tests.analysis.conftest import make_test_config
 
 
-def graph_of(files, config=None):
-    config = config or make_test_config()
+def graph_of(files):
     summaries = {}
     for mp, source in files.items():
         source = textwrap.dedent(source)
-        summaries[mp] = summarize_module(mp, source, ast.parse(source), config)
-    return build_graph(summaries, config)
+        summaries[mp] = summarize_module(mp, source, ast.parse(source))
+    return build_graph(summaries)
 
 
 def edges_from(graph, src):

@@ -121,6 +121,41 @@ def test_catalogue_jobs_survive_pickling():
         assert job_key(pickle.loads(pickle.dumps(job))) == job_key(job)
 
 
+def test_keying_and_building_a_processor_encode_the_program_once(monkeypatch):
+    import repro.isa.program as program_mod
+    from repro.core.processor import Processor
+
+    calls = []
+
+    def counting_encode(instr):
+        calls.append(instr)
+        return real_encode(instr)
+
+    real_encode = program_mod.encode
+    monkeypatch.setattr(program_mod, "encode", counting_encode)
+    prog = checksum(iterations=5).program
+    key = job_key(SimJob("steering", prog, _PARAMS))
+    Processor(prog, params=_PARAMS)
+    Processor(prog, params=_PARAMS)
+    assert job_key(SimJob("ffu-only", prog, _PARAMS)) != key
+    assert len(calls) == len(prog)
+
+
+def test_pickled_job_carries_no_encoding():
+    from repro.core.processor import Processor
+
+    job = SimJob("steering", checksum(iterations=5).program, _PARAMS)
+    key = job_key(job)
+    keyed = len(pickle.dumps(job))
+    # the words and the decode the processor fetches stay behind
+    Processor(job.program, params=_PARAMS)
+    assert len(pickle.dumps(job)) == keyed
+    copy = pickle.loads(pickle.dumps(job))
+    assert "words" not in vars(copy.program)
+    assert job_key(copy) == key
+    assert copy.program.words == job.program.words
+
+
 def test_results_keep_submission_order():
     results = run_many(_jobs(), workers=0)
     assert results[0].policy == "steering"

@@ -8,12 +8,16 @@ import pytest
 from repro.evaluation.batch import ResultCache, _atomic_write_bytes
 
 
+def _age(directory, key, when):
+    """Set a blob's mtime, its LRU clock, to ``when``."""
+    os.utime(directory / f"{key}.pkl", (when, when))
+
+
 def _fill(cache, n, size=100, t0=1000.0):
-    """Seed ``n`` blobs with strictly increasing touch times."""
+    """Seed ``n`` blobs with strictly increasing mtimes."""
     for i in range(n):
         cache.put(f"{i:064x}", b"x" * size)
-        cache._touch[f"{i:064x}"] = t0 + i
-    cache._save_index()
+        _age(cache.directory, f"{i:064x}", t0 + i)
 
 
 # ------------------------------------------------------------------ pruning
@@ -39,10 +43,10 @@ def test_prune_respects_max_age(tmp_path):
     assert cache.has(f"{2:064x}") and cache.has(f"{3:064x}")
 
 
-def test_prune_survives_restart_through_index_file(tmp_path):
+def test_prune_survives_restart_through_blob_mtimes(tmp_path):
     first = ResultCache(tmp_path)
     _fill(first, 3)
-    # a new cache object reloads the touch-time index from disk
+    # a new cache object reads the LRU order off the blobs' mtimes
     second = ResultCache(tmp_path)
     stats = second.prune(max_age=1.5, now=1002.0)
     assert stats["removed"] == 1  # only the oldest touch (1000.0) is too old
@@ -52,11 +56,27 @@ def test_prune_survives_restart_through_index_file(tmp_path):
 def test_get_refreshes_lru_position(tmp_path):
     cache = ResultCache(tmp_path)
     _fill(cache, 3)
-    cache._touch[f"{0:064x}"] = 5000.0  # as if key 0 was just read
+    assert cache.get(f"{0:064x}") is not None  # key 0 was just read
     blob = os.path.getsize(tmp_path / ("0" * 63 + "0.pkl"))
-    cache.prune(max_bytes=blob, now=5001.0)
+    cache.prune(max_bytes=blob)
     assert cache.has(f"{0:064x}")
     assert not cache.has(f"{1:064x}")
+
+
+@pytest.mark.parametrize("reader_wrote", [True, False], ids=["memory", "disk"])
+def test_get_by_one_object_survives_prune_by_another(tmp_path, reader_wrote):
+    # an API worker only reads and the supervisor prunes: the recency of
+    # the reads must reach the directory, whether the reader answered
+    # from its memory or loaded the blob
+    writer = ResultCache(tmp_path)
+    _fill(writer, 2)  # key 0 older than key 1
+    reader = writer if reader_wrote else ResultCache(tmp_path)
+    assert reader.get(f"{0:064x}") == b"x" * 100
+    blob = os.path.getsize(tmp_path / ("0" * 63 + "0.pkl"))
+    stats = ResultCache(tmp_path).prune(max_bytes=blob)
+    assert stats["removed"] == 1
+    assert (tmp_path / f"{0:064x}.pkl").exists()
+    assert not (tmp_path / f"{1:064x}.pkl").exists()
 
 
 def test_prune_removes_stale_tmp_files(tmp_path):
@@ -118,6 +138,6 @@ def test_atomic_write_cleans_up_on_failure(tmp_path, monkeypatch):
 def test_put_is_atomic_on_disk(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put("d" * 64, {"ipc": 1.0})
-    # only the blob and the touch index exist — no tmp files
+    # only the blob exists — no tmp files and no index
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == [ResultCache.INDEX_NAME, "d" * 64 + ".pkl"]
+    assert names == ["d" * 64 + ".pkl"]

@@ -18,7 +18,7 @@ class TestInstructionMemory:
     def test_word_access(self):
         p = assemble("add x1, x2, x3\n")
         imem = InstructionMemory(p)
-        assert imem.word(0) == p.to_binary()[0]
+        assert imem.word(0) == p.words[0]
 
     def test_out_of_range(self):
         imem = InstructionMemory(assemble("halt\n"))

@@ -208,7 +208,7 @@ class TestBinaryRoundTrip:
                   halt
             """
         )
-        words = p.to_binary()
+        words = p.words
         assert [decode(w) for w in words] == p.instructions
 
     def test_fu_histogram(self):

@@ -37,7 +37,7 @@ class TestFormat:
 class TestRoundTrip:
     def test_disassemble_binary(self):
         p = assemble("add x1, x2, x3\nlw x4, 4(x5)\nhalt\n")
-        lines = disassemble(p.to_binary())
+        lines = disassemble(p.words)
         assert lines == ["add x1, x2, x3", "lw x4, 4(x5)", "halt"]
 
     def test_reassembling_disassembly_is_identity(self):
@@ -54,5 +54,5 @@ class TestRoundTrip:
             halt
         """
         p1 = assemble(src)
-        p2 = assemble("\n".join(disassemble(p1.to_binary())))
+        p2 = assemble("\n".join(disassemble(p1.words)))
         assert p1.instructions == p2.instructions

@@ -37,7 +37,7 @@ def test_different_seeds_differ():
 
 def test_encode_decode_round_trip():
     for seed, program in _PROGRAMS.items():
-        for word, instr in zip(program.to_binary(), program.instructions):
+        for word, instr in zip(program.words, program.instructions):
             decoded = decode(word)
             assert format_instruction(decoded) == format_instruction(instr), (
                 seed,
@@ -48,7 +48,7 @@ def test_encode_decode_round_trip():
 def test_source_reassembles_to_identical_binary():
     for seed in (0, 5, 99):
         source = generate_source(seed)
-        assert generate_program(seed).to_binary() == assemble(source).to_binary()
+        assert generate_program(seed).words == assemble(source).words
 
 
 def test_all_seeds_terminate_under_reference():

@@ -47,4 +47,4 @@ class TestPhasedProgram:
     def test_deterministic(self):
         a = phased_program([(INT_MIX, 2), (FP_MIX, 2)], seed=9)
         b = phased_program([(INT_MIX, 2), (FP_MIX, 2)], seed=9)
-        assert a.to_binary() == b.to_binary()
+        assert a.words == b.words

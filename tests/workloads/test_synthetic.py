@@ -38,8 +38,8 @@ class TestGeneration:
         a = synthetic_program(INT_MIX, seed=7, iterations=3)
         b = synthetic_program(INT_MIX, seed=7, iterations=3)
         c = synthetic_program(INT_MIX, seed=8, iterations=3)
-        assert a.to_binary() == b.to_binary()
-        assert a.to_binary() != c.to_binary()
+        assert a.words == b.words
+        assert a.words != c.words
 
     def test_programs_terminate(self):
         for mix in (INT_MIX, MEM_MIX, FP_MIX, BALANCED_MIX):
