@@ -9,9 +9,9 @@ which is what every lint invocation, local or CI, costs.
 Usage:
 
     PYTHONPATH=src python benchmarks/bench_lint.py \
-        [-o BENCH_lint.json] [--repeats 3] [--max-warm-seconds 0]
+        [-o BENCH_lint.json] [--repeats 3] [--max-seconds 0]
 
-``--max-warm-seconds`` > 0 turns the wall clock into a gate (the CI
+``--max-seconds`` > 0 turns the wall clock into a gate (the CI
 budget).
 """
 
@@ -51,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--output", default="BENCH_lint.json")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--max-warm-seconds", type=float, default=0.0,
+        "--max-seconds", type=float, default=0.0,
         help="fail when the whole-tree pass exceeds this wall clock; "
              "<= 0 disables the gate",
     )
@@ -62,10 +62,10 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(record, indent=2))
     print(f"\nwrote {args.output}")
 
-    if 0 < args.max_warm_seconds < record["seconds"]:
+    if 0 < args.max_seconds < record["seconds"]:
         print(
             f"REGRESSION lint took {record['seconds']}s, over the "
-            f"{args.max_warm_seconds}s budget"
+            f"{args.max_seconds}s budget"
         )
         return 1
     print(f"lint: {record['seconds']}s over {record['files']} files")

@@ -1,12 +1,12 @@
 """Static analysis for the simulator's own invariants (``repro lint``).
 
-PRs 1-4 made the simulator fast, deterministic and concurrently served —
-but the properties that keep it that way (no allocation in the cycle
-loop, no wall-clock or unseeded randomness in the core model, SQLite only
-under the store's lock, a strict import DAG) lived only in reviewer
-memory.  This package is the codebase's counterpart of the paper's
-configuration-error metric: a *cheap checker* that re-scores the whole
-tree against those requirements on every run.
+The simulator is fast, deterministic and concurrently served, and the
+goldens, the tests and the per-cycle call budget keep most of that true.
+This package checks the rest: per-cycle work that adds no Python call,
+environment reads in the core model, SQLite and module state touched
+outside their locks, and import edges against the layer DAG.  It is the
+codebase's counterpart of the paper's configuration-error metric: a
+*cheap checker* that re-scores the whole tree on every run.
 
 Layout:
 
@@ -14,13 +14,14 @@ Layout:
 * :mod:`repro.analysis.config` — the checked-in ``analysis/layers.toml``
   table (import DAG, hot zones, rule scopes);
 * :mod:`repro.analysis.rules` — the rule registry, the per-file
-  :class:`~repro.analysis.rules.FileContext` and the four families
+  :class:`~repro.analysis.rules.FileContext` and the five families
   (hot-path ``HOT``, determinism ``DET``, concurrency ``CON``, layering
-  ``LAY``);
+  ``LAY``, observability ``OBS``);
 * :mod:`repro.analysis.suppressions` — inline ``# repro: allow[RULE]``
   suppressions and ``# repro: cold-call`` annotations;
-* :mod:`repro.analysis.graph` and :mod:`repro.analysis.dataflow` — the
-  whole-program call graph and the passes over it;
+* :mod:`repro.analysis.graph` and :mod:`repro.analysis.reachability` —
+  the whole-program call graph and the hot-zone reachability pass over
+  it;
 * :mod:`repro.analysis.engine` — one uncached pass over the tree that
   reads, parses and tokenizes each file once;
 * :mod:`repro.analysis.report` — human-readable and JSON reporters;

@@ -6,16 +6,15 @@ Exit codes follow the convention of the other gates in this repo:
 * ``1`` — at least one finding (accept one only with an inline
   ``# repro: allow[RULE] -- reason``);
 * ``2`` — configuration problem (missing/invalid layers.toml, a
-  hot-zone or process-role entry that names no function, bad rule
-  filter, unreadable paths, an ``--explain`` target that matches no
-  finding).
+  hot-zone entry that names no function, bad rule filter, unreadable
+  paths, an ``--explain`` target that matches no finding).
 
 Every run is one uncached pass over the tree (see
 :mod:`repro.analysis.engine`).  ``--graph-out FILE`` writes the
 canonical call-graph artifact; ``--explain path:line:RULE`` prints the
-call chain behind one interprocedural finding; ``--explain-new-out
-FILE`` writes the chains of every finding (what CI attaches to a
-failing run).
+call chain behind one hot-path finding; ``--explain-all-out FILE``
+writes the chains of every finding (what CI attaches to a failing
+run).
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "(e.g. src/repro/steering/demand.py:42:HOT001)",
     )
     parser.add_argument(
-        "--explain-new-out",
+        "--explain-all-out",
         default=None,
         metavar="FILE",
         help="write --explain style chains for every finding to FILE",
@@ -211,11 +210,11 @@ def run_lint(args: argparse.Namespace) -> int:
     print(text)
     if args.output:
         pathlib.Path(args.output).write_text(text + "\n")
-    if args.explain_new_out:
+    if args.explain_all_out:
         blocks = [
             "\n".join(_chain_lines(f, root, repo_root)) for f in findings
         ]
-        pathlib.Path(args.explain_new_out).write_text(
-            ("\n\n".join(blocks) + "\n") if blocks else "no new findings\n"
+        pathlib.Path(args.explain_all_out).write_text(
+            ("\n\n".join(blocks) + "\n") if blocks else "no findings\n"
         )
     return 0 if result.ok else 1

@@ -16,8 +16,9 @@ One TOML table drives everything the rules need to know about the tree:
     rules police; ``["*"]`` marks every function in the file hot.
 ``[scopes]``
     Root-relative path prefixes bounding the determinism and concurrency
-    families, and ``config_modules`` — the only places allowed to read
-    ``os.environ``.
+    families; ``config_modules``, the only places in the determinism
+    scope allowed to read ``os.environ``; and ``event_log_modules``, the
+    only serving/telemetry modules allowed to print or log directly.
 
 Parsed with :mod:`tomllib` on Python ≥ 3.11 and a minimal built-in
 reader (tables, string keys, strings and string lists — exactly the
@@ -130,17 +131,10 @@ class AnalysisConfig:
     concurrency_scope: tuple[str, ...] = ()
     #: modules allowed to read the process environment.
     config_modules: tuple[str, ...] = ()
-    #: files whose persisted/compared JSON must go through the canonical
-    #: encoder (``repro.utils.canonical``; DET005).
-    canonical_json_scope: tuple[str, ...] = ()
     #: the modules implementing the structured event log — the only files
     #: in the serving/telemetry layers allowed to use print/logging
     #: directly (OBS001).
     event_log_modules: tuple[str, ...] = ()
-    #: process role -> entry-point roots ("file.py::Qual.name") for the
-    #: cross-process shared-state checker (CON006/CON007).  Empty table
-    #: disables the pass.
-    process_roles: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     # ------------------------------------------------------------- lookups
     def layer_of(self, module_path: str) -> str | None:
@@ -169,10 +163,6 @@ class AnalysisConfig:
             return True
         allowed = self.layers.get(src_layer)
         return allowed is not None and dst_layer in allowed
-
-    def hot_functions(self, module_path: str) -> tuple[str, ...]:
-        """Hot-zone spec for a file ('' tuple when the file has none)."""
-        return self.hotzones.get(module_path, ())
 
     def in_scope(self, module_path: str, prefixes: tuple[str, ...]) -> bool:
         return any(
@@ -223,10 +213,6 @@ def load_config(path: str | Path) -> AnalysisConfig:
         for file, funcs in raw.get("hotzones", {}).items()
     }
     scopes = raw.get("scopes", {})
-    process_roles = {
-        str(role): _as_str_tuple(roots, f"{path}: process_roles.{role}")
-        for role, roots in raw.get("process_roles", {}).items()
-    }
     return AnalysisConfig(
         package=package,
         layers=layers,
@@ -240,12 +226,8 @@ def load_config(path: str | Path) -> AnalysisConfig:
         config_modules=_as_str_tuple(
             scopes.get("config_modules", []), f"{path}: scopes.config_modules"
         ),
-        canonical_json_scope=_as_str_tuple(
-            scopes.get("canonical_json", []), f"{path}: scopes.canonical_json"
-        ),
         event_log_modules=_as_str_tuple(
             scopes.get("event_log_modules", []),
             f"{path}: scopes.event_log_modules",
         ),
-        process_roles=process_roles,
     )

@@ -9,10 +9,9 @@ Each file is read, parsed and tokenized exactly once.  The resulting
 2. :func:`~repro.analysis.graph.summarize_module`, which turns the file
    into the plain-dict module summary the call graph links;
 3. once every file is summarised,
-   :meth:`~repro.analysis.dataflow.GraphAnalysis.findings_for`, which
-   derives the file's interprocedural findings (hot-zone reachability,
-   determinism taint, cross-process shared state) and filters them
-   through the same suppressions.
+   :meth:`~repro.analysis.reachability.GraphAnalysis.findings_for`, which
+   derives the file's hot-path findings from hot-zone reachability and
+   filters them through the same suppressions.
 
 The graph covers **every** file under the package root, not just the
 target set: a call graph with missing callees is wrong.  Files outside
@@ -33,7 +32,6 @@ import ast
 from pathlib import Path
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.dataflow import GRAPH_RULE_IDS, GraphAnalysis
 from repro.analysis.findings import Finding
 from repro.analysis.graph import (
     CallGraph,
@@ -41,6 +39,7 @@ from repro.analysis.graph import (
     canonical_graph_json,
     summarize_module,
 )
+from repro.analysis.reachability import GraphAnalysis
 from repro.analysis.rules import FileContext, Rule, all_rules
 from repro.analysis.suppressions import SourceComments
 
@@ -166,7 +165,7 @@ class AnalysisEngine:
 
         self.graph = build_graph(summaries)
         self.analysis = GraphAnalysis(self.graph, self.config)
-        selected = ({r.id for r in self.rules} | {"ENG002"}) & GRAPH_RULE_IDS
+        selected = {r.id for r in self.rules} | {"ENG002"}
         for module_path, (display_path, comments) in targeted.items():
             findings.extend(
                 f

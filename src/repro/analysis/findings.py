@@ -13,9 +13,9 @@ class Finding:
     (and therefore the JSON report) are identical across machines and
     operating systems.
 
-    Interprocedural findings additionally carry ``chain``: the call path
-    that produced them, as ``(node id, line)`` hops from the root (hot
-    zone or taint source) down to the function the finding lives in.
+    Hot-path findings additionally carry ``chain``: the call path that
+    produced them, as ``(node id, line)`` hops from the hot-zone root
+    down to the function the finding lives in.
     ``repro lint --explain`` renders it; it takes no part in equality.
     """
 

@@ -4,24 +4,22 @@ Two stages, both stdlib-only:
 
 1. :func:`summarize_module` walks one file's AST and produces a plain-dict
    *module summary*: imports, classes (bases, methods, inferred attribute
-   types), functions with their call sites, allocation/format *effect
-   sites* (pre-filtered through the file's inline suppressions), taint-
-   relevant assignments/returns/sinks, and module-level mutable bindings.
-   It reads the tree and the ``# repro:`` comments the engine already
-   derived for the per-file rules; it parses and tokenizes nothing.
+   types), functions with their call sites, the allocation/format
+   *effect sites* the hot-path rules flag, and the ``Name.attr`` loads
+   HOT007 checks for enum members.  It reads the tree and the
+   ``# repro:`` comments the engine already derived for the per-file
+   rules; it parses and tokenizes nothing.
 
 2. :func:`build_graph` links the summaries into a :class:`CallGraph`:
-   nodes are ``"module/path.py::Qual.name"``, edges carry a *kind* and a
-   *confidence* in [0, 1].  Name calls, self-method calls and constructor
-   calls resolve statically (confidence 1.0); calls through typed
-   attributes (``self.loader.step()``) resolve through the inferred
-   attribute types (0.9) with polymorphic override edges to subclasses
-   (0.8); dict-dispatch (``TABLE[key]()``) fans out to every table entry
-   (0.5); bare function references passed as arguments are recorded as
-   first-class-reference edges (0.3); anything else is kept as an
-   unresolved dynamic edge (0.2).  The hot-zone and taint passes only
-   propagate across edges at or above :data:`OBLIGATION_CONFIDENCE`; the
-   process-role pass uses the looser :data:`ROLE_CONFIDENCE`.
+   nodes are ``"module/path.py::Qual.name"``, and each edge carries the
+   *kind* of resolution that made it.  Name calls, self-method calls,
+   ``super()`` calls and constructor calls resolve statically; calls
+   through an attribute or local whose class is inferred (an annotation
+   or a constructor assignment, ``self.loader.step()``) resolve to that
+   class's method, plus a polymorphic edge to every subclass override.
+   Anything else (a dict-dispatch table, a callable passed as a value, a
+   method name on an untyped receiver) is kept as an unresolved *dynamic*
+   call site: recorded, never followed.
 
 A call site whose line carries ``# repro: cold-call -- reason`` yields a
 cold edge: recorded in the graph (and the ``--graph-out`` artifact) but
@@ -44,83 +42,16 @@ __all__ = [
     "summarize_module",
     "build_graph",
     "canonical_graph_json",
-    "OBLIGATION_CONFIDENCE",
-    "ROLE_CONFIDENCE",
     "GRAPH_VERSION",
 ]
 
 #: schema version of the ``--graph-out`` artifact.
-GRAPH_VERSION = 4
-
-#: minimum edge confidence for hot-obligation and taint propagation.
-OBLIGATION_CONFIDENCE = 0.75
-
-#: minimum edge confidence for process-role attribution (CON006/CON007).
-ROLE_CONFIDENCE = 0.5
-
-#: calls the taint pass treats as nondeterminism sources, by resolved
-#: dotted name.  Dict-view iteration order is deliberately absent: the
-#: per-file DET003 rule already polices hashing over unsorted views, and
-#: plain dict iteration is insertion-ordered (deterministic) in Python.
-TAINT_SOURCES = {
-    "time.time": "wall clock (time.time)",
-    "time.time_ns": "wall clock (time.time_ns)",
-    "time.perf_counter": "performance counter",
-    "time.perf_counter_ns": "performance counter",
-    "time.monotonic": "monotonic clock",
-    "time.monotonic_ns": "monotonic clock",
-    "time.process_time": "process clock",
-    "time.thread_time": "thread clock",
-    "datetime.datetime.now": "wall clock (datetime.now)",
-    "datetime.datetime.utcnow": "wall clock (datetime.utcnow)",
-    "datetime.datetime.today": "wall clock (datetime.today)",
-    "datetime.date.today": "wall clock (date.today)",
-    "random.random": "unseeded global RNG",
-    "random.randint": "unseeded global RNG",
-    "random.randrange": "unseeded global RNG",
-    "random.choice": "unseeded global RNG",
-    "random.choices": "unseeded global RNG",
-    "random.shuffle": "unseeded global RNG",
-    "random.sample": "unseeded global RNG",
-    "random.uniform": "unseeded global RNG",
-    "random.gauss": "unseeded global RNG",
-    "random.getrandbits": "unseeded global RNG",
-    "os.getenv": "environment read (os.getenv)",
-    "os.environ.get": "environment read (os.environ)",
-    "os.environ": "environment read (os.environ)",
-    "id": "object identity (id)",
-    "hash": "salted hash (PYTHONHASHSEED)",
-    "uuid.uuid1": "uuid1 (host/time derived)",
-    "uuid.uuid4": "random uuid",
-}
-
-#: canonical-JSON sink functions (DET007), by resolved dotted name.
-TAINT_SINKS = {
-    "repro.utils.canonical.canonical_dumps",
-    "repro.utils.canonical.canonical_dump",
-}
-
-#: module-level constructor calls treated as explicit cross-process /
-#: cross-thread channels — bindings holding them are exempt from the
-#: shared-state rules (the channel *is* the sanctioned mechanism).
-_CHANNEL_CTORS = {"Queue", "SimpleQueue", "JoinableQueue", "LifoQueue", "deque"}
-
-_MUTABLE_CTORS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+GRAPH_VERSION = 5
 
 #: the stdlib ``enum`` bases (and functional-API constructors) whose
 #: classes HOT007 tracks: a member loaded through such a class goes through
 #: the metaclass's slow attribute path.
 _ENUM_BASES = {"Enum", "IntEnum", "Flag", "IntFlag", "StrEnum"}
-
-#: receiver names (leading underscores stripped) whose method calls in
-#: a hot zone must sit behind a guard that mentions them (HOT006).
-_GUARDED_RECEIVERS = ("tel", "telemetry", "obs", "observer")
-
-#: mutating method names on module-level containers (mirrors CON002).
-_MUTATOR_METHODS = {
-    "append", "extend", "insert", "add", "update", "setdefault", "pop",
-    "popitem", "remove", "discard", "clear", "appendleft",
-}
 
 
 def _chain_of(node: ast.AST) -> list[str] | None:
@@ -167,14 +98,9 @@ def _type_chain(annotation: ast.AST) -> list[str] | None:
 
 
 class _FunctionVisitor(ast.NodeVisitor):
-    """Collects one function's call sites, effects and taint ops."""
+    """Collects one function's call sites, effects and class loads."""
 
-    def __init__(
-        self,
-        summary: dict,
-        cls: str | None,
-        comments: SourceComments,
-    ) -> None:
+    def __init__(self, cls: str | None, comments: SourceComments) -> None:
         self.fn: dict = {
             "line": 0,
             "cls": cls,
@@ -182,65 +108,38 @@ class _FunctionVisitor(ast.NodeVisitor):
             "effects": [],
             "raises_only": False,
             "local_types": {},
-            "assigns": [],
-            "returns": [],
-            "refs": [],
-            "global_writes": [],
-            "global_reads": [],
-            # ``Name.attr`` loads through a capitalised module-level name:
-            # the HOT007 candidates, resolved to enum classes at link time
+            # ``Name.attr`` loads through a capitalised name: the HOT007
+            # candidates, resolved to enum classes at link time
             "class_loads": [],
         }
-        self.summary = summary
         self.comments = comments
+        #: ``self.attr = value`` stores: (attr, [("call", chain) |
+        #: ("local", name)]) — the class's attribute-type evidence.
+        self.state_stores: list[tuple[str, list]] = []
         self._raise_depth = 0
-        self._loop_depth = 0
-        self._guard_depth = 0
         self._local_names: set[str] = set()
-        self._globals: set[str] = set()
 
     # ------------------------------------------------------------- helpers
     def _effect(self, rule: str, node: ast.AST, detail: str) -> None:
         if self._raise_depth:
             return
-        line = getattr(node, "lineno", 0)
-        if self.comments.is_suppressed(rule, line):
-            return
         self.fn["effects"].append(
-            {"rule": rule, "line": line, "col": getattr(node, "col_offset", 0),
+            {"rule": rule, "line": node.lineno, "col": node.col_offset,
              "detail": detail}
         )
 
-    def _call_index(
-        self, chain: list[str], node: ast.AST, uses: list | None = None
-    ) -> int:
-        line = getattr(node, "lineno", 0)
-        self.fn["calls"].append(
-            {"chain": chain, "line": line,
-             "col": getattr(node, "col_offset", 0),
-             "cold": self.comments.cold_calls.get(line), "uses": uses or []}
-        )
-        return len(self.fn["calls"]) - 1
-
-    def _refs_of(self, node: ast.AST) -> list:
-        """Taint-relevant references inside an expression."""
-        refs: list = []
-        for sub in ast.walk(node):
+    @staticmethod
+    def _type_evidence(value: ast.AST) -> list:
+        """Constructor calls and local names inside a stored expression."""
+        evidence: list = []
+        for sub in ast.walk(value):
             if isinstance(sub, ast.Call):
                 chain = _chain_of(sub.func)
                 if chain is not None:
-                    refs.append(["callchain", chain, sub.lineno])
+                    evidence.append(("call", chain))
             elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                refs.append(["local", sub.id])
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                chain = _chain_of(sub)
-                if chain is None:
-                    continue
-                if chain[0] == "self" and len(chain) == 2:
-                    refs.append(["state", chain[1]])
-                else:
-                    refs.append(["chainload", chain])
-        return refs
+                evidence.append(("local", sub.id))
+        return evidence
 
     # -------------------------------------------------------------- visits
     def visit_Raise(self, node: ast.Raise) -> None:
@@ -272,141 +171,48 @@ class _FunctionVisitor(ast.NodeVisitor):
         self._effect("HOT004", node, "lambda")
         # don't descend: the lambda body runs in its own scope
 
-    def visit_For(self, node: ast.For) -> None:
-        self._loop(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loop(node)
-
-    def _loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
     def visit_Call(self, node: ast.Call) -> None:
         chain = _chain_of(node.func)
         if chain is not None:
-            if len(chain) == 1 and chain[0] in ("dict", "list", "set"):
-                self._effect("HOT002", node, f"{chain[0]}() construction")
-            arg_uses: list = []
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                arg_uses.extend(self._refs_of(arg))
-            self._call_index(chain, node, arg_uses)
-            if (
-                len(chain) == 2
-                and chain[0] in self.summary["module_mutables"]
-                and chain[0] not in self._local_names
-                and chain[1] in _MUTATOR_METHODS
-            ):
-                self.fn["global_writes"].append([chain[0], node.lineno])
-            if (
-                len(chain) >= 1
-                and chain[0].lstrip("_") in _GUARDED_RECEIVERS
-                and not self._guard_depth
-            ):
-                self._effect("HOT006", node, "unguarded telemetry call")
-        # bare function references in argument position: conservative
-        # first-class-function edges
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, (ast.Name, ast.Attribute)):
-                ref_chain = _chain_of(arg)
-                if ref_chain is not None and ref_chain[-1] != "[]":
-                    self.fn["refs"].append(
-                        {"chain": ref_chain, "line": arg.lineno}
-                    )
+            self.fn["calls"].append({
+                "chain": chain, "line": node.lineno,
+                "cold": self.comments.cold_calls.get(node.lineno),
+            })
         self.generic_visit(node)
-
-    @staticmethod
-    def _mentions_telemetry(node: ast.AST) -> bool:
-        for sub in ast.walk(node):
-            name = None
-            if isinstance(sub, ast.Name):
-                name = sub.id
-            elif isinstance(sub, ast.Attribute):
-                name = sub.attr
-            if name is not None and name.lstrip("_") in _GUARDED_RECEIVERS:
-                return True
-        return False
-
-    def visit_If(self, node: ast.If) -> None:
-        guarded = self._mentions_telemetry(node.test)
-        if guarded:
-            self._guard_depth += 1
-        self.generic_visit(node)
-        if guarded:
-            self._guard_depth -= 1
-
-    def visit_IfExp(self, node: ast.IfExp) -> None:
-        guarded = self._mentions_telemetry(node.test)
-        if guarded:
-            self._guard_depth += 1
-        self.generic_visit(node)
-        if guarded:
-            self._guard_depth -= 1
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        self._record_assign(node.targets, node.value, node)
+        self._record_assign(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.target is not None and isinstance(node.target, ast.Name):
+        if isinstance(node.target, ast.Name):
             chain = _type_chain(node.annotation)
             if chain is not None:
                 self.fn["local_types"].setdefault(node.target.id, chain)
         if node.value is not None:
-            self._record_assign([node.target], node.value, node)
+            self._record_assign([node.target], node.value)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_assign([node.target], node.value, node)
+        self._record_assign([node.target], node.value)
         self.generic_visit(node)
 
-    def _record_assign(self, targets: list, value: ast.AST, node: ast.AST) -> None:
-        uses = self._refs_of(value)
+    def _record_assign(self, targets: list, value: ast.AST) -> None:
         for target in targets:
             if isinstance(target, ast.Name):
                 if isinstance(value, ast.Call):
                     chain = _chain_of(value.func)
                     if chain is not None:
                         self.fn["local_types"].setdefault(target.id, chain)
-                self.fn["assigns"].append(
-                    {"t": ["local", target.id], "uses": uses, "line": node.lineno}
-                )
-                if (
-                    target.id in self.summary["module_mutables"]
-                    and target.id in self._globals
-                ):
-                    self.fn["global_writes"].append([target.id, node.lineno])
-                else:
-                    self._local_names.add(target.id)
+                self._local_names.add(target.id)
             elif isinstance(target, ast.Attribute):
                 chain = _chain_of(target)
                 if chain is not None and chain[0] == "self" and len(chain) == 2:
-                    self.fn["assigns"].append(
-                        {"t": ["state", chain[1]], "uses": uses,
-                         "line": node.lineno}
+                    self.state_stores.append(
+                        (chain[1], self._type_evidence(value))
                     )
-            elif isinstance(target, ast.Subscript):
-                chain = _chain_of(target.value)
-                if (
-                    chain is not None
-                    and len(chain) == 1
-                    and chain[0] in self.summary["module_mutables"]
-                    and chain[0] not in self._local_names
-                ):
-                    self.fn["global_writes"].append([chain[0], node.lineno])
             elif isinstance(target, (ast.Tuple, ast.List)):
-                self._record_assign(list(target.elts), value, node)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        if node.value is not None:
-            self.fn["returns"].append(
-                {"uses": self._refs_of(node.value), "line": node.lineno}
-            )
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self._globals.update(node.names)
+                self._record_assign(list(target.elts), value)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         value = node.value
@@ -416,20 +222,11 @@ class _FunctionVisitor(ast.NodeVisitor):
             and value.id[:1].isupper()
             and value.id not in self._local_names
             and not self._raise_depth
-            and not self.comments.is_suppressed("HOT007", node.lineno)
         ):
             self.fn["class_loads"].append(
                 [value.id, node.attr, node.lineno, node.col_offset]
             )
         self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if (
-            isinstance(node.ctx, ast.Load)
-            and node.id in self.summary["module_mutables"]
-            and node.id not in self._local_names
-        ):
-            self.fn["global_reads"].append([node.id, node.lineno])
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         pass  # nested defs are summarised as their own functions
@@ -470,8 +267,6 @@ def summarize_module(
         "imports": {},
         "classes": {},
         "functions": {},
-        "module_mutables": {},
-        "dispatch_tables": {},
         # module-level functional-API enums: name -> constructor chain
         # (``Opcode = enum.Enum(...)`` -> ["enum", "Enum"])
         "enums": {},
@@ -491,37 +286,14 @@ def summarize_module(
                 ]
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            value = stmt.value
-            if value is None:
+            if not isinstance(stmt.value, ast.Call):
+                continue
+            chain = _chain_of(stmt.value.func)
+            if chain is None or chain[-1] not in _ENUM_BASES:
                 continue
             for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                ctor: str | None = None
-                if isinstance(value, (ast.Dict, ast.List, ast.Set)):
-                    ctor = type(value).__name__.lower()
-                elif isinstance(value, ast.Call):
-                    chain = _chain_of(value.func)
-                    if chain is not None and chain[-1] in (
-                        _MUTABLE_CTORS | _CHANNEL_CTORS
-                    ):
-                        ctor = chain[-1]
-                    elif chain is not None and chain[-1] in _ENUM_BASES:
-                        summary["enums"][target.id] = chain
-                if ctor is not None:
-                    summary["module_mutables"][target.id] = {
-                        "line": stmt.lineno,
-                        "ctor": ctor,
-                        "channel": ctor in _CHANNEL_CTORS,
-                    }
-                if isinstance(value, ast.Dict):
-                    entries = []
-                    for v in value.values:
-                        chain = _chain_of(v)
-                        if chain is not None:
-                            entries.append(chain)
-                    if entries:
-                        summary["dispatch_tables"][target.id] = entries
+                if isinstance(target, ast.Name):
+                    summary["enums"][target.id] = chain
 
     # function-level (lazy) imports — common here to break layering
     # cycles — resolve like module-level ones; module scope wins on a
@@ -544,7 +316,7 @@ def summarize_module(
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}{stmt.name}"
-                visitor = _FunctionVisitor(summary, cls, comments)
+                visitor = _FunctionVisitor(cls, comments)
                 visitor.fn["line"] = stmt.lineno
                 visitor.fn["raises_only"] = _is_raises_only(stmt)
                 for arg in (
@@ -559,22 +331,16 @@ def summarize_module(
                 summary["functions"][qualname] = visitor.fn
                 if class_info is not None:
                     class_info["methods"][stmt.name] = qualname
-                    for record in visitor.fn["assigns"]:
-                        if record["t"][0] != "state":
-                            continue
-                        # infer attribute types from constructor/annotated
-                        # assignments anywhere in the class
-                        for use in record["uses"]:
-                            if use[0] == "callchain":
+                    # infer attribute types from constructor/annotated
+                    # assignments anywhere in the class
+                    local_types = visitor.fn["local_types"]
+                    for attr, evidence in visitor.state_stores:
+                        for kind, item in evidence:
+                            chain = item if kind == "call" else local_types.get(item)
+                            if chain is not None:
                                 class_info["attr_candidates"].setdefault(
-                                    record["t"][1], []
-                                ).append(use[1])
-                            elif use[0] == "local":
-                                chain = visitor.fn["local_types"].get(use[1])
-                                if chain is not None:
-                                    class_info["attr_candidates"].setdefault(
-                                        record["t"][1], []
-                                    ).append(chain)
+                                    attr, []
+                                ).append(chain)
                 # nested defs: summarised with a qualified name, calls
                 # from the parent resolve via the "name" fallback
                 walk_scope(stmt.body, f"{qualname}.", cls, None)
@@ -586,7 +352,6 @@ def summarize_module(
                     ],
                     "methods": {},
                     "attr_candidates": {},
-                    "line": stmt.lineno,
                 }
                 summary["classes"][stmt.name] = info
                 for sub in stmt.body:
@@ -617,14 +382,12 @@ class CallGraph:
         self.functions: dict[str, dict] = {}
         #: class id ("module_path::ClassName") -> class record.
         self.classes: dict[str, dict] = {}
-        #: method name -> sorted class ids defining it (fallback lookup).
-        self._method_index: dict[str, list[str]] = {}
         #: class id -> sorted subclass ids (direct).
         self.subclasses: dict[str, list[str]] = {}
-        #: edges: (caller, callee, kind, confidence, line, cold-reason).
-        self.edges: list[tuple[str, str, str, float, int, str | None]] = []
-        #: unresolved dynamic call sites: (caller, chain, line, confidence).
-        self.dynamic: list[tuple[str, str, int, float]] = []
+        #: edges: (caller, callee, kind, line, cold-reason).
+        self.edges: list[tuple[str, str, str, int, str | None]] = []
+        #: unresolved call sites: (caller, dotted chain, line).
+        self.dynamic: list[tuple[str, str, int]] = []
         self._out: dict[str, list[int]] = {}
         self._build_indexes()
         self._link()
@@ -636,10 +399,6 @@ class CallGraph:
                 self.functions[f"{mp}::{qualname}"] = fn
             for cls, info in summary["classes"].items():
                 self.classes[f"{mp}::{cls}"] = info
-                for method in info["methods"]:
-                    self._method_index.setdefault(method, []).append(f"{mp}::{cls}")
-        for methods in self._method_index.values():
-            methods.sort()
         # resolve base-class chains to class ids, then invert
         for cid in sorted(self.classes):
             mp, _, cls = cid.partition("::")
@@ -805,87 +564,30 @@ class CallGraph:
         return sorted(out)
 
     # -------------------------------------------------------------- linking
-    def _add_edge(
-        self, src: str, dst: str, kind: str, confidence: float,
-        line: int, cold: str | None,
-    ) -> None:
-        index = len(self.edges)
-        self.edges.append((src, dst, kind, confidence, line, cold))
-        self._out.setdefault(src, []).append(index)
-
     def _link(self) -> None:
         for node_id in sorted(self.functions):
             mp, _, qualname = node_id.partition("::")
             fn = self.functions[node_id]
-            for index, site in enumerate(fn["calls"]):
-                targets = self.resolve_call(mp, qualname, fn, site["chain"])
-                site["resolved"] = [
-                    [t, kind, conf] for t, kind, conf in targets
-                ]
+            for site in fn["calls"]:
+                targets = self.resolve_call(mp, fn, site["chain"])
                 if not targets:
                     self.dynamic.append(
-                        (node_id, ".".join(site["chain"]), site["line"], 0.2)
+                        (node_id, ".".join(site["chain"]), site["line"])
                     )
-                    continue
-                for target, kind, confidence in targets:
-                    if target.startswith("<"):
-                        continue  # sources/sinks: no project edge
-                    self._add_edge(
-                        node_id, target, kind, confidence,
-                        site["line"], site["cold"],
+                for target, kind in targets:
+                    self._out.setdefault(node_id, []).append(len(self.edges))
+                    self.edges.append(
+                        (node_id, target, kind, site["line"], site["cold"])
                     )
-            for ref in fn["refs"]:
-                resolved = self._resolve_function_chain(mp, ref["chain"])
-                if resolved is not None:
-                    self._add_edge(
-                        node_id, resolved, "first-class-ref", 0.3,
-                        ref["line"], None,
-                    )
-
-    def _resolve_function_chain(self, mp: str, chain: list[str]) -> str | None:
-        summary = self.summaries[mp]
-        head = chain[0]
-        if len(chain) == 1:
-            if head in summary["functions"]:
-                return f"{mp}::{head}"
-            resolved = self._resolve_import(mp, head)
-            if resolved is not None and resolved[0] == "func":
-                return resolved[1]
-            return None
-        resolved = self._resolve_import(mp, head)
-        if resolved is not None and resolved[0] == "module" and len(chain) == 2:
-            target_mp = resolved[1]
-            if chain[1] in self.summaries[target_mp]["functions"]:
-                return f"{target_mp}::{chain[1]}"
-        return None
-
-    def external_name(self, mp: str, chain: list[str]) -> str | None:
-        """Resolved dotted name for a call into a non-project module."""
-        head = chain[0]
-        resolved = self._resolve_import(mp, head)
-        if resolved is None:
-            if len(chain) == 1:
-                return head  # builtins: id(), hash(), print()
-            return None
-        if resolved[0] == "external":
-            return ".".join([resolved[1]] + chain[1:])
-        return None
 
     def resolve_call(
-        self, mp: str, qualname: str, fn: dict, chain: list[str]
-    ) -> list[tuple[str, str, float]]:
-        """One call chain -> [(target node id | "<source:...>", kind, conf)].
-
-        Target ids starting with ``<`` are taint sources/sinks resolved to
-        non-project callables; they never become graph edges but the taint
-        pass consumes them.
-        """
+        self, mp: str, fn: dict, chain: list[str]
+    ) -> list[tuple[str, str]]:
+        """One call chain -> [(target node id, kind)]; [] when dynamic."""
         summary = self.summaries[mp]
-        out: list[tuple[str, str, float]] = []
+        out: list[tuple[str, str]] = []
 
-        def class_call_targets(
-            cid: str, rest: list[str], confidence: float
-        ) -> None:
+        def class_call_targets(cid: str, rest: list[str]) -> None:
             """Resolve ``<instance of cid>.rest...`` method calls."""
             current = [cid]
             for attr in rest[:-1]:
@@ -893,30 +595,29 @@ class CallGraph:
                 for c in current:
                     next_classes.extend(self.class_attr_type(c, attr))
                 current = sorted(set(next_classes))
-                confidence = min(confidence, 0.9)
                 if not current:
                     return
             method = rest[-1]
             for c in current:
                 found = self.lookup_method(c, method)
                 if found is not None:
-                    out.append((found, "method", confidence))
+                    out.append((found, "method"))
                 for override in self.override_targets(c, method):
                     if override != found:
-                        out.append((override, "polymorphic", min(confidence, 0.8)))
+                        out.append((override, "polymorphic"))
 
         head = chain[0]
         cls = fn.get("cls")
         if head == "self" and cls is not None:
             cid = f"{mp}::{cls}"
             if len(chain) >= 2:
-                class_call_targets(cid, chain[1:], 1.0 if len(chain) == 2 else 0.9)
+                class_call_targets(cid, chain[1:])
                 if len(chain) == 2:
                     # attribute holding a callable instance: resolve __call__
                     for attr_cid in self.class_attr_type(cid, chain[1]):
                         found = self.lookup_method(attr_cid, "__call__")
                         if found is not None:
-                            out.append((found, "callable-attr", 0.9))
+                            out.append((found, "callable-attr"))
             return out
         if head == "super()" and cls is not None and len(chain) == 2:
             info = self.classes.get(f"{mp}::{cls}")
@@ -924,50 +625,33 @@ class CallGraph:
                 for base in info.get("base_ids", []):
                     found = self.lookup_method(base, chain[1])
                     if found is not None:
-                        out.append((found, "super", 1.0))
-            return out
-        # dict-dispatch: TABLE[key]() and TABLE[key].method() fan out to
-        # every table entry, conservatively, at dispatch confidence
-        if len(chain) == 2 and chain[1] == "[]":
-            for entry in summary["dispatch_tables"].get(chain[0], []):
-                resolved = self._resolve_function_chain(mp, entry)
-                if resolved is not None:
-                    out.append((resolved, "dict-dispatch", 0.5))
+                        out.append((found, "super"))
             return out
         if "[]" in chain:
             return out
 
         if len(chain) == 1:
             if head in summary["functions"]:
-                return [(f"{mp}::{head}", "static", 1.0)]
+                return [(f"{mp}::{head}", "static")]
             if head in summary["classes"]:
                 init = self.lookup_method(f"{mp}::{head}", "__init__")
-                if init is not None:
-                    return [(init, "constructor", 1.0)]
-                return []
+                return [(init, "constructor")] if init is not None else []
             resolved = self._resolve_import(mp, head)
             if resolved is not None:
                 if resolved[0] == "func":
-                    return [(resolved[1], "static", 1.0)]
+                    return [(resolved[1], "static")]
                 if resolved[0] == "class":
                     init = self.lookup_method(resolved[1], "__init__")
-                    if init is not None:
-                        return [(init, "constructor", 1.0)]
-                    return []
-            external = self.external_name(mp, chain)
-            if external is not None and (
-                external in TAINT_SOURCES or external in TAINT_SINKS
-            ):
-                return [(f"<ext:{external}>", "external", 1.0)]
+                    return [(init, "constructor")] if init is not None else []
             return []
 
-        # qualified calls: local variable, imported module/class, or a
-        # unique-method-name fallback
+        # qualified calls: a typed local, an imported module or class, or
+        # a class of this module
         local_chain = fn["local_types"].get(head)
         if local_chain is not None:
             cid = self._resolve_class_chain(mp, local_chain)
             if cid is not None:
-                class_call_targets(cid, chain[1:], 0.9)
+                class_call_targets(cid, chain[1:])
                 return out
         resolved = self._resolve_import(mp, head)
         if resolved is not None:
@@ -976,54 +660,28 @@ class CallGraph:
                 if len(chain) == 2:
                     target_summary = self.summaries[target_mp]
                     if chain[1] in target_summary["functions"]:
-                        return [(f"{target_mp}::{chain[1]}", "static", 1.0)]
+                        return [(f"{target_mp}::{chain[1]}", "static")]
                     if chain[1] in target_summary["classes"]:
                         init = self.lookup_method(
                             f"{target_mp}::{chain[1]}", "__init__"
                         )
                         if init is not None:
-                            return [(init, "constructor", 1.0)]
+                            return [(init, "constructor")]
                 return out
             if resolved[0] == "class":
                 # ClassName.method(...) — also covers alternate ctors
                 found = self.lookup_method(resolved[1], chain[1])
-                if found is not None:
-                    return [(found, "method", 1.0)]
-                return out
+                return [(found, "method")] if found is not None else out
         if head in summary["classes"] and len(chain) == 2:
             found = self.lookup_method(f"{mp}::{head}", chain[1])
             if found is not None:
-                return [(found, "method", 1.0)]
-            return out
-        external = self.external_name(mp, chain)
-        if external is not None:
-            if external in TAINT_SOURCES or external in TAINT_SINKS:
-                return [(f"<ext:{external}>", "external", 1.0)]
-            if external.split(".")[0] not in self.modules:
-                prefix = external.split(".")[0]
-                if summary["imports"].get(prefix) is not None or prefix == external:
-                    return out
-        # unique-method-name fallback: recorded, never obligating
-        method = chain[-1]
-        owners = self._method_index.get(method, [])
-        if len(owners) == 1:
-            found = self.lookup_method(owners[0], method)
-            if found is not None:
-                return [(found, "unique-name", 0.5)]
+                return [(found, "method")]
         return out
 
     # ------------------------------------------------------------ traversal
-    def out_edges(self, node_id: str):
-        for index in self._out.get(node_id, []):
-            yield self.edges[index]
-
-    def reachable_from(
-        self,
-        roots: list[str],
-        min_confidence: float,
-        skip_cold: bool = False,
-    ) -> dict[str, list]:
-        """BFS; returns node -> chain of (caller node, call line) hops."""
+    def reachable_from(self, roots: list[str]) -> dict[str, list]:
+        """BFS over the non-cold edges; returns node -> chain of
+        (caller node, call line) hops from its root."""
         chains: dict[str, list] = {}
         queue: list[str] = []
         for root in sorted(roots):
@@ -1032,12 +690,9 @@ class CallGraph:
                 queue.append(root)
         while queue:
             current = queue.pop(0)
-            for src, dst, kind, confidence, line, cold in self.out_edges(current):
-                if confidence < min_confidence:
-                    continue
-                if skip_cold and cold is not None:
-                    continue
-                if dst in chains or dst not in self.functions:
+            for index in self._out.get(current, []):
+                src, dst, _, line, cold = self.edges[index]
+                if cold is not None or dst in chains or dst not in self.functions:
                     continue
                 chains[dst] = chains[current] + [[src, line]]
                 queue.append(dst)
@@ -1060,17 +715,16 @@ def canonical_graph_json(graph: CallGraph) -> str:
         }
     edges = [
         {
-            "from": src, "to": dst, "kind": kind,
-            "confidence": confidence, "line": line,
+            "from": src, "to": dst, "kind": kind, "line": line,
             **({"cold": cold} if cold is not None else {}),
         }
-        for src, dst, kind, confidence, line, cold in sorted(
-            graph.edges, key=lambda e: (e[0], e[4], e[1], e[2])
+        for src, dst, kind, line, cold in sorted(
+            graph.edges, key=lambda e: (e[0], e[3], e[1], e[2])
         )
     ]
     dynamic = [
-        {"from": src, "call": call, "line": line, "confidence": confidence}
-        for src, call, line, confidence in sorted(graph.dynamic)
+        {"from": src, "call": call, "line": line}
+        for src, call, line in sorted(graph.dynamic)
     ]
     doc = {
         "version": GRAPH_VERSION,

@@ -1,10 +1,11 @@
 """Rule registry and the per-file context every rule checks against.
 
-A rule is a small stateless object with an ``id`` (``HOT002``), a
-``family`` (``hot-path``), a one-line ``summary`` for the catalog, and a
+A rule is a small stateless object with an ``id`` (``LAY001``), a
+``family`` (``layering``), a one-line ``summary`` for the catalog, and a
 ``check(ctx)`` generator yielding :class:`Finding` records.  Importing
-this package registers the four built-in families; third parties (or
-tests) can register more with :func:`register`.
+this package registers the five families: hot-path ``HOT``, determinism
+``DET``, concurrency ``CON``, layering ``LAY`` and observability
+``OBS``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
 from repro.analysis.suppressions import SourceComments
 
-__all__ = [
-    "FileContext",
-    "Rule",
-    "RULE_REGISTRY",
-    "all_rules",
-    "iter_functions",
-    "register",
-]
+__all__ = ["FileContext", "Rule", "RULE_REGISTRY", "all_rules", "register"]
 
 
 @dataclass(slots=True)
@@ -33,7 +27,7 @@ class FileContext:
 
     The engine builds one per file per run: the file is read, parsed and
     tokenized once, and the per-file rules, the module summary and the
-    interprocedural findings all read this context.
+    graph findings all read this context.
     """
 
     #: path relative to the analysis root (``repro/sched/ruu.py``) —
@@ -47,7 +41,6 @@ class FileContext:
     #: the file's ``# repro:`` suppressions and cold-call annotations.
     comments: SourceComments
     _parents: dict[ast.AST, ast.AST] | None = field(default=None, repr=False)
-    _hot_nodes: tuple[ast.AST, ...] | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------ structure
     def parent_map(self) -> dict[ast.AST, ast.AST]:
@@ -65,30 +58,6 @@ class FileContext:
             node = parents[node]
             yield node
 
-    # ------------------------------------------------------------ hot zones
-    def hot_function_nodes(self) -> tuple[ast.AST, ...]:
-        """Function definitions the config marks as per-cycle code."""
-        if self._hot_nodes is None:
-            spec = self.config.hot_functions(self.module_path)
-            if not spec:
-                self._hot_nodes = ()
-            elif "*" in spec:
-                self._hot_nodes = tuple(
-                    node for _, node in iter_functions(self.tree)
-                )
-            else:
-                wanted = set(spec)
-                self._hot_nodes = tuple(
-                    node
-                    for qualname, node in iter_functions(self.tree)
-                    if qualname in wanted
-                )
-        return self._hot_nodes
-
-    def in_raise(self, node: ast.AST) -> bool:
-        """Whether ``node`` sits inside a ``raise`` (error paths are cold)."""
-        return any(isinstance(a, ast.Raise) for a in self.ancestors(node))
-
     # ------------------------------------------------------------- findings
     def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
         return Finding(
@@ -98,30 +67,6 @@ class FileContext:
             col=getattr(node, "col_offset", 0),
             message=message,
         )
-
-
-def iter_functions(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """Yield every function with its class-qualified name.
-
-    ``Processor.step`` for methods, ``helper`` for module functions,
-    ``Outer.Inner.method`` for nesting; functions nested inside other
-    functions keep the enclosing function's prefix.
-    """
-
-    def visit(node: ast.AST, prefix: str) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                yield qualname, child
-                yield from visit(child, f"{qualname}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, f"{prefix}{child.name}.")
-            else:
-                yield from visit(child, prefix)
-
-    yield from visit(tree, "")
 
 
 class Rule:
@@ -160,7 +105,6 @@ from repro.analysis.rules import (  # noqa: E402  (registration side effects)
     concurrency,
     determinism,
     hotpath,
-    interprocedural,
     layering,
     observability,
 )

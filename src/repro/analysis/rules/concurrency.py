@@ -4,8 +4,8 @@ The HTTP API is a threaded server sharing one SQLite connection, one
 result cache and one job queue; the batch engine shares module state
 with worker processes.  Within the ``[scopes] concurrency`` table
 (``serving/`` and ``evaluation/batch.py``) these rules enforce the
-store's locking discipline, guard shared module state, and keep
-threading primitives out of per-request paths.
+store's locking discipline and guard shared module state; a race there
+passes every single-threaded test.
 """
 
 from __future__ import annotations
@@ -28,17 +28,6 @@ _SQLITE_METHODS = {
     "rollback",
     "fetchone",
     "fetchall",
-}
-
-#: threading primitives that must not be built per request.
-_PRIMITIVES = {
-    "Lock",
-    "RLock",
-    "Condition",
-    "Semaphore",
-    "BoundedSemaphore",
-    "Event",
-    "Barrier",
 }
 
 #: container methods that mutate in place.
@@ -263,106 +252,3 @@ class UnlockedModuleState(Rule):
                             return target.id
                         break
         return None
-
-
-@register
-class PerRequestPrimitive(Rule):
-    id = "CON003"
-    family = "concurrency"
-    summary = "threading primitive constructed per call"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not _in_scope(ctx):
-            return
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _PRIMITIVES
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "threading"
-            ):
-                continue
-            owner = next(
-                (
-                    a
-                    for a in ctx.ancestors(node)
-                    if isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ),
-                None,
-            )
-            if owner is not None and owner.name not in ("__init__", "__new__"):
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"threading.{node.func.attr}() built inside "
-                    f"{owner.name}() creates a fresh primitive per call — "
-                    "it synchronises nothing; create it once in __init__ "
-                    "or at module scope",
-                )
-
-
-#: the one module allowed to open SQLite connections.
-_STORE_MODULE = "repro/serving/store.py"
-
-
-@register
-class RawSqliteConnect(Rule):
-    id = "CON004"
-    family = "concurrency"
-    summary = "raw sqlite3.connect outside the run store"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        # repo-wide (not just the concurrency scope): a stray connection
-        # anywhere bypasses the store's WAL/busy-timeout/fork discipline
-        if ctx.module_path.endswith(_STORE_MODULE):
-            return
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "connect"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "sqlite3"
-            ):
-                continue
-            yield ctx.finding(
-                self.id,
-                node,
-                "sqlite3.connect() outside repro/serving/store.py bypasses "
-                "the RunStore's WAL + busy-timeout + per-process connection "
-                "discipline; go through RunStore instead",
-            )
-
-
-@register
-class ModuleLevelSocket(Rule):
-    id = "CON005"
-    family = "concurrency"
-    summary = "socket created at module import time"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        # serving layer only: a socket bound at import time leaks into
-        # every forked worker and breaks the supervisor's socket handoff
-        if "repro/serving" not in ctx.module_path:
-            return
-        for stmt in ast.walk(ctx.tree):
-            if not (
-                isinstance(stmt, ast.Call)
-                and isinstance(stmt.func, ast.Attribute)
-                and stmt.func.attr in ("socket", "create_connection",
-                                       "create_server")
-                and isinstance(stmt.func.value, ast.Name)
-                and stmt.func.value.id == "socket"
-            ):
-                continue
-            if _enclosing_function(ctx, stmt) is not None:
-                continue  # created per call/worker, not at import
-            yield ctx.finding(
-                self.id,
-                stmt,
-                "socket created at module scope runs at import time and "
-                "is shared by every thread and forked worker; create "
-                "sockets inside the supervisor/server functions that own "
-                "their lifecycle",
-            )

@@ -1,15 +1,13 @@
-"""Determinism rules (``DET``): the core model must be a pure function.
+"""Determinism rules (``DET``): a result depends only on its job's inputs.
 
 Content-keyed result caching (:func:`repro.evaluation.batch.job_key`)
-and the bit-identical disabled-telemetry guarantee are sound only
-because a simulation's outcome depends on nothing but its inputs.
-These rules police the packages the ``[scopes] determinism`` table
-names (the core model: ``core``, ``sched``, ``fabric``, ``steering``,
-``isa``) for the three classic leaks: wall-clock reads, process-global
-randomness, and hashing over unordered views.  Environment reads are
-additionally confined to the declared config modules, and the files in
-``[scopes] canonical_json`` (whose JSON is compared, hashed or
-cache-keyed) must serialize through the canonical encoder (DET005).
+and the goldens are sound only because a simulation's outcome depends on
+nothing but the inputs the key hashes.  A wall-clock read or an unseeded
+draw that reaches a result changes it from run to run, and the goldens
+and the tests that run a job twice catch that.  An environment read does
+not change between runs, so only ``DET004`` catches it: within the
+packages the ``[scopes] determinism`` table names, only the declared
+config modules may read ``os.environ``.
 """
 
 from __future__ import annotations
@@ -20,256 +18,9 @@ from collections.abc import Iterable
 from repro.analysis.findings import Finding
 from repro.analysis.rules import FileContext, Rule, register
 
-#: wall-clock functions of the ``time`` module.
-_CLOCKS = {
-    "time",
-    "time_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "monotonic",
-    "monotonic_ns",
-    "process_time",
-    "process_time_ns",
-}
-
-#: ``datetime`` constructors that read the wall clock.
-_DATETIME_NOW = {"now", "utcnow", "today"}
-
-#: module-level ``random`` functions sharing the hidden global RNG.
-_SEEDED_FACTORIES = {"Random", "SystemRandom"}
-
-_DICT_VIEWS = {"keys", "values", "items"}
-
-#: hashing entry points DET003 inspects the arguments of.
-_HASHLIB_ALGOS = {
-    "md5",
-    "sha1",
-    "sha224",
-    "sha256",
-    "sha384",
-    "sha512",
-    "blake2b",
-    "blake2s",
-    "new",
-}
-
 
 def _in_scope(ctx: FileContext) -> bool:
     return ctx.config.in_scope(ctx.module_path, ctx.config.determinism_scope)
-
-
-def _from_imports(tree: ast.Module, module: str) -> set[str]:
-    """Names bound by ``from <module> import ...`` anywhere in the file."""
-    out: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            out.update(alias.asname or alias.name for alias in node.names)
-    return out
-
-
-@register
-class WallClockRead(Rule):
-    id = "DET001"
-    family = "determinism"
-    summary = "wall-clock read in the deterministic core"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not _in_scope(ctx):
-            return
-        time_names = _from_imports(ctx.tree, "time") & _CLOCKS
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            clocked = None
-            if isinstance(func, ast.Attribute):
-                recv = func.value
-                if isinstance(recv, ast.Name) and recv.id == "time" and func.attr in _CLOCKS:
-                    clocked = f"time.{func.attr}"
-                elif func.attr in _DATETIME_NOW and (
-                    (isinstance(recv, ast.Name) and recv.id == "datetime")
-                    or (isinstance(recv, ast.Attribute) and recv.attr == "datetime")
-                ):
-                    clocked = f"datetime.{func.attr}"
-            elif isinstance(func, ast.Name) and func.id in time_names:
-                clocked = func.id
-            if clocked is not None:
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"{clocked}() makes results time-dependent; wall-clock "
-                    "belongs in the telemetry/spans layer, not the core "
-                    "model",
-                )
-
-
-@register
-class UnseededRandom(Rule):
-    id = "DET002"
-    family = "determinism"
-    summary = "process-global random used instead of a seeded instance"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not _in_scope(ctx):
-            return
-        loose = _from_imports(ctx.tree, "random") - _SEEDED_FACTORIES
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            bad = None
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "random"
-                and func.attr not in _SEEDED_FACTORIES
-            ):
-                bad = f"random.{func.attr}"
-            elif isinstance(func, ast.Name) and func.id in loose:
-                bad = func.id
-            if bad is not None:
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"{bad}() draws from the hidden process-global RNG; "
-                    "construct random.Random(seed) with an explicit seed "
-                    "parameter instead",
-                )
-
-
-def _contains_unsorted_view(tree: ast.expr) -> ast.AST | None:
-    """An unsorted ``.keys()/.values()/.items()`` call inside ``tree``."""
-
-    def visit(node: ast.AST, under_sorted: bool) -> ast.AST | None:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("sorted", "frozenset", "set", "sum", "min", "max")
-        ):
-            under_sorted = True  # order-insensitive consumers launder the view
-        if (
-            not under_sorted
-            and isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _DICT_VIEWS
-            and not node.args
-        ):
-            return node
-        for child in ast.iter_child_nodes(node):
-            hit = visit(child, under_sorted)
-            if hit is not None:
-                return hit
-        return None
-
-    return visit(tree, False)
-
-
-@register
-class DictOrderHashing(Rule):
-    id = "DET003"
-    family = "determinism"
-    summary = "hashing over an unsorted dict view"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not _in_scope(ctx):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            is_hash = isinstance(func, ast.Name) and func.id == "hash"
-            is_hashlib = (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "hashlib"
-                and func.attr in _HASHLIB_ALGOS
-            )
-            if not (is_hash or is_hashlib):
-                continue
-            for arg in node.args:
-                view = _contains_unsorted_view(arg)
-                if view is not None:
-                    yield ctx.finding(
-                        self.id,
-                        view,
-                        "hashing over an unsorted dict view bakes insertion "
-                        "order into the digest; wrap the view in sorted()",
-                    )
-
-
-def _is_json_dump_call(node: ast.Call, loose_names: set[str]) -> str | None:
-    """``json.dumps``/``json.dump`` spelling used by a call, if any."""
-    func = node.func
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr in ("dumps", "dump")
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "json"
-    ):
-        return f"json.{func.attr}"
-    if isinstance(func, ast.Name) and func.id in loose_names:
-        return func.id
-    return None
-
-
-def _contains_to_dict_call(tree: ast.AST) -> bool:
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "to_dict"
-        ):
-            return True
-    return False
-
-
-@register
-class NonCanonicalJson(Rule):
-    id = "DET005"
-    family = "determinism"
-    summary = "raw json.dumps where the canonical encoder is required"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Two triggers, independent of each other:
-
-        * inside ``scopes.canonical_json`` (golden corpus, result cache,
-          run store, verify subsystem, CLI result output) **any**
-          ``json.dumps``/``json.dump`` fires — these byte streams are
-          compared, hashed or cache-keyed, so they must come from
-          :func:`repro.utils.canonical.canonical_dumps` (sorted keys,
-          NaN rejection, fixed separators);
-        * anywhere in the tree, dumping an expression that contains a
-          ``.to_dict()`` call fires — a result record serialized with
-          interpreter-dependent key order or NaN passthrough silently
-          breaks golden comparison and content-keyed caching.
-        """
-        in_scope = ctx.config.in_scope(
-            ctx.module_path, ctx.config.canonical_json_scope
-        )
-        loose = _from_imports(ctx.tree, "json") & {"dumps", "dump"}
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            spelling = _is_json_dump_call(node, loose)
-            if spelling is None:
-                continue
-            if in_scope:
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"{spelling}() in a canonical-JSON scope; use "
-                    "repro.utils.canonical.canonical_dumps so the byte "
-                    "stream is stable (sorted keys, NaN rejected, fixed "
-                    "separators)",
-                )
-            elif any(_contains_to_dict_call(arg) for arg in node.args):
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"{spelling}() over a .to_dict() record; result records "
-                    "are golden-compared and cache-keyed byte-for-byte — "
-                    "serialize them with canonical_dumps instead",
-                )
 
 
 @register

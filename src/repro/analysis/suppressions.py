@@ -1,7 +1,7 @@
 """The ``# repro:`` comments of one file: suppressions and cold calls.
 
-A suppression names the rule(s) it silences — ``# repro: allow[HOT002]``
-or ``# repro: allow[HOT001,DET001]`` — and applies to:
+A suppression names the rule(s) it silences — ``# repro: allow[HOT003]``
+or ``# repro: allow[HOT001,DET004]`` — and applies to:
 
 * the line it sits on (trailing-comment style), or — when the comment
   has a line of its own — the line directly below it (comment-above

@@ -62,7 +62,7 @@ def imm_range(fmt: Format) -> tuple[int, int]:
 
 def encode(instr: Instruction) -> int:
     """Encode an :class:`Instruction` into its 32-bit binary word."""
-    spec = instr.spec
+    spec = spec_of(instr.opcode)
     fmt = spec.format
     word = int(instr.opcode) << 25
 

@@ -161,7 +161,7 @@ class RegisterUpdateUnit:
         #: and is skipped there by an identity check against the window.
         self._due: dict[int, list[tuple[int, RuuEntry]]] = {}
         #: per-cycle scratch containers, reused so the issue/dispatch hot
-        #: paths allocate nothing (HOT001/HOT002 discipline).
+        #: paths allocate nothing.
         self._scratch_remaining: dict[FUType, int] = {}
         self.halted = False
         # statistics ------------------------------------------------------

@@ -6,8 +6,7 @@ target and parameter overrides — which :func:`build_job` turns into a
 is already answerable from the result cache complete immediately without
 simulating; everything else goes into :class:`StoreJobQueue`, a bounded
 queue that lives in the run store's ``jobs`` table and is drained
-through :func:`run_many` (so submitted jobs share the dedup and cache
-machinery with the report pipeline).  A full queue
+through the same result cache as the report pipeline.  A full queue
 rejects the submission — backpressure surfaces as HTTP 503 rather than
 unbounded growth.
 
@@ -49,7 +48,10 @@ from typing import Any, Callable, NamedTuple
 
 from repro.core.params import ProcessorParams
 from repro.errors import ConfigurationError, WorkloadError
-from repro.evaluation.batch import ResultCache, SimJob, job_key, run_many
+from repro.evaluation import batch
+# run_many is not called here; it stays bound because tools that wrap the
+# batch engine per module (perfbench/tracing.py) look the name up here
+from repro.evaluation.batch import ResultCache, SimJob, job_key, run_many  # noqa: F401
 from repro.isa.program import Program
 from repro.telemetry import NULL_REGISTRY
 from repro.utils.canonical import canonical_dumps
@@ -370,9 +372,10 @@ class StoreJobQueue:
         """Claim the oldest queued job and execute it; False when idle.
 
         Runs in whatever process calls it — the jobs travel as JSON
-        specs, so the claimer rebuilds the :class:`SimJob` locally and
-        executes through the same cached/deduplicated ``run_many`` path
-        as the report pipeline.
+        specs, so the claimer rebuilds the :class:`SimJob` locally.  The
+        row carries the content key the submitter computed, so the job
+        is looked up and stored under it without being keyed again; only
+        a cache miss simulates.
         """
         claimed = self.store.claim_job(self.owner)
         if claimed is None:
@@ -387,11 +390,15 @@ class StoreJobQueue:
             )
         start = time.time()
         try:
+            key = claimed["key"]
             job = build_job(claimed["spec"])
-            result = run_many([job], cache=self.cache)[0]
-            self.executed += 1
+            result = self.cache.get(key)
+            if result is None:
+                result = batch.execute_job(job)
+                self.executed += 1
+                self.cache.put(key, result, job=job)
             run_id = self.store.record_result(
-                claimed["key"], result, job=job,
+                key, result, job=job,
                 experiment=f"job/{job.factory}",
             )
             self.store.finish_job(job_id, "done", run_id=run_id)

@@ -121,7 +121,6 @@ def _api_worker_main(
     # then heartbeat it: a snapshot that stops refreshing marks this worker
     # dead and the store's freshness cutoff drops it from /metrics.
     store.publish_worker_metrics(name, registry.snapshot())
-    # repro: allow[CON003] -- one Event per forked worker-process lifetime
     hb_stop = threading.Event()
 
     def _heartbeat() -> None:

@@ -18,9 +18,7 @@ byte string corresponds to one value on every platform:
 Float formatting itself relies on ``repr``'s shortest-round-trip
 algorithm, which is identical across CPython platforms for IEEE-754
 doubles — combined with the rules above, equal values always produce
-equal bytes.  The ``DET005`` lint rule enforces that the modules listed
-under ``[scopes] canonical_json`` in ``analysis/layers.toml`` never
-call ``json.dumps`` directly.
+equal bytes.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import AnalysisEngine
 
 
-def make_test_config(**overrides) -> AnalysisConfig:
-    """The default test configuration; keyword overrides replace fields
-    (e.g. ``process_roles=...`` for the cross-process checker tests)."""
-    fields = dict(
+def make_test_config() -> AnalysisConfig:
+    """The test configuration: the checked-in table's shape in miniature."""
+    return AnalysisConfig(
         package="repro",
         layers={
             "cli": ("errors", "serving", "telemetry"),
@@ -35,11 +34,8 @@ def make_test_config(**overrides) -> AnalysisConfig:
         determinism_scope=("repro/sched", "repro/isa", "repro/utils"),
         concurrency_scope=("repro/serving", "repro/evaluation/batch.py"),
         config_modules=("repro/utils/env.py",),
-        canonical_json_scope=("repro/sched/golden.py",),
         event_log_modules=("repro/telemetry/events.py",),
     )
-    fields.update(overrides)
-    return AnalysisConfig(**fields)
 
 
 @pytest.fixture()

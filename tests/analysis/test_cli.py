@@ -98,9 +98,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("config, entry", [
         (CONFIG.replace('["Kernel.step"]', '["Kernel.stpe"]'),
          "hotzones: repro/sched/hot.py::Kernel.stpe"),
-        (CONFIG + '[process_roles]\nw = ["repro/sched/hot.py::Kernel.stpe"]\n',
-         "process_roles.w: repro/sched/hot.py::Kernel.stpe"),
-    ], ids=["hotzone", "process_role"])
+    ], ids=["hotzone"])
     def test_misspelled_root_exits_2(self, workspace, capsys, config, entry):
         ws, run = workspace
         (ws / "analysis/layers.toml").write_text(config)
@@ -123,18 +121,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("option", [
         "--no-cache", "--cache-dir=x", "--changed", "--changed-base=main",
-        "--baseline=x", "--update-baseline",
+        "--baseline=x", "--update-baseline", "--explain-new-out=x",
     ])
     def test_removed_options_are_rejected(self, option):
         # one uncached pass and inline suppressions only: no cache, no
-        # changed-files mode, no findings baseline
+        # changed-files mode, no findings baseline; every finding's chain
+        # goes to --explain-all-out
         with pytest.raises(SystemExit):
             parse_args(option)
 
     def test_rule_filter_limits_findings(self, workspace):
         _, run = workspace
-        # only the telemetry rule runs; the HOT001 listcomp is not checked
-        assert run("--rules", "HOT006") == 0
+        # only the layering rule runs; the HOT001 listcomp is not checked
+        assert run("--rules", "LAY001") == 0
 
 
 class TestJsonReport:

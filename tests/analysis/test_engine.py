@@ -39,7 +39,7 @@ class TestOnePass:
         paths = write_tree(tmp_path, {
             "repro/sched/hot.py": HOT,
             "repro/sched/noted.py": textwrap.dedent("""
-                def helper():  # repro: allow[DET001] -- fixture
+                def helper():  # repro: allow[DET004] -- fixture
                     return run()  # repro: cold-call -- fixture
             """),
             "repro/isa/ok.py": CLEAN,
@@ -68,7 +68,7 @@ class TestOnePass:
         # only noted.py contains ``repro:``; the other three are not scanned
         assert len(files) == 4
         [scanned] = counts["tokenize"]
-        assert "allow[DET001]" in scanned
+        assert "allow[DET004]" in scanned
 
 
 class TestParseErrors:

@@ -1,4 +1,4 @@
-"""Call-graph construction: resolution kinds, confidence, determinism."""
+"""Call-graph construction: resolution kinds, cold edges, determinism."""
 
 import ast
 import textwrap
@@ -19,7 +19,7 @@ def graph_of(files):
 
 
 def edges_from(graph, src):
-    return [(dst, kind, conf) for s, dst, kind, conf, _, _ in graph.edges if s == src]
+    return [(dst, kind) for s, dst, kind, _, _ in graph.edges if s == src]
 
 
 class TestResolution:
@@ -34,7 +34,7 @@ class TestResolution:
             """,
         })
         edges = edges_from(graph, "repro/sched/a.py::caller")
-        assert ("repro/sched/a.py::helper", "static", 1.0) in edges
+        assert ("repro/sched/a.py::helper", "static") in edges
 
     def test_cross_module_import_call(self):
         graph = graph_of({
@@ -50,7 +50,7 @@ class TestResolution:
             """,
         })
         edges = edges_from(graph, "repro/sched/a.py::caller")
-        assert ("repro/sched/b.py::helper", "static", 1.0) in edges
+        assert ("repro/sched/b.py::helper", "static") in edges
 
     def test_lazy_function_level_import_resolved(self):
         """Imports inside a function body (the repo's cycle-breaking idiom)
@@ -67,7 +67,7 @@ class TestResolution:
             """,
         })
         edges = edges_from(graph, "repro/sched/a.py::caller")
-        assert ("repro/sched/b.py::helper", "static", 1.0) in edges
+        assert ("repro/sched/b.py::helper", "static") in edges
 
     def test_self_method_call(self):
         graph = graph_of({
@@ -81,14 +81,11 @@ class TestResolution:
             """,
         })
         edges = edges_from(graph, "repro/sched/a.py::Kernel.step")
-        assert any(
-            dst == "repro/sched/a.py::Kernel.helper" and conf == 1.0
-            for dst, _, conf in edges
-        )
+        assert ("repro/sched/a.py::Kernel.helper", "method") in edges
 
     def test_attribute_typed_call(self):
         """A call through an annotated attribute resolves to the declared
-        class's method at sub-certain confidence."""
+        class's method."""
         graph = graph_of({
             "repro/sched/a.py": """
                 from repro.sched.b import Worker
@@ -107,26 +104,7 @@ class TestResolution:
             """,
         })
         edges = edges_from(graph, "repro/sched/a.py::Kernel.step")
-        assert any(
-            dst == "repro/sched/b.py::Worker.run" and conf >= 0.9
-            for dst, _, conf in edges
-        )
-
-    def test_first_class_reference_low_confidence(self):
-        graph = graph_of({
-            "repro/sched/a.py": """
-                def helper():
-                    return 1
-
-                def caller(apply):
-                    return apply(helper)
-            """,
-        })
-        edges = edges_from(graph, "repro/sched/a.py::caller")
-        assert any(
-            dst == "repro/sched/a.py::helper" and conf <= 0.5
-            for dst, _, conf in edges
-        )
+        assert ("repro/sched/b.py::Worker.run", "method") in edges
 
 
 class TestColdEdges:
@@ -141,7 +119,7 @@ class TestColdEdges:
             """,
         })
         cold = [
-            cold for s, dst, _, _, _, cold in graph.edges
+            cold for s, _, _, _, cold in graph.edges
             if s == "repro/sched/a.py::caller"
         ]
         assert cold == ["rare repair path"]
@@ -159,7 +137,7 @@ class TestColdEdges:
             """,
         })
         cold = [
-            cold for s, _, _, _, _, cold in graph.edges
+            cold for s, _, _, _, cold in graph.edges
             if s == "repro/sched/a.py::caller"
         ]
         assert len(cold) == 1 and cold[0] and "wraps" in cold[0]

@@ -131,18 +131,18 @@ class TestGraphOutAndExplain:
         _, run = workspace
         assert run("--explain", "repro/isa/leaf.py:999:HOT001") == 2
 
-    def test_explain_new_out_without_findings(self, workspace):
+    def test_explain_all_out_without_findings(self, workspace):
         ws, run = workspace
-        run("--explain-new-out", str(ws / "chains.txt"))
-        assert (ws / "chains.txt").read_text() == "no new findings\n"
+        run("--explain-all-out", str(ws / "chains.txt"))
+        assert (ws / "chains.txt").read_text() == "no findings\n"
 
-    def test_explain_new_out_lists_every_finding(self, workspace):
+    def test_explain_all_out_lists_every_finding(self, workspace):
         ws, run = workspace
         (ws / "repro/isa/leaf.py").write_text(textwrap.dedent("""
             def leaf(window):
                 return [x for x in window]
         """))
-        assert run("--explain-new-out", str(ws / "chains.txt")) == 1
+        assert run("--explain-all-out", str(ws / "chains.txt")) == 1
         chains = (ws / "chains.txt").read_text()
         assert chains.startswith("repro/isa/leaf.py:3:")
         assert "call chain:" in chains and "Kernel.step" in chains

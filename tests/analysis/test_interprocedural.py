@@ -1,14 +1,12 @@
-"""Whole-program passes: hot reachability, DET006/007, CON006/007, ENG002.
+"""The graph phase: hot-zone reachability, cold calls and ENG002.
 
-These are the regression tests for the interprocedural gap: a per-file
-pass only sees declared hot zones, so obligations used to stop at the
-file boundary and determinism taint at the expression.  The graph phase
-closes both holes; the first two tests here pin that closure.
+These are the regression tests for the interprocedural gap: a pass that
+only sees declared hot zones stops its obligations at the file boundary.
+Hot reachability closes that hole; the first two tests here pin it.
 """
 
 import textwrap
 
-import pytest
 
 from repro.analysis.engine import AnalysisEngine
 from tests.analysis.conftest import make_test_config, rule_ids
@@ -27,13 +25,13 @@ LISTCOMP_HELPER = """
 """
 
 
-def run_tree(tmp_path, files, config=None):
+def run_tree(tmp_path, files):
     for rel, source in files.items():
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
     engine = AnalysisEngine(
-        config or make_test_config(), root=tmp_path, repo_root=tmp_path
+        make_test_config(), root=tmp_path, repo_root=tmp_path
     )
     return engine.run([tmp_path / rel for rel in sorted(files)])
 
@@ -87,8 +85,8 @@ class TestHotReachability:
         assert "HOT001" in ids  # ... and does NOT silence the hot pass
 
     def test_declared_hot_zone_not_double_reported(self, tmp_path):
-        """Functions inside a declared zone belong to the per-file rules;
-        the graph pass must not repeat their findings."""
+        """A declared hot function is a root of the one graph pass and is
+        reported once."""
         findings = run_tree(tmp_path, {
             "repro/sched/hot.py": """
                 class Kernel:
@@ -97,143 +95,6 @@ class TestHotReachability:
             """,
         })
         assert rule_ids(findings) == ["HOT001"]
-
-
-class TestDeterminismTaint:
-    def test_laundered_wall_clock_reaches_state_det006(self, tmp_path):
-        """time.time() laundered through a helper's return value and stored
-        into simulation state — invisible per-file, caught by taint."""
-        findings = run_tree(tmp_path, {
-            "repro/sched/sim.py": """
-                from repro.sched.stamp import fresh_stamp
-
-                class Sim:
-                    def start(self):
-                        self.t0 = fresh_stamp()
-            """,
-            "repro/sched/stamp.py": """
-                import time
-
-                def fresh_stamp():
-                    return time.time()
-            """,
-        })
-        det = [f for f in findings if f.rule == "DET006"]
-        assert len(det) == 1
-        assert det[0].path == "repro/sched/sim.py"
-        assert "self.t0" in det[0].message
-        assert "time.time" in det[0].message
-
-    def test_tainted_value_reaching_canonical_sink_det007(self, tmp_path):
-        findings = run_tree(tmp_path, {
-            "repro/utils/canonical.py": """
-                import json
-
-                def canonical_dumps(obj):
-                    return json.dumps(obj, sort_keys=True)
-            """,
-            "repro/sched/golden.py": """
-                import time
-
-                from repro.utils.canonical import canonical_dumps
-
-                def snapshot(state):
-                    stamp = time.time()
-                    return canonical_dumps({"state": state, "at": stamp})
-            """,
-        })
-        det = [f for f in findings if f.rule == "DET007"]
-        assert len(det) == 1
-        assert det[0].path == "repro/sched/golden.py"
-
-    def test_seeded_rng_not_tainted(self, tmp_path):
-        findings = run_tree(tmp_path, {
-            "repro/sched/sim.py": """
-                import random
-
-                class Sim:
-                    def __init__(self, seed):
-                        self.rng = random.Random(seed)
-
-                    def start(self):
-                        self.jitter = self.rng.random()
-            """,
-        })
-        assert "DET006" not in rule_ids(findings)
-
-
-ROLES = {
-    "supervisor": ("repro/serving/app.py::boot",),
-    "api_worker": ("repro/serving/app.py::handle",),
-}
-
-
-def roles_config(**overrides):
-    return make_test_config(process_roles=dict(ROLES), **overrides)
-
-
-class TestProcessRoles:
-    def test_cross_domain_module_state_con006(self, tmp_path):
-        findings = run_tree(tmp_path, {
-            "repro/serving/app.py": """
-                _JOBS = {}
-
-                def boot():
-                    _JOBS["ready"] = True
-
-                def handle(request):
-                    return _JOBS.get("ready")
-            """,
-        }, config=roles_config())
-        con = [f for f in findings if f.rule == "CON006"]
-        assert len(con) == 1
-        assert "_JOBS" in con[0].message
-
-    def test_unattributed_mutation_con007(self, tmp_path):
-        findings = run_tree(tmp_path, {
-            "repro/serving/app.py": """
-                _JOBS = {}
-
-                def boot():
-                    return None
-
-                def handle(request):
-                    return None
-
-                def stray():
-                    _JOBS["x"] = 1
-            """,
-        }, config=roles_config())
-        con = [f for f in findings if f.rule == "CON007"]
-        assert len(con) == 1
-        assert "stray" in con[0].message
-
-    def test_empty_roles_table_disables_pass(self, tmp_path):
-        findings = run_tree(tmp_path, {
-            "repro/serving/app.py": """
-                _JOBS = {}
-
-                def stray():
-                    _JOBS["x"] = 1
-            """,
-        })
-        assert not {"CON006", "CON007"} & set(rule_ids(findings))
-
-    def test_queue_binding_exempt(self, tmp_path):
-        findings = run_tree(tmp_path, {
-            "repro/serving/app.py": """
-                from queue import Queue
-
-                _INBOX = Queue()
-
-                def boot():
-                    _INBOX.put("ready")
-
-                def handle(request):
-                    return _INBOX.get()
-            """,
-        }, config=roles_config())
-        assert not {"CON006", "CON007"} & set(rule_ids(findings))
 
 
 class TestRuleFilter:

@@ -6,12 +6,14 @@ back-edge fails the build locally, before any workflow runs.  An inline
 ``# repro: allow[RULE] -- reason`` is the only way to accept a finding.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.config import load_config
 from repro.analysis.engine import AnalysisEngine
+from repro.analysis.rules import RULE_REGISTRY
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -36,3 +38,12 @@ def test_the_whole_tree_was_analysed(repo_lint):
     engine, _ = repo_lint
     # guards against the gate silently analysing an empty directory
     assert engine.files_checked > 80
+
+
+def test_documented_rules_match_the_registry():
+    # every registered rule has one row in the rule tables of
+    # docs/static-analysis.md, and every row names a registered rule
+    doc = (REPO / "docs" / "static-analysis.md").read_text()
+    rows = re.findall(r"^\| `([A-Z]{3}\d{3})` \|", doc, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows)), "a rule has two rows"
+    assert sorted(rows) == sorted(RULE_REGISTRY)

@@ -102,48 +102,6 @@ class TestSharedModuleState:
         assert findings == []
 
 
-class TestPerRequestPrimitives:
-    def test_lock_built_in_handler_flagged(self, lint_tree):
-        findings = lint_tree({PATH: src("""
-            import threading
-
-            class Handler:
-                def do_GET(self):
-                    lock = threading.Lock()
-                    with lock:
-                        return self.render()
-        """)})
-        assert ids(findings) == ["CON003"]
-
-    def test_event_built_in_function_flagged(self, lint_tree):
-        findings = lint_tree({PATH: src("""
-            import threading
-
-            def wait_for_result():
-                done = threading.Event()
-                return done
-        """)})
-        assert ids(findings) == ["CON003"]
-
-    def test_lock_in_init_ok(self, lint_tree):
-        findings = lint_tree({PATH: src("""
-            import threading
-
-            class Store:
-                def __init__(self):
-                    self._lock = threading.Lock()
-        """)})
-        assert findings == []
-
-    def test_module_level_lock_ok(self, lint_tree):
-        findings = lint_tree({PATH: src("""
-            import threading
-
-            _LOCK = threading.Lock()
-        """)})
-        assert findings == []
-
-
 class TestStoreScopes:
     """CON001 v2: the WAL store's _read()/_write() scopes satisfy it."""
 
@@ -182,62 +140,3 @@ class TestStoreScopes:
                     return self._conn.execute("SELECT 1")
         """)})
         assert ids(findings) == ["CON001"]
-
-
-class TestRawSqliteConnect:
-    def test_connect_outside_store_flagged(self, lint_tree):
-        findings = lint_tree({"repro/serving/jobs.py": src("""
-            import sqlite3
-
-            def open_db(path):
-                return sqlite3.connect(path)
-        """)})
-        assert ids(findings) == ["CON004"]
-
-    def test_connect_outside_serving_flagged_too(self, lint_tree):
-        # repo-wide: a stray connection in any layer bypasses the store
-        findings = lint_tree({"repro/evaluation/batch.py": src("""
-            import sqlite3
-
-            conn = sqlite3.connect("x.sqlite")
-        """)})
-        assert "CON004" in ids(findings)
-
-    def test_connect_inside_store_ok(self, lint_tree):
-        findings = lint_tree({PATH: src("""
-            import sqlite3
-
-            class Store:
-                def _connect(self):
-                    return sqlite3.connect(self.path)
-        """)})
-        assert findings == []
-
-
-class TestModuleLevelSocket:
-    def test_module_socket_flagged(self, lint_tree):
-        findings = lint_tree({"repro/serving/supervisor.py": src("""
-            import socket
-
-            _SOCK = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        """)})
-        assert ids(findings) == ["CON005"]
-
-    def test_socket_in_function_ok(self, lint_tree):
-        findings = lint_tree({"repro/serving/supervisor.py": src("""
-            import socket
-
-            def bind(host, port):
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                sock.bind((host, port))
-                return sock
-        """)})
-        assert findings == []
-
-    def test_socket_outside_serving_ok(self, lint_tree):
-        findings = lint_tree({"repro/utils/net.py": src("""
-            import socket
-
-            _SOCK = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        """)})
-        assert findings == []

@@ -11,219 +11,6 @@ def ids(findings):
     return [f.rule for f in findings]
 
 
-class TestWallClock:
-    def test_time_module_call_flagged(self, lint_source):
-        findings = lint_source(src("""
-            import time
-
-            def stamp():
-                return time.time()
-        """))
-        assert ids(findings) == ["DET001"]
-
-    def test_from_import_perf_counter_flagged(self, lint_source):
-        findings = lint_source(src("""
-            from time import perf_counter
-
-            def stamp():
-                return perf_counter()
-        """))
-        assert ids(findings) == ["DET001"]
-
-    def test_datetime_now_flagged(self, lint_source):
-        findings = lint_source(src("""
-            import datetime
-
-            def stamp():
-                return datetime.datetime.now()
-        """))
-        assert ids(findings) == ["DET001"]
-
-    def test_out_of_scope_file_not_flagged(self, lint_tree):
-        findings = lint_tree({
-            "repro/serving/clock.py": src("""
-                import time
-
-                def stamp():
-                    return time.time()
-            """)
-        })
-        assert findings == []
-
-    def test_non_clock_time_attribute_ok(self, lint_source):
-        findings = lint_source(src("""
-            import time
-
-            def zone():
-                return time.tzname
-        """))
-        assert findings == []
-
-
-class TestRandomness:
-    def test_global_random_call_flagged(self, lint_source):
-        findings = lint_source(src("""
-            import random
-
-            def draw():
-                return random.random()
-        """))
-        assert ids(findings) == ["DET002"]
-
-    def test_from_import_choice_flagged(self, lint_source):
-        findings = lint_source(src("""
-            from random import choice
-
-            def draw(options):
-                return choice(options)
-        """))
-        assert ids(findings) == ["DET002"]
-
-    def test_seeded_instance_ok(self, lint_source):
-        findings = lint_source(src("""
-            import random
-
-            def make_rng(seed):
-                return random.Random(seed)
-        """))
-        assert findings == []
-
-    def test_instance_method_calls_ok(self, lint_source):
-        findings = lint_source(src("""
-            import random
-
-            class Policy:
-                def __init__(self, seed=0):
-                    self._rng = random.Random(seed)
-
-                def draw(self):
-                    return self._rng.choice((1, 2, 3))
-        """))
-        assert findings == []
-
-
-class TestDictOrderHashing:
-    def test_hash_over_keys_flagged(self, lint_source):
-        findings = lint_source(src("""
-            def digest(counts):
-                return hash(tuple(counts.keys()))
-        """))
-        assert ids(findings) == ["DET003"]
-
-    def test_hashlib_over_items_flagged(self, lint_source):
-        findings = lint_source(src("""
-            import hashlib
-
-            def digest(counts):
-                return hashlib.sha256(repr(tuple(counts.items())).encode())
-        """))
-        assert ids(findings) == ["DET003"]
-
-    def test_sorted_view_ok(self, lint_source):
-        findings = lint_source(src("""
-            def digest(counts):
-                return hash(tuple(sorted(counts.items())))
-        """))
-        assert findings == []
-
-    def test_order_insensitive_consumer_ok(self, lint_source):
-        findings = lint_source(src("""
-            def digest(counts):
-                return hash(frozenset(counts.items()))
-        """))
-        assert findings == []
-
-
-class TestNonCanonicalJson:
-    def test_dumps_in_scope_flagged(self, lint_tree):
-        findings = lint_tree({
-            "repro/sched/golden.py": src("""
-                import json
-
-                def save(record):
-                    return json.dumps(record)
-            """)
-        })
-        assert ids(findings) == ["DET005"]
-
-    def test_dump_to_file_in_scope_flagged(self, lint_tree):
-        findings = lint_tree({
-            "repro/sched/golden.py": src("""
-                import json
-
-                def save(record, fh):
-                    json.dump(record, fh)
-            """)
-        })
-        assert ids(findings) == ["DET005"]
-
-    def test_from_import_dumps_in_scope_flagged(self, lint_tree):
-        findings = lint_tree({
-            "repro/sched/golden.py": src("""
-                from json import dumps
-
-                def save(record):
-                    return dumps(record)
-            """)
-        })
-        assert ids(findings) == ["DET005"]
-
-    def test_loads_in_scope_ok(self, lint_tree):
-        findings = lint_tree({
-            "repro/sched/golden.py": src("""
-                import json
-
-                def load(text):
-                    return json.loads(text)
-            """)
-        })
-        assert findings == []
-
-    def test_canonical_dumps_in_scope_ok(self, lint_tree):
-        findings = lint_tree({
-            "repro/sched/golden.py": src("""
-                from repro.isa.canonical import canonical_dumps
-
-                def save(record):
-                    return canonical_dumps(record)
-            """)
-        })
-        assert findings == []
-
-    def test_dumps_out_of_scope_ok(self, lint_tree):
-        findings = lint_tree({
-            "repro/serving/payload.py": src("""
-                import json
-
-                def body(payload):
-                    return json.dumps(payload, indent=1)
-            """)
-        })
-        assert findings == []
-
-    def test_dumps_of_to_dict_flagged_anywhere(self, lint_tree):
-        findings = lint_tree({
-            "repro/serving/payload.py": src("""
-                import json
-
-                def body(result):
-                    return json.dumps(result.to_dict())
-            """)
-        })
-        assert ids(findings) == ["DET005"]
-
-    def test_dumps_of_nested_to_dict_flagged(self, lint_tree):
-        findings = lint_tree({
-            "repro/serving/payload.py": src("""
-                import json
-
-                def body(result, extra):
-                    return json.dumps({"result": result.to_dict(), "extra": extra})
-            """)
-        })
-        assert ids(findings) == ["DET005"]
-
-
 class TestEnvReads:
     def test_environ_read_flagged(self, lint_source):
         findings = lint_source(src("""

@@ -1,4 +1,4 @@
-"""HOT rule family: allocations and telemetry discipline in hot zones."""
+"""HOT rule family: per-cycle work in declared hot zones."""
 
 import textwrap
 
@@ -17,16 +17,18 @@ class TestHotAllocations:
                     return [x * 2 for x in self.window]
         """))
         assert rule_ids(findings) == ["HOT001"]
-        assert "ListComp" in findings[0].message
+        assert "list comprehension in hot zone 'Kernel.step'" in (
+            findings[0].message
+        )
 
-    def test_generator_and_container_call_flagged(self, lint_source):
+    def test_generator_expression_flagged(self, lint_source):
         findings = lint_source(src("""
             class Kernel:
                 def step(self):
                     counts = dict(self.live_counts())
                     return sum(x for x in counts)
         """))
-        assert sorted(rule_ids(findings)) == ["HOT001", "HOT002"]
+        assert rule_ids(findings) == ["HOT001"]
 
     def test_fstring_and_lambda_flagged(self, lint_source):
         findings = lint_source(src("""
@@ -78,109 +80,4 @@ class TestHotAllocations:
             """),
             path="repro/sched/cold.py",
         )
-        assert findings == []
-
-
-class TestHotDataclassSlots:
-    def test_dataclass_without_slots_in_hotzone_file_flagged(self, lint_source):
-        findings = lint_source(src("""
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Record:
-                seq: int
-        """))
-        assert rule_ids(findings) == ["HOT005"]
-        assert "Record" in findings[0].message
-
-    def test_bare_dataclass_decorator_flagged(self, lint_source):
-        findings = lint_source(src("""
-            from dataclasses import dataclass
-
-            @dataclass
-            class Record:
-                seq: int
-        """))
-        assert rule_ids(findings) == ["HOT005"]
-
-    def test_slotted_dataclass_ok(self, lint_source):
-        findings = lint_source(src("""
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True, slots=True)
-            class Record:
-                seq: int
-        """))
-        assert findings == []
-
-    def test_plain_class_ok(self, lint_source):
-        findings = lint_source(src("""
-            class Record:
-                pass
-        """))
-        assert findings == []
-
-
-class TestHotTelemetryGuard:
-    def test_unguarded_telemetry_call_flagged(self, lint_source):
-        findings = lint_source(src("""
-            class Kernel:
-                def step(self):
-                    tel = self._telemetry
-                    tel.on_cycle(self, 1)
-        """))
-        assert rule_ids(findings) == ["HOT006"]
-
-    def test_attribute_receiver_flagged(self, lint_source):
-        findings = lint_source(src("""
-            class Kernel:
-                def tick(self):
-                    self._telemetry.on_cycle(self, 1)
-        """))
-        assert rule_ids(findings) == ["HOT006"]
-
-    def test_one_truthiness_check_pattern_ok(self, lint_source):
-        findings = lint_source(src("""
-            class Kernel:
-                def step(self):
-                    tel = self._telemetry
-                    if tel is not None:
-                        tel.on_cycle(self, 1)
-        """))
-        assert findings == []
-
-    def test_guard_on_self_attribute_ok(self, lint_source):
-        findings = lint_source(src("""
-            class Kernel:
-                def tick(self):
-                    if self._telemetry:
-                        self._telemetry.on_cycle(self, 1)
-        """))
-        assert findings == []
-
-    def test_unguarded_observer_hook_flagged(self, lint_source):
-        findings = lint_source(src("""
-            class Kernel:
-                def step(self):
-                    obs = self.observer
-                    obs.on_stage(self, "retire")
-        """))
-        assert rule_ids(findings) == ["HOT006"]
-
-    def test_unguarded_observer_attribute_flagged(self, lint_source):
-        findings = lint_source(src("""
-            class Kernel:
-                def step(self):
-                    self._observer.on_cycle(self, 1)
-        """))
-        assert rule_ids(findings) == ["HOT006"]
-
-    def test_observer_none_check_pattern_ok(self, lint_source):
-        findings = lint_source(src("""
-            class Kernel:
-                def step(self):
-                    obs = self._observer
-                    if obs is not None:
-                        obs.on_stage(self, "retire")
-        """))
         assert findings == []

@@ -145,11 +145,13 @@ def test_pickled_job_carries_no_encoding():
     from repro.core.processor import Processor
 
     job = SimJob("steering", checksum(iterations=5).program, _PARAMS)
+    fresh = len(pickle.dumps(job))
     key = job_key(job)
-    keyed = len(pickle.dumps(job))
+    # keying encodes the program without writing into its instructions
+    assert len(pickle.dumps(job)) == fresh
     # the words and the decode the processor fetches stay behind
     Processor(job.program, params=_PARAMS)
-    assert len(pickle.dumps(job)) == keyed
+    assert len(pickle.dumps(job)) == fresh
     copy = pickle.loads(pickle.dumps(job))
     assert "words" not in vars(copy.program)
     assert job_key(copy) == key

@@ -99,18 +99,18 @@ def test_cached_submission_answers_without_simulating():
 
 
 def test_backpressure_raises_jobqueuefull(monkeypatch):
-    import repro.serving.jobs as jobs_mod
+    import repro.evaluation.batch as batch_mod
 
     release = threading.Event()
     started = threading.Event()
     result = run_many([build_job(_SPEC)])[0]
 
-    def blocking_run_many(jobs, workers=0, cache=None, **kw):
+    def blocking_execute_job(job):
         started.set()
         release.wait(30)
-        return [result for _ in jobs]
+        return result
 
-    monkeypatch.setattr(jobs_mod, "run_many", blocking_run_many)
+    monkeypatch.setattr(batch_mod, "execute_job", blocking_execute_job)
     queue = StoreJobQueue(RunStore(), capacity=1)
     queue.start()
     try:
@@ -128,12 +128,12 @@ def test_backpressure_raises_jobqueuefull(monkeypatch):
 
 
 def test_failed_job_reports_error(monkeypatch):
-    import repro.serving.jobs as jobs_mod
+    import repro.evaluation.batch as batch_mod
 
-    def exploding_run_many(jobs, workers=0, cache=None, **kw):
+    def exploding_execute_job(job):
         raise RuntimeError("simulator exploded")
 
-    monkeypatch.setattr(jobs_mod, "run_many", exploding_run_many)
+    monkeypatch.setattr(batch_mod, "execute_job", exploding_execute_job)
     queue = StoreJobQueue(RunStore(), capacity=2)
     queue.start()
     try:

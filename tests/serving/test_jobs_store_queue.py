@@ -88,6 +88,44 @@ def test_two_queue_instances_share_the_backlog(store):
     assert sim.executed == 1 and api.executed == 0
 
 
+def test_drain_runs_each_job_under_its_stored_key(store, monkeypatch):
+    from repro.evaluation import batch
+    from repro.serving import jobs
+
+    api = _queue(store, owner="api-0")
+    sim = _queue(store, owner="sim-0", cache=api.cache)
+    records = [api.submit({**SPEC, "max_cycles": 5_000 + i}) for i in range(3)]
+    calls = []
+
+    def counted(job):
+        calls.append(job.label)
+        return real(job)
+
+    real = batch.job_key
+    monkeypatch.setattr(batch, "job_key", counted)
+    monkeypatch.setattr(jobs, "job_key", counted)
+    while sim.claim_and_run_one():
+        pass
+    # the API worker keyed each spec once; the drain keys nothing again
+    assert calls == []
+    assert sim.executed == 3
+    for record in records:
+        assert api.cache.has(record.key)
+        assert api.get(record.job_id).state == "done"
+
+
+def test_executed_counts_simulations_not_cache_answers(store):
+    q = _queue(store)
+    # two rows of one spec queued before either runs: the second claim
+    # finds the first one's result in the cache
+    first, second = q.submit(SPEC), q.submit(SPEC)
+    assert first.key == second.key and second.state == "queued"
+    while q.claim_and_run_one():
+        pass
+    assert q.executed == 1
+    assert q.get(first.job_id).run_id == q.get(second.job_id).run_id
+
+
 def test_in_process_drain_thread(store):
     q = _queue(store)
     q.start()
