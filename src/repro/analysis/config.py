@@ -174,6 +174,21 @@ class AnalysisConfig:
         return module_path in self.config_modules
 
 
+#: the schema: top-level keys and ``[scopes]`` keys.  Any other key is a
+#: configuration error, so a misspelt or retired table cannot be ignored.
+_ROOT_KEYS = ("package", "layers", "hotzones", "scopes")
+_SCOPE_KEYS = ("determinism", "concurrency", "config_modules", "event_log_modules")
+
+
+def _check_keys(table: dict, known: tuple[str, ...], context: str) -> None:
+    unknown = sorted(set(table) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"{context}: unknown key(s) {', '.join(map(repr, unknown))} "
+            f"(expected {', '.join(known)})"
+        )
+
+
 def _as_str_tuple(value, context: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigurationError(f"{context} must be a list of strings, got {value!r}")
@@ -195,6 +210,7 @@ def load_config(path: str | Path) -> AnalysisConfig:
     else:  # pragma: no cover - exercised only on Python 3.10
         raw = _parse_minimal_toml(text)
 
+    _check_keys(raw, _ROOT_KEYS, str(path))
     package = raw.get("package", "repro")
     if not isinstance(package, str) or not package:
         raise ConfigurationError(f"{path}: 'package' must be a non-empty string")
@@ -213,6 +229,7 @@ def load_config(path: str | Path) -> AnalysisConfig:
         for file, funcs in raw.get("hotzones", {}).items()
     }
     scopes = raw.get("scopes", {})
+    _check_keys(scopes, _SCOPE_KEYS, f"{path}: [scopes]")
     return AnalysisConfig(
         package=package,
         layers=layers,

@@ -1,55 +1,13 @@
-"""Combinational-circuit models for the configuration-selection hardware.
+"""Gate-level hardware of the configuration-selection unit.
 
 The configuration manager of the paper is specified as a concrete circuit
-(Figs. 2, 3 and 7): one-hot unit decoders, population-count requirement
+(Figs. 2 and 3): one-hot unit decoders, population-count requirement
 encoders, barrel-shifter error-metric generators summed by a 3-bit
 five-operand adder, and a minimal-error comparator tree.  This package
-provides bit-accurate functional models of those blocks together with
-analytic gate-count / logic-depth estimates (:mod:`repro.circuits.cost`)
-that back the paper's "fast and efficient" claim.
-
-All functional models operate on plain ints as fixed-width unsigned bit
-vectors and raise :class:`repro.errors.CircuitError` when driven outside
-their declared width, mimicking a hardware assertion.
+builds that circuit as one netlist of 2-input gates:
+:mod:`repro.circuits.netlist` holds the gate graph, its bit-sliced
+evaluator and the generic blocks, :mod:`repro.circuits.selection_netlist`
+the four stages.  The simulator's selection tables are truth tables of
+its blocks, and its gate count and depth back the paper's "fast and
+efficient" claim (E-COST).
 """
-
-from repro.circuits.adders import (
-    full_adder,
-    multi_operand_add,
-    ripple_carry_add,
-    saturating_add,
-)
-from repro.circuits.comparators import equals, less_than, minimum_index
-from repro.circuits.cost import (
-    CircuitCost,
-    barrel_shifter_cost,
-    comparator_cost,
-    multi_operand_adder_cost,
-    popcount_cost,
-    ripple_adder_cost,
-    selection_unit_cost,
-)
-from repro.circuits.encoders import one_hot, popcount_tree, priority_encoder
-from repro.circuits.shifters import barrel_shift_right, cem_shift_control
-
-__all__ = [
-    "full_adder",
-    "ripple_carry_add",
-    "saturating_add",
-    "multi_operand_add",
-    "equals",
-    "less_than",
-    "minimum_index",
-    "one_hot",
-    "priority_encoder",
-    "popcount_tree",
-    "barrel_shift_right",
-    "cem_shift_control",
-    "CircuitCost",
-    "ripple_adder_cost",
-    "barrel_shifter_cost",
-    "comparator_cost",
-    "popcount_cost",
-    "multi_operand_adder_cost",
-    "selection_unit_cost",
-]

@@ -1,16 +1,22 @@
-"""Gate-level netlists of the selection circuits.
+"""Gate-level netlists: the one hardware model of the selection circuits.
 
-Where :mod:`repro.circuits.adders` etc. model the hardware *functionally*,
-this module builds the same blocks as explicit gate graphs — 2-input
-AND/OR/XOR/NOT primitives wired through named nets — that can be evaluated,
-counted and depth-analysed.  The netlist builders are verified against the
-functional models (property tests), and their true gate counts calibrate
-the analytic estimates in :mod:`repro.circuits.cost`.
+Blocks are explicit gate graphs — 2-input AND/OR/XOR and NOT primitives
+wired through numbered nets — that can be evaluated, counted and
+depth-analysed.  :mod:`repro.circuits.selection_netlist` builds the Fig. 2
+selection unit from the generic blocks here; the simulator's lookup tables
+(:mod:`repro.steering.selection`) are truth tables of those builders, and
+the E-COST figures are their gate counts and depths.
+
+Evaluation is bit-sliced: every net carries one int whose bit ``p`` is the
+net's value under input pattern ``p``, so one pass over the gates yields a
+whole truth table (:meth:`Netlist.truth_table`); :meth:`Netlist.evaluate`
+is its one-pattern case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import CircuitError
 
@@ -18,17 +24,17 @@ __all__ = [
     "Netlist",
     "build_ripple_adder",
     "build_popcount",
-    "build_barrel_shifter",
     "build_less_than",
     "build_minimum_selector",
-    "build_cem_generator",
 ]
 
 _KINDS = {"AND": 2, "OR": 2, "XOR": 2, "NOT": 1}
 
+#: ASCII '0'/'1' -> byte 0/1: a pattern-bit string becomes one byte per pattern.
+_SPREAD = bytes.maketrans(b"01", b"\x00\x01")
 
-@dataclass(frozen=True)
-class _Gate:
+
+class _Gate(NamedTuple):
     kind: str
     inputs: tuple[int, ...]
     output: int
@@ -47,7 +53,10 @@ class Netlist:
     gates: list[_Gate] = field(default_factory=list)
     inputs: dict[str, list[int]] = field(default_factory=dict)
     outputs: dict[str, list[int]] = field(default_factory=dict)
-    _depth: dict[int, int] = field(default_factory=lambda: {0: 0, 1: 0})
+    #: ``(name, gates, depth)`` per stage closed by :meth:`end_stage`: the
+    #: gates added since the previous stage and the depth of its outputs.
+    stages: list[tuple[str, int, int]] = field(default_factory=list)
+    _depth: list[int] = field(default_factory=lambda: [0, 0])
 
     # ------------------------------------------------------------- wiring
     @property
@@ -61,7 +70,7 @@ class Netlist:
     def new_net(self) -> int:
         net = self._n_nets
         self._n_nets += 1
-        self._depth.setdefault(net, 0)
+        self._depth.append(0)
         return net
 
     def input_bus(self, name: str, width: int) -> list[int]:
@@ -113,51 +122,97 @@ class Netlist:
     def gate_count(self) -> int:
         return len(self.gates)
 
+    def depth_of(self, nets: list[int]) -> int:
+        """Logic levels on the longest path into any of ``nets``."""
+        return max((self._depth[n] for n in nets), default=0)
+
     @property
     def depth(self) -> int:
         targets = [n for bus in self.outputs.values() for n in bus]
-        if not targets:
-            targets = list(self._depth)
-        return max(self._depth[n] for n in targets)
+        return self.depth_of(targets) if targets else max(self._depth)
+
+    def end_stage(self, name: str, nets: list[int]) -> None:
+        """Close a named stage whose outputs are ``nets`` (see ``stages``)."""
+        before = sum(gates for _, gates, _ in self.stages)
+        self.stages.append((name, self.gate_count - before, self.depth_of(nets)))
 
     # ---------------------------------------------------------- evaluation
-    def evaluate(self, **bus_values: int) -> dict[str, int]:
-        """Drive the named input buses with integer values (LSB-first
-        encoding) and return every output bus as an integer."""
-        values = {0: 0, 1: 1}
-        for name, bus in self.inputs.items():
-            if name not in bus_values:
-                raise CircuitError(f"missing value for input bus {name!r}")
-            v = bus_values[name]
-            if v < 0 or v >= (1 << len(bus)):
+    def truth_table(self, **fixed: int) -> dict[str, list[int]]:
+        """Every output bus over every combination of the input buses not
+        in ``fixed``, in one bit-sliced pass over the gates.
+
+        Pattern ``p`` drives the free input bits — buses in declaration
+        order, each LSB first — with the bits of ``p``, and each ``fixed``
+        bus with its value.  Returns every output bus as the list of its
+        values indexed by ``p``.
+        """
+        unknown = set(fixed) - set(self.inputs)
+        if unknown:
+            raise CircuitError(f"unknown input buses: {sorted(unknown)}")
+        free = [
+            net for name, bus in self.inputs.items() if name not in fixed for net in bus
+        ]
+        n_patterns = 1 << len(free)
+        ones = (1 << n_patterns) - 1
+        values = [0] * self._n_nets
+        values[1] = ones
+        for name, value in fixed.items():
+            bus = self.inputs[name]
+            if value < 0 or value >= (1 << len(bus)):
                 raise CircuitError(
-                    f"value {v} does not fit input bus {name!r} ({len(bus)} bits)"
+                    f"value {value} does not fit input bus {name!r} ({len(bus)} bits)"
                 )
             for i, net in enumerate(bus):
-                values[net] = (v >> i) & 1
-        extra = set(bus_values) - set(self.inputs)
-        if extra:
-            raise CircuitError(f"unknown input buses: {sorted(extra)}")
+                if (value >> i) & 1:
+                    values[net] = ones
+        for j, net in enumerate(free):
+            # bit p is bit j of p: runs of 2**j zeros then 2**j ones
+            run = 1 << j
+            values[net] = ones // ((1 << (2 * run)) - 1) * (((1 << run) - 1) << run)
 
-        for gate in self.gates:
-            ins = [values[i] for i in gate.inputs]
-            if gate.kind == "AND":
-                out = ins[0] & ins[1]
-            elif gate.kind == "OR":
-                out = ins[0] | ins[1]
-            elif gate.kind == "XOR":
-                out = ins[0] ^ ins[1]
+        for kind, ins, out in self.gates:
+            a = values[ins[0]]
+            if kind == "AND":
+                values[out] = a & values[ins[1]]
+            elif kind == "OR":
+                values[out] = a | values[ins[1]]
+            elif kind == "XOR":
+                values[out] = a ^ values[ins[1]]
             else:  # NOT
-                out = ins[0] ^ 1
-            values[gate.output] = out
+                values[out] = a ^ ones
 
-        result = {}
-        for name, bus in self.outputs.items():
-            v = 0
-            for i, net in enumerate(bus):
-                v |= values[net] << i
-            result[name] = v
-        return result
+        return {
+            name: _per_pattern([values[net] for net in bus], n_patterns)
+            for name, bus in self.outputs.items()
+        }
+
+    def evaluate(self, **bus_values: int) -> dict[str, int]:
+        """Drive every input bus with an integer (LSB-first encoding) and
+        return every output bus as an integer: the one-pattern truth table."""
+        for name in self.inputs:
+            if name not in bus_values:
+                raise CircuitError(f"missing value for input bus {name!r}")
+        return {
+            name: column[0] for name, column in self.truth_table(**bus_values).items()
+        }
+
+
+def _per_pattern(nets: list[int], n_patterns: int) -> list[int]:
+    """Bit-sliced bus nets -> the bus value of each pattern.
+
+    Each net's pattern bits are spread one per byte (its binary digits
+    translated to bytes 0/1), so a group of up to eight bus bits is one
+    shift-and-OR per bit and its per-pattern values are the bytes.
+    """
+    result = [0] * n_patterns
+    for low in range(0, len(nets), 8):
+        packed = 0
+        for i, v in enumerate(nets[low : low + 8]):
+            digits = format(v, f"0{n_patterns}b").encode().translate(_SPREAD)
+            packed |= int.from_bytes(digits, "big") << i
+        group = packed.to_bytes(n_patterns, "little")
+        result = [r | (g << low) for r, g in zip(result, group)]
+    return result
 
 
 # ---------------------------------------------------------------- builders
@@ -183,27 +238,13 @@ def build_ripple_adder(
 
 
 def build_popcount(nl: Netlist, bits: list[int], out_width: int) -> list[int]:
-    """Population counter: adder tree over single-bit inputs."""
+    """Population counter: one ripple add per input bit, so the
+    ``out_width``-bit count wraps modulo ``2**out_width``."""
     total = [nl.zero] * out_width
     for bit in bits:
         addend = [bit] + [nl.zero] * (out_width - 1)
         total, _ = build_ripple_adder(nl, total, addend)
     return total
-
-
-def build_barrel_shifter(
-    nl: Netlist, value: list[int], shift: list[int]
-) -> list[int]:
-    """Logical right shifter: one mux rank per shift-control bit."""
-    current = list(value)
-    for rank, sel in enumerate(shift):
-        amount = 1 << rank
-        shifted = [
-            current[i + amount] if i + amount < len(current) else nl.zero
-            for i in range(len(current))
-        ]
-        current = [nl.mux(sel, keep, sh) for keep, sh in zip(current, shifted)]
-    return current
 
 
 def build_less_than(nl: Netlist, a: list[int], b: list[int]) -> int:
@@ -243,27 +284,3 @@ def build_minimum_selector(
             nl.mux(take, old, new) for old, new in zip(best_index, k_bits)
         ]
     return best_index
-
-
-def build_cem_generator(
-    nl: Netlist,
-    required: list[list[int]],
-    shifts: list[int],
-    sum_width: int = 6,
-) -> list[int]:
-    """One Fig. 3(b) CEM generator with hard-wired shift amounts.
-
-    ``required`` holds the five 3-bit required-count buses; ``shifts`` the
-    per-type constant shift (0, 1 or 2).  Returns the ``sum_width``-bit
-    error bus.
-    """
-    if len(required) != len(shifts):
-        raise CircuitError("one shift per required-count bus")
-    total = [nl.zero] * sum_width
-    for bus, shift in zip(required, shifts):
-        if shift < 0 or shift >= len(bus):
-            raise CircuitError(f"hard-wired shift {shift} out of range")
-        shifted = bus[shift:] + [nl.zero] * shift  # drop low bits = >> shift
-        padded = shifted + [nl.zero] * (sum_width - len(shifted))
-        total, _ = build_ripple_adder(nl, total, padded)
-    return total

@@ -27,9 +27,9 @@ from repro.frontend.memory import DataMemory
 from repro.isa.assembler import assemble
 from repro.isa.futypes import FU_TYPES, FUType
 from repro.sched.ruu import RegisterUpdateUnit
-from repro.steering.error_metric import cem_error, exact_error, hardwired_shifts
+from repro.steering.error_metric import exact_error
 from repro.steering.selection import ConfigurationSelectionUnit
-from repro.circuits.shifters import cem_shift_control
+from repro.circuits.selection_netlist import wired_shift
 
 __all__ = [
     "table1",
@@ -134,7 +134,7 @@ def figure3_cem_study(samples: int = 2000, seed: int = 0) -> CemStudy:
     term_rows = []
     errors = []
     for avail in range(1, 8):
-        shift = cem_shift_control(avail)
+        shift = wired_shift(avail)
         for req in range(8):
             approx = req >> shift
             exact = req / avail
@@ -152,7 +152,9 @@ def figure3_cem_study(samples: int = 2000, seed: int = 0) -> CemStudy:
         title="Figure 3(c): shift control vs exact division, per term",
     )
 
-    # end-to-end selection agreement on random requirement vectors
+    # end-to-end selection agreement on random requirement vectors; the
+    # shift metric's errors are the selection unit's (current = FFUs only)
+    unit = ConfigurationSelectionUnit()
     rng = random.Random(seed)
     ffus_only = tuple(FFU_COUNTS[t] for t in FU_TYPES)
     candidates = []
@@ -165,10 +167,9 @@ def figure3_cem_study(samples: int = 2000, seed: int = 0) -> CemStudy:
         for _ in range(total):
             required[rng.randrange(5)] += 1
         required = tuple(min(7, r) for r in required)
-        approx_errs = [cem_error(required, tuple(cem_shift_control(c) for c in ffus_only))]
+        approx_errs = unit.select_required(required, ffus_only).errors
         exact_errs = [exact_error(required, ffus_only)]
-        for cfg, avail in zip(PREDEFINED_CONFIGS, candidates):
-            approx_errs.append(cem_error(required, hardwired_shifts(cfg)))
+        for avail in candidates:
             exact_errs.append(exact_error(required, avail))
         if approx_errs.index(min(approx_errs)) == exact_errs.index(min(exact_errs)):
             agree += 1
@@ -181,12 +182,9 @@ def figure3_cem_study(samples: int = 2000, seed: int = 0) -> CemStudy:
         ("balanced", (2, 1, 2, 1, 1)),
     ):
         row = [name]
-        for cfg in PREDEFINED_CONFIGS:
-            avail = tuple(cfg.count(t) + FFU_COUNTS[t] for t in FU_TYPES)
-            row.append(
-                f"{cem_error(required, hardwired_shifts(cfg))} "
-                f"({exact_error(required, avail):.2f})"
-            )
+        cems = unit.select_required(required, ffus_only).errors
+        for error, avail in zip(cems[1:], candidates):
+            row.append(f"{error} ({exact_error(required, avail):.2f})")
         demo_rows.append(tuple(row))
     table = render_table(
         ["queue"] + [f"cfg {c.name}: approx (exact)" for c in PREDEFINED_CONFIGS],

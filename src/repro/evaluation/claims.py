@@ -199,7 +199,7 @@ CLAIMS: tuple[Claim, ...] = (
     _claim("E-ORTH.similarity-no-help", "§5", "correlation of similarity and IPC",
            _correlation, "≤", 0.25),
     # E-COST: "fast and efficient"
-    _claim("E-COST.gates", "§3", "gate equivalents, 7-entry queue",
+    _claim("E-COST.gates", "§3", "2-input gates, 7-entry queue",
            lambda m: m["gates_q7"], "<", 10_000),
     _claim("E-COST.depth", "§3", "logic depth, 7-entry queue",
            lambda m: m["depth_q7"], "<", 120),

@@ -17,7 +17,7 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 
-from repro.circuits.cost import selection_unit_cost
+from repro.circuits.selection_netlist import build_selection_unit
 from repro.core.params import ProcessorParams
 from repro.core.stats import SimulationResult
 from repro.errors import ConfigurationError
@@ -45,6 +45,7 @@ __all__ = [
     "run_cem_ablation",
     "run_frontend_ablation",
     "run_orthogonality_study",
+    "CircuitCostReport",
     "run_circuit_cost_report",
     "run_demand_steering",
     "run_stall_attribution",
@@ -54,7 +55,6 @@ __all__ = [
     "latency_sweep_metrics",
     "queue_depth_metrics",
     "cem_metrics",
-    "circuit_cost_metrics",
     "table_metrics",
 ]
 
@@ -565,54 +565,45 @@ def run_orthogonality_study(
 
 
 # ----------------------------------------------------------------- E-COST
-def run_circuit_cost_report(
-    queue_sizes: list[int] | None = None,
-) -> str:
-    """E-COST: gate count and logic depth of the selection unit, plus the
-    gate counts of the synthesised netlists."""
-    from repro.circuits.netlist import Netlist
-    from repro.circuits.selection_netlist import (
-        build_requirement_encoders,
-        build_selection_core,
-    )
+@dataclass
+class CircuitCostReport:
+    """E-COST: the four-stage selection unit synthesised per queue size.
 
-    if queue_sizes is None:
-        queue_sizes = [7]
-    sections = []
-    for n in queue_sizes:
-        costs = selection_unit_cost(n_entries=n)
-        rows = [
-            (stage, c.gates, c.depth)
-            for stage, c in costs.items()
-        ]
-        sections.append(
+    ``stages[n]`` holds ``(stage, gates, depth)`` rows for an ``n``-entry
+    queue — each stage's own gates and the logic depth at its outputs —
+    ending with the whole netlist's ``total``.
+    """
+
+    stages: dict[int, list[tuple[str, int, int]]]
+
+    def render(self) -> str:
+        return "\n\n".join(
             render_table(
-                ["stage", "gate equivalents", "logic depth"],
+                ["stage", "2-input gates", "logic depth"],
                 rows,
                 title=f"E-COST: selection unit, {n}-entry queue",
             )
+            for n, rows in self.stages.items()
         )
-    core = build_selection_core()
-    encoders = Netlist()
-    build_requirement_encoders(encoders, n_entries=7)
-    sections.append(
-        "Measured gate-level netlists (2-input gates, synthesised here):\n"
-        f"  requirement encoders (stage 2): {encoders.gate_count} gates, "
-        f"depth {encoders.depth}\n"
-        f"  CEM generators + selector (stages 3-4): {core.gate_count} gates, "
-        f"depth {core.depth}"
-    )
-    return "\n\n".join(sections)
+
+    def metrics(self) -> dict[str, float]:
+        """Total gates and logic depth per queue size."""
+        out: dict[str, float] = {}
+        for n, rows in self.stages.items():
+            _, gates, depth = rows[-1]
+            out[f"gates_q{n}"] = gates
+            out[f"depth_q{n}"] = depth
+        return out
 
 
-def circuit_cost_metrics(queue_sizes: list[int]) -> dict[str, float]:
-    """Total gate equivalents and logic depth per queue size."""
-    out: dict[str, float] = {}
-    for n in queue_sizes:
-        total = selection_unit_cost(n_entries=n)["total"]
-        out[f"gates_q{n}"] = total.gates
-        out[f"depth_q{n}"] = total.depth
-    return out
+def run_circuit_cost_report(queue_sizes: list[int] | None = None) -> CircuitCostReport:
+    """E-COST: gate count and logic depth of the selection unit's netlist,
+    one synthesis per queue size."""
+    stages = {}
+    for n in queue_sizes if queue_sizes is not None else [7]:
+        netlist = build_selection_unit(n_entries=n)
+        stages[n] = [*netlist.stages, ("total", netlist.gate_count, netlist.depth)]
+    return CircuitCostReport(stages)
 
 
 # ------------------------------------------- E-DEMAND, E-STALL, E-SPEC

@@ -20,7 +20,6 @@ from repro.evaluation.batch import ResultCache, SimJob, run_many
 from repro.evaluation.claims import ClaimResult, check_claims, render_claims
 from repro.evaluation.experiments import (
     cem_metrics,
-    circuit_cost_metrics,
     latency_sweep_metrics,
     queue_depth_metrics,
     run_basis_design,
@@ -249,10 +248,9 @@ def generate_report(
     )
 
     note("experiment: E-COST")
-    parts.append(
-        _section("E-COST — circuit cost", run_circuit_cost_report([4, 7, 16]))
-    )
-    record("E-COST", circuit_cost_metrics([4, 7, 16]))
+    cost = run_circuit_cost_report([4, 7, 16])
+    parts.append(_section("E-COST — circuit cost", cost.render()))
+    record("E-COST", cost.metrics())
 
     four = pick("checksum", "memcpy", "saxpy", "fir_filter")
     note("experiment: E-DEMAND")

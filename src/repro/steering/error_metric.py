@@ -1,71 +1,22 @@
-"""Configuration-error-metric (CEM) generators: Fig. 3.
+"""The reference configuration-error metric: exact division.
 
-Each generator scores how well one candidate configuration matches the
-queue's requirements::
+The hardware metric of Fig. 3 scores a candidate configuration as
 
     error(c) = sum over types t of  required[t] >> shift(available_c[t])
 
-i.e. the required count of each type divided — approximately, by a barrel
-shifter — by the candidate's available count of that type (fixed + its
-reconfigurable units) rounded down to a power of two.  Intuitively the
-term is "queue-drain cycles demanded of type t under candidate c"; the
-best candidate minimises the sum.
-
-For the three predefined configurations the shift amounts are **hard-wired**
-(divide by 4, 2 or 1); for the current configuration the shifts come from
-the upper two bits of the live configured-unit counts (Fig. 3(c),
-:func:`repro.circuits.shifters.cem_shift_control`).  Terms are summed by a
-3-bit five-operand adder into a 6-bit metric.
-
-:func:`exact_error` is the reference metric with true division, used by the
-E-CEM ablation to quantify what the shifter approximation costs.
+— each required count divided, approximately, by the candidate's
+available count rounded down to a power of two (the gates are in
+:mod:`repro.circuits.selection_netlist`).  :func:`exact_error` computes
+the same sum with true division; the E-CEM ablation
+(``use_exact_metric``) and the Fig. 3 study use it to quantify what the
+shifter approximation costs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.circuits.adders import multi_operand_add
-from repro.circuits.shifters import (
-    COUNT_WIDTH,
-    SUM_WIDTH,
-    barrel_shift_right,
-    cem_shift_control,
-    hardwired_shifts,
-)
-from repro.errors import ConfigurationError
-from repro.fabric.configuration import FFU_COUNTS, Configuration
-from repro.isa.futypes import FU_TYPES, NUM_FU_TYPES
-
-# COUNT_WIDTH, SUM_WIDTH and hardwired_shifts live with the shifter
-# hardware in repro.circuits.shifters (steering sits above circuits in the
-# layer DAG); re-exported here because they are part of the CEM interface.
-__all__ = [
-    "COUNT_WIDTH",
-    "SUM_WIDTH",
-    "hardwired_shifts",
-    "cem_error",
-    "exact_error",
-    "ErrorMetricGenerator",
-]
-
-
-def cem_error(required: Sequence[int], shifts: Sequence[int]) -> int:
-    """Evaluate one CEM generator (Fig. 3(b)).
-
-    ``required`` are the five 3-bit required counts; ``shifts`` the five
-    shift amounts (hard-wired or from Fig. 3(c)).  Returns the 6-bit error.
-    """
-    if len(required) != NUM_FU_TYPES or len(shifts) != NUM_FU_TYPES:
-        raise ConfigurationError(
-            f"CEM needs {NUM_FU_TYPES} required counts and shifts, "
-            f"got {len(required)} and {len(shifts)}"
-        )
-    terms = [
-        barrel_shift_right(req, shift, COUNT_WIDTH)
-        for req, shift in zip(required, shifts)
-    ]
-    return multi_operand_add(terms, COUNT_WIDTH, SUM_WIDTH)
+__all__ = ["exact_error"]
 
 
 def exact_error(required: Sequence[int], available: Sequence[int]) -> float:
@@ -83,59 +34,3 @@ def exact_error(required: Sequence[int], available: Sequence[int]) -> float:
         else:
             total += req / avail
     return total
-
-
-class ErrorMetricGenerator:
-    """One Fig. 3 CEM generator bound to a candidate configuration.
-
-    For a *predefined* candidate pass ``config``; the shifts are hard-wired
-    at construction.  For the *current* configuration construct with
-    ``config=None`` and pass the live counts to :meth:`error`.
-    """
-
-    def __init__(
-        self,
-        config: Configuration | None = None,
-        ffu_counts: dict | None = None,
-    ) -> None:
-        self.config = config
-        self.ffu_counts = FFU_COUNTS if ffu_counts is None else ffu_counts
-        self._shifts = (
-            hardwired_shifts(config, self.ffu_counts) if config is not None else None
-        )
-
-    @property
-    def is_current(self) -> bool:
-        return self.config is None
-
-    def shifts_for(self, current_counts: Sequence[int] | None = None) -> tuple[int, ...]:
-        """The shift amounts this generator applies."""
-        if self._shifts is not None:
-            return self._shifts
-        if current_counts is None:
-            raise ConfigurationError(
-                "the current-configuration generator needs live unit counts"
-            )
-        return tuple(cem_shift_control(min(c, 7)) for c in current_counts)
-
-    def error(
-        self,
-        required: Sequence[int],
-        current_counts: Sequence[int] | None = None,
-    ) -> int:
-        """The 6-bit configuration error for the given requirements."""
-        return cem_error(required, self.shifts_for(current_counts))
-
-    def available_counts(
-        self, current_counts: Sequence[int] | None = None
-    ) -> tuple[int, ...]:
-        """Unit counts (fixed + reconfigurable) this candidate provides."""
-        if self.config is not None:
-            return tuple(
-                self.config.count(t) + self.ffu_counts.get(t, 0) for t in FU_TYPES
-            )
-        if current_counts is None:
-            raise ConfigurationError(
-                "the current-configuration generator needs live unit counts"
-            )
-        return tuple(current_counts)

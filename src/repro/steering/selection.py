@@ -13,84 +13,91 @@ comparison is implemented as a single magnitude compare on the
 concatenated key ``error ‖ distance`` so it remains one comparator tree in
 hardware.
 
-Stages 3 and 4 depend only on the per-type required counts, so the
-simulator evaluates them from tables built at import from the gate models
-(:func:`barrel_shift_right`, :func:`cem_shift_control`,
-:func:`multi_operand_add` and :func:`minimum_index`):
-:meth:`ConfigurationSelectionUnit.select_required` looks the CEM terms,
-the Fig. 3(c) shift control, the adder and the first-minimum compare up
-instead of emulating their gates.  The gate models stay the executable
-specification (:meth:`ConfigurationSelectionUnit.candidate_errors`), and
-:meth:`ConfigurationSelectionUnit.select` still runs stages 1 and 2 (the
-unit decoders and the requirement encoders) on a queue of instructions
-or binary words.  The per-cycle entry,
-:meth:`ConfigurationSelectionUnit.select_demand`, takes the window's
-packed per-type count and memoises its result per unit, keyed by that
-count, until the configured counts change.
+The hardware is the gate netlist of :mod:`repro.circuits.selection_netlist`.
+The simulator evaluates it from lookup tables that are truth tables of
+that netlist's blocks, built at import: the requirement encoder, the
+Fig. 3(c) CEM term, one step of the CEM adder and the select's
+comparator.  Stage 1 is the instruction's ``fu_type``: the queue is
+counted into the packed per-type demand
+(:data:`~repro.isa.futypes.COUNT_ONE`), and :func:`required_of` applies
+the encoders to it.  The per-cycle entry,
+:meth:`ConfigurationSelectionUnit.select_demand`, takes that packed count
+and memoises its result per unit, keyed by the count, until the
+configured counts change.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
-from repro.circuits.adders import multi_operand_add
-from repro.circuits.comparators import minimum_index
-from repro.circuits.shifters import barrel_shift_right, cem_shift_control
+from repro.circuits.netlist import Netlist, build_less_than
+from repro.circuits.selection_netlist import (
+    COUNT_WIDTH,
+    DISTANCE_WIDTH,
+    SUM_WIDTH,
+    build_accumulator,
+    build_cem_term,
+    build_requirement_encoder,
+)
 from repro.errors import CircuitError
 from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS, Configuration
-from repro.isa.futypes import COUNT_FIELD_BITS, FU_TYPES
+from repro.isa.futypes import COUNT_FIELD_BITS, COUNT_ONE, FU_TYPES
 from repro.isa.instruction import Instruction
-from repro.steering.decoders import UnitDecoder
-from repro.steering.error_metric import (
-    COUNT_WIDTH,
-    SUM_WIDTH,
-    ErrorMetricGenerator,
-    exact_error,
-)
-from repro.steering.requirements import RequirementsEncoder
+from repro.steering.error_metric import exact_error
 
 __all__ = ["SelectionResult", "ConfigurationSelectionUnit", "required_of"]
-
-#: bits used for the reconfiguration-distance field of the tie-break key.
-_DISTANCE_WIDTH = 6
 
 # ------------------------------------------------------------------ tables
 _COUNT_LIMIT = (1 << COUNT_WIDTH) - 1
 _SUM_LIMIT = (1 << SUM_WIDTH) - 1
-#: stage 2: the encoder's output for a type with ``c`` entries in the
-#: window, indexed by ``c`` modulo the popcount tree's range (its
-#: ``COUNT_WIDTH + 1``-bit sum wraps before the saturation to
-#: ``COUNT_WIDTH`` bits).
-_ENCODER = RequirementsEncoder(COUNT_WIDTH)
-_POPCOUNT_RANGE = 1 << (COUNT_WIDTH + 1)
-_REQUIRED = tuple(_ENCODER([1] * c)[0] for c in range(_POPCOUNT_RANGE))
-#: Fig. 3(c): the current-configuration shift for ``c`` configured units.
-_SHIFT_CONTROL = tuple(cem_shift_control(c) for c in range(_COUNT_LIMIT + 1))
-#: Fig. 3(b) barrel shifter: ``_SHIFTED[shift][value]``, so a candidate's
-#: five shifters are five rows indexed by the required counts.
-_SHIFTED = tuple(
-    tuple(barrel_shift_right(v, s, COUNT_WIDTH) for v in range(_COUNT_LIMIT + 1))
-    for s in range(COUNT_WIDTH)
-)
-#: one step of the five-operand adder: ``_ACCUMULATE[total][term]`` is
-#: the truncated ``SUM_WIDTH``-bit sum the adder tree forms when it adds
-#: ``term`` to the running ``total`` (operand by operand, as
-#: :func:`multi_operand_add` does).
-_ACCUMULATE = tuple(
-    tuple(
-        multi_operand_add((total, term), SUM_WIDTH, SUM_WIDTH)
-        for term in range(_COUNT_LIMIT + 1)
+_DISTANCE_LIMIT = (1 << DISTANCE_WIDTH) - 1
+
+
+def _truth_rows(build, row_width: int, column_width: int) -> tuple[tuple[int, ...], ...]:
+    """The truth table of ``build(nl, column_bus, row_bus)`` as
+    ``rows[row][column]``: one bit-sliced evaluation of the block."""
+    nl = Netlist()
+    column = nl.input_bus("column", column_width)
+    row = nl.input_bus("row", row_width)
+    nl.output_bus("out", build(nl, column, row))
+    values = nl.truth_table()["out"]
+    n = 1 << column_width
+    return tuple(tuple(values[i : i + n]) for i in range(0, len(values), n))
+
+
+def _required_table() -> tuple[int, ...]:
+    """Stage 2: the encoder's output for ``c`` entries of one type, for
+    every ``c`` its 4-bit popcount distinguishes."""
+    nl = Netlist()
+    column = nl.input_bus("column", (1 << (COUNT_WIDTH + 1)) - 1)
+    nl.output_bus("count", build_requirement_encoder(nl, column))
+    return tuple(
+        nl.evaluate(column=(1 << c) - 1)["count"] for c in range(len(column) + 1)
     )
-    for total in range(_SUM_LIMIT + 1)
+
+
+#: stage 2: the required count for a type with ``c`` entries in the
+#: window, indexed by ``c`` modulo the popcount's range.
+_REQUIRED = _required_table()
+_POPCOUNT_MASK = len(_REQUIRED) - 1
+#: Fig. 3(c): ``_TERMS[count][required]`` is the CEM term of a type with
+#: ``required`` entries and ``count`` configured units.  A candidate's five
+#: term rows are indexed by its (live or constant) unit counts.
+_TERMS = _truth_rows(build_cem_term, COUNT_WIDTH, COUNT_WIDTH)
+#: one step of the five-operand adder: ``_ACCUMULATE[total][term]`` is
+#: the truncated ``SUM_WIDTH``-bit sum the adder forms when it adds
+#: ``term`` to the running ``total``.
+_ACCUMULATE = _truth_rows(
+    lambda nl, term, total: build_accumulator(nl, total, term), SUM_WIDTH, COUNT_WIDTH
 )
 #: the minimal-error select's comparator on one 6-bit field:
-#: ``_BELOW[a][b]`` is 1 when ``a < b``, i.e. when :func:`minimum_index`
-#: moves from ``b`` to a later ``a``.  The key ``error ‖ distance`` is
-#: compared field by field, most significant (the error) first.
-_BELOW = tuple(
-    tuple(minimum_index((b, a), SUM_WIDTH) for b in range(_SUM_LIMIT + 1))
-    for a in range(_SUM_LIMIT + 1)
+#: ``_BELOW[a][b]`` is 1 when ``a < b``, i.e. when the select moves from
+#: ``b`` to a later ``a``.  The key ``error ‖ distance`` is compared field
+#: by field, most significant (the error) first.
+_BELOW = _truth_rows(
+    lambda nl, b, a: [build_less_than(nl, a, b)], SUM_WIDTH, SUM_WIDTH
 )
 
 
@@ -98,7 +105,7 @@ def required_of(demand: int) -> tuple[int, ...]:
     """Stage 2 for a packed per-type count of the window's instructions
     (:data:`~repro.isa.futypes.COUNT_ONE`): the encoder's required counts,
     in canonical type order (the five fields written out)."""
-    wrap = _POPCOUNT_RANGE - 1
+    wrap = _POPCOUNT_MASK
     table = _REQUIRED
     return (
         table[demand & wrap],
@@ -142,19 +149,18 @@ class ConfigurationSelectionUnit:
         self.ffu_counts = FFU_COUNTS if ffu_counts is None else dict(ffu_counts)
         self.queue_size = queue_size
         self.use_exact_metric = use_exact_metric
-        self.decoder = UnitDecoder()
-        self.encoder = RequirementsEncoder()
-        self._current_gen = ErrorMetricGenerator(None, self.ffu_counts)
-        self._config_gens = tuple(
-            ErrorMetricGenerator(c, self.ffu_counts) for c in self.configs
+        #: every predefined candidate's unit counts (fixed + its own) and
+        #: its term rows (``_TERMS``): a hard-wired generator is the live
+        #: one with its count inputs tied to those counts.
+        self._config_avails = tuple(
+            tuple(c.count(t) + self.ffu_counts.get(t, 0) for t in FU_TYPES)
+            for c in self.configs
         )
-        #: the shifter rows (``_SHIFTED``) of every predefined candidate's
-        #: hard-wired shifts, and its unit counts.
         self._config_rows = tuple(
-            tuple(_SHIFTED[s] for s in g.shifts_for()) for g in self._config_gens
+            tuple(_TERMS[min(a, _COUNT_LIMIT)] for a in avail)
+            for avail in self._config_avails
         )
-        self._config_avails = tuple(g.available_counts() for g in self._config_gens)
-        #: the current candidate's shifter rows and every candidate's
+        #: the current candidate's term rows and every candidate's
         #: distance, for the configured counts in ``_inputs_counts``.
         self._inputs_counts: tuple[int, ...] | None = None
         self._current_rows: tuple[tuple[int, ...], ...] = ()
@@ -165,34 +171,19 @@ class ConfigurationSelectionUnit:
         self._memo_counts: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------- stages
-    def required_counts(
-        self, queue: Sequence[Instruction | int]
+    def _exact_errors(
+        self, required: Sequence[int], current_counts: Sequence[int]
     ) -> tuple[int, ...]:
-        """Stages 1+2: decode the queue and count required units per type."""
-        window = list(queue)[: self.queue_size]
-        onehots = [self.decoder(item) for item in window]
-        return self.encoder(onehots)
-
-    def candidate_errors(
-        self,
-        required: Sequence[int],
-        current_counts: Sequence[int],
-    ) -> tuple[int, ...]:
-        """Stage 3: the error metric of every candidate, current first."""
-        if self.use_exact_metric:
-            # ablation mode: scaled exact division quantised to the same
-            # 6-bit range the hardware metric occupies.
-            errs = [exact_error(required, current_counts)] + [
-                exact_error(required, avail) for avail in self._config_avails
-            ]
-            return tuple(min(_SUM_LIMIT, round(e)) for e in errs)
-        current = self._current_gen.error(required, current_counts)
-        predefined = [g.error(required) for g in self._config_gens]
-        return tuple([current] + predefined)
+        """Stage 3 of the E-CEM reference metric: true division, quantised
+        to the 6-bit range the hardware metric occupies, current first."""
+        errs = [exact_error(required, current_counts)] + [
+            exact_error(required, avail) for avail in self._config_avails
+        ]
+        return tuple(min(_SUM_LIMIT, round(e)) for e in errs)
 
     def _table_errors(self, required: Sequence[int]) -> tuple[int, ...]:
         """Stage 3 of the shift metric from the tables: every candidate's
-        five CEM terms (one shifter row per type, indexed by the required
+        five CEM terms (one term row per type, indexed by the required
         count) added operand by operand from zero, current first."""
         r0, r1, r2, r3, r4 = required
         add = _ACCUMULATE
@@ -210,11 +201,10 @@ class ConfigurationSelectionUnit:
         proxy for the number of slots the loader would rewrite); the
         current configuration is at distance zero by construction.
         """
-        limit = (1 << _DISTANCE_WIDTH) - 1
         out = [0]
         for target in self._config_avails:
             d = sum(abs(a - b) for a, b in zip(target, current_counts))
-            out.append(min(d, limit))
+            out.append(min(d, _DISTANCE_LIMIT))
         return tuple(out)
 
     # ------------------------------------------------------------ end-to-end
@@ -247,11 +237,11 @@ class ConfigurationSelectionUnit:
         if current_counts != self._inputs_counts:
             self._inputs_counts = tuple(current_counts)
             self._current_rows = tuple(
-                _SHIFTED[_SHIFT_CONTROL[min(c, _COUNT_LIMIT)]] for c in current_counts
+                _TERMS[min(c, _COUNT_LIMIT)] for c in current_counts
             )
             self._current_distances = self._distances(current_counts)
         if self.use_exact_metric:
-            errors = self.candidate_errors(required, current_counts)
+            errors = self._exact_errors(required, current_counts)
         else:
             errors = self._table_errors(required)
         distances = self._current_distances
@@ -296,10 +286,13 @@ class ConfigurationSelectionUnit:
 
     def select(
         self,
-        queue: Sequence[Instruction | int],
+        queue: Sequence[Instruction],
         current_counts: Sequence[int],
     ) -> SelectionResult:
-        """Run all four stages and return the two-bit selection: the
-        decoders and encoders on the first ``queue_size`` entries of
-        ``queue``, then :meth:`select_required`."""
-        return self.select_required(self.required_counts(queue), current_counts)
+        """Run all four stages and return the two-bit selection: the first
+        ``queue_size`` entries of ``queue`` counted by unit type, then
+        :func:`required_of` and :meth:`select_required`."""
+        demand = 0
+        for instr in islice(queue, self.queue_size):
+            demand += COUNT_ONE[instr.fu_type]
+        return self.select_required(required_of(demand), current_counts)

@@ -107,6 +107,20 @@ class TestExitCodes:
         (ws / "analysis/layers.toml").write_text(config.replace("stpe", "step"))
         assert run() == 1  # resolved: back to the HOT001 finding
 
+    @pytest.mark.parametrize("config, key", [
+        (CONFIG + '\n[process_roles]\n"repro/sched/hot.py" = "worker"\n',
+         "'process_roles'"),
+        (CONFIG.replace("concurrency = []", 'concurrency = []\ncanonical_json = []'),
+         "'canonical_json'"),
+    ], ids=["process_roles", "canonical_json"])
+    def test_unknown_config_key_exits_2(self, workspace, capsys, config, key):
+        """A table or ``[scopes]`` key the schema does not know is an
+        error, not silently ignored."""
+        ws, run = workspace
+        (ws / "analysis/layers.toml").write_text(config)
+        assert run() == 2
+        assert key in capsys.readouterr().err
+
     def test_unknown_rule_filter_exits_2(self, workspace):
         _, run = workspace
         assert run("--rules", "NOPE999") == 2

@@ -1,62 +1,56 @@
-"""Tests for one-hot encoders, priority encoders and population counters."""
+"""Tests for the netlist's encoder blocks: the one-hot unit decoder
+outputs and the population counter."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.circuits.encoders import one_hot, popcount_tree, priority_encoder
+from repro.circuits.netlist import Netlist, build_popcount
+from repro.circuits.selection_netlist import OPCODE_WIDTH, build_unit_decoder
 from repro.errors import CircuitError
+from repro.isa.futypes import FU_TYPES
+from repro.isa.opcodes import Opcode, spec_of
+
+
+def _decoder() -> Netlist:
+    nl = Netlist()
+    nl.output_bus("onehot", build_unit_decoder(nl, nl.input_bus("op", OPCODE_WIDTH)))
+    return nl
+
+
+def _popcount(n: int, out_width: int = 3) -> Netlist:
+    nl = Netlist()
+    nl.output_bus("count", build_popcount(nl, nl.input_bus("v", n), out_width))
+    return nl
 
 
 class TestOneHot:
-    @pytest.mark.parametrize("i", range(5))
-    def test_each_position(self, i):
-        v = one_hot(i, 5)
-        assert v == 1 << i
-        assert bin(v).count("1") == 1
+    @pytest.mark.parametrize("index", range(5))
+    def test_each_position(self, index):
+        (t,) = [t for t in FU_TYPES if t.bit_index == index]
+        decoded = _decoder().truth_table()["onehot"]
+        ops = [op for op in Opcode if spec_of(op).fu_type is t]
+        assert ops and all(decoded[op] == 1 << index for op in ops)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(CircuitError):
-            one_hot(5, 5)
-        with pytest.raises(CircuitError):
-            one_hot(-1, 5)
-
-
-class TestPriorityEncoder:
-    def test_lowest_bit_wins(self):
-        assert priority_encoder(0b0110, 4) == (1, 1)
-        assert priority_encoder(0b1000, 4) == (3, 1)
-
-    def test_zero_input_invalid(self):
-        index, valid = priority_encoder(0, 4)
-        assert valid == 0
-
-    def test_rejects_oversized(self):
-        with pytest.raises(CircuitError):
-            priority_encoder(16, 4)
-
-    @given(st.integers(1, 255))
-    def test_index_is_lowest_set_bit(self, bitmap):
-        index, valid = priority_encoder(bitmap, 8)
-        assert valid == 1
-        assert bitmap & ((1 << index) - 1) == 0
-        assert bitmap & (1 << index)
+            _decoder().evaluate(op=1 << OPCODE_WIDTH)
 
 
 class TestPopcountTree:
     def test_counts_seven_inputs(self):
-        assert popcount_tree([1] * 7) == 7
-        assert popcount_tree([0] * 7) == 0
-        assert popcount_tree([1, 0, 1, 0, 1, 0, 1]) == 4
+        assert _popcount(7).evaluate(v=0b1111111)["count"] == 7
+        assert _popcount(7).evaluate(v=0)["count"] == 0
+        assert _popcount(7).evaluate(v=0b1010101)["count"] == 4
 
-    @given(st.lists(st.integers(0, 1), min_size=0, max_size=7))
+    @given(st.lists(st.integers(0, 1), min_size=7, max_size=7))
     def test_matches_sum(self, inputs):
-        assert popcount_tree(inputs) == sum(inputs)
+        v = sum(bit << i for i, bit in enumerate(inputs))
+        assert _popcount(7).evaluate(v=v)["count"] == sum(inputs)
 
     def test_truncates_to_out_width(self):
-        # a 2-bit counter overflows with 4 ones, as hardware would
-        assert popcount_tree([1, 1, 1, 1], out_width=2) == 0
+        assert _popcount(4, out_width=2).evaluate(v=0b1111)["count"] == 0
 
     def test_rejects_non_bit(self):
         with pytest.raises(CircuitError):
-            popcount_tree([2])
+            _popcount(1).evaluate(v=2)

@@ -1,4 +1,5 @@
-"""Gate-level netlists verified against the functional circuit models."""
+"""Gate-level netlists verified against plain integer arithmetic, and the
+bit-sliced truth table against one-pattern evaluation."""
 
 import pytest
 from hypothesis import given
@@ -6,15 +7,13 @@ from hypothesis import strategies as st
 
 from repro.circuits.netlist import (
     Netlist,
-    build_barrel_shifter,
-    build_cem_generator,
     build_less_than,
     build_minimum_selector,
     build_popcount,
     build_ripple_adder,
 )
+from repro.circuits.selection_netlist import build_cem_generator
 from repro.errors import CircuitError
-from repro.steering.error_metric import cem_error
 
 
 class TestNetlistBasics:
@@ -74,6 +73,37 @@ class TestNetlistBasics:
             nl.gate("AND", 0)
 
 
+class TestTruthTable:
+    def _adder(self):
+        nl = Netlist()
+        s, cout = build_ripple_adder(nl, nl.input_bus("a", 3), nl.input_bus("b", 3))
+        nl.output_bus("sum", s + [cout])
+        return nl
+
+    def test_patterns_enumerate_free_buses_lsb_first(self):
+        sums = self._adder().truth_table()["sum"]
+        assert sums == [a + b for b in range(8) for a in range(8)]
+
+    def test_fixed_buses_hold_their_value(self):
+        assert self._adder().truth_table(b=5)["sum"] == [a + 5 for a in range(8)]
+
+    def test_every_pattern_matches_one_pattern_evaluation(self):
+        nl = Netlist()
+        buses = [nl.input_bus(f"c{i}", 3) for i in range(3)]
+        nl.output_bus("index", build_minimum_selector(nl, buses))
+        nl.output_bus("wide", build_popcount(nl, [b for bus in buses for b in bus], 9))
+        table = nl.truth_table()
+        for p in range(1 << 9):
+            out = nl.evaluate(c0=p & 7, c1=(p >> 3) & 7, c2=p >> 6)
+            assert out == {name: column[p] for name, column in table.items()}
+
+    def test_rejects_unknown_and_oversized_buses(self):
+        with pytest.raises(CircuitError, match="unknown input"):
+            self._adder().truth_table(c=0)
+        with pytest.raises(CircuitError, match="does not fit"):
+            self._adder().truth_table(a=8)
+
+
 class TestAdderNetlist:
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_matches_arithmetic(self, a, b):
@@ -103,13 +133,14 @@ class TestPopcountNetlist:
 
 
 class TestShifterNetlist:
-    @given(st.integers(0, 7), st.integers(0, 3))
-    def test_matches_right_shift(self, v, s):
-        nl = Netlist()
-        vbus = nl.input_bus("v", 3)
-        sbus = nl.input_bus("s", 2)
-        nl.output_bus("y", build_barrel_shifter(nl, vbus, sbus))
-        assert nl.evaluate(v=v, s=s)["y"] == v >> s
+    def test_matches_right_shift(self):
+        """A hard-wired shift is wiring: the generator of one term is
+        ``v >> s``."""
+        for s in range(3):
+            nl = Netlist()
+            vbus = nl.input_bus("v", 3)
+            nl.output_bus("y", build_cem_generator(nl, [vbus], [s]))
+            assert nl.truth_table()["y"] == [v >> s for v in range(8)]
 
 
 class TestComparatorNetlist:
@@ -125,13 +156,11 @@ class TestComparatorNetlist:
 class TestMinimumSelectorNetlist:
     @given(st.lists(st.integers(0, 63), min_size=2, max_size=4))
     def test_matches_functional_selector(self, values):
-        from repro.circuits.comparators import minimum_index
-
         nl = Netlist()
         buses = [nl.input_bus(f"c{i}", 6) for i in range(len(values))]
         nl.output_bus("index", build_minimum_selector(nl, buses))
         got = nl.evaluate(**{f"c{i}": v for i, v in enumerate(values)})["index"]
-        assert got == minimum_index(values, 6)
+        assert got == values.index(min(values))
 
     def test_tie_keeps_candidate_zero(self):
         nl = Netlist()
@@ -148,11 +177,10 @@ class TestCemNetlist:
         buses = [nl.input_bus(f"r{i}", 3) for i in range(5)]
         nl.output_bus("error", build_cem_generator(nl, buses, list(shifts)))
         got = nl.evaluate(**{f"r{i}": v for i, v in enumerate(required)})["error"]
-        assert got == cem_error(required, shifts)
+        assert got == sum(r >> s for r, s in zip(required, shifts))
 
     def test_gate_count_is_concrete(self):
-        """The real netlist calibrates the analytic estimate: same order
-        of magnitude, a few hundred gates per generator."""
+        """A few hundred gates per generator: five 6-bit ripple adds."""
         nl = Netlist()
         buses = [nl.input_bus(f"r{i}", 3) for i in range(5)]
         nl.output_bus("error", build_cem_generator(nl, buses, [2, 1, 0, 0, 1]))

@@ -74,10 +74,16 @@ class TestOrthogonality:
 
 class TestCircuitCost:
     def test_report_renders(self):
-        text = run_circuit_cost_report([7])
+        text = run_circuit_cost_report([7]).render()
         assert "E-COST" in text
         assert "unit_decoders" in text
 
     def test_multiple_queue_sizes(self):
-        text = run_circuit_cost_report([4, 7, 16])
-        assert text.count("E-COST") == 3
+        report = run_circuit_cost_report([4, 7, 16])
+        assert report.render().count("E-COST") == 3
+        metrics = report.metrics()
+        assert metrics["gates_q4"] < metrics["gates_q7"] < metrics["gates_q16"]
+        for n, rows in report.stages.items():
+            *stages, (_, total, depth) = rows
+            assert sum(gates for _, gates, _ in stages) == total
+            assert depth == stages[-1][2] == metrics[f"depth_q{n}"]
