@@ -94,9 +94,17 @@ def oracle_processor(
     lookahead: int = 64,
     max_instructions: int = 1_000_000,
 ) -> Processor:
-    """Upper bound: steers with the program's future dynamic trace."""
-    reference = run_reference(program, max_instructions=max_instructions)
-    policy = OracleSteering(reference.trace, lookahead=lookahead)
+    """Upper bound: steers with the program's future dynamic trace.
+
+    The trace comes from one reference run per program and instruction
+    budget, memoised on the program (:attr:`Program.fu_type_traces`).
+    """
+    traces = program.fu_type_traces
+    trace = traces.get(max_instructions)
+    if trace is None:
+        trace = run_reference(program, max_instructions=max_instructions).trace
+        traces[max_instructions] = trace
+    policy = OracleSteering(trace, lookahead=lookahead)
     return Processor(program, params=params, policy=policy)
 
 

@@ -187,15 +187,27 @@ class Processor:
         # 3. dispatch, up to the wake-up array's free rows
         if obs is not None:
             obs.on_stage(self, "dispatch")  # repro: cold-call -- observer hook
-        dispatched: list[int] = []
+        dispatched: Sequence[int] = ()
         decode = self.decode
-        decode_buffer = decode._buffer  # tested and sized directly
+        decode_buffer = decode._buffer  # tested, sized and popped directly
         if decode_buffer and not ruu.halted:
             wakeup = ruu.wakeup
-            free_rows = wakeup.n_entries - wakeup._occupied.bit_count()
-            if free_rows:
-                for fetched in decode.pop(free_rows):
-                    dispatched.append(ruu.dispatch(fetched).seq)
+            # DecodeStage.pop's limit: the decode width, the free rows
+            n = min(
+                decode.width,
+                wakeup.n_entries - wakeup._occupied.bit_count(),
+                len(decode_buffer),
+            )
+            if n > 0:
+                decode.decoded += n
+                popleft = decode_buffer.popleft
+                if obs is None:
+                    for _ in range(n):
+                        ruu.dispatch(popleft())
+                else:
+                    dispatched = []
+                    for _ in range(n):
+                        dispatched.append(ruu.dispatch(popleft()).seq)
 
         # 4. fetch into decode, when a whole packet fits
         if obs is not None:

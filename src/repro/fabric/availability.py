@@ -15,11 +15,13 @@ Besides the bit-faithful :func:`available` reference, this module holds
 function.  The cache keeps per-type unit lists (rebuilt only when the slot
 array's *structure* changes, i.e. a unit is loaded or evicted) and
 maintains the 5-bit availability bus and per-type idle counts
-**incrementally**: it registers itself as a listener on every configured
-unit, and each idle/busy transition point-updates one counter and one bus
-bit.  On the scheduler's per-cycle hot path a query is therefore a single
-structure-version compare and an attribute read — no rescan of the units,
-not even when the busy state moved (which it does nearly every cycle).
+**incrementally**: the fabric's two busy-state transitions
+(:meth:`~repro.fabric.fabric.Fabric.issue` and
+:meth:`~repro.fabric.fabric.Fabric.release`) each point-update one counter
+and one bus bit as they flip a unit.  On the scheduler's per-cycle hot path
+a query is therefore a single structure-version compare and an attribute
+read — no rescan of the units, not even when the busy state moved (which it
+does nearly every cycle).
 
 Setting the ``REPRO_AVAILABILITY_CROSSCHECK`` environment variable (or
 constructing the cache with ``crosscheck=True``) arms a debug mode that
@@ -37,7 +39,7 @@ from collections.abc import Sequence
 from repro.errors import FabricError
 from repro.fabric.allocation import EMPTY_ENCODING, SPAN_ENCODING
 from repro.fabric.units import FunctionalUnit
-from repro.isa.futypes import FU_BIT, FU_TYPES, FUType
+from repro.isa.futypes import FU_TYPES, FUType
 from repro.utils.env import env_flag
 
 __all__ = ["available", "availability_report", "AvailabilityCache"]
@@ -91,11 +93,15 @@ class AvailabilityCache:
 
     * the per-type unit tuples are rebuilt only when the slot array's
       ``structure_version`` moves (a load completed or a unit was
-      evicted); the rebuild also re-registers the cache as a listener on
-      exactly the configured units and re-derives the idle counts once;
-    * between structure changes, every unit's idle/busy transition calls
-      :meth:`unit_state_changed`, which adjusts one per-type count and one
-      bus bit — O(1) per *event* instead of O(units) per *cycle*;
+      evicted); the rebuild also re-derives the idle counts once;
+    * between structure changes, :meth:`Fabric.issue
+      <repro.fabric.fabric.Fabric.issue>` and :meth:`Fabric.release
+      <repro.fabric.fabric.Fabric.release>` — the only code that flips a
+      unit's busy state — adjust one per-type count and one bus bit as
+      they flip it: O(1) per *event* instead of O(units) per *cycle*.  A
+      release before the next rebuild may update the counts of the old
+      structure; the rebuild recounts them, and a busy unit is never
+      evicted, so no transition lands on a unit the counts do not cover;
     * :attr:`rfu_flips` counts the transitions of reconfigurable units,
       so a reader can tell that no RFU's busy state moved (the
       configuration loader keys its blocked-placement memo on it).
@@ -118,7 +124,6 @@ class AvailabilityCache:
         "_counts",
         "_bits",
         "_idle_counts",
-        "_attached",
         "rfu_flips",
         "crosscheck",
     )
@@ -131,7 +136,6 @@ class AvailabilityCache:
         self._counts: tuple[int, ...] = ()
         self._bits = 0
         self._idle_counts: dict[FUType, int] = {}
-        self._attached: list[FunctionalUnit] = []
         #: idle/busy transitions of reconfigurable units so far.
         self.rfu_flips = 0
         self.crosscheck = _CROSSCHECK_DEFAULT if crosscheck is None else crosscheck
@@ -146,11 +150,6 @@ class AvailabilityCache:
         version = self._rfus.structure_version
         if version == self._structure_seen:
             return
-        for u in self._attached:
-            try:
-                u.listeners.remove(self)
-            except ValueError:  # pragma: no cover - defensive
-                pass
         by_type: dict[FUType, list[FunctionalUnit]] = {t: [] for t in FU_TYPES}
         for u in self._ffus.units:
             by_type[u.fu_type].append(u)
@@ -158,9 +157,6 @@ class AvailabilityCache:
             by_type[u.fu_type].append(u)
         self._by_type = {t: tuple(us) for t, us in by_type.items()}
         self._counts = tuple(len(self._by_type[t]) for t in FU_TYPES)
-        self._attached = [u for us in self._by_type.values() for u in us]
-        for u in self._attached:
-            u.listeners.append(self)
         self._recount()
         self._structure_seen = version
 
@@ -179,20 +175,6 @@ class AvailabilityCache:
                 bits |= 1 << t.bit_index
         self._bits = bits
         self._idle_counts = idle_counts
-
-    # -------------------------------------------------- incremental update
-    def unit_state_changed(self, unit: FunctionalUnit, idle: bool) -> None:
-        """Listener callback: one unit flipped between idle and busy."""
-        if not unit.fixed:
-            self.rfu_flips += 1
-        t = unit.fu_type
-        counts = self._idle_counts
-        n = counts[t] + (1 if idle else -1)
-        counts[t] = n
-        if n:
-            self._bits |= FU_BIT[t]
-        else:
-            self._bits &= ~FU_BIT[t]
 
     # --------------------------------------------------------- cross-check
     def _crosscheck(self) -> None:

@@ -9,6 +9,13 @@ answers three questions every cycle:
   wake-up array's resource-available lines;
 * *which unit executes this instruction?* — allocation of an idle unit of
   the required type.
+
+The fabric also owns every unit's busy state: :meth:`Fabric.issue`
+occupies a unit and :meth:`Fabric.release` frees it, and each transition
+updates the availability cache's idle counts, its Eq. 1 bus and its
+``rfu_flips`` as it flips the unit.  No other code sets ``busy`` on a
+configured unit, so the cache never needs a rescan between structure
+changes.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from repro.fabric.availability import AvailabilityCache
 from repro.fabric.configuration import FFU_COUNTS
 from repro.fabric.slots import RfuSlotArray
 from repro.fabric.units import FfuBank, FunctionalUnit
-from repro.isa.futypes import FU_TYPES, FUType
+from repro.isa.futypes import FU_BIT, FU_TYPES, FUType
 
 __all__ = ["Fabric"]
 
@@ -132,12 +139,13 @@ class Fabric:
 
     # ------------------------------------------------------------ mutation
     def issue(self, fu_type: FUType, occupant: int | None = None) -> FunctionalUnit:
-        """Occupy an idle unit of ``fu_type`` until it is released.
+        """Occupy an idle unit of ``fu_type`` until :meth:`release` frees it.
 
         Picks the unit :meth:`idle_unit` would (fixed units first), reading
-        the cached per-type units directly, and makes the
-        :meth:`FunctionalUnit.occupy` transition inline: this runs once per
-        issued instruction.
+        the cached per-type units directly, flips it busy and takes it out
+        of the availability cache's idle count (clearing its bus bit when
+        it was the type's last idle unit).  This runs once per issued
+        instruction, and it is the only code that makes a unit busy.
         """
         avail = self._avail
         if avail._structure_seen != self.rfus.structure_version:
@@ -148,10 +156,33 @@ class Fabric:
             if not unit.busy:
                 unit.busy = True
                 unit.occupant = occupant
-                for listener in unit.listeners:
-                    listener.unit_state_changed(unit, False)
+                if not unit.fixed:
+                    avail.rfu_flips += 1
+                counts = avail._idle_counts
+                idle = counts[fu_type] - 1
+                counts[fu_type] = idle
+                if not idle:
+                    avail._bits &= ~FU_BIT[fu_type]
                 return unit
         raise FabricError(f"no idle {fu_type.short_name} unit")
+
+    def release(self, unit: FunctionalUnit) -> None:
+        """Free a unit :meth:`issue` occupied: its instruction completed or
+        was squashed.  The unit's type counts one more idle unit and its
+        bus bit is set.  This runs once per completed or squashed
+        instruction, and it is the only code that makes a unit idle."""
+        if not unit.busy:
+            raise FabricError(
+                f"{unit.fu_type.short_name} unit {unit.uid} is not busy"
+            )
+        unit.busy = False
+        unit.occupant = None
+        avail = self._avail
+        if not unit.fixed:
+            avail.rfu_flips += 1
+        fu_type = unit.fu_type
+        avail._idle_counts[fu_type] += 1
+        avail._bits |= FU_BIT[fu_type]
 
     def tick(self) -> None:
         """Advance the configuration bus one cycle (units release by event)."""

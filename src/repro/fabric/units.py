@@ -8,14 +8,14 @@ signal of Fig. 7: asserted when the unit is configured and idle.
 
 A unit does not count its own cycles: the register update unit keeps one
 due-cycle map of issued instructions and releases a unit by event when its
-instruction completes (or is squashed).  Units publish their idle/busy
-**transitions** to registered listeners (the Eq. 1 availability cache):
-occupy and a busy release call ``listener.unit_state_changed(unit, idle)``
-at the moment the state flips.  The cycle loop makes the same two
-transitions inline (``Fabric.issue`` and ``RegisterUpdateUnit.tick``),
-once per issued instruction each.  This is what makes the availability layer
-*incremental* — the cache point-updates one per-type count per event
-instead of rescanning every unit whenever anything changed.
+instruction completes (or is squashed).  A unit does not flip its own busy
+state either: the :class:`~repro.fabric.fabric.Fabric` owns both
+transitions — :meth:`~repro.fabric.fabric.Fabric.issue` occupies an idle
+unit and :meth:`~repro.fabric.fabric.Fabric.release` frees it — and each
+point-updates the Eq. 1 availability cache as it flips the unit, once per
+issued instruction.  This is what makes the availability layer
+*incremental*: one per-type count moves per event instead of a rescan of
+every unit whenever anything changed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.errors import FabricError
 from repro.isa.futypes import FU_TYPES, FUType
 
 __all__ = ["FunctionalUnit", "FfuBank"]
@@ -38,39 +37,16 @@ class FunctionalUnit:
     fu_type: FUType
     fixed: bool = False
     uid: int = field(default_factory=lambda: next(_unit_ids))
+    #: set by :meth:`Fabric.issue <repro.fabric.fabric.Fabric.issue>`,
+    #: cleared by :meth:`Fabric.release <repro.fabric.fabric.Fabric.release>`.
     busy: bool = False
     #: id of the in-flight instruction occupying the unit (for tracing).
     occupant: int | None = None
-    #: objects notified on every idle/busy transition via
-    #: ``unit_state_changed(unit, idle)`` (the availability caches).
-    listeners: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def available(self) -> bool:
         """The slot's 'available' output: asserted when the unit is idle."""
         return not self.busy
-
-    def occupy(self, occupant: int | None = None) -> None:
-        """Begin executing an instruction; the unit stays busy until
-        :meth:`release`."""
-        if self.busy:
-            raise FabricError(
-                f"{self.fu_type.short_name} unit {self.uid} is busy "
-                f"(occupant {self.occupant})"
-            )
-        self.busy = True
-        self.occupant = occupant
-        for listener in self.listeners:
-            listener.unit_state_changed(self, False)
-
-    def release(self) -> None:
-        """Free the unit: its instruction completed or was squashed."""
-        was_busy = self.busy
-        self.busy = False
-        self.occupant = None
-        if was_busy:
-            for listener in self.listeners:
-                listener.unit_state_changed(self, True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "busy" if self.busy else "idle"

@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.errors import DisassemblerError, EncodingError
 from repro.isa.instruction import Instruction, spec_attributes
 from repro.isa.opcodes import Format, Opcode, spec_of
+from repro.isa.semantics import alu_handler
 from repro.utils.bitops import bits, mask, sign_extend, to_unsigned
 
 __all__ = ["encode", "decode", "WORD_BITS", "imm_range"]
@@ -37,17 +38,23 @@ _IMM20_MIN, _IMM20_MAX = -(1 << 19), (1 << 19) - 1
 _R, _I, _S, _B, _J, _N = Format.R, Format.I, Format.S, Format.B, Format.J, Format.N
 
 
-#: opcode number -> (opcode, format, spec-derived attributes).
-#: :func:`decode` writes the attributes into each instruction it builds,
-#: so the simulator's first read of each is a plain instance attribute
-#: rather than a ``cached_property`` evaluation.  They are computed from the
-#: spec, not read off probe instructions: a probe's cached properties would
-#: grow the key table that every ``Instruction``'s instance dict shares
-#: before any program is assembled, and each instruction built afterwards
-#: would carry the larger dict (encoding programs for result-cache keys
-#: measured ~12% slower that way).
+#: opcode number -> (opcode, format, spec-derived attributes and the ALU
+#: handler).  :func:`decode` writes the attributes into each instruction it
+#: builds, so the simulator's first read of each is a plain instance
+#: attribute rather than a ``cached_property`` evaluation, and the execute
+#: stage calls an ALU instruction's handler without a per-opcode lookup.
+#: They are computed from the spec, not read off probe instructions: a
+#: probe's cached properties would grow the key table that every
+#: ``Instruction``'s instance dict shares before any program is assembled,
+#: and each instruction built afterwards would carry the larger dict
+#: (encoding programs for result-cache keys measured ~12% slower that way).
 _DECODE_TABLE = {
-    int(op): (op, spec_of(op).format, spec_attributes(spec_of(op))) for op in Opcode
+    int(op): (
+        op,
+        spec_of(op).format,
+        {**spec_attributes(spec_of(op)), "alu_handler": alu_handler(op)},
+    )
+    for op in Opcode
 }
 
 

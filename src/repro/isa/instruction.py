@@ -36,11 +36,12 @@ class Instruction:
     slots are 0.  ``imm`` is the sign-extended immediate (branch/jump
     immediates are in instruction words).
 
-    The spec-derived attributes (:func:`spec_attributes`) never change
-    for a frozen instruction and are read tens of times per cycle.  The
-    simulator runs the instructions :func:`repro.isa.encoding.decode`
-    builds from the program's binary, and ``decode`` writes them into
-    each new instance's ``__dict__`` from one per-opcode table.
+    The spec-derived attributes (:func:`spec_attributes`) and the
+    :attr:`alu_handler` never change for a frozen instruction and are read
+    tens of times per cycle.  The simulator runs the instructions
+    :func:`repro.isa.encoding.decode` builds from the program's binary,
+    and ``decode`` writes them into each new instance's ``__dict__`` from
+    one per-opcode table.
     Instructions built otherwise (by the assembler or by hand) compute
     them on first read, as ``cached_property`` values stored under the
     same names.  They are not set here in ``__post_init__``: that would
@@ -100,6 +101,21 @@ class Instruction:
     @cached_property
     def is_halt(self) -> bool:
         return self.spec.is_halt
+
+    @cached_property
+    def alu_handler(self):
+        """``handler(s1, s2, imm)`` giving the result of a non-memory,
+        non-control instruction; ``None`` for loads, stores and control
+        instructions (see :func:`repro.isa.semantics.alu_handler`).
+
+        The handlers are lambdas, so an instruction holding one does not
+        pickle.  The simulator reads it only on decoded instructions,
+        which never travel with a pickled :class:`~repro.isa.program.
+        Program`."""
+        # imported here: the semantics module imports this one
+        from repro.isa.semantics import alu_handler
+
+        return alu_handler(self.opcode)
 
     @cached_property
     def dispatch_template(

@@ -22,6 +22,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 
 __all__ = [
+    "alu_handler",
     "alu_result",
     "control_outcome",
     "effective_address",
@@ -195,6 +196,13 @@ _LOAD = {
     Opcode.LBU: lambda raw: _U8.unpack(raw)[0],
     Opcode.FLW: lambda raw: _F32.unpack(raw)[0],
 }
+
+
+def alu_handler(opcode: Opcode):
+    """The ``handler(s1, s2, imm)`` computing the result of a non-memory,
+    non-control ``opcode``, or ``None`` for any other opcode (an
+    instruction's ``alu_handler``, bound once per opcode at decode)."""
+    return _ALU.get(opcode)
 
 
 def alu_result(instr: Instruction, s1: int | float, s2: int | float) -> int | float:

@@ -21,10 +21,16 @@ implementation adds the substrate details a working processor needs:
   flushes younger entries on a mispredict via :meth:`flush_younger`;
 * **in-order retirement** — up to ``retire_width`` completed entries leave
   per cycle in dispatch order, committing register and memory state;
+* **one pass per grant** — the issue step arbitrates the requesting rows
+  oldest first, and each grant reads its operands, executes (an ALU
+  instruction through the ``alu_handler`` bound at decode), occupies its
+  unit through :meth:`Fabric.issue`, is filed and sets its scheduled bit
+  in the same pass;
 * **completion by event** — issuing an instruction of latency *L* files
   it in a due-cycle map under cycle ``clock + L - 1``; :meth:`tick`
-  completes that cycle's entries and releases their units, so no per-unit
-  or per-entry count-down is swept every cycle;
+  completes that cycle's entries and frees their units through
+  :meth:`Fabric.release`, so no per-unit or per-entry count-down is swept
+  every cycle;
 * **busy unit-cycles by event** — each occupancy adds its length to a
   per-type total when the unit is released (a completion adds
   ``clock - issue_cycle + 1``, a squash ``clock - issue_cycle``), and
@@ -49,7 +55,7 @@ implementation adds the substrate details a working processor needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SchedulerError
 from repro.fabric.fabric import Fabric
@@ -74,8 +80,7 @@ _ISSUED = EntryState.ISSUED
 _COMPLETED = EntryState.COMPLETED
 
 
-@dataclass(frozen=True, slots=True)
-class BranchResolution:
+class BranchResolution(NamedTuple):
     """A control instruction resolved this cycle."""
 
     entry: RuuEntry
@@ -177,9 +182,10 @@ class RegisterUpdateUnit:
         self.issued_per_type: dict[FUType, int] = {t: 0 for t in FU_TYPES}
         #: busy unit-cycles per type of the occupancies that have ended.
         self._busy_cycles: dict[FUType, int] = {t: 0 for t in FU_TYPES}
-        #: bumped whenever the set of WAITING entries changes (a dispatch, a
-        #: grant, a flush): a policy that reads only the oldest WAITING
-        #: entries recounts them only when it moves.
+        #: bumped whenever the set of WAITING entries changes (each
+        #: dispatch, each issue step that grants, each flush): a policy
+        #: that reads only the oldest WAITING entries recounts them only
+        #: when it moves.
         self.waiting_version = 0
         #: per-type count of the WAITING entries, packed (``COUNT_ONE``).
         self.waiting_demand = 0
@@ -249,54 +255,6 @@ class RegisterUpdateUnit:
         self.waiting_demand += COUNT_ONE[instr.fu_type]
         return entry
 
-    # ------------------------------------------------------------ operands
-    def _operand(self, producer: RuuEntry | None, src) -> int | float:
-        """One source operand: forwarded from its producer while that is in
-        flight, else read from the register file (0 for no source)."""
-        if producer is not None and not producer.retired:
-            if producer.state is not _COMPLETED:
-                raise SchedulerError(
-                    f"operand read before producer seq={producer.seq} completed"
-                )
-            return producer.result
-        if src is None:
-            return 0
-        return self._banks[src[0]][src[1]]
-
-    # -------------------------------------------------------- memory rules
-    def _older_stores(self, entry: RuuEntry) -> list[RuuEntry]:
-        out = []
-        for e in self._order:  # oldest first, so stop at the entry itself
-            if e.seq >= entry.seq:
-                break
-            if e.is_store:
-                out.append(e)
-        return out
-
-    def _load_memory_check(self, entry: RuuEntry) -> tuple[bool, RuuEntry | None]:
-        """May this load issue, and from which store (if any) to forward?
-
-        Conservative disambiguation: every older in-flight store must have
-        computed its address; an exact address+size match forwards from the
-        youngest such store; any partial overlap blocks the load until the
-        store retires.
-        """
-        base = self._operand(entry.producer1, entry.instruction.dispatch_template[0])
-        addr = semantics.effective_address(entry.instruction, int(base))
-        size = semantics.access_size(entry.instruction)
-        forward: RuuEntry | None = None
-        for store in self._older_stores(entry):
-            if store.mem_addr is None:
-                return False, None  # unknown older address: wait
-            lo, hi = store.mem_addr, store.mem_addr + store.mem_size
-            if hi <= addr or lo >= addr + size:
-                continue  # disjoint
-            if store.mem_addr == addr and store.mem_size == size:
-                forward = store  # youngest exact match wins (kept updating)
-            else:
-                return False, None  # partial overlap: wait for retirement
-        return True, forward
-
     # --------------------------------------------------------------- issue
     def _resource_available_bits(self) -> int:
         """The fabric's cached Eq. 1 bus (for inspection: the issue step
@@ -364,73 +322,112 @@ class RegisterUpdateUnit:
             self._remember_idle(report, result_bits, live_bits, stale_bits)
             return report
         self._idle_report = None
-        # oldest-first grants (the select_grants arbitration) over the
-        # requesting rows only: their set bits, ordered by sequence number.
-        # Overwrite-in-place copy of the live counts (all five types are
-        # always keyed), so the grant loop can decrement freely.
-        granted_rows: list[int] = []
+        # one pass over the requesting rows, oldest first (the
+        # select_grants arbitration): each grant reads its operands,
+        # executes, occupies its unit, is filed under its due cycle and
+        # sets its scheduled bit as it is made.  The grants draw down an
+        # overwrite-in-place copy of the live idle counts (all five types
+        # are always keyed).
         remaining = self._scratch_remaining
         remaining.update(avail._idle_counts)
-        entries = self._entries
-        requesting = []
-        m = req_mask
-        while m:
-            low = m & -m
-            row = low.bit_length() - 1
-            m ^= low
-            requesting.append((entries[row].seq, row))
-        requesting.sort()
-        for _, row in requesting:
-            fu_type = entries[row].fu_type
-            if remaining[fu_type] > 0:
-                remaining[fu_type] -= 1
-                granted_rows.append(row)
+        banks = self._banks
+        issue = self.fabric.issue
+        clock = self.clock
+        due_map = self._due
+        issued_per_type = self.issued_per_type
+        granted = report.granted
+        issued = report.issued
+        occupied = wakeup._occupied
+        scheduled = wakeup._scheduled
+        demand = self.waiting_demand
+        grants = 0  # every granted row, memory-order denials included
+        pending = req_mask
+        for entry in self._order:
+            if not pending:
+                break
+            row = entry.row
+            bit = 1 << row
+            if not pending & bit:
+                continue
+            pending ^= bit
+            fu_type = entry.fu_type
+            left = remaining[fu_type]
+            if not left:
+                continue  # lost arbitration
+            remaining[fu_type] = left - 1
+            grants |= bit
+            instr = entry.instruction
+            src1, src2, _ = instr.dispatch_template
+            # each operand: forwarded from its producer while that is in
+            # flight, else read from the register file (0 for no source)
+            producer = entry.producer1
+            if producer is None or producer.retired:
+                s1 = 0 if src1 is None else banks[src1[0]][src1[1]]
+            elif producer.state is _COMPLETED:
+                s1 = producer.result
+            else:
+                raise SchedulerError(
+                    f"operand read before producer seq={producer.seq} completed"
+                )
+            producer = entry.producer2
+            if producer is None or producer.retired:
+                s2 = 0 if src2 is None else banks[src2[0]][src2[1]]
+            elif producer.state is _COMPLETED:
+                s2 = producer.result
+            else:
+                raise SchedulerError(
+                    f"operand read before producer seq={producer.seq} completed"
+                )
+            if entry.is_load:
+                if not self._execute_load(entry, s1):
+                    report.memory_stalls += 1
+                    self.memory_stalls += 1
+                    continue  # request persists next cycle
+            elif entry.is_store:
+                self._execute_store(entry, s1, s2)
+            elif instr.is_control:
+                report.resolutions.append(self._execute_control(entry, s1, s2))
+            else:
+                handler = instr.alu_handler
+                if handler is None:
+                    raise ValueError(f"alu_result does not handle {instr.mnemonic}")
+                entry.result = handler(s1, s2, instr.imm)
+            entry.unit = issue(fu_type, entry.seq)
+            entry.state = _ISSUED
+            entry.issue_cycle = clock
+            demand -= COUNT_ONE[fu_type]
+            due = clock + instr.latency - 1
+            filed = due_map.get(due)
+            if filed is None:
+                due_map[due] = [(row, entry)]
+            else:
+                filed.append((row, entry))
+            # the scheduled bit, with WakeupArray.mark_scheduled's checks
+            if not occupied & bit:
+                raise SchedulerError(f"row {row} is not occupied")
+            if scheduled & bit:
+                raise SchedulerError(f"row {row} is already scheduled")
+            scheduled |= bit
+            issued_per_type[fu_type] += 1
+            granted.append(row)
+            issued.append(entry.seq)
+        wakeup._scheduled = scheduled
+        if issued:
+            self.waiting_version += 1
+            self.waiting_demand = demand
         # requests that lost arbitration (memory-order denials are granted)
-        self.contention_cycles += requests - len(granted_rows)
+        self.contention_cycles += requests - grants.bit_count()
         if self.pipelined_scheduling:
             # select-free [9]: every requester considered itself scheduled;
             # collision losers are squashed and replay via reschedule
-            loser_mask = req_mask
-            for row in granted_rows:
-                loser_mask &= ~(1 << row)
+            loser_mask = req_mask & ~grants
             while loser_mask:
                 low = loser_mask & -loser_mask
                 row = low.bit_length() - 1
                 loser_mask ^= low
-                self.wakeup.mark_scheduled(row)
+                wakeup.mark_scheduled(row)
                 self._pending_reschedule.append(row)
                 self.scheduling_replays += 1
-        for row in granted_rows:
-            entry = self._entries[row]
-            if entry.is_load:
-                ok, forward = self._load_memory_check(entry)
-                if not ok:
-                    report.memory_stalls += 1
-                    self.memory_stalls += 1
-                    continue  # request persists next cycle
-                self._execute_load(entry, forward)
-            elif entry.is_store:
-                self._execute_store(entry)
-            elif entry.instruction.is_control:
-                resolution = self._execute_control(entry)
-                report.resolutions.append(resolution)
-            else:
-                self._execute_alu(entry)
-            entry.unit = self.fabric.issue(entry.fu_type, entry.seq)
-            entry.state = _ISSUED
-            self.waiting_version += 1
-            self.waiting_demand -= COUNT_ONE[entry.fu_type]
-            entry.issue_cycle = self.clock
-            due = self.clock + entry.instruction.latency - 1
-            filed = self._due.get(due)
-            if filed is None:
-                self._due[due] = [(row, entry)]
-            else:
-                filed.append((row, entry))
-            self.wakeup.mark_scheduled(row)
-            self.issued_per_type[entry.fu_type] += 1
-            report.granted.append(row)
-            report.issued.append(entry.seq)
         return report
 
     def _remember_idle(
@@ -451,44 +448,58 @@ class RegisterUpdateUnit:
         self._idle_scheduled = wakeup._scheduled
 
     # ------------------------------------------------------ execution kinds
-    def _execute_alu(self, entry: RuuEntry) -> None:
-        instr = entry.instruction
-        src1, src2, _ = instr.dispatch_template
-        s1 = self._operand(entry.producer1, src1)
-        s2 = self._operand(entry.producer2, src2)
-        entry.result = semantics.alu_result(instr, s1, s2)
-
-    def _execute_control(self, entry: RuuEntry) -> BranchResolution:
-        instr = entry.instruction
-        src1, src2, _ = instr.dispatch_template
-        s1 = int(self._operand(entry.producer1, src1))
-        s2 = int(self._operand(entry.producer2, src2))
+    def _execute_control(
+        self, entry: RuuEntry, s1: int | float, s2: int | float
+    ) -> BranchResolution:
         taken, target, link = semantics.control_outcome(
-            instr, entry.fetched.pc, s1, s2
+            entry.instruction, entry.fetched.pc, int(s1), int(s2)
         )
         entry.result = link
         entry.actual_next = target
-        entry.mispredicted = target != entry.fetched.predicted_next
-        return BranchResolution(
-            entry=entry, taken=taken, target=target, mispredicted=entry.mispredicted
-        )
+        mispredicted = target != entry.fetched.predicted_next
+        entry.mispredicted = mispredicted
+        return BranchResolution(entry, taken, target, mispredicted)
 
-    def _execute_load(self, entry: RuuEntry, forward: RuuEntry | None) -> None:
-        src1 = entry.instruction.dispatch_template[0]
-        base = int(self._operand(entry.producer1, src1))
-        addr = semantics.effective_address(entry.instruction, base)
-        size = semantics.access_size(entry.instruction)
+    def _execute_load(self, entry: RuuEntry, base: int | float) -> bool:
+        """Execute a granted load, unless memory ordering makes it wait
+        (then return ``False`` and leave the entry as it was).
+
+        Conservative disambiguation: every older in-flight store must have
+        computed its address; an exact address+size match forwards from the
+        youngest such store; any partial overlap blocks the load until the
+        store retires.
+        """
+        instr = entry.instruction
+        addr = semantics.effective_address(instr, int(base))
+        size = semantics.access_size(instr)
+        forward: RuuEntry | None = None
+        seq = entry.seq
+        for store in self._order:  # oldest first, so stop at the entry itself
+            if store.seq >= seq:
+                break
+            if not store.is_store:
+                continue
+            if store.mem_addr is None:
+                return False  # unknown older address: wait
+            lo, hi = store.mem_addr, store.mem_addr + store.mem_size
+            if hi <= addr or lo >= addr + size:
+                continue  # disjoint
+            if store.mem_addr == addr and store.mem_size == size:
+                forward = store  # youngest exact match wins (kept updating)
+            else:
+                return False  # partial overlap: wait for retirement
         entry.mem_addr, entry.mem_size = addr, size
         raw = forward.store_data if forward is not None else self.dmem.load(addr, size)
-        entry.result = semantics.load_value(entry.instruction, raw)
+        entry.result = semantics.load_value(instr, raw)
+        return True
 
-    def _execute_store(self, entry: RuuEntry) -> None:
-        src1, src2, _ = entry.instruction.dispatch_template
-        base = int(self._operand(entry.producer1, src1))
-        value = self._operand(entry.producer2, src2)
-        entry.mem_addr = semantics.effective_address(entry.instruction, base)
-        entry.mem_size = semantics.access_size(entry.instruction)
-        entry.store_data = semantics.store_bytes(entry.instruction, value)
+    def _execute_store(
+        self, entry: RuuEntry, base: int | float, value: int | float
+    ) -> None:
+        instr = entry.instruction
+        entry.mem_addr = semantics.effective_address(instr, int(base))
+        entry.mem_size = semantics.access_size(instr)
+        entry.store_data = semantics.store_bytes(instr, value)
 
     # ---------------------------------------------------------------- tick
     def tick(self) -> None:
@@ -496,25 +507,21 @@ class RegisterUpdateUnit:
 
         A completing entry asserts its result-available line (its row's bit
         in the incrementally-maintained ``_completed_bits`` bus), releases
-        its unit (the :meth:`FunctionalUnit.release` transition, inline)
-        and adds the cycles it held it to the busy total.  An entry a flush
-        squashed is no longer in its row and is skipped."""
+        its unit through :meth:`Fabric.release` and adds the cycles it held
+        it to the busy total.  An entry a flush squashed is no longer in
+        its row and is skipped."""
         clock = self.clock
         due = self._due.pop(clock, None)
         if due is not None:
             entries = self._entries
             bits = self._completed_bits
             busy = self._busy_cycles
+            release = self.fabric.release
             for row, entry in due:
                 if entries.get(row) is entry:
                     entry.state = _COMPLETED
                     bits |= 1 << row
-                    unit = entry.unit
-                    if unit.busy:
-                        unit.busy = False
-                        unit.occupant = None
-                        for listener in unit.listeners:
-                            listener.unit_state_changed(unit, True)
+                    release(entry.unit)
                     busy[entry.fu_type] += clock - entry.issue_cycle + 1
             self._completed_bits = bits
         self.clock = clock + 1
@@ -541,7 +548,11 @@ class RegisterUpdateUnit:
             if head.state is not _COMPLETED:
                 break
             row = head.row
-            self._commit(head)
+            dest = head.instruction.dispatch_template[2]
+            if head.is_store:
+                self.dmem.store(head.mem_addr, head.store_data)
+            elif dest is not None and head.result is not None:
+                self.regfile.write(dest[0], dest[1], head.result)
             # consumers still in flight read the register file from now
             # on; dropping the head's own links keeps a long run from
             # holding every retired entry alive through its dependents
@@ -551,7 +562,6 @@ class RegisterUpdateUnit:
             self._completed_bits &= ~(1 << row)
             del self._entries[row]
             order.pop(0)
-            dest = head.instruction.dispatch_template[2]
             if dest is not None and self._rename.get(dest) is head:
                 del self._rename[dest]
             retired.append(head)
@@ -560,14 +570,6 @@ class RegisterUpdateUnit:
                 self.halted = True
                 break
         return retired
-
-    def _commit(self, entry: RuuEntry) -> None:
-        if entry.is_store:
-            self.dmem.store(entry.mem_addr, entry.store_data)
-            return
-        dest = entry.instruction.dispatch_template[2]
-        if dest is not None and entry.result is not None:
-            self.regfile.write(dest[0], dest[1], entry.result)
 
     # --------------------------------------------------------------- flush
     def flush_younger(self, seq: int) -> int:
@@ -585,7 +587,7 @@ class RegisterUpdateUnit:
             if e.state is _WAITING:
                 self.waiting_demand -= COUNT_ONE[e.fu_type]
             elif e.state is _ISSUED:
-                e.unit.release()
+                self.fabric.release(e.unit)
                 # squashed during this cycle's issue step: it was busy at
                 # the end of every cycle from its issue up to the last one
                 self._busy_cycles[e.fu_type] += self.clock - e.issue_cycle

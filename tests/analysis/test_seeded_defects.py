@@ -30,15 +30,12 @@ REPO = Path(__file__).resolve().parents[2]
 SEEDS = {
     # a comprehension in Processor.step, the declared cycle loop
     "HOT001-declared": ("HOT001", "repro/core/processor.py", [("""\
-            if free_rows:
-                for fetched in decode.pop(free_rows):
-                    dispatched.append(ruu.dispatch(fetched).seq)
+                if obs is None:
+                    for _ in range(n):
+                        ruu.dispatch(popleft())
 """, """\
-            if free_rows:
-                dispatched = [
-                    ruu.dispatch(fetched).seq
-                    for fetched in decode.pop(free_rows)
-                ]
+                if obs is None:
+                    dispatched = [ruu.dispatch(popleft()).seq for _ in range(n)]
 """)]),
     # ... and in a helper the loop reaches through OracleSteering.cycle
     "HOT001-reachable": ("HOT001", "repro/core/policies.py", [("""\

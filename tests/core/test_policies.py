@@ -1,9 +1,11 @@
 """Tests for the steering policies and baselines."""
 
+import pickle
 import random
 
 import pytest
 
+from repro.core import baselines
 from repro.core.baselines import (
     fixed_superscalar,
     oracle_processor,
@@ -88,6 +90,24 @@ class TestOracleSteering:
         # history: an FP unit must have been brought in during the run
         loaded = [plan.fu_type for plan in proc.policy.loader.history]
         assert FUType.FP_MDU in loaded or FUType.FP_ALU in loaded
+
+    def test_reference_runs_once_per_program_and_budget(self, monkeypatch):
+        runs = []
+        real = baselines.run_reference
+
+        def counted(program, **kwargs):
+            runs.append(kwargs["max_instructions"])
+            return real(program, **kwargs)
+
+        monkeypatch.setattr(baselines, "run_reference", counted)
+        program = checksum(iterations=20).program
+        first = oracle_processor(program, _FAST).policy.trace
+        assert oracle_processor(program, _FAST).policy.trace == first
+        assert runs == [1_000_000]
+        oracle_processor(program, _FAST, max_instructions=50_000)
+        assert runs == [1_000_000, 50_000]
+        # the memo is derived state: a pickled program leaves it behind
+        assert "fu_type_traces" not in pickle.loads(pickle.dumps(program)).__dict__
 
     def test_oracle_requires_trace(self):
         policy = OracleSteering(trace=[], lookahead=8)

@@ -34,7 +34,8 @@ class TestSlotGlyphs:
         while not f.rfus.bus_free:
             f.tick()
         assert slot_glyphs(f)[:3] == "FFF"  # idle: uppercase, spans shown
-        f.rfus.units_of_type(FUType.FP_ALU)[0].occupy()
+        f.issue(FUType.FP_ALU)  # the fixed FP ALU
+        assert not f.issue(FUType.FP_ALU).fixed  # then the loaded one
         assert slot_glyphs(f)[:3] == "fff"
 
 

@@ -1,11 +1,13 @@
 """The incremental availability cache must track the Eq. 1 rescan exactly.
 
 :class:`AvailabilityCache` point-updates its idle counts and the 5-bit
-availability bus from unit idle/busy events instead of rescanning the
-fabric every query.  These tests drive a fabric through randomized
-occupy / release / tick / reconfigure sequences and pin the incremental answers to
-the bit-faithful :func:`availability_report` over the Fig. 7 input
-vectors, and to a direct per-unit rescan — after every single operation.
+availability bus as :meth:`Fabric.issue` and :meth:`Fabric.release` flip
+a unit, instead of rescanning the fabric every query.  These tests drive
+a fabric through randomized issue / release / tick / reconfigure
+sequences, and a register update unit through issue, completion and
+squash, and pin the incremental answers to the bit-faithful
+:func:`availability_report` over the Fig. 7 input vectors, and to a
+direct per-unit rescan — after every single operation.
 """
 
 import random
@@ -15,7 +17,12 @@ import pytest
 from repro.errors import FabricError
 from repro.fabric.availability import availability_report
 from repro.fabric.fabric import Fabric
-from repro.isa.futypes import FU_TYPES
+from repro.frontend.fetch import FetchedInstruction
+from repro.frontend.memory import DataMemory
+from repro.isa.assembler import assemble
+from repro.isa.futypes import FU_TYPES, FUType
+from repro.sched.entry import EntryState
+from repro.sched.ruu import RegisterUpdateUnit
 
 _LATENCY = 4
 
@@ -71,7 +78,7 @@ def _random_step(rng, fabric):
     if op == "occupy":
         fabric.issue(rng.choice(occupiable))
     elif op == "release":
-        rng.choice(busy).release()
+        fabric.release(rng.choice(busy))
     elif op == "reconfigure":
         t = rng.choice(FU_TYPES)
         head = rng.randrange(fabric.rfus.n_slots)
@@ -123,11 +130,72 @@ def test_busy_unit_events_update_bus_and_counts():
     assert not fabric.availability_bits() & (1 << t.bit_index)
     _assert_consistent(fabric)
     for unit in units:
-        unit.release()
+        fabric.release(unit)
         _assert_consistent(fabric)
     assert fabric.idle_counts()[t] == n_idle
     assert fabric.availability_bits() & (1 << t.bit_index)
     assert all(u.available for u in units)
+
+
+def _loaded(fabric, fu_type):
+    """Load one ``fu_type`` unit at slot 0 and tick until it is configured."""
+    fabric.rfus.begin_reconfigure(0, fu_type)
+    while not fabric.rfus.bus_free:
+        fabric.tick()
+    _assert_consistent(fabric)
+
+
+def test_ruu_issue_completion_and_squash_match_rescan():
+    """The register update unit occupies units through ``Fabric.issue`` and
+    frees them through ``Fabric.release`` on completion (``tick``) and on
+    a squash (``flush_younger``); the cache matches the rescan after each.
+    With the loads and evictions above, every transition the cycle loop
+    makes is pinned."""
+    fabric = Fabric(n_slots=8, reconfig_latency=_LATENCY)
+    _loaded(fabric, FUType.INT_MDU)
+    ruu = RegisterUpdateUnit(fabric, DataMemory(size=4096))
+    program = assemble("add x1, x2, x3\nmul x4, x5, x6\nmul x7, x8, x9\n")
+    entries = [
+        ruu.dispatch(FetchedInstruction(pc, instr, pc + 1))
+        for pc, instr in enumerate(program.instructions)
+    ]
+    ruu.issue_and_execute()  # all three issue; the second mul on the RFU
+    assert all(e.state is EntryState.ISSUED for e in entries)
+    assert entries[1].unit.fixed and not entries[2].unit.fixed
+    assert fabric.idle_counts()[FUType.INT_MDU] == 0
+    _assert_consistent(fabric)
+    fabric.tick()
+    ruu.tick()  # the add completes (latency 1) and frees the IALU
+    assert entries[0].state is EntryState.COMPLETED
+    assert entries[0].unit.available
+    _assert_consistent(fabric)
+    assert ruu.flush_younger(entries[0].seq) == 2  # squash both muls
+    assert entries[1].unit.available and entries[2].unit.available
+    assert fabric.idle_counts()[FUType.INT_MDU] == 2
+    _assert_consistent(fabric)
+    for _ in range(4):  # their due cycles pass without a second release
+        fabric.tick()
+        ruu.tick()
+        _assert_consistent(fabric)
+
+
+def test_rfu_flips_count_only_reconfigurable_transitions():
+    """The configuration loader keys its blocked-placement memo on
+    ``rfu_flips``: each issue or release of a reconfigurable unit moves it
+    by one, a fixed unit's leaves it, and so do loads."""
+    fabric = Fabric(n_slots=8, reconfig_latency=_LATENCY)
+    avail = fabric._avail
+    flips = avail.rfu_flips
+    _loaded(fabric, FUType.INT_ALU)
+    assert avail.rfu_flips == flips
+    fixed = fabric.issue(FUType.INT_ALU)
+    assert fixed.fixed and avail.rfu_flips == flips
+    loaded = fabric.issue(FUType.INT_ALU)
+    assert not loaded.fixed and avail.rfu_flips == flips + 1
+    fabric.release(fixed)
+    assert avail.rfu_flips == flips + 1
+    fabric.release(loaded)
+    assert avail.rfu_flips == flips + 2
 
 
 def test_crosscheck_mode_smoke():

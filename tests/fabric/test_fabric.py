@@ -84,7 +84,7 @@ class TestIssue:
         f.tick()
         f.tick()
         assert not f.available(FUType.INT_MDU)
-        unit.release()
+        f.release(unit)
         assert f.available(FUType.INT_MDU)
 
 
@@ -134,16 +134,15 @@ class TestFastPathEquivalence:
                     f.rfus.begin_reconfigure(head, t)
             elif op < 0.6:
                 t = rng.choice(list(FU_TYPES))
-                unit = f.idle_unit(t)
-                if unit is not None:
-                    unit.occupy()
+                if f.idle_unit(t) is not None:
+                    f.issue(t)
             elif op < 0.8:
                 busy = [
                     u for us in f.units_by_type().values() for u in us
                     if not u.available
                 ]
                 if busy:
-                    rng.choice(busy).release()
+                    f.release(rng.choice(busy))
             f.tick()
             allocation, availability = f.full_allocation()
             for t in FU_TYPES:

@@ -46,13 +46,11 @@ def _apply(arr: RfuSlotArray, op) -> None:
     elif kind == "occupy":
         head = arr.head_of(op[1])
         if head is not None:
-            unit = arr.slots[head].unit
-            if unit.available:
-                unit.occupy()
+            arr.slots[head].unit.busy = True
     elif kind == "release":
         head = arr.head_of(op[1])
         if head is not None:
-            arr.slots[head].unit.release()
+            arr.slots[head].unit.busy = False
 
 
 def _check_invariants(arr: RfuSlotArray) -> None:
@@ -93,7 +91,7 @@ def test_busy_units_survive_everything(ops):
     while not arr.bus_free:
         arr.tick()
     pinned = arr.slots[3].unit
-    pinned.occupy()
+    pinned.busy = True
     for op in ops:
         if op[0] == "release" and arr.head_of(op[1]) == 3:
             continue  # the premise is that this unit stays busy

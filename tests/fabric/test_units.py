@@ -1,8 +1,14 @@
-"""Tests for functional units and the fixed-unit bank."""
+"""Tests for functional units and the fixed-unit bank.
+
+A unit's busy state belongs to the fabric: :meth:`Fabric.issue` occupies
+a unit and :meth:`Fabric.release` frees it, so those transitions are
+tested through a fabric.
+"""
 
 import pytest
 
 from repro.errors import FabricError
+from repro.fabric.fabric import Fabric
 from repro.fabric.units import FfuBank, FunctionalUnit
 from repro.isa.futypes import FU_TYPES, FUType
 
@@ -13,22 +19,23 @@ class TestFunctionalUnit:
         assert u.available
 
     def test_occupy_sets_busy_and_occupant(self):
-        u = FunctionalUnit(FUType.INT_MDU)
-        u.occupy(occupant=42)
+        u = Fabric().issue(FUType.INT_MDU, occupant=42)
         assert not u.available
         assert u.occupant == 42
 
     def test_double_occupy_rejected(self):
-        u = FunctionalUnit(FUType.LSU)
-        u.occupy()
-        with pytest.raises(FabricError, match="busy"):
-            u.occupy()
+        fabric = Fabric()  # one LSU, the fixed one
+        fabric.issue(FUType.LSU)
+        with pytest.raises(FabricError, match="no idle"):
+            fabric.issue(FUType.LSU)
 
     def test_release(self):
-        u = FunctionalUnit(FUType.FP_MDU)
-        u.occupy(occupant=7)
-        u.release()
+        fabric = Fabric()
+        u = fabric.issue(FUType.FP_MDU, occupant=7)
+        fabric.release(u)
         assert u.available and u.occupant is None
+        with pytest.raises(FabricError, match="not busy"):
+            fabric.release(u)
 
     def test_unique_ids(self):
         a, b = FunctionalUnit(FUType.INT_ALU), FunctionalUnit(FUType.INT_ALU)

@@ -471,8 +471,11 @@ class TestProducerBinding:
         e = _dispatch(ruu, "mul x1, x2, x3\nadd x4, x1, x0\n")
         _cycle(ruu)  # the mul issues (latency 4)
         assert e[0].state is EntryState.ISSUED
+        # assert the mul's result-available line early: the add requests, is
+        # granted, and its operand read finds the mul still executing
+        ruu._completed_bits |= 1 << e[0].row
         with pytest.raises(SchedulerError, match="before producer seq=0 completed"):
-            ruu._execute_alu(e[1])
+            ruu.issue_and_execute()
 
     def test_dependence_mask_names_the_producer_rows(self):
         ruu = _ruu()

@@ -81,9 +81,12 @@ class TestHybridOverlap:
     def test_busy_unit_not_reconfigured(self, fabric, loader):
         loader.set_target(CONFIG_INTEGER)
         _drive(loader, fabric, 60)
-        # occupy every loaded RFU with a long-latency op
+        # occupy every unit of the loaded types (the fixed ones first) with a
+        # long-latency op
         for _, unit in fabric.rfus.units():
-            unit.occupy()
+            while fabric.idle_unit(unit.fu_type) is not None:
+                fabric.issue(unit.fu_type)
+        assert all(unit.busy for _, unit in fabric.rfus.units())
         loader.set_target(CONFIG_FLOATING)
         _drive(loader, fabric, 20)
         # nothing could change: all slots busy
@@ -95,9 +98,12 @@ class TestHybridOverlap:
         the active configuration becomes a hybrid of two steering configs."""
         loader.set_target(CONFIG_INTEGER)
         _drive(loader, fabric, 60)
-        # keep one IALU busy, leave the rest idle
-        busy_unit = fabric.rfus.units_of_type(FUType.INT_ALU)[0]
-        busy_unit.occupy()
+        # keep one IALU busy, leave the rest idle: the fixed IALU takes the
+        # first issue, the first loaded one the second
+        fabric.issue(FUType.INT_ALU)
+        busy_unit = fabric.issue(FUType.INT_ALU)
+        assert busy_unit is fabric.rfus.units_of_type(FUType.INT_ALU)[0]
+        fabric.release(fabric.ffus.units_of_type(FUType.INT_ALU)[0])
         loader.set_target(CONFIG_FLOATING)
         _drive(loader, fabric, 60)
         counts = fabric.rfus.counts()

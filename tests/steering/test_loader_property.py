@@ -49,14 +49,15 @@ def test_loader_never_corrupts_fabric(script):
             for held in pinned:
                 held[1] -= 1
                 if held[1] == 0:
-                    held[0].release()
+                    fabric.release(held[0])
             pinned = [held for held in pinned if held[1] > 0]
             _fu_counts_ok(fabric)
         if pin and fabric.rfus.units():
             head, unit = fabric.rfus.units()[0]
-            if unit.available:
-                unit.occupy()
-                pinned.append([unit, 5])
+            # issue its type until it is busy (the fixed units of the type
+            # are taken first); every issued unit is held for 5 cycles
+            while unit.available:
+                pinned.append([fabric.issue(unit.fu_type), 5])
 
 
 @settings(max_examples=40, deadline=None)
