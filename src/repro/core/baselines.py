@@ -96,14 +96,16 @@ def oracle_processor(
 ) -> Processor:
     """Upper bound: steers with the program's future dynamic trace.
 
-    The trace comes from one reference run per program and instruction
-    budget, memoised on the program (:attr:`Program.fu_type_traces`).
+    The trace comes from one reference run per program, memoised on the
+    program (:attr:`Program.reference_trace`): a halted run of *k*
+    instructions answers every ``max_instructions`` of at least *k*.  A
+    smaller budget runs the reference again, which raises
+    :class:`~repro.errors.SimulationError` as it would without the memo.
     """
-    traces = program.fu_type_traces
-    trace = traces.get(max_instructions)
-    if trace is None:
+    trace = program.reference_trace
+    if trace is None or len(trace) > max_instructions:
         trace = run_reference(program, max_instructions=max_instructions).trace
-        traces[max_instructions] = trace
+        program.reference_trace = trace
     policy = OracleSteering(trace, lookahead=lookahead)
     return Processor(program, params=params, policy=policy)
 

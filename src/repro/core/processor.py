@@ -114,7 +114,6 @@ class Processor:
 
         self.cycle_count = 0
         self.observer = observer
-        self._retired_per_type = {t: 0 for t in FU_TYPES}
         #: cycle of the most recent retirement — drives the completed/
         #: cutoff/deadlock outcome classification in :meth:`result`.
         self._last_retire_cycle = 0
@@ -164,9 +163,6 @@ class Processor:
         if order and order[0].state is _COMPLETED:
             retired = ruu.retire()
             self._last_retire_cycle = self.cycle_count
-            retired_per_type = self._retired_per_type
-            for entry in retired:
-                retired_per_type[entry.fu_type] += 1
 
         # 2. issue / execute / branch repair
         if obs is not None:
@@ -177,37 +173,31 @@ class Processor:
         if not ruu.halted:
             if not ruu._entries:  # RegisterUpdateUnit.empty
                 self._frontend_empty_cycles += 1
-            report = ruu.issue_and_execute()
-            issued = report.issued
-            if report.resolutions:
+            issued, resolutions = ruu.issue_and_execute()
+            if resolutions:
                 flushed_before = ruu.flushed
-                self._handle_resolutions(report.resolutions)
+                self._handle_resolutions(resolutions)
                 flushed = ruu.flushed - flushed_before
 
-        # 3. dispatch, up to the wake-up array's free rows
+        # 3. dispatch, when an instruction waits and a wake-up row is free
+        # (RegisterUpdateUnit.dispatch_decoded applies the decode-width,
+        # free-row and buffer limit)
         if obs is not None:
             obs.on_stage(self, "dispatch")  # repro: cold-call -- observer hook
         dispatched: Sequence[int] = ()
         decode = self.decode
-        decode_buffer = decode._buffer  # tested, sized and popped directly
-        if decode_buffer and not ruu.halted:
-            wakeup = ruu.wakeup
-            # DecodeStage.pop's limit: the decode width, the free rows
-            n = min(
-                decode.width,
-                wakeup.n_entries - wakeup._occupied.bit_count(),
-                len(decode_buffer),
-            )
-            if n > 0:
-                decode.decoded += n
-                popleft = decode_buffer.popleft
-                if obs is None:
-                    for _ in range(n):
-                        ruu.dispatch(popleft())
-                else:
-                    dispatched = []
-                    for _ in range(n):
-                        dispatched.append(ruu.dispatch(popleft()).seq)
+        decode_buffer = decode._buffer
+        wakeup = ruu.wakeup
+        if (
+            decode_buffer
+            and not ruu.halted
+            and wakeup._occupied != wakeup._all_rows  # WakeupArray.full
+        ):
+            n = ruu.dispatch_decoded(decode)
+            if obs is not None and n:
+                dispatched = []
+                for entry in ruu._order[-n:]:
+                    dispatched.append(entry.seq)
 
         # 4. fetch into decode, when a whole packet fits
         if obs is not None:
@@ -312,7 +302,7 @@ class Processor:
             retired=self.ruu.retired,
             halted=self.ruu.halted,
             outcome=outcome,
-            retired_per_type=dict(self._retired_per_type),
+            retired_per_type=dict(self.ruu.retired_per_type),
             busy_unit_cycles=self.ruu.busy_unit_cycles(),
             configured_unit_cycles=configured,
             mispredictions=self._mispredictions,

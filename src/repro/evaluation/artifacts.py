@@ -250,9 +250,9 @@ def figure456_wakeup_example() -> str:
         requests = ruu.wakeup.requests(
             ruu._resource_available_bits(), ruu._completed_bits
         )
-        report = ruu.issue_and_execute()
+        issued, _ = ruu.issue_and_execute()
         req_names = [names[r] for r in requests]
-        grant_names = [names[r] for r in report.granted]
+        grant_names = [names[seq] for seq in issued]
         retired = [names[e.seq] for e in ruu.retire()]
         sections.append(
             f"  cycle {cycle:2d}: request={req_names or '-'} "

@@ -1,8 +1,11 @@
 """The decode stage: a one-cycle buffer between fetch and dispatch.
 
 Instructions arrive pre-decoded (the fetch model decodes the memory word),
-so this stage models the pipeline latency and the decode-width limit, and
-gives the configuration manager's unit decoders their tap point.
+so this stage models the pipeline latency and holds the decode width, and
+gives the configuration manager's unit decoders their tap point.  The
+dispatch stage (:meth:`repro.sched.ruu.RegisterUpdateUnit.dispatch_decoded`)
+drains the buffer, oldest first, up to that width and the free wake-up
+rows.
 """
 
 from __future__ import annotations
@@ -43,15 +46,6 @@ class DecodeStage:
                 f"decode buffer overflow: {len(packet)} into {self.free_space} free"
             )
         self._buffer.extend(packet)
-
-    def pop(self, limit: int | None = None) -> list[FetchedInstruction]:
-        """Drain up to ``min(width, limit)`` instructions for dispatch."""
-        n = self.width if limit is None else min(self.width, limit)
-        out = []
-        while self._buffer and len(out) < n:
-            out.append(self._buffer.popleft())
-        self.decoded += len(out)
-        return out
 
     def flush(self) -> int:
         """Discard everything (mispredict recovery).  Returns count dropped."""

@@ -32,11 +32,11 @@ class Program:
     The encoded :attr:`words` and their :attr:`decoded` instructions are
     computed once, on first use, and kept on the program: the result
     cache's job key reads the words and every processor built on the
-    program fetches the decode.  :attr:`fu_type_traces` keeps the dynamic
-    functional-unit-type trace of a reference run the same way, for every
-    oracle built on the program.  So a program must not be edited once
-    any of them has been read.  None of them travels with a pickled
-    program.
+    program fetches the decode.  :attr:`reference_trace` keeps the dynamic
+    functional-unit-type trace of the program's reference run once one has
+    recorded it, for every oracle built on the program.  So a program must
+    not be edited once any of them has been read.  None of them travels
+    with a pickled program.
     """
 
     instructions: list[Instruction] = field(default_factory=list)
@@ -44,6 +44,13 @@ class Program:
     data: bytearray = field(default_factory=bytearray)
     data_labels: dict[str, int] = field(default_factory=dict)
     source: str | None = None
+    #: the functional-unit type of every instruction the program's halted
+    #: reference run executed, in order; ``None`` until a reference run
+    #: records it (:func:`repro.core.baselines.oracle_processor`, the
+    #: fuzzer).  Treat it as read-only.
+    reference_trace: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -66,21 +73,13 @@ class Program:
         """
         return [decode(w) for w in self.words]
 
-    @cached_property
-    def fu_type_traces(self) -> dict:
-        """Instruction budget -> the functional-unit type of every
-        instruction a reference run within that budget executes, in order
-        (filled by :func:`repro.core.baselines.oracle_processor`; treat the
-        traces as read-only)."""
-        return {}
-
     def __getstate__(self) -> dict:
         # derived from the fields, so a job shipped to a pool worker stays
         # the size of its fields
         state = dict(self.__dict__)
         state.pop("words", None)
         state.pop("decoded", None)
-        state.pop("fu_type_traces", None)
+        state.pop("reference_trace", None)
         return state
 
     def entry(self, label: str = "main") -> int:

@@ -15,7 +15,8 @@ as the fabric reconfigures.
   buffer row: wake-up row, producer entries, result, store data);
 * :mod:`repro.sched.ruu` — the register update unit: dispatch with
   renaming to producer entries, out-of-order issue, operand forwarding,
-  store buffering, branch repair and in-order retirement.
+  store buffering, branch repair and in-order retirement, each stage one
+  call per cycle.
 """
 
 from repro.sched.entry import EntryState, RuuEntry

@@ -6,6 +6,12 @@ register dependences through its dependency buffer, performs out-of-order
 execution with in-order completion, and forwards operands.  This
 implementation adds the substrate details a working processor needs:
 
+* **one call per stage** — dispatch, issue and retire are each one
+  call per cycle.  :meth:`dispatch_decoded` moves the decode buffer's
+  oldest instructions, up to the decode width and the free rows, into
+  the window and writes their wake-up rows into the array's packed
+  state; :meth:`retire` commits, frees each row and its result column
+  and counts :attr:`retired_per_type` itself;
 * **producer-bound entries** — the rename map holds each register's
   youngest in-flight writer *entry*, and dispatch binds every source of
   a new entry to that producer (or to the architectural file when none).
@@ -21,13 +27,20 @@ implementation adds the substrate details a working processor needs:
   flushes younger entries on a mispredict via :meth:`flush_younger`;
 * **in-order retirement** — up to ``retire_width`` completed entries leave
   per cycle in dispatch order, committing register and memory state;
-* **one pass per grant** — the issue step arbitrates the requesting rows
-  oldest first, and each grant reads its operands, executes (an ALU
-  instruction through the ``alu_handler`` bound at decode), occupies its
-  unit through :meth:`Fabric.issue`, is filed and sets its scheduled bit
-  in the same pass;
+* **one evaluation per issue step** — the wake-up logic is evaluated
+  once, with every unit type available, for the rows ready on data.  A
+  ready row requests when its type's Eq. 1 line is up and is counted
+  resource-blocked when it is down, so one evaluation gives both.  With
+  the availability cross-check armed, the derived requests are compared
+  with a direct evaluation at the Eq. 1 bus;
+* **one pass per grant** — the issue step walks the ready rows oldest
+  first, and each grant reads its operands, executes (an ALU instruction
+  through the ``alu_handler`` bound at decode), occupies its unit through
+  :meth:`Fabric.issue`, is filed and sets its scheduled bit in the same
+  pass.  The step returns ``(issued, resolutions)``, the two things the
+  processor reads;
 * **completion by event** — issuing an instruction of latency *L* files
-  it in a due-cycle map under cycle ``clock + L - 1``; :meth:`tick`
+  its entry in a due-cycle map under cycle ``clock + L - 1``; :meth:`tick`
   completes that cycle's entries and frees their units through
   :meth:`Fabric.release`, so no per-unit or per-entry count-down is swept
   every cycle;
@@ -36,10 +49,11 @@ implementation adds the substrate details a working processor needs:
   ``clock - issue_cycle + 1``, a squash ``clock - issue_cycle``), and
   :meth:`busy_unit_cycles` adds the units still in flight;
 * **idle-issue reuse** — an issue step that raised no request leaves no
-  trace, so while its inputs (the result-available and availability
-  buses, the stale bus of pipelined scheduling and the wake-up array's
-  packed state) stay equal, :meth:`issue_and_execute` returns that step's
-  report again instead of re-evaluating the wake-up logic;
+  trace but its resource-blocked count, so while its inputs (the
+  result-available and availability buses, the stale bus of pipelined
+  scheduling and the wake-up array's packed state) stay equal,
+  :meth:`issue_and_execute` adds that count again and returns an empty
+  outcome instead of re-evaluating the wake-up logic;
 * **stall counts** — each issue step, a reused one included, adds its
   resource-blocked rows and its contention (requests that won no grant)
   to the running totals :attr:`resource_blocked_cycles` and
@@ -55,20 +69,22 @@ implementation adds the substrate details a working processor needs:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from repro.errors import SchedulerError
 from repro.fabric.fabric import Fabric
+from repro.frontend.decode import DecodeStage
 from repro.frontend.fetch import FetchedInstruction
 from repro.frontend.memory import DataMemory
 from repro.isa import semantics
-from repro.isa.futypes import COUNT_ONE, FU_TYPES, FUType
+from repro.isa.futypes import COUNT_ONE, FU_BIT, FU_TYPES, NUM_FU_TYPES, FUType
 from repro.isa.instruction import Instruction
 from repro.sched.entry import EntryState, RuuEntry
 from repro.sched.regfile import RegisterFile
 from repro.sched.wakeup import WakeupArray
 
-__all__ = ["BranchResolution", "IssueReport", "RegisterUpdateUnit"]
+__all__ = ["BranchResolution", "RegisterUpdateUnit"]
 
 #: the resource-available bus with every unit type available.
 _ALL_RESOURCES = (1 << len(FU_TYPES)) - 1
@@ -79,6 +95,10 @@ _WAITING = EntryState.WAITING
 _ISSUED = EntryState.ISSUED
 _COMPLETED = EntryState.COMPLETED
 
+#: what an issue step that raised no request returns: nothing issued,
+#: nothing resolved.
+_NOTHING: tuple[tuple[()], tuple[()]] = ((), ())
+
 
 class BranchResolution(NamedTuple):
     """A control instruction resolved this cycle."""
@@ -87,28 +107,6 @@ class BranchResolution(NamedTuple):
     taken: bool
     target: int
     mispredicted: bool
-
-
-class IssueReport:
-    """What happened during one issue/execute step."""
-
-    __slots__ = (
-        "granted", "issued", "resolutions", "memory_stalls", "resource_blocked",
-    )
-
-    def __init__(self) -> None:
-        #: rows granted and issued this cycle.
-        self.granted: list[int] = []
-        #: sequence numbers issued this cycle, oldest first (what the
-        #: processor records — returned directly so callers never rescan
-        #: the window).
-        self.issued: list[int] = []
-        self.resolutions: list[BranchResolution] = []
-        #: loads denied a grant by memory-ordering this cycle (statistics).
-        self.memory_stalls = 0
-        #: occupied, unissued rows whose producers were all ready but whose
-        #: unit type had no idle unit (structural / configuration stalls).
-        self.resource_blocked = 0
 
 
 class RegisterUpdateUnit:
@@ -161,10 +159,10 @@ class RegisterUpdateUnit:
         self._next_seq = 0
         #: the RUU's own cycle counter, advanced by :meth:`tick`.
         self.clock = 0
-        #: due cycle -> ``(row, entry)`` pairs issued to complete at the end
-        #: of that cycle.  A squashed entry stays filed until its due cycle
-        #: and is skipped there by an identity check against the window.
-        self._due: dict[int, list[tuple[int, RuuEntry]]] = {}
+        #: due cycle -> the entries issued to complete at the end of that
+        #: cycle.  A squashed entry stays filed until its due cycle and is
+        #: skipped there by an identity check against its row.
+        self._due: dict[int, list[RuuEntry]] = {}
         #: per-cycle scratch containers, reused so the issue/dispatch hot
         #: paths allocate nothing.
         self._scratch_remaining: dict[FUType, int] = {}
@@ -180,6 +178,7 @@ class RegisterUpdateUnit:
         self.resource_blocked_cycles = 0
         self.contention_cycles = 0
         self.issued_per_type: dict[FUType, int] = {t: 0 for t in FU_TYPES}
+        self.retired_per_type: dict[FUType, int] = {t: 0 for t in FU_TYPES}
         #: busy unit-cycles per type of the occupancies that have ended.
         self._busy_cycles: dict[FUType, int] = {t: 0 for t in FU_TYPES}
         #: bumped whenever the set of WAITING entries changes (each
@@ -189,9 +188,10 @@ class RegisterUpdateUnit:
         self.waiting_version = 0
         #: per-type count of the WAITING entries, packed (``COUNT_ONE``).
         self.waiting_demand = 0
-        #: the last issue step's report when it raised no request, with the
-        #: inputs it saw; ``None`` once a step raised one.
-        self._idle_report: IssueReport | None = None
+        #: the resource-blocked count of the last issue step when it raised
+        #: no request, with the inputs it saw; ``None`` once a step raised
+        #: one.
+        self._idle_blocked: int | None = None
         self._idle_result_bits = 0
         self._idle_live_bits = 0
         self._idle_stale_bits: int | None = None
@@ -228,32 +228,79 @@ class RegisterUpdateUnit:
         return None
 
     # ----------------------------------------------------------- dispatch
-    def dispatch(self, fetched: FetchedInstruction) -> RuuEntry:
-        """Insert one decoded instruction into the window, bound to the
-        in-flight producers of its sources."""
-        instr = fetched.instruction
-        src1, src2, dest = instr.dispatch_template
+    def dispatch_decoded(self, decode: DecodeStage) -> int:
+        """The dispatch stage: move the decode buffer's oldest instructions
+        into free wake-up rows, as many as the decode width, the free rows
+        and the buffer allow.  Returns how many; the dispatched entries
+        are the last that many of :meth:`in_order`.
+
+        Each instruction is bound to the in-flight producers of its
+        sources, and its row (its unit type's column and its producers'
+        result columns) is written straight into the wake-up array's
+        packed state, with :meth:`WakeupArray.insert`'s invalid-row check.
+        """
+        buffer = decode._buffer
+        wakeup = self.wakeup
+        occupied = wakeup._occupied
+        n = min(decode.width, wakeup.n_entries - occupied.bit_count(), len(buffer))
+        if n <= 0:
+            return 0
+        decode.decoded += n
+        popleft = buffer.popleft
+        all_rows = wakeup._all_rows
+        width = wakeup._width
+        need = wakeup._need
         rename = self._rename
-        # an unused source is None, which is never a rename key
-        producer1 = rename.get(src1)
-        producer2 = rename.get(src2)
-        deps = 0
-        if producer1 is not None:
-            deps = 1 << producer1.row
-        if producer2 is not None:
-            deps |= 1 << producer2.row
-        row = self.wakeup.insert(instr.fu_type, deps)
+        entries = self._entries
+        order = self._order
+        demand = self.waiting_demand
         seq = self._next_seq
-        self._next_seq = seq + 1
-        entry = RuuEntry(seq, fetched, row, producer1, producer2)
-        self._entries[row] = entry
-        self._order.append(entry)
-        if dest is not None:
-            rename[dest] = entry
-        self.dispatched += 1
+        for _ in range(n):
+            fetched = popleft()
+            instr = fetched.instruction
+            src1, src2, dest = instr.dispatch_template
+            # an unused source is None, which is never a rename key
+            producer1 = rename.get(src1)
+            producer2 = rename.get(src2)
+            deps = 0
+            if producer1 is not None:
+                deps = 1 << producer1.row
+            if producer2 is not None:
+                deps |= 1 << producer2.row
+            stray = deps & ~occupied
+            if stray:
+                row = (stray & -stray).bit_length() - 1
+                raise SchedulerError(f"dependency on invalid row {row}")
+            free = ~occupied & all_rows
+            row = (free & -free).bit_length() - 1  # lowest free row
+            fu_type = instr.fu_type
+            need |= (FU_BIT[fu_type] | (deps << NUM_FU_TYPES)) << (row * width)
+            occupied |= 1 << row
+            entry = RuuEntry(seq, fetched, row, producer1, producer2)
+            seq += 1
+            entries[row] = entry
+            order.append(entry)
+            if dest is not None:
+                rename[dest] = entry
+            demand += COUNT_ONE[fu_type]
+        wakeup._need = need
+        wakeup._occupied = occupied
+        self._next_seq = seq
+        self.dispatched += n
         self.waiting_version += 1
-        self.waiting_demand += COUNT_ONE[instr.fu_type]
-        return entry
+        self.waiting_demand = demand
+        return n
+
+    def dispatch(self, fetched: FetchedInstruction) -> RuuEntry:
+        """Dispatch one instruction through :meth:`dispatch_decoded` (the
+        tests and the figure builders place instructions one at a time).
+        Raises :class:`SchedulerError` when the window is full."""
+        if self.wakeup.full:
+            raise SchedulerError("wake-up array is full")
+        stage = DecodeStage(width=1, capacity=1)
+        stage.push([fetched])
+        self.dispatch_decoded(stage)
+        return self._order[-1]
 
     # --------------------------------------------------------------- issue
     def _resource_available_bits(self) -> int:
@@ -261,11 +308,14 @@ class RegisterUpdateUnit:
         reads the same bus flat)."""
         return self.fabric.availability_bits()
 
-    def issue_and_execute(self) -> IssueReport:
-        """One issue step: wake-up requests, grants, functional execution."""
-        idle = self._idle_report
+    def issue_and_execute(self) -> tuple[Sequence[int], Sequence[BranchResolution]]:
+        """One issue step: wake-up requests, grants, functional execution.
+
+        Returns ``(issued, resolutions)``: the sequence numbers issued this
+        step, oldest first, and the control instructions resolved.
+        """
         if self._pending_reschedule:
-            idle = None
+            self._idle_blocked = None
             # de-assert the scheduled bit of last cycle's collision losers
             # (the Fig. 6 reschedule input): they re-request from now on
             for row in self._pending_reschedule:
@@ -280,14 +330,16 @@ class RegisterUpdateUnit:
             # repro: cold-call -- version-guarded structure rebuild: bounded
             # by reconfiguration events, not cycles
             avail._refresh_structure()
-        if avail.crosscheck:
+        crosscheck = avail.crosscheck
+        if crosscheck:
             # repro: cold-call -- opt-in divergence cross-check (debug)
             avail._crosscheck()
         live_bits = avail._bits
         stale_bits = self._stale_resource_bits
         wakeup = self.wakeup
+        idle_blocked = self._idle_blocked
         if (
-            idle is not None
+            idle_blocked is not None
             and result_bits == self._idle_result_bits
             and live_bits == self._idle_live_bits
             and stale_bits == self._idle_stale_bits
@@ -297,124 +349,146 @@ class RegisterUpdateUnit:
         ):
             # the same inputs raise no request again, and a step without a
             # request changes nothing (the stale bus already equals the
-            # live one), so the last report stands for this step too
-            self.resource_blocked_cycles += idle.resource_blocked
-            return idle
+            # live one), so the last step's outcome stands for this one
+            self.resource_blocked_cycles += idle_blocked
+            return _NOTHING
 
-        report = IssueReport()
         if self.pipelined_scheduling:
             wakeup_bits = stale_bits if stale_bits is not None else live_bits
             self._stale_resource_bits = live_bits
         else:
             wakeup_bits = live_bits
-        req_mask = wakeup.requests_mask(wakeup_bits, result_bits)
-        requests = req_mask.bit_count()
-        # rows ready on data but blocked on a unit: what steering fixes
-        # (none when every unit type is available)
-        if wakeup_bits != _ALL_RESOURCES:
-            blocked = (
-                wakeup.requests_mask(_ALL_RESOURCES, result_bits).bit_count()
-                - requests
+        # one evaluation of the wake-up logic, with every unit type
+        # available: the rows ready on data.  A ready row requests when its
+        # type's Eq. 1 line is up, and is resource-blocked (what steering
+        # fixes) when it is down.
+        ready = wakeup.requests_mask(_ALL_RESOURCES, result_bits)
+        if crosscheck:
+            # repro: cold-call -- opt-in divergence cross-check (debug)
+            direct = wakeup.requests_mask(wakeup_bits, result_bits)
+        unavailable = _ALL_RESOURCES ^ wakeup_bits
+        req_mask = 0
+        grants = 0  # every granted row, memory-order denials included
+        issued: list[int] = []
+        resolutions: list[BranchResolution] = []
+        if ready:
+            # one pass over the ready rows, oldest first (the select_grants
+            # arbitration): each grant reads its operands, executes,
+            # occupies its unit, is filed under its due cycle and sets its
+            # scheduled bit as it is made.  The grants draw down an
+            # overwrite-in-place copy of the live idle counts (all five
+            # types are always keyed).
+            remaining = self._scratch_remaining
+            remaining.update(avail._idle_counts)
+            banks = self._banks
+            issue = self.fabric.issue
+            clock = self.clock
+            due_map = self._due
+            issued_per_type = self.issued_per_type
+            occupied = wakeup._occupied
+            scheduled = wakeup._scheduled
+            demand = self.waiting_demand
+            pending = ready
+            for entry in self._order:
+                if not pending:
+                    break
+                row = entry.row
+                bit = 1 << row
+                if not pending & bit:
+                    continue
+                pending ^= bit
+                fu_type = entry.fu_type
+                if unavailable and unavailable & FU_BIT[fu_type]:
+                    continue  # no unit of its type available: no request
+                req_mask |= bit
+                left = remaining[fu_type]
+                if not left:
+                    continue  # lost arbitration
+                remaining[fu_type] = left - 1
+                grants |= bit
+                instr = entry.instruction
+                src1, src2, _ = instr.dispatch_template
+                # each operand: forwarded from its producer while that is
+                # in flight, else read from the register file (0 for no
+                # source)
+                producer = entry.producer1
+                if producer is None or producer.retired:
+                    s1 = 0 if src1 is None else banks[src1[0]][src1[1]]
+                elif producer.state is _COMPLETED:
+                    s1 = producer.result
+                else:
+                    raise SchedulerError(
+                        f"operand read before producer seq={producer.seq} completed"
+                    )
+                producer = entry.producer2
+                if producer is None or producer.retired:
+                    s2 = 0 if src2 is None else banks[src2[0]][src2[1]]
+                elif producer.state is _COMPLETED:
+                    s2 = producer.result
+                else:
+                    raise SchedulerError(
+                        f"operand read before producer seq={producer.seq} completed"
+                    )
+                if entry.is_load:
+                    if not self._execute_load(entry, s1):
+                        self.memory_stalls += 1
+                        continue  # request persists next cycle
+                elif entry.is_store:
+                    self._execute_store(entry, s1, s2)
+                elif instr.is_control:
+                    resolutions.append(self._execute_control(entry, s1, s2))
+                else:
+                    handler = instr.alu_handler
+                    if handler is None:
+                        raise ValueError(f"alu_result does not handle {instr.mnemonic}")
+                    entry.result = handler(s1, s2, instr.imm)
+                entry.unit = issue(fu_type, entry.seq)
+                entry.state = _ISSUED
+                entry.issue_cycle = clock
+                demand -= COUNT_ONE[fu_type]
+                due = clock + instr.latency - 1
+                filed = due_map.get(due)
+                if filed is None:
+                    due_map[due] = [entry]
+                else:
+                    filed.append(entry)
+                # the scheduled bit, with WakeupArray.mark_scheduled's checks
+                if not occupied & bit:
+                    raise SchedulerError(f"row {row} is not occupied")
+                if scheduled & bit:
+                    raise SchedulerError(f"row {row} is already scheduled")
+                scheduled |= bit
+                issued_per_type[fu_type] += 1
+                issued.append(entry.seq)
+            wakeup._scheduled = scheduled
+            if issued:
+                self.waiting_version += 1
+                self.waiting_demand = demand
+        if crosscheck and req_mask != direct:
+            raise SchedulerError(
+                f"derived request mask diverged: {req_mask:#x} != {direct:#x}"
             )
-            report.resource_blocked = blocked
+        requests = req_mask.bit_count()
+        blocked = 0
+        if unavailable:
+            blocked = ready.bit_count() - requests
             self.resource_blocked_cycles += blocked
         if not req_mask:
-            self._remember_idle(report, result_bits, live_bits, stale_bits)
-            return report
-        self._idle_report = None
-        # one pass over the requesting rows, oldest first (the
-        # select_grants arbitration): each grant reads its operands,
-        # executes, occupies its unit, is filed under its due cycle and
-        # sets its scheduled bit as it is made.  The grants draw down an
-        # overwrite-in-place copy of the live idle counts (all five types
-        # are always keyed).
-        remaining = self._scratch_remaining
-        remaining.update(avail._idle_counts)
-        banks = self._banks
-        issue = self.fabric.issue
-        clock = self.clock
-        due_map = self._due
-        issued_per_type = self.issued_per_type
-        granted = report.granted
-        issued = report.issued
-        occupied = wakeup._occupied
-        scheduled = wakeup._scheduled
-        demand = self.waiting_demand
-        grants = 0  # every granted row, memory-order denials included
-        pending = req_mask
-        for entry in self._order:
-            if not pending:
-                break
-            row = entry.row
-            bit = 1 << row
-            if not pending & bit:
-                continue
-            pending ^= bit
-            fu_type = entry.fu_type
-            left = remaining[fu_type]
-            if not left:
-                continue  # lost arbitration
-            remaining[fu_type] = left - 1
-            grants |= bit
-            instr = entry.instruction
-            src1, src2, _ = instr.dispatch_template
-            # each operand: forwarded from its producer while that is in
-            # flight, else read from the register file (0 for no source)
-            producer = entry.producer1
-            if producer is None or producer.retired:
-                s1 = 0 if src1 is None else banks[src1[0]][src1[1]]
-            elif producer.state is _COMPLETED:
-                s1 = producer.result
+            # keep the request-free step's outcome and inputs for reuse,
+            # unless a debug cross-check is armed: those must see every
+            # evaluation
+            if crosscheck or WakeupArray.crosscheck:
+                self._idle_blocked = None
             else:
-                raise SchedulerError(
-                    f"operand read before producer seq={producer.seq} completed"
-                )
-            producer = entry.producer2
-            if producer is None or producer.retired:
-                s2 = 0 if src2 is None else banks[src2[0]][src2[1]]
-            elif producer.state is _COMPLETED:
-                s2 = producer.result
-            else:
-                raise SchedulerError(
-                    f"operand read before producer seq={producer.seq} completed"
-                )
-            if entry.is_load:
-                if not self._execute_load(entry, s1):
-                    report.memory_stalls += 1
-                    self.memory_stalls += 1
-                    continue  # request persists next cycle
-            elif entry.is_store:
-                self._execute_store(entry, s1, s2)
-            elif instr.is_control:
-                report.resolutions.append(self._execute_control(entry, s1, s2))
-            else:
-                handler = instr.alu_handler
-                if handler is None:
-                    raise ValueError(f"alu_result does not handle {instr.mnemonic}")
-                entry.result = handler(s1, s2, instr.imm)
-            entry.unit = issue(fu_type, entry.seq)
-            entry.state = _ISSUED
-            entry.issue_cycle = clock
-            demand -= COUNT_ONE[fu_type]
-            due = clock + instr.latency - 1
-            filed = due_map.get(due)
-            if filed is None:
-                due_map[due] = [(row, entry)]
-            else:
-                filed.append((row, entry))
-            # the scheduled bit, with WakeupArray.mark_scheduled's checks
-            if not occupied & bit:
-                raise SchedulerError(f"row {row} is not occupied")
-            if scheduled & bit:
-                raise SchedulerError(f"row {row} is already scheduled")
-            scheduled |= bit
-            issued_per_type[fu_type] += 1
-            granted.append(row)
-            issued.append(entry.seq)
-        wakeup._scheduled = scheduled
-        if issued:
-            self.waiting_version += 1
-            self.waiting_demand = demand
+                self._idle_blocked = blocked
+                self._idle_result_bits = result_bits
+                self._idle_live_bits = live_bits
+                self._idle_stale_bits = stale_bits
+                self._idle_need = wakeup._need
+                self._idle_occupied = wakeup._occupied
+                self._idle_scheduled = wakeup._scheduled
+            return _NOTHING
+        self._idle_blocked = None
         # requests that lost arbitration (memory-order denials are granted)
         self.contention_cycles += requests - grants.bit_count()
         if self.pipelined_scheduling:
@@ -428,24 +502,7 @@ class RegisterUpdateUnit:
                 wakeup.mark_scheduled(row)
                 self._pending_reschedule.append(row)
                 self.scheduling_replays += 1
-        return report
-
-    def _remember_idle(
-        self, report: IssueReport, result_bits: int, live_bits: int, stale_bits
-    ) -> None:
-        """Keep a request-free step's report and inputs for reuse, unless a
-        debug cross-check is armed: those must see every evaluation."""
-        if WakeupArray.crosscheck or self._avail.crosscheck:
-            self._idle_report = None
-            return
-        wakeup = self.wakeup
-        self._idle_report = report
-        self._idle_result_bits = result_bits
-        self._idle_live_bits = live_bits
-        self._idle_stale_bits = stale_bits
-        self._idle_need = wakeup._need
-        self._idle_occupied = wakeup._occupied
-        self._idle_scheduled = wakeup._scheduled
+        return issued, resolutions
 
     # ------------------------------------------------------ execution kinds
     def _execute_control(
@@ -517,7 +574,8 @@ class RegisterUpdateUnit:
             bits = self._completed_bits
             busy = self._busy_cycles
             release = self.fabric.release
-            for row, entry in due:
+            for entry in due:
+                row = entry.row
                 if entries.get(row) is entry:
                     entry.state = _COMPLETED
                     bits |= 1 << row
@@ -540,10 +598,27 @@ class RegisterUpdateUnit:
 
     # -------------------------------------------------------------- retire
     def retire(self) -> list[RuuEntry]:
-        """In-order retirement of up to ``retire_width`` completed entries."""
+        """In-order retirement of up to ``retire_width`` completed entries.
+
+        Each retiring entry commits its store to memory or its result to
+        the register file (integer ``x0`` stays zero), frees its wake-up
+        row with its result column (the retire rule of
+        :meth:`WakeupArray.remove`) and is counted in
+        :attr:`retired_per_type`."""
         retired: list[RuuEntry] = []
         order = self._order
-        while len(retired) < self.retire_width and order:
+        width = self.retire_width
+        wakeup = self.wakeup
+        occupied = wakeup._occupied
+        scheduled = wakeup._scheduled
+        need = wakeup._need
+        remove_masks = wakeup._remove_masks
+        completed_bits = self._completed_bits
+        entries = self._entries
+        rename = self._rename
+        banks = self._banks
+        retired_per_type = self.retired_per_type
+        while order and len(retired) < width:
             head = order[0]
             if head.state is not _COMPLETED:
                 break
@@ -552,23 +627,40 @@ class RegisterUpdateUnit:
             if head.is_store:
                 self.dmem.store(head.mem_addr, head.store_data)
             elif dest is not None and head.result is not None:
-                self.regfile.write(dest[0], dest[1], head.result)
+                reg_class, index = dest
+                if reg_class == "int":
+                    if index:  # x0 is hard-wired to zero
+                        banks["int"][index] = int(head.result) & 0xFFFFFFFF
+                elif reg_class == "fp":
+                    banks["fp"][index] = float(head.result)
+                else:
+                    raise SchedulerError(f"unknown register class {reg_class!r}")
             # consumers still in flight read the register file from now
             # on; dropping the head's own links keeps a long run from
             # holding every retired entry alive through its dependents
             head.retired = True
             head.producer1 = head.producer2 = None
-            self.wakeup.remove(row)
-            self._completed_bits &= ~(1 << row)
-            del self._entries[row]
+            bit = 1 << row
+            if not occupied & bit:
+                raise SchedulerError(f"row {row} is not occupied")
+            occupied ^= bit
+            scheduled &= ~bit
+            need &= remove_masks[row]
+            completed_bits &= ~bit
+            del entries[row]
             order.pop(0)
-            if dest is not None and self._rename.get(dest) is head:
-                del self._rename[dest]
+            if dest is not None and rename.get(dest) is head:
+                del rename[dest]
             retired.append(head)
-            self.retired += 1
+            retired_per_type[head.fu_type] += 1
             if head.instruction.is_halt:
                 self.halted = True
                 break
+        wakeup._occupied = occupied
+        wakeup._scheduled = scheduled
+        wakeup._need = need
+        self._completed_bits = completed_bits
+        self.retired += len(retired)
         return retired
 
     # --------------------------------------------------------------- flush

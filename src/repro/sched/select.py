@@ -9,9 +9,9 @@ heuristic — older instructions unblock more dependents).
 
 :func:`select_grants` is the *reference* arbitration.  The hot path in
 :meth:`repro.sched.ruu.RegisterUpdateUnit.issue_and_execute` inlines the
-same policy over its age-ordered window and the wake-up kernel's request
-mask (no triple list, no sort); the scheduler equivalence tests pin the
-two to identical grant sequences.
+same policy over its age-ordered window and the requests it derives from
+the wake-up kernel (no triple list, no sort); the scheduler equivalence
+tests pin the two to identical grant sequences.
 """
 
 from __future__ import annotations

@@ -49,6 +49,12 @@ __all__ = ["WakeupRow", "WakeupArray"]
 #: mask of the resource (execution-unit) columns within one packed field.
 _RES_MASK = (1 << NUM_FU_TYPES) - 1
 
+#: array size -> the ``(mask memo, list memo)`` pair every array of that
+#: size shares.  Both map a pattern of the packed geometry to the rows it
+#: names, so they depend on the size alone, and a job's array starts warm
+#: from the jobs run before it in the same process.
+_MEMOS: dict[int, tuple[dict[int, int], dict[int, tuple[int, ...]]]] = {}
+
 
 @dataclass(slots=True)
 class WakeupRow:
@@ -98,9 +104,12 @@ class WakeupArray:
         self._occupied = 0  # n-bit row-occupancy mask
         self._scheduled = 0  # n-bit scheduled mask
         self._all_rows = (1 << n) - 1
-        # guard-bit pattern -> row mask / row tuple memos (≤ 2**n entries)
-        self._mask_memo: dict[int, int] = {}
-        self._list_memo: dict[int, tuple[int, ...]] = {}
+        # guard-bit pattern -> row mask / row mask -> row tuple memos
+        # (≤ 2**n entries each), shared by every array of this size
+        memos = _MEMOS.get(n)
+        if memos is None:
+            memos = _MEMOS[n] = ({}, {})
+        self._mask_memo, self._list_memo = memos
 
     # ------------------------------------------------------------ occupancy
     def __len__(self) -> int:

@@ -236,6 +236,7 @@ def _still_fails_predicate(
         if counter is not None:
             counter.inc()
         reference = run_reference(candidate, max_instructions=REFERENCE_BUDGET)
+        candidate.reference_trace = reference.trace  # the oracle's trace
         for policy in implicated:
             result, crash = _run_one_scalar(
                 policy, candidate, params, max_cycles, extra
@@ -390,6 +391,9 @@ def run_fuzz(
             config = base_config
         program = generate_program(program_seed, config)
         reference = run_reference(program, max_instructions=REFERENCE_BUDGET)
+        # the oracle policy steers by this run's trace: recorded, it runs
+        # no reference of its own
+        program.reference_trace = reference.trace
         if programs_c is not None:
             programs_c.inc()
 

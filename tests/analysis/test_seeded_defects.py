@@ -30,12 +30,11 @@ REPO = Path(__file__).resolve().parents[2]
 SEEDS = {
     # a comprehension in Processor.step, the declared cycle loop
     "HOT001-declared": ("HOT001", "repro/core/processor.py", [("""\
-                if obs is None:
-                    for _ in range(n):
-                        ruu.dispatch(popleft())
+                dispatched = []
+                for entry in ruu._order[-n:]:
+                    dispatched.append(entry.seq)
 """, """\
-                if obs is None:
-                    dispatched = [ruu.dispatch(popleft()).seq for _ in range(n)]
+                dispatched = [entry.seq for entry in ruu._order[-n:]]
 """)]),
     # ... and in a helper the loop reaches through OracleSteering.cycle
     "HOT001-reachable": ("HOT001", "repro/core/policies.py", [("""\

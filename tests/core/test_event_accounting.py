@@ -12,9 +12,11 @@ work they replace:
 * an invalidating observer drops every reuse key each cycle, which forces
   every value to be recomputed, and must leave the result record
   byte-identical;
-* the debug cross-checks still see every issue evaluation.
+* the debug cross-checks still see every issue evaluation, and the
+  wake-up kernel runs at most once per issue step.
 """
 
+import collections
 import functools
 
 import pytest
@@ -23,7 +25,6 @@ from repro.core.baselines import policy_catalogue
 from repro.core.params import ProcessorParams
 from repro.isa.futypes import FU_TYPES
 from repro.sched.entry import EntryState
-from repro.sched.ruu import IssueReport
 from repro.sched.wakeup import WakeupArray
 from repro.steering import loader as loader_module
 from repro.utils.canonical import canonical_dumps
@@ -94,7 +95,7 @@ class Invalidate:
     """Drops every reuse key at every stage, so nothing is reused."""
 
     def on_stage(self, proc, stage):
-        proc.ruu._idle_report = None
+        proc.ruu._idle_blocked = None
         proc._structure_seen = -1
         policy = proc.policy
         for attr in ("_demand_seen", "_retired_seen"):
@@ -179,20 +180,18 @@ def test_reuse_is_exact(policy, pipelined, mode):
             assert _record(recomputed) == normal
 
 
-class _CountingReport(IssueReport):
-    """Each issue step that evaluates the wake-up logic builds one report."""
-
-    built = 0
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        _CountingReport.built += 1
-
-
-def _issue_steps_and_evaluations(monkeypatch):
-    monkeypatch.setattr("repro.sched.ruu.IssueReport", _CountingReport)
-    _CountingReport.built = 0
+def _requests_mask_calls(monkeypatch):
+    """Issue step number -> calls of the wake-up kernel in that step, over
+    a steering run of the phased kernel; and the number of issue steps."""
+    calls: collections.Counter = collections.Counter()
     steps = 0
+    real = WakeupArray.requests_mask
+
+    def counted(self, resource_available, result_available):
+        calls[steps] += 1
+        return real(self, resource_available, result_available)
+
+    monkeypatch.setattr(WakeupArray, "requests_mask", counted)
 
     class CountIssue:
         def on_stage(self, proc, stage):
@@ -206,21 +205,31 @@ def _issue_steps_and_evaluations(monkeypatch):
     program = _KERNELS["phased"]
     _, res = _run("steering", program, _params(7, 16, False, "module"), CountIssue())
     assert res.halted
-    return steps, _CountingReport.built
+    return steps, calls
 
 
 def test_idle_issue_steps_are_reused(monkeypatch):
-    steps, evaluations = _issue_steps_and_evaluations(monkeypatch)
-    assert evaluations < steps
+    steps, calls = _requests_mask_calls(monkeypatch)
+    assert len(calls) < steps
+
+
+def test_wakeup_kernel_runs_at_most_once_per_issue_step(monkeypatch):
+    """The requests and the resource-blocked count come from one
+    evaluation."""
+    steps, calls = _requests_mask_calls(monkeypatch)
+    assert set(calls.values()) == {1}
 
 
 def test_wakeup_crosscheck_sees_every_issue_step(monkeypatch):
     monkeypatch.setattr(WakeupArray, "crosscheck", True)
-    steps, evaluations = _issue_steps_and_evaluations(monkeypatch)
-    assert evaluations == steps
+    steps, calls = _requests_mask_calls(monkeypatch)
+    assert len(calls) == steps
 
 
 def test_availability_crosscheck_sees_every_issue_step(monkeypatch):
+    """Armed, every step evaluates, and checks its derived requests against
+    a direct evaluation at the Eq. 1 bus."""
     monkeypatch.setattr("repro.fabric.availability._CROSSCHECK_DEFAULT", True)
-    steps, evaluations = _issue_steps_and_evaluations(monkeypatch)
-    assert evaluations == steps
+    steps, calls = _requests_mask_calls(monkeypatch)
+    assert len(calls) == steps
+    assert set(calls.values()) == {2}

@@ -22,6 +22,7 @@ from repro.core.policies import (
     RandomSteering,
     StaticConfiguration,
 )
+from repro.errors import SimulationError
 from repro.fabric.configuration import (
     CONFIG_FLOATING,
     CONFIG_INTEGER,
@@ -91,7 +92,7 @@ class TestOracleSteering:
         loaded = [plan.fu_type for plan in proc.policy.loader.history]
         assert FUType.FP_MDU in loaded or FUType.FP_ALU in loaded
 
-    def test_reference_runs_once_per_program_and_budget(self, monkeypatch):
+    def test_reference_runs_once_per_program(self, monkeypatch):
         runs = []
         real = baselines.run_reference
 
@@ -102,12 +103,22 @@ class TestOracleSteering:
         monkeypatch.setattr(baselines, "run_reference", counted)
         program = checksum(iterations=20).program
         first = oracle_processor(program, _FAST).policy.trace
+        executed = len(first)
         assert oracle_processor(program, _FAST).policy.trace == first
         assert runs == [1_000_000]
-        oracle_processor(program, _FAST, max_instructions=50_000)
-        assert runs == [1_000_000, 50_000]
+        # the halted run of `executed` instructions answers any budget at
+        # least that long ...
+        oracle_processor(program, _FAST, max_instructions=executed)
+        assert runs == [1_000_000]
+        # ... and a smaller one still fails as the reference run does
+        with pytest.raises(SimulationError, match="exceeded"):
+            oracle_processor(program, _FAST, max_instructions=executed - 1)
+        assert runs == [1_000_000, executed - 1]
+        assert program.reference_trace == first  # the memo survives the failure
         # the memo is derived state: a pickled program leaves it behind
-        assert "fu_type_traces" not in pickle.loads(pickle.dumps(program)).__dict__
+        copy = pickle.loads(pickle.dumps(program))
+        assert "reference_trace" not in copy.__dict__
+        assert copy.reference_trace is None
 
     def test_oracle_requires_trace(self):
         policy = OracleSteering(trace=[], lookahead=8)

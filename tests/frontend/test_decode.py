@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.fabric.fabric import Fabric
 from repro.frontend.decode import DecodeStage
 from repro.frontend.fetch import FetchedInstruction
+from repro.frontend.memory import DataMemory
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.sched.ruu import RegisterUpdateUnit
 
 
 def _fi(pc):
@@ -14,18 +17,6 @@ def _fi(pc):
 
 
 class TestDecodeStage:
-    def test_push_pop_fifo_order(self):
-        d = DecodeStage(width=2)
-        d.push([_fi(0), _fi(1), _fi(2)])
-        assert [f.pc for f in d.pop()] == [0, 1]
-        assert [f.pc for f in d.pop()] == [2]
-        assert d.pop() == []
-
-    def test_pop_respects_limit(self):
-        d = DecodeStage(width=4)
-        d.push([_fi(i) for i in range(4)])
-        assert len(d.pop(limit=1)) == 1
-
     def test_capacity_enforced(self):
         d = DecodeStage(width=4, capacity=2)
         assert d.can_accept(2) and not d.can_accept(3)
@@ -45,10 +36,12 @@ class TestDecodeStage:
         assert len(d) == 0
 
     def test_decoded_counter(self):
+        """The dispatch stage counts what it drains from the buffer."""
         d = DecodeStage(width=4)
         d.push([_fi(0), _fi(1)])
-        d.pop()
-        assert d.decoded == 2
+        ruu = RegisterUpdateUnit(Fabric(reconfig_latency=1), DataMemory(size=64))
+        assert ruu.dispatch_decoded(d) == 2
+        assert d.decoded == 2 and len(d) == 0
 
     def test_validation(self):
         with pytest.raises(SimulationError):

@@ -7,6 +7,7 @@ from repro.core.baselines import steering_processor
 from repro.core.params import ProcessorParams
 from repro.errors import SchedulerError
 from repro.fabric.fabric import Fabric
+from repro.frontend.decode import DecodeStage
 from repro.frontend.fetch import FetchedInstruction
 from repro.frontend.memory import DataMemory
 from repro.isa.assembler import assemble
@@ -38,15 +39,45 @@ def _dispatch(ruu, src, predicted=None):
 
 
 def _cycle(ruu, n=1):
-    reports = []
     for _ in range(n):
-        reports.append(ruu.issue_and_execute())
+        ruu.issue_and_execute()
         ruu.fabric.tick()
         ruu.tick()
-    return reports
+
+
+def _decoded(src, width):
+    """A decode stage of the given width holding ``src``'s instructions."""
+    decode = DecodeStage(width=width)
+    decode.push(
+        [
+            FetchedInstruction(pc=pc, instruction=instr, predicted_next=pc + 1)
+            for pc, instr in enumerate(assemble(src).instructions)
+        ]
+    )
+    return decode
 
 
 class TestDispatch:
+    def test_dispatch_pops_in_fifo_order(self):
+        ruu = _ruu()
+        decode = _decoded("add x1, x2, x3\nadd x4, x5, x6\nadd x7, x8, x9\n", 2)
+        assert ruu.dispatch_decoded(decode) == 2
+        assert [e.pc for e in ruu.in_order()] == [0, 1]
+        assert ruu.dispatch_decoded(decode) == 1
+        assert [e.pc for e in ruu.in_order()] == [0, 1, 2]
+        assert ruu.dispatch_decoded(decode) == 0
+        assert [e.seq for e in ruu.in_order()] == [0, 1, 2]
+
+    def test_dispatch_respects_decode_width_and_free_rows(self):
+        src = "".join(f"add x{i}, x0, x0\n" for i in range(1, 7))
+        ruu = _ruu(window=3)
+        decode = _decoded(src, 2)
+        assert ruu.dispatch_decoded(decode) == 2  # the decode width
+        assert ruu.dispatch_decoded(decode) == 1  # one free row left
+        assert ruu.full and len(decode) == 3
+        assert ruu.dispatch_decoded(decode) == 0  # a full window stalls
+        assert decode.decoded == 3 and ruu.dispatched == 3
+
     def test_window_fills(self):
         ruu = _ruu(window=2)
         _dispatch(ruu, "add x1, x2, x3\nadd x4, x5, x6\n")
@@ -77,9 +108,10 @@ class TestDispatch:
 class TestIssueAndForwarding:
     def test_independent_ops_issue_together(self):
         ruu = _ruu()
-        _dispatch(ruu, "add x1, x2, x3\nlw x4, 0(x0)\nfadd f1, f2, f3\n")
-        report = ruu.issue_and_execute()
-        assert len(report.granted) == 3
+        e = _dispatch(ruu, "add x1, x2, x3\nlw x4, 0(x0)\nfadd f1, f2, f3\n")
+        issued, resolutions = ruu.issue_and_execute()
+        assert issued == [entry.seq for entry in e]
+        assert resolutions == []
 
     def test_dependent_op_waits_for_producer_latency(self):
         ruu = _ruu()
@@ -89,8 +121,8 @@ class TestIssueAndForwarding:
         assert e[1].state is EntryState.WAITING
         _cycle(ruu, 3)  # mul completes after 4 ticks total
         assert e[0].completed
-        report = ruu.issue_and_execute()
-        assert len(report.granted) == 1
+        issued, _ = ruu.issue_and_execute()
+        assert issued == [e[1].seq]
         assert e[1].state is EntryState.ISSUED
 
     def test_operand_forwarded_from_producer(self):
@@ -105,18 +137,18 @@ class TestIssueAndForwarding:
 
     def test_same_type_contention_respects_unit_count(self):
         ruu = _ruu()
-        _dispatch(ruu, "fmul f1, f2, f3\nfmul f4, f5, f6\n")
-        report = ruu.issue_and_execute()
-        assert len(report.granted) == 1  # single FP-MDU (the FFU)
+        e = _dispatch(ruu, "fmul f1, f2, f3\nfmul f4, f5, f6\n")
+        issued, _ = ruu.issue_and_execute()
+        assert issued == [e[0].seq]  # single FP-MDU (the FFU)
 
     def test_structural_stall_resolved_by_extra_rfu_unit(self):
         ruu = _ruu()
         ruu.fabric.rfus.begin_reconfigure(0, FUType.FP_MDU)
         for _ in range(10):
             ruu.fabric.tick()
-        _dispatch(ruu, "fmul f1, f2, f3\nfmul f4, f5, f6\n")
-        report = ruu.issue_and_execute()
-        assert len(report.granted) == 2
+        e = _dispatch(ruu, "fmul f1, f2, f3\nfmul f4, f5, f6\n")
+        issued, _ = ruu.issue_and_execute()
+        assert issued == [e[0].seq, e[1].seq]
 
 
 class TestMemoryOrdering:
@@ -132,11 +164,10 @@ class TestMemoryOrdering:
     def test_load_waits_for_unknown_store_address(self):
         ruu = _ruu()
         e = _dispatch(ruu, "mul x1, x2, x3\nsw x4, 0(x1)\nlw x5, 8(x0)\n")
-        report = ruu.issue_and_execute()
+        issued, _ = ruu.issue_and_execute()
         # load requested but denied: the store's address is unknown
-        granted_entries = [e_ for e_ in e if e_.state is EntryState.ISSUED]
-        assert all(not g.is_load for g in granted_entries)
-        assert report.memory_stalls == 1
+        assert issued == [e[0].seq]  # the mul; the store waits for x1
+        assert ruu.memory_stalls == 1
 
     def test_partial_overlap_blocks_until_store_retires(self):
         ruu = _ruu()
@@ -145,8 +176,8 @@ class TestMemoryOrdering:
         assert e[0].completed
         assert e[1].state is EntryState.WAITING  # overlap but not exact
         ruu.retire()  # store commits to memory
-        report = ruu.issue_and_execute()
-        assert len(report.granted) == 1
+        issued, _ = ruu.issue_and_execute()
+        assert issued == [e[1].seq]
 
     def test_disjoint_load_proceeds(self):
         ruu = _ruu()
@@ -155,9 +186,9 @@ class TestMemoryOrdering:
         for _ in range(5):
             ruu.fabric.tick()
         e = _dispatch(ruu, "sw x1, 0(x0)\nlw x2, 64(x0)\n")
-        report = ruu.issue_and_execute()
-        assert len(report.granted) == 2
-        assert report.memory_stalls == 0
+        issued, _ = ruu.issue_and_execute()
+        assert issued == [e[0].seq, e[1].seq]
+        assert ruu.memory_stalls == 0
 
     def test_store_writes_memory_at_retire(self):
         ruu = _ruu()
@@ -402,17 +433,18 @@ class TestBusyUnitCycles:
 class TestControl:
     def test_branch_resolution_reported(self):
         ruu = _ruu()
-        _dispatch(ruu, "beq x0, x0, 5\n", predicted={0: 5})
-        report = ruu.issue_and_execute()
-        assert len(report.resolutions) == 1
-        res = report.resolutions[0]
+        (e,) = _dispatch(ruu, "beq x0, x0, 5\n", predicted={0: 5})
+        issued, resolutions = ruu.issue_and_execute()
+        assert issued == [e.seq]
+        (res,) = resolutions
+        assert res.entry is e
         assert res.taken and res.target == 5 and not res.mispredicted
 
     def test_mispredict_detected(self):
         ruu = _ruu()
         _dispatch(ruu, "beq x0, x0, 5\n", predicted={0: 1})
-        report = ruu.issue_and_execute()
-        assert report.resolutions[0].mispredicted
+        _, resolutions = ruu.issue_and_execute()
+        assert resolutions[0].mispredicted
 
     def test_jal_writes_link(self):
         ruu = _ruu()
@@ -525,3 +557,35 @@ class TestStallCounts:
         _cycle(ruu, 3)
         assert ruu.contention_cycles == 1
         assert ruu.resource_blocked_cycles == 3
+
+
+class TestDerivedRequests:
+    """The issue step evaluates the wake-up logic once, for the rows ready
+    on data, and derives the requests from it and the Eq. 1 bus.  With the
+    availability cross-check armed it compares them with a direct
+    evaluation at the bus."""
+
+    @staticmethod
+    def _blocked_fmul(monkeypatch):
+        monkeypatch.setattr("repro.fabric.availability._CROSSCHECK_DEFAULT", True)
+        ruu = _ruu()
+        e = _dispatch(ruu, "fmul f1, f2, f3\nfmul f4, f5, f6\n")
+        _cycle(ruu)  # the first fmul takes the one FP-MDU
+        # the second is ready on data and blocked on its unit type
+        assert ruu.wakeup.requests_mask(0b11111, ruu._completed_bits) == 1 << e[1].row
+        return ruu, e
+
+    def test_blocked_row_raises_no_request(self, monkeypatch):
+        ruu, e = self._blocked_fmul(monkeypatch)
+        blocked = ruu.resource_blocked_cycles
+        assert ruu.issue_and_execute() == ((), ())
+        assert ruu.resource_blocked_cycles == blocked + 1
+        assert e[1].state is EntryState.WAITING
+
+    def test_wrong_derived_request_mask_raises(self, monkeypatch):
+        ruu, e = self._blocked_fmul(monkeypatch)
+        # seed a wrong derivation: the waiting fmul claims the integer ALU's
+        # line, which is up, while its wake-up row still needs the FP-MDU
+        e[1].fu_type = FUType.INT_ALU
+        with pytest.raises(SchedulerError, match="derived request mask diverged"):
+            ruu.issue_and_execute()

@@ -92,6 +92,34 @@ class TestRequestLogic:
             arr.requests(1 << 5, 0)
 
 
+class TestSharedMemo:
+    """Arrays of one size share the kernel's memos, so a new array (a new
+    job's) starts warm."""
+
+    @staticmethod
+    def _fill(arr):
+        a = arr.insert(FUType.INT_ALU, 0)
+        arr.insert(FUType.LSU, 1 << a)
+        arr.insert(FUType.FP_MDU, 0)
+        return arr
+
+    def test_second_array_of_a_size_hits_the_memo(self):
+        first = self._fill(WakeupArray(n_entries=6))
+        mask = first.requests_mask(0b10111, 0)
+        rows = first.requests(0b10111, 0)
+        memo, list_memo = dict(first._mask_memo), dict(first._list_memo)
+        second = self._fill(WakeupArray(n_entries=6))
+        assert second._mask_memo is first._mask_memo
+        assert second._list_memo is first._list_memo
+        # the same state evaluates from the memo: nothing new is filed
+        assert second.requests_mask(0b10111, 0) == mask
+        assert second.requests(0b10111, 0) == rows
+        assert second._mask_memo == memo and second._list_memo == list_memo
+
+    def test_sizes_keep_their_own_memos(self):
+        assert WakeupArray(5)._mask_memo is not WakeupArray(6)._mask_memo
+
+
 class TestPaperExample:
     """The Figs. 4-5 worked example: Shift, Sub, Add, Mul, Load, FPMul,
     FPAdd with the paper's dependency graph."""

@@ -9,7 +9,9 @@ minimized to a dozen instructions or fewer.
 
 import json
 
+from repro.core import baselines
 from repro.core.baselines import steering_processor
+from repro.isa.program import Program
 from repro.telemetry import MetricsRegistry
 from repro.verify import fuzz as fuzz_module
 from repro.verify.fuzz import run_fuzz
@@ -44,6 +46,37 @@ def test_clean_sweep_over_catalogue():
     # every catalogue policy ran on every program
     assert report.simulations == 5 * 8
     assert report.stopped == "iterations"
+
+
+def _counted_fuzz(monkeypatch, seed, iterations):
+    """``run_fuzz``'s report and its reference runs, fuzzer and oracle."""
+    runs = []
+
+    def counting(real):
+        def run_reference(program, **kwargs):
+            runs.append(kwargs.get("max_instructions"))
+            return real(program, **kwargs)
+
+        return run_reference
+
+    for module in (fuzz_module, baselines):
+        monkeypatch.setattr(module, "run_reference", counting(module.run_reference))
+    report = run_fuzz(seed=seed, iterations=iterations, max_cycles=FAST_CYCLES)
+    return report, runs
+
+
+def test_one_reference_run_per_iteration(monkeypatch):
+    """The oracle steers by the trace of the fuzzer's own reference run."""
+    report, runs = _counted_fuzz(monkeypatch, seed=5, iterations=4)
+    assert report.ok and report.iterations_run == 4
+    assert runs == [fuzz_module.REFERENCE_BUDGET] * 4
+    # the same report as with no trace remembered between the two runs
+    monkeypatch.setattr(
+        Program, "reference_trace", property(lambda self: None, lambda self, v: None)
+    )
+    unmemoised, runs = _counted_fuzz(monkeypatch, seed=5, iterations=4)
+    assert len(runs) == 8
+    assert unmemoised == report
 
 
 def test_schedule_is_seed_deterministic():
