@@ -51,12 +51,13 @@ from repro.core.params import ProcessorParams
 from repro.core.policies import PaperSteering
 from repro.core.processor import Processor
 from repro.core.tracing import EventRecorder, render_fabric_timeline
+from repro.errors import ReproError
 from repro.evaluation import artifacts as artifacts_mod
 from repro.evaluation.report import render_table
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import format_instruction
 from repro.isa.program import Program
-from repro.workloads.kernels import all_kernels, kernel_by_name
+from repro.workloads import all_kernels, resolve_program
 
 __all__ = ["main"]
 
@@ -72,38 +73,18 @@ _ARTIFACTS = {
 
 
 def _load_program(target: str) -> Program:
-    """Kernel name, assembly file, or synthetic spec.
+    """An assembly file, or a target of :func:`repro.workloads.resolve_program`.
 
-    Synthetic specs: ``mix:<int|mem|fp|balanced>[:iterations[:seed]]`` and
-    ``phased[:seed]`` (int -> mem -> fp phases).
+    A target that names no program exits 2 with a one-line message.
     """
-    if target.startswith("mix:"):
-        from repro.workloads.synthetic import (
-            BALANCED_MIX, FP_MIX, INT_MIX, MEM_MIX, synthetic_program,
-        )
-
-        parts = target.split(":")
-        mixes = {"int": INT_MIX, "mem": MEM_MIX, "fp": FP_MIX,
-                 "balanced": BALANCED_MIX}
-        mix = mixes.get(parts[1])
-        if mix is None:
-            raise SystemExit(f"unknown mix {parts[1]!r}; choose from {sorted(mixes)}")
-        iterations = int(parts[2]) if len(parts) > 2 else 50
-        seed = int(parts[3]) if len(parts) > 3 else 0
-        return synthetic_program(mix, iterations=iterations, seed=seed)
-    if target.startswith("phased"):
-        from repro.workloads.phases import phased_program
-        from repro.workloads.synthetic import FP_MIX, INT_MIX, MEM_MIX
-
-        parts = target.split(":")
-        seed = int(parts[1]) if len(parts) > 1 else 0
-        return phased_program(
-            [(INT_MIX, 50), (MEM_MIX, 50), (FP_MIX, 50)], seed=seed
-        )
     path = pathlib.Path(target)
-    if path.suffix == ".s" or path.exists():
-        return assemble(path.read_text())
-    return kernel_by_name(target).program
+    try:
+        if path.suffix == ".s" or path.is_file():
+            return assemble(path.read_text())
+        return resolve_program(target)
+    except (OSError, ReproError) as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _params_from_args(args: argparse.Namespace) -> ProcessorParams:

@@ -22,7 +22,7 @@ from repro.core.params import ProcessorParams
 from repro.core.stats import SimulationResult
 from repro.errors import ConfigurationError
 from repro.evaluation.basis_search import demand_profile, design_basis, profile_cost
-from repro.evaluation.batch import ResultCache, SimJob, run_many
+from repro.evaluation.batch import ResultCache, SimJob, policy_job, run_many
 from repro.evaluation.report import render_table
 from repro.fabric.configuration import (
     NUM_RFU_SLOTS,
@@ -116,25 +116,20 @@ def run_ipc_comparison(
     if workloads is None:
         workloads = [(k.name, k.program) for k in all_kernels()]
 
-    def jobs_for(program) -> list[tuple[str, SimJob]]:
-        def job(factory, **kwargs):
-            return SimJob(
-                factory, program, params, max_cycles=max_cycles, kwargs=kwargs
-            )
+    policies = ["ffu-only", "steering"]
+    policies += [f"static-{cfg.name}" for cfg in PREDEFINED_CONFIGS]
+    policies += ["random", "oracle"] if include_oracle else ["random"]
+    # E-IPC's random baseline switches configuration twice as often as
+    # the catalogue's
+    arguments = {"random": {"period": 100}}
 
-        out = [("ffu-only", job("ffu-only")), ("steering", job("steering"))]
-        for cfg in PREDEFINED_CONFIGS:
-            out.append((f"static-{cfg.name}", job("static", config=cfg)))
-        out.append(("random", job("random", period=100)))
-        if include_oracle:
-            out.append(("oracle", job("oracle")))
-        return out
-
-    policies = [p for p, _ in jobs_for(workloads[0][1])]
     batch: list[SimJob] = []
     slots: list[tuple[str, str]] = []
     for name, program in workloads:
-        for policy, job in jobs_for(program):
+        for policy in policies:
+            job = policy_job(
+                policy, program, params, max_cycles, **arguments.get(policy, {})
+            )
             job.label = f"{name}/{policy}"
             batch.append(job)
             slots.append((name, policy))
@@ -274,7 +269,7 @@ def run_phase_adaptation(
         result=traced["result"],
         selections=traced["selections"],
         load_cycles=traced["load_cycles"],
-        kept_fraction=traced["kept_fraction"],
+        kept_fraction=traced["result"].steering_kept_fraction,
     )
 
 
@@ -327,18 +322,18 @@ def run_cem_ablation(
     if workloads is None:
         workloads = [(k.name, k.program) for k in all_kernels()]
     batch = []
+    # the approx case runs under the caller's params, so it shares a cache
+    # key with E-IPC's plain steering job
+    exact = dataclasses.replace(params, use_exact_metric=True)
     for name, program in workloads:
-        for exact in (False, True):
+        for label, cem_params in (("approx", params), ("exact", exact)):
             batch.append(
                 SimJob(
                     "steering",
                     program,
-                    params,
+                    cem_params,
                     max_cycles=max_cycles,
-                    # the approx case keeps empty kwargs so it shares a
-                    # cache key with E-IPC's plain steering job
-                    kwargs={"use_exact_metric": True} if exact else {},
-                    label=f"{name}/{'exact' if exact else 'approx'}",
+                    label=f"{name}/{label}",
                 )
             )
     results = run_many(batch, workers, cache)

@@ -23,7 +23,9 @@ Endpoints::
     GET  /api/logs           structured event log (?trace=&event=&limit=)
     GET  /api/jobs           submitted-job records
     GET  /api/jobs/<id>      one submitted job
-    POST /api/jobs           submit a simulation job spec (202 / 200 cached)
+    POST /api/jobs           submit a simulation job spec (202 / 200 cached;
+                             400 for a spec that can never run, see
+                             :mod:`repro.serving.jobs`)
 
 Job submissions mint a trace-context id (honouring an
 ``X-Repro-Trace-Id`` request header) that rides on the job row through
@@ -456,10 +458,10 @@ class ServingApp:
     def _decisions(self, run_id, headers):
         """Steering decision ledger of a stored run (``repro explain``).
 
-        Served from the run's result-cache blob: only runs produced with
-        a decision ledger attached (``steering-telemetry`` factory with
-        ``decision_ledger`` on, the default) carry a ``decisions``
-        payload.  Content-addressed, hence immutable.
+        Served from the run's result-cache blob: only runs of the
+        ``steering-telemetry`` factory, which always attaches a decision
+        ledger, carry a ``decisions`` payload.  Content-addressed, hence
+        immutable.
         """
         run = self.store.get_run(run_id)
         if run is None:

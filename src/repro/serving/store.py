@@ -163,8 +163,6 @@ def metrics_of(result: Any) -> dict[str, float]:
     """
     if isinstance(result, dict) and "result" in result:
         metrics = metrics_of(result["result"])
-        if "kept_fraction" in result:
-            metrics["kept_fraction"] = float(result["kept_fraction"])
         if "load_cycles" in result:
             metrics["load_count"] = len(result["load_cycles"])
         return metrics

@@ -36,8 +36,7 @@ from repro.core.params import ProcessorParams
 from repro.core.reference import ReferenceResult, run_reference
 from repro.core.tracing import EventRecorder, SteeringTrace
 from repro.errors import ReproError
-from repro.evaluation.batch import SimJob, execute_job, run_many
-from repro.fabric.configuration import PREDEFINED_CONFIGS
+from repro.evaluation.batch import execute_job, policy_job, run_many
 from repro.isa.futypes import FUType
 from repro.isa.program import Program
 from repro.utils.canonical import canonical_dumps
@@ -110,16 +109,6 @@ def _iteration_config(rng: Random) -> GeneratorConfig:
     )
 
 
-def _job_for(policy: str, program: Program, params, max_cycles: int) -> SimJob:
-    if policy.startswith("static-"):
-        cfg = {c.name: c for c in PREDEFINED_CONFIGS}[policy[len("static-") :]]
-        return SimJob(
-            "static", program, params, max_cycles,
-            kwargs={"config": cfg}, label=policy,
-        )
-    return SimJob(policy, program, params, max_cycles, label=policy)
-
-
 def _run_policies(
     policies: list[str],
     program: Program,
@@ -128,38 +117,38 @@ def _run_policies(
     workers: int,
 ) -> tuple[dict[str, Any], list[Violation]]:
     """Results by policy via the batch engine; crashes become violations."""
-    jobs = [_job_for(p, program, params, max_cycles) for p in policies]
+    jobs = [policy_job(p, program, params, max_cycles) for p in policies]
     try:
         results = run_many(jobs, workers=workers)
         return dict(zip(policies, results)), []
     except ReproError:
         # a crash inside the batch kills the whole sweep — re-run policy
-        # by policy, scalar, to attribute it
+        # by policy, in this process, to attribute it
         results: dict[str, Any] = {}
         violations: list[Violation] = []
-        for policy, job in zip(policies, jobs):
-            try:
-                results[policy] = execute_job(job)
-            except ReproError as exc:
-                violations.append(
-                    Violation("crash", policy, f"{type(exc).__name__}: {exc}")
-                )
+        for policy in policies:
+            result, crash = _run_one(policy, program, params, max_cycles, None)
+            if crash is None:
+                results[policy] = result
+            else:
+                violations.append(crash)
         return results, violations
 
 
-def _run_one_scalar(
+def _run_one(
     policy: str,
     program: Program,
     params: ProcessorParams,
     max_cycles: int,
     extra: dict[str, Callable] | None,
 ) -> tuple[Any, Violation | None]:
-    """One policy, scalar path, crash converted to a violation."""
+    """One policy in this process, a crash converted to a violation: an
+    ``extra`` policy through its builder, a catalogue one through
+    :func:`execute_job`."""
     try:
         if extra and policy in extra:
             return extra[policy](program, params).run(max_cycles=max_cycles), None
-        catalogue = policy_catalogue()
-        return catalogue[policy](program, params).run(max_cycles=max_cycles), None
+        return execute_job(policy_job(policy, program, params, max_cycles)), None
     except ReproError as exc:
         return None, Violation("crash", policy, f"{type(exc).__name__}: {exc}")
 
@@ -238,7 +227,7 @@ def _still_fails_predicate(
         reference = run_reference(candidate, max_instructions=REFERENCE_BUDGET)
         candidate.reference_trace = reference.trace  # the oracle's trace
         for policy in implicated:
-            result, crash = _run_one_scalar(
+            result, crash = _run_one(
                 policy, candidate, params, max_cycles, extra
             )
             if crash is not None:
@@ -401,7 +390,7 @@ def run_fuzz(
             catalogue_policies, program, params, max_cycles, workers
         )
         for name, factory in sorted((extra_policies or {}).items()):
-            result, crash = _run_one_scalar(
+            result, crash = _run_one(
                 name, program, params, max_cycles, extra_policies
             )
             if crash is not None:

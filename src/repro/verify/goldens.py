@@ -30,8 +30,7 @@ from pathlib import Path
 from repro.core.baselines import policy_catalogue
 from repro.core.params import ProcessorParams
 from repro.errors import ConfigurationError
-from repro.evaluation.batch import SimJob, job_key, run_many
-from repro.fabric.configuration import PREDEFINED_CONFIGS
+from repro.evaluation.batch import job_key, policy_job, run_many
 from repro.isa.program import Program
 from repro.utils.canonical import canonical_dumps
 from repro.verify.generator import GeneratorConfig, generate_program
@@ -100,20 +99,6 @@ def _cell_name(workload: str, policy: str) -> str:
     return f"{workload}__{policy}.json"
 
 
-def _job_for(policy: str, program: Program) -> SimJob:
-    params = golden_params()
-    if policy.startswith("static-"):
-        configs = {c.name: c for c in PREDEFINED_CONFIGS}
-        cfg = configs.get(policy[len("static-") :])
-        if cfg is None:
-            raise ConfigurationError(f"unknown static configuration {policy!r}")
-        return SimJob(
-            "static", program, params, GOLDEN_MAX_CYCLES,
-            kwargs={"config": cfg}, label=policy,
-        )
-    return SimJob(policy, program, params, GOLDEN_MAX_CYCLES, label=policy)
-
-
 def params_fingerprint() -> str:
     """Content hash of the pinned cell question (params + budget).
 
@@ -123,11 +108,13 @@ def params_fingerprint() -> str:
     different question.
     """
     h = hashlib.sha256()
+    params = golden_params()
     for workload, program in sorted(golden_workloads().items()):
         h.update(workload.encode())
         for policy in sorted(policy_catalogue()):
             h.update(policy.encode())
-            h.update(job_key(_job_for(policy, program)).encode())
+            job = policy_job(policy, program, params, GOLDEN_MAX_CYCLES)
+            h.update(job_key(job).encode())
     return h.hexdigest()[:16]
 
 
@@ -189,7 +176,11 @@ def compute_cell_records(workers: int = 0, progress=None) -> dict[tuple[str, str
     """
     workloads = golden_workloads()
     cells = golden_cells()
-    jobs = [_job_for(policy, workloads[workload]) for workload, policy in cells]
+    params = golden_params()
+    jobs = [
+        policy_job(policy, workloads[workload], params, GOLDEN_MAX_CYCLES)
+        for workload, policy in cells
+    ]
     results = run_many(jobs, workers=workers, progress=progress)
     records: dict[tuple[str, str], dict] = {}
     for cell, result in zip(cells, results):

@@ -11,7 +11,12 @@ here (DESIGN.md substitution rule):
   functional-unit mix and dependency density;
 * :mod:`repro.workloads.phases` — phase-changing workloads (integer ->
   memory -> floating-point ...) that exercise steering adaptation.
+
+:func:`resolve_program` names any of them by one target string.
 """
+
+from repro.errors import WorkloadError
+from repro.isa.program import Program
 
 from repro.workloads.kernels import (
     Kernel,
@@ -44,7 +49,14 @@ from repro.workloads.kernels_numeric import (
     transpose,
 )
 from repro.workloads.phases import phased_program
-from repro.workloads.synthetic import MixSpec, synthetic_program
+from repro.workloads.synthetic import (
+    BALANCED_MIX,
+    FP_MIX,
+    INT_MIX,
+    MEM_MIX,
+    MixSpec,
+    synthetic_program,
+)
 
 __all__ = [
     "Kernel",
@@ -74,4 +86,42 @@ __all__ = [
     "MixSpec",
     "synthetic_program",
     "phased_program",
+    "resolve_program",
 ]
+
+_MIXES = {"int": INT_MIX, "mem": MEM_MIX, "fp": FP_MIX, "balanced": BALANCED_MIX}
+
+
+def resolve_program(target: str) -> Program:
+    """The program a target names; never touches the filesystem.
+
+    A target is a kernel name (``checksum``), a synthetic mix
+    (``mix:<int|mem|fp|balanced>[:iterations[:seed]]``) or the phased
+    workload (``phased[:seed]``: int -> mem -> fp phases).  Anything else
+    raises :class:`~repro.errors.WorkloadError`.
+    """
+    name, *fields = target.split(":")
+    if name == "mix":
+        mix = _MIXES.get(fields[0] if fields else "")
+        if mix is None:
+            raise WorkloadError(
+                f"unknown mix in {target!r}; choose from {sorted(_MIXES)}"
+            )
+        iterations, seed = _integers(target, fields[1:], (50, 0))
+        return synthetic_program(mix, iterations=iterations, seed=seed)
+    if name == "phased":
+        (seed,) = _integers(target, fields, (0,))
+        return phased_program(
+            [(INT_MIX, 50), (MEM_MIX, 50), (FP_MIX, 50)], seed=seed
+        )
+    return kernel_by_name(target).program
+
+
+def _integers(target: str, fields: list[str], defaults: tuple[int, ...]) -> list[int]:
+    """``fields`` as integers, padded with the trailing ``defaults``."""
+    if len(fields) > len(defaults):
+        raise WorkloadError(f"too many fields in {target!r}")
+    try:
+        return [int(f) for f in fields] + list(defaults[len(fields):])
+    except ValueError as exc:
+        raise WorkloadError(f"bad target {target!r}: {exc}") from None

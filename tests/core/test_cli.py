@@ -55,6 +55,22 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "mix:quantum"])
 
+    @pytest.mark.parametrize(
+        "target", ["mix:int:abc", "phased:x", "mix", "mix:int:10:3:9", "nosuch"]
+    )
+    def test_bad_target_exits_2_with_one_line(self, target, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", target])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(target) in err
+
+    def test_missing_assembly_file_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(tmp_path / "absent.s")])
+        assert exc.value.code == 2
+        assert "absent.s" in capsys.readouterr().err
+
     def test_json_output(self, capsys):
         import json
 

@@ -456,13 +456,10 @@ def test_metrics_of_traced_payload():
 
     payload = {
         "result": FakeResult(),
-        "kept_fraction": 0.75,
         "load_cycles": [1, 2, 3],
         "selections": ["cfg"],
     }
-    assert metrics_of(payload) == {
-        "ipc": 2.0, "kept_fraction": 0.75, "load_count": 3,
-    }
+    assert metrics_of(payload) == {"ipc": 2.0, "load_count": 3}
 
 
 def test_metrics_of_opaque_result_is_empty():
