@@ -38,16 +38,17 @@ class ReferenceResult:
     halted: bool
 
 
+#: data memory of a reference run, in bytes (the processor's default).
+DMEM_SIZE = 1 << 20
+
+
 def run_reference(
-    program: Program,
-    dmem_size: int = 1 << 20,
-    max_instructions: int = 1_000_000,
-    entry: str = "main",
+    program: Program, max_instructions: int = 1_000_000
 ) -> ReferenceResult:
-    """Architecturally execute ``program`` to completion."""
+    """Architecturally execute ``program`` from ``main`` to completion."""
     regs = RegisterFile()
-    mem = DataMemory(size=dmem_size, image=program.data)
-    pc = program.entry(entry)
+    mem = DataMemory(size=DMEM_SIZE, image=program.data)
+    pc = program.entry()
     trace: list[FUType] = []
     executed = 0
     halted = False
