@@ -119,12 +119,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{', '.join(sorted(catalogue))}", file=sys.stderr)
         return 2
     telemetry = None
-    if args.telemetry or args.telemetry_out:
-        from repro.telemetry import ProcessorTelemetry, SpanTracer
+    if args.telemetry or args.telemetry_out or args.profile_stages:
+        from repro.telemetry import ProcessorTelemetry
 
-        telemetry = ProcessorTelemetry(
-            tracer=SpanTracer(), profile_stages=args.profile_stages
-        )
+        telemetry = ProcessorTelemetry(profile_stages=args.profile_stages)
     proc = catalogue[args.policy](program, params)
     proc.observer = telemetry
     result = proc.run(max_cycles=args.max_cycles)
@@ -138,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         print(result.summary())
         if telemetry is not None:
-            for line in telemetry.summary_lines():
+            for line in telemetry.summary_lines(result):
                 print(f"  {line}")
     if args.telemetry_out:
         from repro.utils.canonical import canonical_dumps
@@ -469,14 +467,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--compare", action="store_true",
                      help="run every policy and print an IPC table")
     run.add_argument("--telemetry", action="store_true",
-                     help="collect metrics/time-series/trace spans during "
-                          "the run and print a telemetry summary")
+                     help="collect time-series, trace spans and steering "
+                          "decisions during the run and print a telemetry "
+                          "summary")
     run.add_argument("--telemetry-out", default=None, metavar="PREFIX",
                      help="write PREFIX.trace.json (Chrome/Perfetto trace) "
                           "and PREFIX.series.json (implies --telemetry)")
     run.add_argument("--profile-stages", action="store_true",
-                     help="wall-clock each pipeline stage (implies the "
-                          "slower instrumented cycle loop)")
+                     help="wall-clock each pipeline stage (implies "
+                          "--telemetry)")
     run.set_defaults(func=_cmd_run)
 
     disasm = sub.add_parser("disasm", help="print binary + disassembly")

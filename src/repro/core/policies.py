@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
+from repro.errors import ConfigurationError
 from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS, Configuration
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import COUNT_ONE, FU_TYPES, FUType
@@ -202,6 +203,8 @@ class RandomSteering(SteeringPolicy):
         period: int = 200,
         seed: int = 0,
     ) -> None:
+        if period < 1:
+            raise ConfigurationError(f"period must be at least 1, got {period}")
         self.configs = tuple(configs)
         self.period = period
         self._rng = random.Random(seed)
@@ -307,6 +310,10 @@ class OracleSteering(SteeringPolicy):
         configs: Sequence[Configuration] = PREDEFINED_CONFIGS,
         lookahead: int = 64,
     ) -> None:
+        if lookahead < 1:
+            raise ConfigurationError(
+                f"lookahead must be at least 1, got {lookahead}"
+            )
         self.trace = list(trace)
         self.configs = tuple(configs)
         self.lookahead = lookahead

@@ -113,6 +113,9 @@ class Processor:
         self.policy.bind(self.fabric)
 
         self.cycle_count = 0
+        #: optional cycle observer (protocol in :mod:`repro.core.tracing`):
+        #: ``on_stage`` runs as each of the six pipeline stages starts and
+        #: ``on_cycle`` after the tick; ``None`` costs one test per hook.
         self.observer = observer
         #: cycle of the most recent retirement — drives the completed/
         #: cutoff/deadlock outcome classification in :meth:`result`.
@@ -133,27 +136,10 @@ class Processor:
         #: the register update unit's).
         self._frontend_empty_cycles = 0
 
-    @property
-    def observer(self):
-        """Optional cycle observer (protocol in :mod:`repro.core.tracing`).
-
-        ``on_stage`` runs as each of the six pipeline stages starts and
-        ``on_cycle`` after the tick; ``None`` costs one test per hook.  An
-        observer whose ``active`` is ``False`` records nothing, so it is
-        stored as ``None`` and the loop never calls it.
-        """
-        return self._observer
-
-    @observer.setter
-    def observer(self, observer) -> None:
-        if observer is not None and not getattr(observer, "active", True):
-            observer = None
-        self._observer = observer
-
     # --------------------------------------------------------------- cycle
     def step(self) -> None:
         """Simulate one clock cycle."""
-        obs = self._observer
+        obs = self.observer
         ruu = self.ruu
         if obs is not None:
             obs.on_stage(self, "retire")  # repro: cold-call -- observer hook

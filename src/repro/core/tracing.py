@@ -28,7 +28,6 @@ Slot glyphs: one character per reconfigurable slot —
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.fabric.fabric import Fabric
@@ -116,12 +115,11 @@ class SteeringTrace:
     """Observer keeping the configuration manager's per-cycle trace.
 
     Needs a policy with a ``manager`` (:class:`~repro.core.policies.
-    PaperSteering`).  With a ``limit`` the trace is a ring buffer of the
-    newest entries, so arbitrarily long runs hold bounded memory.
+    PaperSteering`).  Keeps one entry per cycle.
     """
 
-    def __init__(self, limit: int | None = None) -> None:
-        self.entries: deque[TraceEntry] = deque(maxlen=limit)
+    def __init__(self) -> None:
+        self.entries: list[TraceEntry] = []
         self._loads = 0
 
     def on_stage(self, proc, stage: str) -> None:

@@ -107,17 +107,13 @@ def _steering_telemetry() -> tuple[Any, Callable[[], dict[str, Any]]]:
     the steering decision ledger (``decisions``), behind the serving
     layer's ``GET /api/runs/<id>/timeseries`` and ``.../decisions`` and
     ``repro explain``."""
-    from repro.telemetry import DecisionLedger, ProcessorTelemetry, SpanTracer
+    from repro.telemetry import ProcessorTelemetry
 
-    tracer = SpanTracer(max_events=8192)
-    ledger = DecisionLedger(capacity=256, window=64)
-    tel = ProcessorTelemetry(
-        series_capacity=2048, sample_interval=32, tracer=tracer, ledger=ledger
-    )
+    tel = ProcessorTelemetry()
     return tel, lambda: {
         "timeseries": tel.snapshot(),
-        "trace": tracer.to_chrome_trace(),
-        "decisions": ledger.to_dict(),
+        "trace": tel.tracer.to_chrome_trace(),
+        "decisions": tel.ledger.to_dict(),
     }
 
 

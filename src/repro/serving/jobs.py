@@ -62,7 +62,7 @@ from repro.evaluation import batch
 # run_many is not called here; it stays bound because tools that wrap the
 # batch engine per module (perfbench/tracing.py) look the name up here
 from repro.evaluation.batch import ResultCache, SimJob, job_key, run_many  # noqa: F401
-from repro.telemetry import NULL_REGISTRY
+from repro.telemetry import MetricsRegistry
 from repro.utils.canonical import canonical_dumps
 from repro.workloads import resolve_program
 
@@ -91,6 +91,19 @@ MAX_SUBMITTED_CYCLES = 2_000_000
 KEYED_SPECS = 2048
 
 _PARAM_FIELDS = {f.name for f in fields(ProcessorParams)}
+
+#: a submitted integer processor parameter may be at most this many times
+#: its default (a sizing guard: ``dmem_size``, ``predictor_entries`` and
+#: ``window_size`` size allocations in the sim worker).
+MAX_PARAM_SCALE = 16
+
+#: integer processor parameter -> the largest value a submitted job may
+#: set (a float or a bool there is refused too).
+_PARAM_BOUNDS = {
+    f.name: MAX_PARAM_SCALE * f.default
+    for f in fields(ProcessorParams)
+    if type(f.default) is int
+}
 
 
 class JobQueueFull(ConfigurationError):
@@ -125,6 +138,13 @@ def build_job(spec: Any) -> SimJob:
         raise ConfigurationError(
             f"unknown processor parameters: {', '.join(sorted(unknown))}"
         )
+    for name, bound in _PARAM_BOUNDS.items():
+        value = params_spec.get(name, 0)
+        if type(value) is not int or value > bound:
+            raise ConfigurationError(
+                f"'params.{name}' must be an integer of at most {bound} "
+                f"({MAX_PARAM_SCALE}x its default)"
+            )
     params = ProcessorParams(**params_spec)
 
     try:
@@ -232,7 +252,7 @@ class StoreJobQueue:
         store: Any,
         cache: ResultCache | None = None,
         capacity: int = 8,
-        registry: Any | None = None,
+        registry: MetricsRegistry | None = None,
         owner: str | None = None,
         events: Any | None = None,
         doorbell: Any | None = None,
@@ -254,7 +274,7 @@ class StoreJobQueue:
         #: simulations actually dispatched by THIS worker (cache answers
         #: and jobs drained elsewhere excluded).
         self.executed = 0
-        reg = registry if registry is not None else NULL_REGISTRY
+        reg = registry if registry is not None else MetricsRegistry()
         self._submissions = reg.counter(
             "repro_jobs_submitted_total",
             "Job submissions, by outcome.",

@@ -1,10 +1,9 @@
 """Unified observability layer: metrics, time series, span tracing.
 
-Cooperating pieces, all stdlib-only and near-zero-overhead when
-disabled:
+Cooperating pieces, all stdlib-only:
 
 * :mod:`repro.telemetry.registry` — counters/gauges/histograms with a
-  Prometheus text renderer and a falsy null registry;
+  Prometheus text renderer;
 * :mod:`repro.telemetry.timeseries` — bounded stride-downsampled series;
 * :mod:`repro.telemetry.spans` — Chrome trace-event spans (Perfetto);
 * :mod:`repro.telemetry.probes` — the per-cycle processor hook;
@@ -21,12 +20,10 @@ from repro.telemetry.ledger import DecisionLedger
 from repro.telemetry.probes import STAGES, ProcessorTelemetry
 from repro.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     render_merged,
 )
 from repro.telemetry.spans import SpanTracer
@@ -46,8 +43,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "ProcessorTelemetry",
     "STAGES",
     "SeriesBank",

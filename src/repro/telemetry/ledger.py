@@ -7,11 +7,12 @@ the candidate CEM errors the selection unit scored, the winning
 configuration — plus a throughput prediction and, once the next window
 of cycles has retired, the realized IPC it can be judged against.
 
-The buffer is bounded ``StrideSeries``-style: it keeps at most
-``capacity`` finalized decisions; when full, every second stored record
-is dropped and the keep-stride doubles, so arbitrarily long runs hold
-O(capacity) memory while the kept decisions stay evenly spread over the
-run.  ``dropped`` counts thinned records.
+The buffer is a :class:`~repro.telemetry.timeseries.StrideSeries` of
+finalized decisions keyed by decision cycle: it keeps at most
+``capacity``; when full, every second stored record is dropped and the
+keep-stride doubles, so arbitrarily long runs hold O(capacity) memory
+while the kept decisions stay evenly spread over the run.  ``dropped``
+counts thinned records.
 
 Prediction model (deliberately simple and documented — the point is to
 measure its error, feeding the ROADMAP's queuing-model ablation):
@@ -21,13 +22,14 @@ else stalled.  ``realized_ipc`` is retirements over the next ``window``
 cycles (or up to the next decision, whichever comes first).
 
 Attaching a ledger must never change simulation results — the fuzzer's
-``metamorphic-ledger`` check and ``tests/telemetry/test_ledger.py`` pin
+``metamorphic-telemetry`` check and ``tests/telemetry/test_ledger.py`` pin
 bit-identical ``SimulationResult.to_dict()`` with the ledger on and off.
 """
 
 from __future__ import annotations
 
 from repro.isa.futypes import FU_TYPES
+from repro.telemetry.timeseries import StrideSeries
 
 __all__ = ["DecisionLedger"]
 
@@ -36,31 +38,24 @@ class DecisionLedger:
     """Bounded, self-coarsening record of steering decisions."""
 
     __slots__ = (
-        "capacity",
         "window",
-        "stride",
         "_records",
-        "_seen",
         "_pending",
         "_pending_retired",
         "_prev_selection",
     )
 
     def __init__(self, capacity: int = 256, window: int = 64) -> None:
-        if capacity < 4:
-            raise ValueError("capacity must be at least 4")
-        self.capacity = int(capacity)
+        self._records = StrideSeries(int(capacity))
         self.window = max(1, int(window))
-        self.stride = 1
-        self._records: list[dict] = []
-        self._seen = 0
         self._pending: dict | None = None
         self._pending_retired = 0
         self._prev_selection: int | None = None
 
     # ------------------------------------------------------------ hot hook
-    def on_cycle(self, proc, cycle: int, manager) -> None:
-        """Driven by ``ProcessorTelemetry.on_cycle`` (post-tick state).
+    def on_cycle(self, proc, cycle: int, manager) -> bool:
+        """Driven by ``ProcessorTelemetry.on_cycle`` (post-tick state);
+        returns whether the selection changed, opening a decision.
 
         Pure observation: reads the processor and manager, never writes
         them.  Cost is O(1) except in the cycle of an actual selection
@@ -71,12 +66,13 @@ class DecisionLedger:
             self._finalize(proc, cycle)
         selection = manager.last_selection
         if selection is None or selection == self._prev_selection:
-            return
+            return False
         self._prev_selection = selection
         if self._pending is not None:
             # a new decision closes the previous window early
             self._finalize(proc, cycle)
         self._open(proc, cycle, manager, selection)
+        return True
 
     # ------------------------------------------------------------ internals
     def _open(self, proc, cycle: int, manager, selection: int) -> None:
@@ -115,32 +111,37 @@ class DecisionLedger:
         record["realized_ipc"] = realized
         record["prediction_error"] = realized - record["predicted_ipc"]
         record["window"] = span
-        # StrideSeries-style admission: keep every stride-th decision,
-        # thin + double the stride when the buffer fills.
-        if self._seen % self.stride == 0:
-            if len(self._records) >= self.capacity:
-                self._records = self._records[::2]
-                self.stride *= 2
-            if self._seen % self.stride == 0:
-                self._records.append(record)
-        self._seen += 1
+        self._records.append(record["cycle"], record)
 
     # -------------------------------------------------------------- exports
     def __len__(self) -> int:
         return len(self._records)
 
     @property
+    def capacity(self) -> int:
+        return self._records.capacity
+
+    @property
+    def stride(self) -> int:
+        return self._records.stride
+
+    @property
     def seen(self) -> int:
         """Finalized decisions offered to the buffer (kept or thinned)."""
-        return self._seen
+        return self._records.seen
+
+    @property
+    def opened(self) -> int:
+        """Every decision so far: the finalized ones and the open one."""
+        return self.seen + (self._pending is not None)
 
     @property
     def dropped(self) -> int:
-        return self._seen - len(self._records)
+        return self.seen - len(self._records)
 
     def decisions(self) -> list[dict]:
         """Kept decisions, oldest first; the still-open one (if any) last."""
-        out = [dict(r) for r in self._records]
+        out = [dict(r) for _, r in self._records.samples()]
         if self._pending is not None:
             out.append(dict(self._pending))
         return out
@@ -152,7 +153,7 @@ class DecisionLedger:
             "capacity": self.capacity,
             "window": self.window,
             "stride": self.stride,
-            "seen": self._seen,
+            "seen": self.seen,
             "dropped": self.dropped,
             "decisions": self.decisions(),
         }

@@ -15,10 +15,6 @@ All three support Prometheus-style labels through ``labels(*values)``,
 which returns a child metric bound to those label values.  ``render()``
 produces the text exposition format (version 0.0.4) that ``GET
 /metrics`` serves and Prometheus scrapes.
-
-``NULL_REGISTRY`` is the disabled counterpart: every factory returns a
-shared no-op metric and ``bool(NULL_REGISTRY)`` is ``False`` so call
-sites can gate sampling work on a single truthiness check.
 """
 
 from __future__ import annotations
@@ -31,8 +27,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "render_merged",
 ]
@@ -209,9 +203,6 @@ class MetricsRegistry:
         self._metrics: dict[str, _Metric] = {}
         self._lock = threading.Lock()
 
-    def __bool__(self) -> bool:
-        return True
-
     def _get_or_create(self, cls, name, help, labelnames, **kwargs):
         with self._lock:
             metric = self._metrics.get(name)
@@ -346,56 +337,3 @@ def render_merged(snapshots: dict[str, dict]) -> str:
                     )
     return "\n".join(lines) + "\n"
 
-
-class _NullMetric:
-    """Absorbs every metric operation; shared by all null-registry users."""
-
-    __slots__ = ()
-    value = 0.0
-    sum = 0.0
-    count = 0
-
-    def labels(self, *values):
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullRegistry:
-    """Disabled registry: falsy, returns shared no-op metrics."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def counter(self, name, help="", labelnames=()):
-        return _NULL_METRIC
-
-    def gauge(self, name, help="", labelnames=()):
-        return _NULL_METRIC
-
-    def histogram(self, name, help="", labelnames=(), buckets=()):
-        return _NULL_METRIC
-
-    def get(self, name):
-        return None
-
-    def render(self) -> str:
-        return ""
-
-
-NULL_REGISTRY = NullRegistry()

@@ -9,10 +9,13 @@ amortised and the kept points are always in ascending ``x`` order.
 
 ``SeriesBank`` is a named collection of series sharing one capacity —
 the container ``ProcessorTelemetry`` writes into and ``/api/runs/<id>/
-timeseries`` serves out.
+timeseries`` serves out.  The steering decision ledger keeps its records
+in a ``StrideSeries`` keyed by decision cycle.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 __all__ = ["StrideSeries", "SeriesBank"]
 
@@ -29,9 +32,9 @@ class StrideSeries:
         self.stride = 1
         self._seen = 0  # total samples offered, kept or not
         self._xs: list[float] = []
-        self._vs: list[float] = []
+        self._vs: list[Any] = []
 
-    def append(self, x: float, value: float) -> None:
+    def append(self, x: float, value: Any) -> None:
         if self._seen % self.stride == 0:
             if len(self._xs) >= self.capacity:
                 # Halve resolution: keep every 2nd point, double the stride.
@@ -50,7 +53,7 @@ class StrideSeries:
     def seen(self) -> int:
         return self._seen
 
-    def samples(self) -> list[tuple[float, float]]:
+    def samples(self) -> list[tuple[float, Any]]:
         return list(zip(self._xs, self._vs))
 
     def to_dict(self) -> dict:

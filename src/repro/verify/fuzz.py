@@ -8,8 +8,9 @@ asserts the cross-policy invariants (:mod:`repro.verify.invariants`).  On
 top, a metamorphic check rotates through the catalogue: when the probe of
 an iteration is the steering policy, attaching an observer to the
 steering processor must not change a single field of the result;
-successive steering probes rotate through a decision ledger, plain
-telemetry, the event recorder, the steering trace and stage profiling.
+successive steering probes rotate through telemetry (series, spans and
+the decision ledger), the event recorder, the steering trace and stage
+profiling.
 
 A failing iteration is minimized by the instruction-deletion shrinker
 (:mod:`repro.verify.shrink`) against the policies it implicated, and —
@@ -17,16 +18,17 @@ when an output directory is given — written out as the original source,
 the minimized source, a canonical-JSON violation record and a
 self-contained ready-to-run repro script.
 
-Wall-clock budgeting and counters live here, *outside* the
-deterministic core: given the same seed and iteration count the fuzzing
-schedule is fully reproducible; ``--time-budget`` only decides how far
-down that fixed schedule one invocation gets.
+Wall-clock budgeting lives here, *outside* the deterministic core:
+given the same seed and iteration count the fuzzing schedule is fully
+reproducible; ``--time-budget`` only decides how far down that fixed
+schedule one invocation gets.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from random import Random
 from typing import Any, Callable
@@ -39,6 +41,7 @@ from repro.errors import ReproError
 from repro.evaluation.batch import execute_job, policy_job, run_many
 from repro.isa.futypes import FUType
 from repro.isa.program import Program
+from repro.telemetry import ProcessorTelemetry
 from repro.utils.canonical import canonical_dumps
 from repro.verify.generator import GeneratorConfig, generate_program, generate_source
 from repro.verify.invariants import Violation, check_result_pair
@@ -153,32 +156,17 @@ def _run_one(
         return None, Violation("crash", policy, f"{type(exc).__name__}: {exc}")
 
 
-def _telemetry(**kw):
-    from repro.telemetry import ProcessorTelemetry
-
-    return ProcessorTelemetry(series_capacity=256, sample_interval=64, **kw)
-
-
-def _ledger_telemetry():
-    from repro.telemetry import DecisionLedger
-
-    return _telemetry(ledger=DecisionLedger(capacity=64, window=32))
-
-
-def _profiling_telemetry():
-    from repro.telemetry import SpanTracer
-
-    return _telemetry(profile_stages=True, tracer=SpanTracer(max_events=256))
-
-
 #: (invariant, what is attached, observer factory) rotated over the
 #: steering probes of a fuzz run, one arm per probe.
 _OBSERVER_ARMS: tuple[tuple[str, str, Callable[[], Any]], ...] = (
-    ("metamorphic-ledger", "attaching a decision ledger", _ledger_telemetry),
-    ("metamorphic-telemetry", "attaching telemetry", _telemetry),
+    ("metamorphic-telemetry", "attaching telemetry", ProcessorTelemetry),
     ("metamorphic-events", "attaching an event recorder", EventRecorder),
     ("metamorphic-steering-trace", "attaching a steering trace", SteeringTrace),
-    ("metamorphic-profile", "profiling the stages", _profiling_telemetry),
+    (
+        "metamorphic-profile",
+        "profiling the stages",
+        partial(ProcessorTelemetry, profile_stages=True),
+    ),
 )
 
 
@@ -217,13 +205,10 @@ def _still_fails_predicate(
     params: ProcessorParams,
     max_cycles: int,
     extra: dict[str, Callable] | None,
-    counter=None,
 ) -> Callable[[Program], bool]:
     """Shrink predicate: any implicated policy still violates an invariant."""
 
     def still_fails(candidate: Program) -> bool:
-        if counter is not None:
-            counter.inc()
         reference = run_reference(candidate, max_instructions=REFERENCE_BUDGET)
         candidate.reference_trace = reference.trace  # the oracle's trace
         for policy in implicated:
@@ -330,7 +315,6 @@ def run_fuzz(
     base_config: GeneratorConfig | None = None,
     workers: int = 0,
     out_dir: str | Path | None = None,
-    registry=None,
     shrink: bool = True,
     keep_going: bool = False,
     extra_policies: dict[str, Callable] | None = None,
@@ -342,30 +326,13 @@ def run_fuzz(
     params) -> Processor`` — they join the differential comparison on the
     scalar path (the mutation self-test injects a known-buggy steering
     build this way).  ``base_config`` freezes the generator shape instead
-    of rotating it.  ``registry`` (a telemetry ``MetricsRegistry``)
-    receives the fuzz counters.
+    of rotating it.
     """
     params = params if params is not None else ProcessorParams(reconfig_latency=8)
     rng = Random(seed)
     catalogue_policies = sorted(policy_catalogue())
     report = FuzzReport(seed=seed, iterations_requested=iterations)
     out_path = Path(out_dir) if out_dir is not None else None
-
-    if registry is not None:
-        programs_c = registry.counter(
-            "repro_fuzz_programs_total", help="generated programs fuzzed"
-        )
-        sims_c = registry.counter(
-            "repro_fuzz_simulations_total", help="policy simulations executed"
-        )
-        violations_c = registry.counter(
-            "repro_fuzz_violations_total", help="invariant violations found"
-        )
-        shrink_c = registry.counter(
-            "repro_fuzz_shrink_attempts_total", help="shrink candidates evaluated"
-        )
-    else:
-        programs_c = sims_c = violations_c = shrink_c = None
 
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     for iteration in range(iterations):
@@ -383,8 +350,6 @@ def run_fuzz(
         # the oracle policy steers by this run's trace: recorded, it runs
         # no reference of its own
         program.reference_trace = reference.trace
-        if programs_c is not None:
-            programs_c.inc()
 
         results, violations = _run_policies(
             catalogue_policies, program, params, max_cycles, workers
@@ -398,8 +363,6 @@ def run_fuzz(
             else:
                 results[name] = result
         report.simulations += len(results)
-        if sims_c is not None:
-            sims_c.inc(len(results))
 
         for policy in sorted(results):
             violations.extend(
@@ -421,8 +384,6 @@ def run_fuzz(
                 )
             continue
 
-        if violations_c is not None:
-            violations_c.inc(len(violations))
         if progress is not None:
             progress(
                 f"iteration {iteration}: {len(violations)} violation(s) on "
@@ -440,8 +401,7 @@ def run_fuzz(
             minimized = shrink_source(
                 source,
                 _still_fails_predicate(
-                    shrink_targets, params, max_cycles, extra_policies,
-                    counter=shrink_c,
+                    shrink_targets, params, max_cycles, extra_policies
                 ),
             )
             if progress is not None:

@@ -71,6 +71,13 @@ class TestRun:
         assert exc.value.code == 2
         assert "absent.s" in capsys.readouterr().err
 
+    def test_profile_stages_implies_telemetry(self, capsys):
+        rc = main(["run", "checksum", "--profile-stages"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "steer_decisions=" in out
+        assert "stage wall: retire=" in out
+
     def test_json_output(self, capsys):
         import json
 

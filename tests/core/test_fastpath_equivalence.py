@@ -4,8 +4,8 @@ A cycle observer (``Processor(observer=...)``) only reads: attaching one
 must not change *any* architected or statistical outcome.  One test runs
 every observer the repo ships — the event recorder (on steering and on
 the ffu-only baseline, which has no configuration manager), the steering
-trace, and telemetry with stage profiling, a span tracer and a decision
-ledger — over every seed kernel, and compares the complete
+trace, and telemetry (series, span tracer and decision ledger) with stage
+profiling — over every seed kernel, and compares the complete
 :class:`SimulationResult` record (``to_dict()``, which carries the final
 architected-state digest) with the ``observer=None`` run.
 """
@@ -17,7 +17,8 @@ from repro.core.params import ProcessorParams
 from repro.core.policies import NoSteering
 from repro.core.processor import Processor
 from repro.core.tracing import EventRecorder, SteeringTrace
-from repro.telemetry import STAGES, DecisionLedger, ProcessorTelemetry, SpanTracer
+from repro.telemetry import STAGES, ProcessorTelemetry
+from repro.telemetry.probes import SAMPLE_INTERVAL
 from repro.workloads.kernels import checksum, memcpy, saxpy
 
 _KERNELS = [
@@ -49,15 +50,13 @@ def _check_trace(trace, result):
 
 
 def _telemetry():
-    return ProcessorTelemetry(
-        profile_stages=True,
-        tracer=SpanTracer(),
-        ledger=DecisionLedger(capacity=64, window=32),
-    )
+    return ProcessorTelemetry(profile_stages=True)
 
 
 def _check_telemetry(tel, result):
-    assert tel.registry.get("repro_sim_cycles_total").value == result.cycles
+    samples = tel.series.series("windowed_ipc").seen
+    assert samples == result.cycles // SAMPLE_INTERVAL
+    assert len(tel.tracer) > 0
     wall = tel.snapshot()["stage_wall_seconds"]
     assert set(wall) == set(STAGES) and sum(wall.values()) > 0.0
     assert tel.ledger.seen > 0
@@ -88,14 +87,3 @@ def test_observed_run_bit_identical(
     assert observed.to_dict() == plain.to_dict()
     check(observer, observed)
 
-
-def test_trace_ring_buffer_bounds_memory():
-    """A trace limit keeps only the newest entries on long runs."""
-    program = checksum(iterations=40).program
-    trace = SteeringTrace(limit=64)
-    proc = steering_processor(program, _PARAMS, observer=trace)
-    proc.run(max_cycles=100_000)
-    assert len(trace.entries) == 64
-    # newest entries are retained (manager cycles are 1-based)
-    assert trace.entries[-1].cycle == proc.policy.manager.stats.cycles
-    assert trace.entries[0].cycle == proc.policy.manager.stats.cycles - 63

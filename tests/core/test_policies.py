@@ -22,7 +22,7 @@ from repro.core.policies import (
     RandomSteering,
     StaticConfiguration,
 )
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.fabric.configuration import (
     CONFIG_FLOATING,
     CONFIG_INTEGER,
@@ -81,8 +81,20 @@ class TestRandomSteering:
         assert a.cycles == b.cycles
         assert a.reconfigurations == b.reconfigurations
 
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_period_below_one_is_refused(self, period):
+        with pytest.raises(ConfigurationError, match="period must be at least 1"):
+            RandomSteering(period=period)
+
 
 class TestOracleSteering:
+    @pytest.mark.parametrize("lookahead", [0, -1])
+    def test_lookahead_below_one_is_refused(self, lookahead):
+        with pytest.raises(
+            ConfigurationError, match="lookahead must be at least 1"
+        ):
+            OracleSteering(trace=[], lookahead=lookahead)
+
     def test_oracle_steers_toward_future_fp_phase(self):
         kernel = newton_sqrt(iterations=30)
         proc = oracle_processor(kernel.program, _FAST, lookahead=64)

@@ -89,6 +89,12 @@ def test_build_job_rejects_malformed_specs():
     {"factory": "oracle", "kwargs": {"max_instructions": 8_000_000_000}},
     {"factory": "random", "kwargs": {"period": "abc"}},
     {"factory": "demand", "kwargs": {"smoothing": True}},
+    {"params": {"dmem_size": 8_000_000_000}},
+    {"params": {"predictor_entries": 1 << 30}},
+    {"params": {"window_size": 100_000}},
+    {"params": {"dmem_size": 8e9}},
+    {"params": {"window_size": 7.5}},
+    {"params": {"n_slots": True}},
 ])
 def test_spec_that_can_never_run_is_refused_at_submit(spec):
     from repro.serving.app import ServingApp
@@ -99,6 +105,34 @@ def test_spec_that_can_never_run_is_refused_at_submit(spec):
     status, _, payload = app.handle("POST", "/api/jobs", body=body)
     assert status == 400, payload
     assert store.list_jobs() == []
+
+
+def test_params_up_to_sixteen_times_their_default_are_accepted():
+    job = build_job({"target": "checksum", "params": {
+        "reconfig_latency": 256, "window_size": 16 * 7, "dmem_size": 16 << 20,
+    }})
+    assert job.params.reconfig_latency == 256
+    with pytest.raises(ConfigurationError, match="reconfig_latency"):
+        build_job({"target": "checksum", "params": {"reconfig_latency": 257}})
+
+
+@pytest.mark.parametrize("factory,kwargs,message", [
+    ("random", {"period": 0}, "period must be at least 1"),
+    ("oracle", {"lookahead": 0}, "lookahead must be at least 1"),
+    ("oracle", {"lookahead": -1}, "lookahead must be at least 1"),
+])
+def test_out_of_range_policy_argument_fails_the_job(factory, kwargs, message):
+    queue = StoreJobQueue(RunStore(), capacity=2)
+    queue.start()
+    try:
+        record = queue.submit(
+            {"target": "checksum", "factory": factory, "kwargs": kwargs}
+        )
+        settled = queue.wait(record.job_id, timeout=30)
+        assert settled.state == "failed"
+        assert message in settled.error
+    finally:
+        queue.stop()
 
 
 def test_factory_arguments_reach_the_job():

@@ -2,8 +2,8 @@
 
 The load-bearing guarantee: attaching a ledger never changes simulation
 results — ``SimulationResult.to_dict()`` stays bit-identical with the
-ledger on and off (the fuzzer's ``metamorphic-ledger`` check rotates over
-the same property on random programs).
+ledger on and off (the fuzzer's ``metamorphic-telemetry`` check rotates
+over the same property on random programs).
 """
 
 import json
@@ -24,11 +24,10 @@ def _program():
     return checksum(iterations=30).program
 
 
-def _run_with_ledger(capacity=64, window=32):
-    ledger = DecisionLedger(capacity=capacity, window=window)
-    tel = ProcessorTelemetry(ledger=ledger)
+def _run_with_ledger():
+    tel = ProcessorTelemetry()
     result = steering_processor(_program(), _PARAMS, observer=tel).run()
-    return ledger, result
+    return tel.ledger, result
 
 
 class TestNoPerturbation:
@@ -38,14 +37,6 @@ class TestNoPerturbation:
         assert observed.to_dict() == plain.to_dict()
         assert observed.final_registers == plain.final_registers
 
-    def test_ledger_alone_keeps_telemetry_active(self):
-        from repro.telemetry.registry import NULL_REGISTRY
-
-        tel = ProcessorTelemetry(
-            registry=NULL_REGISTRY, series=False,
-            ledger=DecisionLedger(),
-        )
-        assert tel.active is True
 
 
 class TestRecordedDecisions:
@@ -81,10 +72,14 @@ class TestRecordedDecisions:
         assert len(doc["decisions"]) == len(ledger.decisions())
 
     def test_snapshot_reports_decision_count(self):
-        ledger = DecisionLedger()
-        tel = ProcessorTelemetry(ledger=ledger)
+        tel = ProcessorTelemetry()
         steering_processor(_program(), _PARAMS, observer=tel).run()
-        assert tel.snapshot()["decision_count"] == ledger.seen
+        assert tel.snapshot()["decision_count"] == tel.ledger.seen
+
+    def test_opened_counts_the_open_decision(self):
+        ledger, _ = _run_with_ledger()
+        assert ledger.opened == len(ledger.decisions()) + ledger.dropped
+        assert ledger.opened == ledger.seen + 1  # the last one is open
 
 
 # ----------------------------------------------- synthetic stride coarsening

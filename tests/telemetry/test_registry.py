@@ -6,12 +6,10 @@ import re
 import pytest
 
 from repro.telemetry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
 
 _SAMPLE = re.compile(
@@ -120,23 +118,6 @@ class TestRegistry:
         assert "# TYPE c_seconds histogram" in lines
         # label escaping: quote and newline survive as escapes
         assert 'd_total{k="va\\"lue\\n"} 1' in text
-
-    def test_truthy(self):
-        assert MetricsRegistry()
-        assert bool(NULL_REGISTRY) is False
-
-
-class TestNullRegistry:
-    def test_everything_is_noop(self):
-        r = NullRegistry()
-        c = r.counter("x_total")
-        c.inc()
-        c.labels("a").inc(5)
-        r.gauge("g").set(9)
-        r.histogram("h").observe(1)
-        assert c.value == 0.0
-        assert r.render() == ""
-        assert r.get("x_total") is None
 
     def test_inf_formatting(self):
         r = MetricsRegistry()
