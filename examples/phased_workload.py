@@ -23,17 +23,23 @@ PHASES = [(INT_MIX, 60), (MEM_MIX, 60), (FP_MIX, 60)]
 _GLYPH = {0: ".", 1: "I", 2: "M", 3: "F"}  # current / integer / memory / floating
 
 
-def timeline(selections: list[int], width: int = 72) -> str:
-    """Compress the per-cycle selection trace into one glyph per bucket."""
-    if not selections:
+def timeline(runs: list[list[int]], width: int = 72) -> str:
+    """Compress the selection runs ``[selection, first_cycle, length]``
+    into one glyph per bucket of cycles."""
+    cycles = sum(length for _, _, length in runs)
+    if not cycles:
         return ""
-    bucket = max(1, len(selections) // width)
+    bucket = max(1, cycles // width)
     out = []
-    for i in range(0, len(selections), bucket):
-        window = selections[i : i + bucket]
+    for start in range(0, cycles, bucket):
+        # cycles each candidate held in the bucket
+        held: dict[int, int] = {}
+        for selection, first, length in runs:
+            overlap = min(first + length, start + bucket) - max(first, start)
+            if selection != 0 and overlap > 0:
+                held[selection] = held.get(selection, 0) + overlap
         # show the most-steered-to candidate in the bucket ('.' = settled)
-        steered = [s for s in window if s != 0]
-        out.append(_GLYPH[max(set(steered), key=steered.count)] if steered else ".")
+        out.append(_GLYPH[max(held, key=held.get)] if held else ".")
     return "".join(out)
 
 
@@ -43,18 +49,18 @@ def main() -> None:
           f"{' -> '.join(mix.name for mix, _ in PHASES)}\n")
 
     trace = SteeringTrace()
-    result = steering_processor(program, PARAMS, observer=trace).run()
+    proc = steering_processor(program, PARAMS, observer=trace)
+    result = proc.run()
 
-    print("steering timeline (one glyph per ~bucket of cycles):")
+    print(f"steering timeline ({len(trace.runs)} selection runs, "
+          "one glyph per ~bucket of cycles):")
     print("  I=steer-to-integer  M=memory  F=floating  .=keep current")
-    print(" ", timeline([t.selection for t in trace.entries]))
+    print(" ", timeline(trace.runs))
     print()
-    print("partial reconfigurations (cycle: unit loaded @ slot):")
-    for t in trace.entries:
-        if t.load is not None:
-            evicted = f" evicting {[e.short_name for e in t.load.evicted]}" if t.load.evicted else ""
-            print(f"  cycle {t.cycle:5d}: {t.load.fu_type.short_name:6s} "
-                  f"@ slot {t.load.head}{evicted}")
+    print("partial reconfigurations (in order: unit loaded @ slot):")
+    for n, load in enumerate(proc.policy.manager.loader.history, 1):
+        evicted = f" evicting {[e.short_name for e in load.evicted]}" if load.evicted else ""
+        print(f"  #{n:3d}: {load.fu_type.short_name:6s} @ slot {load.head}{evicted}")
     print()
 
     rows = [("steering", result.ipc)]

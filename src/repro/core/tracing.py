@@ -15,8 +15,8 @@ calls two hooks; any object with both methods is an observer:
 Observers only read.  This module provides two: :class:`EventRecorder`
 keeps a :class:`CycleEvents` per cycle (the fabric-occupancy timeline of
 ``repro trace`` and ``examples/pipeline_trace.py``), and
-:class:`SteeringTrace` keeps the configuration manager's per-cycle
-:class:`~repro.steering.manager.TraceEntry` records.
+:class:`SteeringTrace` keeps the configuration manager's selection runs,
+one entry per steering decision.
 
 Slot glyphs: one character per reconfigurable slot —
 
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FUType
-from repro.steering.manager import TraceEntry
 
 __all__ = [
     "CycleEvents",
@@ -112,33 +111,31 @@ class EventRecorder:
 
 
 class SteeringTrace:
-    """Observer keeping the configuration manager's per-cycle trace.
+    """Observer keeping the configuration manager's selection runs.
 
     Needs a policy with a ``manager`` (:class:`~repro.core.policies.
-    PaperSteering`).  Keeps one entry per cycle.
+    PaperSteering`).  A run is ``[selection, first_cycle, length]``: the
+    candidate index the manager selected (0 = current) and the consecutive
+    cycles, from ``proc.cycle_count`` on, it stayed selected.  A new run
+    starts each time ``manager.last_selection`` changes, so the record
+    grows with the decisions, not with the cycles; the lengths sum to the
+    cycles observed.  The loads the decisions start are
+    ``manager.loader.history``.
     """
 
     def __init__(self) -> None:
-        self.entries: list[TraceEntry] = []
-        self._loads = 0
+        self.runs: list[list[int]] = []
 
     def on_stage(self, proc, stage: str) -> None:
         pass
 
     def on_cycle(self, proc, packet, dispatched, issued, retired, flushed) -> None:
-        manager = proc.policy.manager
-        result = manager.last_result
-        loads = manager.stats.loads
-        self.entries.append(
-            TraceEntry(
-                cycle=manager.stats.cycles,
-                selection=result.index,
-                errors=result.errors,
-                required=result.required,
-                load=manager.last_load if loads != self._loads else None,
-            )
-        )
-        self._loads = loads
+        selection = proc.policy.manager.last_selection
+        runs = self.runs
+        if runs and runs[-1][0] == selection:
+            runs[-1][2] += 1
+        else:
+            runs.append([selection, proc.cycle_count, 1])
 
 
 def render_fabric_timeline(

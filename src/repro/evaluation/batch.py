@@ -24,9 +24,11 @@ then aggregated.  This module gives that shape one engine:
   Identical jobs resubmitted — across experiments or across report runs —
   are answered from the cache without simulating.
 
-Determinism: a job's result depends only on its fingerprint (the
-simulator is seeded and has no wall-clock dependence), which is what makes
-content-keyed caching sound.
+Determinism: a job's result depends only on its fingerprint and on the
+code that runs it (the simulator is seeded and has no wall-clock
+dependence).  :func:`job_key` hashes the question; the disk cache keeps
+its blobs under :func:`code_digest`, the hash of the code, so a result
+answers only for the code that computed it.
 """
 
 from __future__ import annotations
@@ -35,11 +37,14 @@ import hashlib
 import inspect
 import os
 import pickle
+import re
+import shutil
 import threading
 import time
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -56,6 +61,7 @@ __all__ = [
     "run_many",
     "execute_job",
     "job_key",
+    "code_digest",
     "policy_job",
     "FACTORY_NAMES",
     "FACTORY_ARGUMENTS",
@@ -92,14 +98,12 @@ def _fits(value: Any, default: Any) -> bool:
 
 
 def _steering_trace() -> tuple[Any, Callable[[], dict[str, Any]]]:
-    """The manager's selections and load cycles, as picklable lists."""
+    """The manager's selection runs, ``(selection, first_cycle, length)``
+    tuples: one per steering decision, not one per cycle."""
     from repro.core.tracing import SteeringTrace
 
     trace = SteeringTrace()
-    return trace, lambda: {
-        "selections": [t.selection for t in trace.entries],
-        "load_cycles": [t.cycle for t in trace.entries if t.load is not None],
-    }
+    return trace, lambda: {"selection_runs": [tuple(run) for run in trace.runs]}
 
 
 def _steering_telemetry() -> tuple[Any, Callable[[], dict[str, Any]]]:
@@ -261,6 +265,27 @@ def job_key(job: SimJob) -> str:
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
 
 
+#: the ``repro`` package directory, whose sources :func:`code_digest` hashes.
+_PACKAGE = Path(__file__).resolve().parents[1]
+
+#: a :func:`code_digest`, the name of one cache namespace.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+@cache
+def code_digest() -> str:
+    """SHA-256 over the ``repro`` sources (every ``repro/**/*.py``, path and
+    content): the identity of the code that answers a job.  Computed once
+    per process; a forked child inherits its parent's."""
+    digest = hashlib.sha256()
+    for path in sorted(_PACKAGE.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(_PACKAGE).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 # ------------------------------------------------------------- result cache
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically (tmp file + :func:`os.replace`).
@@ -285,12 +310,14 @@ class ResultCache:
     """Content-addressed result store: memory first, optionally disk.
 
     With a ``directory`` every stored result is also pickled to
-    ``<directory>/<key>.pkl``, so caches survive across processes and
-    report invocations; without one the cache lives for the object's
-    lifetime only.  Blob writes are atomic (tmp file + ``os.replace``),
-    and a blob's mtime is its LRU clock: a write sets it and every
-    :meth:`get` refreshes it, so :meth:`prune` evicts the blobs least
-    recently used by any process sharing the directory first.
+    ``<directory>/<code_digest>/<key>.pkl``, so caches survive across
+    processes and report invocations, and a result answers only for the
+    code that computed it (the ``directory`` attribute names that
+    namespace); without one the cache lives for the object's lifetime
+    only.  Blob writes are atomic (tmp file + ``os.replace``), and a
+    blob's mtime is its LRU clock: a write sets it and every :meth:`get`
+    refreshes it, so :meth:`prune` evicts the blobs least recently used
+    by any process sharing the directory first.
 
     An optional ``store`` (:class:`repro.serving.store.RunStore` or any
     object with a ``record_result(key, result, job=...)`` method) is
@@ -304,7 +331,9 @@ class ResultCache:
         store: Any | None = None,
     ) -> None:
         self._memory: dict[str, Any] = {}
-        self.directory = Path(directory) if directory is not None else None
+        self.directory = (
+            Path(directory) / code_digest() if directory is not None else None
+        )
         self.store = store
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -344,6 +373,8 @@ class ResultCache:
     def put(self, key: str, result: Any, job: SimJob | None = None) -> None:
         self._memory[key] = result
         if self.directory is not None:
+            # a process of other code sharing the root may have pruned it
+            self.directory.mkdir(parents=True, exist_ok=True)
             _atomic_write_bytes(self._path(key), pickle.dumps(result))
         if self.store is not None:
             self.store.record_result(key, result, job=job)
@@ -366,17 +397,37 @@ class ResultCache:
     ) -> dict[str, int]:
         """Evict disk blobs so the cache stops growing without bound.
 
-        ``max_age`` (seconds) drops every blob whose mtime — its last get
-        or put, by any process — is older; ``max_bytes`` then evicts
-        least-recently-used blobs until the directory total fits.  Stale
-        ``*.tmp`` files from killed writers (older than an hour) are
-        removed as well.  Returns eviction statistics; a memory-only
-        cache is a no-op.
+        Every other code digest's namespace goes first, with any blob kept
+        in the cache root before blobs were namespaced: no result there
+        answers for this code.  ``max_age`` (seconds) then drops every
+        blob whose mtime — its last get or put, by any process — is older;
+        ``max_bytes`` then evicts least-recently-used blobs until the
+        namespace total fits.  Stale ``*.tmp`` files from killed writers
+        (older than an hour) are removed as well.  Returns eviction
+        statistics; a memory-only cache is a no-op.
         """
         stats = {"removed": 0, "kept": 0, "bytes_freed": 0, "bytes_kept": 0}
         if self.directory is None:
             stats["kept"] = len(self._memory)
             return stats
+        root = self.directory.parent
+        others = [
+            p for p in root.iterdir()
+            if p != self.directory and _DIGEST.fullmatch(p.name)
+        ]
+        stale = list(root.glob("*.pkl"))  # kept before blobs were namespaced
+        for other in others:
+            stale += other.glob("*.pkl")
+        for path in stale:
+            try:
+                size = path.stat().st_size
+                path.unlink()
+            except OSError:  # racing concurrent eviction
+                continue
+            stats["removed"] += 1
+            stats["bytes_freed"] += size
+        for other in others:
+            shutil.rmtree(other, ignore_errors=True)
         now = time.time() if now is None else now
         for tmp in self.directory.glob("*.tmp"):
             try:
@@ -404,7 +455,7 @@ class ResultCache:
                 freed += size
             else:
                 stats["kept"] += 1
-        stats["bytes_freed"] = freed
+        stats["bytes_freed"] += freed
         stats["bytes_kept"] = total - freed
         return stats
 

@@ -208,23 +208,23 @@ class PhaseAdaptation:
     """Steering behaviour across workload phases."""
 
     result: SimulationResult
-    #: per-cycle selected candidate index (0 = current).
-    selections: list[int]
-    #: cycles in which a partial reconfiguration started.
-    load_cycles: list[int]
-    #: fraction of cycles the current configuration was kept.
-    kept_fraction: float
+    #: the selection runs, ``(selection, first_cycle, length)``: the
+    #: candidate index selected (0 = current) and for how many cycles.
+    selection_runs: list[tuple[int, int, int]]
+
+    @property
+    def kept_fraction(self) -> float:
+        """Fraction of cycles the current configuration was kept."""
+        return self.result.steering_kept_fraction
 
     def settle_points(self, window: int = 50) -> list[int]:
         """Cycles after which the selection stayed 'current' for ``window``
         consecutive cycles (the steering 'settled')."""
-        out = []
-        run = 0
-        for i, s in enumerate(self.selections):
-            run = run + 1 if s == 0 else 0
-            if run == window:
-                out.append(i - window + 1)
-        return out
+        return [
+            first
+            for selection, first, length in self.selection_runs
+            if selection == 0 and length >= window
+        ]
 
     def metrics(self) -> dict[str, float]:
         """Flat scalar view for the run store."""
@@ -233,7 +233,7 @@ class PhaseAdaptation:
             "ipc": self.result.ipc,
             "reconfigurations": self.result.reconfigurations,
             "kept_fraction": self.kept_fraction,
-            "loads": len(self.load_cycles),
+            "loads": self.result.reconfigurations,
             "first_settle": settles[0] if settles else -1,
         }
 
@@ -265,12 +265,7 @@ def run_phase_adaptation(
         label="phase-adaptation",
     )
     traced = run_many([job], workers, cache)[0]
-    return PhaseAdaptation(
-        result=traced["result"],
-        selections=traced["selections"],
-        load_cycles=traced["load_cycles"],
-        kept_fraction=traced["result"].steering_kept_fraction,
-    )
+    return PhaseAdaptation(traced["result"], traced["selection_runs"])
 
 
 # -------------------------------------------------------------------- E-Q

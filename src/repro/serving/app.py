@@ -71,9 +71,9 @@ from repro.telemetry import (
 __all__ = ["ServingApp", "make_server"]
 
 _RUN_PATH = re.compile(r"/api/runs/([0-9a-f]{8,64})")
-_ARTIFACT_PATH = re.compile(r"/api/runs/([0-9a-f]{8,64})/artifact")
-_TIMESERIES_PATH = re.compile(r"/api/runs/([0-9a-f]{8,64})/timeseries")
-_DECISIONS_PATH = re.compile(r"/api/runs/([0-9a-f]{8,64})/decisions")
+_BLOB_PATH = re.compile(
+    r"/api/runs/([0-9a-f]{8,64})/(artifact|timeseries|decisions)"
+)
 _JOB_PATH = re.compile(r"/api/jobs/([\w-]+)")
 
 #: last-run metrics surfaced as gauges on /metrics.
@@ -85,6 +85,21 @@ _LAST_RUN_METRICS = (
 _CC_IMMUTABLE = "public, max-age=31536000, immutable"
 _CC_RUN = "public, max-age=60"
 _CC_NONE = "no-cache"
+
+#: the endpoints served from a run's result-cache blob, by the path's last
+#: segment (``artifact`` serves the whole result, the others the payload
+#: part of that name): (ETag template, the 404 text after "run <id> has ").
+_BLOB_ENDPOINTS = {
+    "artifact": ('"{key}"', "no cached artifact (key {key:.12}…)"),
+    "timeseries": (
+        '"{key:.24}.ts"',
+        "no telemetry time series (only telemetry-enabled runs carry one)",
+    ),
+    "decisions": (
+        '"{key:.24}.dec"',
+        "no decision ledger (only ledger-enabled runs carry one)",
+    ),
+}
 
 
 def _jsonable(value: Any) -> Any:
@@ -192,12 +207,9 @@ class ServingApp:
             return "/"
         if path in cls._KNOWN_ROUTES:
             return path
-        if _TIMESERIES_PATH.fullmatch(path):
-            return "/api/runs/{id}/timeseries"
-        if _DECISIONS_PATH.fullmatch(path):
-            return "/api/runs/{id}/decisions"
-        if _ARTIFACT_PATH.fullmatch(path):
-            return "/api/runs/{id}/artifact"
+        match = _BLOB_PATH.fullmatch(path)
+        if match:
+            return "/api/runs/{id}/" + match.group(2)
         if _RUN_PATH.fullmatch(path):
             return "/api/runs/{id}"
         if _JOB_PATH.fullmatch(path):
@@ -225,15 +237,9 @@ class ServingApp:
                 return self._experiments()
             if path == "/api/diff":
                 return self._diff(query, headers)
-            match = _TIMESERIES_PATH.fullmatch(path)
+            match = _BLOB_PATH.fullmatch(path)
             if match:
-                return self._timeseries(match.group(1), headers)
-            match = _DECISIONS_PATH.fullmatch(path)
-            if match:
-                return self._decisions(match.group(1), headers)
-            match = _ARTIFACT_PATH.fullmatch(path)
-            if match:
-                return self._artifact(match.group(1), headers)
+                return self._blob(*match.groups(), headers)
             match = _RUN_PATH.fullmatch(path)
             if match:
                 return self._run(match.group(1), query, headers)
@@ -405,82 +411,29 @@ class ServingApp:
             )
         return self._json(200, run, etag=etag, cache_control=_CC_RUN)
 
-    def _artifact(self, run_id, headers):
-        run = self.store.get_run(run_id)
-        if run is None:
-            return self._error(404, f"no such run: {run_id}")
-        key = run["config_hash"]
-        etag = f'"{key}"'
-        if self._etag_matches(headers, etag):
-            return self._not_modified(etag, _CC_IMMUTABLE)
-        result = self.cache.get(key) if self.cache is not None else None
-        if result is None:
-            return self._error(
-                404, f"run {run_id} has no cached artifact (key {key[:12]}…)"
-            )
-        return self._json(
-            200,
-            {"run_id": run_id, "key": key, "artifact": _jsonable(result)},
-            etag=etag,
-            cache_control=_CC_IMMUTABLE,
-        )
-
-    def _timeseries(self, run_id, headers):
-        """Per-cycle telemetry series of a stored run.
-
-        Served from the run's result-cache blob: only results produced
-        with telemetry attached (e.g. the ``steering-telemetry`` factory)
-        carry a ``timeseries`` payload; anything else is a 404, like a
-        missing artifact.  Content-addressed, hence immutable.
+    def _blob(self, run_id, name, headers):
+        """A run's result-cache blob: whole (``artifact``), or one part of
+        an observed run's payload (``timeseries``, ``decisions``; only
+        ``steering-telemetry`` runs carry them).  Content-addressed, hence
+        immutable.  An absent blob is a 404: never cached, or cached under
+        another code digest whose namespace has been pruned since.
         """
         run = self.store.get_run(run_id)
         if run is None:
             return self._error(404, f"no such run: {run_id}")
         key = run["config_hash"]
-        etag = f'"{key[:24]}.ts"'
+        etag, missing = _BLOB_ENDPOINTS[name]
+        etag = etag.format(key=key)
         if self._etag_matches(headers, etag):
             return self._not_modified(etag, _CC_IMMUTABLE)
-        result = self.cache.get(key) if self.cache is not None else None
-        payload = result.get("timeseries") if isinstance(result, dict) else None
+        payload = self.cache.get(key) if self.cache is not None else None
+        if name != "artifact":
+            payload = payload.get(name) if isinstance(payload, dict) else None
         if payload is None:
-            return self._error(
-                404,
-                f"run {run_id} has no telemetry time series "
-                "(only telemetry-enabled runs carry one)",
-            )
+            return self._error(404, f"run {run_id} has " + missing.format(key=key))
         return self._json(
             200,
-            {"run_id": run_id, "key": key, "timeseries": _jsonable(payload)},
-            etag=etag,
-            cache_control=_CC_IMMUTABLE,
-        )
-
-    def _decisions(self, run_id, headers):
-        """Steering decision ledger of a stored run (``repro explain``).
-
-        Served from the run's result-cache blob: only runs of the
-        ``steering-telemetry`` factory, which always attaches a decision
-        ledger, carry a ``decisions`` payload.  Content-addressed, hence
-        immutable.
-        """
-        run = self.store.get_run(run_id)
-        if run is None:
-            return self._error(404, f"no such run: {run_id}")
-        key = run["config_hash"]
-        etag = f'"{key[:24]}.dec"'
-        if self._etag_matches(headers, etag):
-            return self._not_modified(etag, _CC_IMMUTABLE)
-        result = self.cache.get(key) if self.cache is not None else None
-        payload = result.get("decisions") if isinstance(result, dict) else None
-        if payload is None:
-            return self._error(
-                404,
-                f"run {run_id} has no decision ledger "
-                "(only ledger-enabled runs carry one)",
-            )
-        return self._json(
-            200,
-            {"run_id": run_id, "key": key, "decisions": _jsonable(payload)},
+            {"run_id": run_id, "key": key, name: _jsonable(payload)},
             etag=etag,
             cache_control=_CC_IMMUTABLE,
         )

@@ -262,7 +262,7 @@ function renderTable() {
     tr.append(el("td", "mono", run.run_id));
     tr.append(el("td", null, run.experiment));
     tr.append(el("td", null, run.label || ""));
-    tr.append(el("td", "mono", run.git_rev || ""));
+    tr.append(el("td", "mono", (run.git_rev || "").slice(0, 12)));
     tr.append(el("td", "mono", when(run.created)));
     tr.append(el("td", "num", run.metrics.ipc !== undefined ? fmt(run.metrics.ipc) : "–"));
     tr.append(el("td", "num", run.metrics.cycles !== undefined ? fmt(run.metrics.cycles) : "–"));

@@ -4,15 +4,19 @@ The serving subsystem splits result storage in two.  Heavyweight
 artifacts (pickled :class:`~repro.core.stats.SimulationResult` payloads)
 stay in the content-addressed ``.report-cache`` blobs managed by
 :class:`~repro.evaluation.batch.ResultCache`; this module keeps the
-*index* — one row per run with its experiment name, content hash, git
+*index* — one row per run with its experiment name, content hash, code
 revision, timestamp and a flat JSON metrics document — in a single
 SQLite file the HTTP API can query cheaply and CI can upload whole as an
 artifact.
 
 Runs are identified by a deterministic 16-hex id derived from
-``(experiment, config_hash, git_rev)``: re-registering the same question
-at the same revision upserts the row instead of growing the table, while
-a new revision (or a changed question) starts a new trend point.
+``(experiment, config_hash, git_rev)``, where the revision (the
+``git_rev`` column, named before it changed meaning) is
+:func:`~repro.evaluation.batch.code_digest`, the hash of the ``repro``
+sources that also names the result cache's blob namespace.
+Re-registering the same question under the same code upserts the row
+instead of growing the table, while changed code (or a changed question)
+starts a new trend point.
 
 Concurrency discipline (schema v3)
 ----------------------------------
@@ -46,7 +50,6 @@ import hashlib
 import json
 import os
 import sqlite3
-import subprocess
 import threading
 import time
 from contextlib import contextmanager
@@ -54,13 +57,13 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.evaluation.batch import code_digest
 from repro.utils.canonical import canonical_dumps
 
 __all__ = [
     "RunStore",
     "SCHEMA_VERSION",
     "metrics_of",
-    "current_git_rev",
 ]
 
 #: numeric encoding of ``SimulationResult.outcome`` for the flat metric
@@ -131,41 +134,17 @@ _V4_DDL = (
     "ALTER TABLE jobs ADD COLUMN trace_id TEXT NOT NULL DEFAULT ''",
 )
 
-_git_rev_cache: str | None = None
-_git_rev_lock = threading.Lock()
-
-
-def current_git_rev() -> str:
-    """Short git revision of the working tree ('' outside a checkout)."""
-    global _git_rev_cache
-    with _git_rev_lock:
-        if _git_rev_cache is None:
-            try:
-                _git_rev_cache = subprocess.run(
-                    ["git", "rev-parse", "--short", "HEAD"],
-                    capture_output=True,
-                    text=True,
-                    timeout=5,
-                    check=True,
-                ).stdout.strip()
-            except (OSError, subprocess.SubprocessError):
-                _git_rev_cache = ""
-        return _git_rev_cache
-
-
 def metrics_of(result: Any) -> dict[str, float]:
     """Flatten any batch-engine result into numeric scalar metrics.
 
-    Handles :class:`SimulationResult` (via ``to_dict``), the
-    ``steering-traced`` factory's dict payload, and plain dicts; anything
+    Handles :class:`SimulationResult` (via ``to_dict``), the dict payload
+    of an observed factory (the metrics of its ``result``), and plain
+    dicts; anything
     else (e.g. a functional reference trace) yields no metrics — the run
     row still records that the simulation happened.
     """
     if isinstance(result, dict) and "result" in result:
-        metrics = metrics_of(result["result"])
-        if "load_cycles" in result:
-            metrics["load_count"] = len(result["load_cycles"])
-        return metrics
+        return metrics_of(result["result"])
     to_dict = getattr(result, "to_dict", None)
     raw = to_dict() if callable(to_dict) else result
     if not isinstance(raw, dict):
@@ -354,7 +333,7 @@ class RunStore:
         created: float | None = None,
     ) -> str:
         """Insert or upsert one run; returns its id."""
-        git_rev = current_git_rev() if git_rev is None else git_rev
+        git_rev = code_digest() if git_rev is None else git_rev
         created = time.time() if created is None else created
         if run_id is None:
             run_id = hashlib.sha256(

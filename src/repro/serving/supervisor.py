@@ -32,10 +32,12 @@ snapshot is dropped so ``/metrics`` never reports a dead worker.
 Workers are forked (``multiprocessing`` fork context): cheap, and the
 listening socket, the job doorbell (one ``multiprocessing.Semaphore``
 that every API worker's enqueue releases and every idle sim worker
-waits on, see :mod:`repro.serving.jobs`) and the configuration travel
-by inheritance — nothing is pickled.  Forked children never reuse the
-parent's SQLite connections; the store re-opens per-process (see
-``RunStore._connection``).
+waits on, see :mod:`repro.serving.jobs`), the code digest (computed at
+start-up, before the first fork; it names the result cache's blob
+namespace, which start-up prunes to that one) and the configuration
+travel by inheritance — nothing is pickled.  Forked children never
+reuse the parent's SQLite connections; the store re-opens per-process
+(see ``RunStore._connection``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import socket
 import threading
 import time
 
-from repro.evaluation.batch import ResultCache
+from repro.evaluation.batch import ResultCache, code_digest
 from repro.serving.app import ServingApp, make_server
 from repro.serving.jobs import HEARTBEAT_SECONDS, StoreJobQueue
 from repro.serving.store import RunStore
@@ -254,6 +256,9 @@ class Supervisor:
                 f"kept {trimmed['kept_runs']} runs"
             )
         self._store.clear_worker_metrics()  # drop any previous incarnation
+        # hash the code before the first fork: every worker inherits the
+        # one digest that names the cache namespace and the run revision
+        code_digest()
         cache = (
             ResultCache(self.cache_dir)
             if self.cache_dir is not None

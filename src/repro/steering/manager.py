@@ -14,9 +14,10 @@ have not changed may hand the previous :class:`SelectionResult` to
 cycle exactly as :meth:`ConfigurationManager.cycle` would.
 
 It also keeps the statistics the evaluation harness reports (selection
-histogram, reconfiguration count) and the most recent cycle's result,
-which observers read (``repro.core.tracing.SteeringTrace`` rebuilds the
-per-cycle :class:`TraceEntry` records from it).
+histogram, mean selected error) and the most recent cycle's result, which
+observers read (``repro.core.tracing.SteeringTrace`` turns
+``last_selection`` into selection runs).  The loads it starts are
+recorded once, in ``loader.history``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.fabric.configuration import PREDEFINED_CONFIGS, Configuration
 from repro.fabric.fabric import Fabric
 from repro.isa.instruction import Instruction
-from repro.steering.loader import ConfigurationLoader, LoadPlan
+from repro.steering.loader import ConfigurationLoader
 from repro.steering.selection import ConfigurationSelectionUnit, SelectionResult
 
 __all__ = ["ManagerStats", "ConfigurationManager"]
@@ -40,8 +41,6 @@ class ManagerStats:
     cycles: int = 0
     #: how often each candidate index (0 = current) was selected.
     selections: dict[int, int] = field(default_factory=dict)
-    #: partial reconfigurations started.
-    loads: int = 0
     #: cumulative 6-bit error of the selected candidate (for mean error).
     total_selected_error: int = 0
 
@@ -55,17 +54,6 @@ class ManagerStats:
         if not self.cycles:
             return 0.0
         return self.selections.get(0, 0) / self.cycles
-
-
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
-    """One cycle of the steering trace (1-based manager ``cycle``)."""
-
-    cycle: int
-    selection: int
-    errors: tuple[int, ...]
-    required: tuple[int, ...]
-    load: LoadPlan | None
 
 
 class ConfigurationManager:
@@ -94,9 +82,6 @@ class ConfigurationManager:
         self.last_result: SelectionResult | None = None
         #: 6-bit CEM error of the winning candidate in the most recent cycle.
         self.last_error: int = 0
-        #: most recent reconfiguration started by the loader.  Never cleared;
-        #: pair with ``stats.loads`` to detect a fresh one.
-        self.last_load: LoadPlan | None = None
 
     def cycle(self, ready_queue: Sequence[Instruction]) -> SelectionResult:
         """One clock of the manager.  ``ready_queue`` holds the unscheduled
@@ -109,7 +94,7 @@ class ConfigurationManager:
         made: steer the loader toward it and count it."""
         loader = self.loader
         loader.set_target(result.config)
-        plan = loader.step()
+        loader.step()
 
         index = result.index
         if result is not self.last_result:
@@ -120,7 +105,4 @@ class ConfigurationManager:
         stats.cycles += 1
         stats.selections[index] = stats.selections.get(index, 0) + 1
         stats.total_selected_error += self.last_error
-        if plan is not None:
-            stats.loads += 1
-            self.last_load = plan
         return result

@@ -14,8 +14,7 @@
 * with ``profile_stages``, per-stage wall-clock totals: the stage hooks
   time the span between one stage boundary and the next.
 
-Its sizes are those of the served ``steering-telemetry`` payload, which
-is cached under a key that does not hash code, so they stay fixed.  A
+Its sizes are those of the served ``steering-telemetry`` payload.  A
 processor with no observer pays one ``is not None`` test per hook.
 """
 
@@ -92,18 +91,17 @@ class ProcessorTelemetry:
                     selection=manager.last_selection,
                     error=manager.last_error,
                 )
-            loads = manager.stats.loads
-            if loads != self._prev_loads:
-                plan = manager.last_load
-                if plan is not None:
-                    tracer.complete(
-                        f"reconfig {plan.fu_type.short_name}@{plan.head}",
-                        ts=cycle,
-                        dur=max(1, plan.latency),
-                        track="fabric",
-                        evicted=[t.short_name for t in plan.evicted],
-                    )
-                self._prev_loads = loads
+            loads = manager.loader.history
+            if len(loads) != self._prev_loads:
+                plan = loads[-1]
+                tracer.complete(
+                    f"reconfig {plan.fu_type.short_name}@{plan.head}",
+                    ts=cycle,
+                    dur=max(1, plan.latency),
+                    track="fabric",
+                    evicted=[t.short_name for t in plan.evicted],
+                )
+                self._prev_loads = len(loads)
         self._since_sample += 1
         if self._since_sample >= SAMPLE_INTERVAL:
             self._sample(proc, cycle, manager)

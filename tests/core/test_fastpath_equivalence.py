@@ -37,23 +37,22 @@ def _steering(program, observer=None):
     return steering_processor(program, _PARAMS, observer=observer)
 
 
-def _check_events(recorder, result):
+def _check_events(recorder, result, proc):
     assert len(recorder.events) == result.cycles
     assert [e.cycle for e in recorder.events] == list(range(result.cycles))
     assert sum(len(e.retired) for e in recorder.events) == result.retired
 
 
-def _check_trace(trace, result):
-    assert len(trace.entries) == result.cycles
-    loads = sum(1 for t in trace.entries if t.load is not None)
-    assert loads == result.reconfigurations
+def _check_trace(trace, result, proc):
+    assert sum(length for _, _, length in trace.runs) == result.cycles
+    assert len(proc.policy.manager.loader.history) == result.reconfigurations
 
 
 def _telemetry():
     return ProcessorTelemetry(profile_stages=True)
 
 
-def _check_telemetry(tel, result):
+def _check_telemetry(tel, result, proc):
     samples = tel.series.series("windowed_ipc").seen
     assert samples == result.cycles // SAMPLE_INTERVAL
     assert len(tel.tracer) > 0
@@ -62,7 +61,8 @@ def _check_telemetry(tel, result):
     assert tel.ledger.seen > 0
 
 
-#: (id, processor factory, observer factory, check of what it observed)
+#: (id, processor factory, observer factory, check of what it observed:
+#: ``check(observer, result, proc)``)
 _OBSERVERS = [
     ("events", _steering, EventRecorder, _check_events),
     ("events-ffu-only", _ffu_only, EventRecorder, _check_events),
@@ -82,8 +82,9 @@ def test_observed_run_bit_identical(
 ):
     plain = build(program).run(max_cycles=100_000)
     observer = make_observer()
-    observed = build(program, observer).run(max_cycles=100_000)
+    proc = build(program, observer)
+    observed = proc.run(max_cycles=100_000)
     assert plain.halted and observed.halted
     assert observed.to_dict() == plain.to_dict()
-    check(observer, observed)
+    check(observer, observed, proc)
 

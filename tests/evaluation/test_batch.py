@@ -1,6 +1,7 @@
 """Tests for the batch simulation engine."""
 
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -261,3 +262,34 @@ def test_execute_job_reference_factory():
     )
     reference = execute_job(job)
     assert reference.trace  # dynamic unit-type trace is non-empty
+
+
+# ------------------------------------------------------------ observed jobs
+def _traced(max_cycles):
+    """A steering-traced run of one steady loop, its payload's pickled
+    size and the tracemalloc peak of running it."""
+    job = SimJob("steering-traced", checksum(iterations=20_000).program,
+                 max_cycles=max_cycles)
+    tracemalloc.start()
+    try:
+        payload = execute_job(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return payload, len(pickle.dumps(payload)), peak
+
+
+def test_traced_job_grows_with_decisions_not_cycles():
+    """Four times the cycles of a settled loop add no steering decision,
+    so they add next to nothing to the payload or the peak memory (a
+    per-cycle record would add about 120 B a cycle, over 1 MB here)."""
+    execute_job(SimJob("steering-traced", checksum(iterations=5).program))
+    short, short_bytes, short_peak = _traced(3_000)
+    long, long_bytes, long_peak = _traced(12_000)
+    assert short["result"].cycles == 3_000 and long["result"].cycles == 12_000
+    assert set(short) == {"result", "selection_runs"}
+    # the same decisions; only the last run, the settled one, is longer
+    starts = [run[:2] for run in short["selection_runs"]]
+    assert [run[:2] for run in long["selection_runs"]] == starts
+    assert long_bytes - short_bytes < 64
+    assert long_peak - short_peak < 64 * 1024

@@ -5,7 +5,11 @@ import time
 
 import pytest
 
-from repro.evaluation.batch import ResultCache, _atomic_write_bytes
+import repro.evaluation.batch as batch
+from repro.core.params import ProcessorParams
+from repro.evaluation.batch import ResultCache, _atomic_write_bytes, code_digest
+from repro.evaluation.experiments import run_phase_adaptation
+from repro.workloads.synthetic import FP_MIX, INT_MIX
 
 
 def _age(directory, key, when):
@@ -24,7 +28,7 @@ def _fill(cache, n, size=100, t0=1000.0):
 def test_prune_respects_max_bytes_evicting_lru_first(tmp_path):
     cache = ResultCache(tmp_path)
     _fill(cache, 5)
-    blob = os.path.getsize(tmp_path / ("0" * 63 + "0.pkl"))
+    blob = os.path.getsize(cache.directory / ("0" * 63 + "0.pkl"))
     stats = cache.prune(max_bytes=2 * blob, now=2000.0)
     assert stats["removed"] == 3
     assert stats["kept"] == 2
@@ -57,7 +61,7 @@ def test_get_refreshes_lru_position(tmp_path):
     cache = ResultCache(tmp_path)
     _fill(cache, 3)
     assert cache.get(f"{0:064x}") is not None  # key 0 was just read
-    blob = os.path.getsize(tmp_path / ("0" * 63 + "0.pkl"))
+    blob = os.path.getsize(cache.directory / ("0" * 63 + "0.pkl"))
     cache.prune(max_bytes=blob)
     assert cache.has(f"{0:064x}")
     assert not cache.has(f"{1:064x}")
@@ -72,20 +76,20 @@ def test_get_by_one_object_survives_prune_by_another(tmp_path, reader_wrote):
     _fill(writer, 2)  # key 0 older than key 1
     reader = writer if reader_wrote else ResultCache(tmp_path)
     assert reader.get(f"{0:064x}") == b"x" * 100
-    blob = os.path.getsize(tmp_path / ("0" * 63 + "0.pkl"))
+    blob = os.path.getsize(writer.directory / ("0" * 63 + "0.pkl"))
     stats = ResultCache(tmp_path).prune(max_bytes=blob)
     assert stats["removed"] == 1
-    assert (tmp_path / f"{0:064x}.pkl").exists()
-    assert not (tmp_path / f"{1:064x}.pkl").exists()
+    assert (writer.directory / f"{0:064x}.pkl").exists()
+    assert not (writer.directory / f"{1:064x}.pkl").exists()
 
 
 def test_prune_removes_stale_tmp_files(tmp_path):
     cache = ResultCache(tmp_path)
-    stale = tmp_path / "dead.pkl.123.456.tmp"
+    stale = cache.directory / "dead.pkl.123.456.tmp"
     stale.write_bytes(b"partial")
     old = time.time() - 7200
     os.utime(stale, (old, old))
-    fresh = tmp_path / "live.pkl.789.012.tmp"
+    fresh = cache.directory / "live.pkl.789.012.tmp"
     fresh.write_bytes(b"in flight")
     cache.prune()
     assert not stale.exists()
@@ -110,6 +114,55 @@ def test_stats_counters(tmp_path):
     assert stats["disk_blobs"] == 1
     assert stats["disk_bytes"] > 0
     assert stats["hits"] == 1 and stats["misses"] == 1
+
+
+# ------------------------------------------------------- code namespaces
+def _phase_run(directory):
+    """A small E-PH run through a disk cache; the cache is returned too."""
+    cache = ResultCache(directory)
+    adaptation = run_phase_adaptation(
+        phases=[(INT_MIX, 20), (FP_MIX, 20)],
+        params=ProcessorParams(reconfig_latency=4),
+        cache=cache,
+    )
+    return adaptation, cache
+
+
+def test_code_digest_namespaces_the_disk_cache(tmp_path, monkeypatch):
+    """A result answers only for the code that computed it: the same
+    digest answers from disk with no simulation, another digest
+    re-simulates, and pruning under it drops the old namespace."""
+    first, cache = _phase_run(tmp_path)
+    assert cache.directory == tmp_path / code_digest()
+    again, cache = _phase_run(tmp_path)
+    assert (cache.hits, cache.misses) == (1, 0)  # 0 simulations
+    assert again.metrics() == first.metrics()
+
+    monkeypatch.setattr(batch, "code_digest", lambda: "e" * 64)
+    changed, cache = _phase_run(tmp_path)
+    assert (cache.hits, cache.misses) == (0, 1)  # simulated again
+    assert changed.metrics() == first.metrics()
+    assert cache.prune()["removed"] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["e" * 64]
+
+
+def test_put_survives_a_prune_by_other_code(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    monkeypatch.setattr(batch, "code_digest", lambda: "e" * 64)
+    ResultCache(tmp_path).prune()
+    assert not cache.directory.exists()
+    cache.put("a" * 64, b"x")
+    assert (cache.directory / f"{'a' * 64}.pkl").exists()
+
+
+def test_prune_drops_blobs_kept_before_namespacing(tmp_path):
+    legacy = tmp_path / f"{0:064x}.pkl"
+    legacy.write_bytes(b"old layout")
+    cache = ResultCache(tmp_path)
+    cache.put("a" * 64, b"x")
+    stats = cache.prune()
+    assert stats["removed"] == 1 and stats["kept"] == 1
+    assert not legacy.exists()
 
 
 # ------------------------------------------------------------- atomic writes
@@ -139,5 +192,5 @@ def test_put_is_atomic_on_disk(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put("d" * 64, {"ipc": 1.0})
     # only the blob exists — no tmp files and no index
-    names = sorted(p.name for p in tmp_path.iterdir())
+    names = sorted(p.name for p in cache.directory.iterdir())
     assert names == ["d" * 64 + ".pkl"]

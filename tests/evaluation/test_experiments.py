@@ -49,7 +49,12 @@ class TestPhaseAdaptation:
         )
 
     def test_selection_trace_covers_run(self, adaptation):
-        assert len(adaptation.selections) == adaptation.result.cycles
+        runs = adaptation.selection_runs
+        assert sum(length for _, _, length in runs) == adaptation.result.cycles
+        assert [first for _, first, _ in runs] == [
+            sum(length for _, _, length in runs[:i]) for i in range(len(runs))
+        ]
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
 
     def test_kept_fraction_bounded(self, adaptation):
         assert 0.0 <= adaptation.kept_fraction <= 1.0

@@ -28,7 +28,9 @@ def test_example_imports(path):
     assert hasattr(module, "main")
 
 
-@pytest.mark.parametrize("stem", ["quickstart", "legacy_binary", "pipeline_trace"])
+@pytest.mark.parametrize(
+    "stem", ["quickstart", "legacy_binary", "pipeline_trace", "phased_workload"]
+)
 def test_fast_examples_run(stem, capsys):
     path = next(p for p in _EXAMPLES if p.stem == stem)
     module = _load(path)

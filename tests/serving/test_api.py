@@ -149,6 +149,65 @@ def test_artifact_endpoint_immutable(warm):
     assert status == 304
 
 
+@pytest.mark.parametrize(
+    "name,etag,missing",
+    [
+        ("artifact", '"{key}"', None),
+        ("timeseries", '"{key:.24}.ts"',
+         "no telemetry time series (only telemetry-enabled runs carry one)"),
+        ("decisions", '"{key:.24}.dec"',
+         "no decision ledger (only ledger-enabled runs carry one)"),
+    ],
+)
+def test_blob_endpoints_etag_and_404_text(warm, name, etag, missing):
+    """Every cached-blob endpoint keeps its ETag, Cache-Control and 404
+    text; a plain steering run has no series and no ledger."""
+    app, store, _ = warm
+    run = store.list_runs()[0]
+    key = run["config_hash"]
+    path = f"/api/runs/{run['run_id']}/{name}"
+    status, headers, _ = app.handle(
+        "GET", path, headers={"If-None-Match": etag.format(key=key)}
+    )
+    assert status == 304
+    assert headers == {
+        "ETag": etag.format(key=key),
+        "Cache-Control": "public, max-age=31536000, immutable",
+    }
+    if missing is None:
+        return  # the artifact is there; see the pruned-namespace test
+    status, _, payload = _decode(app.handle("GET", path))
+    assert status == 404
+    assert payload == {
+        "error": f"run {run['run_id']} has " + missing.format(key=key),
+        "status": 404,
+    }
+
+
+def test_artifact_of_a_pruned_namespace_is_404(tmp_path, monkeypatch):
+    """A run recorded under other code keeps its row, but its blob goes
+    when that code digest's namespace is pruned: the artifact is a 404,
+    never a result of other code."""
+    store = RunStore()
+    job = SimJob("steering", checksum(iterations=20).program, _PARAMS,
+                 max_cycles=50_000)
+    run_many([job], cache=ResultCache(tmp_path, store=store))
+    run_id, key = (store.list_runs()[0][k] for k in ("run_id", "config_hash"))
+    app = ServingApp(store, cache=ResultCache(tmp_path))
+    assert app.handle("GET", f"/api/runs/{run_id}/artifact")[0] == 200
+    monkeypatch.setattr(batch, "code_digest", lambda: "e" * 64)
+    cache = ResultCache(tmp_path)
+    assert cache.prune()["removed"] == 1
+    app = ServingApp(store, cache=cache)
+    status, _, payload = _decode(app.handle("GET", f"/api/runs/{run_id}/artifact"))
+    assert status == 404
+    assert payload == {
+        "error": f"run {run_id} has no cached artifact (key {key[:12]}…)",
+        "status": 404,
+    }
+    store.close()
+
+
 def test_warm_cache_answers_without_simulating(warm, monkeypatch):
     """The acceptance check: list/get/diff never touch the simulator."""
     app, store, _ = warm

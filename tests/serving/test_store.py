@@ -5,6 +5,7 @@ import sqlite3
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.evaluation.batch import code_digest
 from repro.serving.store import SCHEMA_VERSION, RunStore, metrics_of
 
 
@@ -449,17 +450,19 @@ def test_metrics_of_to_dict_object():
     assert metrics_of(FakeResult()) == {"cycles": 100, "ipc": 2.0}
 
 
+def test_run_revision_is_the_code_digest():
+    with RunStore() as store:
+        run_id = store.record_run("E", "c" * 64, {"x": 1})
+        assert store.get_run(run_id)["git_rev"] == code_digest()
+
+
 def test_metrics_of_traced_payload():
     class FakeResult:
         def to_dict(self):
             return {"ipc": 2.0}
 
-    payload = {
-        "result": FakeResult(),
-        "load_cycles": [1, 2, 3],
-        "selections": ["cfg"],
-    }
-    assert metrics_of(payload) == {"ipc": 2.0, "load_count": 3}
+    payload = {"result": FakeResult(), "selection_runs": [(0, 0, 5), (2, 5, 1)]}
+    assert metrics_of(payload) == {"ipc": 2.0}
 
 
 def test_metrics_of_opaque_result_is_empty():

@@ -80,7 +80,7 @@ class TestStats:
         _run(mgr, _INT_QUEUE, 30)
         assert mgr.stats.cycles == 30
         assert sum(mgr.stats.selections.values()) == 30
-        assert mgr.stats.loads == fabric.reconfigurations
+        assert len(mgr.loader.history) == fabric.reconfigurations
 
     def test_mean_selected_error_defined(self, fabric):
         mgr = ConfigurationManager(fabric)
@@ -89,19 +89,25 @@ class TestStats:
         assert mgr.stats.mean_selected_error >= 0.0
 
     def test_trace_recording(self, fabric):
-        """The steering-trace observer rebuilds one entry per manager cycle
-        from the manager's last-cycle fields."""
+        """The steering-trace observer keeps one run per change of the
+        manager's selection; the runs cover every observed cycle."""
         mgr = ConfigurationManager(fabric)
         trace = SteeringTrace()
-        proc = SimpleNamespace(policy=SimpleNamespace(manager=mgr))
-        for _ in range(15):
-            mgr.cycle(_FP_QUEUE)
+        proc = SimpleNamespace(policy=SimpleNamespace(manager=mgr), cycle_count=0)
+        selections = []
+        for queue in [_FP_QUEUE] * 15 + [_INT_QUEUE] * 15:
+            mgr.cycle(queue)
             fabric.tick()
             trace.on_cycle(proc, (), [], (), [], 0)
-        assert len(trace.entries) == 15
-        assert trace.entries[0].cycle == 1
-        loads = [t.load for t in trace.entries if t.load is not None]
-        assert len(loads) == mgr.stats.loads > 0
+            selections.append(mgr.last_selection)
+            proc.cycle_count += 1
+        expanded = [s for s, _, length in trace.runs for _ in range(length)]
+        assert expanded == selections
+        assert [first for _, first, _ in trace.runs] == [
+            i for i in range(30) if i == 0 or selections[i] != selections[i - 1]
+        ]
+        assert 1 < len(trace.runs) < 30
+        assert len(mgr.loader.history) == fabric.reconfigurations > 0
 
 
 class TestExactMetricOption:
