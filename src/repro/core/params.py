@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from repro.errors import SimulationError
 from repro.isa.futypes import FUType
@@ -12,7 +13,11 @@ __all__ = ["ProcessorParams"]
 
 @dataclass(frozen=True)
 class ProcessorParams:
-    """Everything configurable about a simulated processor instance."""
+    """Everything configurable about a simulated processor instance.
+
+    Frozen, so its :attr:`fingerprint` text is rendered once and kept;
+    like any derived state it is neither pickled nor copied.
+    """
 
     #: wake-up array / instruction queue entries (the paper's seven).
     window_size: int = 7
@@ -64,3 +69,31 @@ class ProcessorParams:
             raise SimulationError(
                 f"reconfig_mode must be 'module' or 'difference', got {self.reconfig_mode!r}"
             )
+
+    def canonical(self) -> tuple:
+        """The parameters reduced to primitives with a deterministic repr:
+        their part of a job's content fingerprint
+        (:func:`repro.evaluation.batch.job_key`).  Every field is a
+        primitive but :attr:`ffu_counts`, which reduces as the fingerprint
+        reduces any dict, to its ``(("futype", name), count)`` pairs in
+        sorted order."""
+        def reduce(value):
+            if isinstance(value, dict):
+                pairs = ((("futype", t.name), n) for t, n in value.items())
+                return ("dict", tuple(sorted(pairs, key=repr)))
+            return value
+
+        return ("params",) + tuple(
+            (f.name, reduce(getattr(self, f.name))) for f in fields(self)
+        )
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """``repr`` of :meth:`canonical`, rendered once: a sweep keys one
+        parameter point under every program and policy."""
+        return repr(self.canonical())
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("fingerprint", None)
+        return state

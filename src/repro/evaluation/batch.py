@@ -43,7 +43,7 @@ import threading
 import time
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Any
@@ -219,18 +219,8 @@ def run_vector_batch(jobs: Iterable[SimJob]) -> list[Any]:
 # ------------------------------------------------------------- content keys
 def _canon(value: Any) -> Any:
     """Reduce a job component to primitives with a deterministic repr."""
-    if isinstance(value, Program):
-        return (
-            "program",
-            value.words,
-            bytes(value.data),
-            tuple(sorted(value.labels.items())),
-            tuple(sorted(value.data_labels.items())),
-        )
-    if isinstance(value, ProcessorParams):
-        return ("params",) + tuple(
-            (f.name, _canon(getattr(value, f.name))) for f in fields(value)
-        )
+    if isinstance(value, (Program, ProcessorParams)):
+        return value.canonical()
     if isinstance(value, Configuration):
         return (
             "config",
@@ -254,15 +244,25 @@ def _canon(value: Any) -> Any:
 
 
 def job_key(job: SimJob) -> str:
-    """Content key of a job: SHA-256 over its semantic fingerprint.
+    """Content key of a job: SHA-256 over its semantic fingerprint,
+    ``repr(_canon((factory, program, params, max_cycles, kwargs)))``.
 
-    The label is deliberately excluded — two jobs asking the same question
-    share one key no matter how the caller tagged them.
+    The program and the parameters contribute the texts they render once
+    and keep (their ``fingerprint``), so keying a program again under
+    another policy or parameter point does not walk its words again; the
+    text hashed is the same.  The label is deliberately excluded — two
+    jobs asking the same question share one key no matter how the caller
+    tagged them.
     """
-    fingerprint = _canon(
-        (job.factory, job.program, job.params, job.max_cycles, job.kwargs)
-    )
-    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+    params = repr(None) if job.params is None else job.params.fingerprint
+    fingerprint = ", ".join((
+        repr(_canon(job.factory)),
+        job.program.fingerprint,
+        params,
+        repr(_canon(job.max_cycles)),
+        repr(_canon(job.kwargs)),
+    ))
+    return hashlib.sha256(f"('seq', {fingerprint})".encode()).hexdigest()
 
 
 #: the ``repro`` package directory, whose sources :func:`code_digest` hashes.
@@ -270,6 +270,15 @@ _PACKAGE = Path(__file__).resolve().parents[1]
 
 #: a :func:`code_digest`, the name of one cache namespace.
 _DIGEST = re.compile(r"[0-9a-f]{64}")
+
+#: seconds after which :meth:`ResultCache.prune` takes a file or namespace
+#: nobody touched for dead: a killed writer's ``*.tmp``, another code
+#: digest's namespace.
+IDLE_S = 3600
+
+#: results a :class:`ResultCache` keeps in memory, least recently used
+#: dropped first; a full ``repro report --full`` puts 115 distinct jobs.
+MEMORY_ENTRIES = 1024
 
 
 @cache
@@ -306,8 +315,25 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
+def _last_used(namespace: Path) -> float:
+    """The newest mtime in a cache namespace: the directory's own (a blob
+    written or removed) or a blob's (its last get or put).  A namespace
+    that vanishes or changes under the scan reads as in use now."""
+    try:
+        return max(
+            [namespace.stat().st_mtime]
+            + [p.stat().st_mtime for p in namespace.iterdir()]
+        )
+    except OSError:
+        return time.time()
+
+
 class ResultCache:
     """Content-addressed result store: memory first, optionally disk.
+
+    Memory keeps the :data:`MEMORY_ENTRIES` most recently used results, so
+    a long-lived worker's cache stops growing there; a disk-backed cache
+    answers an older key from its blob, a memory-only one misses.
 
     With a ``directory`` every stored result is also pickled to
     ``<directory>/<code_digest>/<key>.pkl``, so caches survive across
@@ -330,7 +356,10 @@ class ResultCache:
         directory: str | Path | None = None,
         store: Any | None = None,
     ) -> None:
+        #: key -> result, least recently used first; the threaded API
+        #: server reads and writes it from every request thread.
         self._memory: dict[str, Any] = {}
+        self._memory_lock = threading.Lock()
         self.directory = (
             Path(directory) / code_digest() if directory is not None else None
         )
@@ -345,21 +374,34 @@ class ResultCache:
 
     # ------------------------------------------------------------ get / put
     def get(self, key: str) -> Any | None:
-        if key in self._memory:
+        with self._memory_lock:
+            hit = key in self._memory
+            if hit:  # to the young end of the LRU order
+                result = self._memory[key] = self._memory.pop(key)
+        if hit:
             self.hits += 1
             if self.directory is not None:
                 self._refresh(key)
-            return self._memory[key]
+            return result
         if self.directory is not None:
             path = self._path(key)
             if path.exists():
                 result = pickle.loads(path.read_bytes())
-                self._memory[key] = result
+                self._remember(key, result)
                 self._refresh(key)
                 self.hits += 1
                 return result
         self.misses += 1
         return None
+
+    def _remember(self, key: str, result: Any) -> None:
+        """Keep ``result`` in memory as the most recently used entry,
+        dropping the least recently used one past :data:`MEMORY_ENTRIES`."""
+        with self._memory_lock:
+            self._memory.pop(key, None)
+            self._memory[key] = result
+            if len(self._memory) > MEMORY_ENTRIES:
+                del self._memory[next(iter(self._memory))]
 
     def _refresh(self, key: str) -> None:
         """Move ``key`` to the young end of the LRU order on disk: a blob's
@@ -371,7 +413,7 @@ class ResultCache:
             pass
 
     def put(self, key: str, result: Any, job: SimJob | None = None) -> None:
-        self._memory[key] = result
+        self._remember(key, result)
         if self.directory is not None:
             # a process of other code sharing the root may have pruned it
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -397,23 +439,27 @@ class ResultCache:
     ) -> dict[str, int]:
         """Evict disk blobs so the cache stops growing without bound.
 
-        Every other code digest's namespace goes first, with any blob kept
-        in the cache root before blobs were namespaced: no result there
-        answers for this code.  ``max_age`` (seconds) then drops every
-        blob whose mtime — its last get or put, by any process — is older;
-        ``max_bytes`` then evicts least-recently-used blobs until the
-        namespace total fits.  Stale ``*.tmp`` files from killed writers
-        (older than an hour) are removed as well.  Returns eviction
-        statistics; a memory-only cache is a no-op.
+        Every other code digest's namespace nobody has used for
+        :data:`IDLE_S` goes first — no result there answers for this code,
+        and a server of other code sharing the root keeps its own alive —
+        with any blob kept in the cache root before blobs were namespaced.
+        ``max_age`` (seconds) then drops every blob whose mtime — its last
+        get or put, by any process — is older; ``max_bytes`` then evicts
+        least-recently-used blobs until the namespace total fits.  Stale
+        ``*.tmp`` files from killed writers (idle for :data:`IDLE_S`) are
+        removed as well.  Returns eviction statistics; a memory-only cache
+        is a no-op.
         """
         stats = {"removed": 0, "kept": 0, "bytes_freed": 0, "bytes_kept": 0}
         if self.directory is None:
             stats["kept"] = len(self._memory)
             return stats
+        now = time.time() if now is None else now
         root = self.directory.parent
         others = [
             p for p in root.iterdir()
             if p != self.directory and _DIGEST.fullmatch(p.name)
+            and now - _last_used(p) > IDLE_S
         ]
         stale = list(root.glob("*.pkl"))  # kept before blobs were namespaced
         for other in others:
@@ -428,10 +474,9 @@ class ResultCache:
             stats["bytes_freed"] += size
         for other in others:
             shutil.rmtree(other, ignore_errors=True)
-        now = time.time() if now is None else now
         for tmp in self.directory.glob("*.tmp"):
             try:
-                if now - tmp.stat().st_mtime > 3600:
+                if now - tmp.stat().st_mtime > IDLE_S:
                     tmp.unlink(missing_ok=True)
             except OSError:
                 pass
@@ -450,7 +495,8 @@ class ResultCache:
             over_budget = max_bytes is not None and total - freed > max_bytes
             if too_old or over_budget:
                 path.unlink(missing_ok=True)
-                self._memory.pop(key, None)
+                with self._memory_lock:
+                    self._memory.pop(key, None)
                 stats["removed"] += 1
                 freed += size
             else:

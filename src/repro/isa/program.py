@@ -29,14 +29,17 @@ class Program:
     source:
         Original assembly source, if the program came from the assembler.
 
-    The encoded :attr:`words` and their :attr:`decoded` instructions are
-    computed once, on first use, and kept on the program: the result
-    cache's job key reads the words and every processor built on the
-    program fetches the decode.  :attr:`reference_trace` keeps the dynamic
+    The encoded :attr:`words`, their :attr:`decoded` instructions and the
+    :attr:`fingerprint` text are computed once, on first use, and kept on
+    the program: every processor built on the program fetches the decode,
+    and the result cache's job key reads the fingerprint (words, data
+    image and both label maps).  :attr:`reference_trace` keeps the dynamic
     functional-unit-type trace of the program's reference run once one has
     recorded it, for every oracle built on the program.  So a program must
-    not be edited once any of them has been read.  None of them travels
-    with a pickled program.
+    not be edited once any of them has been read: the assembler and a
+    kernel that patches its fresh data image write the fields before
+    anything reads them.  None of them travels with a pickled or copied
+    program.
     """
 
     instructions: list[Instruction] = field(default_factory=list)
@@ -73,13 +76,30 @@ class Program:
         """
         return [decode(w) for w in self.words]
 
+    def canonical(self) -> tuple:
+        """The program reduced to primitives with a deterministic repr: its
+        part of a job's content fingerprint
+        (:func:`repro.evaluation.batch.job_key`)."""
+        return (
+            "program",
+            self.words,
+            bytes(self.data),
+            tuple(sorted(self.labels.items())),
+            tuple(sorted(self.data_labels.items())),
+        )
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """``repr`` of :meth:`canonical`, rendered once: a sweep keys one
+        program under every policy and parameter point."""
+        return repr(self.canonical())
+
     def __getstate__(self) -> dict:
         # derived from the fields, so a job shipped to a pool worker stays
         # the size of its fields
         state = dict(self.__dict__)
-        state.pop("words", None)
-        state.pop("decoded", None)
-        state.pop("reference_trace", None)
+        for derived in ("words", "decoded", "fingerprint", "reference_trace"):
+            state.pop(derived, None)
         return state
 
     def entry(self, label: str = "main") -> int:

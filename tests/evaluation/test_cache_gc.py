@@ -131,7 +131,8 @@ def _phase_run(directory):
 def test_code_digest_namespaces_the_disk_cache(tmp_path, monkeypatch):
     """A result answers only for the code that computed it: the same
     digest answers from disk with no simulation, another digest
-    re-simulates, and pruning under it drops the old namespace."""
+    re-simulates, and pruning under it drops the old namespace once it
+    has been idle for an hour."""
     first, cache = _phase_run(tmp_path)
     assert cache.directory == tmp_path / code_digest()
     again, cache = _phase_run(tmp_path)
@@ -142,17 +143,55 @@ def test_code_digest_namespaces_the_disk_cache(tmp_path, monkeypatch):
     changed, cache = _phase_run(tmp_path)
     assert (cache.hits, cache.misses) == (0, 1)  # simulated again
     assert changed.metrics() == first.metrics()
-    assert cache.prune()["removed"] == 1
+    assert cache.prune()["removed"] == 0  # the old code may still serve
+    assert cache.prune(now=time.time() + batch.IDLE_S + 1)["removed"] == 1
     assert [p.name for p in tmp_path.iterdir()] == ["e" * 64]
 
 
 def test_put_survives_a_prune_by_other_code(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     monkeypatch.setattr(batch, "code_digest", lambda: "e" * 64)
-    ResultCache(tmp_path).prune()
+    ResultCache(tmp_path).prune(now=time.time() + batch.IDLE_S + 1)
     assert not cache.directory.exists()
     cache.put("a" * 64, b"x")
     assert (cache.directory / f"{'a' * 64}.pkl").exists()
+
+
+def _foreign_namespace(root, idle_s):
+    """Another code digest's namespace holding one blob, untouched (the
+    directory and the blob) for ``idle_s`` seconds."""
+    other = root / ("f" * 64)
+    other.mkdir()
+    blob = other / f"{'a' * 64}.pkl"
+    blob.write_bytes(b"another code's result")
+    when = time.time() - idle_s
+    for path in (blob, other):
+        os.utime(path, (when, when))
+    return other
+
+
+def test_prune_keeps_a_foreign_namespace_in_use(tmp_path):
+    # two servers of different code share one cache root: neither start-up
+    # prune may wipe the other's results
+    other = _foreign_namespace(tmp_path, idle_s=batch.IDLE_S - 60)
+    stats = ResultCache(tmp_path).prune()
+    assert stats["removed"] == 0
+    assert (other / f"{'a' * 64}.pkl").exists()
+
+
+def test_prune_keeps_a_foreign_namespace_read_lately(tmp_path):
+    # an old directory whose blob a get refreshed is in use
+    other = _foreign_namespace(tmp_path, idle_s=2 * batch.IDLE_S)
+    os.utime(other / f"{'a' * 64}.pkl")
+    assert ResultCache(tmp_path).prune()["removed"] == 0
+    assert other.exists()
+
+
+def test_prune_removes_an_idle_foreign_namespace(tmp_path):
+    other = _foreign_namespace(tmp_path, idle_s=batch.IDLE_S + 60)
+    stats = ResultCache(tmp_path).prune()
+    assert stats["removed"] == 1
+    assert not other.exists()
 
 
 def test_prune_drops_blobs_kept_before_namespacing(tmp_path):
@@ -163,6 +202,32 @@ def test_prune_drops_blobs_kept_before_namespacing(tmp_path):
     stats = cache.prune()
     assert stats["removed"] == 1 and stats["kept"] == 1
     assert not legacy.exists()
+
+
+# ------------------------------------------------------------ memory bound
+def test_memory_keeps_the_most_recently_used_entries(tmp_path):
+    cache = ResultCache(tmp_path)
+    keys = [f"{i:064x}" for i in range(batch.MEMORY_ENTRIES + 10)]
+    cache.put(keys[0], 0)
+    for i, key in enumerate(keys[1:], start=1):
+        cache.put(key, i)
+        assert cache.get(keys[0]) == 0  # a hit keeps key 0 young
+    assert len(cache) == batch.MEMORY_ENTRIES
+    assert keys[0] in cache._memory
+    assert keys[1] not in cache._memory  # the oldest put went first
+    # the disk still answers an evicted key, and it comes back into memory
+    assert cache.get(keys[1]) == 1
+    assert keys[1] in cache._memory
+    assert len(cache) == batch.MEMORY_ENTRIES
+
+
+def test_memory_only_cache_forgets_past_the_bound():
+    cache = ResultCache()
+    for i in range(batch.MEMORY_ENTRIES + 10):
+        cache.put(f"{i:064x}", i)
+    assert len(cache) == batch.MEMORY_ENTRIES
+    assert cache.get(f"{0:064x}") is None  # re-simulated by run_many
+    assert cache.get(f"{batch.MEMORY_ENTRIES + 9:064x}") == batch.MEMORY_ENTRIES + 9
 
 
 # ------------------------------------------------------------- atomic writes

@@ -1,6 +1,7 @@
 """Tests for the HTTP JSON API (exercised through the pure handler)."""
 
 import json
+import time
 
 import pytest
 
@@ -186,8 +187,8 @@ def test_blob_endpoints_etag_and_404_text(warm, name, etag, missing):
 
 def test_artifact_of_a_pruned_namespace_is_404(tmp_path, monkeypatch):
     """A run recorded under other code keeps its row, but its blob goes
-    when that code digest's namespace is pruned: the artifact is a 404,
-    never a result of other code."""
+    when that code digest's namespace is pruned, an idle hour later: the
+    artifact is a 404, never a result of other code."""
     store = RunStore()
     job = SimJob("steering", checksum(iterations=20).program, _PARAMS,
                  max_cycles=50_000)
@@ -197,7 +198,7 @@ def test_artifact_of_a_pruned_namespace_is_404(tmp_path, monkeypatch):
     assert app.handle("GET", f"/api/runs/{run_id}/artifact")[0] == 200
     monkeypatch.setattr(batch, "code_digest", lambda: "e" * 64)
     cache = ResultCache(tmp_path)
-    assert cache.prune()["removed"] == 1
+    assert cache.prune(now=time.time() + batch.IDLE_S + 1)["removed"] == 1
     app = ServingApp(store, cache=cache)
     status, _, payload = _decode(app.handle("GET", f"/api/runs/{run_id}/artifact"))
     assert status == 404
