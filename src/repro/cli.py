@@ -156,9 +156,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_disasm(args: argparse.Namespace) -> int:
     program = _load_program(args.target)
-    for pc, (word, instr) in enumerate(
-        zip(program.words, program.instructions)
-    ):
+    # each word beside what it decodes to, as the processor fetches it
+    for pc, (word, instr) in enumerate(zip(program.words, program.decoded)):
         print(f"{pc:5d}: {word:#010x}  {format_instruction(instr)}")
     return 0
 

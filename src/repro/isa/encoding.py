@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from repro.errors import DisassemblerError, EncodingError
 from repro.isa.instruction import Instruction, spec_attributes
-from repro.isa.opcodes import Format, Opcode, spec_of
+from repro.isa.opcodes import ALL_SPECS, Format, Opcode, spec_of
 from repro.isa.semantics import alu_handler
-from repro.utils.bitops import bits, mask, sign_extend, to_unsigned
 
 __all__ = ["encode", "decode", "WORD_BITS", "imm_range"]
 
 WORD_BITS = 32
+_WORD_MAX = (1 << WORD_BITS) - 1
 
 _IMM15_MIN, _IMM15_MAX = -(1 << 14), (1 << 14) - 1
 _IMM20_MIN, _IMM20_MAX = -(1 << 19), (1 << 19) - 1
@@ -67,72 +67,64 @@ def imm_range(fmt: Format) -> tuple[int, int]:
     return 0, 0
 
 
+#: opcode -> (format, immediate range, mnemonic): all :func:`encode` reads
+#: of the spec.
+_ENCODE_TABLE = {
+    Opcode(spec.number): (spec.format, *imm_range(spec.format), spec.mnemonic)
+    for spec in ALL_SPECS
+}
+
+# The fields are cut and sign-extended with inline shifts and masks:
+# building a program encodes and decodes each of its words, and a
+# function call per field would be most of that cost.
+
+
 def encode(instr: Instruction) -> int:
     """Encode an :class:`Instruction` into its 32-bit binary word."""
-    spec = spec_of(instr.opcode)
-    fmt = spec.format
-    word = int(instr.opcode) << 25
-
-    lo, hi = imm_range(fmt)
-    if not lo <= instr.imm <= hi:
+    opcode = instr.opcode
+    fmt, lo, hi, mnemonic = _ENCODE_TABLE[opcode]
+    imm = instr.imm
+    if not lo <= imm <= hi:
         raise EncodingError(
-            f"immediate {instr.imm} out of range [{lo}, {hi}] for {spec.mnemonic}"
+            f"immediate {imm} out of range [{lo}, {hi}] for {mnemonic}"
         )
-
     if fmt is _R:
-        word |= instr.rd << 20 | instr.rs1 << 15 | instr.rs2 << 10
-    elif fmt is _I:
-        word |= instr.rd << 20 | instr.rs1 << 15 | to_unsigned(instr.imm, 15)
-    elif fmt in (_S, _B):
-        imm = to_unsigned(instr.imm, 15)
-        word |= (
-            bits(imm, 14, 10) << 20
-            | instr.rs1 << 15
-            | instr.rs2 << 10
-            | bits(imm, 9, 0)
-        )
-    elif fmt is _J:
-        word |= instr.rd << 20 | to_unsigned(instr.imm, 20)
-    elif fmt is _N:
-        pass
-    else:  # pragma: no cover - exhaustive over Format
-        raise EncodingError(f"unhandled format {fmt}")
-    return word
+        return opcode << 25 | instr.rd << 20 | instr.rs1 << 15 | instr.rs2 << 10
+    if fmt is _I:
+        return opcode << 25 | instr.rd << 20 | instr.rs1 << 15 | imm & 0x7FFF
+    if fmt is _S or fmt is _B:
+        imm &= 0x7FFF
+        return (opcode << 25 | (imm >> 10) << 20 | instr.rs1 << 15
+                | instr.rs2 << 10 | imm & 0x3FF)
+    if fmt is _J:
+        return opcode << 25 | instr.rd << 20 | imm & 0xFFFFF
+    return opcode << 25
 
 
 def decode(word: int) -> Instruction:
     """Decode a 32-bit binary word into an :class:`Instruction`."""
-    if word < 0 or word > mask(WORD_BITS):
+    if word < 0 or word > _WORD_MAX:
         raise DisassemblerError(f"not a 32-bit word: {word:#x}")
-    opnum = bits(word, 31, 25)
-    entry = _DECODE_TABLE.get(opnum)
+    entry = _DECODE_TABLE.get(word >> 25)
     if entry is None:
-        raise DisassemblerError(f"unknown opcode {opnum:#04x} in word {word:#010x}")
+        raise DisassemblerError(
+            f"unknown opcode {word >> 25:#04x} in word {word:#010x}"
+        )
     opcode, fmt, attributes = entry
 
+    # positional fields (opcode, rd, rs1, rs2, imm): cheaper to pass
     if fmt is _R:
-        instr = Instruction(
-            opcode, rd=bits(word, 24, 20), rs1=bits(word, 19, 15), rs2=bits(word, 14, 10)
-        )
+        instr = Instruction(opcode, word >> 20 & 31, word >> 15 & 31, word >> 10 & 31)
     elif fmt is _I:
-        instr = Instruction(
-            opcode,
-            rd=bits(word, 24, 20),
-            rs1=bits(word, 19, 15),
-            imm=sign_extend(bits(word, 14, 0), 15),
-        )
-    elif fmt in (_S, _B):
-        imm = (bits(word, 24, 20) << 10) | bits(word, 9, 0)
-        instr = Instruction(
-            opcode,
-            rs1=bits(word, 19, 15),
-            rs2=bits(word, 14, 10),
-            imm=sign_extend(imm, 15),
-        )
+        instr = Instruction(opcode, word >> 20 & 31, word >> 15 & 31, 0,
+                            (word & 0x7FFF ^ 0x4000) - 0x4000)
+    elif fmt is _S or fmt is _B:
+        imm = (word >> 20 & 31) << 10 | word & 0x3FF
+        instr = Instruction(opcode, 0, word >> 15 & 31, word >> 10 & 31,
+                            (imm ^ 0x4000) - 0x4000)
     elif fmt is _J:
-        instr = Instruction(
-            opcode, rd=bits(word, 24, 20), imm=sign_extend(bits(word, 19, 0), 20)
-        )
+        instr = Instruction(opcode, word >> 20 & 31, 0, 0,
+                            (word & 0xFFFFF ^ 0x80000) - 0x80000)
     else:
         instr = Instruction(opcode)
     # frozen dataclasses allow writes through the instance __dict__, which

@@ -47,6 +47,11 @@ class Instruction:
     same names.  They are not set here in ``__post_init__``: that would
     charge every assembled instruction too, and the assembler's
     instructions are encoded, not simulated.
+
+    Building a program constructs each instruction twice (assembler and
+    decoder), and construction is most of what either costs per word:
+    ``__post_init__`` tests the three registers with one condition, and
+    the hot callers pass the fields by position.
     """
 
     opcode: Opcode
@@ -56,10 +61,12 @@ class Instruction:
     imm: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("rd", "rs1", "rs2"):
-            v = getattr(self, name)
-            if not 0 <= v < 32:
-                raise ValueError(f"{name} out of range: {v}")
+        # one test per instruction built; the loop only names the field
+        if not (0 <= self.rd < 32 and 0 <= self.rs1 < 32 and 0 <= self.rs2 < 32):
+            for name in ("rd", "rs1", "rs2"):
+                v = getattr(self, name)
+                if not 0 <= v < 32:
+                    raise ValueError(f"{name} out of range: {v}")
 
     @cached_property
     def spec(self) -> OpcodeSpec:

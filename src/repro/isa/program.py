@@ -64,7 +64,7 @@ class Program:
     @cached_property
     def words(self) -> tuple[int, ...]:
         """The text segment encoded to 32-bit words (the 'legacy binary')."""
-        return tuple(encode(i) for i in self.instructions)
+        return tuple(map(encode, self.instructions))
 
     @cached_property
     def decoded(self) -> list[Instruction]:
@@ -74,7 +74,7 @@ class Program:
         instructions, and with them their warmed spec-derived caches and
         dispatch templates (treat the list as read-only).
         """
-        return [decode(w) for w in self.words]
+        return list(map(decode, self.words))
 
     def canonical(self) -> tuple:
         """The program reduced to primitives with a deterministic repr: its

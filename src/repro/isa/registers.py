@@ -14,6 +14,7 @@ __all__ = [
     "int_reg_name",
     "fp_reg_name",
     "parse_register",
+    "REGISTERS",
 ]
 
 NUM_INT_REGS = 32
@@ -21,6 +22,14 @@ NUM_FP_REGS = 32
 ZERO_REG = 0
 
 _ALIASES = {"zero": 0, "ra": 1, "sp": 2}
+
+#: canonical register token -> ``(class, index)``: ``x0`` .. ``x31`` and
+#: ``f0`` .. ``f31``, the spelling every generator and the disassembler
+#: write.  :func:`parse_register` reads any other spelling.
+REGISTERS: dict[str, tuple[str, int]] = {
+    **{f"x{i}": ("int", i) for i in range(NUM_INT_REGS)},
+    **{f"f{i}": ("fp", i) for i in range(NUM_FP_REGS)},
+}
 
 
 def int_reg_name(index: int) -> str:

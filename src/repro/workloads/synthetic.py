@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.errors import WorkloadError
 from repro.isa.assembler import assemble
@@ -150,9 +151,12 @@ def emit_body(rng: random.Random, mix: MixSpec, body_len: int) -> list[str]:
         raise WorkloadError("body_len must be positive")
     weights = mix.normalised()
     types = list(FU_TYPES)
-    probs = [weights[t] for t in types]
+    # ``choices`` accumulates plain weights into these same floats itself
+    # on every call; accumulated once, the draws are identical
+    cum_weights = list(accumulate(weights[t] for t in types))
     emitter = _BodyEmitter(rng, mix)
-    return [emitter.emit(rng.choices(types, probs)[0]) for _ in range(body_len)]
+    return [emitter.emit(rng.choices(types, cum_weights=cum_weights)[0])
+            for _ in range(body_len)]
 
 
 def _prologue() -> list[str]:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -94,6 +96,33 @@ class TestDisasm:
         assert main(["disasm", "memcpy"]) == 0
         out = capsys.readouterr().out
         assert "lw" in out and "0x" in out
+
+    @pytest.mark.parametrize("target, lines, digest", [
+        ("checksum", 12,
+         "f42d39a2d8676b6e7da390c6fa9c76f4212004553d290c4b0ea6f5b2a9268dd0"),
+        ("phased:3", 100,
+         "b937a59ab797b0fbebff7f21461178a7ac2df5e3fc4e5e503ad626e583a49aad"),
+        ("mix:fp:6:2", 46,
+         "0b1062a4ba40cbda47bc791a46564ece43c4013f5457c94365227b577e3e4a69"),
+    ])
+    def test_listing_is_byte_identical(self, capsys, target, lines, digest):
+        """The listing formats the decoded words; these SHA-256 digests
+        are of the listings that formatted the assembler's instructions."""
+        assert main(["disasm", target]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_listing_shows_the_decoded_words(self, capsys, monkeypatch):
+        from repro import cli
+        from repro.isa.assembler import assemble
+
+        program = assemble("addi x1, x0, 5\nhalt\n")
+        # a binary whose first word differs from the source
+        program.words = (program.words[0] + (1 << 20),) + program.words[1:]
+        monkeypatch.setattr(cli, "_load_program", lambda target: program)
+        assert main(["disasm", "anything"]) == 0
+        assert "addi x2, x0, 5" in capsys.readouterr().out
 
 
 class TestArtifacts:
