@@ -202,10 +202,18 @@ class _Assembler:
                     value = float(tok)
                 except ValueError:
                     raise AssemblerError(f"not a float: {tok!r}", line_no) from None
-                self._data += struct.pack("<f", value)
+                try:
+                    self._data += struct.pack("<f", value)
+                except OverflowError:
+                    raise AssemblerError(
+                        f"float out of single-precision range: {tok!r}", line_no
+                    ) from None
         elif name == ".space":
             self._need_data(line_no)
-            self._data += bytes(_parse_int(arg.strip(), line_no))
+            size = _parse_int(arg.strip(), line_no)
+            if size < 0:
+                raise AssemblerError(".space size must not be negative", line_no)
+            self._data += bytes(size)
         elif name == ".align":
             self._need_data(line_no)
             boundary = _parse_int(arg.strip(), line_no)

@@ -48,10 +48,14 @@ class Instruction:
     charge every assembled instruction too, and the assembler's
     instructions are encoded, not simulated.
 
-    Building a program constructs each instruction twice (assembler and
-    decoder), and construction is most of what either costs per word:
-    ``__post_init__`` tests the three registers with one condition, and
-    the hot callers pass the fields by position.
+    The assembler constructs each instruction of a program, and
+    construction is most of what it costs per word: ``__post_init__``
+    tests the three registers with one condition, and the hot callers
+    pass the fields by position.  ``decode`` builds one instance per
+    distinct live word, shared by every program that holds the word, in
+    one ``__dict__`` fill without ``__init__`` (its fields are in range
+    by construction).  Nothing may write to a decoded instruction but
+    its cached properties, which compute the same value for every holder.
     """
 
     opcode: Opcode

@@ -70,9 +70,12 @@ class Program:
     def decoded(self) -> list[Instruction]:
         """:attr:`words` decoded back, one instruction per PC.
 
-        A batch of processors over one program shares these
-        instructions, and with them their warmed spec-derived caches and
-        dispatch templates (treat the list as read-only).
+        :func:`~repro.isa.encoding.decode` returns one instruction per
+        distinct word for as long as a program holds it, so every live
+        program in the process shares these instructions, and with them
+        their warmed spec-derived caches and dispatch templates: a word
+        that recurs, within a program or across programs, is one object
+        (treat the list and its instructions as read-only).
         """
         return list(map(decode, self.words))
 

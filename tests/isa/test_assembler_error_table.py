@@ -179,6 +179,11 @@ ASSEMBLER_ERRORS = [
      'li constant 1073741824 outside supported range [-16384, 1073741823]', 1),
     ("li x1, -16385\n",
      'li constant -16385 outside supported range [-16384, 1073741823]', 1),
+    # data directives whose value does not fit
+    (".data\n.space -1\n",
+     '.space size must not be negative', 2),
+    (".data\nv: .float 1.0, 1e39\n",
+     "float out of single-precision range: '1e39'", 2),
 ]
 
 

@@ -1,7 +1,9 @@
 """Instruction-deletion shrinker: minimal, still-failing, always valid."""
 
+import pytest
+
 from repro.core.reference import run_reference
-from repro.errors import SimulationError
+from repro.errors import AssemblerError, SimulationError
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import format_instruction
 from repro.verify.generator import GeneratorConfig, generate_source
@@ -68,3 +70,23 @@ def test_halt_and_labels_never_deleted():
     # the aggressive always-fails predicate strips every deletable line;
     # what remains must still assemble (labels/directives intact)
     assemble(outcome.source)
+
+
+@pytest.mark.parametrize("directive", [".space -1", ".float 1e39"])
+def test_candidate_with_an_unfit_data_value_is_skipped(directive):
+    # every candidate keeps the data line, so none assembles: the shrink
+    # evaluates none of them and the refusal surfaces with its line
+    source = (
+        f".data\nbuf: {directive}\n.text\n"
+        "addi x1, x0, 1\naddi x2, x0, 2\nadd x3, x1, x2\nhalt\n"
+    )
+    calls = {"n": 0}
+
+    def still_fails(program):
+        calls["n"] += 1
+        return True
+
+    with pytest.raises(AssemblerError) as info:
+        shrink_source(source, still_fails)
+    assert info.value.line == 2
+    assert calls["n"] == 0
