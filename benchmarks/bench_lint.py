@@ -1,10 +1,11 @@
 """Static-analysis wall clock (``BENCH_lint.json``).
 
 ``repro lint`` is one uncached pass: every file under the package is
-read, parsed and tokenized once, checked by the per-file rules,
-summarised into the call graph, and given its interprocedural findings.
-This bench times that whole-tree pass (the best of ``--repeats`` runs),
-which is what every lint invocation, local or CI, costs.
+read, parsed and tokenized once, the enum index HOT007 needs is built
+from those trees, and every file is checked by the per-file rules (the
+HOT rules over the functions ``[hotzones]`` lists).  This bench times
+that whole-tree pass (the best of ``--repeats`` runs), which is what
+every lint invocation, local or CI, costs.
 
 Usage:
 

@@ -12,16 +12,13 @@ Layout:
 
 * :mod:`repro.analysis.findings` — the :class:`Finding` record;
 * :mod:`repro.analysis.config` — the checked-in ``analysis/layers.toml``
-  table (import DAG, hot zones, rule scopes);
+  table (import DAG, the measured hot-function list, rule scopes);
 * :mod:`repro.analysis.rules` — the rule registry, the per-file
   :class:`~repro.analysis.rules.FileContext` and the five families
   (hot-path ``HOT``, determinism ``DET``, concurrency ``CON``, layering
   ``LAY``, observability ``OBS``);
 * :mod:`repro.analysis.suppressions` — inline ``# repro: allow[RULE]``
-  suppressions and ``# repro: cold-call`` annotations;
-* :mod:`repro.analysis.graph` and :mod:`repro.analysis.reachability` —
-  the whole-program call graph and the hot-zone reachability pass over
-  it;
+  suppressions;
 * :mod:`repro.analysis.engine` — one uncached pass over the tree that
   reads, parses and tokenizes each file once;
 * :mod:`repro.analysis.report` — human-readable and JSON reporters;

@@ -13,7 +13,9 @@ One TOML table drives everything the rules need to know about the tree:
 ``[hotzones]``
     Per-cycle code: ``"repro/sched/ruu.py" = ["RegisterUpdateUnit.tick"]``
     maps a root-relative file to the qualified functions the hot-path
-    rules police; ``["*"]`` marks every function in the file hot.
+    rules police.  The list is measured: every function the cycle loop
+    calls on at least 1 in 100 of a run's cycles must be in it
+    (``tests/core/test_cycle_budget.py``).
 ``[scopes]``
     Root-relative path prefixes bounding the determinism and concurrency
     families; ``config_modules``, the only places in the determinism
@@ -123,7 +125,7 @@ class AnalysisConfig:
     package: str = "repro"
     #: layer -> layers it may import from (its own layer is implicit).
     layers: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: root-relative file -> qualified hot functions (``["*"]`` = all).
+    #: root-relative file -> qualified hot functions.
     hotzones: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: path prefixes scoping the determinism rules.
     determinism_scope: tuple[str, ...] = ()

@@ -1,21 +1,15 @@
 """The analysis engine: one uncached pass over the whole tree.
 
-Each file is read, parsed and tokenized exactly once.  The resulting
+Each file is read, parsed and tokenized exactly once into a
 :class:`~repro.analysis.rules.FileContext` (source, tree and the file's
-``# repro:`` comments) feeds three consumers in turn:
-
-1. the per-file rules, whose findings are filtered through the file's
-   inline suppressions;
-2. :func:`~repro.analysis.graph.summarize_module`, which turns the file
-   into the plain-dict module summary the call graph links;
-3. once every file is summarised,
-   :meth:`~repro.analysis.reachability.GraphAnalysis.findings_for`, which
-   derives the file's hot-path findings from hot-zone reachability and
-   filters them through the same suppressions.
-
-The graph covers **every** file under the package root, not just the
-target set: a call graph with missing callees is wrong.  Files outside
-the target set are summarised but report nothing.
+``# repro: allow[...]`` suppressions).  Every file under the package
+root is parsed, not just the target set: HOT007 resolves a name to an
+enum class across modules and re-exports, so the engine derives the
+package's enum index (:func:`~repro.analysis.rules.hotpath.enum_names`)
+from every tree, and checks each ``[hotzones]`` entry against the tree
+it names.  Then the rules check each target file, and its findings pass
+through the file's inline suppressions.  Files outside the target set
+report nothing.
 
 Nothing is cached between runs and there is no findings baseline: every
 run re-derives everything from the tree, and an inline
@@ -23,7 +17,7 @@ run re-derives everything from the tree, and an inline
 
 A file that fails to parse yields one ``ENG001`` finding instead of
 crashing the run: a syntax error anywhere must not hide findings
-elsewhere.  Unparsable files are simply absent from the call graph.
+elsewhere.
 """
 
 from __future__ import annotations
@@ -33,14 +27,8 @@ from pathlib import Path
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
-from repro.analysis.graph import (
-    CallGraph,
-    build_graph,
-    canonical_graph_json,
-    summarize_module,
-)
-from repro.analysis.reachability import GraphAnalysis
 from repro.analysis.rules import FileContext, Rule, all_rules
+from repro.analysis.rules.hotpath import enum_names, unresolved_hotzones
 from repro.analysis.suppressions import SourceComments
 
 __all__ = ["AnalysisEngine", "PARSE_RULE_ID"]
@@ -50,7 +38,7 @@ PARSE_RULE_ID = "ENG001"
 
 
 class AnalysisEngine:
-    """Runs the registered rules and the graph passes over a file tree."""
+    """Runs the registered rules over a file tree."""
 
     def __init__(
         self,
@@ -69,9 +57,8 @@ class AnalysisEngine:
         self.config = config
         self.rules = rules if rules is not None else all_rules()
         self.files_checked = 0
-        #: the whole-program call graph and its analyses, set by :meth:`run`.
-        self.graph: CallGraph | None = None
-        self.analysis: GraphAnalysis | None = None
+        #: ``[hotzones]`` entries naming no function, set by :meth:`run`.
+        self.unresolved: list[str] = []
 
     # ---------------------------------------------------------------- paths
     def module_path_of(self, path: Path) -> str:
@@ -86,9 +73,9 @@ class AnalysisEngine:
         except ValueError:
             return path.as_posix()
 
-    def _graph_file_set(self, targets: dict[str, Path]) -> list[Path]:
-        """The whole-program file set: everything under the package root,
-        plus any explicitly targeted file outside it."""
+    def _package_files(self, targets: dict[str, Path]) -> list[Path]:
+        """Everything under the package root, plus any explicitly
+        targeted file outside it."""
         package_dir = self.root / self.config.package
         out: dict[str, Path] = {}
         if package_dir.is_dir():
@@ -139,44 +126,27 @@ class AnalysisEngine:
         targets = self._targets(paths)
         self.files_checked = len(targets)
         findings: list[Finding] = []
-        summaries: dict[str, dict] = {}
-        #: target module path -> (display path, comments) for the graph
-        #: findings, which need no tree.
-        targeted: dict[str, tuple[str, SourceComments]] = {}
-        for path in self._graph_file_set(targets):
+        trees: dict[str, ast.Module] = {}
+        checked: list[FileContext] = []
+        for path in self._package_files(targets):
             module_path = self.module_path_of(path)
             ctx = self._load(path, module_path)
-            is_target = module_path in targets
             if isinstance(ctx, Finding):
-                if is_target:
+                if module_path in targets:
                     findings.append(ctx)
                 continue
-            summaries[module_path] = summarize_module(
-                module_path, ctx.source, ctx.tree, ctx.comments
-            )
-            if is_target:
-                findings.extend(
-                    f
-                    for rule in self.rules
-                    for f in rule.check(ctx)
-                    if not ctx.comments.is_suppressed(f.rule, f.line)
-                )
-                targeted[module_path] = (ctx.display_path, ctx.comments)
-
-        self.graph = build_graph(summaries)
-        self.analysis = GraphAnalysis(self.graph, self.config)
-        selected = {r.id for r in self.rules} | {"ENG002"}
-        for module_path, (display_path, comments) in targeted.items():
+            trees[module_path] = ctx.tree
+            if module_path in targets:
+                checked.append(ctx)
+        enums = enum_names(trees)
+        self.unresolved = unresolved_hotzones(self.config, trees)
+        for ctx in checked:
+            ctx.enum_names = enums[ctx.module_path]
             findings.extend(
                 f
-                for f in self.analysis.findings_for(
-                    module_path, display_path, comments
-                )
-                if f.rule in selected
+                for rule in self.rules
+                for f in rule.check(ctx)
+                if not ctx.comments.is_suppressed(f.rule, f.line)
             )
         findings.sort(key=Finding.sort_key)
         return findings
-
-    def graph_json(self) -> str:
-        """The deterministic ``--graph-out`` artifact of the last run."""
-        return canonical_graph_json(self.graph)

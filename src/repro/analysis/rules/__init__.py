@@ -26,8 +26,7 @@ class FileContext:
     """Everything a rule may ask about one source file.
 
     The engine builds one per file per run: the file is read, parsed and
-    tokenized once, and the per-file rules, the module summary and the
-    graph findings all read this context.
+    tokenized once, and every rule reads this context.
     """
 
     #: path relative to the analysis root (``repro/sched/ruu.py``) —
@@ -38,8 +37,11 @@ class FileContext:
     source: str
     tree: ast.Module
     config: AnalysisConfig
-    #: the file's ``# repro:`` suppressions and cold-call annotations.
+    #: the file's ``# repro: allow[...]`` suppressions.
     comments: SourceComments
+    #: the names that denote an enum class in this module (HOT007), set
+    #: by the engine once every file of the package is parsed.
+    enum_names: frozenset[str] = frozenset()
     _parents: dict[ast.AST, ast.AST] | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------ structure

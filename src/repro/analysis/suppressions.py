@@ -1,4 +1,4 @@
-"""The ``# repro:`` comments of one file: suppressions and cold calls.
+"""The ``# repro: allow[...]`` suppressions of one file.
 
 A suppression names the rule(s) it silences — ``# repro: allow[HOT003]``
 or ``# repro: allow[HOT001,DET004]`` — and applies to:
@@ -17,15 +17,8 @@ Blanket suppression is deliberately impossible: there is no bare
 rule it silences, so ``grep 'repro: allow'`` is a complete audit.  An
 inline suppression is the only way to accept a finding.
 
-The sibling annotation ``# repro: cold-call -- reason`` marks one *call
-site* (the line it sits on, or the next code line for a comment-only
-line) as cold for the whole-program hot-zone reachability pass: the edge
-it annotates does not propagate hot-path obligations.  The reason is
-mandatory — an annotation without one is reported as ``ENG002`` rather
-than silently ignored.
-
-:class:`SourceComments` reads both kinds in one :mod:`tokenize` pass, and
-skips the pass for a file whose source does not contain ``repro:``.
+:class:`SourceComments` reads them in one :mod:`tokenize` pass, and skips
+the pass for a file whose source does not contain ``repro:``.
 """
 
 from __future__ import annotations
@@ -40,32 +33,21 @@ __all__ = ["SourceComments"]
 #: the comment grammar; ids are comma-separated rule names.
 _PATTERN = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s-]+)\]")
 
-#: cold-call edge annotations: ``# repro: cold-call -- reason``.
-_COLD_PATTERN = re.compile(r"#\s*repro:\s*cold-call(?:\s*--\s*(\S.*))?")
-
 
 class SourceComments:
-    """One file's suppressions and cold-call annotations.
+    """One file's suppressions."""
 
-    ``cold_calls`` maps the line of each annotated *call* to its reason;
-    ``malformed_cold`` lists the lines of annotations missing the
-    mandatory ``-- reason``.
-    """
-
-    __slots__ = ("_by_line", "_own_line", "_scoped", "cold_calls", "malformed_cold")
+    __slots__ = ("_by_line", "_own_line", "_scoped")
 
     def __init__(self, source: str, tree: ast.AST | None) -> None:
         #: line -> rule ids suppressed by a comment on it.
         self._by_line: dict[int, frozenset[str]] = {}
-        self.cold_calls: dict[int, str] = {}
-        self.malformed_cold: list[int] = []
         #: comment-*only* lines (suppressing or not): their suppressions
         #: apply one line down, and scoped lookup walks a contiguous
         #: block of them above a definition header.
         own_line: set[int] = set()
-        lines: list[str] | None = None
-        # both comment kinds start with ``repro:``; most files hold
-        # neither, and their scan would find nothing
+        # every suppression contains ``repro:``; most files hold none,
+        # and their scan would find nothing
         tokens = (
             tokenize.generate_tokens(io.StringIO(source).readline)
             if "repro:" in source
@@ -76,8 +58,7 @@ class SourceComments:
                 if tok.type != tokenize.COMMENT:
                     continue
                 line = tok.start[0]
-                comment_only = tok.line[: tok.start[1]].strip() == ""
-                if comment_only:
+                if tok.line[: tok.start[1]].strip() == "":
                     own_line.add(line)
                 match = _PATTERN.search(tok.string)
                 if match is not None:
@@ -90,18 +71,6 @@ class SourceComments:
                         self._by_line[line] = (
                             self._by_line.get(line, frozenset()) | ids
                         )
-                cold = _COLD_PATTERN.search(tok.string)
-                if cold is None:
-                    continue
-                reason = cold.group(1)
-                if reason is None or not reason.strip():
-                    self.malformed_cold.append(line)
-                    continue
-                if comment_only:
-                    if lines is None:
-                        lines = source.splitlines()
-                    line = _next_code_line(lines, line)
-                self.cold_calls[line] = reason.strip()
         except (tokenize.TokenizeError, SyntaxError, IndentationError):
             # the engine reports unparsable files through its own channel
             pass
@@ -144,13 +113,3 @@ class SourceComments:
             for start, end, ids in self._scoped
         )
 
-
-def _next_code_line(lines: list[str], after: int) -> int:
-    """The first line below 1-indexed line ``after`` that is neither blank
-    nor a comment (so a cold-call reason may wrap onto several comment
-    lines); ``after + 1`` when there is none."""
-    for offset in range(after, len(lines)):
-        stripped = lines[offset].strip()
-        if stripped and not stripped.startswith("#"):
-            return offset + 1  # 1-indexed
-    return after + 1

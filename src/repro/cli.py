@@ -25,7 +25,7 @@ Commands
     Serve the run store + dashboard over HTTP: a supervisor forks N API
     workers accepting on one listening socket and M simulation workers
     that run the submitted jobs (see docs/serving.md).
-``lint [paths ...] [--format json] [--rules IDS] [--graph-out FILE]``
+``lint [paths ...] [--format json] [--rules IDS]``
     Static analysis of the simulator's performance/determinism/
     concurrency/layering invariants in one uncached pass; exit 1 on any
     finding not suppressed inline (see docs/static-analysis.md).

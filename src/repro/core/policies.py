@@ -151,8 +151,6 @@ class PaperSteering(SteeringPolicy):
         if self.queue_size >= ruu.wakeup.n_entries:
             demand = ruu.waiting_demand
         else:
-            # repro: cold-call -- a window narrower than the wake-up array:
-            # recounted only when the waiting entries moved
             demand = self._window.demand(ruu)
         if demand != self._demand_seen or counts != self._counts_seen:
             self._demand_seen = demand
@@ -263,18 +261,13 @@ class DemandSteering(SteeringPolicy):
         if self.queue_size >= ruu.wakeup.n_entries:
             demand = ruu.waiting_demand
         else:
-            # repro: cold-call -- a window narrower than the wake-up array:
-            # recounted only when the waiting entries moved
             demand = self._window.demand(ruu)
         if demand != self._demand_seen:
             self._demand_seen = demand
-            # repro: cold-call -- bounded by changes of the window's demand
             self._required = required_of(demand)
         self.synthesizer.observe(self._required)
         target = self.synthesizer.propose(self.fabric.counts_tuple())
         if target is not None:
-            # repro: cold-call -- retarget adoption: bounded by accepted
-            # reconfigurations (hysteresis-gated), not cycles
             self.loader.set_target(target)
             self.retargets.append(target)
         elif self.loader.satisfied:
@@ -385,8 +378,6 @@ class OracleSteering(SteeringPolicy):
             key = (self._window_required(ruu.retired), current)
             target = self._choices.get(key, _UNCHOSEN)
             if target is _UNCHOSEN:
-                # repro: cold-call -- memo miss: bounded by distinct
-                # (window, configured counts) pairs
                 target = self._choices[key] = self._best(*key)
             self._target = target
         self.loader.set_target(self._target)

@@ -142,7 +142,7 @@ class Processor:
         obs = self.observer
         ruu = self.ruu
         if obs is not None:
-            obs.on_stage(self, "retire")  # repro: cold-call -- observer hook
+            obs.on_stage(self, "retire")
         # 1. retire, when the oldest in-flight entry has completed
         retired: Sequence = ()
         order = ruu._order
@@ -152,7 +152,6 @@ class Processor:
 
         # 2. issue / execute / branch repair
         if obs is not None:
-            # repro: cold-call -- observer hook
             obs.on_stage(self, "wakeup_select_execute")
         issued: Sequence[int] = ()
         flushed = 0
@@ -169,7 +168,7 @@ class Processor:
         # (RegisterUpdateUnit.dispatch_decoded applies the decode-width,
         # free-row and buffer limit)
         if obs is not None:
-            obs.on_stage(self, "dispatch")  # repro: cold-call -- observer hook
+            obs.on_stage(self, "dispatch")
         dispatched: Sequence[int] = ()
         decode = self.decode
         decode_buffer = decode._buffer
@@ -187,7 +186,7 @@ class Processor:
 
         # 4. fetch into decode, when a whole packet fits
         if obs is not None:
-            obs.on_stage(self, "fetch")  # repro: cold-call -- observer hook
+            obs.on_stage(self, "fetch")
         packet: Sequence = ()
         if (
             not ruu.halted
@@ -200,21 +199,19 @@ class Processor:
 
         # 5. steering policy
         if obs is not None:
-            obs.on_stage(self, "steer")  # repro: cold-call -- observer hook
+            obs.on_stage(self, "steer")
         self.policy.cycle(ruu)
 
         # 6. advance time: configured units, the configuration bus,
         # completions
         if obs is not None:
-            obs.on_stage(self, "tick")  # repro: cold-call -- observer hook
+            obs.on_stage(self, "tick")
         rfus = self.fabric.rfus
         if rfus.structure_version != self._structure_seen:
-            # repro: cold-call -- bounded by loads and evictions, not cycles
             self._close_configured_interval()
         rfus.tick()
         ruu.tick()
         if obs is not None:
-            # repro: cold-call -- observer hook
             obs.on_cycle(self, packet, dispatched, issued, retired, flushed)
         self.cycle_count += 1
 
@@ -250,8 +247,6 @@ class Processor:
                 ):
                     oldest_mispredict = res
         if oldest_mispredict is not None:
-            # repro: cold-call -- mispredict repair: bounded by branch
-            # resolution events, not cycles
             self._squashed += self.ruu.flush_younger(oldest_mispredict.entry.seq)
             self._flushes += 1
             self.decode.flush()

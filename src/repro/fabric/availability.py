@@ -141,6 +141,9 @@ class AvailabilityCache:
         self.crosscheck = _CROSSCHECK_DEFAULT if crosscheck is None else crosscheck
 
     # ----------------------------------------------------------- refresh
+    # repro: allow[HOT001] -- measured on at most 2.2% of cycles (random,
+    # window 7, checksum): the rebuild runs only when a load or an
+    # eviction moved the slot array's structure version
     def _refresh_structure(self) -> None:
         """Rebuild the per-type units if a load or an eviction moved the
         slot array's ``structure_version``.  The per-cycle readers
@@ -190,34 +193,24 @@ class AvailabilityCache:
     # ----------------------------------------------------------- queries
     def units_by_type(self) -> dict[FUType, tuple[FunctionalUnit, ...]]:
         """Configured units per type (treat as read-only)."""
-        # repro: cold-call -- version-guarded structure rebuild: bounded
-        # by reconfiguration events, not cycles
         self._refresh_structure()
         return self._by_type
 
     def units_of_type(self, fu_type: FUType) -> tuple[FunctionalUnit, ...]:
-        # repro: cold-call -- version-guarded structure rebuild: bounded
-        # by reconfiguration events, not cycles
         self._refresh_structure()
         return self._by_type[fu_type]
 
     def bits(self) -> int:
         """The Eq. 1 availability bus: bit ``t.bit_index`` set when a unit
         of type ``t`` is configured and idle."""
-        # repro: cold-call -- version-guarded structure rebuild: bounded
-        # by reconfiguration events, not cycles
         self._refresh_structure()
         if self.crosscheck:
-            # repro: cold-call -- opt-in divergence cross-check (debug)
             self._crosscheck()
         return self._bits
 
     def idle_counts(self) -> dict[FUType, int]:
         """Idle units per type (treat as read-only)."""
-        # repro: cold-call -- version-guarded structure rebuild: bounded
-        # by reconfiguration events, not cycles
         self._refresh_structure()
         if self.crosscheck:
-            # repro: cold-call -- opt-in divergence cross-check (debug)
             self._crosscheck()
         return self._idle_counts

@@ -75,8 +75,6 @@ class Fabric:
         """
         avail = self._avail
         if avail._structure_seen != self.rfus.structure_version:
-            # repro: cold-call -- version-guarded structure rebuild: bounded
-            # by reconfiguration events, not cycles
             avail._refresh_structure()
         return avail._counts
 
@@ -149,8 +147,6 @@ class Fabric:
         """
         avail = self._avail
         if avail._structure_seen != self.rfus.structure_version:
-            # repro: cold-call -- version-guarded structure rebuild: bounded
-            # by reconfiguration events, not cycles
             avail._refresh_structure()
         for unit in avail._by_type[fu_type]:
             if not unit.busy:

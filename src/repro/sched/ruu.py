@@ -327,12 +327,9 @@ class RegisterUpdateUnit:
         # debug cross-check when armed, then the incrementally kept bits
         avail = self._avail
         if avail._structure_seen != self._rfus.structure_version:
-            # repro: cold-call -- version-guarded structure rebuild: bounded
-            # by reconfiguration events, not cycles
             avail._refresh_structure()
         crosscheck = avail.crosscheck
         if crosscheck:
-            # repro: cold-call -- opt-in divergence cross-check (debug)
             avail._crosscheck()
         live_bits = avail._bits
         stale_bits = self._stale_resource_bits
@@ -364,7 +361,6 @@ class RegisterUpdateUnit:
         # fixes) when it is down.
         ready = wakeup.requests_mask(_ALL_RESOURCES, result_bits)
         if crosscheck:
-            # repro: cold-call -- opt-in divergence cross-check (debug)
             direct = wakeup.requests_mask(wakeup_bits, result_bits)
         unavailable = _ALL_RESOURCES ^ wakeup_bits
         req_mask = 0

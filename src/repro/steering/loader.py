@@ -126,8 +126,6 @@ class ConfigurationLoader:
             or rfus.structure_version != self._missing_version
             or rfus.reconfigurations != self._missing_reconfigs
         ):
-            # repro: cold-call -- memo miss: bounded by target changes, loads
-            # and evictions, not cycles
             self._missing = self._count_missing()
             self._missing_target = target
             self._missing_version = rfus.structure_version
@@ -222,9 +220,7 @@ class ConfigurationLoader:
             and self._avail.rfu_flips == self._blocked_flips
         ):
             return None  # nothing the last search depended on has moved
-        # repro: cold-call -- search: bounded by changes of its key
         missing = self.missing_units()
-        # repro: cold-call -- search: bounded by changes of its key
         plan = self._place(missing)
         if plan is None:
             self._blocked_target = target

@@ -194,6 +194,8 @@ class ConfigurationSelectionUnit:
             )
         return tuple(errors)
 
+    # repro: allow[HOT001] -- measured on at most 1.3% of cycles (steering,
+    # window 7, phased:1): only when the configured counts change
     def _distances(self, current_counts: Sequence[int]) -> tuple[int, ...]:
         """Reconfiguration distance of every candidate from the current state.
 
@@ -236,6 +238,10 @@ class ConfigurationSelectionUnit:
             )
         if current_counts != self._inputs_counts:
             self._inputs_counts = tuple(current_counts)
+            # the rows and distances move only with the configured counts:
+            # measured on at most 1.3% of cycles (steering, window 7,
+            # phased:1)
+            # repro: allow[HOT001] -- 1.3% of cycles, as above
             self._current_rows = tuple(
                 _TERMS[min(c, _COUNT_LIMIT)] for c in current_counts
             )
@@ -278,8 +284,6 @@ class ConfigurationSelectionUnit:
             self._memo_counts = current_counts
         result = self._memo.get(demand)
         if result is None:
-            # repro: cold-call -- memo miss: bounded by the distinct
-            # windows seen between two changes of the configured counts
             result = self.select_required(required_of(demand), current_counts)
             self._memo[demand] = result
         return result

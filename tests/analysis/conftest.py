@@ -28,8 +28,8 @@ def make_test_config() -> AnalysisConfig:
             "utils": (),
         },
         hotzones={
-            "repro/sched/hot.py": ("Kernel.step", "Kernel.tick", "helper"),
-            "repro/sched/allhot.py": ("*",),
+            "repro/sched/hot.py": ("Kernel.step", "Kernel.tick", "helper", "other"),
+            "repro/isa/ops.py": ("is_add",),
         },
         determinism_scope=("repro/sched", "repro/isa", "repro/utils"),
         concurrency_scope=("repro/serving", "repro/evaluation/batch.py"),

@@ -133,14 +133,24 @@ class TestExitCodes:
             "--root", str(ws / "src"),
         )) == 2
 
+    def test_star_is_not_a_wildcard(self, workspace, capsys):
+        """Every listed hot function is named: ``*`` names no function."""
+        ws, run = workspace
+        (ws / "analysis/layers.toml").write_text(
+            CONFIG.replace('["Kernel.step"]', '["*"]')
+        )
+        assert run() == 2
+        assert "hotzones: repro/sched/hot.py::*" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", [
         "--no-cache", "--cache-dir=x", "--changed", "--changed-base=main",
         "--baseline=x", "--update-baseline", "--explain-new-out=x",
+        "--graph-out=x", "--explain=x", "--explain-all-out=x",
     ])
     def test_removed_options_are_rejected(self, option):
-        # one uncached pass and inline suppressions only: no cache, no
-        # changed-files mode, no findings baseline; every finding's chain
-        # goes to --explain-all-out
+        # one uncached pass over a listed hot set, inline suppressions
+        # only: no cache, no changed-files mode, no findings baseline, no
+        # call graph to write or explain
         with pytest.raises(SystemExit):
             parse_args(option)
 

@@ -33,14 +33,13 @@ def make_engine(tmp_path, config=None):
 
 class TestOnePass:
     def test_each_file_parsed_and_tokenized_once(self, tmp_path, monkeypatch):
-        # a hot file, a file with a suppression and a cold-call note, a
-        # clean file, and one outside the target set that the call graph
-        # still summarises
+        # a hot file, a file with a suppression, a clean file, and one
+        # outside the target set that the enum index still reads
         paths = write_tree(tmp_path, {
             "repro/sched/hot.py": HOT,
             "repro/sched/noted.py": textwrap.dedent("""
                 def helper():  # repro: allow[DET004] -- fixture
-                    return run()  # repro: cold-call -- fixture
+                    return run()
             """),
             "repro/isa/ok.py": CLEAN,
         })

@@ -2,9 +2,9 @@
 
 ``EnumType`` defines ``__getattr__`` in CPython 3.11, so ``Opcode.ADD`` is
 a slow attribute load (several times a plain class attribute).  Whether a
-name is an enum class is known only once imports are linked, so the rule
-runs in the graph phase, for declared hot zones and hot-reachable
-functions alike.
+name is an enum class is known only once imports are followed, so the
+engine builds an enum index from every file of the package and the rule
+checks the listed functions against it.
 """
 
 import textwrap
@@ -97,25 +97,34 @@ class TestEnumClassLoads:
         })
         assert len(hot007(findings)) == 1
 
-    def test_hot_reachable_helper_flagged_with_chain(self, lint_tree):
+    def test_listed_helper_elsewhere_flagged(self, lint_tree):
         findings = lint(lint_tree, {
             "repro/isa/ops.py": FUNCTIONAL_ENUM + """
     def is_add(instr):
         return instr.opcode is Op.ADD
 """,
-            "repro/sched/hot.py": """
-                from repro.isa.ops import is_add
-
-                class Kernel:
-                    def step(self, instr):
-                        return is_add(instr)
-            """,
         })
         found = hot007(findings)
         assert len(found) == 1
         assert found[0].path == "repro/isa/ops.py"
-        assert "reachable from hot zone via Kernel.step → is_add" in found[0].message
-        assert found[0].chain
+        assert "hot zone 'is_add'" in found[0].message
+
+    def test_enum_reexported_by_a_package_flagged(self, lint_tree):
+        findings = lint(lint_tree, {
+            "repro/isa/ops.py": FUNCTIONAL_ENUM,
+            "repro/isa/__init__.py": """
+                from repro.isa.ops import Op as Opcode
+            """,
+            "repro/sched/hot.py": """
+                from repro.isa import Opcode
+
+                def helper(instr):
+                    return instr.opcode is Opcode.SUB
+            """,
+        })
+        assert [f.message.split()[2] for f in hot007(findings)] == [
+            "Opcode.SUB"
+        ]
 
     def test_module_constant_is_the_fix(self, lint_tree):
         findings = lint(lint_tree, {
@@ -164,19 +173,18 @@ class TestEnumClassLoads:
         })
         assert "HOT007" not in rule_ids(findings)
 
-    def test_cold_call_edge_stops_propagation(self, lint_tree):
+    def test_unlisted_helper_not_flagged(self, lint_tree):
         findings = lint(lint_tree, {
-            "repro/isa/ops.py": FUNCTIONAL_ENUM + """
-    def is_add(instr):
-        return instr.opcode is Op.ADD
+            "repro/isa/states.py": STATE_ENUM + """
+    def is_done(entry):
+        return entry.state is State.DONE
 """,
             "repro/sched/hot.py": """
-                from repro.isa.ops import is_add
+                from repro.isa.states import is_done
 
                 class Kernel:
-                    def step(self, instr):
-                        # repro: cold-call -- mispredict repair, event-bounded
-                        return is_add(instr)
+                    def step(self, entry):
+                        return is_done(entry)
             """,
         })
         assert "HOT007" not in rule_ids(findings)

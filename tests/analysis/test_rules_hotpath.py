@@ -1,8 +1,10 @@
-"""HOT rule family: per-cycle work in declared hot zones."""
+"""HOT rule family: per-cycle work in the listed hot functions."""
 
 import textwrap
 
-from tests.analysis.conftest import rule_ids
+from repro.analysis.engine import AnalysisEngine
+from repro.analysis.rules import RULE_REGISTRY
+from tests.analysis.conftest import make_test_config, rule_ids
 
 
 def src(body: str) -> str:
@@ -61,15 +63,36 @@ class TestHotAllocations:
         """))
         assert findings == []
 
-    def test_wildcard_hotzone_covers_every_function(self, lint_source):
-        findings = lint_source(
-            src("""
-                def anything():
-                    return {k: v for k, v in pairs}
-            """),
-            path="repro/sched/allhot.py",
-        )
+    def test_only_the_listed_function_is_flagged(self, lint_source):
+        """The list is the whole hot set: the same comprehension in an
+        unlisted function is not flagged, even when a listed one calls
+        it (the profile, not a call graph, says what is per-cycle)."""
+        findings = lint_source(src("""
+            def helper(window):
+                return [x + 1 for x in window]
+
+            def fanout(window):
+                return [x + 1 for x in window]
+
+            class Kernel:
+                def step(self):
+                    return fanout(self.window)
+        """))
         assert rule_ids(findings) == ["HOT001"]
+        assert findings[0].line == 3
+        assert "hot zone 'helper'" in findings[0].message
+
+    def test_nested_def_and_lambda_bodies_skipped(self, lint_source):
+        findings = lint_source(src("""
+            class Kernel:
+                def step(self):
+                    def later():
+                        return [x for x in self.window]
+                    key = lambda e: [y for y in e]
+                    return later, key
+        """))
+        # the lambda is created per call; its body is not run by step
+        assert rule_ids(findings) == ["HOT004"]
 
     def test_non_hotzone_file_not_flagged(self, lint_source):
         findings = lint_source(
@@ -81,3 +104,19 @@ class TestHotAllocations:
             path="repro/sched/cold.py",
         )
         assert findings == []
+
+
+def test_rule_filter_limits_the_hot_rules(tmp_path):
+    """--rules without a HOT id runs no hot-path rule."""
+    target = tmp_path / "repro/sched/hot.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(src("""
+        class Kernel:
+            def step(self):
+                return [x for x in self.window]
+    """))
+    engine = AnalysisEngine(
+        make_test_config(), root=tmp_path, repo_root=tmp_path,
+        rules=[RULE_REGISTRY["LAY001"]],
+    )
+    assert engine.run([target]) == []

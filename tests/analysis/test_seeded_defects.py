@@ -36,7 +36,8 @@ SEEDS = {
 """, """\
                 dispatched = [entry.seq for entry in ruu._order[-n:]]
 """)]),
-    # ... and in a helper the loop reaches through OracleSteering.cycle
+    # ... and in a listed helper, OracleSteering._window_required, which
+    # OracleSteering.cycle calls on nearly every cycle
     "HOT001-reachable": ("HOT001", "repro/core/policies.py", [("""\
         self._window_lo, self._window_hi = retired, new_hi
         return tuple(counts)

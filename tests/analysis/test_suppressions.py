@@ -168,7 +168,7 @@ class TestScopedEdgeCases:
         findings = lint_source(src("""
             async def helper(window):  # repro: allow[HOT001]
                 return [x for x in window]
-        """), path="repro/sched/allhot.py")
+        """))
         assert findings == []
 
     def test_async_def_suppression_does_not_leak_to_sibling(self, lint_source):
@@ -179,7 +179,7 @@ class TestScopedEdgeCases:
 
             async def other(window):
                 return [y for y in window]
-        """), path="repro/sched/allhot.py")
+        """))
         assert ids(findings) == ["HOT001"]
         assert findings[0].line == 7
 
@@ -205,6 +205,6 @@ class TestScopedEdgeCases:
 
             def helper(cycle):
                 return f"outside {cycle}"
-        """), path="repro/sched/allhot.py")
+        """))
         assert ids(findings) == ["HOT003"]
         assert findings[0].line == 8

@@ -3,9 +3,10 @@
 The cycle loop's cost is dominated by interpreter work, and the number of
 Python function calls per cycle is its most stable proxy: counting
 ``call`` events with :func:`sys.setprofile` is deterministic, where timing
-on a shared host is not.  Each run is measured warm (a first run of the
-same program decodes it and fills the instructions' cached properties),
-so the figure does not depend on test order.
+on a shared host is not.  Each run is measured warm (the program was run
+once before and is kept alive, so its decoded instructions, which every
+run of it shares, have their cached properties filled), so the figure
+does not depend on test order.
 
 Calls per cycle on ``checksum`` (default size), CPython 3.11, at wake-up
 windows of 7 and 11 entries (the factories size the selection window to
@@ -55,16 +56,35 @@ resolutions)`` without building a report object.
 Each budget is the latest figure plus 10%: a change that adds per-cycle
 calls must either pay for itself elsewhere or raise the budget here, with
 the reason.
+
+The same runs measure the hot set.  Every ``repro`` function the loop
+calls on at least :data:`HOT_RATE` of a run's cycles must be listed in
+``[hotzones]`` of ``analysis/layers.toml``, where the ``repro lint`` HOT
+rules police per-cycle work that adds no call.  The check also profiles
+``phased:1``, whose loads, stores and FP work the loop never meets on
+``checksum``; those runs carry no budget.  A function that crosses the
+rate unlisted fails the check with its name, rate and run: list it, then
+mend or accept (``# repro: allow[RULE] -- reason``) what the lint finds
+in it.  Comprehension and lambda code objects are skipped: their bodies
+belong to the enclosing function, or to a module-level table.
 """
 
+import functools
+import os
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.analysis.config import DEFAULT_CONFIG_PATH, load_config
 from repro.core.baselines import policy_catalogue
 from repro.core.params import ProcessorParams
-from repro.workloads.kernels import checksum
+from repro.core.processor import Processor
+from repro.workloads import resolve_program
 
+REPO = Path(__file__).resolve().parents[2]
 #: policy -> calls-per-cycle budget at windows 7 and 11.
 BUDGETS = {
     "ffu-only": (14.67 * 1.10, 14.67 * 1.10),
@@ -77,26 +97,74 @@ BUDGETS = {
     "static-floating": (17.56 * 1.10, 17.56 * 1.10),
 }
 WINDOWS = (7, 11)
+#: the profiled programs: the budgets are ``checksum`` figures.
+PROGRAMS = ("checksum", "phased:1")
+#: The share of a run's cycles at which a function is per-cycle code and
+#: must be listed in ``[hotzones]``.  The loop's per-event paths run above
+#: it on these runs: a reconfiguration (1.8% of cycles), an adopted
+#: synthesis (6.6%), a selection memo miss (13.9%); once-per-run code and
+#: mispredict repair run below 0.2%, and an eviction
+#: (``RfuSlotArray._remove_unit``) at 0.95%.
+HOT_RATE = 0.01
+
+#: where ``repro`` code objects live: ``<this prefix>repro/...``.
+_SRC = str(Path(repro.__file__).resolve().parents[1]) + os.sep
 
 
-def calls_per_cycle(factory, params=None) -> float:
-    program = checksum().program
-    factory(program, params).run()  # warm-up: decode, instruction caches
-    proc = factory(program, params)
+@functools.cache
+def warm_program(target: str):
+    """The target's program, run once and kept alive: its decoded
+    instructions, which every later run of it shares, have their cached
+    properties filled."""
+    program = resolve_program(target)
+    policy_catalogue()["ffu-only"](program).run()
+    return program
+
+
+@functools.cache
+def profile(policy: str, window: int, target: str) -> tuple[float, dict]:
+    """One warm run under :func:`sys.setprofile`: its calls per cycle,
+    and ``{code object: share of cycles}`` for every repro function
+    called on at least :data:`HOT_RATE` of them."""
+    proc = policy_catalogue()[policy](
+        warm_program(target), ProcessorParams(window_size=window)
+    )
+    step = Processor.step.__code__
     calls = 0
+    this_cycle: set = set()  # the code objects called in the current cycle
+    cycles_of: Counter = Counter()  # code -> how many cycles called it
 
     def count(frame, event, arg):
         nonlocal calls
         if event == "call":
             calls += 1
+            code = frame.f_code
+            if code is step:
+                cycles_of.update(this_cycle)
+                this_cycle.clear()
+            this_cycle.add(code)
 
     sys.setprofile(count)
     try:
         result = proc.run()
     finally:
         sys.setprofile(None)
+    cycles_of.update(this_cycle)
     assert result.halted
-    return calls / result.cycles
+    rates = {
+        code: n / result.cycles
+        for code, n in cycles_of.items()
+        if n >= HOT_RATE * result.cycles
+        and code.co_filename.startswith(_SRC)
+        and not code.co_name.startswith("<")
+    }
+    return calls / result.cycles, rates
+
+
+def listed_name(code) -> str:
+    """``repro/x.py::Qual.name``, as ``[hotzones]`` lists a function."""
+    path = code.co_filename[len(_SRC):].replace(os.sep, "/")
+    return f"{path}::{code.co_qualname.replace('.<locals>', '')}"
 
 
 def test_every_catalogue_policy_has_a_budget():
@@ -105,10 +173,36 @@ def test_every_catalogue_policy_has_a_budget():
 
 @pytest.mark.parametrize("policy", sorted(BUDGETS))
 def test_calls_per_cycle_within_budget(policy):
-    factory = policy_catalogue()[policy]
     for window, budget in zip(WINDOWS, BUDGETS[policy]):
-        measured = calls_per_cycle(factory, ProcessorParams(window_size=window))
+        measured, _ = profile(policy, window, "checksum")
         assert measured <= budget, (
             f"{policy} at window {window}: {measured:.2f} Python calls per "
             f"simulated cycle, budget {budget:.2f}"
         )
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="code objects name their class from 3.11"
+)
+@pytest.mark.parametrize("policy", sorted(BUDGETS))
+def test_every_hot_function_is_listed(policy):
+    config = load_config(REPO / DEFAULT_CONFIG_PATH)
+    listed = {
+        f"{path}::{name}"
+        for path, names in config.hotzones.items()
+        for name in names
+    }
+    missing = [
+        f"  {name}: {rate:.1%} of cycles ({policy}, window {window}, {target})"
+        for target in PROGRAMS
+        for window in WINDOWS
+        for name, rate in sorted(
+            (listed_name(code), rate)
+            for code, rate in profile(policy, window, target)[1].items()
+        )
+        if name not in listed
+    ]
+    assert not missing, (
+        f"called on at least {HOT_RATE:.0%} of a run's cycles but not "
+        f"listed in [hotzones] of {DEFAULT_CONFIG_PATH}:\n" + "\n".join(missing)
+    )
