@@ -224,6 +224,9 @@ def build_selection_core(
     Inputs: ``req0..req4`` (3-bit required counts) and ``cur0..cur4``
     (3-bit live configured counts).  Outputs: ``error0..error3`` (6-bit
     CEMs, current first) and ``select`` (2 bits).
+
+    A reference model: the tests check the selection unit's tables and
+    ``select_required`` against the whole netlist.
     """
     nl = Netlist()
     required = [nl.input_bus(f"req{i}", COUNT_WIDTH) for i in range(NUM_FU_TYPES)]

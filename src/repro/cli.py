@@ -3,7 +3,7 @@
 Commands
 --------
 ``kernels``
-    List the built-in workload kernels.
+    List every kernel name ``run`` and served jobs accept.
 ``run <kernel-or-file.s> [--policy P] [--reconfig-latency N] ...``
     Simulate a kernel (by name) or an assembly file and print the result
     summary; with ``--compare`` runs every policy and prints an IPC table.
@@ -46,10 +46,8 @@ import pathlib
 import re
 import sys
 
-from repro.core.baselines import policy_catalogue
+from repro.core.baselines import policy_catalogue, steering_processor
 from repro.core.params import ProcessorParams
-from repro.core.policies import PaperSteering
-from repro.core.processor import Processor
 from repro.core.tracing import EventRecorder, render_fabric_timeline
 from repro.errors import ReproError
 from repro.evaluation import artifacts as artifacts_mod
@@ -57,7 +55,7 @@ from repro.evaluation.report import render_table
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import format_instruction
 from repro.isa.program import Program
-from repro.workloads import all_kernels, resolve_program
+from repro.workloads import kernel_factories, resolve_program
 
 __all__ = ["main"]
 
@@ -97,7 +95,10 @@ def _params_from_args(args: argparse.Namespace) -> ProcessorParams:
 
 
 def _cmd_kernels(_args: argparse.Namespace) -> int:
-    rows = [(k.name, k.description) for k in all_kernels()]
+    rows = [
+        (name, factory().description)
+        for name, factory in kernel_factories().items()
+    ]
     print(render_table(["kernel", "description"], rows))
     return 0
 
@@ -331,12 +332,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return _trace_run(args)
     program = _load_program(args.target)
     recorder = EventRecorder()
-    proc = Processor(
-        program,
-        params=_params_from_args(args),
-        policy=PaperSteering(),
-        observer=recorder,
-    )
+    proc = steering_processor(program, _params_from_args(args), observer=recorder)
     proc.run(max_cycles=args.max_cycles)
     print(render_fabric_timeline(recorder.events, stride=args.stride))
     return 0

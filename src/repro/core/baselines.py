@@ -65,12 +65,7 @@ def basis_processor(
 ) -> Processor:
     """Configuration steering over ``configs`` in place of the predefined
     set (E-BASIS steers over a designed basis)."""
-    params = params if params is not None else ProcessorParams()
-    policy = PaperSteering(
-        configs=tuple(configs),
-        use_exact_metric=params.use_exact_metric,
-        queue_size=params.window_size,
-    )
+    policy = PaperSteering(configs=tuple(configs))
     return Processor(program, params=params, policy=policy, observer=observer)
 
 
@@ -101,11 +96,8 @@ def demand_processor(
     improvement_margin: float = 0.15,
 ) -> Processor:
     """§5 extension: predefined-configuration-free demand steering."""
-    params = params if params is not None else ProcessorParams()
     policy = DemandSteering(
-        smoothing=smoothing,
-        improvement_margin=improvement_margin,
-        queue_size=params.window_size,
+        smoothing=smoothing, improvement_margin=improvement_margin
     )
     return Processor(program, params=params, policy=policy)
 

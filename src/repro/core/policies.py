@@ -1,24 +1,23 @@
 """Steering policies: the paper's configuration manager and the baselines.
 
 A policy decides, each cycle, what the reconfigurable fabric should steer
-toward.  The processor calls :meth:`SteeringPolicy.cycle` once per clock
-with its register update unit; a policy reads from it only what it needs —
-the per-type demand of the ready-unscheduled window (what the Fig. 2
-selection unit counts) or the dynamic retire count (the oracle) — and
-does work only when an input moved.  The window's demand is the RUU's
-packed ``waiting_demand`` whenever the selection window covers the whole
-wake-up array (every factory sizes it so); a narrower window counts its
-first ``queue_size`` WAITING entries again only when the RUU's
-``waiting_version`` moved.  Selection is a per-unit memo lookup keyed by
-that demand, the oracle's choice a memo lookup keyed by its window and the
-configured counts, and the loader searches a blocked placement again only
-when the target, the slots or an RFU's busy state moved.
+toward.  The processor binds it to its fabric and its
+:class:`~repro.core.params.ProcessorParams` once, then calls
+:meth:`SteeringPolicy.cycle` once per clock with its register update unit;
+a policy reads from it only what it needs — the per-type demand of the
+ready-unscheduled window (the RUU's packed ``waiting_demand``: the Fig. 2
+selection unit inspects the whole wake-up array, ``window_size`` entries)
+or the dynamic retire count (the oracle) — and does work only when an
+input moved.  Selection is a per-unit memo lookup keyed by that demand,
+the oracle's choice a memo lookup keyed by its window and the configured
+counts, and the loader searches a blocked placement again only when the
+target, the slots or an RFU's busy state moved.
 
 Policies:
 
 * :class:`PaperSteering` — the contribution: CEM-based selection among
   {current, three predefined configurations} with busy-aware partial
-  reconfiguration;
+  reconfiguration, under the error metric ``use_exact_metric`` picks;
 * :class:`NoSteering` — fixed functional units only (the RFU slots stay
   empty): the legacy-processor baseline;
 * :class:`StaticConfiguration` — one predefined configuration loaded at
@@ -37,11 +36,11 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
+from repro.core.params import ProcessorParams
 from repro.errors import ConfigurationError
 from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS, Configuration
 from repro.fabric.fabric import Fabric
-from repro.isa.futypes import COUNT_ONE, FU_TYPES, FUType
-from repro.sched.entry import EntryState
+from repro.isa.futypes import FU_TYPES, FUType
 from repro.sched.ruu import RegisterUpdateUnit
 from repro.steering.error_metric import exact_error
 from repro.steering.loader import ConfigurationLoader
@@ -63,40 +62,14 @@ __all__ = [
 _UNCHOSEN = object()
 
 
-class _WindowDemand:
-    """The packed per-type count (``COUNT_ONE``) of the first
-    ``queue_size`` WAITING entries of an RUU, for a selection window
-    narrower than the wake-up array; recounted only when the RUU's
-    ``waiting_version`` moved."""
-
-    def __init__(self, queue_size: int) -> None:
-        self.queue_size = queue_size
-        self._version = -1
-        self._demand = 0
-
-    def demand(self, ruu: RegisterUpdateUnit) -> int:
-        if ruu.waiting_version != self._version:
-            self._version = ruu.waiting_version
-            waiting = EntryState.WAITING
-            demand = 0
-            left = self.queue_size
-            for entry in ruu._order:
-                if left <= 0:
-                    break
-                if entry.state is waiting:
-                    demand += COUNT_ONE[entry.fu_type]
-                    left -= 1
-            self._demand = demand
-        return self._demand
-
-
 class SteeringPolicy:
     """Base class: a no-op policy."""
 
     name = "base"
 
-    def bind(self, fabric: Fabric) -> None:
-        """Attach to the processor's fabric before simulation starts."""
+    def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
+        """Attach to the processor's fabric and parameters before
+        simulation starts."""
         self.fabric = fabric
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
@@ -113,33 +86,30 @@ class NoSteering(SteeringPolicy):
 
 
 class PaperSteering(SteeringPolicy):
-    """The paper's configuration manager (Figs. 2 and 3)."""
+    """The paper's configuration manager (Figs. 2 and 3).
+
+    The error metric is the processor's: binding reads
+    ``params.use_exact_metric`` and names the policy ``steering-exact``
+    when it is set.
+    """
 
     name = "steering"
 
     def __init__(
-        self,
-        configs: Sequence[Configuration] = PREDEFINED_CONFIGS,
-        use_exact_metric: bool = False,
-        queue_size: int = 7,
+        self, configs: Sequence[Configuration] = PREDEFINED_CONFIGS
     ) -> None:
         self.configs = tuple(configs)
-        self.use_exact_metric = use_exact_metric
-        self.queue_size = queue_size
+        self.use_exact_metric = False
         self.manager: ConfigurationManager | None = None
-        if use_exact_metric:
-            self.name = "steering-exact"
 
-    def bind(self, fabric: Fabric) -> None:
-        super().bind(fabric)
+    def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
+        super().bind(fabric, params)
+        self.use_exact_metric = params.use_exact_metric
+        self.name = "steering-exact" if self.use_exact_metric else "steering"
         self.manager = ConfigurationManager(
-            fabric,
-            configs=self.configs,
-            use_exact_metric=self.use_exact_metric,
-            queue_size=self.queue_size,
+            fabric, configs=self.configs, use_exact_metric=self.use_exact_metric
         )
         self._unit = self.manager.selection_unit
-        self._window = _WindowDemand(self.queue_size)
         #: the last selection and its inputs: the window's packed demand
         #: and the configured counts.
         self._selection: SelectionResult | None = None
@@ -148,10 +118,7 @@ class PaperSteering(SteeringPolicy):
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
         counts = self.fabric.counts_tuple()
-        if self.queue_size >= ruu.wakeup.n_entries:
-            demand = ruu.waiting_demand
-        else:
-            demand = self._window.demand(ruu)
+        demand = ruu.waiting_demand
         if demand != self._demand_seen or counts != self._counts_seen:
             self._demand_seen = demand
             self._counts_seen = counts
@@ -175,8 +142,8 @@ class StaticConfiguration(SteeringPolicy):
         #: would be a no-op.
         self._settled = False
 
-    def bind(self, fabric: Fabric) -> None:
-        super().bind(fabric)
+    def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
+        super().bind(fabric, params)
         self.loader = ConfigurationLoader(fabric)
         self.loader.set_target(self.config)
         self._settled = False
@@ -209,8 +176,8 @@ class RandomSteering(SteeringPolicy):
         self._countdown = 0
         self.loader: ConfigurationLoader | None = None
 
-    def bind(self, fabric: Fabric) -> None:
-        super().bind(fabric)
+    def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
+        super().bind(fabric, params)
         self.loader = ConfigurationLoader(fabric)
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
@@ -237,11 +204,9 @@ class DemandSteering(SteeringPolicy):
         self,
         smoothing: float = 0.1,
         improvement_margin: float = 0.15,
-        queue_size: int = 7,
     ) -> None:
         from repro.steering.demand import DemandSynthesizer
 
-        self.queue_size = queue_size
         self.synthesizer = DemandSynthesizer(
             smoothing=smoothing, improvement_margin=improvement_margin
         )
@@ -249,19 +214,15 @@ class DemandSteering(SteeringPolicy):
         #: synthesized targets adopted over the run (for tracing/tests).
         self.retargets: list[Configuration] = []
 
-    def bind(self, fabric: Fabric) -> None:
-        super().bind(fabric)
+    def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
+        super().bind(fabric, params)
         self.loader = ConfigurationLoader(fabric)
-        self._window = _WindowDemand(self.queue_size)
         #: the window's required counts and the packed demand they encode.
         self._required: tuple[int, ...] = required_of(0)
         self._demand_seen = 0
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
-        if self.queue_size >= ruu.wakeup.n_entries:
-            demand = ruu.waiting_demand
-        else:
-            demand = self._window.demand(ruu)
+        demand = ruu.waiting_demand
         if demand != self._demand_seen:
             self._demand_seen = demand
             self._required = required_of(demand)
@@ -326,8 +287,8 @@ class OracleSteering(SteeringPolicy):
         self._window_lo = 0
         self._window_hi = 0
 
-    def bind(self, fabric: Fabric) -> None:
-        super().bind(fabric)
+    def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
+        super().bind(fabric, params)
         self.loader = ConfigurationLoader(fabric)
         self._reset_window()
         #: the last choice and its inputs: retire count, configured counts.

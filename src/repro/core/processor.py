@@ -110,7 +110,7 @@ class Processor:
             retire_width=self.params.retire_width,
             pipelined_scheduling=self.params.pipelined_scheduling,
         )
-        self.policy.bind(self.fabric)
+        self.policy.bind(self.fabric, self.params)
 
         self.cycle_count = 0
         #: optional cycle observer (protocol in :mod:`repro.core.tracing`):

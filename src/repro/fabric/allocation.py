@@ -90,30 +90,3 @@ class AllocationVector:
                 entries[k] = SPAN_ENCODING
             entries[head] = fu_type.encoding
         return cls(tuple(entries))
-
-    def heads(self) -> list[tuple[int, FUType]]:
-        """``(head_slot, unit_type)`` for every configured unit, in slot order."""
-        return [
-            (i, FUType(e))
-            for i, e in enumerate(self.entries)
-            if e not in (EMPTY_ENCODING, SPAN_ENCODING)
-        ]
-
-    def counts(self) -> dict[FUType, int]:
-        """Configured units per type (each multi-slot unit counted once)."""
-        out: dict[FUType, int] = {}
-        for _, t in self.heads():
-            out[t] = out.get(t, 0) + 1
-        return out
-
-    def diff_slots(self, other: "AllocationVector") -> list[int]:
-        """Slots whose encodings differ (the paper's XOR of the vectors)."""
-        if len(self) != len(other):
-            raise FabricError("cannot diff allocation vectors of different lengths")
-        return [i for i, (a, b) in enumerate(zip(self.entries, other.entries)) if a ^ b]
-
-    def render(self) -> str:
-        """One line per slot: index, binary encoding, name."""
-        return "\n".join(
-            f"slot {i}: {e:03b} {encoding_name(e)}" for i, e in enumerate(self.entries)
-        )

@@ -78,7 +78,9 @@ def available(
 def availability_report(
     allocation: Sequence[int], availability: Sequence[bool]
 ) -> dict[FUType, bool]:
-    """Eq. 1 evaluated for every unit type (one Fig. 7 circuit per type)."""
+    """Eq. 1 evaluated for every unit type (one Fig. 7 circuit per type).
+
+    A reference model: the tests pin the availability cache's bus to it."""
     return {t: available(t, allocation, availability) for t in FU_TYPES}
 
 
@@ -107,8 +109,9 @@ class AvailabilityCache:
       configuration loader keys its blocked-placement memo on it).
 
     Unit ordering inside each tuple is fixed units first, then
-    reconfigurable units in slot order — the same preference order
-    :meth:`Fabric.idle_unit` has always used.
+    reconfigurable units in slot order — the preference order in which
+    :meth:`Fabric.issue <repro.fabric.fabric.Fabric.issue>` picks an idle
+    unit.
 
     With ``crosscheck`` armed (constructor argument, or the
     ``REPRO_AVAILABILITY_CROSSCHECK`` environment variable) every query
@@ -181,6 +184,9 @@ class AvailabilityCache:
 
     # --------------------------------------------------------- cross-check
     def _crosscheck(self) -> None:
+        """A reference model: re-derive the bus and the idle counts from a
+        rescan and raise :class:`FabricError` if the incremental ones
+        differ."""
         bits, counts = self._bits, dict(self._idle_counts)
         self._recount()
         if bits != self._bits or counts != self._idle_counts:
@@ -191,15 +197,6 @@ class AvailabilityCache:
             )
 
     # ----------------------------------------------------------- queries
-    def units_by_type(self) -> dict[FUType, tuple[FunctionalUnit, ...]]:
-        """Configured units per type (treat as read-only)."""
-        self._refresh_structure()
-        return self._by_type
-
-    def units_of_type(self, fu_type: FUType) -> tuple[FunctionalUnit, ...]:
-        self._refresh_structure()
-        return self._by_type[fu_type]
-
     def bits(self) -> int:
         """The Eq. 1 availability bus: bit ``t.bit_index`` set when a unit
         of type ``t`` is configured and idle."""

@@ -69,18 +69,6 @@ class Configuration:
             )
         return self
 
-    def unit_list(self) -> list[FUType]:
-        """The units as a flat list, in canonical type order."""
-        out: list[FUType] = []
-        for t in FU_TYPES:
-            out.extend([t] * self.count(t))
-        return out
-
-    def total_with_ffus(self, fu_type: FUType) -> int:
-        """Units of ``fu_type`` available when this configuration is loaded,
-        including the fixed unit."""
-        return self.count(fu_type) + FFU_COUNTS.get(fu_type, 0)
-
     def as_vector(self) -> tuple[int, ...]:
         """Counts as a tuple in canonical :data:`FU_TYPES` order."""
         return tuple(self.count(t) for t in FU_TYPES)

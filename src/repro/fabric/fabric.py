@@ -21,12 +21,11 @@ changes.
 from __future__ import annotations
 
 from repro.errors import FabricError
-from repro.fabric.allocation import AllocationVector
 from repro.fabric.availability import AvailabilityCache
 from repro.fabric.configuration import FFU_COUNTS
 from repro.fabric.slots import RfuSlotArray
 from repro.fabric.units import FfuBank, FunctionalUnit
-from repro.isa.futypes import FU_BIT, FU_TYPES, FUType
+from repro.isa.futypes import FU_BIT, FUType
 
 __all__ = ["Fabric"]
 
@@ -51,22 +50,11 @@ class Fabric:
         self._avail = AvailabilityCache(self.ffus, self.rfus)
 
     # ------------------------------------------------------------- queries
-    def counts(self, include_ffus: bool = True) -> dict[FUType, int]:
-        """Configured units per type (the Fig. 2 'currently configured' input).
-
-        Units under reconfiguration are *not* counted: they cannot execute
-        anything yet.
-        """
-        if include_ffus:
-            by_type = self._avail.units_by_type()
-            return {t: len(by_type[t]) for t in FU_TYPES}
-        out = {t: 0 for t in FU_TYPES}
-        for t, n in self.rfus.counts().items():
-            out[t] += n
-        return out
-
     def counts_tuple(self) -> tuple[int, ...]:
-        """Configured units (fixed + loaded) per type, canonical type order.
+        """Configured units (fixed + loaded) per type, canonical type order:
+        the Fig. 2 'currently configured' input.  Units under
+        reconfiguration are *not* counted: they cannot execute anything
+        yet.
 
         Cached by structure version: repeated calls between
         reconfigurations return the same tuple object without allocating.
@@ -77,14 +65,6 @@ class Fabric:
         if avail._structure_seen != self.rfus.structure_version:
             avail._refresh_structure()
         return avail._counts
-
-    def units_by_type(self) -> dict[FUType, tuple[FunctionalUnit, ...]]:
-        """All configured units grouped per type (cached; treat as read-only)."""
-        return self._avail.units_by_type()
-
-    def units_of_type(self, fu_type: FUType) -> list[FunctionalUnit]:
-        """All configured units of a type, fixed units first."""
-        return list(self._avail.units_of_type(fu_type))
 
     def full_allocation(self) -> tuple[list[int], list[bool]]:
         """Allocation + availability vectors over RFU slots then FFUs.
@@ -103,44 +83,28 @@ class Fabric:
             availability.append(u.available)
         return allocation, availability
 
-    def available(self, fu_type: FUType) -> bool:
-        """Eq. 1: is a unit of this type configured *and* idle?
-
-        Read from the cached availability bus — provably the same value
-        as evaluating the Fig. 7 circuit over :meth:`full_allocation`
-        (the availability property tests pin the equivalence), but without
-        rebuilding the allocation vector on the scheduler's hot path.
-        """
-        return bool(self._avail.bits() & (1 << fu_type.bit_index))
-
     def availability_bits(self) -> int:
-        """The full Eq. 1 bus: bit ``t.bit_index`` set iff ``available(t)``."""
+        """The full Eq. 1 bus: bit ``t.bit_index`` set iff a unit of type
+        ``t`` is configured *and* idle.
+
+        Read from the availability cache: the same value as evaluating the
+        Fig. 7 circuit over :meth:`full_allocation` (the availability
+        property tests pin the equivalence), without rebuilding the
+        allocation vector on the scheduler's hot path.
+        """
         return self._avail.bits()
 
     def idle_counts(self) -> dict[FUType, int]:
         """Idle units per type (cached; treat as read-only)."""
         return self._avail.idle_counts()
 
-    def idle_unit(self, fu_type: FUType) -> FunctionalUnit | None:
-        """An idle unit of the given type, preferring fixed units."""
-        for u in self._avail.units_of_type(fu_type):
-            if u.available:
-                return u
-        return None
-
-    def idle_units(self, fu_type: FUType) -> list[FunctionalUnit]:
-        return [u for u in self._avail.units_of_type(fu_type) if u.available]
-
-    def allocation_vector(self) -> AllocationVector:
-        """RFU-only Table 2 vector (the loader's bookkeeping structure)."""
-        return self.rfus.allocation_vector()
-
     # ------------------------------------------------------------ mutation
     def issue(self, fu_type: FUType, occupant: int | None = None) -> FunctionalUnit:
         """Occupy an idle unit of ``fu_type`` until :meth:`release` frees it.
 
-        Picks the unit :meth:`idle_unit` would (fixed units first), reading
-        the cached per-type units directly, flips it busy and takes it out
+        Picks the first idle unit of the type (fixed units first, then
+        reconfigurable units in slot order) from the cached per-type
+        units, flips it busy and takes it out
         of the availability cache's idle count (clearing its bus bit when
         it was the type's last idle unit).  This runs once per issued
         instruction, and it is the only code that makes a unit busy.
@@ -188,11 +152,3 @@ class Fabric:
     @property
     def reconfigurations(self) -> int:
         return self.rfus.reconfigurations
-
-    def utilisation(self) -> dict[FUType, tuple[int, int]]:
-        """(busy, total) unit counts per type at this instant."""
-        out: dict[FUType, tuple[int, int]] = {}
-        for t, units in self._avail.units_by_type().items():
-            busy = sum(1 for u in units if not u.available)
-            out[t] = (busy, len(units))
-        return out

@@ -29,7 +29,7 @@ Difference Based"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import FabricError
 from repro.fabric.allocation import AllocationVector
@@ -123,9 +123,6 @@ class RfuSlotArray:
             if s.unit is not None:
                 out.append((s.index, s.unit))
         return out
-
-    def units_of_type(self, fu_type: FUType) -> list[FunctionalUnit]:
-        return [u for _, u in self.units() if u.fu_type is fu_type]
 
     def counts(self) -> dict[FUType, int]:
         """Configured (loaded, usable) units per type."""

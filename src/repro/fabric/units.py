@@ -68,12 +68,3 @@ class FfuBank:
     @property
     def units(self) -> list[FunctionalUnit]:
         return list(self._units)
-
-    def units_of_type(self, fu_type: FUType) -> list[FunctionalUnit]:
-        return [u for u in self._units if u.fu_type is fu_type]
-
-    def counts(self) -> dict[FUType, int]:
-        out: dict[FUType, int] = {}
-        for u in self._units:
-            out[u.fu_type] = out.get(u.fu_type, 0) + 1
-        return out

@@ -45,13 +45,6 @@ class BranchPredictor:
         else:
             self._table[i] = max(0, self._table[i] - 1)
 
-    @property
-    def accuracy(self) -> float:
-        """Fraction of updated branches that were predicted correctly."""
-        if not self.updates:
-            return 1.0
-        return 1.0 - self.mispredictions / self.updates
-
 
 class BTB:
     """Branch target buffer for indirect jumps: pc -> last-seen target."""

@@ -32,18 +32,12 @@ class DecodeStage:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    @property
-    def free_space(self) -> int:
-        return self.capacity - len(self._buffer)
-
-    def can_accept(self, n: int) -> bool:
-        return n <= self.free_space
-
     def push(self, packet: list[FetchedInstruction]) -> None:
-        """Accept a fetch packet (caller must check :meth:`can_accept`)."""
+        """Accept a fetch packet (the caller checks that it fits)."""
         if len(self._buffer) + len(packet) > self.capacity:
+            free = self.capacity - len(self._buffer)
             raise SimulationError(
-                f"decode buffer overflow: {len(packet)} into {self.free_space} free"
+                f"decode buffer overflow: {len(packet)} into {free} free"
             )
         self._buffer.extend(packet)
 

@@ -76,10 +76,6 @@ class FetchUnit:
         self.pc = pc
         self._stalled = False
 
-    @property
-    def stalled(self) -> bool:
-        return self._stalled
-
     # -------------------------------------------------------------- fetch
     def _predict(self, pc: int, instr: Instruction) -> tuple[int, bool]:
         """(predicted_next, predicted_taken) for the instruction at ``pc``."""
@@ -106,7 +102,7 @@ class FetchUnit:
         program = self._program
         width = self.width
         while len(packet) < width:
-            if not 0 <= pc < len(program):  # InstructionMemory.in_range
+            if not 0 <= pc < len(program):  # past the program's end
                 self._stalled = True
                 break
             instr = program[pc]

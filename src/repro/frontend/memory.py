@@ -19,34 +19,18 @@ class InstructionMemory:
     """Word-addressed read-only instruction store."""
 
     def __init__(self, program: Program) -> None:
-        # the program encodes and decodes itself once, so N processors
-        # over one program (an in-process run_many sweep) share its words
-        # and Instruction objects
-        self._words = program.words
+        # the program decodes itself once, so N processors over one
+        # program (an in-process run_many sweep) share its Instruction
+        # objects
         self._decoded = program.decoded
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._decoded)
 
     @property
     def instructions(self) -> list[Instruction]:
         """The decoded program indexed by PC (treat as read-only)."""
         return self._decoded
-
-    def in_range(self, pc: int) -> bool:
-        return 0 <= pc < len(self._words)
-
-    def word(self, pc: int) -> int:
-        """The raw 32-bit word at ``pc``."""
-        if not self.in_range(pc):
-            raise SimulationError(f"instruction fetch out of range: pc={pc}")
-        return self._words[pc]
-
-    def fetch(self, pc: int) -> Instruction:
-        """The decoded instruction at ``pc``."""
-        if not self.in_range(pc):
-            raise SimulationError(f"instruction fetch out of range: pc={pc}")
-        return self._decoded[pc]
 
 
 class DataMemory:

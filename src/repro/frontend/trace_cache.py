@@ -51,13 +51,5 @@ class TraceCache:
             self._lines.pop(next(iter(self._lines)))
         self._lines[pc] = trace
 
-    def invalidate(self) -> None:
-        self._lines.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __len__(self) -> int:
         return len(self._lines)

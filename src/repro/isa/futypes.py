@@ -108,7 +108,9 @@ COUNT_ONE: dict[FUType, int] = {
 
 
 def unpack_counts(packed: int) -> tuple[int, ...]:
-    """A packed per-type count as a tuple in canonical type order."""
+    """A packed per-type count as a tuple in canonical type order.
+
+    A reference model: the tests read packed demands back with it."""
     field = (1 << COUNT_FIELD_BITS) - 1
     return tuple(
         (packed >> (COUNT_FIELD_BITS * i)) & field for i in range(len(FU_TYPES))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.isa.futypes import FUType
-from repro.isa.opcodes import Format, Opcode, OpcodeSpec, OperandClass, spec_of
+from repro.isa.opcodes import Opcode, OpcodeSpec, OperandClass, spec_of
 
 __all__ = ["Instruction", "spec_attributes"]
 
@@ -160,21 +160,6 @@ class Instruction:
         if spec.dst is OperandClass.INT and self.rd == 0:
             return None
         return ("int" if spec.dst is OperandClass.INT else "fp"), self.rd
-
-    def sources(self) -> tuple[tuple[str, int], ...]:
-        """Registers read by this instruction as ``(reg_class, index)`` pairs.
-
-        Reads of integer ``x0`` are omitted: they never create a dependence.
-        """
-        spec = self.spec
-        out: list[tuple[str, int]] = []
-        for cls, idx in ((spec.src1, self.rs1), (spec.src2, self.rs2)):
-            if cls is OperandClass.NONE:
-                continue
-            if cls is OperandClass.INT and idx == 0:
-                continue
-            out.append(("int" if cls is OperandClass.INT else "fp", idx))
-        return tuple(out)
 
     def __str__(self) -> str:
         from repro.isa.disassembler import format_instruction

@@ -108,10 +108,3 @@ class Program:
     def entry(self, label: str = "main") -> int:
         """Start PC: the given label if defined, else word 0."""
         return self.labels.get(label, 0)
-
-    def fu_type_histogram(self) -> dict:
-        """Instruction count per functional-unit type (static mix)."""
-        hist: dict = {}
-        for instr in self.instructions:
-            hist[instr.fu_type] = hist.get(instr.fu_type, 0) + 1
-        return hist

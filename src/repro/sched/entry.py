@@ -26,10 +26,9 @@ class EntryState(enum.Enum):
     COMPLETED = "completed"  # result available, awaiting in-order retire
 
 
-#: the states as module constants: the scheduler tests them every cycle,
-#: and a member loaded through its enum class is a slow attribute load.
+#: the state as a module constant: a member loaded through its enum
+#: class is a slow attribute load.
 _WAITING = EntryState.WAITING
-_COMPLETED = EntryState.COMPLETED
 
 
 class SourceBinding(NamedTuple):
@@ -134,10 +133,6 @@ class RuuEntry:
     @property
     def pc(self) -> int:
         return self.fetched.pc
-
-    @property
-    def completed(self) -> bool:
-        return self.state is _COMPLETED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -34,14 +34,5 @@ class RegisterFile:
         else:
             raise SchedulerError(f"unknown register class {reg_class!r}")
 
-    # convenience accessors for tests and examples -----------------------
-    def x(self, index: int) -> int:
-        """Integer register value (unsigned 32-bit)."""
-        return self._int[index]
-
-    def f(self, index: int) -> float:
-        """Floating-point register value."""
-        return self._fp[index]
-
     def snapshot(self) -> dict:
         return {"int": list(self._int), "fp": list(self._fp)}

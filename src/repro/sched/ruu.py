@@ -181,11 +181,6 @@ class RegisterUpdateUnit:
         self.retired_per_type: dict[FUType, int] = {t: 0 for t in FU_TYPES}
         #: busy unit-cycles per type of the occupancies that have ended.
         self._busy_cycles: dict[FUType, int] = {t: 0 for t in FU_TYPES}
-        #: bumped whenever the set of WAITING entries changes (each
-        #: dispatch, each issue step that grants, each flush): a policy
-        #: that reads only the oldest WAITING entries recounts them only
-        #: when it moves.
-        self.waiting_version = 0
         #: per-type count of the WAITING entries, packed (``COUNT_ONE``).
         self.waiting_demand = 0
         #: the resource-blocked count of the last issue step when it raised
@@ -204,16 +199,8 @@ class RegisterUpdateUnit:
         return len(self._entries)
 
     @property
-    def full(self) -> bool:
-        return self.wakeup.full
-
-    @property
     def empty(self) -> bool:
         return not self._entries
-
-    def in_order(self) -> list[RuuEntry]:
-        """In-flight entries oldest first."""
-        return list(self._order)
 
     def ready_unscheduled(self) -> list[Instruction]:
         """Queue entries not yet granted execution, oldest first: the
@@ -221,18 +208,12 @@ class RegisterUpdateUnit:
         view; the policies count them through :attr:`waiting_demand`)."""
         return [e.instruction for e in self._order if e.state is _WAITING]
 
-    def _row_of_seq(self, seq: int) -> int | None:
-        for entry in self._order:
-            if entry.seq == seq:
-                return entry.row
-        return None
-
     # ----------------------------------------------------------- dispatch
     def dispatch_decoded(self, decode: DecodeStage) -> int:
         """The dispatch stage: move the decode buffer's oldest instructions
         into free wake-up rows, as many as the decode width, the free rows
         and the buffer allow.  Returns how many; the dispatched entries
-        are the last that many of :meth:`in_order`.
+        are the youngest that many in flight (the tail of ``_order``).
 
         Each instruction is bound to the in-flight producers of its
         sources, and its row (its unit type's column and its producers'
@@ -287,7 +268,6 @@ class RegisterUpdateUnit:
         wakeup._occupied = occupied
         self._next_seq = seq
         self.dispatched += n
-        self.waiting_version += 1
         self.waiting_demand = demand
         return n
 
@@ -458,7 +438,6 @@ class RegisterUpdateUnit:
                 issued.append(entry.seq)
             wakeup._scheduled = scheduled
             if issued:
-                self.waiting_version += 1
                 self.waiting_demand = demand
         if crosscheck and req_mask != direct:
             raise SchedulerError(
@@ -689,5 +668,4 @@ class RegisterUpdateUnit:
             if dest is not None:
                 self._rename[dest] = e
         self.flushed += len(victims)
-        self.waiting_version += 1
         return len(victims)

@@ -32,7 +32,7 @@ def select_grants(
     ``requests`` holds ``(row, seq, fu_type)`` triples of all rows whose
     wake-up logic asserted a request; ``idle_units`` the number of idle
     units per type.  Returns the granted row indices, oldest (smallest
-    seq) first per type.
+    seq) first per type.  A reference model: the issue stage inlines it.
     """
     remaining = dict(idle_units)
     granted: list[int] = []

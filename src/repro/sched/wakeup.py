@@ -119,10 +119,6 @@ class WakeupArray:
     def full(self) -> bool:
         return self._occupied == self._all_rows
 
-    def free_rows(self) -> list[int]:
-        free = ~self._occupied & self._all_rows
-        return [i for i in range(self.n_entries) if (free >> i) & 1]
-
     @property
     def rows(self) -> list[WakeupRow | None]:
         """Per-row snapshots (``None`` for free rows).  Read-only facade:
@@ -147,7 +143,11 @@ class WakeupArray:
     def insert(self, fu_type: FUType, dep_mask: int) -> int:
         """Allocate a row for an instruction needing ``fu_type`` and the
         results of the rows in ``dep_mask`` (bit i = needs row i's result;
-        each must be occupied).  Returns the row index."""
+        each must be occupied).  Returns the row index.
+
+        A reference model: the register update unit's dispatch inlines the
+        same row write (:meth:`RegisterUpdateUnit.dispatch_decoded`), and
+        the tests build wake-up arrays with this method."""
         occ = self._occupied
         stray = dep_mask & ~occ
         if stray:
@@ -173,10 +173,6 @@ class WakeupArray:
         self._occupied &= ~bit
         self._scheduled &= ~bit
         self._need &= self._remove_masks[index]
-
-    def clear_column(self, index: int) -> None:
-        """Clear result column ``index`` in every row (one AND)."""
-        self._need &= ~(self._row_ones << (NUM_FU_TYPES + index))
 
     # -------------------------------------------------------------- request
     def requests_mask(self, resource_available: int, result_available: int) -> int:
@@ -234,8 +230,9 @@ class WakeupArray:
     def requests_reference(
         self, resource_available: int, result_available: int
     ) -> list[int]:
-        """The original per-row-loop request logic, kept as the executable
-        specification the packed kernel is proven against."""
+        """A reference model: the original per-row-loop request logic, kept
+        as the executable specification the packed kernel is proven
+        against."""
         out = []
         for i, row in enumerate(self.rows):
             if row is None or row.scheduled:

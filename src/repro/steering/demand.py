@@ -158,11 +158,6 @@ class DemandSynthesizer:
         self._provisioned = [0] * len(FU_TYPES)
         self._added = [0] * len(FU_TYPES)
 
-    @property
-    def demand(self) -> tuple[float, ...]:
-        """The smoothed per-type demand estimate."""
-        return tuple(self._demand)
-
     # repro: allow[HOT001] -- the new estimate replaces the old list whole:
     # one comprehension runs faster than updating the list index by index
     def observe(self, required: Sequence[int]) -> None:
@@ -225,36 +220,6 @@ class DemandSynthesizer:
         return Configuration(f"demand-{self._synth_counter}", counts).validate(
             self.n_slots
         )
-
-    def synthesize(self) -> Configuration:
-        """One synthesis event, materialised whether or not it would be
-        adopted."""
-        self._synthesize()
-        return self.materialize(_sparse(self._added))
-
-    def should_retarget(
-        self,
-        target: Configuration,
-        current_counts: Sequence[int],
-    ) -> bool:
-        """Hysteresis: retarget only on a clear expected improvement.
-
-        ``target`` holds RFU counts; ``current_counts`` are the live
-        configured units per type (including the fixed bank).
-        """
-        target_counts = [
-            target.count(t) + self.ffu_counts.get(t, 0) for t in FU_TYPES
-        ]
-        return self._improves(target_counts, current_counts)
-
-    def _improves(
-        self, target_counts: Sequence[int], current_counts: Sequence[int]
-    ) -> bool:
-        current_err = self._saturated_error(current_counts)
-        target_err = self._saturated_error(target_counts)
-        if current_err <= 0.0:
-            return False
-        return target_err < current_err * (1.0 - self.improvement_margin)
 
     def _saturated_error(self, available: Sequence[int]) -> float:
         """Queue-drain estimate: a type's term cannot drop below one cycle,

@@ -28,7 +28,7 @@ four moves, the next step returns ``None`` without searching again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fabric.configuration import Configuration
 from repro.fabric.fabric import Fabric
@@ -88,23 +88,11 @@ class ConfigurationLoader:
         self._blocked_flips = -1
 
     # ------------------------------------------------------------- target
-    @property
-    def target(self) -> Configuration | None:
-        return self._target
-
     def set_target(self, config: Configuration | None) -> None:
         """Select the configuration to steer toward (None = keep current)."""
         self._target = config
 
     # ------------------------------------------------------------- queries
-    def current_counts(self) -> tuple[int, ...]:
-        """Units currently configured per type, fixed + loaded reconfigurable.
-
-        This is the Fig. 2 input the loader feeds back to the selection
-        unit's current-configuration CEM generator.
-        """
-        return self.fabric.counts_tuple()
-
     def _have(self) -> dict[FUType, int]:
         """Loaded + in-flight units per type (RFU portion only)."""
         have: dict[FUType, int] = {}

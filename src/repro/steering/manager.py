@@ -1,17 +1,16 @@
 """The configuration manager: selection unit + loader, clocked per cycle.
 
-Each cycle the manager
+Each cycle
 
-1. feeds the ready instructions and the live configured-unit counts to the
-   selection unit,
-2. points the loader at the chosen steering configuration (or clears the
-   target when the current configuration wins), and
+1. the steering policy has the selection unit choose a candidate from the
+   window's demand and the live configured-unit counts
+   (:meth:`ConfigurationSelectionUnit.select_demand
+   <repro.steering.selection.ConfigurationSelectionUnit.select_demand>`),
+   and reuses the previous result while neither input moved;
+2. :meth:`ConfigurationManager.apply` points the loader at the chosen
+   steering configuration (or clears the target when the current
+   configuration wins), and
 3. lets the loader start at most one partial reconfiguration.
-
-Step 1 is a pure function of its two inputs, so a caller that knows they
-have not changed may hand the previous :class:`SelectionResult` to
-:meth:`ConfigurationManager.apply`, which runs steps 2 and 3 and counts the
-cycle exactly as :meth:`ConfigurationManager.cycle` would.
 
 It also keeps the statistics the evaluation harness reports (selection
 histogram, mean selected error) and the most recent cycle's result, which
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 
 from repro.fabric.configuration import PREDEFINED_CONFIGS, Configuration
 from repro.fabric.fabric import Fabric
-from repro.isa.instruction import Instruction
 from repro.steering.loader import ConfigurationLoader
 from repro.steering.selection import ConfigurationSelectionUnit, SelectionResult
 
@@ -64,13 +62,10 @@ class ConfigurationManager:
         fabric: Fabric,
         configs: Sequence[Configuration] = PREDEFINED_CONFIGS,
         use_exact_metric: bool = False,
-        queue_size: int = 7,
     ) -> None:
         self.fabric = fabric
         self.selection_unit = ConfigurationSelectionUnit(
-            configs=configs,
-            queue_size=queue_size,
-            use_exact_metric=use_exact_metric,
+            configs=configs, use_exact_metric=use_exact_metric
         )
         self.loader = ConfigurationLoader(fabric)
         self.stats = ManagerStats()
@@ -82,12 +77,6 @@ class ConfigurationManager:
         self.last_result: SelectionResult | None = None
         #: 6-bit CEM error of the winning candidate in the most recent cycle.
         self.last_error: int = 0
-
-    def cycle(self, ready_queue: Sequence[Instruction]) -> SelectionResult:
-        """One clock of the manager.  ``ready_queue`` holds the unscheduled
-        instructions the selection unit inspects (at most the queue size)."""
-        counts = self.loader.current_counts()
-        return self.apply(self.selection_unit.select(ready_queue, counts))
 
     def apply(self, result: SelectionResult) -> SelectionResult:
         """One clock of the manager with this cycle's selection already

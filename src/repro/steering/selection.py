@@ -273,8 +273,8 @@ class ConfigurationSelectionUnit:
         self, demand: int, current_counts: tuple[int, ...]
     ) -> SelectionResult:
         """:meth:`select_required` for the window's packed per-type count
-        (:data:`~repro.isa.futypes.COUNT_ONE`; counting at most
-        ``queue_size`` instructions is the caller's part).
+        (:data:`~repro.isa.futypes.COUNT_ONE`; counting the window is the
+        caller's part: the policies read the RUU's ``waiting_demand``).
 
         Memoised per unit by ``demand``; the memo is dropped whenever
         ``current_counts`` differs from the counts it was filled under.
@@ -295,7 +295,10 @@ class ConfigurationSelectionUnit:
     ) -> SelectionResult:
         """Run all four stages and return the two-bit selection: the first
         ``queue_size`` entries of ``queue`` counted by unit type, then
-        :func:`required_of` and :meth:`select_required`."""
+        :func:`required_of` and :meth:`select_required`.
+
+        A reference model: the tests drive the unit from an instruction
+        queue through it; the simulator calls :meth:`select_demand`."""
         demand = 0
         for instr in islice(queue, self.queue_size):
             demand += COUNT_ONE[instr.fu_type]

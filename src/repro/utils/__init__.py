@@ -1,25 +1,6 @@
-"""Shared low-level helpers: bit manipulation and argument validation."""
+"""Shared low-level helpers: bit manipulation, canonical JSON and
+environment flags."""
 
-from repro.utils.bitops import (
-    bit,
-    bits,
-    mask,
-    popcount,
-    sign_extend,
-    to_signed,
-    to_unsigned,
-)
-from repro.utils.validation import check_in_range, check_non_negative, check_width
+from repro.utils.bitops import bits, mask, sign_extend, to_signed, to_unsigned
 
-__all__ = [
-    "bit",
-    "bits",
-    "mask",
-    "popcount",
-    "sign_extend",
-    "to_signed",
-    "to_unsigned",
-    "check_in_range",
-    "check_non_negative",
-    "check_width",
-]
+__all__ = ["bits", "mask", "sign_extend", "to_signed", "to_unsigned"]

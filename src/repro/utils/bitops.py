@@ -7,18 +7,7 @@ faithful to their hardware counterparts.
 
 from __future__ import annotations
 
-__all__ = [
-    "mask",
-    "bit",
-    "bits",
-    "set_bits",
-    "popcount",
-    "sign_extend",
-    "to_signed",
-    "to_unsigned",
-    "ones",
-    "reverse_bits",
-]
+__all__ = ["mask", "bits", "sign_extend", "to_signed", "to_unsigned"]
 
 
 def mask(width: int) -> int:
@@ -28,36 +17,14 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def bit(value: int, index: int) -> int:
-    """Return bit ``index`` (0 = LSB) of ``value`` as 0 or 1."""
-    if index < 0:
-        raise ValueError(f"bit index must be non-negative, got {index}")
-    return (value >> index) & 1
-
-
 def bits(value: int, high: int, low: int) -> int:
-    """Return the bit field ``value[high:low]`` inclusive, right-aligned."""
+    """Return the bit field ``value[high:low]`` inclusive, right-aligned.
+
+    A reference model: the reference decoder the decode tests check
+    :func:`repro.isa.encoding.decode` against reads fields with it."""
     if high < low:
         raise ValueError(f"bit range [{high}:{low}] is empty")
     return (value >> low) & mask(high - low + 1)
-
-
-def set_bits(value: int, high: int, low: int, field: int) -> int:
-    """Return ``value`` with the inclusive field ``[high:low]`` replaced by ``field``."""
-    if high < low:
-        raise ValueError(f"bit range [{high}:{low}] is empty")
-    width = high - low + 1
-    if field < 0 or field > mask(width):
-        raise ValueError(f"field {field:#x} does not fit in {width} bits")
-    cleared = value & ~(mask(width) << low)
-    return cleared | (field << low)
-
-
-def popcount(value: int) -> int:
-    """Number of set bits in a non-negative integer."""
-    if value < 0:
-        raise ValueError("popcount is defined for non-negative values only")
-    return value.bit_count()
 
 
 def sign_extend(value: int, width: int) -> int:
@@ -68,23 +35,13 @@ def sign_extend(value: int, width: int) -> int:
 
 
 def to_signed(value: int, width: int) -> int:
-    """Alias of :func:`sign_extend` (reads better at call sites)."""
+    """Alias of :func:`sign_extend`; a reference model, as the semantics
+    tests state expected results with it."""
     return sign_extend(value, width)
 
 
 def to_unsigned(value: int, width: int) -> int:
-    """Truncate a (possibly negative) integer to ``width`` unsigned bits."""
+    """Truncate a (possibly negative) integer to ``width`` unsigned bits;
+    a reference model, as the semantics tests state expected results with
+    it."""
     return value & mask(width)
-
-
-def ones(value: int, width: int) -> list[int]:
-    """Indices of set bits of ``value`` within the low ``width`` bits, ascending."""
-    return [i for i in range(width) if (value >> i) & 1]
-
-
-def reverse_bits(value: int, width: int) -> int:
-    """Bit-reverse ``value`` within ``width`` bits."""
-    out = 0
-    for i in range(width):
-        out = (out << 1) | ((value >> i) & 1)
-    return out

@@ -25,6 +25,7 @@ from repro.workloads.kernels import (
     dot_product,
     fir_filter,
     kernel_by_name,
+    kernel_factories,
     matmul,
     memcpy,
     newton_sqrt,
@@ -44,7 +45,6 @@ from repro.workloads.kernels_numeric import (
     binary_search,
     gcd,
     horner,
-    numeric_kernels,
     popcount_soft,
     transpose,
 )
@@ -62,6 +62,7 @@ __all__ = [
     "Kernel",
     "all_kernels",
     "kernel_by_name",
+    "kernel_factories",
     "sum_reduction",
     "dot_product",
     "saxpy",
@@ -82,7 +83,6 @@ __all__ = [
     "binary_search",
     "transpose",
     "horner",
-    "numeric_kernels",
     "MixSpec",
     "synthetic_program",
     "phased_program",

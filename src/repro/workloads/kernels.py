@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
@@ -30,6 +31,7 @@ __all__ = [
     "checksum",
     "newton_sqrt",
     "all_kernels",
+    "kernel_factories",
     "kernel_by_name",
 ]
 
@@ -383,10 +385,13 @@ def all_kernels() -> list[Kernel]:
     ]
 
 
-def kernel_by_name(name: str, **kwargs) -> Kernel:
+def kernel_factories() -> dict[str, Callable[..., Kernel]]:
+    """Every kernel factory by name: the table :func:`kernel_by_name`
+    reads and ``repro kernels`` lists.  :func:`all_kernels` builds only
+    the first eight."""
     from repro.workloads import kernels_extra, kernels_numeric
 
-    factories = {
+    return {
         "sum_reduction": sum_reduction,
         "dot_product": dot_product,
         "saxpy": saxpy,
@@ -407,7 +412,11 @@ def kernel_by_name(name: str, **kwargs) -> Kernel:
         "transpose": kernels_numeric.transpose,
         "horner": kernels_numeric.horner,
     }
-    try:
-        return factories[name](**kwargs)
-    except KeyError:
-        raise WorkloadError(f"unknown kernel {name!r}") from None
+
+
+def kernel_by_name(name: str, **kwargs) -> Kernel:
+    """The kernel ``name`` names, built with ``kwargs``."""
+    factory = kernel_factories().get(name)
+    if factory is None:
+        raise WorkloadError(f"unknown kernel {name!r}")
+    return factory(**kwargs)

@@ -21,7 +21,6 @@ __all__ = [
     "binary_search",
     "transpose",
     "horner",
-    "numeric_kernels",
 ]
 
 
@@ -191,8 +190,3 @@ def horner(coeffs: list[float] | None = None, x: float = 1.25) -> Kernel:
         expected_floats={"result": acc},
         dominant=(FUType.FP_MDU, FUType.FP_ALU),
     )
-
-
-def numeric_kernels() -> list[Kernel]:
-    """One instance of every numeric kernel at its default size."""
-    return [gcd(), popcount_soft(), binary_search(), transpose(), horner()]

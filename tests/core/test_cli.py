@@ -5,6 +5,8 @@ import hashlib
 import pytest
 
 from repro.cli import main
+from repro.errors import WorkloadError
+from repro.workloads import kernel_by_name, kernel_factories, resolve_program
 
 
 class TestKernels:
@@ -12,6 +14,22 @@ class TestKernels:
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
         assert "checksum" in out and "saxpy" in out
+
+    def test_lists_every_accepted_name(self, capsys):
+        """The listing names exactly the kernels ``run`` and served jobs
+        accept (``kernel_by_name``), the extended and numeric ones too."""
+        assert main(["kernels"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]  # header, rule
+        listed = [row.split()[0] for row in rows]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(kernel_factories())
+        for name in ("gcd", "bubble_sort", "horner", "vector_max"):
+            assert name in listed
+        for name in listed:
+            assert kernel_by_name(name).name == name
+            assert resolve_program(name) is not None
+        with pytest.raises(WorkloadError):
+            kernel_by_name("not_a_kernel")
 
 
 class TestRun:

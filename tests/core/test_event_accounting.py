@@ -101,9 +101,6 @@ class Invalidate:
         for attr in ("_demand_seen", "_retired_seen"):
             if hasattr(policy, attr):
                 setattr(policy, attr, -1)
-        window = getattr(policy, "_window", None)
-        if window is not None:
-            window._version = -1
         if hasattr(policy, "_reset_window"):
             policy._reset_window()
         if hasattr(policy, "_choices"):
@@ -159,7 +156,7 @@ def test_cutoff_counts_units_still_in_flight(policy):
         assert res.cycles == max_cycles and not res.halted
         assert res.busy_unit_cycles == recount.busy
         assert res.configured_unit_cycles == recount.configured
-        cut_in_flight += any(e.state is EntryState.ISSUED for e in proc.ruu.in_order())
+        cut_in_flight += any(e.state is EntryState.ISSUED for e in proc.ruu._order)
     # result() had open occupancies to add, not only closed ones
     assert cut_in_flight > 0
 

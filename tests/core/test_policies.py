@@ -135,7 +135,7 @@ class TestOracleSteering:
     def test_oracle_requires_trace(self):
         policy = OracleSteering(trace=[], lookahead=8)
         fabric = Fabric(reconfig_latency=1)
-        policy.bind(fabric)
+        policy.bind(fabric, ProcessorParams())
         # empty trace: keeps current, no crash
         policy.cycle(RegisterUpdateUnit(fabric, DataMemory(size=64)))
 
@@ -176,32 +176,38 @@ class TestOracleWindow:
         the floating one and wins the tie, so the target is dropped."""
         policy = OracleSteering([FUType.FP_ALU] * 200, lookahead=64)
         fabric = Fabric(reconfig_latency=1)
-        policy.bind(fabric)
+        policy.bind(fabric, ProcessorParams())
         ruu = RegisterUpdateUnit(fabric, DataMemory(size=64))
         policy.cycle(ruu)
-        assert policy.loader.target is CONFIG_FLOATING
+        assert policy.loader._target is CONFIG_FLOATING
         for _ in range(10):
             fabric.tick()
             policy.cycle(ruu)
         assert fabric.rfus.counts() == {FUType.FP_ALU: 1}
-        assert policy.loader.target is None
+        assert policy.loader._target is None
 
     def test_rebinding_restarts_the_window(self):
         trace = list(FU_TYPES) * 20
         policy = OracleSteering(trace, lookahead=8)
-        policy.bind(Fabric(reconfig_latency=1))
+        policy.bind(Fabric(reconfig_latency=1), ProcessorParams())
         policy._window_required(50)
-        policy.bind(Fabric(reconfig_latency=1))
+        policy.bind(Fabric(reconfig_latency=1), ProcessorParams())
         assert policy._window_required(3) == self._recount(trace, 3, 8)
 
 
 class TestPaperSteeringPolicy:
     def test_describe_mentions_metric(self):
-        assert "shift-approximate" in PaperSteering().describe()
-        assert "exact" in PaperSteering(use_exact_metric=True).describe()
+        for exact, text in ((False, "shift-approximate"), (True, "exact")):
+            policy = PaperSteering()
+            policy.bind(Fabric(), ProcessorParams(use_exact_metric=exact))
+            assert text in policy.describe()
 
     def test_exact_metric_name(self):
-        assert PaperSteering(use_exact_metric=True).name == "steering-exact"
+        policy = PaperSteering()
+        policy.bind(Fabric(), ProcessorParams(use_exact_metric=True))
+        assert policy.name == "steering-exact"
+        policy.bind(Fabric(), ProcessorParams())
+        assert policy.name == "steering"
 
     def test_steering_beats_ffu_only_on_matched_workload(self):
         """The headline direction: steering adds integer units for an

@@ -60,7 +60,7 @@ class TestBasicExecution:
         proc = fixed_superscalar(program)
         result = proc.run()
         assert result.halted
-        assert proc.ruu.regfile.x(1) == 0
+        assert proc.ruu.regfile.read("int", 1) == 0
 
     def test_ipc_positive_and_bounded(self):
         kernel = checksum(iterations=50)
@@ -112,8 +112,8 @@ class TestBranchHandling:
         proc = steering_processor(program, _FAST)
         result = proc.run()
         assert result.halted
-        assert proc.ruu.regfile.x(2) == 10  # odd counts
-        assert proc.ruu.regfile.x(3) == 10  # even counts
+        assert proc.ruu.regfile.read("int", 2) == 10  # odd counts
+        assert proc.ruu.regfile.read("int", 3) == 10  # even counts
         assert result.mispredictions > 0
         assert result.flushes > 0
 
@@ -139,7 +139,7 @@ class TestBranchHandling:
         proc = steering_processor(program, _FAST)
         result = proc.run()
         assert result.halted
-        assert proc.ruu.regfile.x(5) == 3
+        assert proc.ruu.regfile.read("int", 5) == 3
 
 
 class TestStats:

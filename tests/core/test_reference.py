@@ -11,7 +11,7 @@ from repro.isa.futypes import FUType
 class TestReference:
     def test_simple_arithmetic(self):
         ref = run_reference(assemble("li x1, 6\nli x2, 7\nmul x3, x1, x2\nhalt\n"))
-        assert ref.registers.x(3) == 42
+        assert ref.registers.read("int", 3) == 42
         assert ref.halted
 
     def test_loop(self):
@@ -19,7 +19,7 @@ class TestReference:
             assemble("li x1, 5\nli x2, 0\nloop: add x2, x2, x1\naddi x1, x1, -1\n"
                       "bne x1, x0, loop\nhalt\n")
         )
-        assert ref.registers.x(2) == 15
+        assert ref.registers.read("int", 2) == 15
 
     def test_memory(self):
         ref = run_reference(
@@ -33,7 +33,7 @@ class TestReference:
             assemble(".data\na: .float 1.5\n.text\n"
                       "flw f1, a(x0)\nfadd f2, f1, f1\nhalt\n")
         )
-        assert ref.registers.f(2) == 3.0
+        assert ref.registers.read("fp", 2) == 3.0
 
     def test_call_ret(self):
         ref = run_reference(
@@ -57,4 +57,4 @@ class TestReference:
         ref = run_reference(
             assemble("li x1, 1\nhalt\nmain: li x1, 2\nhalt\n")
         )
-        assert ref.registers.x(1) == 2
+        assert ref.registers.read("int", 1) == 2

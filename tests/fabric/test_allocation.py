@@ -45,7 +45,8 @@ class TestFromUnits:
             {0: FUType.INT_ALU, 1: FUType.INT_ALU, 2: FUType.INT_ALU,
              3: FUType.INT_ALU, 4: FUType.INT_MDU, 6: FUType.INT_MDU},
         )
-        assert v.counts() == {FUType.INT_ALU: 4, FUType.INT_MDU: 2}
+        alu, mdu = FUType.INT_ALU.encoding, FUType.INT_MDU.encoding
+        assert v.entries == (alu, alu, alu, alu, mdu, SPAN_ENCODING, mdu, SPAN_ENCODING)
 
     def test_overrun_rejected(self):
         with pytest.raises(FabricError, match="overruns"):
@@ -75,34 +76,6 @@ class TestValidation:
             AllocationVector((0b110,))
 
 
-class TestQueries:
-    def test_heads(self):
-        v = AllocationVector.from_units(8, {0: FUType.LSU, 1: FUType.FP_MDU})
-        assert v.heads() == [(0, FUType.LSU), (1, FUType.FP_MDU)]
-
-    def test_counts_counts_units_not_slots(self):
-        v = AllocationVector.from_units(8, {0: FUType.FP_ALU, 3: FUType.FP_MDU})
-        assert v.counts() == {FUType.FP_ALU: 1, FUType.FP_MDU: 1}
-
-    def test_diff_slots_is_xor(self):
-        a = AllocationVector.from_units(4, {0: FUType.INT_ALU, 1: FUType.INT_ALU})
-        b = AllocationVector.from_units(4, {0: FUType.INT_ALU, 1: FUType.LSU})
-        assert a.diff_slots(b) == [1]
-        assert a.diff_slots(a) == []
-
-    def test_diff_length_mismatch(self):
-        a = AllocationVector.from_units(4, {})
-        b = AllocationVector.from_units(8, {})
-        with pytest.raises(FabricError):
-            a.diff_slots(b)
-
-    def test_render(self):
-        v = AllocationVector.from_units(2, {0: FUType.INT_MDU})
-        text = v.render()
-        assert "slot 0: 010 IMDU" in text
-        assert "slot 1: 111 SPAN" in text
-
-
 @given(st.lists(st.sampled_from(list(FU_TYPES)), max_size=5))
 def test_first_fit_placements_always_valid(types):
     """Property: packing units first-fit never produces an invalid vector."""
@@ -114,4 +87,9 @@ def test_first_fit_placements_always_valid(types):
         placements[cursor] = t
         cursor += t.slot_cost
     v = AllocationVector.from_units(16, placements)
-    assert sorted(v.heads()) == sorted(placements.items())
+    heads = {
+        i: FUType(e)
+        for i, e in enumerate(v.entries)
+        if e not in (EMPTY_ENCODING, SPAN_ENCODING)
+    }
+    assert heads == placements

@@ -64,12 +64,8 @@ def _random_step(rng, fabric):
     occupiable = [t for t in FU_TYPES if idle[t] > 0]
     if occupiable:
         choices.append("occupy")
-    busy = [
-        u
-        for units in fabric.units_by_type().values()
-        for u in units
-        if not u.available
-    ]
+    units = fabric.ffus.units + [u for _, u in fabric.rfus.units()]
+    busy = [u for u in units if not u.available]
     if busy:
         choices.append("release")
     if fabric.rfus.bus_free:

@@ -67,14 +67,6 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             Configuration("neg", {FUType.LSU: -1})
 
-    def test_unit_list_in_canonical_order(self):
-        cfg = Configuration("x", {FUType.FP_MDU: 1, FUType.INT_ALU: 2})
-        assert cfg.unit_list() == [FUType.INT_ALU, FUType.INT_ALU, FUType.FP_MDU]
-
-    def test_total_with_ffus(self):
-        assert CONFIG_INTEGER.total_with_ffus(FUType.INT_ALU) == 5
-        assert CONFIG_INTEGER.total_with_ffus(FUType.FP_MDU) == 1
-
     def test_as_vector(self):
         assert CONFIG_MEMORY.as_vector() == (2, 1, 4, 0, 0)
 

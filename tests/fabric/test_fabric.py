@@ -17,43 +17,53 @@ def _load(fabric, head, fu_type):
         fabric.tick()
 
 
+def _counts(fabric):
+    """Configured units per type, fixed and loaded."""
+    return dict(zip(FU_TYPES, fabric.counts_tuple()))
+
+
+def _available(fabric, fu_type):
+    """Eq. 1 for one type, read from the availability bus."""
+    return bool(fabric.availability_bits() & (1 << fu_type.bit_index))
+
+
 class TestCounts:
     def test_initial_counts_are_ffus_only(self):
         f = _fabric()
-        assert f.counts() == {t: 1 for t in FU_TYPES}
-        assert f.counts(include_ffus=False) == {t: 0 for t in FU_TYPES}
+        assert _counts(f) == {t: 1 for t in FU_TYPES}
+        assert f.rfus.counts() == {}
 
     def test_counts_after_loading(self):
         f = _fabric()
         _load(f, 0, FUType.INT_ALU)
         _load(f, 1, FUType.INT_ALU)
-        assert f.counts()[FUType.INT_ALU] == 3
+        assert _counts(f)[FUType.INT_ALU] == 3
 
     def test_pending_units_not_counted(self):
         f = Fabric(reconfig_latency=50)
         f.rfus.begin_reconfigure(0, FUType.LSU)
-        assert f.counts()[FUType.LSU] == 1  # only the FFU
+        assert _counts(f)[FUType.LSU] == 1  # only the FFU
 
 
 class TestAvailability:
     def test_ffu_available_initially(self):
         f = _fabric()
         for t in FU_TYPES:
-            assert f.available(t)
+            assert _available(f, t)
 
     def test_unavailable_when_all_busy(self):
         f = _fabric()
         f.issue(FUType.LSU)
-        assert not f.available(FUType.LSU)
-        assert f.available(FUType.INT_ALU)
+        assert not _available(f, FUType.LSU)
+        assert _available(f, FUType.INT_ALU)
 
     def test_rfu_copy_restores_availability(self):
         f = _fabric()
         _load(f, 0, FUType.LSU)
         f.issue(FUType.LSU)
-        assert f.available(FUType.LSU)  # the RFU copy is still idle
+        assert _available(f, FUType.LSU)  # the RFU copy is still idle
         f.issue(FUType.LSU)
-        assert not f.available(FUType.LSU)
+        assert not _available(f, FUType.LSU)
 
 
 class TestIssue:
@@ -83,9 +93,9 @@ class TestIssue:
         unit = f.issue(FUType.INT_MDU)
         f.tick()
         f.tick()
-        assert not f.available(FUType.INT_MDU)
+        assert not _available(f, FUType.INT_MDU)
         f.release(unit)
-        assert f.available(FUType.INT_MDU)
+        assert _available(f, FUType.INT_MDU)
 
 
 class TestFullAllocation:
@@ -106,7 +116,8 @@ class TestFullAllocation:
     def test_utilisation(self):
         f = _fabric()
         f.issue(FUType.INT_ALU)
-        busy, total = f.utilisation()[FUType.INT_ALU]
+        total = _counts(f)[FUType.INT_ALU]
+        busy = total - f.idle_counts()[FUType.INT_ALU]
         assert (busy, total) == (1, 1)
 
     def test_reconfigurations_property(self):
@@ -134,19 +145,17 @@ class TestFastPathEquivalence:
                     f.rfus.begin_reconfigure(head, t)
             elif op < 0.6:
                 t = rng.choice(list(FU_TYPES))
-                if f.idle_unit(t) is not None:
+                if f.idle_counts()[t]:
                     f.issue(t)
             elif op < 0.8:
-                busy = [
-                    u for us in f.units_by_type().values() for u in us
-                    if not u.available
-                ]
+                units = f.ffus.units + [u for _, u in f.rfus.units()]
+                busy = [u for u in units if not u.available]
                 if busy:
                     f.release(rng.choice(busy))
             f.tick()
             allocation, availability = f.full_allocation()
             for t in FU_TYPES:
-                assert f.available(t) == eq1(t, allocation, availability), (
+                assert _available(f, t) == eq1(t, allocation, availability), (
                     step,
                     t,
                 )

@@ -25,6 +25,11 @@ def _drain(arr, limit=1000):
     raise AssertionError("bus never freed")
 
 
+
+def _first_unit(arr, fu_type):
+    """The configured unit of ``fu_type`` in the lowest slot."""
+    return next(u for _, u in arr.units() if u.fu_type is fu_type)
+
 class TestLoading:
     def test_load_single_slot_unit(self):
         arr = RfuSlotArray(reconfig_latency=4)
@@ -92,7 +97,7 @@ class TestEviction:
     def test_busy_unit_protected(self):
         """§3.2: an RFU executing a multi-cycle op cannot be reconfigured."""
         arr = _loaded_array(reconfig_latency=1)
-        fp = arr.units_of_type(FUType.FP_ALU)[0]
+        fp = _first_unit(arr, FUType.FP_ALU)
         fp.busy = True
         with pytest.raises(FabricError):
             arr.begin_reconfigure(1, FUType.LSU)
@@ -100,7 +105,7 @@ class TestEviction:
 
     def test_busy_unit_reconfigurable_after_retirement(self):
         arr = _loaded_array(reconfig_latency=1)
-        fp = arr.units_of_type(FUType.FP_ALU)[0]
+        fp = _first_unit(arr, FUType.FP_ALU)
         fp.busy = True
         assert not arr.range_reconfigurable(1, FUType.LSU)
         fp.busy = False  # the instruction retired
@@ -120,7 +125,7 @@ class TestQueries:
 
     def test_slot_busy(self):
         arr = _loaded_array(reconfig_latency=1)
-        arr.units_of_type(FUType.FP_ALU)[0].busy = True
+        _first_unit(arr, FUType.FP_ALU).busy = True
         assert arr.slot_busy(1) and arr.slot_busy(2) and arr.slot_busy(3)
         assert not arr.slot_busy(0)
         assert not arr.slot_busy(7)

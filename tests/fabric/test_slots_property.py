@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FabricError
+from repro.fabric.allocation import EMPTY_ENCODING, SPAN_ENCODING
 from repro.fabric.slots import RfuSlotArray
 from repro.isa.futypes import FU_TYPES, FUType
 
@@ -65,7 +66,12 @@ def _check_invariants(arr: RfuSlotArray) -> None:
             assert i not in covered, f"slot {i} doubly owned"
             covered[i] = head
     # span bookkeeping agrees with the vector
-    assert dict(vec.heads()) == {h: u.fu_type for h, u in arr.units()}
+    heads = {
+        i: FUType(e)
+        for i, e in enumerate(vec.entries)
+        if e not in (EMPTY_ENCODING, SPAN_ENCODING)
+    }
+    assert heads == {h: u.fu_type for h, u in arr.units()}
     # bus exclusivity: at most one pending head
     pending_heads = [s.index for s in arr.slots if s.pending_type is not None]
     assert len(pending_heads) <= 1

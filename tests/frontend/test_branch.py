@@ -54,8 +54,8 @@ class TestBranchPredictor:
         p = BranchPredictor()
         p.update(0, taken=True, mispredicted=True)
         p.update(0, taken=True, mispredicted=False)
-        assert p.accuracy == 0.5
-        assert BranchPredictor().accuracy == 1.0
+        assert (p.updates, p.mispredictions) == (2, 1)
+        assert (BranchPredictor().updates, BranchPredictor().mispredictions) == (0, 0)
 
     def test_power_of_two_required(self):
         with pytest.raises(SimulationError):

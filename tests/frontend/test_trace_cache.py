@@ -40,19 +40,13 @@ class TestTraceCache:
         assert tc.lookup(2) == (2,)
         assert tc.lookup(1) == (1, 9)
 
-    def test_invalidate(self):
-        tc = TraceCache()
-        tc.insert(1, (1,))
-        tc.invalidate()
-        assert len(tc) == 0
-
     def test_hit_rate(self):
         tc = TraceCache()
-        assert tc.hit_rate == 0.0
+        assert (tc.hits, tc.misses) == (0, 0)
         tc.insert(1, (1,))
         tc.lookup(1)
         tc.lookup(2)
-        assert tc.hit_rate == 0.5
+        assert (tc.hits, tc.misses) == (1, 1)
 
     def test_validation(self):
         with pytest.raises(SimulationError):

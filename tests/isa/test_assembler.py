@@ -212,10 +212,12 @@ class TestBinaryRoundTrip:
         assert [decode(w) for w in words] == p.instructions
 
     def test_fu_histogram(self):
+        from collections import Counter
+
         from repro.isa.futypes import FUType
 
         p = assemble("add x1, x2, x3\nmul x4, x5, x6\nlw x7, 0(x8)\nhalt\n")
-        hist = p.fu_type_histogram()
+        hist = Counter(instr.fu_type for instr in p.instructions)
         assert hist[FUType.INT_ALU] == 2  # add + halt
         assert hist[FUType.INT_MDU] == 1
         assert hist[FUType.LSU] == 1

@@ -28,9 +28,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format
 from repro.utils.bitops import bits, mask, sign_extend
 from repro.verify.generator import generate_program
-from repro.workloads.kernels import all_kernels
-from repro.workloads.kernels_extra import extended_kernels
-from repro.workloads.kernels_numeric import numeric_kernels
+from repro.workloads.kernels import kernel_factories
 from repro.workloads.phases import phased_program
 from repro.workloads.synthetic import (
     BALANCED_MIX, FP_MIX, INT_MIX, MEM_MIX, synthetic_program,
@@ -43,8 +41,8 @@ DECODE_WORDS = 100_000
 
 def programs() -> list[tuple[str, object]]:
     """``(name, program)`` of every pinned program, in a fixed order."""
-    out = [(k.name, k.program)
-           for k in all_kernels() + extended_kernels() + numeric_kernels()]
+    out = [(name, factory().program)
+           for name, factory in kernel_factories().items()]
     for mix in (INT_MIX, MEM_MIX, FP_MIX, BALANCED_MIX):
         for seed in (0, 1, 2):
             for body_len in (24, 48):

@@ -26,9 +26,7 @@ import pytest
 
 from repro.errors import DisassemblerError
 from repro.isa.encoding import _LIVE, _forget, _Held, decode
-from repro.workloads.kernels import all_kernels
-from repro.workloads.kernels_extra import extended_kernels
-from repro.workloads.kernels_numeric import numeric_kernels
+from repro.workloads.kernels import kernel_factories
 from repro.workloads.synthetic import (
     BALANCED_MIX, FP_MIX, INT_MIX, MEM_MIX, synthetic_program,
 )
@@ -49,7 +47,7 @@ def synthetic_programs(count: int) -> list:
 
 @pytest.fixture(scope="module")
 def programs():
-    kernels = all_kernels() + extended_kernels() + numeric_kernels()
+    kernels = [factory() for factory in kernel_factories().values()]
     return [k.program for k in kernels] + synthetic_programs(20)
 
 

@@ -19,7 +19,7 @@ class TestLifecycle:
     def test_starts_waiting(self):
         e = _entry()
         assert e.state is EntryState.WAITING
-        assert not e.completed
+        assert e.state is not EntryState.COMPLETED
 
 
 class TestClassification:

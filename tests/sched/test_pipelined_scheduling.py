@@ -42,8 +42,7 @@ class TestCollisionReplay:
         assert ruu.scheduling_replays == 1
         assert e[1].state is EntryState.WAITING
         # the loser's scheduled bit is set (it believed it was selected)
-        row1 = ruu._row_of_seq(e[1].seq)
-        assert ruu.wakeup.rows[row1].scheduled
+        assert ruu.wakeup.rows[e[1].row].scheduled
         # next cycle the reschedule input clears it; once the unit frees
         # (fmul latency 5), the loser issues
         for _ in range(5):

@@ -57,16 +57,21 @@ def _decoded(src, width):
     return decode
 
 
+
+def _available(fabric, fu_type):
+    """Eq. 1 for one type, read from the availability bus."""
+    return bool(fabric.availability_bits() & (1 << fu_type.bit_index))
+
 class TestDispatch:
     def test_dispatch_pops_in_fifo_order(self):
         ruu = _ruu()
         decode = _decoded("add x1, x2, x3\nadd x4, x5, x6\nadd x7, x8, x9\n", 2)
         assert ruu.dispatch_decoded(decode) == 2
-        assert [e.pc for e in ruu.in_order()] == [0, 1]
+        assert [e.pc for e in list(ruu._order)] == [0, 1]
         assert ruu.dispatch_decoded(decode) == 1
-        assert [e.pc for e in ruu.in_order()] == [0, 1, 2]
+        assert [e.pc for e in list(ruu._order)] == [0, 1, 2]
         assert ruu.dispatch_decoded(decode) == 0
-        assert [e.seq for e in ruu.in_order()] == [0, 1, 2]
+        assert [e.seq for e in list(ruu._order)] == [0, 1, 2]
 
     def test_dispatch_respects_decode_width_and_free_rows(self):
         src = "".join(f"add x{i}, x0, x0\n" for i in range(1, 7))
@@ -74,14 +79,14 @@ class TestDispatch:
         decode = _decoded(src, 2)
         assert ruu.dispatch_decoded(decode) == 2  # the decode width
         assert ruu.dispatch_decoded(decode) == 1  # one free row left
-        assert ruu.full and len(decode) == 3
+        assert ruu.wakeup.full and len(decode) == 3
         assert ruu.dispatch_decoded(decode) == 0  # a full window stalls
         assert decode.decoded == 3 and ruu.dispatched == 3
 
     def test_window_fills(self):
         ruu = _ruu(window=2)
         _dispatch(ruu, "add x1, x2, x3\nadd x4, x5, x6\n")
-        assert ruu.full
+        assert ruu.wakeup.full
         with pytest.raises(SchedulerError):
             _dispatch(ruu, "add x7, x8, x9\n")
 
@@ -120,7 +125,7 @@ class TestIssueAndForwarding:
         assert e[0].state is EntryState.ISSUED
         assert e[1].state is EntryState.WAITING
         _cycle(ruu, 3)  # mul completes after 4 ticks total
-        assert e[0].completed
+        assert e[0].state is EntryState.COMPLETED
         issued, _ = ruu.issue_and_execute()
         assert issued == [e[1].seq]
         assert e[1].state is EntryState.ISSUED
@@ -173,7 +178,7 @@ class TestMemoryOrdering:
         ruu = _ruu()
         e = _dispatch(ruu, "sw x1, 0(x0)\nlb x2, 1(x0)\n")
         _cycle(ruu, 4)
-        assert e[0].completed
+        assert e[0].state is EntryState.COMPLETED
         assert e[1].state is EntryState.WAITING  # overlap but not exact
         ruu.retire()  # store commits to memory
         issued, _ = ruu.issue_and_execute()
@@ -204,7 +209,7 @@ class TestRetire:
         ruu = _ruu()
         e = _dispatch(ruu, "mul x1, x2, x3\nadd x4, x5, x6\n")
         _cycle(ruu, 2)
-        assert e[1].completed and not e[0].completed
+        assert e[1].state is EntryState.COMPLETED and e[0].state is not EntryState.COMPLETED
         assert ruu.retire() == []  # head (mul) not done: nothing retires
         _cycle(ruu, 3)
         retired = ruu.retire()
@@ -224,7 +229,7 @@ class TestRetire:
         _dispatch(ruu, "addi x1, x2, 10\n")
         _cycle(ruu, 2)
         ruu.retire()
-        assert ruu.regfile.x(1) == 15
+        assert ruu.regfile.read("int", 1) == 15
 
     def test_halt_sets_flag_and_stops_retirement(self):
         ruu = _ruu()
@@ -253,10 +258,10 @@ class TestCompletion:
         for _ in range(3):
             ruu.tick()
             assert e.state is EntryState.ISSUED
-            assert not ruu.fabric.available(FUType.INT_MDU)
+            assert not _available(ruu.fabric, FUType.INT_MDU)
         ruu.tick()
-        assert e.completed
-        assert ruu.fabric.available(FUType.INT_MDU)  # released at completion
+        assert e.state is EntryState.COMPLETED
+        assert _available(ruu.fabric, FUType.INT_MDU)  # released at completion
         assert ruu.clock == 4
 
     def test_single_cycle_completes_after_one_tick(self):
@@ -264,7 +269,7 @@ class TestCompletion:
         (e,) = _dispatch(ruu, "add x1, x2, x3\n")
         ruu.issue_and_execute()
         ruu.tick()
-        assert e.completed
+        assert e.state is EntryState.COMPLETED
 
     def test_waiting_entry_does_not_complete(self):
         ruu = _ruu()
@@ -287,10 +292,10 @@ class TestCompletion:
         for _ in range(3):  # through the old mul's due cycle
             ruu.tick()
         assert new.state is EntryState.ISSUED
-        assert not ruu.fabric.available(FUType.INT_MDU)
+        assert not _available(ruu.fabric, FUType.INT_MDU)
         ruu.tick()
-        assert new.completed
-        assert ruu.fabric.available(FUType.INT_MDU)
+        assert new.state is EntryState.COMPLETED
+        assert _available(ruu.fabric, FUType.INT_MDU)
 
 
 class TestFlush:
@@ -306,9 +311,9 @@ class TestFlush:
         ruu = _ruu()
         e = _dispatch(ruu, "fdiv f1, f2, f3\n")
         _cycle(ruu)  # fdiv issues, occupies the FP-MDU for 16 cycles
-        assert not ruu.fabric.available(FUType.FP_MDU)
+        assert not _available(ruu.fabric, FUType.FP_MDU)
         ruu.flush_younger(-1)
-        assert ruu.fabric.available(FUType.FP_MDU)
+        assert _available(ruu.fabric, FUType.FP_MDU)
 
     def test_flush_rebuilds_rename(self):
         ruu = _ruu()
@@ -321,34 +326,8 @@ class TestFlush:
         ruu = _ruu(window=2)
         e = _dispatch(ruu, "add x1, x2, x3\nadd x4, x5, x6\n")
         ruu.flush_younger(e[0].seq)
-        assert not ruu.full
+        assert not ruu.wakeup.full
         _dispatch(ruu, "add x7, x8, x9\n")  # row reusable
-
-
-class TestWaitingVersion:
-    """``waiting_version`` moves whenever the ready-unscheduled set does."""
-
-    def test_dispatch_grant_and_flush_move_it(self):
-        ruu = _ruu()
-        v0 = ruu.waiting_version
-        e = _dispatch(ruu, "fdiv f1, f2, f3\nadd x1, x2, x3\nadd x4, x1, x5\n")
-        v1 = ruu.waiting_version
-        assert v1 != v0
-        _cycle(ruu)  # fdiv and the first add are granted
-        v2 = ruu.waiting_version
-        assert v2 != v1
-        ruu.flush_younger(e[1].seq)  # squashes the still-waiting add
-        assert ruu.waiting_version != v2
-        assert [i.mnemonic for i in ruu.ready_unscheduled()] == []
-
-    def test_completion_and_retire_leave_it(self):
-        ruu = _ruu()
-        _dispatch(ruu, "add x1, x2, x3\n")
-        _cycle(ruu)
-        version = ruu.waiting_version
-        _cycle(ruu, 3)
-        ruu.retire()
-        assert ruu.waiting_version == version
 
 
 class TestWaitingDemand:
@@ -393,6 +372,16 @@ class TestWaitingDemand:
         assert unpack_counts(ruu.waiting_demand) == (1, 0, 0, 0, 0)
         ruu.flush_younger(e[1].seq)  # squashes the still-waiting add
         assert ruu.waiting_demand == 0
+
+    def test_completion_and_retire_leave_it(self):
+        ruu = _ruu()
+        _dispatch(ruu, "add x1, x2, x3\nfdiv f1, f2, f3\nfdiv f4, f5, f6\n")
+        _cycle(ruu)  # the add and one fdiv are granted; one fdiv waits
+        demand = ruu.waiting_demand
+        assert unpack_counts(demand) == (0, 0, 0, 0, 1)
+        _cycle(ruu, 3)  # the add completes; the first fdiv still runs
+        ruu.retire()
+        assert ruu.waiting_demand == demand
 
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_matches_ready_unscheduled_on_bubble_sort(self, pipelined):
@@ -451,7 +440,7 @@ class TestControl:
         _dispatch(ruu, "jal x1, 3\n", predicted={0: 3})
         _cycle(ruu, 2)
         ruu.retire()
-        assert ruu.regfile.x(1) == 1  # return address = pc + 1
+        assert ruu.regfile.read("int", 1) == 1  # return address = pc + 1
 
 
 class TestProducerBinding:
@@ -466,8 +455,8 @@ class TestProducerBinding:
         e = _dispatch(ruu, "add x1, x2, x3\nadd x4, x1, x0\n")
         assert e[1].producer1 is e[0]
         _cycle(ruu)  # the producer issues and completes
-        assert e[0].completed and not e[0].retired
-        assert ruu.regfile.x(1) == 0  # not committed yet
+        assert e[0].state is EntryState.COMPLETED and not e[0].retired
+        assert ruu.regfile.read("int", 1) == 0  # not committed yet
         _cycle(ruu)
         assert e[1].result == 42
 
@@ -530,7 +519,7 @@ class TestProducerBinding:
             "add x3, x1, x2\nadd x4, x3, x1\n",
         )
         ruu.flush_younger(e[1].seq)
-        survivors = ruu.in_order()
+        survivors = list(ruu._order)
         assert survivors == e[:2]
         assert set(map(id, ruu._rename.values())) <= set(map(id, survivors))
         assert ruu._rename == {("int", 1): e[0], ("int", 2): e[1]}

@@ -24,7 +24,7 @@ class TestInsertRemove:
         assert arr.insert(FUType.INT_ALU, 0) == 0
         assert arr.insert(FUType.LSU, 0) == 1
         assert len(arr) == 2
-        assert arr.free_rows() == [2, 3]
+        assert [i for i, row in enumerate(arr.rows) if row is None] == [2, 3]
 
     def test_full_array_rejects(self):
         arr = WakeupArray(1)

@@ -45,7 +45,7 @@ def test_random_operation_sequences_match_reference(seed):
         if len(occupied) < n:
             ops.append("insert")
         if occupied:
-            ops += ["remove", "reschedule", "column"]
+            ops += ["remove", "reschedule"]
         if occupied - scheduled:
             ops.append("schedule")
         op = rng.choice(ops)
@@ -69,8 +69,6 @@ def test_random_operation_sequences_match_reference(seed):
             row = rng.choice(sorted(occupied))
             arr.reschedule(row)
             scheduled.discard(row)
-        elif op == "column":
-            arr.clear_column(rng.randrange(n))
         resource_bits = rng.randrange(1 << NUM_FU_TYPES)
         result_bits = rng.randrange(1 << n)
         _assert_equivalent(arr, resource_bits, result_bits)

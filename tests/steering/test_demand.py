@@ -8,6 +8,11 @@ from repro.isa.futypes import FU_TYPES, FUType
 from repro.steering.demand import DemandSynthesizer
 
 
+#: configured counts of an empty fabric: any synthesis that provides a
+#: demanded type beats it by the margin, so :meth:`propose` adopts it.
+_EMPTY = (0,) * len(FU_TYPES)
+
+
 def _required(**kwargs):
     by_name = {t.short_name: t for t in FU_TYPES}
     out = [0] * len(FU_TYPES)
@@ -21,7 +26,7 @@ class TestObserve:
         synth = DemandSynthesizer(smoothing=0.5)
         for _ in range(20):
             synth.observe(_required(ialu=4, imdu=2))
-        demand = synth.demand
+        demand = synth._demand
         assert demand[FUType.INT_ALU.bit_index] == pytest.approx(4, abs=0.01)
         assert demand[FUType.INT_MDU.bit_index] == pytest.approx(2, abs=0.01)
 
@@ -43,7 +48,7 @@ class TestSynthesize:
         synth = DemandSynthesizer(smoothing=0.5)
         for _ in range(20):
             synth.observe(_required(ialu=5, imdu=2))
-        cfg = synth.synthesize()
+        cfg = synth.propose(_EMPTY)
         assert cfg.count(FUType.INT_ALU) >= 2
         assert cfg.count(FUType.FP_ALU) == 0
         assert cfg.slot_usage <= NUM_RFU_SLOTS
@@ -52,22 +57,21 @@ class TestSynthesize:
         synth = DemandSynthesizer(smoothing=0.5)
         for _ in range(20):
             synth.observe(_required(fpmdu=4, fpalu=2, lsu=1))
-        cfg = synth.synthesize()
+        cfg = synth.propose(_EMPTY)
         assert cfg.count(FUType.FP_MDU) >= 1
 
     def test_no_demand_yields_empty_config(self):
-        cfg = DemandSynthesizer().synthesize()
-        assert cfg.slot_usage == 0
+        assert DemandSynthesizer().propose(_EMPTY) is None
 
     def test_budget_never_exceeded(self):
         synth = DemandSynthesizer(smoothing=1.0)
         synth.observe(_required(ialu=7, imdu=7, lsu=7, fpalu=7, fpmdu=7))
-        assert synth.synthesize().slot_usage <= NUM_RFU_SLOTS
+        assert synth.propose(_EMPTY).slot_usage <= NUM_RFU_SLOTS
 
     def test_synthesized_names_unique(self):
         synth = DemandSynthesizer(smoothing=0.5)
         synth.observe(_required(ialu=4))
-        a, b = synth.synthesize(), synth.synthesize()
+        a, b = synth.propose(_EMPTY), synth.propose(_EMPTY)
         assert a.name != b.name
 
 
@@ -76,23 +80,20 @@ class TestHysteresis:
         synth = DemandSynthesizer(smoothing=0.5)
         for _ in range(20):
             synth.observe(_required(ialu=4))
-        target = synth.synthesize()
         # current fabric already has lots of IALUs: no improvement
         current = (5, 1, 1, 1, 1)
-        assert not synth.should_retarget(target, current)
+        assert synth.propose(current) is None
 
     def test_retarget_on_clear_improvement(self):
         synth = DemandSynthesizer(smoothing=0.5)
         for _ in range(20):
             synth.observe(_required(fpmdu=5))
-        target = synth.synthesize()
         current = (5, 3, 1, 1, 1)  # integer fabric, FP demand
-        assert synth.should_retarget(target, current)
+        target = synth.propose(current)
+        assert target is not None and target.count(FUType.FP_MDU) >= 1
 
     def test_zero_demand_never_retargets(self):
-        synth = DemandSynthesizer()
-        target = synth.synthesize()
-        assert not synth.should_retarget(target, (1, 1, 1, 1, 1))
+        assert DemandSynthesizer().propose((1, 1, 1, 1, 1)) is None
 
 
 class TestDemandPolicyEndToEnd:

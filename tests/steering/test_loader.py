@@ -47,7 +47,7 @@ class TestTargeting:
     def test_current_counts_include_ffus(self, loader, fabric):
         loader.set_target(CONFIG_INTEGER)
         _drive(loader, fabric, 60)
-        assert loader.current_counts() == (5, 3, 1, 1, 1)
+        assert fabric.counts_tuple() == (5, 3, 1, 1, 1)
 
     def test_largest_units_placed_first(self, loader, fabric):
         loader.set_target(CONFIG_FLOATING)
@@ -84,7 +84,7 @@ class TestHybridOverlap:
         # occupy every unit of the loaded types (the fixed ones first) with a
         # long-latency op
         for _, unit in fabric.rfus.units():
-            while fabric.idle_unit(unit.fu_type) is not None:
+            while fabric.idle_counts()[unit.fu_type]:
                 fabric.issue(unit.fu_type)
         assert all(unit.busy for _, unit in fabric.rfus.units())
         loader.set_target(CONFIG_FLOATING)
@@ -102,8 +102,10 @@ class TestHybridOverlap:
         # first issue, the first loaded one the second
         fabric.issue(FUType.INT_ALU)
         busy_unit = fabric.issue(FUType.INT_ALU)
-        assert busy_unit is fabric.rfus.units_of_type(FUType.INT_ALU)[0]
-        fabric.release(fabric.ffus.units_of_type(FUType.INT_ALU)[0])
+        loaded = [u for _, u in fabric.rfus.units() if u.fu_type is FUType.INT_ALU]
+        fixed = [u for u in fabric.ffus.units if u.fu_type is FUType.INT_ALU]
+        assert busy_unit is loaded[0]
+        fabric.release(fixed[0])
         loader.set_target(CONFIG_FLOATING)
         _drive(loader, fabric, 60)
         counts = fabric.rfus.counts()

@@ -20,9 +20,16 @@ _FP_QUEUE = _queue("\n".join(["fmul f1, f2, f3"] * 4 + ["fadd f4, f5, f6"] * 3))
 _MEM_QUEUE = _queue("\n".join(["lw x1, 0(x2)"] * 5 + ["add x3, x4, x5"] * 2))
 
 
+def _cycle(manager, queue):
+    """One clock of the manager: the selection unit's four stages over
+    ``queue`` and the configured counts, then :meth:`apply`."""
+    unit = manager.selection_unit
+    return manager.apply(unit.select(queue, manager.fabric.counts_tuple()))
+
+
 def _run(manager, queue, cycles):
     for _ in range(cycles):
-        manager.cycle(queue)
+        _cycle(manager, queue)
         manager.fabric.tick()
 
 
@@ -54,7 +61,7 @@ class TestSteering:
         """After steering completes the selection switches to 'current'."""
         mgr = ConfigurationManager(fabric)
         _run(mgr, _INT_QUEUE, 60)
-        result = mgr.cycle(_INT_QUEUE)
+        result = _cycle(mgr, _INT_QUEUE)
         assert result.keeps_current
 
     def test_phase_change_resteers(self, fabric):
@@ -65,7 +72,7 @@ class TestSteering:
         assert fabric.rfus.counts().get(FUType.LSU, 0) == 0
         _run(mgr, _MEM_QUEUE, 80)
         assert fabric.rfus.counts().get(FUType.LSU, 0) >= 1
-        assert mgr.cycle(_MEM_QUEUE).keeps_current
+        assert _cycle(mgr, _MEM_QUEUE).keeps_current
 
     def test_empty_queue_is_stable(self, fabric):
         mgr = ConfigurationManager(fabric)
@@ -96,7 +103,7 @@ class TestStats:
         proc = SimpleNamespace(policy=SimpleNamespace(manager=mgr), cycle_count=0)
         selections = []
         for queue in [_FP_QUEUE] * 15 + [_INT_QUEUE] * 15:
-            mgr.cycle(queue)
+            _cycle(mgr, queue)
             fabric.tick()
             trace.on_cycle(proc, (), [], (), [], 0)
             selections.append(mgr.last_selection)

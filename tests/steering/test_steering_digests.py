@@ -1,23 +1,14 @@
-"""Pinned result digests of the steering policies off their default path.
+"""Pinned results of the demand synthesizer off its default path.
 
-The golden traces run every catalogue policy through its factory, which
-sizes the selection window to the wake-up array.  These cases pin what
-the factories never build, each as a SHA-256 over the canonical JSON of
-its records, compared with ``tests/steering/data/steering_digests.json``:
-
-* the default ``PaperSteering()`` (a 7-entry selection window) in an
-  11-entry wake-up array, so the window is the first seven waiting
-  entries rather than all of them;
-* ``DemandSteering(queue_size=3)`` in a 7-entry wake-up array;
-* a two-slot ``DemandSynthesizer`` whose fixed bank has no FP
-  multiply/divide unit, driven directly: no FP unit fits two slots, so
-  that type's error term stays ``8 * demand``, which can be below one
-  cycle.  The ``demand-N`` names of its proposals are pinned as well as
-  their digest.
-
-Each processor case runs a phased program, ``bubble_sort`` (many
-flushes) and ``checksum``, in both scheduling modes.  Regenerate the file
-only for an intended change of steering behaviour::
+The golden traces run every catalogue policy through its factory, with
+the default fixed bank.  This case pins what no factory builds: a
+two-slot ``DemandSynthesizer`` whose fixed bank has no FP multiply/divide
+unit, driven directly.  No FP unit fits two slots, so that type's error
+term stays ``8 * demand``, which can be below one cycle.  The digest is a
+SHA-256 over the canonical JSON of its proposals, and the ``demand-N``
+names of the proposals are pinned as well; both are compared with
+``tests/steering/data/steering_digests.json``.  Regenerate the file only
+for an intended change of steering behaviour::
 
     PYTHONPATH=src python -m tests.steering.test_steering_digests --write
 """
@@ -30,16 +21,9 @@ import random
 import sys
 from pathlib import Path
 
-from repro.core.params import ProcessorParams
-from repro.core.policies import DemandSteering, PaperSteering
-from repro.core.processor import Processor
 from repro.isa.futypes import FU_TYPES, FUType
 from repro.steering.demand import DemandSynthesizer, greedy_fill_counts
 from repro.utils.canonical import canonical_dumps
-from repro.workloads.kernels import checksum
-from repro.workloads.kernels_extra import bubble_sort
-from repro.workloads.phases import phased_program
-from repro.workloads.synthetic import FP_MIX, INT_MIX, MEM_MIX
 
 DIGESTS = Path(__file__).parent / "data" / "steering_digests.json"
 
@@ -52,57 +36,12 @@ ZERO_FPMDU_FFUS = {
 }
 
 
-def _programs():
-    return {
-        "phased": phased_program(
-            [(INT_MIX, 20), (MEM_MIX, 20), (FP_MIX, 20)], body_len=16, seed=3
-        ),
-        "bubble_sort": bubble_sort(16).program,
-        "checksum": checksum(iterations=60).program,
-    }
-
-
 def _digest(records) -> str:
     h = hashlib.sha256()
     for record in records:
         h.update(canonical_dumps(record).encode())
         h.update(b"\n")
     return h.hexdigest()
-
-
-def _plans(history) -> list:
-    return [
-        [plan.head, plan.fu_type.short_name,
-         [t.short_name for t in plan.evicted], plan.latency]
-        for plan in history
-    ]
-
-
-def _processor_records(make_policy, window_size: int) -> list:
-    records = []
-    for name, program in _programs().items():
-        for pipelined in (False, True):
-            params = ProcessorParams(
-                window_size=window_size, pipelined_scheduling=pipelined
-            )
-            policy = make_policy()
-            result = Processor(program, params=params, policy=policy).run(
-                max_cycles=50_000
-            )
-            record = {"program": name, "pipelined": pipelined,
-                      "result": result.to_dict()}
-            if isinstance(policy, PaperSteering):
-                stats = policy.manager.stats
-                record["total_selected_error"] = stats.total_selected_error
-                record["loads"] = _plans(policy.manager.loader.history)
-            else:
-                record["retargets"] = [
-                    [cfg.name, sorted((t.short_name, n) for t, n in cfg.counts.items())]
-                    for cfg in policy.retargets
-                ]
-                record["loads"] = _plans(policy.loader.history)
-            records.append(record)
-    return records
 
 
 def _synthesizer_run() -> tuple[list, int]:
@@ -134,7 +73,7 @@ def _synthesizer_run() -> tuple[list, int]:
             # stochastic rounding of each mean
             required = [int(m + rng.random()) for m in means]
             synth.observe(required)
-            demand = synth.demand
+            demand = synth._demand
             wrong_bound = sum(1.0 for d in demand if d > 1e-3)
             threshold = synth._saturated_error(current) * (
                 1.0 - synth.improvement_margin
@@ -160,12 +99,6 @@ def _synthesizer_run() -> tuple[list, int]:
 def compute_digests() -> dict:
     proposals, _ = _synthesizer_run()
     return {
-        "paper-default-window-11": _digest(
-            _processor_records(PaperSteering, window_size=11)
-        ),
-        "demand-queue-3-window-7": _digest(
-            _processor_records(lambda: DemandSteering(queue_size=3), window_size=7)
-        ),
         "synthesizer-zero-fpmdu": _digest(proposals),
         "synthesizer-zero-fpmdu-names": [p["name"] for p in proposals],
     }
@@ -206,7 +139,7 @@ def test_synthesizer_takes_an_unprovided_type_first_when_it_fits():
                 adopted.append(target)
     assert adopted
     assert all(target.count(FUType.FP_MDU) == 1 for target in adopted)
-    counts = greedy_fill_counts(synth.demand, 8, ZERO_FPMDU_FFUS)
+    counts = greedy_fill_counts(synth._demand, 8, ZERO_FPMDU_FFUS)
     assert counts[FUType.FP_MDU] == 1
     assert current[fp_mdu] == 1
 

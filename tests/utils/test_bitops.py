@@ -4,18 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.bitops import (
-    bit,
-    bits,
-    mask,
-    ones,
-    popcount,
-    reverse_bits,
-    set_bits,
-    sign_extend,
-    to_signed,
-    to_unsigned,
-)
+from repro.utils.bitops import bits, mask, sign_extend, to_signed, to_unsigned
 
 
 class TestMask:
@@ -32,15 +21,6 @@ class TestMask:
 
 
 class TestBitAndBits:
-    def test_bit_extraction(self):
-        assert bit(0b1010, 1) == 1
-        assert bit(0b1010, 0) == 0
-        assert bit(0b1010, 3) == 1
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            bit(1, -1)
-
     def test_bits_field(self):
         assert bits(0xDEADBEEF, 31, 16) == 0xDEAD
         assert bits(0xDEADBEEF, 15, 0) == 0xBEEF
@@ -52,20 +32,6 @@ class TestBitAndBits:
     def test_bits_empty_range_rejected(self):
         with pytest.raises(ValueError):
             bits(0, 1, 2)
-
-
-class TestSetBits:
-    def test_replace_field(self):
-        assert set_bits(0, 7, 4, 0xA) == 0xA0
-        assert set_bits(0xFF, 3, 0, 0) == 0xF0
-
-    def test_field_too_wide_rejected(self):
-        with pytest.raises(ValueError):
-            set_bits(0, 3, 0, 16)
-
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 15))
-    def test_roundtrip(self, value, field):
-        assert bits(set_bits(value, 11, 8, field), 11, 8) == field
 
 
 class TestSignExtend:
@@ -84,30 +50,3 @@ class TestSignExtend:
     def test_roundtrip_32bit(self, v):
         assert to_signed(to_unsigned(v, 32), 32) == v
 
-
-class TestPopcountOnes:
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-
-    def test_popcount_rejects_negative(self):
-        with pytest.raises(ValueError):
-            popcount(-1)
-
-    def test_ones(self):
-        assert ones(0b1011, 4) == [0, 1, 3]
-        assert ones(0, 8) == []
-
-    @given(st.integers(0, 2**20 - 1))
-    def test_ones_matches_popcount(self, v):
-        assert len(ones(v, 20)) == popcount(v)
-
-
-class TestReverseBits:
-    def test_simple(self):
-        assert reverse_bits(0b001, 3) == 0b100
-        assert reverse_bits(0b110, 3) == 0b011
-
-    @given(st.integers(0, 2**12 - 1))
-    def test_involution(self, v):
-        assert reverse_bits(reverse_bits(v, 12), 12) == v
