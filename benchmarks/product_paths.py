@@ -1,27 +1,37 @@
-"""Which functions of the simulator no product path reaches.
+"""Which functions of ``src/repro`` no product path reaches.
 
-Drives the product paths in this process under ``sys.setprofile`` and
-records every function they call:
+Drives the product paths under ``sys.setprofile`` and records every
+function they call:
 
 * the CLI commands ``kernels``, ``disasm``, ``run`` under each catalogue
   policy (and ``--compare``, ``--json``, ``--telemetry
-  --profile-stages``), ``trace``, ``report --no-cache --workers 0
-  --telemetry``, ``fuzz --seed 0 --iterations 32 --workers 0``,
-  ``goldens check``, ``lint`` and ``artifacts``;
+  --profile-stages --telemetry-out``), ``trace <kernel>``, a cold and a warm ``report
+  --workers 0 --telemetry --cache-dir D --store S``, ``fuzz --seed 0
+  --iterations 32 --workers 0``, ``goldens check``/``update``/``diff``
+  on a copy of the corpus, ``lint`` (human and ``--format json``) and
+  ``artifacts``;
+* the served stack: a ``Supervisor(workers=1, sim_pool=1, port=0)`` on
+  that store and cache (with run retention, and a namespace of other
+  code in the cache root), whose forked API and sim workers record in
+  their own processes and hand what they reached back through a file
+  when their main returns.  Every API route is hit, ETag revalidation
+  and a ``HEAD`` included, and submitted jobs run, fail and answer from
+  the cache; then ``trace <run-id>`` and ``explain <run-id>`` read a
+  served run;
 * the six ``examples/`` scripts;
 * the ``perfbench`` ``Sweep``, ``Sim`` and ``Fuzz`` workloads (set-up,
   measurement and check, at one second's size).
 
-It then lists each function defined in the simulator proper (``isa``,
-``circuits``, ``frontend``, ``sched``, ``fabric``, ``steering``,
-``core``), ``utils`` and ``workloads`` that nothing reached and that
-:data:`KEEP` does not name, with its line count, and exits 1 if it
-lists any.  A function nested in an unreached function is not listed
-apart.  A :data:`KEEP` entry that names no function, or a function that
-was reached, is listed too: the keep list is exactly what stays
-unreached on purpose.
+It then lists each function defined in every package of ``src/repro``
+and in ``cli.py`` that nothing reached and that :data:`KEEP` does not
+name, with its line count, and exits 1 if it lists any.  A function
+nested in an unreached function is not listed apart.  A :data:`KEEP`
+entry that names no function, or a function that was reached, is listed
+too: the keep list is exactly what stays unreached on purpose.  It also
+exits 1 if a child process it started is still running at the end.
 
-Stdlib only; takes about a minute.  Usage, from the repository root:
+Stdlib only; takes about 35 s on a 2-vCPU container.  Usage, from the
+repository root:
 
     PYTHONPATH=src python benchmarks/product_paths.py
 """
@@ -30,23 +40,28 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import http.client
 import io
+import json
+import multiprocessing
 import os
 import pathlib
 import runpy
+import shutil
 import sys
 import tempfile
 import threading
+import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: the packages whose unreached functions are listed.
-PACKAGES = (
-    "isa", "circuits", "frontend", "sched", "fabric", "steering", "core",
-    "utils", "workloads",
-)
+#: the packages (every one of ``src/repro``) and the module whose
+#: unreached functions are listed.
+PACKAGES = tuple(
+    sorted(p.name for p in PACKAGE_ROOT.iterdir() if (p / "__init__.py").is_file())
+) + ("cli.py",)
 
 _DUNDER = "a dunder: Python calls it for debugging output or a protocol"
 
@@ -112,6 +127,45 @@ KEEP = {
     "fabric/allocation.py::AllocationVector.__len__": _DUNDER,
     "fabric/allocation.py::AllocationVector.__getitem__": _DUNDER,
     "fabric/units.py::FunctionalUnit.__repr__": _DUNDER,
+    # the infrastructure
+    "analysis/config.py::_parse_minimal_toml":
+        "reads analysis/layers.toml on Python 3.10, which has no tomllib",
+    "analysis/rules/__init__.py::Rule.check":
+        "the base rule's abstract check; every registered rule overrides it",
+    "analysis/findings.py::Finding.sort_key":
+        "lint orders findings with it; the tree has none to order",
+    "analysis/findings.py::Finding.to_dict":
+        "lint's JSON record of a finding; the tree has none to report",
+    "verify/goldens.py::GoldenDiff.__str__":
+        "goldens check prints a drifted cell with it; the corpus is clean",
+    "verify/invariants.py::Violation.__str__":
+        "fuzz prints a violation with it; the drive's fuzz round finds none",
+    "verify/fuzz.py::_run_one":
+        "fuzz failure path: attributes a crash inside a batch to its policy",
+    "verify/fuzz.py::_still_fails_predicate":
+        "fuzz failure path: the shrinker's predicate for a failing program",
+    "verify/fuzz.py::_write_artifacts":
+        "fuzz failure path: writes a failure's reproducer files",
+    "verify/shrink.py::shrink_source":
+        "fuzz failure path: minimises a failing program",
+    "verify/shrink.py::_normalise": "fuzz failure path: the shrinker's source reader",
+    "verify/shrink.py::_deletable_indices":
+        "fuzz failure path: the shrinker's candidate lines",
+    "verify/shrink.py::_try_assemble":
+        "fuzz failure path: the shrinker's candidate assembler",
+    "serving/supervisor.py::Supervisor.run":
+        "repro serve's respawn loop runs until a signal; the drive starts and "
+        "stops the same supervisor with start() and stop()",
+    "cli.py::_cmd_serve":
+        "repro serve blocks until a signal; the drive builds the same Supervisor",
+    "serving/store.py::RunStore.__enter__":
+        "benchmarks/record_throughput.py and bench_serving_load.py open a store "
+        "in a with-block",
+    "serving/store.py::RunStore.__exit__":
+        "benchmarks/record_throughput.py and bench_serving_load.py open a store "
+        "in a with-block",
+    "evaluation/batch.py::run_vector_batch":
+        "perfbench/tracing.py wraps it by name (evaluation.vector.run_vector_batch)",
 }
 
 
@@ -197,7 +251,148 @@ def _perfbench(workdir: pathlib.Path) -> None:
             workload.close()
 
 
-def drive(workdir: pathlib.Path) -> None:
+@contextlib.contextmanager
+def _reporting_workers(seen: set, workdir: pathlib.Path):
+    """Make each forked worker main hand back the code it reached.
+
+    A forked child keeps this process's profile function but records
+    into its own copy of ``seen``; the wrapped main writes what it
+    reached to ``workdir`` when it returns, and :func:`_collect` reads
+    it back.
+    """
+    from repro.serving import supervisor
+
+    originals = {
+        name: getattr(supervisor, name)
+        for name in ("_api_worker_main", "_sim_worker_main")
+    }
+
+    def reporting(original):
+        def main(*args, **kwargs):
+            seen.clear()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                sys.setprofile(None)
+                threading.setprofile(None)
+                lines = sorted({f"{c.co_filename}\t{c.co_firstlineno}" for c in seen})
+                (workdir / f"reached-{os.getpid()}.txt").write_text(
+                    "\n".join(lines)
+                )
+
+        return main
+
+    for name, original in originals.items():
+        setattr(supervisor, name, reporting(original))
+    try:
+        yield
+    finally:
+        for name, original in originals.items():
+            setattr(supervisor, name, original)
+
+
+def _collect(workdir: pathlib.Path) -> set:
+    """``(real path, first line)`` of what the worker processes reached."""
+    out = set()
+    for path in workdir.glob("reached-*.txt"):
+        for line in path.read_text().splitlines():
+            filename, first = line.rsplit("\t", 1)
+            out.add((os.path.realpath(filename), int(first)))
+    return out
+
+
+class _Client:
+    """One keep-alive HTTP connection to the served API."""
+
+    def __init__(self, port: int) -> None:
+        self.conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+
+    def request(self, method: str, path: str, body=None, headers=None):
+        self.conn.request(method, path, body=body, headers=headers or {})
+        response = self.conn.getresponse()
+        data = response.read()
+        return response.status, dict(response.getheaders()), data
+
+    def json(self, method: str, path: str, spec=None, headers=None):
+        body = json.dumps(spec).encode() if spec is not None else None
+        status, _, data = self.request(method, path, body, headers)
+        return status, json.loads(data) if data else None
+
+    def settle(self, spec) -> dict:
+        """Submit ``spec`` and poll its job until it settles."""
+        _, record = self.json(
+            "POST", "/api/jobs", spec, {"X-Repro-Trace-Id": "0123456789abcdef"}
+        )
+        deadline = time.monotonic() + 120
+        while record["state"] not in ("done", "failed"):
+            if time.monotonic() > deadline:
+                raise TimeoutError(record["job_id"])
+            time.sleep(0.05)
+            _, record = self.json("GET", f"/api/jobs/{record['job_id']}")
+        return record
+
+
+def _serve(workdir: pathlib.Path, store: str, cache_dir: str) -> str:
+    """Hit every API route of a 1 API + 1 sim worker supervisor; returns
+    the run id of a served ``steering-telemetry`` job."""
+    from repro.serving.supervisor import Supervisor
+
+    # a namespace of other code in the cache root, as an edit leaves one:
+    # start-up pruning looks at when it was last used
+    (pathlib.Path(cache_dir) / ("0" * 64)).mkdir(exist_ok=True)
+    sup = Supervisor(store, cache_dir=cache_dir, port=0, workers=1, sim_pool=1,
+                     retention_max_runs=10_000)
+    sup.start()
+    try:
+        client = _Client(sup.port)
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                if client.request("GET", "/api/health")[0] == 200:
+                    break
+            except OSError:
+                client.conn.close()
+            if time.monotonic() > deadline:
+                raise RuntimeError("server did not become healthy")
+            time.sleep(0.05)
+        spec = {"factory": "steering-telemetry", "target": "checksum",
+                "max_cycles": 20_000}
+        run_id = client.settle(spec)["run_id"]
+        client.json("POST", "/api/jobs", spec)  # answered from the cache
+        client.settle({"target": "phased:1", "params": {"window_size": 5}})
+        client.settle({"factory": "random", "target": "checksum",
+                       "kwargs": {"period": 0}})  # fails in the sim worker
+        for body in (b"{", b"[]", b'{"target": "no-such-kernel"}'):
+            client.request("POST", "/api/jobs", body)
+        client.request("POST", "/api/runs", b"")
+        runs = client.json("GET", "/api/runs?limit=5&offset=0")[1]["runs"]
+        other = runs[-1]["run_id"]
+        jobs = client.json("GET", "/api/jobs")[1]["jobs"]
+        for path in (
+            "/", "/index.html", "/metrics", "/api/health", "/api/experiments",
+            "/api/runs?limit=x", f"/api/runs/{run_id}?format=text",
+            f"/api/runs/{run_id}/timeseries", f"/api/runs/{run_id}/decisions",
+            f"/api/runs/{other}/timeseries", "/api/runs/00000000",
+            "/api/runs/00000000/artifact", f"/api/jobs/{jobs[0]['job_id']}",
+            "/api/jobs/job-none", "/api/diff?a=", "/api/diff?a=00000000&b=1",
+            "/api/logs?limit=x", "/api/logs?trace=0123456789abcdef&limit=5",
+            "/api/logs?event=job_done", "/no/such/path",
+        ):
+            client.request("GET", path)
+        for path in (
+            f"/api/runs/{run_id}", f"/api/runs/{run_id}/artifact",
+            f"/api/diff?a={run_id}&b={other}",
+        ):
+            _, headers, _ = client.request("GET", path)
+            client.request("GET", path, headers={"If-None-Match": headers["ETag"]})
+        client.request("HEAD", "/api/health")
+        client.conn.close()
+    finally:
+        sup.stop()
+    return run_id
+
+
+def drive(workdir: pathlib.Path, seen: set) -> None:
     """Run every product path once (output discarded)."""
     from repro.core.baselines import policy_catalogue
 
@@ -208,13 +403,28 @@ def drive(workdir: pathlib.Path) -> None:
         _cli("run", "phased:1", "--policy", policy)
     _cli("run", "checksum", "--compare")
     _cli("run", "checksum", "--json")
-    _cli("run", "phased:1", "--telemetry", "--profile-stages")
+    _cli("run", "phased:1", "--telemetry", "--profile-stages",
+         "--telemetry-out", str(workdir / "phased"))
     _cli("trace", "checksum")
-    _cli("report", "--no-cache", "--workers", "0", "--telemetry",
-         "-o", str(workdir / "report.md"))
+    store, cache_dir = str(workdir / "runs.sqlite"), str(workdir / "cache")
+    for _ in ("cold", "warm"):
+        _cli("report", "--workers", "0", "--telemetry", "--cache-dir",
+             cache_dir, "--store", store, "-o", str(workdir / "report.md"))
+    with _reporting_workers(seen, workdir):
+        run_id = _serve(workdir, store, cache_dir)
+    _cli("trace", run_id, "--store", store, "--cache-dir", cache_dir,
+         "-o", str(workdir / "trace.json"))
+    _cli("explain", run_id, "--store", store, "--cache-dir", cache_dir)
+    _cli("explain", run_id, "--store", store, "--cache-dir", cache_dir, "--json")
     _cli("fuzz", "--seed", "0", "--iterations", "32", "--workers", "0")
-    _cli("goldens", "check", "--root", str(REPO_ROOT / "tests" / "goldens"))
+    goldens = workdir / "goldens"
+    shutil.copytree(REPO_ROOT / "tests" / "goldens", goldens)
+    _cli("goldens", "check", "--root", str(goldens))
+    _cli("goldens", "update", "--root", str(goldens), "--spec-version",
+         str(json.loads((goldens / "SPEC.json").read_text())["spec_version"] + 1))
+    _cli("goldens", "diff", "--root", str(goldens))
     _cli("lint")
+    _cli("lint", "--format", "json", "--output", str(workdir / "lint.json"))
     _cli("artifacts")
     for path in sorted((REPO_ROOT / "examples").glob("*.py")):
         _example(path)
@@ -222,42 +432,60 @@ def drive(workdir: pathlib.Path) -> None:
     _perfbench(workdir)
 
 
-def unreached(seen: set, packages=PACKAGES):
-    """``(module path::qualname, lines)`` of every function of ``packages``
-    whose code object ``seen`` lacks, outermost unreached only."""
-    reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in seen}
-    out = []
+def _modules(packages=PACKAGES):
+    """Every module file of ``packages`` (a package directory or a module
+    file of ``PACKAGE_ROOT``), sorted."""
     for package in packages:
-        for path in sorted((PACKAGE_ROOT / package).rglob("*.py")):
-            real = os.path.realpath(path)
-            rel = path.relative_to(PACKAGE_ROOT).as_posix()
-            missed_scopes: list[str] = []
-            for name, first, last, nested in _functions(path):
-                if (real, first) in reached:
-                    continue
-                if nested and any(name.startswith(s + ".") for s in missed_scopes):
-                    continue
-                missed_scopes.append(name)
-                out.append((f"{rel}::{name}", last - first + 1))
+        path = PACKAGE_ROOT / package
+        yield from [path] if path.is_file() else sorted(path.rglob("*.py"))
+
+
+def unreached(reached: set, packages=PACKAGES):
+    """``(module path::qualname, lines)`` of every function of ``packages``
+    whose ``(real path, first line)`` ``reached`` lacks, outermost
+    unreached only."""
+    out = []
+    for path in _modules(packages):
+        real = os.path.realpath(path)
+        rel = path.relative_to(PACKAGE_ROOT).as_posix()
+        missed_scopes: list[str] = []
+        for name, first, last, nested in _functions(path):
+            if (real, first) in reached:
+                continue
+            if nested and any(name.startswith(s + ".") for s in missed_scopes):
+                continue
+            missed_scopes.append(name)
+            out.append((f"{rel}::{name}", last - first + 1))
     return out
+
+
+def defined(packages=PACKAGES) -> set:
+    """``module path::qualname`` of every function of ``packages``."""
+    return {
+        f"{path.relative_to(PACKAGE_ROOT).as_posix()}::{name}"
+        for path in _modules(packages)
+        for name, *_ in _functions(path)
+    }
 
 
 def main() -> int:
     os.chdir(REPO_ROOT)
     seen: set = set()
-    with tempfile.TemporaryDirectory() as tmp, _profiled(seen):
-        drive(pathlib.Path(tmp))
-    missed = unreached(seen)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = pathlib.Path(tmp)
+        with _profiled(seen):
+            drive(workdir, seen)
+        reached = _collect(workdir)
+    reached |= {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in seen}
+    left = multiprocessing.active_children()
+    for child in left:
+        print(f"child process {child.name} (pid {child.pid}) left running")
+    missed = unreached(reached)
     names = {name for name, _ in missed}
-    defined = {
-        f"{path.relative_to(PACKAGE_ROOT).as_posix()}::{name}"
-        for package in PACKAGES
-        for path in (PACKAGE_ROOT / package).rglob("*.py")
-        for name, *_ in _functions(path)
-    }
+    known = defined()
     listed = [(name, n) for name, n in missed if name not in KEEP]
     stale = [
-        (name, "names no function" if name not in defined else "was reached")
+        (name, "names no function" if name not in known else "was reached")
         for name in sorted(set(KEEP) - names)
     ]
     for name, n in listed:
@@ -270,7 +498,7 @@ def main() -> int:
         f"lines; {kept} kept unreached on purpose",
         file=sys.stderr,
     )
-    return 1 if listed or stale else 0
+    return 1 if listed or stale or left else 0
 
 
 if __name__ == "__main__":

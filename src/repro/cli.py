@@ -233,7 +233,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             verbose=args.verbose,
             log=lambda msg: print(f"[serve] {msg}", file=sys.stderr),
         )
-    except ValueError as exc:  # --workers / --sim-pool below 1
+    # --workers / --sim-pool below 1, or a --store the worker processes
+    # cannot share (":memory:"): a usage error, exit 2
+    except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     return sup.run()

@@ -42,6 +42,7 @@ from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS, Configura
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FU_TYPES, FUType
 from repro.sched.ruu import RegisterUpdateUnit
+from repro.steering.demand import DemandSynthesizer
 from repro.steering.error_metric import exact_error
 from repro.steering.loader import ConfigurationLoader
 from repro.steering.manager import ConfigurationManager
@@ -107,7 +108,8 @@ class PaperSteering(SteeringPolicy):
         self.use_exact_metric = params.use_exact_metric
         self.name = "steering-exact" if self.use_exact_metric else "steering"
         self.manager = ConfigurationManager(
-            fabric, configs=self.configs, use_exact_metric=self.use_exact_metric
+            fabric, configs=self.configs, ffu_counts=params.ffu_counts,
+            use_exact_metric=self.use_exact_metric,
         )
         self._unit = self.manager.selection_unit
         #: the last selection and its inputs: the window's packed demand
@@ -195,7 +197,9 @@ class DemandSteering(SteeringPolicy):
     :class:`repro.steering.demand.DemandSynthesizer` — the paper's
     "dynamically reconfigure without using predefined configurations"
     open problem.  Retargets only on a clear expected improvement
-    (hysteresis), so it does not thrash the configuration bus.
+    (hysteresis), so it does not thrash the configuration bus.  The
+    synthesizer is built when the policy binds, for the processor's slot
+    budget (``params.n_slots``) and fixed bank (``params.ffu_counts``).
     """
 
     name = "demand"
@@ -205,17 +209,21 @@ class DemandSteering(SteeringPolicy):
         smoothing: float = 0.1,
         improvement_margin: float = 0.15,
     ) -> None:
-        from repro.steering.demand import DemandSynthesizer
-
-        self.synthesizer = DemandSynthesizer(
-            smoothing=smoothing, improvement_margin=improvement_margin
-        )
+        self.smoothing = smoothing
+        self.improvement_margin = improvement_margin
+        self.synthesizer: DemandSynthesizer | None = None
         self.loader: ConfigurationLoader | None = None
         #: synthesized targets adopted over the run (for tracing/tests).
         self.retargets: list[Configuration] = []
 
     def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
         super().bind(fabric, params)
+        self.synthesizer = DemandSynthesizer(
+            n_slots=params.n_slots,
+            ffu_counts=params.ffu_counts,
+            smoothing=self.smoothing,
+            improvement_margin=self.improvement_margin,
+        )
         self.loader = ConfigurationLoader(fabric)
         #: the window's required counts and the packed demand they encode.
         self._required: tuple[int, ...] = required_of(0)
@@ -238,7 +246,7 @@ class DemandSteering(SteeringPolicy):
     def describe(self) -> str:
         return (
             f"{self.name} (predefined-config-free synthesis, "
-            f"smoothing={self.synthesizer.smoothing})"
+            f"smoothing={self.smoothing})"
         )
 
 
@@ -272,12 +280,6 @@ class OracleSteering(SteeringPolicy):
         self.configs = tuple(configs)
         self.lookahead = lookahead
         self.loader: ConfigurationLoader | None = None
-        # candidate availability vectors never change after construction;
-        # computing them here keeps cycle() allocation-free
-        self._config_avails = tuple(
-            tuple(cfg.count(t) + FFU_COUNTS.get(t, 0) for t in FU_TYPES)
-            for cfg in self.configs
-        )
         self._type_index = {ty: i for i, ty in enumerate(FU_TYPES)}
         self._reset_window()
 
@@ -290,6 +292,13 @@ class OracleSteering(SteeringPolicy):
     def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
         super().bind(fabric, params)
         self.loader = ConfigurationLoader(fabric)
+        # every candidate's units: its own plus the processor's fixed bank,
+        # computed once here so cycle() allocates nothing
+        ffus = FFU_COUNTS if params.ffu_counts is None else params.ffu_counts
+        self._config_avails = tuple(
+            tuple(cfg.count(t) + ffus.get(t, 0) for t in FU_TYPES)
+            for cfg in self.configs
+        )
         self._reset_window()
         #: the last choice and its inputs: retire count, configured counts.
         self._target: Configuration | None = None

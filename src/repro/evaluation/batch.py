@@ -427,9 +427,6 @@ class ResultCache:
             return True
         return self.directory is not None and self._path(key).exists()
 
-    def __len__(self) -> int:
-        return len(self._memory)
-
     # -------------------------------------------------------- GC / stats
     def prune(
         self,

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.circuits.selection_netlist import build_selection_unit
 from repro.core.params import ProcessorParams
 from repro.core.stats import SimulationResult
-from repro.errors import ConfigurationError
 from repro.evaluation.basis_search import demand_profile, design_basis, profile_cost
 from repro.evaluation.batch import ResultCache, SimJob, policy_job, run_many
 from repro.evaluation.report import render_table
@@ -360,12 +359,6 @@ class FrontendAblation:
     variant_rows: list[tuple[str, float, float, float]]
     #: ``(fetch/retire width, loopy_ipc)`` rows.
     width_rows: list[tuple[int, float]]
-
-    def variant(self, label: str) -> tuple[str, float, float, float]:
-        for row in self.variant_rows:
-            if row[0] == label:
-                return row
-        raise ConfigurationError(f"no ablation variant {label!r}")
 
     def render(self) -> str:
         variants = render_table(

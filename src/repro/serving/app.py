@@ -1,12 +1,14 @@
 """Threaded HTTP JSON API over the run store, plus the dashboard page.
 
-The request logic lives in :class:`ServingApp.handle`, a pure function
-from ``(method, path, query, headers, body)`` to ``(status, headers,
-payload)`` — unit-testable without sockets — and a thin
+The request logic lives in :class:`ServingApp.handle`, a function from
+``(method, path, query, headers, body)`` to ``(status, headers,
+payload)`` — testable without sockets — and a thin
 :class:`http.server.BaseHTTPRequestHandler` adapter plugs it into a
-:class:`~http.server.ThreadingHTTPServer` for real traffic (every API
-worker of ``python -m repro serve`` runs one; see
-:mod:`repro.serving.supervisor`).
+:class:`~http.server.ThreadingHTTPServer` on the supervisor's listening
+socket.  There is one shape: every API worker of ``python -m repro
+serve`` builds one app over its own
+:class:`~repro.serving.jobs.StoreJobQueue` (see
+:mod:`repro.serving.supervisor`), and nothing else builds one.
 
 Endpoints::
 
@@ -33,11 +35,14 @@ claim and simulation, stamps every event-log record the job touches,
 and lets ``repro trace <run-id>`` assemble one merged Perfetto file per
 request — see :mod:`repro.telemetry.tracing2`.
 
-Every request is counted and timed into a
+Every request is counted and timed into the worker's
 :class:`~repro.telemetry.MetricsRegistry` (labels are the route
-*template*, never the raw path, so cardinality stays bounded); an
-optional ``access_log`` callable receives one structured record per
-request (``repro serve --verbose``).
+*template*, never the raw path, so cardinality stays bounded) and
+written to the event log as one ``http_request`` record (echoed to
+stderr under ``repro serve --verbose``).  ``GET /metrics`` publishes
+this worker's snapshot to the store and answers with every live
+worker's series, ``worker``-labelled; ``GET /api/logs`` reads the event
+log's file sink, which every worker of the server appends to.
 
 Run and diff responses carry an ``ETag`` derived from the run's content
 hash (``If-None-Match`` revalidates to 304) and a ``Cache-Control``
@@ -54,14 +59,10 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError
-from repro.evaluation.batch import ResultCache
 from repro.evaluation.report import render_kv
 from repro.serving.dashboard import DASHBOARD_HTML
-from repro.serving.jobs import JobQueueFull
-from repro.serving.store import RunStore
+from repro.serving.jobs import JobQueueFull, StoreJobQueue
 from repro.telemetry import (
-    EventLog,
-    MetricsRegistry,
     TRACE_HEADER,
     mint_trace_id,
     read_events,
@@ -117,32 +118,20 @@ def _jsonable(value: Any) -> Any:
 
 
 class ServingApp:
-    """The HTTP-facing façade over store + cache + job queue."""
+    """The HTTP-facing façade over one API worker's job queue.
 
-    def __init__(
-        self,
-        store: RunStore,
-        cache: ResultCache | None = None,
-        jobs=None,
-        registry: MetricsRegistry | None = None,
-        access_log=None,
-        worker_name: str | None = None,
-        events: EventLog | None = None,
-    ) -> None:
-        self.store = store
-        self.cache = cache
+    The queue carries everything the app serves: the worker's name
+    (``jobs.owner``), its store connection, result cache, event log and
+    metrics registry.
+    """
+
+    def __init__(self, jobs: StoreJobQueue) -> None:
         self.jobs = jobs
-        self.registry = MetricsRegistry() if registry is None else registry
-        #: optional callable receiving one dict per handled request.
-        self.access_log = access_log
-        #: optional structured event log; backs ``GET /api/logs`` and
-        #: receives a ``job_submitted`` record per accepted submission.
-        self.events = events
-        #: this API worker's identity under the supervisor: /metrics
-        #: publishes a snapshot into the store and answers with the
-        #: merged view across all live workers.  ``None`` (an app
-        #: embedded in-process, as in the tests) renders this registry.
-        self.worker_name = worker_name
+        self.store = jobs.store
+        self.cache = jobs.cache
+        self.events = jobs.events
+        self.registry = jobs.registry
+        self.worker_name = jobs.owner
         self.started = time.time()
         self._requests = self.registry.counter(
             "repro_http_requests_total",
@@ -182,15 +171,11 @@ class ServingApp:
         route = self._route_label(path)
         self._requests.labels(method, route, str(response[0])).inc()
         self._latency.labels(route).observe(elapsed)
-        if self.access_log is not None:
-            self.access_log(
-                {
-                    "method": method,
-                    "path": path,
-                    "status": response[0],
-                    "latency_ms": round(elapsed * 1000, 3),
-                }
-            )
+        self.events.emit(
+            "http_request", worker=self.worker_name, method=method,
+            path=path, status=response[0],
+            latency_ms=round(elapsed * 1000, 3),
+        )
         return response
 
     _KNOWN_ROUTES = frozenset(
@@ -305,24 +290,23 @@ class ServingApp:
         ).set(self.store.count())
         r.gauge(
             "repro_jobs_pending", "Submitted jobs queued but not started."
-        ).set(self.jobs.depth() if self.jobs is not None else 0)
-        if self.cache is not None:
-            stats = self.cache.stats()
-            r.gauge(
-                "repro_cache_memory_entries", "Result-cache in-memory entries."
-            ).set(stats["memory_entries"])
-            r.gauge(
-                "repro_cache_disk_blobs", "Result-cache blobs on disk."
-            ).set(stats["disk_blobs"])
-            r.gauge(
-                "repro_cache_disk_bytes", "Result-cache bytes on disk."
-            ).set(stats["disk_bytes"])
-            r.gauge(
-                "repro_cache_hits", "Result-cache hits over this process."
-            ).set(stats["hits"])
-            r.gauge(
-                "repro_cache_misses", "Result-cache misses over this process."
-            ).set(stats["misses"])
+        ).set(self.jobs.depth())
+        stats = self.cache.stats()
+        r.gauge(
+            "repro_cache_memory_entries", "Result-cache in-memory entries."
+        ).set(stats["memory_entries"])
+        r.gauge(
+            "repro_cache_disk_blobs", "Result-cache blobs on disk."
+        ).set(stats["disk_blobs"])
+        r.gauge(
+            "repro_cache_disk_bytes", "Result-cache bytes on disk."
+        ).set(stats["disk_bytes"])
+        r.gauge(
+            "repro_cache_hits", "Result-cache hits over this process."
+        ).set(stats["hits"])
+        r.gauge(
+            "repro_cache_misses", "Result-cache misses over this process."
+        ).set(stats["misses"])
         runs = self.store.list_runs(limit=1)
         if runs:
             metrics = runs[0].get("metrics") or {}
@@ -335,13 +319,10 @@ class ServingApp:
                 value = metrics.get(name)
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     last.labels(name).set(value)
-        if self.worker_name is not None:
-            # Publish this worker's fresh snapshot, then answer with the
-            # merged view: every live worker's series, `worker`-labelled.
-            self.store.publish_worker_metrics(self.worker_name, r.snapshot())
-            body = render_merged(self.store.worker_metrics())
-        else:
-            body = r.render()
+        # Publish this worker's fresh snapshot, then answer with the
+        # merged view: every live worker's series, `worker`-labelled.
+        self.store.publish_worker_metrics(self.worker_name, r.snapshot())
+        body = render_merged(self.store.worker_metrics())
         return (
             200,
             {
@@ -357,8 +338,8 @@ class ServingApp:
             "uptime_seconds": round(time.time() - self.started, 1),
             "runs": self.store.count(),
             "experiments": len(self.store.experiments()),
-            "cache": self.cache.stats() if self.cache is not None else None,
-            "jobs_pending": self.jobs.depth() if self.jobs is not None else 0,
+            "cache": self.cache.stats(),
+            "jobs_pending": self.jobs.depth(),
         }
         return self._json(200, payload, cache_control=_CC_NONE)
 
@@ -389,9 +370,7 @@ class ServingApp:
         etag = self._run_etag(run)
         if self._etag_matches(headers, etag):
             return self._not_modified(etag, _CC_RUN)
-        run["artifact"] = (
-            self.cache is not None and self.cache.has(run["config_hash"])
-        )
+        run["artifact"] = self.cache.has(run["config_hash"])
         if query.get("format") == "text":
             flat = {k: v for k, v in run.items() if k != "metrics"}
             text = (
@@ -426,7 +405,7 @@ class ServingApp:
         etag = etag.format(key=key)
         if self._etag_matches(headers, etag):
             return self._not_modified(etag, _CC_IMMUTABLE)
-        payload = self.cache.get(key) if self.cache is not None else None
+        payload = self.cache.get(key)
         if name != "artifact":
             payload = payload.get(name) if isinstance(payload, dict) else None
         if payload is None:
@@ -439,7 +418,8 @@ class ServingApp:
         )
 
     def _logs(self, query):
-        """Tail of the structured event log, filterable by trace/event."""
+        """Tail of the shared event-log sink (every process's records),
+        filterable by trace/event."""
         try:
             limit = int(query.get("limit", 100))
         except ValueError:
@@ -447,15 +427,9 @@ class ServingApp:
         limit = max(1, min(limit, 1000))
         trace = query.get("trace") or None
         event = query.get("event") or None
-        if self.events is None:
-            entries: list[dict] = []
-        elif self.events.path is not None:
-            # the file sink sees every process's records, not just ours
-            entries = read_events(
-                self.events.path, trace=trace, event=event, limit=limit
-            )
-        else:
-            entries = self.events.tail(limit, trace=trace, event=event)
+        entries = read_events(
+            self.events.path, trace=trace, event=event, limit=limit
+        )
         return self._json(
             200,
             {"events": entries, "count": len(entries)},
@@ -476,8 +450,6 @@ class ServingApp:
         return self._json(200, diff, etag=etag, cache_control=_CC_RUN)
 
     def _jobs_list(self):
-        if self.jobs is None:
-            return self._error(404, "no job queue on this server")
         return self._json(
             200,
             {"jobs": [r.to_dict() for r in self.jobs.list()]},
@@ -485,26 +457,12 @@ class ServingApp:
         )
 
     def _job(self, job_id):
-        if self.jobs is None:
-            return self._error(404, "no job queue on this server")
         record = self.jobs.get(job_id)
         if record is None:
             return self._error(404, f"no such job: {job_id}")
         return self._json(200, record.to_dict(), cache_control=_CC_NONE)
 
     def _submit(self, headers, body):
-        if self.jobs is None:
-            # Same backpressure contract as a full queue: clients retry
-            # (this worker may be restarting), and the rejection is counted.
-            self._rejected.labels("disabled").inc()
-            return self._json(
-                503,
-                {
-                    "error": "job submission disabled on this server",
-                    "status": 503,
-                },
-                extra={"Retry-After": "1"},
-            )
         try:
             spec = json.loads(body or b"")
         except json.JSONDecodeError as exc:
@@ -520,32 +478,23 @@ class ServingApp:
                 {"error": str(exc), "status": 503},
                 extra={"Retry-After": "1"},
             )
-        if self.events is not None:
-            self.events.emit(
-                "job_submitted", trace=trace_id, job_id=record.job_id,
-                state=record.state, cached=record.cached,
-            )
+        self.events.emit(
+            "job_submitted", trace=trace_id, job_id=record.job_id,
+            state=record.state, cached=record.cached,
+        )
         # cached submissions are already complete; fresh ones are accepted
         status = 200 if record.cached else 202
         return self._json(status, record.to_dict(), cache_control=_CC_NONE)
 
 
 # ----------------------------------------------------------- socket layer
-def make_server(
-    app: ServingApp,
-    host: str = "127.0.0.1",
-    port: int = 8734,
-    sock=None,
-):
-    """Build a ThreadingHTTPServer around ``app`` (port 0 = ephemeral).
+def make_server(app: ServingApp, host: str, sock):
+    """Build a ThreadingHTTPServer around ``app`` that accepts on ``sock``.
 
+    ``sock`` is bound and listening already: each supervisor API worker
+    passes the listening socket it inherited, and the server adopts it.
     Accepted connections have ``TCP_NODELAY`` set, so a response on a
     keep-alive connection never waits for the client's delayed ACK.
-
-    When ``sock`` is given it must already be bound and listening (each
-    supervisor API worker passes the inherited listening socket); the
-    server adopts it instead of binding ``(host, port)`` itself.  Without
-    it the server binds its own, which is how tests embed one in-process.
     """
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -587,15 +536,14 @@ def make_server(
         def log_message(self, fmt, *args):  # quiet by default
             pass
 
-    if sock is None:
-        server = ThreadingHTTPServer((host, port), Handler)
-    else:
-        server = ThreadingHTTPServer((host, port), Handler, bind_and_activate=False)
-        server.socket.close()
-        server.socket = sock
-        server.server_address = sock.getsockname()
-        server.server_name = host
-        server.server_port = server.server_address[1]
+    server = ThreadingHTTPServer(
+        sock.getsockname(), Handler, bind_and_activate=False
+    )
+    server.socket.close()
+    server.socket = sock
+    server.server_address = sock.getsockname()
+    server.server_name = host
+    server.server_port = server.server_address[1]
     server.daemon_threads = True
     server.app = app
     return server

@@ -62,7 +62,7 @@ from repro.evaluation import batch
 # run_many is not called here; it stays bound because tools that wrap the
 # batch engine per module (perfbench/tracing.py) look the name up here
 from repro.evaluation.batch import ResultCache, SimJob, job_key, run_many  # noqa: F401
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import EventLog, MetricsRegistry
 from repro.utils.canonical import canonical_dumps
 from repro.workloads import resolve_program
 
@@ -230,51 +230,47 @@ class JobRecord:
 class StoreJobQueue:
     """Durable bounded job queue over the run store's ``jobs`` table.
 
-    The queue lives in SQLite: every API worker process sees every
-    submission, and the backlog survives restarts.  Draining happens
-    wherever :meth:`drain_until_stopped` runs — in ``repro serve`` the
-    dedicated simulation worker processes (each claim is an atomic
-    ``queued -> running`` update, so a job runs exactly once); the
-    in-process :meth:`start` thread serves tests that embed a queue.
+    One per server worker process, named after it (``owner``): the
+    queue holds that worker's store connection, result cache, event log
+    and metrics registry, and an API worker's
+    :class:`~repro.serving.app.ServingApp` serves them.  The queue lives
+    in SQLite: every API worker process sees every submission, and the
+    backlog survives restarts.  Simulation pool workers drain it with
+    :meth:`drain_until_stopped` (each claim is an atomic ``queued ->
+    running`` update, so a job runs exactly once).
 
     ``capacity`` bounds the *queued* backlog across all workers; a full
     queue raises :class:`JobQueueFull` (HTTP 503 + ``Retry-After``).
     ``doorbell`` is the semaphore :meth:`submit` releases after each
-    accepted enqueue and an idle drain loop acquires; pass the same one
-    to every queue that should wake each other (the supervisor shares a
-    ``multiprocessing.Semaphore``).  By default the queue gets its own
-    ``threading.Semaphore``, which wakes its own :meth:`start` thread
-    (an embedded queue in one process).
+    accepted enqueue and an idle drain loop acquires: the one
+    ``multiprocessing.Semaphore`` the supervisor shares with every worker.
     """
 
     def __init__(
         self,
         store: Any,
-        cache: ResultCache | None = None,
-        capacity: int = 8,
-        registry: MetricsRegistry | None = None,
-        owner: str | None = None,
-        events: Any | None = None,
-        doorbell: Any | None = None,
+        cache: ResultCache,
+        capacity: int,
+        owner: str,
+        events: EventLog,
+        doorbell: Any,
     ) -> None:
         self.store = store
-        self.cache = cache if cache is not None else ResultCache()
+        self.cache = cache
         self.capacity = capacity
-        self.owner = owner or f"worker-{secrets.token_hex(3)}"
-        #: optional :class:`~repro.telemetry.events.EventLog`; job
-        #: lifecycle transitions are emitted with the job's trace id.
+        self.owner = owner
+        #: job lifecycle transitions are emitted here with the job's
+        #: trace id.
         self.events = events
-        self.doorbell = (
-            doorbell if doorbell is not None else threading.Semaphore(0)
-        )
+        self.doorbell = doorbell
         #: canonical spec JSON -> its :class:`_Keyed` (see :meth:`_keyed`).
         self._keyed_specs: dict[str, _Keyed] = {}
-        self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         #: simulations actually dispatched by THIS worker (cache answers
         #: and jobs drained elsewhere excluded).
         self.executed = 0
-        reg = registry if registry is not None else MetricsRegistry()
+        #: this worker's metrics, published to the store for ``/metrics``.
+        self.registry = reg = MetricsRegistry()
         self._submissions = reg.counter(
             "repro_jobs_submitted_total",
             "Job submissions, by outcome.",
@@ -376,11 +372,10 @@ class StoreJobQueue:
         job_id = claimed["job_id"]
         trace = claimed.get("trace_id") or None
         self._queue_wait.observe(claimed["started"] - claimed["submitted"])
-        if self.events is not None:
-            self.events.emit(
-                "job_claimed", trace=trace, job_id=job_id, owner=self.owner,
-                queue_wait_s=round(claimed["started"] - claimed["submitted"], 6),
-            )
+        self.events.emit(
+            "job_claimed", trace=trace, job_id=job_id, owner=self.owner,
+            queue_wait_s=round(claimed["started"] - claimed["submitted"], 6),
+        )
         start = time.time()
         try:
             key = claimed["key"]
@@ -395,21 +390,19 @@ class StoreJobQueue:
                 experiment=f"job/{job.factory}",
             )
             self.store.finish_job(job_id, "done", run_id=run_id)
-            if self.events is not None:
-                self.events.emit(
-                    "job_done", trace=trace, job_id=job_id,
-                    owner=self.owner, run_id=run_id,
-                    run_seconds=round(time.time() - start, 6),
-                )
+            self.events.emit(
+                "job_done", trace=trace, job_id=job_id,
+                owner=self.owner, run_id=run_id,
+                run_seconds=round(time.time() - start, 6),
+            )
         except Exception as exc:  # surface, don't kill the drain loop
             self.store.finish_job(
                 job_id, "failed", error=f"{type(exc).__name__}: {exc}"
             )
-            if self.events is not None:
-                self.events.emit(
-                    "job_failed", trace=trace, job_id=job_id,
-                    owner=self.owner, error=f"{type(exc).__name__}: {exc}",
-                )
+            self.events.emit(
+                "job_failed", trace=trace, job_id=job_id,
+                owner=self.owner, error=f"{type(exc).__name__}: {exc}",
+            )
         self._run_seconds.observe(time.time() - start)
         return True
 
@@ -418,10 +411,9 @@ class StoreJobQueue:
     ) -> None:
         """Claim and run jobs until :meth:`stop`; idle, wait for the doorbell.
 
-        The one drain loop: every simulation pool worker runs it, and
-        so does the in-process :meth:`start` thread.  ``heartbeat``, if
-        given, is called after every executed job and every idle wait, so
-        at least every :data:`HEARTBEAT_SECONDS`.
+        Every simulation pool worker runs it.  ``heartbeat``, if given, is
+        called after every executed job and every idle wait, so at least
+        every :data:`HEARTBEAT_SECONDS`.
         """
         while not self._stop.is_set():
             if self.claim_and_run_one():
@@ -433,23 +425,10 @@ class StoreJobQueue:
             if heartbeat is not None:
                 heartbeat()
 
-    def start(self) -> None:
-        """Drain in a thread of this process (an embedded queue, as in
-        the tests; ``repro serve`` drains in sim worker processes)."""
-        if self._thread is None or not self._thread.is_alive():
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self.drain_until_stopped, daemon=True,
-                name="repro-store-job-queue",
-            )
-            self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
+    def stop(self) -> None:
         """Stop draining; ring the doorbell so an idle loop exits at once."""
         self._stop.set()
         self.doorbell.release()
-        if self._thread is not None and self._thread.is_alive():
-            self._thread.join(timeout)
 
     # ------------------------------------------------------------- queries
     @staticmethod
@@ -479,15 +458,3 @@ class StoreJobQueue:
     def depth(self) -> int:
         """Jobs queued but not yet claimed by any worker."""
         return self.store.queued_depth()
-
-    def wait(self, job_id: str, timeout: float = 30.0) -> JobRecord:
-        """Block until a job settles (tests and smoke scripts)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            record = self.get(job_id)
-            if record is None:
-                raise KeyError(job_id)
-            if record.state in ("done", "failed"):
-                return record
-            time.sleep(0.01)
-        raise TimeoutError(f"job {job_id} still {self.get(job_id).state}")

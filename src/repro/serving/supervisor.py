@@ -14,6 +14,12 @@ socket and the process tree; it serves no requests itself:
   once no matter which API worker accepted it) and execute them through
   the cached batch engine.
 
+Every worker builds its :class:`~repro.serving.jobs.StoreJobQueue` with
+:func:`worker_queue` from the store *path*, so the store must be a
+database file the processes share; a ``:memory:`` store (private to the
+process that opens it) is refused.  The event log's sink is the file
+beside it, which every worker appends to.
+
 Socket: the parent binds **and listens** one socket before the first
 fork, and every API worker accepts on the inherited FD.  The
 listening socket outlives any one worker, so a connection that arrives
@@ -52,9 +58,9 @@ from repro.evaluation.batch import ResultCache, code_digest
 from repro.serving.app import ServingApp, make_server
 from repro.serving.jobs import HEARTBEAT_SECONDS, StoreJobQueue
 from repro.serving.store import RunStore
-from repro.telemetry import EventLog, MetricsRegistry, events_path_for
+from repro.telemetry import EventLog, events_path_for
 
-__all__ = ["Supervisor"]
+__all__ = ["Supervisor", "worker_queue"]
 
 #: a worker alive this long is "healthy" — its crash backoff resets.
 HEALTHY_SECONDS = 5.0
@@ -82,6 +88,30 @@ def _bound_socket(host: str, port: int):
 
 
 # --------------------------------------------------------- worker mains
+def worker_queue(
+    name: str,
+    store_path: str,
+    cache_dir: str | None,
+    queue_capacity: int,
+    doorbell,
+    echo: bool = False,
+) -> StoreJobQueue:
+    """The job queue of the worker process ``name``, as its main builds it.
+
+    Its own store connection and result cache, an event log writing to
+    the sink beside the store (and to stderr with ``echo``), and a fresh
+    metrics registry.
+    """
+    return StoreJobQueue(
+        RunStore(store_path),
+        ResultCache(cache_dir),
+        queue_capacity,
+        name,
+        EventLog(name, events_path_for(store_path), echo=echo),
+        doorbell,
+    )
+
+
 def _api_worker_main(
     name: str,
     host: str,
@@ -95,23 +125,11 @@ def _api_worker_main(
     """Entry point of one forked API worker process."""
     # the parent decides when we stop; a terminal Ctrl-C signals it, not us
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    store = RunStore(store_path)
-    cache = ResultCache(cache_dir) if cache_dir is not None else ResultCache()
-    registry = MetricsRegistry()
-    events = EventLog(name, path=events_path_for(store_path), echo=verbose)
-    jobs = StoreJobQueue(
-        store, cache=cache, capacity=queue_capacity,
-        registry=registry, owner=name, events=events, doorbell=doorbell,
+    jobs = worker_queue(
+        name, store_path, cache_dir, queue_capacity, doorbell, echo=verbose
     )
-
-    def access_log(record: dict) -> None:
-        events.emit("http_request", worker=name, **record)
-
-    app = ServingApp(
-        store, cache=cache, jobs=jobs, registry=registry,
-        access_log=access_log, worker_name=name, events=events,
-    )
-    server = make_server(app, host, sock=sock)
+    store, registry, events = jobs.store, jobs.registry, jobs.events
+    server = make_server(ServingApp(jobs), host, sock)
 
     def _graceful(signum, frame):
         # shutdown() blocks until the serve loop exits; never call it
@@ -152,17 +170,11 @@ def _sim_worker_main(
 ) -> None:
     """Entry point of one forked simulation pool worker process."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    store = RunStore(store_path)
-    cache = ResultCache(cache_dir) if cache_dir is not None else ResultCache()
-    registry = MetricsRegistry()
-    events = EventLog(name, path=events_path_for(store_path))
-    jobs = StoreJobQueue(
-        store, cache=cache, capacity=queue_capacity,
-        registry=registry, owner=name, events=events, doorbell=doorbell,
-    )
+    jobs = worker_queue(name, store_path, cache_dir, queue_capacity, doorbell)
+    store, registry, events = jobs.store, jobs.registry, jobs.events
 
     def _graceful(signum, frame):
-        jobs.stop(timeout=0)  # rings the doorbell: an idle wait ends now
+        jobs.stop()  # rings the doorbell: an idle wait ends now
 
     def _publish() -> None:
         # after each job, so scrapes through any API worker reflect this
@@ -207,6 +219,13 @@ class Supervisor:
             raise ValueError("need at least one API worker")
         if sim_pool < 1:
             raise ValueError("need at least one simulation worker")
+        if str(store_path) in ("", ":memory:"):
+            # each forked worker would open a private database of its own:
+            # a job one accepts is never seen by the one that would run it
+            raise ValueError(
+                f"store {str(store_path)!r} is private to one process; the "
+                "workers need a database file they can share"
+            )
         self.store_path = store_path
         self.cache_dir = cache_dir
         self.host = host
@@ -259,11 +278,7 @@ class Supervisor:
         # hash the code before the first fork: every worker inherits the
         # one digest that names the cache namespace and the run revision
         code_digest()
-        cache = (
-            ResultCache(self.cache_dir)
-            if self.cache_dir is not None
-            else ResultCache()
-        )
+        cache = ResultCache(self.cache_dir)
         if cache.directory is not None:
             pruned = cache.prune(
                 max_bytes=self.cache_max_bytes, max_age=self.cache_max_age

@@ -61,11 +61,15 @@ class ConfigurationManager:
         self,
         fabric: Fabric,
         configs: Sequence[Configuration] = PREDEFINED_CONFIGS,
+        ffu_counts: dict | None = None,
         use_exact_metric: bool = False,
     ) -> None:
         self.fabric = fabric
+        # the candidates are scored with the fabric's fixed bank
+        # (``None``: the default bank, as for the fabric)
         self.selection_unit = ConfigurationSelectionUnit(
-            configs=configs, use_exact_metric=use_exact_metric
+            configs=configs, ffu_counts=ffu_counts,
+            use_exact_metric=use_exact_metric,
         )
         self.loader = ConfigurationLoader(fabric)
         self.stats = ManagerStats()

@@ -2,8 +2,8 @@
 
 Cooperating pieces, all stdlib-only:
 
-* :mod:`repro.telemetry.registry` — counters/gauges/histograms with a
-  Prometheus text renderer;
+* :mod:`repro.telemetry.registry` — counters/gauges/histograms whose
+  per-worker snapshots render as one Prometheus exposition;
 * :mod:`repro.telemetry.timeseries` — bounded stride-downsampled series;
 * :mod:`repro.telemetry.spans` — Chrome trace-event spans (Perfetto);
 * :mod:`repro.telemetry.probes` — the per-cycle processor hook;

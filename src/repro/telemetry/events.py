@@ -2,14 +2,16 @@
 
 Every event is one canonical-JSON object (``repro.utils.canonical``) on
 one line, so the sink files are greppable, diffable and machine-parsed
-without a schema registry.  Each :class:`EventLog` owns
+without a schema registry.  Each :class:`EventLog` writes
 
-* a bounded in-memory ring (the newest ``capacity`` events, served by
-  ``GET /api/logs`` when no file sink is configured),
-* an optional JSONL **file sink** shared append-only by every process of
-  one server (supervisor API workers and sim-pool workers all write the
-  same file; O_APPEND line writes keep records intact),
-* an optional stderr echo (``repro serve --verbose``).
+* to a JSONL **file sink** shared append-only by every process of one
+  server (supervisor API workers and sim-pool workers all write the
+  same file, next to the run store; O_APPEND line writes keep records
+  intact), which ``GET /api/logs`` reads back with :func:`read_events`,
+* and, optionally, to stderr (``repro serve --verbose``).
+
+It keeps nothing in memory: the file is the one record every process
+sees.
 
 The log is deliberately the *only* module in ``repro/serving`` +
 ``repro/telemetry`` allowed to talk to :mod:`logging` or a terminal —
@@ -46,9 +48,6 @@ __all__ = [
 #: instance loggers are named ``repro.events.<proc>``.
 LOGGER_PREFIX = "repro.events"
 
-#: default bound on the in-memory ring.
-DEFAULT_RING_CAPACITY = 1024
-
 #: hard bound on one serialized event line the file reader will accept.
 MAX_LINE_BYTES = 64 * 1024
 
@@ -57,7 +56,8 @@ def events_path_for(store_path: str | os.PathLike | None) -> str | None:
     """The event-log sink that pairs with a run store file.
 
     ``runs.sqlite`` -> ``runs.sqlite.events.jsonl`` next to it, so the
-    log travels with the store it describes; memory stores get no sink.
+    log travels with the store it describes; a memory store (which the
+    server refuses) has no sink.
     """
     if store_path is None:
         return None
@@ -68,30 +68,22 @@ def events_path_for(store_path: str | os.PathLike | None) -> str | None:
 
 
 class EventLog:
-    """Bounded per-process event ring with optional file/stderr sinks."""
+    """One process's writer to the shared JSONL sink (and stderr)."""
 
     def __init__(
-        self,
-        proc: str = "main",
-        *,
-        path: str | os.PathLike | None = None,
-        capacity: int = DEFAULT_RING_CAPACITY,
-        echo: bool = False,
+        self, proc: str, path: str | os.PathLike, *, echo: bool = False
     ) -> None:
         self.proc = proc
-        self.path = str(path) if path is not None else None
-        self._ring: deque[dict] = deque(maxlen=max(1, int(capacity)))
-        self._emitted = 0
+        self.path = str(path)
         # An instance-owned Logger (not logging.getLogger): handlers never
         # accumulate across instances sharing a name, which test suites
         # and respawned workers otherwise would.
         self._logger = logging.Logger(f"{LOGGER_PREFIX}.{proc}")
         self._logger.propagate = False
-        if self.path is not None:
-            Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-            # delay=True: the file appears on the first event, not on
-            # construction — idle workers leave no empty sink behind.
-            self._logger.addHandler(logging.FileHandler(self.path, delay=True))
+        Path(self.path).parent.mkdir(parents=True, exist_ok=True)
+        # delay=True: the file appears on the first event, not on
+        # construction — idle workers leave no empty sink behind.
+        self._logger.addHandler(logging.FileHandler(self.path, delay=True))
         if echo:
             self._logger.addHandler(logging.StreamHandler(sys.stderr))
 
@@ -105,38 +97,8 @@ class EventLog:
         record["proc"] = self.proc
         if trace:
             record["trace"] = trace
-        line = canonical_dumps(record)
-        self._ring.append(record)
-        self._emitted += 1
-        if self._logger.handlers:
-            self._logger.info("%s", line)
+        self._logger.info("%s", canonical_dumps(record))
         return record
-
-    # --------------------------------------------------------------- reads
-    def tail(
-        self,
-        limit: int = 100,
-        *,
-        trace: str | None = None,
-        event: str | None = None,
-    ) -> list[dict]:
-        """Newest matching ring events, oldest first."""
-        out: deque[dict] = deque(maxlen=max(1, int(limit)))
-        for record in self._ring:
-            if trace is not None and record.get("trace") != trace:
-                continue
-            if event is not None and record.get("event") != event:
-                continue
-            out.append(record)
-        return list(out)
-
-    @property
-    def emitted(self) -> int:
-        """Total events emitted by this instance (ring may hold fewer)."""
-        return self._emitted
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
     def close(self) -> None:
         for handler in list(self._logger.handlers):

@@ -114,9 +114,6 @@ class DecisionLedger:
         self._records.append(record["cycle"], record)
 
     # -------------------------------------------------------------- exports
-    def __len__(self) -> int:
-        return len(self._records)
-
     @property
     def capacity(self) -> int:
         return self._records.capacity

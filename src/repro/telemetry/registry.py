@@ -1,20 +1,23 @@
 """Metrics registry: counters, gauges, histograms + Prometheus rendering.
 
 The registry is deliberately tiny and dependency-free.  Three metric
-kinds cover everything the simulator and the serving layer need:
+kinds cover everything the serving layer needs:
 
 ``Counter``
     Monotonically increasing float (``inc``).
 ``Gauge``
-    Arbitrary float that can go up and down (``set``/``inc``/``dec``).
+    A float set to the current value of something (``set``).
 ``Histogram``
-    Fixed cumulative bucket layout (``observe``), rendered with
+    Fixed bucket layout (``observe``), rendered with cumulative
     ``_bucket{le=...}`` / ``_sum`` / ``_count`` samples.
 
 All three support Prometheus-style labels through ``labels(*values)``,
-which returns a child metric bound to those label values.  ``render()``
-produces the text exposition format (version 0.0.4) that ``GET
-/metrics`` serves and Prometheus scrapes.
+which returns a child metric bound to those label values.  A registry
+renders nothing itself: every server worker publishes its
+:meth:`MetricsRegistry.snapshot` into the run store, and ``GET
+/metrics`` answers with :func:`render_merged` over every live worker's
+snapshot, each series ``worker``-labelled (text exposition format,
+version 0.0.4).
 """
 
 from __future__ import annotations
@@ -117,13 +120,6 @@ class Counter(_Metric):
             raise ValueError("counters can only increase")
         self.value += amount
 
-    def render_into(self, lines: list[str]) -> None:
-        for values, child in self._series():
-            lines.append(
-                f"{self.name}{_label_str(self.labelnames, values)} "
-                f"{_format_value(child.value)}"
-            )
-
 
 class Gauge(_Metric):
     kind = "gauge"
@@ -134,19 +130,6 @@ class Gauge(_Metric):
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def render_into(self, lines: list[str]) -> None:
-        for values, child in self._series():
-            lines.append(
-                f"{self.name}{_label_str(self.labelnames, values)} "
-                f"{_format_value(child.value)}"
-            )
 
 
 class Histogram(_Metric):
@@ -175,29 +158,9 @@ class Histogram(_Metric):
                 return
         self.counts[-1] += 1
 
-    @property
-    def count(self) -> int:
-        return sum(self.counts)
-
-    def render_into(self, lines: list[str]) -> None:
-        for values, child in self._series():
-            cumulative = 0
-            for bound, n in zip(child.buckets, child.counts):
-                cumulative += n
-                label = _label_str(
-                    self.labelnames + ("le",), values + (_format_value(bound),)
-                )
-                lines.append(f"{self.name}_bucket{label} {cumulative}")
-            cumulative += child.counts[-1]
-            label = _label_str(self.labelnames + ("le",), values + ("+Inf",))
-            lines.append(f"{self.name}_bucket{label} {cumulative}")
-            plain = _label_str(self.labelnames, values)
-            lines.append(f"{self.name}_sum{plain} {_format_value(child.sum)}")
-            lines.append(f"{self.name}_count{plain} {cumulative}")
-
 
 class MetricsRegistry:
-    """Named metric store; one instance per subsystem (or one shared)."""
+    """Named metric store; one per server worker process."""
 
     def __init__(self):
         self._metrics: dict[str, _Metric] = {}
@@ -227,21 +190,6 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, help, labelnames, buckets=buckets
         )
-
-    def get(self, name: str) -> _Metric | None:
-        return self._metrics.get(name)
-
-    def render(self) -> str:
-        """Prometheus text exposition format (0.0.4)."""
-        lines: list[str] = []
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            metric.render_into(lines)
-        return "\n".join(lines) + "\n"
 
     def snapshot(self) -> dict:
         """JSON-safe dump of every metric family and concrete series.

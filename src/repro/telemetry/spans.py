@@ -94,9 +94,6 @@ class SpanTracer:
             },
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_chrome_trace())
-
     def write(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_chrome_trace(), fh)

@@ -86,11 +86,5 @@ class SeriesBank:
     def names(self) -> list[str]:
         return list(self._series)
 
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._series
-
     def to_dict(self) -> dict:
         return {name: s.to_dict() for name, s in self._series.items()}

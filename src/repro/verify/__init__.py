@@ -22,7 +22,7 @@ catalogue.
 
 from repro.verify.generator import GeneratorConfig, generate_program, generate_source
 from repro.verify.goldens import check_corpus, diff_corpus, update_corpus
-from repro.verify.invariants import Violation, check_cross_policy
+from repro.verify.invariants import Violation
 from repro.verify.shrink import shrink_source
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "diff_corpus",
     "update_corpus",
     "Violation",
-    "check_cross_policy",
     "shrink_source",
 ]

@@ -36,7 +36,7 @@ from repro.core.params import ProcessorParams
 from repro.core.reference import ReferenceResult
 from repro.core.stats import OUTCOME_COMPLETED, SimulationResult
 
-__all__ = ["Violation", "check_cross_policy", "check_result_pair"]
+__all__ = ["Violation", "check_result_pair"]
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,3 @@ def check_result_pair(
         )
     return violations
 
-
-def check_cross_policy(
-    results: dict[str, SimulationResult],
-    reference: ReferenceResult,
-    params: ProcessorParams,
-) -> list[Violation]:
-    """Check every policy's result against the shared reference."""
-    violations: list[Violation] = []
-    for policy in sorted(results):
-        violations.extend(
-            check_result_pair(policy, results[policy], reference, params)
-        )
-    return violations

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import baselines
 from repro.core.baselines import (
+    demand_processor,
     fixed_superscalar,
     oracle_processor,
     policy_catalogue,
@@ -266,3 +267,44 @@ class TestSharedSelectionMemo:
                 other_params = ProcessorParams(reconfig_latency=4, window_size=window)
                 self._catalogue(other, other_params)
         assert self._catalogue(program, params) == first
+
+
+class TestBankAndBudgetFromParams:
+    """Every policy scores and synthesizes with the processor's own fixed
+    bank (``params.ffu_counts``) and slot budget (``params.n_slots``)."""
+
+    BANK = {FUType.INT_ALU: 1, FUType.INT_MDU: 1, FUType.LSU: 1, FUType.FP_ALU: 1}
+    PARAMS = ProcessorParams(ffu_counts=BANK, n_slots=12)
+
+    def test_candidates_score_the_processor_bank(self):
+        program = checksum().program
+        expected = tuple(
+            tuple(cfg.count(t) + self.BANK.get(t, 0) for t in FU_TYPES)
+            for cfg in PREDEFINED_CONFIGS
+        )
+        steering = steering_processor(program, self.PARAMS)
+        oracle = oracle_processor(program, self.PARAMS)
+        assert steering.fabric.counts_tuple() == (1, 1, 1, 1, 0)
+        fp_mdu = FU_TYPES.index(FUType.FP_MDU)
+        for avails in (
+            steering.policy.manager.selection_unit._config_avails,
+            oracle.policy._config_avails,
+        ):
+            assert avails == expected
+            # no candidate scores the fixed FP-MDU this bank lacks
+            assert [a[fp_mdu] for a in avails] == [
+                cfg.count(FUType.FP_MDU) for cfg in PREDEFINED_CONFIGS
+            ]
+        assert steering.run().halted and oracle.run().halted
+
+    def test_synthesizer_fills_the_processor_slot_budget(self):
+        proc = demand_processor(checksum().program, self.PARAMS)
+        synthesizer = proc.policy.synthesizer
+        for _ in range(64):
+            synthesizer.observe((7,) * len(FU_TYPES))
+        target = synthesizer.propose(proc.fabric.counts_tuple())
+        assert target is not None
+        assert target.slot_usage == 12
+        # the bank has no FP-MDU, so the synthesis must load one
+        assert target.count(FUType.FP_MDU) >= 1
+        assert proc.run().halted

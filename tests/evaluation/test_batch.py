@@ -145,7 +145,8 @@ def test_parallel_matches_sequential():
         assert s.to_dict() == p.to_dict()
     assert par[0] is par[3]  # the duplicate was simulated once
     assert par_seen == seq_seen == [(n, 4) for n in range(1, 5)]
-    assert len(par_cache) == len(seq_cache) == 3
+    assert par_cache.stats()["memory_entries"] == 3
+    assert seq_cache.stats()["memory_entries"] == 3
     assert par_cache.misses == seq_cache.misses == 4
 
 

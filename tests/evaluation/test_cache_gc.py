@@ -212,20 +212,20 @@ def test_memory_keeps_the_most_recently_used_entries(tmp_path):
     for i, key in enumerate(keys[1:], start=1):
         cache.put(key, i)
         assert cache.get(keys[0]) == 0  # a hit keeps key 0 young
-    assert len(cache) == batch.MEMORY_ENTRIES
+    assert cache.stats()["memory_entries"] == batch.MEMORY_ENTRIES
     assert keys[0] in cache._memory
     assert keys[1] not in cache._memory  # the oldest put went first
     # the disk still answers an evicted key, and it comes back into memory
     assert cache.get(keys[1]) == 1
     assert keys[1] in cache._memory
-    assert len(cache) == batch.MEMORY_ENTRIES
+    assert cache.stats()["memory_entries"] == batch.MEMORY_ENTRIES
 
 
 def test_memory_only_cache_forgets_past_the_bound():
     cache = ResultCache()
     for i in range(batch.MEMORY_ENTRIES + 10):
         cache.put(f"{i:064x}", i)
-    assert len(cache) == batch.MEMORY_ENTRIES
+    assert cache.stats()["memory_entries"] == batch.MEMORY_ENTRIES
     assert cache.get(f"{0:064x}") is None  # re-simulated by run_many
     assert cache.get(f"{batch.MEMORY_ENTRIES + 9:064x}") == batch.MEMORY_ENTRIES + 9
 

@@ -1,4 +1,5 @@
-"""Tests for the HTTP JSON API (exercised through the pure handler)."""
+"""Tests for the HTTP JSON API (exercised through the handler of an app
+built as an API worker builds it)."""
 
 import json
 import time
@@ -8,9 +9,7 @@ import pytest
 import repro.evaluation.batch as batch
 from repro.core.params import ProcessorParams
 from repro.evaluation.batch import ResultCache, SimJob, run_many
-from repro.serving.app import ServingApp
-from repro.serving.jobs import StoreJobQueue, build_job
-from repro.serving.store import RunStore
+from repro.serving.jobs import build_job
 from repro.workloads.kernels import checksum
 
 _PARAMS = ProcessorParams(reconfig_latency=8)
@@ -22,10 +21,11 @@ def _decode(response):
 
 
 @pytest.fixture()
-def warm():
-    """A store + cache seeded by actually running two small simulations."""
-    store = RunStore()
-    cache = ResultCache(store=store)
+def warm(make_app, tmp_path):
+    """An API worker's app over a store + cache directory seeded by
+    actually running two small simulations (as a report run seeds them)."""
+    app = make_app(cache_dir=str(tmp_path / "cache"))
+    cache = ResultCache(tmp_path / "cache", store=app.store)
     jobs = [
         SimJob("steering", checksum(iterations=20).program, _PARAMS,
                max_cycles=50_000, label="checksum/steering"),
@@ -33,9 +33,7 @@ def warm():
                max_cycles=50_000, label="checksum/ffu"),
     ]
     run_many(jobs, cache=cache)
-    app = ServingApp(store, cache=cache)
-    yield app, store, cache
-    store.close()
+    return app, app.store, app.cache
 
 
 def test_health(warm):
@@ -44,7 +42,8 @@ def test_health(warm):
     assert status == 200
     assert payload["status"] == "ok"
     assert payload["runs"] == store.count() == 2
-    assert payload["cache"]["memory_entries"] == 2
+    assert payload["cache"]["disk_blobs"] == 2
+    assert payload["jobs_pending"] == 0
 
 
 def test_dashboard_served_at_root(warm):
@@ -185,28 +184,28 @@ def test_blob_endpoints_etag_and_404_text(warm, name, etag, missing):
     }
 
 
-def test_artifact_of_a_pruned_namespace_is_404(tmp_path, monkeypatch):
+def test_artifact_of_a_pruned_namespace_is_404(make_app, tmp_path, monkeypatch):
     """A run recorded under other code keeps its row, but its blob goes
     when that code digest's namespace is pruned, an idle hour later: the
     artifact is a 404, never a result of other code."""
-    store = RunStore()
+    cache_dir = tmp_path / "cache"
+    app = make_app("api-0", cache_dir=str(cache_dir))
     job = SimJob("steering", checksum(iterations=20).program, _PARAMS,
                  max_cycles=50_000)
-    run_many([job], cache=ResultCache(tmp_path, store=store))
-    run_id, key = (store.list_runs()[0][k] for k in ("run_id", "config_hash"))
-    app = ServingApp(store, cache=ResultCache(tmp_path))
+    run_many([job], cache=ResultCache(cache_dir, store=app.store))
+    run = app.store.list_runs()[0]
+    run_id, key = run["run_id"], run["config_hash"]
     assert app.handle("GET", f"/api/runs/{run_id}/artifact")[0] == 200
+    # a worker of other code starts up on the same cache root
     monkeypatch.setattr(batch, "code_digest", lambda: "e" * 64)
-    cache = ResultCache(tmp_path)
-    assert cache.prune(now=time.time() + batch.IDLE_S + 1)["removed"] == 1
-    app = ServingApp(store, cache=cache)
+    app = make_app("api-1", cache_dir=str(cache_dir))
+    assert app.cache.prune(now=time.time() + batch.IDLE_S + 1)["removed"] == 1
     status, _, payload = _decode(app.handle("GET", f"/api/runs/{run_id}/artifact"))
     assert status == 404
     assert payload == {
         "error": f"run {run_id} has no cached artifact (key {key[:12]}…)",
         "status": 404,
     }
-    store.close()
 
 
 def test_warm_cache_answers_without_simulating(warm, monkeypatch):
@@ -227,17 +226,8 @@ def test_warm_cache_answers_without_simulating(warm, monkeypatch):
 
 
 # ------------------------------------------------------------ job submission
-def test_submit_without_queue_is_503():
-    store = RunStore()
-    app = ServingApp(store)
-    status, _, _ = _decode(app.handle("POST", "/api/jobs", body=b"{}"))
-    assert status == 503
-    store.close()
-
-
-def test_submit_bad_json_and_bad_spec():
-    store = RunStore()
-    app = ServingApp(store, jobs=StoreJobQueue(store, capacity=2))
+def test_submit_bad_json_and_bad_spec(make_app):
+    app = make_app(capacity=2)
     status, _, payload = _decode(
         app.handle("POST", "/api/jobs", body=b"{not json")
     )
@@ -247,17 +237,13 @@ def test_submit_bad_json_and_bad_spec():
     )
     assert status == 400
     assert "nosuch-kernel" in payload["error"]
-    store.close()
 
 
-def test_submit_cached_job_returns_200_immediately():
-    store = RunStore()
-    cache = ResultCache()
+def test_submit_cached_job_returns_200_immediately(make_app):
+    app = make_app()
     spec = {"factory": "steering", "target": "checksum",
             "params": {"reconfig_latency": 8}, "max_cycles": 50_000}
-    run_many([build_job(spec)], cache=cache)
-    queue = StoreJobQueue(store, cache=cache)
-    app = ServingApp(store, cache=cache, jobs=queue)
+    run_many([build_job(spec)], cache=app.cache)
     status, _, payload = _decode(
         app.handle("POST", "/api/jobs", body=json.dumps(spec).encode())
     )
@@ -267,24 +253,19 @@ def test_submit_cached_job_returns_200_immediately():
     # the run became visible through the run list
     runs = _decode(app.handle("GET", "/api/runs"))[2]["runs"]
     assert any(r["run_id"] == payload["run_id"] for r in runs)
-    queue.stop()
-    store.close()
 
 
-def test_submit_fresh_job_runs_and_appears_in_run_list():
-    store = RunStore()
-    cache = ResultCache()
-    queue = StoreJobQueue(store, cache=cache)
-    queue.start()
-    app = ServingApp(store, cache=cache, jobs=queue)
+def test_submit_fresh_job_runs_and_appears_in_run_list(make_app, make_queue, tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    app = make_app("api-0", cache_dir=cache_dir)
+    sim = make_queue("sim-0", cache_dir=cache_dir)
     spec = {"factory": "ffu-only", "target": "checksum",
             "max_cycles": 50_000, "label": "api submission"}
     status, _, payload = _decode(
         app.handle("POST", "/api/jobs", body=json.dumps(spec).encode())
     )
     assert status == 202
-    settled = queue.wait(payload["job_id"], timeout=60)
-    assert settled.state == "done"
+    assert sim.claim_and_run_one()
     status, _, job = _decode(app.handle("GET", f"/api/jobs/{payload['job_id']}"))
     assert job["state"] == "done"
     assert job["run_id"] is not None
@@ -298,45 +279,27 @@ def test_submit_fresh_job_runs_and_appears_in_run_list():
         app.handle("POST", "/api/jobs", body=json.dumps(spec).encode())
     )
     assert status == 200 and payload["cached"] is True
-    queue.stop()
-    store.close()
 
 
 def test_jobs_listing(warm):
-    app, store, cache = warm
-    queue = StoreJobQueue(store, cache=cache)
-    app.jobs = queue
+    app, _, _ = warm
     status, _, payload = _decode(app.handle("GET", "/api/jobs"))
     assert status == 200 and payload["jobs"] == []
     status, _, _ = _decode(app.handle("GET", "/api/jobs/job-9999"))
     assert status == 404
-    queue.stop()
 
 
 # -------------------------------------------------------------- backpressure
 def _rejections(app):
-    counter = app.registry.get("repro_jobs_rejected_total")
+    counter = app.registry.counter("repro_jobs_rejected_total")
     return {
         labels[0]: child.value for labels, child in counter._children.items()
     }
 
 
-def test_disabled_submission_503_carries_retry_after_and_counts():
-    store = RunStore()
-    app = ServingApp(store)
-    status, headers, payload = app.handle("POST", "/api/jobs", body=b"{}")
-    assert status == 503
-    assert headers["Retry-After"] == "1"
-    assert json.loads(payload)["status"] == 503
-    assert _rejections(app) == {"disabled": 1.0}
-    store.close()
-
-
-def test_queue_full_503_carries_retry_after_and_counts():
-    store = RunStore()
+def test_queue_full_503_carries_retry_after_and_counts(make_app):
     # durable queue, never drained: submissions pile up to capacity
-    queue = StoreJobQueue(store, cache=ResultCache(), capacity=1)
-    app = ServingApp(store, cache=queue.cache, jobs=queue)
+    app = make_app(capacity=1)
     spec = {"target": "checksum", "max_cycles": 50_000}
     status, _, _ = app.handle(
         "POST", "/api/jobs", body=json.dumps(spec).encode()
@@ -355,15 +318,16 @@ def test_queue_full_503_carries_retry_after_and_counts():
     assert _rejections(app) == {"queue_full": float(rejected)}
     # the rejections surface on /metrics too
     _, _, body = app.handle("GET", "/metrics")
-    assert 'repro_jobs_rejected_total{reason="queue_full"} 2' in body.decode()
-    store.close()
+    assert (
+        'repro_jobs_rejected_total{reason="queue_full",worker="api-0"} 2'
+        in body.decode()
+    )
 
 
 # ---------------------------------------------------------- worker metrics
-def test_worker_scrape_publishes_and_merges():
-    store = RunStore()
-    a = ServingApp(store, worker_name="api-0")
-    b = ServingApp(store, worker_name="api-1")
+def test_worker_scrape_publishes_and_merges(make_app):
+    a = make_app("api-0")
+    b = make_app("api-1")
     a.handle("GET", "/api/health")
     b.handle("GET", "/api/health")
     b.handle("GET", "/metrics")  # api-1 publishes its snapshot
@@ -377,5 +341,4 @@ def test_worker_scrape_publishes_and_merges():
     )
     assert 'worker="api-1"' in text
     # and the snapshots are visible store-wide
-    assert set(store.worker_metrics()) == {"api-0", "api-1"}
-    store.close()
+    assert set(a.store.worker_metrics()) == {"api-0", "api-1"}

@@ -5,8 +5,8 @@ import pathlib
 import sys
 import threading
 
-from repro.serving.app import ServingApp, make_server
-from repro.serving.store import RunStore
+from repro.serving.app import make_server
+from repro.serving.supervisor import _bound_socket
 
 _MODULE_PATH = (
     pathlib.Path(__file__).resolve().parents[2]
@@ -48,12 +48,13 @@ class TestPercentile:
         assert mod.percentile(values, 400) == 3.0
 
 
-def test_run_load_against_live_server():
+def test_run_load_against_live_server(make_app):
     """A short real run: reads succeed, the record is shaped for the gate."""
     mod = _load()
-    store = RunStore()
-    app = ServingApp(store)  # no job queue: submits get 503-rejected
-    server = make_server(app, "127.0.0.1", 0)
+    # an API worker with no sim worker and a one-job queue: the first
+    # distinct submit is accepted, the rest are 503-rejected
+    app = make_app(capacity=1)
+    server = make_server(app, "127.0.0.1", _bound_socket("127.0.0.1", 0))
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -66,13 +67,11 @@ def test_run_load_against_live_server():
         server.shutdown()
         server.server_close()
         thread.join(10)
-        store.close()
     assert record["requests"] > 0
     assert record["errors"] == 0
     assert record["ok"] + record["rejected"] == record["requests"]
-    # submissions against a queue-less server count as rejections, not errors
-    if record["submits"]:
-        assert record["rejected"] == record["submits"]
+    # submissions against a full queue count as rejections, not errors
+    assert record["rejected"] == max(0, record["submits"] - 1)
     assert record["requests_per_second"] > 0
     assert record["p50_ms"] <= record["p90_ms"] <= record["p99_ms"]
     assert record["p99_ms"] <= record["max_ms"]

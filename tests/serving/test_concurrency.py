@@ -4,21 +4,21 @@ import json
 import threading
 import urllib.request
 
-from repro.serving.app import ServingApp, make_server
-from repro.serving.store import RunStore
+from repro.serving.app import make_server
+from repro.serving.supervisor import _bound_socket
 
 CLIENTS = 32
 REQUESTS_PER_CLIENT = 4
 
 
-def test_threaded_server_under_concurrent_clients():
-    store = RunStore()
+def test_threaded_server_under_concurrent_clients(make_app):
+    app = make_app()
     run_ids = [
-        store.record_run(f"E-{i % 4}", format(i, "064x"), {"ipc": 1.0 + i})
+        app.store.record_run(f"E-{i % 4}", format(i, "064x"), {"ipc": 1.0 + i})
         for i in range(8)
     ]
-    app = ServingApp(store)
-    server = make_server(app, port=0)
+    # an API worker's server, on a listening socket as the supervisor binds it
+    server = make_server(app, "127.0.0.1", _bound_socket("127.0.0.1", 0))
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -54,5 +54,4 @@ def test_threaded_server_under_concurrent_clients():
         t.join(timeout=30)
     server.shutdown()
     server.server_close()
-    store.close()
     assert not errors, errors

@@ -6,15 +6,13 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.evaluation.batch import ResultCache, job_key, run_many
+from repro.evaluation.batch import job_key, run_many
 from repro.serving.jobs import (
     MAX_SUBMITTED_CYCLES,
     JobQueueFull,
-    StoreJobQueue,
     build_job,
     resolve_program,
 )
-from repro.serving.store import RunStore
 
 _SPEC = {
     "factory": "steering",
@@ -96,15 +94,12 @@ def test_build_job_rejects_malformed_specs():
     {"params": {"window_size": 7.5}},
     {"params": {"n_slots": True}},
 ])
-def test_spec_that_can_never_run_is_refused_at_submit(spec):
-    from repro.serving.app import ServingApp
-
-    store = RunStore()
-    app = ServingApp(store, jobs=StoreJobQueue(store, capacity=2))
+def test_spec_that_can_never_run_is_refused_at_submit(make_app, spec):
+    app = make_app(capacity=2)
     body = json.dumps({"target": "checksum", **spec}).encode()
     status, _, payload = app.handle("POST", "/api/jobs", body=body)
     assert status == 400, payload
-    assert store.list_jobs() == []
+    assert app.store.list_jobs() == []
 
 
 def test_params_up_to_sixteen_times_their_default_are_accepted():
@@ -121,18 +116,17 @@ def test_params_up_to_sixteen_times_their_default_are_accepted():
     ("oracle", {"lookahead": 0}, "lookahead must be at least 1"),
     ("oracle", {"lookahead": -1}, "lookahead must be at least 1"),
 ])
-def test_out_of_range_policy_argument_fails_the_job(factory, kwargs, message):
-    queue = StoreJobQueue(RunStore(), capacity=2)
-    queue.start()
-    try:
-        record = queue.submit(
-            {"target": "checksum", "factory": factory, "kwargs": kwargs}
-        )
-        settled = queue.wait(record.job_id, timeout=30)
-        assert settled.state == "failed"
-        assert message in settled.error
-    finally:
-        queue.stop()
+def test_out_of_range_policy_argument_fails_the_job(
+    make_queue, factory, kwargs, message
+):
+    queue = make_queue(capacity=2)
+    record = queue.submit(
+        {"target": "checksum", "factory": factory, "kwargs": kwargs}
+    )
+    assert queue.claim_and_run_one()
+    settled = queue.get(record.job_id)
+    assert settled.state == "failed"
+    assert message in settled.error
 
 
 def test_factory_arguments_reach_the_job():
@@ -142,30 +136,24 @@ def test_factory_arguments_reach_the_job():
 
 
 # ------------------------------------------------------------ StoreJobQueue
-def test_submit_runs_job_and_registers_run():
-    store = RunStore()
-    queue = StoreJobQueue(store, capacity=4)
-    queue.start()
-    try:
-        record = queue.submit(dict(_SPEC))
-        assert record.state in ("queued", "running")
-        settled = queue.wait(record.job_id, timeout=60)
-        assert settled.state == "done"
-        assert not settled.cached
-        assert queue.executed == 1
-        run = store.get_run(settled.run_id)
-        assert run["experiment"] == "job/steering"
-        assert run["metrics"]["ipc"] > 0
-    finally:
-        queue.stop()
-        store.close()
+def test_submit_runs_job_and_registers_run(make_queue):
+    queue = make_queue(capacity=4)
+    record = queue.submit(dict(_SPEC))
+    assert record.state == "queued"
+    assert queue.claim_and_run_one()
+    settled = queue.get(record.job_id)
+    assert settled.state == "done"
+    assert not settled.cached
+    assert queue.executed == 1
+    run = queue.store.get_run(settled.run_id)
+    assert run["experiment"] == "job/steering"
+    assert run["metrics"]["ipc"] > 0
 
 
-def test_cached_submission_answers_without_simulating():
-    cache = ResultCache()
-    seeded = run_many([build_job(_SPEC)], cache=cache)
+def test_cached_submission_answers_without_simulating(make_queue):
+    queue = make_queue(capacity=4)
+    seeded = run_many([build_job(_SPEC)], cache=queue.cache)
     assert seeded[0].halted
-    queue = StoreJobQueue(RunStore(), cache=cache, capacity=4)
     record = queue.submit(dict(_SPEC))
     assert record.state == "done"
     assert record.cached
@@ -173,7 +161,7 @@ def test_cached_submission_answers_without_simulating():
     assert queue.executed == 0
 
 
-def test_backpressure_raises_jobqueuefull(monkeypatch):
+def test_backpressure_raises_jobqueuefull(make_queue, monkeypatch):
     import repro.evaluation.batch as batch_mod
 
     release = threading.Event()
@@ -186,38 +174,36 @@ def test_backpressure_raises_jobqueuefull(monkeypatch):
         return result
 
     monkeypatch.setattr(batch_mod, "execute_job", blocking_execute_job)
-    queue = StoreJobQueue(RunStore(), capacity=1)
-    queue.start()
+    api = make_queue("api-0", capacity=1)
+    sim = make_queue("sim-0", capacity=1)
+    runner = threading.Thread(target=sim.claim_and_run_one)
     try:
         specs = [dict(_SPEC, label=f"j{i}") for i in range(3)]
-        first = queue.submit(specs[0])  # drained immediately, blocks
+        first = api.submit(specs[0])
+        runner.start()  # the sim worker claims it and blocks in the run
         assert started.wait(10)
-        queue.submit(specs[1])  # occupies the single queue slot
+        api.submit(specs[1])  # occupies the single queue slot
         with pytest.raises(JobQueueFull):
-            queue.submit(specs[2])
-        release.set()
-        assert queue.wait(first.job_id, timeout=10).state == "done"
+            api.submit(specs[2])
     finally:
         release.set()
-        queue.stop()
+        runner.join(10)
+    assert api.get(first.job_id).state == "done"
 
 
-def test_failed_job_reports_error(monkeypatch):
+def test_failed_job_reports_error(make_queue, monkeypatch):
     import repro.evaluation.batch as batch_mod
 
     def exploding_execute_job(job):
         raise RuntimeError("simulator exploded")
 
     monkeypatch.setattr(batch_mod, "execute_job", exploding_execute_job)
-    queue = StoreJobQueue(RunStore(), capacity=2)
-    queue.start()
-    try:
-        record = queue.submit(dict(_SPEC))
-        settled = queue.wait(record.job_id, timeout=10)
-        assert settled.state == "failed"
-        assert "simulator exploded" in settled.error
-    finally:
-        queue.stop()
+    queue = make_queue(capacity=2)
+    record = queue.submit(dict(_SPEC))
+    assert queue.claim_and_run_one()
+    settled = queue.get(record.job_id)
+    assert settled.state == "failed"
+    assert "simulator exploded" in settled.error
 
 
 def test_label_excluded_from_content_key():
@@ -242,8 +228,8 @@ def build_calls(monkeypatch):
     return calls
 
 
-def test_repeated_spec_is_built_and_keyed_once(build_calls):
-    queue = StoreJobQueue(RunStore(), capacity=4)
+def test_repeated_spec_is_built_and_keyed_once(make_queue, build_calls):
+    queue = make_queue(capacity=4)
     first = queue.submit(dict(_SPEC))
     again = queue.submit(dict(_SPEC))  # equal spec, a new dict
     assert build_calls == [_SPEC]
@@ -251,8 +237,8 @@ def test_repeated_spec_is_built_and_keyed_once(build_calls):
     assert first.job_id != again.job_id
 
 
-def test_repeated_spec_answers_from_cache_without_building(build_calls):
-    queue = StoreJobQueue(RunStore(), capacity=4)
+def test_repeated_spec_answers_from_cache_without_building(make_queue, build_calls):
+    queue = make_queue(capacity=4)
     spec = dict(_SPEC, label="sweep point")
     queue.submit(spec)
     assert queue.claim_and_run_one()
@@ -272,8 +258,8 @@ def test_repeated_spec_answers_from_cache_without_building(build_calls):
     {"max_cycles": 40_000},
     {"factory": "ffu-only"},
 ])
-def test_spec_that_differs_gets_its_own_key(build_calls, change):
-    queue = StoreJobQueue(RunStore(), capacity=4)
+def test_spec_that_differs_gets_its_own_key(make_queue, build_calls, change):
+    queue = make_queue(capacity=4)
     base = queue.submit(dict(_SPEC))
     variant = dict(_SPEC, **change)
     other = queue.submit(variant)
@@ -285,21 +271,18 @@ def test_spec_that_differs_gets_its_own_key(build_calls, change):
         assert other.key != base.key
 
 
-def test_malformed_spec_is_rejected_every_time(build_calls):
-    from repro.serving.app import ServingApp
-
-    store = RunStore()
-    app = ServingApp(store, jobs=StoreJobQueue(store, capacity=2))
+def test_malformed_spec_is_rejected_every_time(make_app, build_calls):
+    app = make_app(capacity=2)
     body = b'{"target": "checksum", "max_cycles": 0}'
     for _ in range(2):
         status, _, _ = app.handle("POST", "/api/jobs", body=body)
         assert status == 400
     assert len(build_calls) == 2  # never stored, so validated again
-    assert store.list_jobs() == []
+    assert app.store.list_jobs() == []
 
 
-def test_spec_without_canonical_form_takes_the_building_path(build_calls):
-    queue = StoreJobQueue(RunStore(), capacity=2)
+def test_spec_without_canonical_form_takes_the_building_path(make_queue, build_calls):
+    queue = make_queue(capacity=2)
     spec = dict(_SPEC, factory="demand", kwargs={"smoothing": float("nan")})
     for _ in range(2):
         with pytest.raises(ConfigurationError, match="non-finite"):
@@ -308,11 +291,11 @@ def test_spec_without_canonical_form_takes_the_building_path(build_calls):
     assert queue.depth() == 0
 
 
-def test_keyed_specs_are_bounded(build_calls, monkeypatch):
+def test_keyed_specs_are_bounded(make_queue, build_calls, monkeypatch):
     import repro.serving.jobs as jobs_mod
 
     monkeypatch.setattr(jobs_mod, "KEYED_SPECS", 2)
-    queue = StoreJobQueue(RunStore(), capacity=8)
+    queue = make_queue(capacity=8)
     specs = [dict(_SPEC, label=f"p{i}") for i in range(3)]
     for spec in specs + specs[2:]:
         queue.submit(spec)

@@ -1,28 +1,25 @@
 """Tests for the durable, store-backed job queue (StoreJobQueue)."""
 
+import threading
+import time
+
 import pytest
 
-from repro.evaluation.batch import ResultCache
-from repro.serving.jobs import JobQueueFull, StoreJobQueue
+from repro.serving.jobs import JobQueueFull
 from repro.serving.store import RunStore
-from repro.telemetry import MetricsRegistry
 
 SPEC = {"target": "checksum", "max_cycles": 5_000}
 
 
 @pytest.fixture()
-def store():
-    with RunStore() as s:
+def store(store_path):
+    """The test's own connection to the store the queues share."""
+    with RunStore(store_path) as s:
         yield s
 
 
-def _queue(store, **kwargs):
-    kwargs.setdefault("cache", ResultCache())
-    return StoreJobQueue(store, **kwargs)
-
-
-def test_submit_enqueues_durably(store):
-    q = _queue(store)
+def test_submit_enqueues_durably(make_queue, store):
+    q = make_queue()
     record = q.submit(SPEC)
     assert record.state == "queued"
     assert record.job_id.startswith("job-")
@@ -31,8 +28,8 @@ def test_submit_enqueues_durably(store):
     assert q.depth() == 1
 
 
-def test_claim_and_run_one_executes_and_registers(store):
-    q = _queue(store)
+def test_claim_and_run_one_executes_and_registers(make_queue, store):
+    q = make_queue()
     record = q.submit(SPEC)
     assert q.claim_and_run_one() is True
     done = q.get(record.job_id)
@@ -44,8 +41,8 @@ def test_claim_and_run_one_executes_and_registers(store):
     assert q.claim_and_run_one() is False
 
 
-def test_cached_submission_settles_immediately(store):
-    q = _queue(store)
+def test_cached_submission_settles_immediately(make_queue, store):
+    q = make_queue()
     first = q.submit(SPEC)
     assert q.claim_and_run_one()
     again = q.submit(SPEC)
@@ -58,28 +55,28 @@ def test_cached_submission_settles_immediately(store):
     assert q.depth() == 0
 
 
-def test_capacity_rejection(store):
-    q = _queue(store, capacity=2)
+def test_capacity_rejection(make_queue):
+    q = make_queue(capacity=2)
     q.submit(SPEC)
     q.submit({**SPEC, "max_cycles": 6_000})
     with pytest.raises(JobQueueFull, match="queue full"):
         q.submit({**SPEC, "max_cycles": 7_000})
 
 
-def test_invalid_claimed_spec_fails_the_job(store):
+def test_invalid_claimed_spec_fails_the_job(make_queue, store):
     # a spec that validates nowhere: enqueued directly (as if by an API
     # worker running different code), the claimer must fail it cleanly
     store.enqueue_job("job-bad", "key-bad", {"target": "no-such-kernel"})
-    q = _queue(store)
+    q = make_queue()
     assert q.claim_and_run_one() is True
     failed = q.get("job-bad")
     assert failed.state == "failed"
     assert failed.error
 
 
-def test_two_queue_instances_share_the_backlog(store):
-    api = _queue(store, owner="api-0")
-    sim = _queue(store, owner="sim-0", cache=api.cache)
+def test_two_queue_instances_share_the_backlog(make_queue, store, tmp_path):
+    api = make_queue("api-0", cache_dir=str(tmp_path / "cache"))
+    sim = make_queue("sim-0", cache_dir=str(tmp_path / "cache"))
     record = api.submit(SPEC)
     # the *other* worker claims and executes it
     assert sim.claim_and_run_one() is True
@@ -88,12 +85,12 @@ def test_two_queue_instances_share_the_backlog(store):
     assert sim.executed == 1 and api.executed == 0
 
 
-def test_drain_runs_each_job_under_its_stored_key(store, monkeypatch):
+def test_drain_runs_each_job_under_its_stored_key(make_queue, tmp_path, monkeypatch):
     from repro.evaluation import batch
     from repro.serving import jobs
 
-    api = _queue(store, owner="api-0")
-    sim = _queue(store, owner="sim-0", cache=api.cache)
+    api = make_queue("api-0", cache_dir=str(tmp_path / "cache"))
+    sim = make_queue("sim-0", cache_dir=str(tmp_path / "cache"))
     records = [api.submit({**SPEC, "max_cycles": 5_000 + i}) for i in range(3)]
     calls = []
 
@@ -114,8 +111,8 @@ def test_drain_runs_each_job_under_its_stored_key(store, monkeypatch):
         assert api.get(record.job_id).state == "done"
 
 
-def test_executed_counts_simulations_not_cache_answers(store):
-    q = _queue(store)
+def test_executed_counts_simulations_not_cache_answers(make_queue):
+    q = make_queue()
     # two rows of one spec queued before either runs: the second claim
     # finds the first one's result in the cache
     first, second = q.submit(SPEC), q.submit(SPEC)
@@ -126,37 +123,49 @@ def test_executed_counts_simulations_not_cache_answers(store):
     assert q.get(first.job_id).run_id == q.get(second.job_id).run_id
 
 
-def test_in_process_drain_thread(store):
-    q = _queue(store)
-    q.start()
+def test_in_process_drain_thread(make_queue):
+    """The sim worker's loop, on a thread of this process: it runs what
+    another worker submits and returns once stopped."""
+    api, sim = make_queue("api-0"), make_queue("sim-0")
+    heartbeats = []
+    loop = threading.Thread(
+        target=sim.drain_until_stopped, args=(lambda: heartbeats.append(1),)
+    )
+    loop.start()
     try:
-        record = q.submit(SPEC)
-        settled = q.wait(record.job_id, timeout=60)
-        assert settled.state == "done"
+        record = api.submit(SPEC)
+        deadline = time.monotonic() + 60
+        while api.get(record.job_id).state not in ("done", "failed"):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert api.get(record.job_id).state == "done"
     finally:
-        q.stop()
-    assert not q._thread.is_alive()
+        sim.stop()
+        loop.join(10)
+    assert not loop.is_alive()
+    assert sim.executed == 1 and heartbeats
 
 
-def test_submission_metrics(store):
-    registry = MetricsRegistry()
-    q = _queue(store, capacity=1, registry=registry)
+def test_submission_metrics(make_queue):
+    q = make_queue(capacity=1)
     q.submit(SPEC)
     with pytest.raises(JobQueueFull):
         q.submit({**SPEC, "max_cycles": 6_000})
     q.claim_and_run_one()
     q.submit(SPEC)  # cache hit now
-    counter = registry.get("repro_jobs_submitted_total")
+    snapshot = q.registry.snapshot()
     outcomes = {
-        labels[0]: child.value for labels, child in counter._children.items()
+        s["labels"][0]: s["value"]
+        for s in snapshot["repro_jobs_submitted_total"]["series"]
     }
     assert outcomes == {"accepted": 1.0, "rejected": 1.0, "cached": 1.0}
-    assert registry.get("repro_job_run_seconds").count == 1
-    assert registry.get("repro_job_queue_wait_seconds").count == 1
+    for name in ("repro_job_run_seconds", "repro_job_queue_wait_seconds"):
+        [series] = snapshot[name]["series"]
+        assert sum(series["counts"]) == 1
 
 
-def test_list_and_depth(store):
-    q = _queue(store)
+def test_list_and_depth(make_queue):
+    q = make_queue()
     a = q.submit(SPEC)
     b = q.submit({**SPEC, "max_cycles": 6_000})
     assert {r.job_id for r in q.list()} == {a.job_id, b.job_id}

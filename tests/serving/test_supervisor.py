@@ -221,6 +221,19 @@ def test_rejects_zero_workers(tmp_path):
             Supervisor(str(tmp_path / "r.sqlite"), **kwargs)
 
 
+@pytest.mark.parametrize("store", [":memory:", ""])
+def test_rejects_a_store_the_workers_cannot_share(store, capsys):
+    """Each forked worker would open a private database of its own, so a
+    job one API worker accepts would never reach a sim worker."""
+    with pytest.raises(ValueError, match="private to one process"):
+        Supervisor(store, port=0)
+    from repro.cli import main
+
+    # `repro serve` turns the refusal into a usage error
+    assert main(["serve", "--store", store, "--port", "0"]) == 2
+    assert "private to one process" in capsys.readouterr().err
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)

@@ -1,7 +1,8 @@
 """Serving-layer observability: /metrics, /timeseries, access logs.
 
-All exercised through the pure handler (``ServingApp.handle``) — no
-sockets, matching the rest of the API suite.
+All exercised through the handler (``ServingApp.handle``) of an app
+built as an API worker builds it — no sockets, matching the rest of the
+API suite.
 """
 
 import json
@@ -11,10 +12,7 @@ import pytest
 
 from repro.core.params import ProcessorParams
 from repro.evaluation.batch import ResultCache, SimJob, run_many
-from repro.serving.app import ServingApp
-from repro.serving.jobs import StoreJobQueue
-from repro.serving.store import RunStore
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import read_events
 from repro.workloads.kernels import checksum
 
 _PARAMS = ProcessorParams(reconfig_latency=8)
@@ -26,10 +24,11 @@ _SAMPLE = re.compile(
 
 
 @pytest.fixture()
-def warm():
-    """Store + cache seeded with one plain and one telemetry-bearing run."""
-    store = RunStore()
-    cache = ResultCache(store=store)
+def warm(make_app, tmp_path):
+    """An API worker's app over a store + cache directory seeded with one
+    plain and one telemetry-bearing run."""
+    app = make_app(cache_dir=str(tmp_path / "cache"))
+    cache = ResultCache(tmp_path / "cache", store=app.store)
     program = checksum(iterations=20).program
     jobs = [
         SimJob("steering", program, _PARAMS, max_cycles=50_000,
@@ -38,14 +37,7 @@ def warm():
                label="instrumented"),
     ]
     run_many(jobs, cache=cache)
-    registry = MetricsRegistry()
-    app = ServingApp(
-        store, cache=cache,
-        jobs=StoreJobQueue(store, cache=cache, registry=registry),
-        registry=registry,
-    )
-    yield app, store, cache
-    store.close()
+    return app, app.store, app.cache
 
 
 def _run_id(store, experiment):
@@ -85,7 +77,7 @@ class TestMetricsEndpoint:
             "repro_uptime_seconds",
         ):
             assert family in text, f"missing {family}"
-        assert "repro_store_runs 2" in text
+        assert 'repro_store_runs{worker="api-0"} 2' in text
 
     def test_request_counter_labels_use_route_templates(self, warm):
         app, store, _ = warm
@@ -96,7 +88,7 @@ class TestMetricsEndpoint:
         text = app.handle("GET", "/metrics")[2].decode()
         assert (
             'repro_http_requests_total{method="GET",'
-            'route="/api/runs/{id}",status="200"} 2' in text
+            'route="/api/runs/{id}",status="200",worker="api-0"} 2' in text
         )
         # unknown paths collapse into one label value: bounded cardinality
         assert 'route="(other)",status="404"' in text
@@ -186,12 +178,9 @@ class TestDecisionsEndpoint:
 
 
 class TestLogsEndpoint:
-    def test_ring_backed_tail_with_filters(self):
-        from repro.telemetry import EventLog
-
-        store = RunStore()
-        events = EventLog("serve")
-        app = ServingApp(store, events=events)
+    def test_sink_backed_tail_with_filters(self, make_app):
+        app = make_app()
+        events = app.events
         events.emit("job_submitted", trace="cafe0123cafe0123", job_id="j1")
         events.emit("job_done", trace="cafe0123cafe0123", job_id="j1")
         events.emit("job_submitted", trace="beef4567beef4567", job_id="j2")
@@ -210,57 +199,32 @@ class TestLogsEndpoint:
                                             "limit": "1"})[2]
         )
         assert doc["count"] == 1 and doc["events"][0]["job_id"] == "j2"
-        store.close()
 
-    def test_file_sink_merges_other_processes_records(self, tmp_path):
+    def test_file_sink_merges_other_processes_records(self, make_app, make_queue):
         """An API worker's /api/logs must show sim-pool events too — the
-        shared JSONL sink, not the local ring, is the source of truth."""
-        from repro.telemetry import EventLog
-
-        sink = tmp_path / "events.jsonl"
-        mine = EventLog("api-0", path=sink)
-        other = EventLog("sim-0", path=sink)
-        other.emit("job_claimed", job_id="j1")
-        mine.emit("http_request", path="/api/jobs")
-        store = RunStore()
-        app = ServingApp(store, events=mine)
+        shared JSONL sink is the source of truth."""
+        app = make_app("api-0")
+        make_queue("sim-0").events.emit("job_claimed", job_id="j1")
+        app.events.emit("http_request", path="/api/jobs")
         doc = json.loads(app.handle("GET", "/api/logs")[2])
         assert [e["proc"] for e in doc["events"]] == ["sim-0", "api-0"]
-        store.close()
-        mine.close(), other.close()
 
-    def test_no_event_log_yields_empty_not_error(self):
-        store = RunStore()
-        app = ServingApp(store)
+    def test_no_event_log_yields_empty_not_error(self, make_app):
+        """A sink no worker has written to yet reads as an empty log."""
+        app = make_app()
         status, _, body = app.handle("GET", "/api/logs")
-        store.close()
         assert status == 200
         assert json.loads(body) == {"events": [], "count": 0}
 
-    def test_bad_limit_is_rejected(self):
-        from repro.telemetry import EventLog
-
-        store = RunStore()
-        app = ServingApp(store, events=EventLog())
+    def test_bad_limit_is_rejected(self, make_app):
+        app = make_app()
         status, _, _ = app.handle("GET", "/api/logs", {"limit": "lots"})
-        store.close()
         assert status == 400
 
 
 class TestTraceContextSubmission:
-    def _app(self):
-        from repro.telemetry import EventLog
-
-        store = RunStore()
-        cache = ResultCache(store=store)
-        events = EventLog("serve")
-        jobs = StoreJobQueue(
-            store, cache=cache, registry=MetricsRegistry(), events=events
-        )
-        return ServingApp(store, cache=cache, jobs=jobs, events=events), store
-
-    def test_header_id_is_honoured_and_stamped_everywhere(self):
-        app, store = self._app()
+    def test_header_id_is_honoured_and_stamped_everywhere(self, make_app):
+        app = make_app()
         spec = json.dumps({"target": "checksum", "max_cycles": 5_000}).encode()
         status, _, body = app.handle(
             "POST", "/api/jobs", body=spec,
@@ -269,55 +233,36 @@ class TestTraceContextSubmission:
         assert status in (200, 202)
         job_id = json.loads(body)["job_id"]
         # normalised id persisted on the durable job row
-        assert store.get_job(job_id)["trace_id"] == "cafe0123cafe0123"
+        assert app.store.get_job(job_id)["trace_id"] == "cafe0123cafe0123"
         # ... and stamped into the submission event
         doc = json.loads(
             app.handle("GET", "/api/logs", {"trace": "cafe0123cafe0123"})[2]
         )
         assert any(e["event"] == "job_submitted" for e in doc["events"])
-        store.close()
 
-    def test_garbage_header_gets_a_minted_id(self):
+    def test_garbage_header_gets_a_minted_id(self, make_app):
         from repro.telemetry import is_trace_id
 
-        app, store = self._app()
+        app = make_app()
         spec = json.dumps({"target": "checksum", "max_cycles": 5_000}).encode()
         _, _, body = app.handle(
             "POST", "/api/jobs", body=spec,
             headers={"X-Repro-Trace-Id": "not hex at all"},
         )
         job_id = json.loads(body)["job_id"]
-        assert is_trace_id(store.get_job(job_id)["trace_id"])
-        store.close()
+        assert is_trace_id(app.store.get_job(job_id)["trace_id"])
 
 
 class TestAccessLog:
-    def test_callback_receives_structured_records(self):
-        store = RunStore()
-        records = []
-        app = ServingApp(store, access_log=records.append)
+    def test_callback_receives_structured_records(self, make_app):
+        """Every handled request writes one ``http_request`` record to the
+        event log (echoed to stderr under ``repro serve --verbose``)."""
+        app = make_app("api-0")
         app.handle("GET", "/api/health")
         app.handle("GET", "/nope")
-        store.close()
+        records = read_events(app.events.path, event="http_request")
         assert [r["path"] for r in records] == ["/api/health", "/nope"]
         assert [r["status"] for r in records] == [200, 404]
         assert all(r["method"] == "GET" for r in records)
+        assert all(r["worker"] == r["proc"] == "api-0" for r in records)
         assert all(r["latency_ms"] >= 0 for r in records)
-
-    def test_no_callback_no_crash(self):
-        store = RunStore()
-        app = ServingApp(store)
-        status, _, _ = app.handle("GET", "/api/health")
-        store.close()
-        assert status == 200
-
-
-class TestMetricsWithoutRegistry:
-    def test_metrics_endpoint_still_answers(self):
-        """A ServingApp built without a shared registry creates its own."""
-        store = RunStore()
-        app = ServingApp(store)
-        status, headers, body = app.handle("GET", "/metrics")
-        store.close()
-        assert status == 200
-        assert b"repro_store_runs" in body

@@ -16,11 +16,10 @@ import time
 
 import pytest
 
-from repro.evaluation.batch import ResultCache, run_many
-from repro.serving.app import ServingApp, make_server
-from repro.serving.jobs import HEARTBEAT_SECONDS, StoreJobQueue, build_job
-from repro.serving.store import RunStore
-from repro.serving.supervisor import Supervisor
+from repro.evaluation.batch import run_many
+from repro.serving.app import make_server
+from repro.serving.jobs import HEARTBEAT_SECONDS, build_job
+from repro.serving.supervisor import Supervisor, _bound_socket
 
 SPEC = {"target": "checksum", "max_cycles": 5_000}
 
@@ -39,13 +38,10 @@ def _timed(conn, method, path, body=None):
     return time.perf_counter() - start, response.status, payload
 
 
-def test_keep_alive_responses_do_not_wait_for_delayed_ack():
-    store = RunStore()
-    cache = ResultCache()
-    run_many([build_job(SPEC)], cache=cache)
-    jobs = StoreJobQueue(store, cache=cache)
-    app = ServingApp(store, cache=cache, jobs=jobs)
-    server = make_server(app, "127.0.0.1", 0)
+def test_keep_alive_responses_do_not_wait_for_delayed_ack(make_app):
+    app = make_app()
+    run_many([build_job(SPEC)], cache=app.cache)
+    server = make_server(app, "127.0.0.1", _bound_socket("127.0.0.1", 0))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     conn = http.client.HTTPConnection(
@@ -69,36 +65,42 @@ def test_keep_alive_responses_do_not_wait_for_delayed_ack():
         server.shutdown()
         server.server_close()
         thread.join(5)
-        store.close()
 
 
-def test_doorbell_wakes_idle_drain_thread():
-    store = RunStore()
-    queue = StoreJobQueue(store, cache=ResultCache())
-    queue.start()
+def _drain_thread(queue) -> threading.Thread:
+    """The sim worker's drain loop on a thread of this process."""
+    thread = threading.Thread(target=queue.drain_until_stopped, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_doorbell_wakes_idle_drain_thread(make_queue):
+    api, sim = make_queue("api-0"), make_queue("sim-0")
+    thread = _drain_thread(sim)
     try:
         time.sleep(0.2)  # the drain thread is now parked on the doorbell
-        record = queue.submit(SPEC)
-        settled = queue.wait(record.job_id, timeout=60)
+        record = api.submit(SPEC)
+        deadline = time.monotonic() + 60
+        while api.get(record.job_id).state not in ("done", "failed"):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        settled = api.get(record.job_id)
         assert settled.state == "done"
         assert settled.started - settled.submitted < WOKEN_WITHIN_S
     finally:
-        queue.stop()
-        store.close()
+        sim.stop()
+        thread.join(5)
 
 
-def test_stop_wakes_idle_drain_thread_at_once():
-    store = RunStore()
-    queue = StoreJobQueue(store, cache=ResultCache())
-    queue.start()
-    try:
-        time.sleep(0.2)
-        start = time.monotonic()
-        queue.stop()
-        assert time.monotonic() - start < 1.0
-        assert not queue._thread.is_alive()
-    finally:
-        store.close()
+def test_stop_wakes_idle_drain_thread_at_once(make_queue):
+    queue = make_queue("sim-0")
+    thread = _drain_thread(queue)
+    time.sleep(0.2)
+    start = time.monotonic()
+    queue.stop()
+    thread.join(5)
+    assert not thread.is_alive()
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.fixture()

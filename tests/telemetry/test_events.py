@@ -1,4 +1,4 @@
-"""Structured JSON event log: ring, file sink, canonical lines, reads."""
+"""Structured JSON event log: emit, file sink, canonical lines, reads."""
 
 import json
 
@@ -6,9 +6,9 @@ from repro.telemetry import EventLog, events_path_for, read_events
 from repro.utils.canonical import canonical_dumps
 
 
-class TestRing:
-    def test_emit_returns_the_canonical_record(self):
-        log = EventLog("api-0")
+class TestEmit:
+    def test_emit_returns_the_canonical_record(self, tmp_path):
+        log = EventLog("api-0", tmp_path / "events.jsonl")
         record = log.emit("job_claimed", job_id="j1", queue_wait_s=0.5)
         assert record["event"] == "job_claimed"
         assert record["proc"] == "api-0"
@@ -17,28 +17,13 @@ class TestRing:
         assert isinstance(record["pid"], int)
         # no trace given -> no trace key (absent, not null)
         assert "trace" not in record
+        log.close()
 
-    def test_trace_id_is_kept_when_given(self):
-        log = EventLog()
+    def test_trace_id_is_kept_when_given(self, tmp_path):
+        log = EventLog("api-0", tmp_path / "events.jsonl")
         record = log.emit("http_request", trace="cafe0123cafe0123", path="/")
         assert record["trace"] == "cafe0123cafe0123"
-
-    def test_ring_is_bounded_but_emitted_counts_all(self):
-        log = EventLog(capacity=4)
-        for i in range(10):
-            log.emit("tick", n=i)
-        assert len(log) == 4
-        assert log.emitted == 10
-        assert [r["n"] for r in log.tail()] == [6, 7, 8, 9]
-
-    def test_tail_filters_and_keeps_newest(self):
-        log = EventLog()
-        log.emit("a", trace="aaaa1111aaaa1111", n=1)
-        log.emit("b", trace="bbbb2222bbbb2222", n=2)
-        log.emit("a", trace="aaaa1111aaaa1111", n=3)
-        assert [r["n"] for r in log.tail(trace="aaaa1111aaaa1111")] == [1, 3]
-        assert [r["n"] for r in log.tail(event="b")] == [2]
-        assert [r["n"] for r in log.tail(1)] == [3]
+        log.close()
 
 
 class TestFileSink:
@@ -54,7 +39,7 @@ class TestFileSink:
 
     def test_sink_file_appears_on_first_emit_only(self, tmp_path):
         sink = tmp_path / "events.jsonl"
-        log = EventLog(path=sink)
+        log = EventLog("main", sink)
         assert not sink.exists()  # delay=True: no empty files left behind
         log.emit("boot")
         assert sink.exists()
@@ -74,7 +59,7 @@ class TestFileSink:
 class TestReadEvents:
     def test_round_trip_with_filters_and_limit(self, tmp_path):
         sink = tmp_path / "events.jsonl"
-        log = EventLog(path=sink)
+        log = EventLog("main", sink)
         for i in range(5):
             log.emit("tick", trace="cafe0123cafe0123" if i % 2 else None, n=i)
         log.close()

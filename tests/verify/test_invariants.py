@@ -6,7 +6,7 @@ from repro.core.baselines import policy_catalogue, steering_processor
 from repro.core.params import ProcessorParams
 from repro.core.reference import run_reference
 from repro.core.stats import OUTCOME_CUTOFF
-from repro.verify.invariants import check_cross_policy, check_result_pair
+from repro.verify.invariants import check_result_pair
 from repro.workloads.kernels import checksum
 
 PARAMS = ProcessorParams(reconfig_latency=8)
@@ -27,11 +27,9 @@ def test_clean_run_has_no_violations():
 
 def test_whole_catalogue_clean():
     reference = _reference()
-    results = {
-        name: factory(PROGRAM, PARAMS).run(max_cycles=200_000)
-        for name, factory in policy_catalogue().items()
-    }
-    assert check_cross_policy(results, reference, PARAMS) == []
+    for name, factory in policy_catalogue().items():
+        result = factory(PROGRAM, PARAMS).run(max_cycles=200_000)
+        assert check_result_pair(name, result, reference, PARAMS) == []
 
 
 def test_non_completed_outcome_is_the_only_violation_reported():
