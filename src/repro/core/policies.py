@@ -8,10 +8,11 @@ a policy reads from it only what it needs — the per-type demand of the
 ready-unscheduled window (the RUU's packed ``waiting_demand``: the Fig. 2
 selection unit inspects the whole wake-up array, ``window_size`` entries)
 or the dynamic retire count (the oracle) — and does work only when an
-input moved.  Selection is a per-unit memo lookup keyed by that demand,
-the oracle's choice a memo lookup keyed by its window and the configured
-counts, and the loader searches a blocked placement again only when the
-target, the slots or an RFU's busy state moved.
+input moved.  The paper's selection is a lookup in one table per run,
+keyed by that demand and the configured counts (the selection unit itself
+is stateless), the oracle's choice a lookup keyed by its window and the
+configured counts, and the loader searches a blocked placement again only
+when the target, the slots or an RFU's busy state moved.
 
 Policies:
 
@@ -46,7 +47,11 @@ from repro.steering.demand import DemandSynthesizer
 from repro.steering.error_metric import exact_error
 from repro.steering.loader import ConfigurationLoader
 from repro.steering.manager import ConfigurationManager
-from repro.steering.selection import SelectionResult, required_of
+from repro.steering.selection import (
+    ConfigurationSelectionUnit,
+    SelectionResult,
+    required_of,
+)
 
 __all__ = [
     "SteeringPolicy",
@@ -91,7 +96,10 @@ class PaperSteering(SteeringPolicy):
 
     The error metric is the processor's: binding reads
     ``params.use_exact_metric`` and names the policy ``steering-exact``
-    when it is set.
+    when it is set.  The selection unit is a pure function of the window's
+    packed demand and the configured counts, so each answer is kept in
+    ``_choices`` under both and looked up when the run meets them again;
+    the lookup itself is made only when an input moved.
     """
 
     name = "steering"
@@ -107,16 +115,19 @@ class PaperSteering(SteeringPolicy):
         super().bind(fabric, params)
         self.use_exact_metric = params.use_exact_metric
         self.name = "steering-exact" if self.use_exact_metric else "steering"
-        self.manager = ConfigurationManager(
-            fabric, configs=self.configs, ffu_counts=params.ffu_counts,
+        self.manager = ConfigurationManager(fabric)
+        # the candidates are scored with the processor's fixed bank
+        self._unit = ConfigurationSelectionUnit(
+            configs=self.configs, ffu_counts=params.ffu_counts,
             use_exact_metric=self.use_exact_metric,
         )
-        self._unit = self.manager.selection_unit
         #: the last selection and its inputs: the window's packed demand
         #: and the configured counts.
         self._selection: SelectionResult | None = None
         self._demand_seen = -1
         self._counts_seen: tuple[int, ...] = ()
+        #: (packed demand, configured counts) -> the unit's selection.
+        self._choices: dict[tuple, SelectionResult] = {}
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
         counts = self.fabric.counts_tuple()
@@ -124,7 +135,13 @@ class PaperSteering(SteeringPolicy):
         if demand != self._demand_seen or counts != self._counts_seen:
             self._demand_seen = demand
             self._counts_seen = counts
-            self._selection = self._unit.select_demand(demand, counts)
+            key = (demand, counts)
+            selection = self._choices.get(key)
+            if selection is None:
+                selection = self._choices[key] = self._unit.select_demand(
+                    demand, counts
+                )
+            self._selection = selection
         self.manager.apply(self._selection)
 
     def describe(self) -> str:

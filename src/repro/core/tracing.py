@@ -105,7 +105,7 @@ class EventRecorder:
                 retired=tuple(e.seq for e in retired),
                 flushed=flushed,
                 slots=self._slots,
-                selection=None if manager is None else manager.last_selection,
+                selection=None if manager is None else manager.last_result.index,
             )
         )
 
@@ -117,7 +117,7 @@ class SteeringTrace:
     PaperSteering`).  A run is ``[selection, first_cycle, length]``: the
     candidate index the manager selected (0 = current) and the consecutive
     cycles, from ``proc.cycle_count`` on, it stayed selected.  A new run
-    starts each time ``manager.last_selection`` changes, so the record
+    starts each time ``manager.last_result.index`` changes, so the record
     grows with the decisions, not with the cycles; the lengths sum to the
     cycles observed.  The loads the decisions start are
     ``manager.loader.history``.
@@ -130,7 +130,7 @@ class SteeringTrace:
         pass
 
     def on_cycle(self, proc, packet, dispatched, issued, retired, flushed) -> None:
-        selection = proc.policy.manager.last_selection
+        selection = proc.policy.manager.last_result.index
         runs = self.runs
         if runs and runs[-1][0] == selection:
             runs[-1][2] += 1

@@ -25,8 +25,8 @@ is the exact-division reference metric.
 The **configuration loader** (:mod:`repro.steering.loader`) then diffs the
 chosen configuration against the resource-allocation vector and partially
 reconfigures only the RFU slots that are not busy.  The
-:class:`~repro.steering.manager.ConfigurationManager` wires all of this to
-the fabric.
+:class:`~repro.steering.manager.ConfigurationManager` clocks the loader
+with each cycle's selection and keeps the steering statistics.
 """
 
 from repro.steering.error_metric import exact_error

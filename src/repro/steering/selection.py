@@ -21,16 +21,18 @@ comparator.  Stage 1 is the instruction's ``fu_type``: the queue is
 counted into the packed per-type demand
 (:data:`~repro.isa.futypes.COUNT_ONE`), and :func:`required_of` applies
 the encoders to it.  The per-cycle entry,
-:meth:`ConfigurationSelectionUnit.select_demand`, takes that packed count
-and memoises its result per unit, keyed by the count, until the
-configured counts change.
+:meth:`ConfigurationSelectionUnit.select_demand`, takes that packed count.
+
+Like the hardware, the unit is combinational: a pure function of its two
+inputs that keeps no state between calls.  Reusing an answer is the
+caller's part (:class:`~repro.core.policies.PaperSteering` keeps one
+table keyed by both inputs for its run).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 from repro.circuits.netlist import Netlist, build_less_than
 from repro.circuits.selection_netlist import (
@@ -142,12 +144,10 @@ class ConfigurationSelectionUnit:
         self,
         configs: Sequence[Configuration] = PREDEFINED_CONFIGS,
         ffu_counts: dict | None = None,
-        queue_size: int = 7,
         use_exact_metric: bool = False,
     ) -> None:
         self.configs = tuple(configs)
         self.ffu_counts = FFU_COUNTS if ffu_counts is None else dict(ffu_counts)
-        self.queue_size = queue_size
         self.use_exact_metric = use_exact_metric
         #: every predefined candidate's unit counts (fixed + its own) and
         #: its term rows (``_TERMS``): a hard-wired generator is the live
@@ -160,15 +160,6 @@ class ConfigurationSelectionUnit:
             tuple(_TERMS[min(a, _COUNT_LIMIT)] for a in avail)
             for avail in self._config_avails
         )
-        #: the current candidate's term rows and every candidate's
-        #: distance, for the configured counts in ``_inputs_counts``.
-        self._inputs_counts: tuple[int, ...] | None = None
-        self._current_rows: tuple[tuple[int, ...], ...] = ()
-        self._current_distances: tuple[int, ...] = ()
-        #: select_demand() results by packed window demand, for the
-        #: configured counts in ``_memo_counts``.
-        self._memo: dict[int, SelectionResult] = {}
-        self._memo_counts: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------- stages
     def _exact_errors(
@@ -181,33 +172,30 @@ class ConfigurationSelectionUnit:
         ]
         return tuple(min(_SUM_LIMIT, round(e)) for e in errs)
 
-    def _table_errors(self, required: Sequence[int]) -> tuple[int, ...]:
+    def _table_errors(
+        self, required: Sequence[int], current_counts: Sequence[int]
+    ) -> tuple[int, ...]:
         """Stage 3 of the shift metric from the tables: every candidate's
         five CEM terms (one term row per type, indexed by the required
         count) added operand by operand from zero, current first."""
         r0, r1, r2, r3, r4 = required
+        c0, c1, c2, c3, c4 = current_counts
+        terms = _TERMS
+        limit = _COUNT_LIMIT
+        current_rows = (
+            terms[min(c0, limit)],
+            terms[min(c1, limit)],
+            terms[min(c2, limit)],
+            terms[min(c3, limit)],
+            terms[min(c4, limit)],
+        )
         add = _ACCUMULATE
         errors = []
-        for s0, s1, s2, s3, s4 in (self._current_rows, *self._config_rows):
+        for s0, s1, s2, s3, s4 in (current_rows, *self._config_rows):
             errors.append(
                 add[add[add[add[add[0][s0[r0]]][s1[r1]]][s2[r2]]][s3[r3]]][s4[r4]]
             )
         return tuple(errors)
-
-    # repro: allow[HOT001] -- measured on at most 1.3% of cycles (steering,
-    # window 7, phased:1): only when the configured counts change
-    def _distances(self, current_counts: Sequence[int]) -> tuple[int, ...]:
-        """Reconfiguration distance of every candidate from the current state.
-
-        Measured as the L1 distance between unit-count vectors (a cheap
-        proxy for the number of slots the loader would rewrite); the
-        current configuration is at distance zero by construction.
-        """
-        out = [0]
-        for target in self._config_avails:
-            d = sum(abs(a - b) for a, b in zip(target, current_counts))
-            out.append(min(d, _DISTANCE_LIMIT))
-        return tuple(out)
 
     # ------------------------------------------------------------ end-to-end
     def select_required(
@@ -236,21 +224,21 @@ class ConfigurationSelectionUnit:
                 f"required counts must be {len(FU_TYPES)} "
                 f"{COUNT_WIDTH}-bit values, got {required}"
             )
-        if current_counts != self._inputs_counts:
-            self._inputs_counts = tuple(current_counts)
-            # the rows and distances move only with the configured counts:
-            # measured on at most 1.3% of cycles (steering, window 7,
-            # phased:1)
-            # repro: allow[HOT001] -- 1.3% of cycles, as above
-            self._current_rows = tuple(
-                _TERMS[min(c, _COUNT_LIMIT)] for c in current_counts
-            )
-            self._current_distances = self._distances(current_counts)
         if self.use_exact_metric:
             errors = self._exact_errors(required, current_counts)
         else:
-            errors = self._table_errors(required)
-        distances = self._current_distances
+            errors = self._table_errors(required, current_counts)
+        c0, c1, c2, c3, c4 = current_counts
+        # every candidate's reconfiguration distance: the L1 distance of
+        # its unit counts from the configured ones (a cheap proxy for the
+        # slots the loader would rewrite); the current one is at zero
+        distances = [0]
+        for a0, a1, a2, a3, a4 in self._config_avails:
+            distance = (
+                abs(a0 - c0) + abs(a1 - c1) + abs(a2 - c2) + abs(a3 - c3)
+                + abs(a4 - c4)
+            )
+            distances.append(min(distance, _DISTANCE_LIMIT))
         # first minimum of ``error ‖ distance``: a later candidate wins
         # only when its key is strictly below the best so far
         index = 0
@@ -274,32 +262,21 @@ class ConfigurationSelectionUnit:
     ) -> SelectionResult:
         """:meth:`select_required` for the window's packed per-type count
         (:data:`~repro.isa.futypes.COUNT_ONE`; counting the window is the
-        caller's part: the policies read the RUU's ``waiting_demand``).
-
-        Memoised per unit by ``demand``; the memo is dropped whenever
-        ``current_counts`` differs from the counts it was filled under.
-        """
-        if current_counts != self._memo_counts:
-            self._memo.clear()
-            self._memo_counts = current_counts
-        result = self._memo.get(demand)
-        if result is None:
-            result = self.select_required(required_of(demand), current_counts)
-            self._memo[demand] = result
-        return result
+        caller's part: the policies read the RUU's ``waiting_demand``)."""
+        return self.select_required(required_of(demand), current_counts)
 
     def select(
         self,
         queue: Sequence[Instruction],
         current_counts: Sequence[int],
     ) -> SelectionResult:
-        """Run all four stages and return the two-bit selection: the first
-        ``queue_size`` entries of ``queue`` counted by unit type, then
-        :func:`required_of` and :meth:`select_required`.
+        """Run all four stages and return the two-bit selection: every
+        entry of ``queue`` counted by unit type, then :func:`required_of`
+        and :meth:`select_required`.
 
         A reference model: the tests drive the unit from an instruction
         queue through it; the simulator calls :meth:`select_demand`."""
         demand = 0
-        for instr in islice(queue, self.queue_size):
+        for instr in queue:
             demand += COUNT_ONE[instr.fu_type]
         return self.select_required(required_of(demand), current_counts)

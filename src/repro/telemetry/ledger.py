@@ -64,8 +64,8 @@ class DecisionLedger:
         pending = self._pending
         if pending is not None and cycle - pending["cycle"] >= self.window:
             self._finalize(proc, cycle)
-        selection = manager.last_selection
-        if selection is None or selection == self._prev_selection:
+        selection = manager.last_result.index
+        if selection == self._prev_selection:
             return False
         self._prev_selection = selection
         if self._pending is not None:
@@ -80,8 +80,8 @@ class DecisionLedger:
         for instr in proc.ruu.ready_unscheduled():
             demand[instr.fu_type] = demand.get(instr.fu_type, 0) + 1
         idle = proc.fabric.idle_counts()
-        result = getattr(manager, "last_result", None)
-        chosen = result.config if result is not None else None
+        result = manager.last_result
+        chosen = result.config
         chosen_counts = chosen.counts if chosen is not None else {}
         servable = sum(
             min(demand.get(t, 0), chosen_counts.get(t, 0)) for t in FU_TYPES
@@ -90,9 +90,9 @@ class DecisionLedger:
             "cycle": cycle,
             "selection": selection,
             "config": chosen.name if chosen is not None else None,
-            "error": manager.last_error,
-            "errors": list(result.errors) if result is not None else [],
-            "required": list(result.required) if result is not None else [],
+            "error": result.errors[selection],
+            "errors": list(result.errors),
+            "required": list(result.required),
             "demand": {t.short_name: demand.get(t, 0) for t in FU_TYPES},
             "idle": {t.short_name: idle[t] for t in FU_TYPES},
             "availability_bits": proc.fabric.availability_bits(),

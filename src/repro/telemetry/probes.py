@@ -84,12 +84,13 @@ class ProcessorTelemetry:
         manager = getattr(proc.policy, "manager", None)
         if manager is not None:
             if self.ledger.on_cycle(proc, cycle, manager):
+                result = manager.last_result
                 tracer.instant(
                     "steer",
                     cycle,
                     track="steering",
-                    selection=manager.last_selection,
-                    error=manager.last_error,
+                    selection=result.index,
+                    error=result.errors[result.index],
                 )
             loads = manager.loader.history
             if len(loads) != self._prev_loads:
@@ -142,7 +143,8 @@ class ProcessorTelemetry:
             bank.append(f"demand_{t.short_name}", cycle, demand.get(t, 0))
             bank.append(f"avail_{t.short_name}", cycle, idle[t])
         if manager is not None:
-            bank.append("cem_error", cycle, manager.last_error)
+            result = manager.last_result
+            bank.append("cem_error", cycle, result.errors[result.index])
 
         if self.profile_stages:
             deltas = {

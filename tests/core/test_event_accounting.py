@@ -106,11 +106,6 @@ class Invalidate:
         if hasattr(policy, "_choices"):
             policy._choices.clear()
         manager = getattr(policy, "manager", None)
-        if manager is not None:
-            unit = manager.selection_unit
-            unit._memo.clear()
-            unit._memo_counts = None
-            unit._inputs_counts = None
         loader = manager.loader if manager is not None else getattr(policy, "loader", None)
         if loader is not None:
             loader._missing_target = loader_module._UNSET

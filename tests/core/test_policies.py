@@ -287,7 +287,7 @@ class TestBankAndBudgetFromParams:
         assert steering.fabric.counts_tuple() == (1, 1, 1, 1, 0)
         fp_mdu = FU_TYPES.index(FUType.FP_MDU)
         for avails in (
-            steering.policy.manager.selection_unit._config_avails,
+            steering.policy._unit._config_avails,
             oracle.policy._config_avails,
         ):
             assert avails == expected

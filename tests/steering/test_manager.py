@@ -1,4 +1,5 @@
-"""Tests for the configuration manager (selection + loader, clocked)."""
+"""Tests for the configuration manager (the loader, clocked, driven by a
+selection unit's results)."""
 
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from repro.fabric.fabric import Fabric
 from repro.isa.assembler import assemble
 from repro.isa.futypes import FUType
 from repro.steering.manager import ConfigurationManager
+from repro.steering.selection import ConfigurationSelectionUnit
 
 
 def _queue(src):
@@ -20,16 +22,18 @@ _FP_QUEUE = _queue("\n".join(["fmul f1, f2, f3"] * 4 + ["fadd f4, f5, f6"] * 3))
 _MEM_QUEUE = _queue("\n".join(["lw x1, 0(x2)"] * 5 + ["add x3, x4, x5"] * 2))
 
 
-def _cycle(manager, queue):
+_UNIT = ConfigurationSelectionUnit()
+
+
+def _cycle(manager, queue, unit=_UNIT):
     """One clock of the manager: the selection unit's four stages over
     ``queue`` and the configured counts, then :meth:`apply`."""
-    unit = manager.selection_unit
     return manager.apply(unit.select(queue, manager.fabric.counts_tuple()))
 
 
-def _run(manager, queue, cycles):
+def _run(manager, queue, cycles, unit=_UNIT):
     for _ in range(cycles):
-        _cycle(manager, queue)
+        _cycle(manager, queue, unit)
         manager.fabric.tick()
 
 
@@ -106,7 +110,7 @@ class TestStats:
             _cycle(mgr, queue)
             fabric.tick()
             trace.on_cycle(proc, (), [], (), [], 0)
-            selections.append(mgr.last_selection)
+            selections.append(mgr.last_result.index)
             proc.cycle_count += 1
         expanded = [s for s, _, length in trace.runs for _ in range(length)]
         assert expanded == selections
@@ -119,7 +123,7 @@ class TestStats:
 
 class TestExactMetricOption:
     def test_exact_metric_manager_still_steers(self, fabric):
-        mgr = ConfigurationManager(fabric, use_exact_metric=True)
-        _run(mgr, _FP_QUEUE, 80)
+        mgr = ConfigurationManager(fabric)
+        _run(mgr, _FP_QUEUE, 80, ConfigurationSelectionUnit(use_exact_metric=True))
         counts = fabric.rfus.counts()
         assert counts.get(FUType.FP_ALU, 0) == 1

@@ -1,13 +1,20 @@
 """Tests for the four-stage configuration-selection unit (Fig. 2)."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.baselines import policy_catalogue
+from repro.core.params import ProcessorParams
+from repro.core.policies import PaperSteering
 from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS
+from repro.fabric.fabric import Fabric
 from repro.isa.assembler import assemble
 from repro.isa.futypes import COUNT_ONE, FU_TYPES, FUType
-from repro.steering.selection import ConfigurationSelectionUnit, required_of
+from repro.steering.selection import ConfigurationSelectionUnit
+from repro.workloads import resolve_program
 
 #: configured counts when the integer config is fully loaded (incl. FFUs).
 _INTEGER_LOADED = (5, 3, 1, 1, 1)
@@ -80,6 +87,8 @@ class TestSteeringDecisions:
         assert result.keeps_current
 
     def test_queue_window_limited_to_seven(self, unit):
+        """All twelve entries are counted; the 3-bit encoder saturates the
+        requirement at seven."""
         queue = _queue("\n".join(["add x1, x2, x3"] * 12))
         result = unit.select(queue, _FFUS_ONLY)
         assert sum(result.required) == 7
@@ -123,30 +132,75 @@ class TestTieBreaking:
         assert result.required == (0, 0, 1, 1, 0)
 
 
-class TestSelectionMemo:
-    """select_demand() memoises per unit, keyed by the packed demand, and
-    forgets its results when the configured counts change."""
+class TestSelectionReuse:
+    """The unit is a pure function of (demand, counts) and keeps no state;
+    PaperSteering keeps one table of its answers keyed by both inputs,
+    never cleared during a run."""
 
-    def test_memo_hit_returns_identical_result(self):
+    def test_unit_keeps_no_state(self):
         unit = ConfigurationSelectionUnit()
-        demand = 3 * COUNT_ONE[FUType.LSU]
-        first = unit.select_demand(demand, _FFUS_ONLY)
-        assert unit.select_demand(demand, _FFUS_ONLY) is first
+        before = dict(vars(unit))
+        for demand in (0, 3 * COUNT_ONE[FUType.LSU], 2 * COUNT_ONE[FUType.INT_ALU]):
+            for counts in (_FFUS_ONLY, _INTEGER_LOADED, _FFUS_ONLY):
+                unit.select_demand(demand, counts)
+        assert vars(unit).keys() == before.keys()
+        assert all(vars(unit)[name] is value for name, value in before.items())
 
-    def test_counts_change_clears_the_memo(self):
-        unit = ConfigurationSelectionUnit()
-        demand = 2 * COUNT_ONE[FUType.INT_ALU]
-        unit.select_demand(demand, _FFUS_ONLY)
-        unit.select_demand(0, _FFUS_ONLY)
-        assert len(unit._memo) == 2
-        result = unit.select_demand(demand, _INTEGER_LOADED)
-        assert list(unit._memo) == [demand]
-        assert result == unit.select_required(required_of(demand), _INTEGER_LOADED)
+    def test_policy_answers_a_key_again_from_its_table(self, monkeypatch):
+        """A key met again after the counts changed and changed back is
+        answered from ``_choices``, without asking the unit."""
+        policy = PaperSteering()
+        policy.bind(Fabric(), ProcessorParams())
+        calls = []
+        select_demand = policy._unit.select_demand
+        monkeypatch.setattr(
+            policy._unit,
+            "select_demand",
+            lambda demand, counts: calls.append((demand, counts))
+            or select_demand(demand, counts),
+        )
+        ruu = SimpleNamespace(waiting_demand=2 * COUNT_ONE[FUType.INT_ALU])
+        counts = {"now": _FFUS_ONLY}
+        policy.fabric = SimpleNamespace(counts_tuple=lambda: counts["now"])
+        policy.cycle(ruu)
+        first = policy.manager.last_result
+        counts["now"] = _INTEGER_LOADED
+        policy.cycle(ruu)
+        counts["now"] = _FFUS_ONLY
+        policy.cycle(ruu)
+        assert calls == [
+            (ruu.waiting_demand, _FFUS_ONLY),
+            (ruu.waiting_demand, _INTEGER_LOADED),
+        ]
+        assert policy.manager.last_result is first
 
-    def test_units_do_not_share_a_memo(self):
-        a, b = ConfigurationSelectionUnit(), ConfigurationSelectionUnit()
-        a.select_demand(0, _FFUS_ONLY)
-        assert a._memo is not b._memo and not b._memo
+    def test_select_required_runs_once_per_key(self, monkeypatch):
+        """Over a whole steering run at window 7 the unit evaluates each
+        distinct (demand, counts) key exactly once."""
+        keys_of = {
+            "phased:1": 191,
+            "mix:balanced:200:1": 78,
+            "checksum": 23,
+            "mix:int:200:1": 62,
+        }
+        runs = 0
+        select_required = ConfigurationSelectionUnit.select_required
+
+        def counted(unit, required, counts):
+            nonlocal runs
+            runs += 1
+            return select_required(unit, required, counts)
+
+        monkeypatch.setattr(ConfigurationSelectionUnit, "select_required", counted)
+        measured = {}
+        for target in keys_of:
+            runs = 0
+            proc = policy_catalogue()["steering"](
+                resolve_program(target), ProcessorParams(window_size=7)
+            )
+            assert proc.run().halted
+            measured[target] = (runs, len(proc.policy._choices))
+        assert measured == {target: (n, n) for target, n in keys_of.items()}
 
 
 class TestExactMetricMode:

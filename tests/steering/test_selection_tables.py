@@ -236,7 +236,7 @@ def test_select_required_matches_reference(exact, catalogue_counts):
 def test_select_matches_select_demand(q):
     """The full four stages on a queue equal the per-cycle entry on its
     packed demand (a sample of the multisets: every fifth)."""
-    unit = ConfigurationSelectionUnit(queue_size=q)
+    unit = ConfigurationSelectionUnit()
     counts = (2, 1, 3, 1, 1)
     for k, multiset in enumerate(_multisets(q)):
         if k % 5:

@@ -12,7 +12,9 @@ import pytest
 
 from repro.core.baselines import steering_processor
 from repro.core.params import ProcessorParams
+from repro.fabric.configuration import PREDEFINED_CONFIGS
 from repro.isa.futypes import FU_TYPES
+from repro.steering.selection import SelectionResult
 from repro.telemetry import DecisionLedger, ProcessorTelemetry
 
 _PARAMS = ProcessorParams(reconfig_latency=8)
@@ -112,18 +114,26 @@ class _FakeProc:
 
 
 class _FakeManager:
-    last_error = 0
     last_result = None
 
-    def __init__(self):
-        self.last_selection = None
+
+#: the two selections :func:`_drive` alternates between.
+_FLIPS = tuple(
+    SelectionResult(
+        index=i + 1,
+        config=PREDEFINED_CONFIGS[i],
+        errors=(0,) * 4,
+        required=(0,) * len(FU_TYPES),
+    )
+    for i in range(2)
+)
 
 
 def _drive(ledger, flips, step=100):
     """Flip the selection ``flips`` times; each flip finalizes the last."""
     proc, manager = _FakeProc(), _FakeManager()
     for i in range(flips):
-        manager.last_selection = i % 2 + 1
+        manager.last_result = _FLIPS[i % 2]
         ledger.on_cycle(proc, i * step, manager)
     return ledger
 
