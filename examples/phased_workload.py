@@ -58,7 +58,7 @@ def main() -> None:
     print(" ", timeline(trace.runs))
     print()
     print("partial reconfigurations (in order: unit loaded @ slot):")
-    for n, load in enumerate(proc.policy.manager.loader.history, 1):
+    for n, load in enumerate(proc.policy.loader.history, 1):
         evicted = f" evicting {[e.short_name for e in load.evicted]}" if load.evicted else ""
         print(f"  #{n:3d}: {load.fu_type.short_name:6s} @ slot {load.head}{evicted}")
     print()

@@ -45,7 +45,7 @@ from repro.fabric import (
     steering_table,
 )
 from repro.isa import FUType, Instruction, Opcode, Program, assemble, disassemble
-from repro.steering import ConfigurationManager, ConfigurationSelectionUnit
+from repro.steering import ConfigurationSelectionUnit
 
 __version__ = "1.0.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "PREDEFINED_CONFIGS",
     "steering_table",
     "Fabric",
-    "ConfigurationManager",
     "ConfigurationSelectionUnit",
     "Processor",
     "ProcessorParams",

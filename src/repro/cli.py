@@ -176,14 +176,27 @@ def _cmd_artifacts(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_store(args: argparse.Namespace, command: str):
+    """The run store ``--store`` names, or ``None`` once ``command`` has
+    printed why the store refused it (a usage error, exit 2)."""
+    from repro.errors import ConfigurationError
+    from repro.serving.store import RunStore
+
+    try:
+        return RunStore(args.store)
+    except ConfigurationError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.evaluation.harness import generate_report
 
     store = None
     if args.store:
-        from repro.serving.store import RunStore
-
-        store = RunStore(args.store)
+        store = _open_store(args, "report")
+        if store is None:
+            return 2
     try:
         report = generate_report(
             fast=not args.full,
@@ -343,12 +356,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _trace_run(args: argparse.Namespace) -> int:
     """``repro trace <run-id>``: the merged end-to-end Perfetto file."""
     from repro.evaluation.batch import ResultCache
-    from repro.serving.store import RunStore
     from repro.telemetry import events_path_for, merge_job_trace, read_events
     from repro.utils.canonical import canonical_dumps
 
     run_id = args.target
-    store = RunStore(args.store)
+    store = _open_store(args, "trace")
+    if store is None:
+        return 2
     try:
         run = store.get_run(run_id)
         if run is None:
@@ -364,10 +378,7 @@ def _trace_run(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir)
     payload = cache.get(run["config_hash"])
     sim_trace = payload.get("trace") if isinstance(payload, dict) else None
-    events = []
-    events_path = events_path_for(args.store)
-    if events_path is not None:
-        events = read_events(events_path, trace=trace_id, limit=1000)
+    events = read_events(events_path_for(args.store), trace=trace_id, limit=1000)
     merged = merge_job_trace(
         trace_id, job=job, sim_trace=sim_trace, events=events, run_id=run_id
     )
@@ -382,9 +393,10 @@ def _trace_run(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.evaluation.batch import ResultCache
-    from repro.serving.store import RunStore
 
-    store = RunStore(args.store)
+    store = _open_store(args, "explain")
+    if store is None:
+        return 2
     try:
         run = store.get_run(args.run_id)
     finally:

@@ -16,9 +16,11 @@ when the target, the slots or an RFU's busy state moved.
 
 Policies:
 
-* :class:`PaperSteering` — the contribution: CEM-based selection among
-  {current, three predefined configurations} with busy-aware partial
-  reconfiguration, under the error metric ``use_exact_metric`` picks;
+* :class:`PaperSteering` — the contribution, the paper's configuration
+  manager: the Fig. 2 selection unit (CEM-based selection among
+  {current, three predefined configurations}, under the error metric
+  ``use_exact_metric`` picks), the loader it clocks every cycle
+  (busy-aware partial reconfiguration) and the steering statistics;
 * :class:`NoSteering` — fixed functional units only (the RFU slots stay
   empty): the legacy-processor baseline;
 * :class:`StaticConfiguration` — one predefined configuration loaded at
@@ -46,7 +48,6 @@ from repro.sched.ruu import RegisterUpdateUnit
 from repro.steering.demand import DemandSynthesizer
 from repro.steering.error_metric import exact_error
 from repro.steering.loader import ConfigurationLoader
-from repro.steering.manager import ConfigurationManager
 from repro.steering.selection import (
     ConfigurationSelectionUnit,
     SelectionResult,
@@ -69,14 +70,23 @@ _UNCHOSEN = object()
 
 
 class SteeringPolicy:
-    """Base class: a no-op policy."""
+    """Base class: a no-op policy.
+
+    Binding gives every policy its fabric and its one
+    :class:`~repro.steering.loader.ConfigurationLoader`, whose ``history``
+    records the loads the policy starts.  ``last_result`` is the selection
+    the paper's unit made in the latest cycle; it stays ``None`` for every
+    policy without that unit.
+    """
 
     name = "base"
+    last_result: SelectionResult | None = None
 
     def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
         """Attach to the processor's fabric and parameters before
         simulation starts."""
         self.fabric = fabric
+        self.loader = ConfigurationLoader(fabric)
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
         """One clock of the policy, given the processor's RUU."""
@@ -92,14 +102,20 @@ class NoSteering(SteeringPolicy):
 
 
 class PaperSteering(SteeringPolicy):
-    """The paper's configuration manager (Figs. 2 and 3).
+    """The paper's configuration manager (Figs. 2 and 3): the selection
+    unit, the loader it clocks every cycle and the steering statistics.
 
     The error metric is the processor's: binding reads
     ``params.use_exact_metric`` and names the policy ``steering-exact``
     when it is set.  The selection unit is a pure function of the window's
     packed demand and the configured counts, so each answer is kept in
     ``_choices`` under both and looked up when the run meets them again;
-    the lookup itself is made only when an input moved.
+    the lookup itself is made only when an input moved.  Each cycle the
+    loader is pointed at the selection's configuration (``None`` when the
+    current configuration wins) and starts at most one partial
+    reconfiguration; ``selections`` counts the cycles each candidate index
+    (0 = current) was selected and ``selected_error`` sums the selected
+    candidates' errors.
     """
 
     name = "steering"
@@ -109,25 +125,25 @@ class PaperSteering(SteeringPolicy):
     ) -> None:
         self.configs = tuple(configs)
         self.use_exact_metric = False
-        self.manager: ConfigurationManager | None = None
 
     def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
         super().bind(fabric, params)
         self.use_exact_metric = params.use_exact_metric
         self.name = "steering-exact" if self.use_exact_metric else "steering"
-        self.manager = ConfigurationManager(fabric)
         # the candidates are scored with the processor's fixed bank
         self._unit = ConfigurationSelectionUnit(
             configs=self.configs, ffu_counts=params.ffu_counts,
             use_exact_metric=self.use_exact_metric,
         )
-        #: the last selection and its inputs: the window's packed demand
-        #: and the configured counts.
-        self._selection: SelectionResult | None = None
+        #: the inputs of the last selection (``last_result``): the
+        #: window's packed demand and the configured counts.
         self._demand_seen = -1
         self._counts_seen: tuple[int, ...] = ()
         #: (packed demand, configured counts) -> the unit's selection.
         self._choices: dict[tuple, SelectionResult] = {}
+        self.last_result = None
+        self.selections: dict[int, int] = {}
+        self.selected_error = 0
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
         counts = self.fabric.counts_tuple()
@@ -136,13 +152,20 @@ class PaperSteering(SteeringPolicy):
             self._demand_seen = demand
             self._counts_seen = counts
             key = (demand, counts)
-            selection = self._choices.get(key)
-            if selection is None:
-                selection = self._choices[key] = self._unit.select_demand(
+            result = self._choices.get(key)
+            if result is None:
+                result = self._choices[key] = self._unit.select_demand(
                     demand, counts
                 )
-            self._selection = selection
-        self.manager.apply(self._selection)
+            self.last_result = result
+        result = self.last_result
+        loader = self.loader
+        loader.set_target(result.config)
+        loader.step()
+        index = result.index
+        selections = self.selections
+        selections[index] = selections.get(index, 0) + 1
+        self.selected_error += result.errors[index]
 
     def describe(self) -> str:
         kind = "exact" if self.use_exact_metric else "shift-approximate"
@@ -155,7 +178,6 @@ class StaticConfiguration(SteeringPolicy):
     def __init__(self, config: Configuration) -> None:
         self.config = config
         self.name = f"static-{config.name}"
-        self.loader: ConfigurationLoader | None = None
         #: set once the target is loaded and the bus is free: the loader
         #: never evicts without a pending load, so every later cycle
         #: would be a no-op.
@@ -163,7 +185,6 @@ class StaticConfiguration(SteeringPolicy):
 
     def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
         super().bind(fabric, params)
-        self.loader = ConfigurationLoader(fabric)
         self.loader.set_target(self.config)
         self._settled = False
 
@@ -193,11 +214,6 @@ class RandomSteering(SteeringPolicy):
         self.period = period
         self._rng = random.Random(seed)
         self._countdown = 0
-        self.loader: ConfigurationLoader | None = None
-
-    def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
-        super().bind(fabric, params)
-        self.loader = ConfigurationLoader(fabric)
 
     def cycle(self, ruu: RegisterUpdateUnit) -> None:
         if self._countdown == 0:
@@ -229,9 +245,6 @@ class DemandSteering(SteeringPolicy):
         self.smoothing = smoothing
         self.improvement_margin = improvement_margin
         self.synthesizer: DemandSynthesizer | None = None
-        self.loader: ConfigurationLoader | None = None
-        #: synthesized targets adopted over the run (for tracing/tests).
-        self.retargets: list[Configuration] = []
 
     def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
         super().bind(fabric, params)
@@ -241,7 +254,6 @@ class DemandSteering(SteeringPolicy):
             smoothing=self.smoothing,
             improvement_margin=self.improvement_margin,
         )
-        self.loader = ConfigurationLoader(fabric)
         #: the window's required counts and the packed demand they encode.
         self._required: tuple[int, ...] = required_of(0)
         self._demand_seen = 0
@@ -255,7 +267,6 @@ class DemandSteering(SteeringPolicy):
         target = self.synthesizer.propose(self.fabric.counts_tuple())
         if target is not None:
             self.loader.set_target(target)
-            self.retargets.append(target)
         elif self.loader.satisfied:
             self.loader.set_target(None)
         self.loader.step()
@@ -296,7 +307,6 @@ class OracleSteering(SteeringPolicy):
         self.trace = list(trace)
         self.configs = tuple(configs)
         self.lookahead = lookahead
-        self.loader: ConfigurationLoader | None = None
         self._type_index = {ty: i for i, ty in enumerate(FU_TYPES)}
         self._reset_window()
 
@@ -308,7 +318,6 @@ class OracleSteering(SteeringPolicy):
 
     def bind(self, fabric: Fabric, params: ProcessorParams) -> None:
         super().bind(fabric, params)
-        self.loader = ConfigurationLoader(fabric)
         # every candidate's units: its own plus the processor's fixed bank,
         # computed once here so cycle() allocates nothing
         ffus = FFU_COUNTS if params.ffu_counts is None else params.ffu_counts

@@ -303,11 +303,14 @@ class Processor:
             trace_cache_misses=self.trace_cache.misses if self.trace_cache else 0,
             final_registers=self.ruu.regfile.snapshot(),
         )
-        manager = getattr(self.policy, "manager", None)
-        if manager is not None:
-            res.steering_selections = dict(manager.stats.selections)
-            res.steering_mean_error = manager.stats.mean_selected_error
-            res.steering_kept_fraction = manager.stats.current_kept_fraction
+        policy = self.policy
+        if policy.last_result is not None:
+            # the paper's manager selected once per steered cycle
+            selections = policy.selections
+            steered = sum(selections.values())
+            res.steering_selections = dict(selections)
+            res.steering_mean_error = policy.selected_error / steered
+            res.steering_kept_fraction = selections.get(0, 0) / steered
         return res
 
     # ------------------------------------------------------------- helpers

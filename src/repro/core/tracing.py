@@ -61,7 +61,8 @@ class CycleEvents:
     retired: tuple[int, ...] = ()       # seq numbers committed
     flushed: int = 0                    # entries squashed by a mispredict
     slots: str = ""                     # fabric occupancy glyphs
-    #: configuration selected by the steering policy (None = no manager).
+    #: candidate index the paper's selection unit chose (None = a policy
+    #: without one).
     selection: int | None = None
 
 
@@ -95,7 +96,7 @@ class EventRecorder:
             self._slots = slot_glyphs(proc.fabric)
 
     def on_cycle(self, proc, packet, dispatched, issued, retired, flushed) -> None:
-        manager = getattr(proc.policy, "manager", None)
+        result = proc.policy.last_result
         self.events.append(
             CycleEvents(
                 cycle=proc.cycle_count,
@@ -105,7 +106,7 @@ class EventRecorder:
                 retired=tuple(e.seq for e in retired),
                 flushed=flushed,
                 slots=self._slots,
-                selection=None if manager is None else manager.last_result.index,
+                selection=None if result is None else result.index,
             )
         )
 
@@ -113,14 +114,14 @@ class EventRecorder:
 class SteeringTrace:
     """Observer keeping the configuration manager's selection runs.
 
-    Needs a policy with a ``manager`` (:class:`~repro.core.policies.
+    Needs the paper's manager (:class:`~repro.core.policies.
     PaperSteering`).  A run is ``[selection, first_cycle, length]``: the
-    candidate index the manager selected (0 = current) and the consecutive
+    candidate index it selected (0 = current) and the consecutive
     cycles, from ``proc.cycle_count`` on, it stayed selected.  A new run
-    starts each time ``manager.last_result.index`` changes, so the record
+    starts each time ``policy.last_result.index`` changes, so the record
     grows with the decisions, not with the cycles; the lengths sum to the
     cycles observed.  The loads the decisions start are
-    ``manager.loader.history``.
+    ``policy.loader.history``.
     """
 
     def __init__(self) -> None:
@@ -130,7 +131,7 @@ class SteeringTrace:
         pass
 
     def on_cycle(self, proc, packet, dispatched, issued, retired, flushed) -> None:
-        selection = proc.policy.manager.last_result.index
+        selection = proc.policy.last_result.index
         runs = self.runs
         if runs and runs[-1][0] == selection:
             runs[-1][2] += 1

@@ -23,13 +23,14 @@ a query is therefore a single structure-version compare and an attribute
 read — no rescan of the units, not even when the busy state moved (which it
 does nearly every cycle).
 
-Setting the ``REPRO_AVAILABILITY_CROSSCHECK`` environment variable (or
-constructing the cache with ``crosscheck=True``) arms a debug mode that
-re-derives the bus and the idle counts from a full unit rescan on every
-query and raises :class:`FabricError` on any divergence — the incremental
-path is pinned to the rescan it replaced.  While it is armed the register
-update unit evaluates every issue step instead of reusing a request-free
-one, so the check runs every cycle.
+Setting the ``REPRO_AVAILABILITY_CROSSCHECK`` environment variable
+(:data:`repro.utils.env.CROSSCHECK`) arms a debug mode that re-derives the
+bus and the idle counts from a full unit rescan on every query and raises
+:class:`FabricError` on any divergence — the incremental path is pinned
+to the rescan it replaced.  While it is armed the register update unit
+evaluates every issue step instead of reusing a request-free one, so the
+check runs every cycle, and also pins the packed wake-up kernel to its
+row-loop reference (:meth:`~repro.sched.wakeup.WakeupArray.requests_reference`).
 """
 
 from __future__ import annotations
@@ -40,12 +41,9 @@ from repro.errors import FabricError
 from repro.fabric.allocation import EMPTY_ENCODING, SPAN_ENCODING
 from repro.fabric.units import FunctionalUnit
 from repro.isa.futypes import FU_TYPES, FUType
-from repro.utils.env import env_flag
+from repro.utils import env
 
 __all__ = ["available", "availability_report", "AvailabilityCache"]
-
-#: default for the per-query rescan cross-check (debug mode).
-_CROSSCHECK_DEFAULT = env_flag("REPRO_AVAILABILITY_CROSSCHECK")
 
 
 def available(
@@ -113,10 +111,10 @@ class AvailabilityCache:
     :meth:`Fabric.issue <repro.fabric.fabric.Fabric.issue>` picks an idle
     unit.
 
-    With ``crosscheck`` armed (constructor argument, or the
-    ``REPRO_AVAILABILITY_CROSSCHECK`` environment variable) every query
-    re-derives the answers from a full rescan and raises
-    :class:`FabricError` on divergence.
+    With ``crosscheck`` armed (from the ``REPRO_AVAILABILITY_CROSSCHECK``
+    environment variable when the cache is built) every query re-derives
+    the answers from a full rescan and raises :class:`FabricError` on
+    divergence.
     """
 
     __slots__ = (
@@ -131,7 +129,7 @@ class AvailabilityCache:
         "crosscheck",
     )
 
-    def __init__(self, ffus, rfus, crosscheck: bool | None = None) -> None:
+    def __init__(self, ffus, rfus) -> None:
         self._ffus = ffus
         self._rfus = rfus
         self._structure_seen = -1
@@ -141,7 +139,7 @@ class AvailabilityCache:
         self._idle_counts: dict[FUType, int] = {}
         #: idle/busy transitions of reconfigurable units so far.
         self.rfu_flips = 0
-        self.crosscheck = _CROSSCHECK_DEFAULT if crosscheck is None else crosscheck
+        self.crosscheck = env.CROSSCHECK
 
     # ----------------------------------------------------------- refresh
     # repro: allow[HOT001] -- measured on at most 2.2% of cycles (random,

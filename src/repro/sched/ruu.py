@@ -31,8 +31,9 @@ implementation adds the substrate details a working processor needs:
   once, with every unit type available, for the rows ready on data.  A
   ready row requests when its type's Eq. 1 line is up and is counted
   resource-blocked when it is down, so one evaluation gives both.  With
-  the availability cross-check armed, the derived requests are compared
-  with a direct evaluation at the Eq. 1 bus;
+  the cross-check armed (``REPRO_AVAILABILITY_CROSSCHECK``), the derived
+  requests are compared with a direct evaluation at the Eq. 1 bus, and
+  both kernel evaluations with the wake-up array's row-loop reference;
 * **one pass per grant** — the issue step walks the ready rows oldest
   first, and each grant reads its operands, executes (an ALU instruction
   through the ``alu_handler`` bound at decode), occupies its unit through
@@ -342,6 +343,15 @@ class RegisterUpdateUnit:
         ready = wakeup.requests_mask(_ALL_RESOURCES, result_bits)
         if crosscheck:
             direct = wakeup.requests_mask(wakeup_bits, result_bits)
+            # both evaluations of the packed kernel against its row loop
+            for bus, mask in ((_ALL_RESOURCES, ready), (wakeup_bits, direct)):
+                ref = 0
+                for row in wakeup.requests_reference(bus, result_bits):
+                    ref |= 1 << row
+                if ref != mask:
+                    raise SchedulerError(
+                        f"bit-packed wake-up kernel diverged: {mask:#x} != {ref:#x}"
+                    )
         unavailable = _ALL_RESOURCES ^ wakeup_bits
         req_mask = 0
         grants = 0  # every granted row, memory-order denials included
@@ -450,9 +460,9 @@ class RegisterUpdateUnit:
             self.resource_blocked_cycles += blocked
         if not req_mask:
             # keep the request-free step's outcome and inputs for reuse,
-            # unless a debug cross-check is armed: those must see every
+            # unless the debug cross-check is armed: it must see every
             # evaluation
-            if crosscheck or WakeupArray.crosscheck:
+            if crosscheck:
                 self._idle_blocked = None
             else:
                 self._idle_blocked = blocked

@@ -33,8 +33,9 @@ over rows, no per-row objects on the hot path.
 :class:`WakeupRow` and the ``rows`` list survive as a read-only facade
 (snapshots built on demand) so rendering, tests and debuggers see the
 same object API as before.  :meth:`requests_reference` keeps the original
-row-loop implementation; the equivalence suite (and the opt-in
-``WakeupArray.crosscheck`` mode) pin the kernel to it bit-for-bit.
+row-loop implementation; the equivalence suite (and the register update
+unit, with ``REPRO_AVAILABILITY_CROSSCHECK`` armed) pin the kernel to it
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -69,14 +70,6 @@ class WakeupRow:
 
 class WakeupArray:
     """Fixed-size array of resource vectors with select-free request logic."""
-
-    #: when set (class-wide), every :meth:`requests_mask` evaluation is
-    #: checked against :meth:`requests_reference`; a divergence raises
-    #: :class:`SchedulerError`.  Used by the equivalence tests.  While set,
-    #: the register update unit evaluates every issue step (it otherwise
-    #: reuses a request-free step while ``_need``, ``_occupied``,
-    #: ``_scheduled`` and the buses are unchanged).
-    crosscheck = False
 
     def __init__(self, n_entries: int = 7) -> None:
         if n_entries <= 0:
@@ -207,16 +200,7 @@ class WakeupArray:
                     rows |= 1 << i
                 probe <<= step
             self._mask_memo[satisfied] = rows
-        mask = rows & self._occupied & ~self._scheduled
-        if WakeupArray.crosscheck:
-            ref = 0
-            for i in self.requests_reference(resource_available, result_available):
-                ref |= 1 << i
-            if ref != mask:
-                raise SchedulerError(
-                    f"bit-packed wake-up kernel diverged: {mask:#x} != {ref:#x}"
-                )
-        return mask
+        return rows & self._occupied & ~self._scheduled
 
     def requests(self, resource_available: int, result_available: int) -> list[int]:
         """Rows requesting execution this cycle, ascending row order."""

@@ -20,7 +20,7 @@ starts a new trend point.
 
 Concurrency discipline (schema v3)
 ----------------------------------
-File-backed stores run in **WAL** journal mode with a ``busy_timeout``,
+A store is a database file in **WAL** journal mode with a ``busy_timeout``,
 so readers never block the writer and a writer in one process waits
 (rather than erroring) on a writer in another.  Every thread gets its
 own connection (:meth:`RunStore._connection` is keyed on thread *and*
@@ -163,21 +163,23 @@ def metrics_of(result: Any) -> dict[str, float]:
 class RunStore:
     """SQLite-backed index of experiment runs (+ the durable job queue).
 
-    Safe for concurrent use from many threads *and* many processes:
-    file-backed stores run in WAL mode with one connection per thread,
+    Safe for concurrent use from many threads *and* many processes: the
+    store is a database file in WAL mode with one connection per thread,
     lock-free autocommit reads and short serialised write transactions.
-    ``path`` may be ``":memory:"`` for tests — memory stores keep a
-    single connection and serialise everything on one lock (they cannot
-    be shared across processes anyway).
+    ``":memory:"`` and ``""`` are refused: each connection would open a
+    private database of its own.
     """
 
     def __init__(
-        self, path: str | Path = ":memory:", busy_timeout_ms: int = BUSY_TIMEOUT_MS
+        self, path: str | Path, busy_timeout_ms: int = BUSY_TIMEOUT_MS
     ) -> None:
         self.path = str(path)
+        if self.path in ("", ":memory:"):
+            raise ConfigurationError(
+                f"run store {self.path!r} is private to one connection; "
+                "give a database file"
+            )
         self.busy_timeout_ms = int(busy_timeout_ms)
-        #: memory stores share one connection; file stores get one per thread.
-        self._serialized = self.path == ":memory:"
         self._local = threading.local()
         self._lock = threading.Lock()
         self._conns: list[sqlite3.Connection] = []
@@ -185,7 +187,7 @@ class RunStore:
         self._closed = False
         #: journal mode the first connection actually got ("wal" on local
         #: filesystems; "delete" e.g. on NFS, where WAL is unsupported).
-        self.journal_mode = "memory" if self._serialized else ""
+        self.journal_mode = ""
         self._connection()  # create + migrate eagerly, so errors surface here
         with self._write() as conn:
             self._migrate(conn)
@@ -200,12 +202,6 @@ class RunStore:
         """
         if self._closed:
             raise ConfigurationError(f"run store {self.path} is closed")
-        if self._serialized:
-            conn = getattr(self, "_shared_conn", None)
-            if conn is None:
-                conn = self._connect()
-                self._shared_conn = conn
-            return conn
         conn = getattr(self._local, "conn", None)
         if conn is None or self._local.pid != os.getpid():
             conn = self._connect()
@@ -220,30 +216,20 @@ class RunStore:
             self.path, check_same_thread=False, isolation_level=None
         )
         conn.row_factory = sqlite3.Row
-        if not self._serialized:
-            conn.execute(f"PRAGMA busy_timeout = {self.busy_timeout_ms}")
-            mode = conn.execute("PRAGMA journal_mode = WAL").fetchone()[0]
-            conn.execute("PRAGMA synchronous = NORMAL")
-            if not self.journal_mode:
-                self.journal_mode = str(mode).lower()
+        conn.execute(f"PRAGMA busy_timeout = {self.busy_timeout_ms}")
+        mode = conn.execute("PRAGMA journal_mode = WAL").fetchone()[0]
+        conn.execute("PRAGMA synchronous = NORMAL")
+        if not self.journal_mode:
+            self.journal_mode = str(mode).lower()
         with self._conns_lock:
             self._conns.append(conn)
         return conn
 
     @contextmanager
     def _read(self):
-        """Autocommit read scope: the calling thread's own connection.
-
-        File stores read lock-free (WAL snapshots isolate them from the
-        writer); memory stores fall back to the store lock because all
-        threads share one connection.
-        """
-        conn = self._connection()
-        if self._serialized:
-            with self._lock:
-                yield conn
-        else:
-            yield conn
+        """Autocommit read scope: the calling thread's own connection,
+        lock-free (WAL snapshots isolate it from the writer)."""
+        yield self._connection()
 
     @contextmanager
     def _write(self):

@@ -24,14 +24,14 @@ is the exact-division reference metric.
 
 The **configuration loader** (:mod:`repro.steering.loader`) then diffs the
 chosen configuration against the resource-allocation vector and partially
-reconfigures only the RFU slots that are not busy.  The
-:class:`~repro.steering.manager.ConfigurationManager` clocks the loader
-with each cycle's selection and keeps the steering statistics.
+reconfigures only the RFU slots that are not busy.  The configuration
+manager itself is :class:`~repro.core.policies.PaperSteering`: the
+selection unit, the loader it clocks with each cycle's selection, and the
+steering statistics.
 """
 
 from repro.steering.error_metric import exact_error
 from repro.steering.loader import ConfigurationLoader, LoadPlan
-from repro.steering.manager import ConfigurationManager, ManagerStats
 from repro.steering.selection import ConfigurationSelectionUnit, SelectionResult
 
 __all__ = [
@@ -40,6 +40,4 @@ __all__ = [
     "SelectionResult",
     "ConfigurationLoader",
     "LoadPlan",
-    "ConfigurationManager",
-    "ManagerStats",
 ]

@@ -56,15 +56,11 @@ def events_path_for(store_path: str | os.PathLike | None) -> str | None:
     """The event-log sink that pairs with a run store file.
 
     ``runs.sqlite`` -> ``runs.sqlite.events.jsonl`` next to it, so the
-    log travels with the store it describes; a memory store (which the
-    server refuses) has no sink.
+    log travels with the store it describes; no store, no sink.
     """
     if store_path is None:
         return None
-    text = str(store_path)
-    if text == ":memory:":
-        return None
-    return text + ".events.jsonl"
+    return str(store_path) + ".events.jsonl"
 
 
 class EventLog:

@@ -53,34 +53,36 @@ class DecisionLedger:
         self._prev_selection: int | None = None
 
     # ------------------------------------------------------------ hot hook
-    def on_cycle(self, proc, cycle: int, manager) -> bool:
-        """Driven by ``ProcessorTelemetry.on_cycle`` (post-tick state);
-        returns whether the selection changed, opening a decision.
+    def on_cycle(self, proc, cycle: int, result) -> bool:
+        """Driven by ``ProcessorTelemetry.on_cycle`` (post-tick state) with
+        the cycle's selection ``result`` (the steering policy's
+        ``last_result``); returns whether the selection changed, opening a
+        decision.
 
-        Pure observation: reads the processor and manager, never writes
-        them.  Cost is O(1) except in the cycle of an actual selection
-        change, where the ready queue is scanned once.
+        Pure observation: reads the processor and the result, never
+        writes them.  Cost is O(1) except in the cycle of an actual
+        selection change, where the ready queue is scanned once.
         """
         pending = self._pending
         if pending is not None and cycle - pending["cycle"] >= self.window:
             self._finalize(proc, cycle)
-        selection = manager.last_result.index
+        selection = result.index
         if selection == self._prev_selection:
             return False
         self._prev_selection = selection
         if self._pending is not None:
             # a new decision closes the previous window early
             self._finalize(proc, cycle)
-        self._open(proc, cycle, manager, selection)
+        self._open(proc, cycle, result)
         return True
 
     # ------------------------------------------------------------ internals
-    def _open(self, proc, cycle: int, manager, selection: int) -> None:
+    def _open(self, proc, cycle: int, result) -> None:
         demand: dict = {}
         for instr in proc.ruu.ready_unscheduled():
             demand[instr.fu_type] = demand.get(instr.fu_type, 0) + 1
         idle = proc.fabric.idle_counts()
-        result = manager.last_result
+        selection = result.index
         chosen = result.config
         chosen_counts = chosen.counts if chosen is not None else {}
         servable = sum(

@@ -81,10 +81,10 @@ class ProcessorTelemetry:
         tracer = self.tracer
         if flushed:
             tracer.instant("flush", cycle, track="pipeline", squashed=flushed)
-        manager = getattr(proc.policy, "manager", None)
-        if manager is not None:
-            if self.ledger.on_cycle(proc, cycle, manager):
-                result = manager.last_result
+        policy = proc.policy
+        result = policy.last_result
+        if result is not None:
+            if self.ledger.on_cycle(proc, cycle, result):
                 tracer.instant(
                     "steer",
                     cycle,
@@ -92,7 +92,7 @@ class ProcessorTelemetry:
                     selection=result.index,
                     error=result.errors[result.index],
                 )
-            loads = manager.loader.history
+            loads = policy.loader.history
             if len(loads) != self._prev_loads:
                 plan = loads[-1]
                 tracer.complete(
@@ -105,10 +105,10 @@ class ProcessorTelemetry:
                 self._prev_loads = len(loads)
         self._since_sample += 1
         if self._since_sample >= SAMPLE_INTERVAL:
-            self._sample(proc, cycle, manager)
+            self._sample(proc, cycle, result)
 
     # ------------------------------------------------------------- sampling
-    def _sample(self, proc, cycle: int, manager) -> None:
+    def _sample(self, proc, cycle: int, result) -> None:
         interval = self._since_sample
         self._since_sample = 0
 
@@ -142,8 +142,7 @@ class ProcessorTelemetry:
         for t in FU_TYPES:
             bank.append(f"demand_{t.short_name}", cycle, demand.get(t, 0))
             bank.append(f"avail_{t.short_name}", cycle, idle[t])
-        if manager is not None:
-            result = manager.last_result
+        if result is not None:
             bank.append("cem_error", cycle, result.errors[result.index])
 
         if self.profile_stages:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["env_flag"]
+__all__ = ["env_flag", "CROSSCHECK"]
 
 #: values treated as "unset/false" for boolean debug toggles.
 _FALSE_VALUES = ("", "0", "false", "no", "off")
@@ -31,3 +31,10 @@ def env_flag(name: str, default: bool = False) -> bool:
     if raw is None:
         return default
     return raw.strip().lower() not in _FALSE_VALUES
+
+
+#: ``REPRO_AVAILABILITY_CROSSCHECK``: arms the issue step's debug
+#: cross-checks (an availability cache built while it is set rescans on
+#: every query; the register update unit pins the derived requests and
+#: the packed wake-up kernel to direct and reference evaluations).
+CROSSCHECK = env_flag("REPRO_AVAILABILITY_CROSSCHECK")

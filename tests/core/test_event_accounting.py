@@ -105,11 +105,8 @@ class Invalidate:
             policy._reset_window()
         if hasattr(policy, "_choices"):
             policy._choices.clear()
-        manager = getattr(policy, "manager", None)
-        loader = manager.loader if manager is not None else getattr(policy, "loader", None)
-        if loader is not None:
-            loader._missing_target = loader_module._UNSET
-            loader._blocked_target = loader_module._UNSET
+        policy.loader._missing_target = loader_module._UNSET
+        policy.loader._blocked_target = loader_module._UNSET
 
     def on_cycle(self, proc, packet, dispatched, issued, retired, flushed):
         pass
@@ -213,15 +210,26 @@ def test_wakeup_kernel_runs_at_most_once_per_issue_step(monkeypatch):
 
 
 def test_wakeup_crosscheck_sees_every_issue_step(monkeypatch):
-    monkeypatch.setattr(WakeupArray, "crosscheck", True)
+    """Armed, every step compares both its kernel evaluations with the
+    wake-up array's row-loop reference."""
+    monkeypatch.setattr("repro.utils.env.CROSSCHECK", True)
+    references = []
+    real = WakeupArray.requests_reference
+
+    def counted(self, resource_available, result_available):
+        references.append(resource_available)
+        return real(self, resource_available, result_available)
+
+    monkeypatch.setattr(WakeupArray, "requests_reference", counted)
     steps, calls = _requests_mask_calls(monkeypatch)
     assert len(calls) == steps
+    assert len(references) == 2 * steps
 
 
 def test_availability_crosscheck_sees_every_issue_step(monkeypatch):
     """Armed, every step evaluates, and checks its derived requests against
     a direct evaluation at the Eq. 1 bus."""
-    monkeypatch.setattr("repro.fabric.availability._CROSSCHECK_DEFAULT", True)
+    monkeypatch.setattr("repro.utils.env.CROSSCHECK", True)
     steps, calls = _requests_mask_calls(monkeypatch)
     assert len(calls) == steps
     assert set(calls.values()) == {2}

@@ -45,7 +45,7 @@ def _check_events(recorder, result, proc):
 
 def _check_trace(trace, result, proc):
     assert sum(length for _, _, length in trace.runs) == result.cycles
-    assert len(proc.policy.manager.loader.history) == result.reconfigurations
+    assert len(proc.policy.loader.history) == result.reconfigurations
 
 
 def _telemetry():

@@ -57,9 +57,9 @@ class TestCrossChecks:
         proc = steering_processor(kernel.program, _PARAMS)
         result = proc.run()
         # every load occupies the bus for latency * slot_cost cycles
-        expected = sum(p.latency for p in proc.policy.manager.loader.history)
+        expected = sum(p.latency for p in proc.policy.loader.history)
         assert result.reconfig_bus_cycles <= expected
-        assert result.reconfigurations == len(proc.policy.manager.loader.history)
+        assert result.reconfigurations == len(proc.policy.loader.history)
 
     def test_steering_selection_counts_sum_to_cycles(self):
         kernel = checksum(iterations=60)

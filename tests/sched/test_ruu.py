@@ -556,7 +556,7 @@ class TestDerivedRequests:
 
     @staticmethod
     def _blocked_fmul(monkeypatch):
-        monkeypatch.setattr("repro.fabric.availability._CROSSCHECK_DEFAULT", True)
+        monkeypatch.setattr("repro.utils.env.CROSSCHECK", True)
         ruu = _ruu()
         e = _dispatch(ruu, "fmul f1, f2, f3\nfmul f4, f5, f6\n")
         _cycle(ruu)  # the first fmul takes the one FP-MDU

@@ -139,18 +139,15 @@ def test_inline_grant_loop_matches_select_grants(seed):
 
 
 # ------------------------------------------------- whole-simulation check
-def test_crosschecked_simulation_is_bit_identical():
-    """Run a steering simulation with the kernel cross-check armed: every
-    per-cycle request mask is compared against the reference loop inside
-    requests_mask (divergence raises), and the final result must equal an
-    unchecked run exactly."""
+def test_crosschecked_simulation_is_bit_identical(monkeypatch):
+    """Run a steering simulation with the cross-check armed: the issue
+    step compares every request mask with the reference loop (divergence
+    raises), and the final result must equal an unchecked run exactly."""
     program = checksum(iterations=30).program
     params = ProcessorParams(reconfig_latency=8)
     plain = steering_processor(program, params).run(max_cycles=60_000)
-    assert not WakeupArray.crosscheck
-    WakeupArray.crosscheck = True
-    try:
-        checked = steering_processor(program, params).run(max_cycles=60_000)
-    finally:
-        WakeupArray.crosscheck = False
+    monkeypatch.setattr("repro.utils.env.CROSSCHECK", True)
+    checked_proc = steering_processor(program, params)
+    assert checked_proc.fabric._avail.crosscheck
+    checked = checked_proc.run(max_cycles=60_000)
     assert checked.to_dict() == plain.to_dict()

@@ -10,8 +10,8 @@ from repro.serving.store import SCHEMA_VERSION, RunStore, metrics_of
 
 
 # ---------------------------------------------------------------- round-trip
-def test_record_and_get_run():
-    with RunStore() as store:
+def test_record_and_get_run(store_path):
+    with RunStore(store_path) as store:
         run_id = store.record_run(
             "E-IPC", "a" * 64, {"mean_ipc": 1.5, "wins": 3},
             label="fast", git_rev="abc1234",
@@ -24,8 +24,8 @@ def test_record_and_get_run():
     assert run["git_rev"] == "abc1234"
 
 
-def test_run_id_is_deterministic_and_upserts():
-    with RunStore() as store:
+def test_run_id_is_deterministic_and_upserts(store_path):
+    with RunStore(store_path) as store:
         first = store.record_run("E", "c" * 64, {"x": 1}, git_rev="r1")
         again = store.record_run("E", "c" * 64, {"x": 2}, git_rev="r1")
         other = store.record_run("E", "c" * 64, {"x": 1}, git_rev="r2")
@@ -35,8 +35,8 @@ def test_run_id_is_deterministic_and_upserts():
         assert store.get_run(first)["metrics"] == {"x": 2}
 
 
-def test_list_runs_most_recent_first_and_filters():
-    with RunStore() as store:
+def test_list_runs_most_recent_first_and_filters(store_path):
+    with RunStore(store_path) as store:
         store.record_run("A", "1" * 64, {}, created=100.0)
         store.record_run("B", "2" * 64, {}, created=200.0)
         store.record_run("A", "3" * 64, {}, created=300.0)
@@ -48,8 +48,8 @@ def test_list_runs_most_recent_first_and_filters():
         assert store.list_runs(limit=1, offset=1)[0]["created"] == 200.0
 
 
-def test_experiments_summary():
-    with RunStore() as store:
+def test_experiments_summary(store_path):
+    with RunStore(store_path) as store:
         store.record_run("A", "1" * 64, {}, created=10.0)
         store.record_run("A", "2" * 64, {}, created=20.0)
         store.record_run("B", "3" * 64, {}, created=30.0)
@@ -68,8 +68,8 @@ def test_persists_to_disk(tmp_path):
 
 
 # ------------------------------------------------------------------ diffing
-def test_diff_metrics():
-    with RunStore() as store:
+def test_diff_metrics(store_path):
+    with RunStore(store_path) as store:
         a = store.record_run("E", "a" * 64, {"ipc": 2.0, "only_a": 1.0})
         b = store.record_run("E", "b" * 64, {"ipc": 3.0, "only_b": 4.0})
         diff = store.diff(a, b)
@@ -81,8 +81,8 @@ def test_diff_metrics():
     assert diff["metrics"]["only_b"] == {"a": None, "b": 4.0}
 
 
-def test_diff_missing_run_raises_keyerror():
-    with RunStore() as store:
+def test_diff_missing_run_raises_keyerror(store_path):
+    with RunStore(store_path) as store:
         a = store.record_run("E", "a" * 64, {})
         with pytest.raises(KeyError, match="ffff"):
             store.diff(a, "f" * 16)
@@ -250,8 +250,8 @@ def test_migrates_v3_schema_to_v4(tmp_path):
     conn.close()
 
 
-def test_trace_id_survives_claim_and_job_for_run():
-    with RunStore() as store:
+def test_trace_id_survives_claim_and_job_for_run(store_path):
+    with RunStore(store_path) as store:
         store.enqueue_job(
             "j1", "k" * 64, {"target": "checksum"},
             trace_id="cafe0123cafe0123",
@@ -264,8 +264,8 @@ def test_trace_id_survives_claim_and_job_for_run():
         assert row["trace_id"] == "cafe0123cafe0123"
 
 
-def test_job_for_run_picks_the_newest_job():
-    with RunStore() as store:
+def test_job_for_run_picks_the_newest_job(store_path):
+    with RunStore(store_path) as store:
         store.enqueue_job("old", "k1", {}, submitted=100.0, run_id="r" * 16,
                           state="done", trace_id="aaaa1111aaaa1111")
         store.enqueue_job("new", "k2", {}, submitted=200.0, run_id="r" * 16,
@@ -280,23 +280,23 @@ def test_file_store_runs_in_wal_mode(tmp_path):
         assert store.journal_mode == "wal"
 
 
-def test_memory_store_is_serialized():
-    with RunStore() as store:
-        assert store.journal_mode == "memory"
-        store.record_run("E", "a" * 64, {})
-        assert store.count() == 1
+def test_memory_store_is_refused():
+    """Each connection would open a private database of its own."""
+    for path in (":memory:", ""):
+        with pytest.raises(ConfigurationError, match="private"):
+            RunStore(path)
 
 
-def test_closed_store_raises():
-    store = RunStore()
+def test_closed_store_raises(store_path):
+    store = RunStore(store_path)
     store.close()
     with pytest.raises(ConfigurationError, match="closed"):
         store.count()
 
 
 # ---------------------------------------------------------------- retention
-def test_prune_by_age_drops_old_runs_and_settled_jobs():
-    with RunStore() as store:
+def test_prune_by_age_drops_old_runs_and_settled_jobs(store_path):
+    with RunStore(store_path) as store:
         store.record_run("E", "a" * 64, {}, created=100.0)
         store.record_run("E", "b" * 64, {}, created=1000.0)
         store.enqueue_job("old-done", "k1", {}, state="done",
@@ -311,8 +311,8 @@ def test_prune_by_age_drops_old_runs_and_settled_jobs():
         assert store.get_job("old-done") is None
 
 
-def test_prune_by_max_runs_keeps_most_recent():
-    with RunStore() as store:
+def test_prune_by_max_runs_keeps_most_recent(store_path):
+    with RunStore(store_path) as store:
         ids = [
             store.record_run("E", hex(i)[2:] * 32, {}, created=float(i))
             for i in range(5)
@@ -324,8 +324,8 @@ def test_prune_by_max_runs_keeps_most_recent():
         assert kept == {ids[3], ids[4]}
 
 
-def test_prune_without_limits_is_a_noop():
-    with RunStore() as store:
+def test_prune_without_limits_is_a_noop(store_path):
+    with RunStore(store_path) as store:
         store.record_run("E", "a" * 64, {})
         assert store.prune() == {
             "removed_runs": 0, "removed_jobs": 0, "kept_runs": 1,
@@ -333,8 +333,8 @@ def test_prune_without_limits_is_a_noop():
 
 
 # ------------------------------------------------------- durable job queue
-def test_enqueue_claim_finish_roundtrip():
-    with RunStore() as store:
+def test_enqueue_claim_finish_roundtrip(store_path):
+    with RunStore(store_path) as store:
         assert store.enqueue_job("j1", "k" * 64, {"target": "checksum"})
         job = store.get_job("j1")
         assert job["state"] == "queued"
@@ -354,8 +354,8 @@ def test_enqueue_claim_finish_roundtrip():
         assert finished["finished"] is not None
 
 
-def test_claim_is_exclusive_and_oldest_first():
-    with RunStore() as store:
+def test_claim_is_exclusive_and_oldest_first(store_path):
+    with RunStore(store_path) as store:
         store.enqueue_job("late", "k1", {}, submitted=200.0)
         store.enqueue_job("early", "k2", {}, submitted=100.0)
         first = store.claim_job("a")
@@ -366,8 +366,8 @@ def test_claim_is_exclusive_and_oldest_first():
         assert store.claim_job("c") is None
 
 
-def test_enqueue_respects_capacity():
-    with RunStore() as store:
+def test_enqueue_respects_capacity(store_path):
+    with RunStore(store_path) as store:
         assert store.enqueue_job("j1", "k1", {}, capacity=2)
         assert store.enqueue_job("j2", "k2", {}, capacity=2)
         assert not store.enqueue_job("j3", "k3", {}, capacity=2)
@@ -377,24 +377,24 @@ def test_enqueue_respects_capacity():
         assert store.enqueue_job("j3", "k3", {}, capacity=2)
 
 
-def test_failed_job_records_error():
-    with RunStore() as store:
+def test_failed_job_records_error(store_path):
+    with RunStore(store_path) as store:
         store.enqueue_job("j1", "k1", {})
         store.claim_job("w")
         store.finish_job("j1", "failed", error="ValueError: boom")
         assert store.get_job("j1")["error"] == "ValueError: boom"
 
 
-def test_list_jobs_newest_first():
-    with RunStore() as store:
+def test_list_jobs_newest_first(store_path):
+    with RunStore(store_path) as store:
         store.enqueue_job("a", "k1", {}, submitted=100.0)
         store.enqueue_job("b", "k2", {}, submitted=200.0)
         assert [j["job_id"] for j in store.list_jobs()] == ["b", "a"]
 
 
 # ------------------------------------------------------- worker metrics
-def test_worker_metrics_roundtrip_and_freshness():
-    with RunStore() as store:
+def test_worker_metrics_roundtrip_and_freshness(store_path):
+    with RunStore(store_path) as store:
         store.publish_worker_metrics("api-0", {"m": {"kind": "counter"}})
         store.publish_worker_metrics("api-1", {"m": {"kind": "counter"}})
         snaps = store.worker_metrics()
@@ -404,11 +404,11 @@ def test_worker_metrics_roundtrip_and_freshness():
         assert store.worker_metrics(max_age=0.0) == {}
 
 
-def test_ghost_workers_expire_by_heartbeat_age():
+def test_ghost_workers_expire_by_heartbeat_age(store_path):
     """Regression: a SIGKILLed worker's last snapshot must drop out of the
     merged /metrics view once its heartbeat goes stale, instead of being
     served forever."""
-    with RunStore() as store:
+    with RunStore(store_path) as store:
         store.publish_worker_metrics("api-0", {"m": 1}, now=1000.0)
         store.publish_worker_metrics("api-1", {"m": 2}, now=1010.0)
         # both fresh shortly after api-1's heartbeat
@@ -425,8 +425,8 @@ def test_ghost_workers_expire_by_heartbeat_age():
         assert snaps["api-0"] == {"m": 3}
 
 
-def test_clear_worker_metrics():
-    with RunStore() as store:
+def test_clear_worker_metrics(store_path):
+    with RunStore(store_path) as store:
         store.publish_worker_metrics("api-0", {})
         store.publish_worker_metrics("sim-0", {})
         store.clear_worker_metrics("api-0")
@@ -450,8 +450,8 @@ def test_metrics_of_to_dict_object():
     assert metrics_of(FakeResult()) == {"cycles": 100, "ipc": 2.0}
 
 
-def test_run_revision_is_the_code_digest():
-    with RunStore() as store:
+def test_run_revision_is_the_code_digest(store_path):
+    with RunStore(store_path) as store:
         run_id = store.record_run("E", "c" * 64, {"x": 1})
         assert store.get_run(run_id)["git_rev"] == code_digest()
 

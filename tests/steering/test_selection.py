@@ -163,7 +163,7 @@ class TestSelectionReuse:
         counts = {"now": _FFUS_ONLY}
         policy.fabric = SimpleNamespace(counts_tuple=lambda: counts["now"])
         policy.cycle(ruu)
-        first = policy.manager.last_result
+        first = policy.last_result
         counts["now"] = _INTEGER_LOADED
         policy.cycle(ruu)
         counts["now"] = _FFUS_ONLY
@@ -172,7 +172,7 @@ class TestSelectionReuse:
             (ruu.waiting_demand, _FFUS_ONLY),
             (ruu.waiting_demand, _INTEGER_LOADED),
         ]
-        assert policy.manager.last_result is first
+        assert policy.last_result is first
 
     def test_select_required_runs_once_per_key(self, monkeypatch):
         """Over a whole steering run at window 7 the unit evaluates each

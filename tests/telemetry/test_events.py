@@ -87,6 +87,5 @@ class TestEventsPathFor:
     def test_pairs_with_the_store_file(self):
         assert events_path_for("runs.sqlite") == "runs.sqlite.events.jsonl"
 
-    def test_memory_stores_get_no_sink(self):
+    def test_no_store_gets_no_sink(self):
         assert events_path_for(None) is None
-        assert events_path_for(":memory:") is None

@@ -113,10 +113,6 @@ class _FakeProc:
         self.params = _PARAMS
 
 
-class _FakeManager:
-    last_result = None
-
-
 #: the two selections :func:`_drive` alternates between.
 _FLIPS = tuple(
     SelectionResult(
@@ -131,10 +127,9 @@ _FLIPS = tuple(
 
 def _drive(ledger, flips, step=100):
     """Flip the selection ``flips`` times; each flip finalizes the last."""
-    proc, manager = _FakeProc(), _FakeManager()
+    proc = _FakeProc()
     for i in range(flips):
-        manager.last_result = _FLIPS[i % 2]
-        ledger.on_cycle(proc, i * step, manager)
+        ledger.on_cycle(proc, i * step, _FLIPS[i % 2])
     return ledger
 
 
