@@ -41,7 +41,7 @@ from collections.abc import Sequence
 
 from repro.core.params import ProcessorParams
 from repro.errors import ConfigurationError
-from repro.fabric.configuration import FFU_COUNTS, PREDEFINED_CONFIGS, Configuration
+from repro.fabric.configuration import PREDEFINED_CONFIGS, Configuration
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FU_TYPES, FUType
 from repro.sched.ruu import RegisterUpdateUnit
@@ -320,10 +320,8 @@ class OracleSteering(SteeringPolicy):
         super().bind(fabric, params)
         # every candidate's units: its own plus the processor's fixed bank,
         # computed once here so cycle() allocates nothing
-        ffus = FFU_COUNTS if params.ffu_counts is None else params.ffu_counts
         self._config_avails = tuple(
-            tuple(cfg.count(t) + ffus.get(t, 0) for t in FU_TYPES)
-            for cfg in self.configs
+            cfg.units(params.ffu_counts) for cfg in self.configs
         )
         self._reset_window()
         #: the last choice and its inputs: retire count, configured counts.

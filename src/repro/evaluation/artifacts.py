@@ -157,9 +157,7 @@ def figure3_cem_study(samples: int = 2000, seed: int = 0) -> CemStudy:
     unit = ConfigurationSelectionUnit()
     rng = random.Random(seed)
     ffus_only = tuple(FFU_COUNTS[t] for t in FU_TYPES)
-    candidates = []
-    for cfg in PREDEFINED_CONFIGS:
-        candidates.append(tuple(cfg.count(t) + FFU_COUNTS[t] for t in FU_TYPES))
+    candidates = [cfg.units() for cfg in PREDEFINED_CONFIGS]
     agree = 0
     for _ in range(samples):
         total = rng.randint(0, 7)

@@ -16,10 +16,11 @@ by *some* basis member.  This module implements exactly that view:
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.evaluation.batch import ResultCache, SimJob, run_many
+from repro.evaluation.batch import SimJob, run_many
 from repro.fabric.configuration import (
     FFU_COUNTS,
     NUM_RFU_SLOTS,
@@ -36,23 +37,19 @@ __all__ = ["demand_profile", "profile_cost", "design_basis"]
 
 def demand_profile(
     programs: Sequence[Program],
+    run: Callable[[list[SimJob]], list[Any]] = run_many,
     window: int = 7,
     stride: int = 4,
     max_instructions: int = 200_000,
-    workers: int = 0,
-    cache: ResultCache | None = None,
 ) -> list[tuple[int, ...]]:
-    """Required-unit vectors over sliding windows of the dynamic traces."""
+    """Required-unit vectors over sliding windows of the dynamic traces,
+    whose reference runs the batch runner ``run`` executes."""
     if window <= 0 or stride <= 0:
         raise ConfigurationError("window and stride must be positive")
-    references = run_many(
-        [
-            SimJob("reference", p, kwargs={"max_instructions": max_instructions})
-            for p in programs
-        ],
-        workers,
-        cache,
-    )
+    references = run([
+        SimJob("reference", p, kwargs={"max_instructions": max_instructions})
+        for p in programs
+    ])
     profile: list[tuple[int, ...]] = []
     for reference in references:
         trace = reference.trace
@@ -66,10 +63,6 @@ def demand_profile(
     return profile
 
 
-def _config_avail(config: Configuration, ffus: dict) -> tuple[int, ...]:
-    return tuple(config.count(t) + ffus.get(t, 0) for t in FU_TYPES)
-
-
 def profile_cost(
     profile: Sequence[Sequence[int]],
     basis: Sequence[Configuration],
@@ -77,7 +70,7 @@ def profile_cost(
 ) -> float:
     """Mean best-candidate exact error over the profile (lower = better)."""
     ffus = FFU_COUNTS if ffu_counts is None else ffu_counts
-    avails = [_config_avail(c, ffus) for c in basis]
+    avails = [c.units(ffus) for c in basis]
     total = 0.0
     for required in profile:
         total += min(exact_error(required, a) for a in avails)
@@ -91,7 +84,7 @@ def _lloyd_iterate(
     iterations: int,
 ) -> list[Configuration]:
     for round_no in range(iterations):
-        avails = [_config_avail(c, ffus) for c in basis]
+        avails = [c.units(ffus) for c in basis]
         sums = [[0.0] * len(FU_TYPES) for _ in basis]
         sizes = [0] * len(basis)
         for required in profile:

@@ -73,6 +73,13 @@ class Configuration:
         """Counts as a tuple in canonical :data:`FU_TYPES` order."""
         return tuple(self.count(t) for t in FU_TYPES)
 
+    def units(self, ffu_counts: dict[FUType, int] | None = None) -> tuple[int, ...]:
+        """Per-type unit counts, in :data:`FU_TYPES` order, of a processor
+        with this configuration loaded beside the fixed bank ``ffu_counts``
+        (default :data:`FFU_COUNTS`)."""
+        ffus = FFU_COUNTS if ffu_counts is None else ffu_counts
+        return tuple(self.count(t) + ffus.get(t, 0) for t in FU_TYPES)
+
     def __str__(self) -> str:
         inner = ", ".join(
             f"{t.short_name}x{n}" for t, n in self.counts.items() if n

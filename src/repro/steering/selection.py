@@ -152,10 +152,7 @@ class ConfigurationSelectionUnit:
         #: every predefined candidate's unit counts (fixed + its own) and
         #: its term rows (``_TERMS``): a hard-wired generator is the live
         #: one with its count inputs tied to those counts.
-        self._config_avails = tuple(
-            tuple(c.count(t) + self.ffu_counts.get(t, 0) for t in FU_TYPES)
-            for c in self.configs
-        )
+        self._config_avails = tuple(c.units(self.ffu_counts) for c in self.configs)
         self._config_rows = tuple(
             tuple(_TERMS[min(a, _COUNT_LIMIT)] for a in avail)
             for avail in self._config_avails

@@ -92,17 +92,18 @@ class ProcessorTelemetry:
                     selection=result.index,
                     error=result.errors[result.index],
                 )
-            loads = policy.loader.history
-            if len(loads) != self._prev_loads:
-                plan = loads[-1]
-                tracer.complete(
-                    f"reconfig {plan.fu_type.short_name}@{plan.head}",
-                    ts=cycle,
-                    dur=max(1, plan.latency),
-                    track="fabric",
-                    evicted=[t.short_name for t in plan.evicted],
-                )
-                self._prev_loads = len(loads)
+        # every policy's loads, whether or not it has the paper's unit
+        loads = policy.loader.history
+        if len(loads) != self._prev_loads:
+            plan = loads[-1]
+            tracer.complete(
+                f"reconfig {plan.fu_type.short_name}@{plan.head}",
+                ts=cycle,
+                dur=max(1, plan.latency),
+                track="fabric",
+                evicted=[t.short_name for t in plan.evicted],
+            )
+            self._prev_loads = len(loads)
         self._since_sample += 1
         if self._since_sample >= SAMPLE_INTERVAL:
             self._sample(proc, cycle, result)
@@ -172,7 +173,7 @@ class ProcessorTelemetry:
 
     def summary_lines(self, result) -> list[str]:
         """Human-readable digest of the observed run ``result`` (its
-        :class:`~repro.core.results.SimulationResult`) for the CLI."""
+        :class:`~repro.core.stats.SimulationResult`) for the CLI."""
         lines = [
             f"cycles={result.cycles}"
             f" retired={result.retired}"

@@ -7,8 +7,14 @@ import pytest
 
 import repro.evaluation.batch as batch
 from repro.core.params import ProcessorParams
-from repro.evaluation.batch import ResultCache, _atomic_write_bytes, code_digest
-from repro.evaluation.experiments import run_phase_adaptation
+from repro.evaluation.batch import (
+    ResultCache,
+    SimJob,
+    _atomic_write_bytes,
+    code_digest,
+    run_many,
+)
+from repro.workloads.phases import phased_program
 from repro.workloads.synthetic import FP_MIX, INT_MIX
 
 
@@ -118,14 +124,16 @@ def test_stats_counters(tmp_path):
 
 # ------------------------------------------------------- code namespaces
 def _phase_run(directory):
-    """A small E-PH run through a disk cache; the cache is returned too."""
+    """A small traced steering run (E-PH's job shape) through a disk
+    cache: its result and selection runs, and the cache."""
     cache = ResultCache(directory)
-    adaptation = run_phase_adaptation(
-        phases=[(INT_MIX, 20), (FP_MIX, 20)],
-        params=ProcessorParams(reconfig_latency=4),
-        cache=cache,
+    job = SimJob(
+        "steering-traced",
+        phased_program([(INT_MIX, 20), (FP_MIX, 20)], seed=3),
+        ProcessorParams(reconfig_latency=4),
     )
-    return adaptation, cache
+    (traced,) = run_many([job], cache=cache)
+    return (traced["result"].to_dict(), traced["selection_runs"]), cache
 
 
 def test_code_digest_namespaces_the_disk_cache(tmp_path, monkeypatch):
@@ -137,12 +145,12 @@ def test_code_digest_namespaces_the_disk_cache(tmp_path, monkeypatch):
     assert cache.directory == tmp_path / code_digest()
     again, cache = _phase_run(tmp_path)
     assert (cache.hits, cache.misses) == (1, 0)  # 0 simulations
-    assert again.metrics() == first.metrics()
+    assert again == first
 
     monkeypatch.setattr(batch, "code_digest", lambda: "e" * 64)
     changed, cache = _phase_run(tmp_path)
     assert (cache.hits, cache.misses) == (0, 1)  # simulated again
-    assert changed.metrics() == first.metrics()
+    assert changed == first
     assert cache.prune()["removed"] == 0  # the old code may still serve
     assert cache.prune(now=time.time() + batch.IDLE_S + 1)["removed"] == 1
     assert [p.name for p in tmp_path.iterdir()] == ["e" * 64]

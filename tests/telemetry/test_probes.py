@@ -7,12 +7,13 @@ results (every observer x kernel is pinned in
 
 import json
 
-from repro.core.baselines import steering_processor
+from repro.core.baselines import demand_processor, steering_processor
 from repro.core.params import ProcessorParams
 from repro.core.processor import Processor
 from repro.isa.futypes import FU_TYPES
 from repro.telemetry import STAGES, ProcessorTelemetry
 from repro.telemetry.probes import SAMPLE_INTERVAL
+from repro.workloads import resolve_program
 
 _PARAMS = ProcessorParams(reconfig_latency=8)
 
@@ -77,6 +78,23 @@ class TestEnabledObservation:
         assert any(
             e["name"] == "steer" for e in doc["traceEvents"] if e["ph"] == "i"
         )
+
+    def test_every_load_is_a_span_without_the_paper_unit(self):
+        """A policy with no selection unit (no ``last_result``) still gets
+        one ``reconfig`` span per load its loader starts."""
+        tel = ProcessorTelemetry()
+        proc = demand_processor(resolve_program("phased:1"))
+        proc.observer = tel
+        proc.run()
+        spans = [
+            e for e in tel.tracer.to_chrome_trace()["traceEvents"]
+            if e["ph"] == "X" and e["name"].startswith("reconfig ")
+        ]
+        loads = proc.policy.loader.history
+        assert len(loads) == 7
+        assert [e["name"] for e in spans] == [
+            f"reconfig {plan.fu_type.short_name}@{plan.head}" for plan in loads
+        ]
 
     def test_snapshot_is_json_serialisable(self):
         tel = ProcessorTelemetry()
