@@ -75,10 +75,10 @@ KEEP = {
         "reference model: the per-row request loop the packed kernel replaces",
     "sched/wakeup.py::WakeupArray.insert":
         "reference model: the row write dispatch inlines; tests build arrays with it",
-    "fabric/availability.py::AvailabilityCache._crosscheck":
+    "fabric/fabric.py::Fabric._crosscheck":
         "reference model: the rescan REPRO_AVAILABILITY_CROSSCHECK=1 arms",
     "fabric/availability.py::availability_report":
-        "reference model: Eq. 1 through the Fig. 7 circuit, for the cache's bus",
+        "reference model: Eq. 1 through the Fig. 7 circuit, for the fabric's bus",
     "circuits/selection_netlist.py::build_selection_core":
         "reference model: the stage 3-4 netlist the selection tables are cut from",
     "isa/futypes.py::unpack_counts":
@@ -359,7 +359,11 @@ def _serve(workdir: pathlib.Path, store: str, cache_dir: str) -> str:
                 "max_cycles": 20_000}
         run_id = client.settle(spec)["run_id"]
         client.json("POST", "/api/jobs", spec)  # answered from the cache
-        client.settle({"target": "phased:1", "params": {"window_size": 5}})
+        client.settle({"target": "phased:1", "params": {
+            "window_size": 5,
+            "ffu_counts": {"INT_ALU": 2, "INT_MDU": 1, "LSU": 1, "FP_ALU": 1,
+                           "FP_MDU": 1},
+        }})
         client.settle({"factory": "random", "target": "checksum",
                        "kwargs": {"period": 0}})  # fails in the sim worker
         for body in (b"{", b"[]", b'{"target": "no-such-kernel"}'):

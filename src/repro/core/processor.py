@@ -11,9 +11,9 @@ discipline so a value never traverses two stages in one cycle):
    decode buffer;
 5. **steer** — the configuration-management policy observes the ready
    queue and (possibly) starts a partial reconfiguration;
-6. **tick** — the configuration bus advances one cycle and the register
-   update unit completes the instructions due this cycle, releasing their
-   functional units.
+6. **tick** — the configuration bus advances one cycle while a load is
+   in flight, and the register update unit completes the instructions due
+   this cycle, releasing their functional units.
 
 Utilisation is accounted by event, not swept per cycle.  The busy
 unit-cycles are added by the register update unit as each occupancy ends.
@@ -123,11 +123,11 @@ class Processor:
         #: configured unit-cycles per type (indexed like ``FU_TYPES``) of
         #: the closed intervals; the open one started at tick
         #: ``_configured_since`` with ``_configured_counts`` and lasts while
-        #: the slot array's structure version is ``_structure_seen``.
+        #: the slot array's structure version is ``_configured_version``.
         self._configured_cycles = [0] * len(FU_TYPES)
         self._configured_counts: tuple[int, ...] = (0,) * len(FU_TYPES)
         self._configured_since = 0
-        self._structure_seen = -1
+        self._configured_version = -1
         self._mispredictions = 0
         self._branch_resolutions = 0
         self._flushes = 0
@@ -202,14 +202,16 @@ class Processor:
             obs.on_stage(self, "steer")
         self.policy.cycle(ruu)
 
-        # 6. advance time: configured units, the configuration bus,
-        # completions
+        # 6. advance time: configured units, the configuration bus (while
+        # a load is in flight), completions
         if obs is not None:
             obs.on_stage(self, "tick")
-        rfus = self.fabric.rfus
-        if rfus.structure_version != self._structure_seen:
+        fabric = self.fabric
+        rfus = fabric.rfus
+        if rfus.structure_version != self._configured_version:
             self._close_configured_interval()
-        rfus.tick()
+        if rfus._bus_remaining:  # not RfuSlotArray.bus_free
+            fabric.tick()
         ruu.tick()
         if obs is not None:
             obs.on_cycle(self, packet, dispatched, issued, retired, flushed)
@@ -225,7 +227,7 @@ class Processor:
             totals[i] += n * span
         self._configured_counts = self.fabric.counts_tuple()
         self._configured_since = clock
-        self._structure_seen = self.fabric.rfus.structure_version
+        self._configured_version = self.fabric.rfus.structure_version
 
     def _handle_resolutions(self, resolutions) -> None:
         """Train the predictors; repair the pipeline on the oldest mispredict."""

@@ -294,7 +294,7 @@ def figure7_availability_check(samples: int = 500, seed: int = 0) -> str:
     cases, mismatches = eq1_check(samples, seed)
 
     fabric = Fabric(reconfig_latency=1)
-    fabric.rfus.begin_reconfigure(0, FUType.FP_ALU)
+    fabric.begin_reconfigure(0, FUType.FP_ALU)
     while not fabric.rfus.bus_free:
         fabric.tick()
     fabric.issue(FUType.FP_ALU)  # FFU copy busy

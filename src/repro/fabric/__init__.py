@@ -11,6 +11,14 @@ This is the substrate the configuration manager steers.  It models:
   slots for multi-slot units);
 * the **availability circuit** of Eq. 1 / Fig. 7 that tells the wake-up
   array whether a unit of a given type is both configured and idle.
+
+:class:`Fabric` is the one owner of the per-type unit state the
+scheduler and the loader read every cycle (units per type, configured
+counts, reconfigurable units loaded or in flight, idle counts, the Eq. 1
+bus): it updates that state at each issue and release, and re-indexes it
+at the only two structure changes, which go through it — a load starting
+(:meth:`Fabric.begin_reconfigure`) and a load completing
+(:meth:`Fabric.tick`).
 """
 
 from repro.fabric.allocation import (

@@ -100,7 +100,9 @@ class RfuSlotArray:
         #: total cycles the bus has been busy (for statistics).
         self.bus_busy_cycles = 0
         #: bumped whenever the set of configured units changes (a unit is
-        #: loaded or evicted) — the availability cache's invalidation key.
+        #: loaded or evicted): a memo key for what is derived from the
+        #: configured units (the loader's memos, the processor's
+        #: configured-unit interval).
         self.structure_version = 0
 
     # ------------------------------------------------------------- queries
@@ -122,21 +124,6 @@ class RfuSlotArray:
         for s in self.slots:
             if s.unit is not None:
                 out.append((s.index, s.unit))
-        return out
-
-    def counts(self) -> dict[FUType, int]:
-        """Configured (loaded, usable) units per type."""
-        out: dict[FUType, int] = {}
-        for _, u in self.units():
-            out[u.fu_type] = out.get(u.fu_type, 0) + 1
-        return out
-
-    def pending_counts(self) -> dict[FUType, int]:
-        """Units currently being loaded, per type."""
-        out: dict[FUType, int] = {}
-        for s in self.slots:
-            if s.pending_type is not None:
-                out[s.pending_type] = out.get(s.pending_type, 0) + 1
         return out
 
     def allocation_vector(self) -> AllocationVector:
@@ -235,8 +222,9 @@ class RfuSlotArray:
             self.slots[i].span_of = None
         self.structure_version += 1
 
-    def tick(self) -> None:
-        """Advance the configuration bus one cycle.
+    def tick(self) -> bool:
+        """Advance the configuration bus one cycle; True when the load in
+        flight completed.
 
         Units hold no timers of their own: the register update unit
         releases each one when its instruction completes.
@@ -246,6 +234,8 @@ class RfuSlotArray:
             self.bus_busy_cycles += 1
             if self._bus_remaining == 0:
                 self._complete_load()
+                return True
+        return False
 
     def _complete_load(self) -> None:
         head = self._bus_target

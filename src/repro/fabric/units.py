@@ -12,10 +12,10 @@ instruction completes (or is squashed).  A unit does not flip its own busy
 state either: the :class:`~repro.fabric.fabric.Fabric` owns both
 transitions — :meth:`~repro.fabric.fabric.Fabric.issue` occupies an idle
 unit and :meth:`~repro.fabric.fabric.Fabric.release` frees it — and each
-point-updates the Eq. 1 availability cache as it flips the unit, once per
-issued instruction.  This is what makes the availability layer
-*incremental*: one per-type count moves per event instead of a rescan of
-every unit whenever anything changed.
+point-updates the fabric's idle count and Eq. 1 bus bit of the unit's type
+as it flips the unit, once per issued instruction.  This is what makes the
+availability *incremental*: one per-type count moves per event instead of
+a rescan of every unit whenever anything changed.
 """
 
 from __future__ import annotations

@@ -30,7 +30,10 @@ implementation adds the substrate details a working processor needs:
 * **one evaluation per issue step** — the wake-up logic is evaluated
   once, with every unit type available, for the rows ready on data.  A
   ready row requests when its type's Eq. 1 line is up and is counted
-  resource-blocked when it is down, so one evaluation gives both.  With
+  resource-blocked when it is down, so one evaluation gives both.  The
+  Eq. 1 bus and the idle counts are read flat from the
+  :class:`~repro.fabric.fabric.Fabric`, which keeps them current as
+  units are issued, released, loaded and evicted.  With
   the cross-check armed (``REPRO_AVAILABILITY_CROSSCHECK``), the derived
   requests are compared with a direct evaluation at the Eq. 1 bus, and
   both kernel evaluations with the wake-up array's row-loop reference;
@@ -122,10 +125,6 @@ class RegisterUpdateUnit:
         pipelined_scheduling: bool = False,
     ) -> None:
         self.fabric = fabric
-        #: the fabric's availability cache and slot array, read flat by
-        #: the issue step (see :meth:`issue_and_execute`).
-        self._avail = fabric._avail
-        self._rfus = fabric.rfus
         self.dmem = dmem
         self.wakeup = WakeupArray(window_size)
         self.regfile = RegisterFile()
@@ -285,8 +284,8 @@ class RegisterUpdateUnit:
 
     # --------------------------------------------------------------- issue
     def _resource_available_bits(self) -> int:
-        """The fabric's cached Eq. 1 bus (for inspection: the issue step
-        reads the same bus flat)."""
+        """The fabric's Eq. 1 bus (for inspection: the issue step reads
+        the same bus flat)."""
         return self.fabric.availability_bits()
 
     def issue_and_execute(self) -> tuple[Sequence[int], Sequence[BranchResolution]]:
@@ -304,15 +303,13 @@ class RegisterUpdateUnit:
                     self.wakeup.reschedule(row)
             self._pending_reschedule.clear()
         result_bits = self._completed_bits
-        # the Eq. 1 bus, read flat: one structure-version compare, the
-        # debug cross-check when armed, then the incrementally kept bits
-        avail = self._avail
-        if avail._structure_seen != self._rfus.structure_version:
-            avail._refresh_structure()
-        crosscheck = avail.crosscheck
+        # the Eq. 1 bus, read flat from the fabric that keeps it (after
+        # the debug cross-check when armed)
+        fabric = self.fabric
+        crosscheck = fabric.crosscheck
         if crosscheck:
-            avail._crosscheck()
-        live_bits = avail._bits
+            fabric._crosscheck()
+        live_bits = fabric._bits
         stale_bits = self._stale_resource_bits
         wakeup = self.wakeup
         idle_blocked = self._idle_blocked
@@ -365,9 +362,9 @@ class RegisterUpdateUnit:
             # overwrite-in-place copy of the live idle counts (all five
             # types are always keyed).
             remaining = self._scratch_remaining
-            remaining.update(avail._idle_counts)
+            remaining.update(fabric._idle_counts)
             banks = self._banks
-            issue = self.fabric.issue
+            issue = fabric.issue
             clock = self.clock
             due_map = self._due
             issued_per_type = self.issued_per_type

@@ -62,6 +62,7 @@ from repro.evaluation import batch
 # run_many is not called here; it stays bound because tools that wrap the
 # batch engine per module (perfbench/tracing.py) look the name up here
 from repro.evaluation.batch import ResultCache, SimJob, job_key, run_many  # noqa: F401
+from repro.isa.futypes import FUType
 from repro.telemetry import EventLog, MetricsRegistry
 from repro.utils.canonical import canonical_dumps
 from repro.workloads import resolve_program
@@ -145,6 +146,10 @@ def build_job(spec: Any) -> SimJob:
                 f"'params.{name}' must be an integer of at most {bound} "
                 f"({MAX_PARAM_SCALE}x its default)"
             )
+    if "ffu_counts" in params_spec:
+        params_spec = dict(
+            params_spec, ffu_counts=_ffu_counts(params_spec["ffu_counts"])
+        )
     params = ProcessorParams(**params_spec)
 
     try:
@@ -177,6 +182,31 @@ def build_job(spec: Any) -> SimJob:
             f"'max_instructions' must be in [1, {MAX_SUBMITTED_CYCLES}]"
         )
     return job
+
+
+def _ffu_counts(value: Any) -> dict[FUType, int]:
+    """``params.ffu_counts`` as ``{FUType: count}``: a JSON object keyed by
+    unit-type name (``"INT_ALU"``, ...), each count an integer in
+    ``[0, MAX_PARAM_SCALE]``.  ``{}`` is the FFU-less fabric of §3.2."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            "'params.ffu_counts' must be an object of unit type -> count"
+        )
+    counts: dict[FUType, int] = {}
+    for name, n in value.items():
+        fu_type = FUType.__members__.get(name)
+        if fu_type is None:
+            raise ConfigurationError(
+                f"'params.ffu_counts' names an unknown unit type {name!r} "
+                f"(one of {', '.join(FUType.__members__)})"
+            )
+        if type(n) is not int or not 0 <= n <= MAX_PARAM_SCALE:
+            raise ConfigurationError(
+                f"'params.ffu_counts.{name}' must be an integer in "
+                f"[0, {MAX_PARAM_SCALE}]"
+            )
+        counts[fu_type] = n
+    return counts
 
 
 class _Keyed(NamedTuple):

@@ -16,14 +16,19 @@ Because only idle slots change, the active configuration is generally a
 *hybrid overlap* of steering configurations — exactly the behaviour the
 paper describes.
 
+The loader reads what it already has (each type's reconfigurable units,
+loaded or loading) from the fabric's :attr:`~repro.fabric.fabric.Fabric.rfu_have`,
+which the fabric re-indexes at each load and eviction, and starts every
+load through :meth:`Fabric.begin_reconfigure
+<repro.fabric.fabric.Fabric.begin_reconfigure>`.
 :meth:`ConfigurationLoader.missing_units` moves only with the target, the
 configured units (the slot array's ``structure_version``) and the units in
 flight (a load into empty slots bumps only ``reconfigurations``), so it is
 memoised on those three.  Whether a missing unit can be placed moves with
 them and with the busy state of the reconfigurable units, so a
 :meth:`ConfigurationLoader.step` that placed nothing is remembered under
-those three and the availability cache's ``rfu_flips``: until one of the
-four moves, the next step returns ``None`` without searching again.
+those three and the fabric's ``rfu_flips``: until one of the four moves,
+the next step returns ``None`` without searching again.
 """
 
 from __future__ import annotations
@@ -81,7 +86,6 @@ class ConfigurationLoader:
         self._missing_reconfigs = -1
         #: the key of the last step that placed nothing: target, structure
         #: version, reconfiguration count and RFU busy flips.
-        self._avail = fabric._avail
         self._blocked_target: object = _UNSET
         self._blocked_version = -1
         self._blocked_reconfigs = -1
@@ -93,15 +97,6 @@ class ConfigurationLoader:
         self._target = config
 
     # ------------------------------------------------------------- queries
-    def _have(self) -> dict[FUType, int]:
-        """Loaded + in-flight units per type (RFU portion only)."""
-        have: dict[FUType, int] = {}
-        for t, n in self.fabric.rfus.counts().items():
-            have[t] = n
-        for t, n in self.fabric.rfus.pending_counts().items():
-            have[t] = have.get(t, 0) + n
-        return have
-
     def missing_units(self) -> list[FUType]:
         """Unit types the target still lacks, largest slot cost first.
 
@@ -123,10 +118,10 @@ class ConfigurationLoader:
     def _count_missing(self) -> list[FUType]:
         if self._target is None:
             return []
-        have = self._have()
+        have = self.fabric.rfu_have
         missing: list[FUType] = []
         for t in FU_TYPES:
-            deficit = self._target.count(t) - have.get(t, 0)
+            deficit = self._target.count(t) - have[t]
             missing.extend([t] * max(0, deficit))
         missing.sort(key=_slot_cost_of, reverse=True)
         return missing
@@ -135,10 +130,10 @@ class ConfigurationLoader:
         """Units per type beyond what the target wants (eviction budget)."""
         if self._target is None:
             return {}
-        have = self._have()
+        have = self.fabric.rfu_have
         surplus: dict[FUType, int] = {}
         for t in FU_TYPES:
-            surplus[t] = max(0, have.get(t, 0) - self._target.count(t))
+            surplus[t] = max(0, have[t] - self._target.count(t))
         return surplus
 
     def _find_run(
@@ -205,7 +200,7 @@ class ConfigurationLoader:
             target is self._blocked_target
             and rfus.structure_version == self._blocked_version
             and rfus.reconfigurations == self._blocked_reconfigs
-            and self._avail.rfu_flips == self._blocked_flips
+            and self.fabric.rfu_flips == self._blocked_flips
         ):
             return None  # nothing the last search depended on has moved
         missing = self.missing_units()
@@ -214,7 +209,7 @@ class ConfigurationLoader:
             self._blocked_target = target
             self._blocked_version = rfus.structure_version
             self._blocked_reconfigs = rfus.reconfigurations
-            self._blocked_flips = self._avail.rfu_flips
+            self._blocked_flips = self.fabric.rfu_flips
         return plan
 
     def _place(self, missing: list[FUType]) -> LoadPlan | None:
@@ -241,7 +236,7 @@ class ConfigurationLoader:
             h = rfus.head_of(i)
             if h is not None:
                 evict_heads[h] = rfus.slots[h].unit.fu_type
-        latency = rfus.begin_reconfigure(run.head, fu_type)
+        latency = self.fabric.begin_reconfigure(run.head, fu_type)
         plan = LoadPlan(
             head=run.head,
             fu_type=fu_type,

@@ -34,7 +34,8 @@ def env_flag(name: str, default: bool = False) -> bool:
 
 
 #: ``REPRO_AVAILABILITY_CROSSCHECK``: arms the issue step's debug
-#: cross-checks (an availability cache built while it is set rescans on
-#: every query; the register update unit pins the derived requests and
-#: the packed wake-up kernel to direct and reference evaluations).
+#: cross-checks (a fabric built while it is set re-derives its per-type
+#: state from a rescan on every availability query; the register update
+#: unit pins the derived requests and the packed wake-up kernel to direct
+#: and reference evaluations).
 CROSSCHECK = env_flag("REPRO_AVAILABILITY_CROSSCHECK")

@@ -27,7 +27,7 @@ schedule one invocation gets.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from random import Random
@@ -227,7 +227,11 @@ def _still_fails_predicate(
 def _write_artifacts(
     out_dir: Path, failure: FuzzFailure, params: ProcessorParams, max_cycles: int
 ) -> tuple[str, ...]:
-    """Original + minimized sources, violation record, runnable repro."""
+    """Original + minimized sources, violation record, runnable repro.
+
+    The repro script's ``PARAMS`` names every field of ``params`` that
+    differs from its default (``ffu_counts`` as ``{FUType.X: n}``), so it
+    replays the run's parameter point."""
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"fail-i{failure.iteration:04d}-s{failure.program_seed}"
     implicated = sorted({v.policy for v in failure.violations})
@@ -267,6 +271,16 @@ def _write_artifacts(
     )
     paths.append(str(record_path))
 
+    args = []
+    for f in fields(ProcessorParams):
+        value = getattr(params, f.name)
+        if value == f.default:
+            continue
+        if f.name == "ffu_counts":
+            pairs = ", ".join(f"FUType.{t.name}: {n}" for t, n in value.items())
+            args.append(f"ffu_counts={{{pairs}}}")
+        else:
+            args.append(f"{f.name}={value!r}")
     repro_path = out_dir / f"{stem}.repro.py"
     repro_path.write_text(
         '"""Auto-generated fuzz reproducer — run with PYTHONPATH=src."""\n'
@@ -274,11 +288,12 @@ def _write_artifacts(
         "from repro.core.baselines import policy_catalogue\n"
         "from repro.core.reference import run_reference\n"
         "from repro.isa.assembler import assemble\n"
+        "from repro.isa.futypes import FUType\n"
         "from repro.verify.invariants import check_result_pair\n\n"
         f"SOURCE = '''\n{minimized}\n'''\n\n"
         f"POLICIES = {implicated!r}\n"
         f"MAX_CYCLES = {max_cycles}\n"
-        f"PARAMS = ProcessorParams(reconfig_latency={params.reconfig_latency})\n\n"
+        f"PARAMS = ProcessorParams({', '.join(args)})\n\n"
         "program = assemble(SOURCE)\n"
         "reference = run_reference(program)\n"
         "catalogue = policy_catalogue()\n"

@@ -52,10 +52,10 @@ SEEDS = {
         self.policy.cycle(ruu)
 """)]),
     "HOT004": ("HOT004", "repro/core/processor.py", [("""\
-        rfus.tick()
+            fabric.tick()
 """, """\
-        tick = lambda: rfus.tick()
-        tick()
+            tick = lambda: fabric.tick()
+            tick()
 """)]),
     "HOT007": ("HOT007", "repro/core/processor.py", [("""\
         if order and order[0].state is _COMPLETED:

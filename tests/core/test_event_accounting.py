@@ -96,7 +96,7 @@ class Invalidate:
 
     def on_stage(self, proc, stage):
         proc.ruu._idle_blocked = None
-        proc._structure_seen = -1
+        proc._configured_version = -1
         policy = proc.policy
         for attr in ("_demand_seen", "_retired_seen"):
             if hasattr(policy, attr):

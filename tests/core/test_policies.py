@@ -34,6 +34,7 @@ from repro.frontend.memory import DataMemory
 from repro.isa.futypes import FU_TYPES, FUType
 from repro.sched.ruu import RegisterUpdateUnit
 from repro.workloads.kernels import checksum, newton_sqrt, saxpy
+from tests.fabric.slot_counts import rfu_loaded
 
 _FAST = ProcessorParams(reconfig_latency=2)
 
@@ -55,7 +56,7 @@ class TestStaticConfiguration:
         result = proc.run()
         # exactly the 6 units of the integer config were loaded, once
         assert result.reconfigurations == 6
-        counts = proc.fabric.rfus.counts()
+        counts = rfu_loaded(proc.fabric.rfus)
         assert counts[FUType.INT_ALU] == 4 and counts[FUType.INT_MDU] == 2
 
     def test_name_includes_config(self):
@@ -65,7 +66,7 @@ class TestStaticConfiguration:
         kernel = newton_sqrt(iterations=20)  # FP workload
         proc = static_processor(kernel.program, CONFIG_INTEGER, _FAST)
         proc.run()
-        assert proc.fabric.rfus.counts().get(FUType.FP_MDU, 0) == 0
+        assert rfu_loaded(proc.fabric.rfus).get(FUType.FP_MDU, 0) == 0
 
 
 class TestRandomSteering:
@@ -184,7 +185,7 @@ class TestOracleWindow:
         for _ in range(10):
             fabric.tick()
             policy.cycle(ruu)
-        assert fabric.rfus.counts() == {FUType.FP_ALU: 1}
+        assert rfu_loaded(fabric.rfus) == {FUType.FP_ALU: 1}
         assert policy.loader._target is None
 
     def test_rebinding_restarts_the_window(self):

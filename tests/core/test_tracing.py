@@ -25,12 +25,12 @@ class TestSlotGlyphs:
 
     def test_reconfiguring_slot(self):
         f = Fabric(reconfig_latency=10)
-        f.rfus.begin_reconfigure(0, FUType.INT_ALU)
+        f.begin_reconfigure(0, FUType.INT_ALU)
         assert slot_glyphs(f)[0] == "*"
 
     def test_loaded_and_busy_units(self):
         f = Fabric(reconfig_latency=1)
-        f.rfus.begin_reconfigure(0, FUType.FP_ALU)
+        f.begin_reconfigure(0, FUType.FP_ALU)
         while not f.rfus.bus_free:
             f.tick()
         assert slot_glyphs(f)[:3] == "FFF"  # idle: uppercase, spans shown

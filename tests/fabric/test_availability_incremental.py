@@ -1,8 +1,9 @@
-"""The incremental availability cache must track the Eq. 1 rescan exactly.
+"""The fabric's incremental availability must track the Eq. 1 rescan exactly.
 
-:class:`AvailabilityCache` point-updates its idle counts and the 5-bit
-availability bus as :meth:`Fabric.issue` and :meth:`Fabric.release` flip
-a unit, instead of rescanning the fabric every query.  These tests drive
+:class:`Fabric` point-updates its idle counts and the 5-bit availability
+bus as :meth:`Fabric.issue` and :meth:`Fabric.release` flip a unit, and
+re-indexes them when a load starts or completes, instead of rescanning
+the fabric every query.  These tests drive
 a fabric through randomized issue / release / tick / reconfigure
 sequences, and a register update unit through issue, completion and
 squash, and pin the incremental answers to the bit-faithful
@@ -11,6 +12,7 @@ direct per-unit rescan — after every single operation.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.isa.assembler import assemble
 from repro.isa.futypes import FU_TYPES, FUType
 from repro.sched.entry import EntryState
 from repro.sched.ruu import RegisterUpdateUnit
+from tests.fabric.slot_counts import rfu_loaded, rfu_loading
 
 _LATENCY = 4
 
@@ -53,6 +56,12 @@ def _assert_consistent(fabric):
     assert fabric.availability_bits() == _reference_bits(fabric)
     assert fabric.idle_counts() == _reference_idle_counts(fabric)
     counts = fabric.counts_tuple()
+    configured = Counter(u.fu_type for u in fabric.ffus.units)
+    configured.update(rfu_loaded(fabric.rfus))
+    assert counts == tuple(configured[t] for t in FU_TYPES)
+    have = Counter(rfu_loaded(fabric.rfus))
+    have.update(rfu_loading(fabric.rfus))
+    assert fabric.rfu_have == {t: have[t] for t in FU_TYPES}
     for i, t in enumerate(FU_TYPES):
         assert fabric.idle_counts()[t] <= counts[i]
 
@@ -79,7 +88,7 @@ def _random_step(rng, fabric):
         t = rng.choice(FU_TYPES)
         head = rng.randrange(fabric.rfus.n_slots)
         if fabric.rfus.range_reconfigurable(head, t):
-            fabric.rfus.begin_reconfigure(head, t)
+            fabric.begin_reconfigure(head, t)
         else:
             op = "tick"
             fabric.tick()
@@ -102,7 +111,7 @@ def test_load_completion_and_eviction_tracked():
     fabric = Fabric(n_slots=8, reconfig_latency=_LATENCY)
     t = FU_TYPES[0]
     before = fabric.counts_tuple()[0]
-    fabric.rfus.begin_reconfigure(0, t)
+    fabric.begin_reconfigure(0, t)
     _assert_consistent(fabric)  # pending unit counts nowhere yet
     for _ in range(_LATENCY * t.slot_cost):
         fabric.tick()
@@ -111,7 +120,7 @@ def test_load_completion_and_eviction_tracked():
     # evict it by loading a different type over the same region
     other = FU_TYPES[1]
     assert fabric.rfus.range_reconfigurable(0, other)
-    fabric.rfus.begin_reconfigure(0, other)
+    fabric.begin_reconfigure(0, other)
     _assert_consistent(fabric)
     assert fabric.counts_tuple()[0] == before
 
@@ -135,7 +144,7 @@ def test_busy_unit_events_update_bus_and_counts():
 
 def _loaded(fabric, fu_type):
     """Load one ``fu_type`` unit at slot 0 and tick until it is configured."""
-    fabric.rfus.begin_reconfigure(0, fu_type)
+    fabric.begin_reconfigure(0, fu_type)
     while not fabric.rfus.bus_free:
         fabric.tick()
     _assert_consistent(fabric)
@@ -144,7 +153,7 @@ def _loaded(fabric, fu_type):
 def test_ruu_issue_completion_and_squash_match_rescan():
     """The register update unit occupies units through ``Fabric.issue`` and
     frees them through ``Fabric.release`` on completion (``tick``) and on
-    a squash (``flush_younger``); the cache matches the rescan after each.
+    a squash (``flush_younger``); the fabric matches the rescan after each.
     With the loads and evictions above, every transition the cycle loop
     makes is pinned."""
     fabric = Fabric(n_slots=8, reconfig_latency=_LATENCY)
@@ -180,25 +189,24 @@ def test_rfu_flips_count_only_reconfigurable_transitions():
     ``rfu_flips``: each issue or release of a reconfigurable unit moves it
     by one, a fixed unit's leaves it, and so do loads."""
     fabric = Fabric(n_slots=8, reconfig_latency=_LATENCY)
-    avail = fabric._avail
-    flips = avail.rfu_flips
+    flips = fabric.rfu_flips
     _loaded(fabric, FUType.INT_ALU)
-    assert avail.rfu_flips == flips
+    assert fabric.rfu_flips == flips
     fixed = fabric.issue(FUType.INT_ALU)
-    assert fixed.fixed and avail.rfu_flips == flips
+    assert fixed.fixed and fabric.rfu_flips == flips
     loaded = fabric.issue(FUType.INT_ALU)
-    assert not loaded.fixed and avail.rfu_flips == flips + 1
+    assert not loaded.fixed and fabric.rfu_flips == flips + 1
     fabric.release(fixed)
-    assert avail.rfu_flips == flips + 1
+    assert fabric.rfu_flips == flips + 1
     fabric.release(loaded)
-    assert avail.rfu_flips == flips + 2
+    assert fabric.rfu_flips == flips + 2
 
 
 def test_crosscheck_mode_smoke():
     """With the debug cross-check armed, every query re-derives from a
     rescan and raises on divergence — a clean random run must not raise."""
     fabric = Fabric(n_slots=8, reconfig_latency=_LATENCY)
-    fabric._avail.crosscheck = True
+    fabric.crosscheck = True
     rng = random.Random(99)
     for _ in range(200):
         _random_step(rng, fabric)
@@ -209,8 +217,19 @@ def test_crosscheck_mode_smoke():
 def test_crosscheck_detects_seeded_divergence():
     """Corrupting the incremental state must trip the cross-check."""
     fabric = Fabric(n_slots=8, reconfig_latency=_LATENCY)
-    fabric.availability_bits()  # prime the cache
-    fabric._avail.crosscheck = True
-    fabric._avail._idle_counts[FU_TYPES[0]] += 1  # simulate a missed event
+    fabric.crosscheck = True
+    fabric._idle_counts[FU_TYPES[0]] += 1  # simulate a missed event
     with pytest.raises(FabricError):
         fabric.idle_counts()
+
+
+def test_crosscheck_detects_a_missed_structure_change():
+    """A load started behind the fabric's back (on the slot array itself)
+    evicts a unit the fabric still indexes: the cross-check's rescan of
+    the units sees it."""
+    fabric = Fabric(n_slots=8, reconfig_latency=_LATENCY)
+    _loaded(fabric, FUType.INT_ALU)
+    fabric.crosscheck = True
+    fabric.rfus.begin_reconfigure(0, FUType.LSU)
+    with pytest.raises(FabricError, match="diverged from a rescan"):
+        fabric.availability_bits()

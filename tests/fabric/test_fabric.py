@@ -5,6 +5,7 @@ import pytest
 from repro.errors import FabricError
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FU_TYPES, FUType
+from tests.fabric.slot_counts import rfu_loaded
 
 
 def _fabric(latency=1):
@@ -12,7 +13,7 @@ def _fabric(latency=1):
 
 
 def _load(fabric, head, fu_type):
-    fabric.rfus.begin_reconfigure(head, fu_type)
+    fabric.begin_reconfigure(head, fu_type)
     while not fabric.rfus.bus_free:
         fabric.tick()
 
@@ -31,7 +32,7 @@ class TestCounts:
     def test_initial_counts_are_ffus_only(self):
         f = _fabric()
         assert _counts(f) == {t: 1 for t in FU_TYPES}
-        assert f.rfus.counts() == {}
+        assert rfu_loaded(f.rfus) == {}
 
     def test_counts_after_loading(self):
         f = _fabric()
@@ -41,7 +42,7 @@ class TestCounts:
 
     def test_pending_units_not_counted(self):
         f = Fabric(reconfig_latency=50)
-        f.rfus.begin_reconfigure(0, FUType.LSU)
+        f.begin_reconfigure(0, FUType.LSU)
         assert _counts(f)[FUType.LSU] == 1  # only the FFU
 
 
@@ -142,7 +143,7 @@ class TestFastPathEquivalence:
                 head = rng.randrange(8)
                 t = rng.choice(list(FU_TYPES))
                 if f.rfus.range_reconfigurable(head, t):
-                    f.rfus.begin_reconfigure(head, t)
+                    f.begin_reconfigure(head, t)
             elif op < 0.6:
                 t = rng.choice(list(FU_TYPES))
                 if f.idle_counts()[t]:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import FabricError
 from repro.fabric.slots import RfuSlotArray
 from repro.isa.futypes import FUType
+from tests.fabric.slot_counts import rfu_loaded, rfu_loading
 
 
 def _loaded_array(**kwargs):
@@ -35,12 +36,12 @@ class TestLoading:
         arr = RfuSlotArray(reconfig_latency=4)
         latency = arr.begin_reconfigure(0, FUType.INT_ALU)
         assert latency == 4
-        assert arr.counts() == {}  # not usable yet
-        assert arr.pending_counts() == {FUType.INT_ALU: 1}
+        assert rfu_loaded(arr) == {}  # not usable yet
+        assert rfu_loading(arr) == {FUType.INT_ALU: 1}
         for _ in range(4):
             arr.tick()
-        assert arr.counts() == {FUType.INT_ALU: 1}
-        assert arr.pending_counts() == {}
+        assert rfu_loaded(arr) == {FUType.INT_ALU: 1}
+        assert rfu_loading(arr) == {}
 
     def test_multi_slot_latency_scales_with_cost(self):
         arr = RfuSlotArray(reconfig_latency=4)
@@ -82,9 +83,9 @@ class TestEviction:
         arr = _loaded_array(reconfig_latency=1)
         # overwrite the FP_ALU at slots 1-3 with an LSU at slot 2
         arr.begin_reconfigure(2, FUType.LSU)
-        assert arr.counts() == {FUType.INT_ALU: 1}  # FP_ALU gone immediately
+        assert rfu_loaded(arr) == {FUType.INT_ALU: 1}  # FP_ALU gone immediately
         _drain(arr)
-        assert arr.counts() == {FUType.INT_ALU: 1, FUType.LSU: 1}
+        assert rfu_loaded(arr) == {FUType.INT_ALU: 1, FUType.LSU: 1}
 
     def test_eviction_clears_all_span_slots(self):
         arr = _loaded_array(reconfig_latency=1)
@@ -120,7 +121,7 @@ class TestEviction:
 class TestQueries:
     def test_counts_and_units(self):
         arr = _loaded_array(reconfig_latency=1)
-        assert arr.counts() == {FUType.INT_ALU: 1, FUType.FP_ALU: 1}
+        assert rfu_loaded(arr) == {FUType.INT_ALU: 1, FUType.FP_ALU: 1}
         assert len(arr.units()) == 2
 
     def test_slot_busy(self):

@@ -19,6 +19,7 @@ from repro.errors import FabricError
 from repro.fabric.allocation import EMPTY_ENCODING, SPAN_ENCODING
 from repro.fabric.slots import RfuSlotArray
 from repro.isa.futypes import FU_TYPES, FUType
+from tests.fabric.slot_counts import rfu_loaded
 
 _OPS = st.lists(
     st.one_of(
@@ -58,7 +59,7 @@ def _check_invariants(arr: RfuSlotArray) -> None:
     # allocation vector validity (constructor checks spans)
     vec = arr.allocation_vector()
     # counts equal head slots
-    assert sum(arr.counts().values()) == len(arr.units())
+    assert sum(rfu_loaded(arr).values()) == len(arr.units())
     # no slot belongs to two units
     covered = {}
     for head, unit in arr.units():

@@ -148,7 +148,7 @@ class TestIssueAndForwarding:
 
     def test_structural_stall_resolved_by_extra_rfu_unit(self):
         ruu = _ruu()
-        ruu.fabric.rfus.begin_reconfigure(0, FUType.FP_MDU)
+        ruu.fabric.begin_reconfigure(0, FUType.FP_MDU)
         for _ in range(10):
             ruu.fabric.tick()
         e = _dispatch(ruu, "fmul f1, f2, f3\nfmul f4, f5, f6\n")
@@ -187,7 +187,7 @@ class TestMemoryOrdering:
     def test_disjoint_load_proceeds(self):
         ruu = _ruu()
         # add a second LSU so the store and the load don't contend
-        ruu.fabric.rfus.begin_reconfigure(0, FUType.LSU)
+        ruu.fabric.begin_reconfigure(0, FUType.LSU)
         for _ in range(5):
             ruu.fabric.tick()
         e = _dispatch(ruu, "sw x1, 0(x0)\nlw x2, 64(x0)\n")

@@ -148,6 +148,6 @@ def test_crosschecked_simulation_is_bit_identical(monkeypatch):
     plain = steering_processor(program, params).run(max_cycles=60_000)
     monkeypatch.setattr("repro.utils.env.CROSSCHECK", True)
     checked_proc = steering_processor(program, params)
-    assert checked_proc.fabric._avail.crosscheck
+    assert checked_proc.fabric.crosscheck
     checked = checked_proc.run(max_cycles=60_000)
     assert checked.to_dict() == plain.to_dict()

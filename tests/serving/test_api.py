@@ -8,7 +8,8 @@ import pytest
 
 import repro.evaluation.batch as batch
 from repro.core.params import ProcessorParams
-from repro.evaluation.batch import ResultCache, SimJob, run_many
+from repro.evaluation.batch import ResultCache, SimJob, job_key, run_many
+from repro.isa.futypes import FUType
 from repro.serving.jobs import build_job
 from repro.workloads.kernels import checksum
 
@@ -237,6 +238,36 @@ def test_submit_bad_json_and_bad_spec(make_app):
     )
     assert status == 400
     assert "nosuch-kernel" in payload["error"]
+
+
+@pytest.mark.parametrize("ffu_counts, expected", [
+    ({"INT_ALU": 1, "FP_MDU": 2}, {FUType.INT_ALU: 1, FUType.FP_MDU: 2}),
+    ({}, {}),  # the FFU-less fabric of section 3.2
+    ([1, 2], None),  # not an object
+    (None, None),
+    ({"NOSUCH": 1}, None),  # no such unit type
+    ({"INT_ALU": -1}, None),
+    ({"INT_ALU": 17}, None),  # above MAX_PARAM_SCALE
+    ({"INT_ALU": 1.0}, None),
+    ({"INT_ALU": True}, None),
+])
+def test_submitted_ffu_counts_are_parsed_by_type_name(make_app, ffu_counts, expected):
+    """``params.ffu_counts`` is keyed by unit-type name; a malformed one is
+    refused with 400, and an accepted one builds ``FUType`` keys."""
+    app = make_app()
+    spec = {"factory": "ffu-only", "target": "checksum", "max_cycles": 1000,
+            "params": {"ffu_counts": ffu_counts}}
+    status, _, payload = _decode(
+        app.handle("POST", "/api/jobs", body=json.dumps(spec).encode())
+    )
+    if expected is None:
+        assert status == 400
+        assert "ffu_counts" in payload["error"]
+        return
+    assert status == 202, payload
+    job = build_job(spec)
+    assert job.params == ProcessorParams(ffu_counts=expected)
+    assert payload["key"] == job_key(job)
 
 
 def test_submit_cached_job_returns_200_immediately(make_app):

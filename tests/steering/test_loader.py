@@ -10,6 +10,7 @@ from repro.fabric.configuration import (
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FUType
 from repro.steering.loader import ConfigurationLoader
+from tests.fabric.slot_counts import rfu_loaded
 
 
 def _drive(loader, fabric, cycles):
@@ -41,7 +42,7 @@ class TestTargeting:
     def test_loads_target_configuration(self, loader, fabric):
         loader.set_target(CONFIG_INTEGER)
         _drive(loader, fabric, 60)
-        assert fabric.rfus.counts() == {FUType.INT_ALU: 4, FUType.INT_MDU: 2}
+        assert rfu_loaded(fabric.rfus) == {FUType.INT_ALU: 4, FUType.INT_MDU: 2}
         assert loader.satisfied
 
     def test_current_counts_include_ffus(self, loader, fabric):
@@ -70,7 +71,7 @@ class TestHybridOverlap:
         # switch to memory: the 2 IALUs and 1 IMDU it wants are already there
         loader.set_target(CONFIG_MEMORY)
         _drive(loader, fabric, 60)
-        assert fabric.rfus.counts() == {
+        assert rfu_loaded(fabric.rfus) == {
             FUType.INT_ALU: 2,
             FUType.INT_MDU: 1,
             FUType.LSU: 4,
@@ -90,7 +91,7 @@ class TestHybridOverlap:
         loader.set_target(CONFIG_FLOATING)
         _drive(loader, fabric, 20)
         # nothing could change: all slots busy
-        assert fabric.rfus.counts() == {FUType.INT_ALU: 4, FUType.INT_MDU: 2}
+        assert rfu_loaded(fabric.rfus) == {FUType.INT_ALU: 4, FUType.INT_MDU: 2}
         assert not loader.satisfied
 
     def test_partial_steering_around_busy_slot(self, fabric, loader):
@@ -108,7 +109,7 @@ class TestHybridOverlap:
         fabric.release(fixed[0])
         loader.set_target(CONFIG_FLOATING)
         _drive(loader, fabric, 60)
-        counts = fabric.rfus.counts()
+        counts = rfu_loaded(fabric.rfus)
         # the busy IALU survived; FP units landed in the freed slots
         assert counts[FUType.INT_ALU] >= 1
         assert counts.get(FUType.FP_ALU, 0) >= 1 or counts.get(FUType.FP_MDU, 0) >= 1
@@ -157,7 +158,7 @@ class TestMissingAndSurplus:
             loader.step()
             fabric.tick()
         assert loader.satisfied
-        counts = fabric.rfus.counts()
+        counts = rfu_loaded(fabric.rfus)
         assert counts.get(FUType.FP_ALU, 0) == 1
         assert counts.get(FUType.FP_MDU, 0) == 1
 
@@ -195,6 +196,7 @@ class TestMissingUnitsMemo:
         assert loader.missing_units() == []
         head = fabric.rfus.units()[0][0]
         fabric.rfus._remove_unit(head)  # an eviction, and nothing else
+        fabric._index()  # as Fabric.begin_reconfigure re-indexes after one
         assert loader.missing_units() == self._fresh(loader) != []
 
     def test_load_completion_invalidates(self, fabric, loader):

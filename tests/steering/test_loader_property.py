@@ -13,6 +13,7 @@ from repro.fabric.configuration import PREDEFINED_CONFIGS
 from repro.fabric.fabric import Fabric
 from repro.isa.futypes import FU_TYPES
 from repro.steering.loader import ConfigurationLoader
+from tests.fabric.slot_counts import rfu_loaded, rfu_loading
 
 _TARGETS = st.lists(
     st.tuples(
@@ -81,7 +82,7 @@ def test_loader_converges_once_target_stabilises(final, churn):
         loader.step()
         fabric.tick()
     assert loader.satisfied
-    counts = fabric.rfus.counts()
+    counts = rfu_loaded(fabric.rfus)
     for t in FU_TYPES:
         assert counts.get(t, 0) >= target.count(t)
 
@@ -110,6 +111,6 @@ def test_loader_never_evicts_wanted_units(pair):
                     1
                     for _, u in fabric.rfus.units()
                     if u.fu_type is evicted
-                ) + fabric.rfus.pending_counts().get(evicted, 0) + 1
+                ) + rfu_loading(fabric.rfus).get(evicted, 0) + 1
         fabric.tick()
     assert loader.satisfied

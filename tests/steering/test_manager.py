@@ -12,6 +12,7 @@ from repro.core.tracing import SteeringTrace
 from repro.fabric.fabric import Fabric
 from repro.isa.assembler import assemble
 from repro.isa.futypes import COUNT_ONE, FUType
+from tests.fabric.slot_counts import rfu_loaded
 
 
 def _queue(src):
@@ -62,7 +63,7 @@ class TestSteering:
         current, so loading may stop one unit short — §3.1)."""
         mgr = _manager(fabric)
         _run(mgr, _INT_QUEUE, 60)
-        counts = fabric.rfus.counts()
+        counts = rfu_loaded(fabric.rfus)
         assert counts.get(FUType.INT_ALU, 0) >= 3
         assert counts.get(FUType.INT_MDU, 0) == 2
         assert counts.get(FUType.FP_ALU, 0) == 0
@@ -70,7 +71,7 @@ class TestSteering:
     def test_steers_to_floating_config(self, fabric):
         mgr = _manager(fabric)
         _run(mgr, _FP_QUEUE, 80)
-        counts = fabric.rfus.counts()
+        counts = rfu_loaded(fabric.rfus)
         assert counts.get(FUType.FP_ALU, 0) == 1
         assert counts.get(FUType.FP_MDU, 0) == 1
 
@@ -86,9 +87,9 @@ class TestSteering:
         (settling once the hybrid error ties the memory config's)."""
         mgr = _manager(fabric)
         _run(mgr, _INT_QUEUE, 60)
-        assert fabric.rfus.counts().get(FUType.LSU, 0) == 0
+        assert rfu_loaded(fabric.rfus).get(FUType.LSU, 0) == 0
         _run(mgr, _MEM_QUEUE, 80)
-        assert fabric.rfus.counts().get(FUType.LSU, 0) >= 1
+        assert rfu_loaded(fabric.rfus).get(FUType.LSU, 0) >= 1
         assert _cycle(mgr, _MEM_QUEUE).keeps_current
 
     def test_empty_queue_is_stable(self, fabric):
@@ -137,5 +138,5 @@ class TestExactMetricOption:
     def test_exact_metric_manager_still_steers(self, fabric):
         mgr = _manager(fabric, ProcessorParams(use_exact_metric=True))
         _run(mgr, _FP_QUEUE, 80)
-        counts = fabric.rfus.counts()
+        counts = rfu_loaded(fabric.rfus)
         assert counts.get(FUType.FP_ALU, 0) == 1

@@ -7,14 +7,19 @@ must be caught by the invariants within the first few iterations and
 minimized to a dozen instructions or fewer.
 """
 
+import ast
 import json
+import pathlib
 
 from repro.core import baselines
 from repro.core.baselines import steering_processor
+from repro.core.params import ProcessorParams
+from repro.isa.futypes import FUType
 from repro.isa.program import Program
 from repro.verify import fuzz as fuzz_module
-from repro.verify.fuzz import run_fuzz
+from repro.verify.fuzz import FuzzFailure, run_fuzz
 from repro.verify.generator import GeneratorConfig
+from repro.verify.invariants import Violation
 
 #: cycle budget ample for generated programs but quick to exhaust when
 #: the seeded bug spins the pipeline forever.
@@ -211,3 +216,38 @@ def test_one_run_many_call_per_iteration(monkeypatch):
     report = run_fuzz(seed=2, iterations=3, max_cycles=FAST_CYCLES)
     assert report.ok
     assert calls == [8, 8, 8]
+
+
+def test_repro_script_carries_the_whole_parameter_point(tmp_path):
+    """The reproducer's ``PARAMS`` equals the run's parameters at every
+    field that differs from its default, the fixed bank included."""
+    params = ProcessorParams(
+        window_size=11,
+        fetch_width=2,
+        reconfig_latency=8,
+        use_exact_metric=True,
+        pipelined_scheduling=True,
+        reconfig_mode="difference",
+        ffu_counts={FUType.INT_ALU: 2, FUType.FP_MDU: 0},
+    )
+    failure = FuzzFailure(
+        iteration=3,
+        program_seed=7,
+        config=GeneratorConfig(),
+        violations=(Violation("halts", "steering", "did not halt"),),
+        source="addi x1, x0, 1\nhalt",
+        minimized=None,
+    )
+    paths = fuzz_module._write_artifacts(tmp_path, failure, params, 1234)
+    script = [p for p in paths if p.endswith(".repro.py")][0]
+    tree = ast.parse(pathlib.Path(script).read_text())
+    # the imports and the PARAMS assignment, without running the replay
+    kept = [
+        node for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        or (isinstance(node, ast.Assign) and node.targets[0].id == "PARAMS")
+    ]
+    namespace = {}
+    exec(compile(ast.Module(kept, []), script, "exec"), namespace)
+    assert namespace["PARAMS"] == params
+    assert namespace["PARAMS"].fingerprint == params.fingerprint
